@@ -3,6 +3,9 @@
 Unlike the figure benches (which replay the full-scale schedule through
 the hardware model), these time the *actual* Python solver kernels with
 pytest-benchmark — the numbers a user of this library experiences.
+Sizes run from cache-resident (128^2) to well out of L2 (768^2, the
+regime DESIGN.md "Kernel execution" is about); each records
+``cells_per_s`` in ``extra_info``.
 """
 
 import numpy as np
@@ -22,18 +25,23 @@ def _fields(ny, nx, depth=100.0, seed=0):
     return z, m, n, h
 
 
-@pytest.mark.parametrize("size", [128, 512])
+SIZES = [128, 512, 768]
+
+
+def _record_rate(benchmark, size):
+    benchmark.extra_info["cells_per_s"] = size * size / benchmark.stats["mean"]
+
+
+@pytest.mark.parametrize("size", SIZES)
 def test_nlmass_throughput(benchmark, size):
     z, m, n, h = _fields(size, size)
     out = np.empty_like(z)
     benchmark(nlmass, z, m, n, h, 0.1, 10.0, out=out)
-    cells = size * size
-    rate = cells / benchmark.stats["mean"]
-    benchmark.extra_info["cells_per_s"] = rate
+    _record_rate(benchmark, size)
     assert np.isfinite(out).all()
 
 
-@pytest.mark.parametrize("size", [128, 512])
+@pytest.mark.parametrize("size", SIZES)
 def test_nlmnt2_throughput(benchmark, size):
     z, m, n, h = _fields(size, size)
     out_m = np.empty_like(m)
@@ -41,6 +49,7 @@ def test_nlmnt2_throughput(benchmark, size):
     benchmark(
         nlmnt2, z, m, n, h, 0.1, 10.0, 0.025, out_m=out_m, out_n=out_n
     )
+    _record_rate(benchmark, size)
     assert np.isfinite(out_m).all() and np.isfinite(out_n).all()
 
 

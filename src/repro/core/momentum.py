@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import DRY_THRESHOLD, GRAVITY, MAX_VELOCITY
+from repro.core.scratch import carve, reject_aliasing, strips
 from repro.grid.staggered import NGHOST
 
 
@@ -55,102 +56,138 @@ def momentum_core(
 
     Physical faces (columns ``G .. G+nx`` inclusive) are all written,
     including block-edge faces; the caller overwrites edge faces that are
-    governed by boundary conditions or parent-grid coupling.
+    governed by boundary conditions or parent-grid coupling.  ``out`` must
+    not share memory with an input.
 
     Returns ``out``.
     """
     g = nghost
     ny = z_new.shape[0] - 2 * g
     nx = z_new.shape[1] - 2 * g
+    reject_aliasing("momentum_core", out, z_new, mm_old, nn_old, hz)
 
-    # ------------------------------------------------------------------
-    # Wide face range: faces 1 .. nx+2g (m-array columns), i.e. every face
-    # that has both neighbor cells inside the padded array.  Width nx+3
-    # for g=2.  All face-centered intermediates live on this range over
-    # *all* rows, so the cross-term can index j-1/j+1 freely.
-    # ------------------------------------------------------------------
-    wf = slice(1, nx + 2 * g)  # m-array columns of the wide range
-    zl = z_new[:, 0 : nx + 2 * g - 1]  # cell left of each wide face
-    zr = z_new[:, 1 : nx + 2 * g]  # cell right of each wide face
-    hl = hz[:, 0 : nx + 2 * g - 1]
-    hr = hz[:, 1 : nx + 2 * g]
-
-    dl = zl + hl
-    dr = zr + hr
-    wet_l = dl > dry_threshold
-    wet_r = dr > dry_threshold
-
-    both = wet_l & wet_r
-    over_r = wet_l & ~wet_r & (zl > -hr)  # overflow toward the right
-    over_l = wet_r & ~wet_l & (zr > -hl)  # overflow toward the left
-    open_face = both | over_r | over_l
-
-    df = np.where(both, 0.5 * (dl + dr), 0.0)
-    df = np.where(over_r, zl + hr, df)
-    df = np.where(over_l, zr + hl, df)
-    df_safe = np.maximum(df, dry_threshold)
-
-    m_wide = mm_old[:, wf]
-
-    if nonlinear:
-        # Advective flux F = M^2 / D at faces (zero on closed faces).
-        flux = np.where(open_face, m_wide * m_wide / df_safe, 0.0)
-
-        # Cross flux G = M * NV / D at faces, with NV the 4-point average
-        # of the transverse flux at the M point.  nn_old rows j and j+1
-        # are the faces below/above cell row j.
-        n_l = nn_old[:, 0 : nx + 2 * g - 1]
-        n_r = nn_old[:, 1 : nx + 2 * g]
-        nv = 0.25 * (n_l[:-1, :] + n_r[:-1, :] + n_l[1:, :] + n_r[1:, :])
-        cross = np.where(open_face, m_wide * nv / df_safe, 0.0)
-
-    # ------------------------------------------------------------------
-    # Target face range: physical faces, m-array columns g .. g+nx
-    # (wide-range index g-1 .. g-1+nx+1).
-    # ------------------------------------------------------------------
-    tj = slice(g, g + ny)  # physical cell rows
-    tw = slice(g - 1, g + nx)  # target faces in wide-range coordinates
-
-    m_c = m_wide[tj, tw]
-    df_c = df[tj, tw]
-    df_safe_c = df_safe[tj, tw]
-    open_c = open_face[tj, tw]
-    dzdx = (zr[tj, tw] - zl[tj, tw]) / dx
-
-    rhs = m_c - gravity * df_c * dt * dzdx
-    if nonlinear:
-        f_c = flux[tj, tw]
-        f_m = flux[tj, slice(g - 2, g + nx - 1)]
-        f_p = flux[tj, slice(g, g + nx + 1)]
-        adv_x = np.where(m_c >= 0.0, f_c - f_m, f_p - f_c) / dx
-
-        g_c = cross[tj, tw]
-        g_jm = cross[slice(g - 1, g + ny - 1), tw]
-        g_jp = cross[slice(g + 1, g + ny + 1), tw]
-        nv_c = nv[tj, tw]
-        adv_y = np.where(nv_c >= 0.0, g_c - g_jm, g_jp - g_c) / dx
-
-        rhs -= dt * (adv_x + adv_y)
-
-        # Semi-implicit Manning friction.
-        speed_flux = np.sqrt(m_c * m_c + nv_c * nv_c)
-        fric = (
-            gravity
-            * manning
-            * manning
-            * speed_flux
-            / np.power(df_safe_c, 7.0 / 3.0)
+    # Strips follow memory rows: axis 0, or axis 1 of the transposed views
+    # the N pass hands in, so both passes stream contiguous memory.
+    transposed = z_new.strides[0] < z_new.strides[1]
+    rows, faces = (g, g + ny), (g, g + nx + 1)
+    if transposed:
+        windows = [(*rows, lo, hi, ..., ext) for lo, hi, ext in strips(*faces, ny + 2)]
+    else:
+        windows = [(lo, hi, *faces, ext, ...) for lo, hi, ext in strips(*rows, nx + 4)]
+    k_fric = gravity * manning * manning
+    tj = slice(1, -1)
+    tgt = (tj, tj)  # target rows and faces within a window's wide range
+    for j0, j1, f0, f1, ej, ef in windows:
+        # Everything but the physical faces is carried over unchanged.
+        out[ej, ef] = mm_old[ej, ef]
+        # Target faces f0..f1 of rows j0..j1 need one more face and row on
+        # every side (the wide range), so cells j0-1..j1+1 x f0-2..f1+1:
+        # cell f-1 is left of face f.
+        cj, ci = slice(j0 - 1, j1 + 1), slice(f0 - 2, f1 + 1)
+        z, h, m_wide = z_new[cj, ci], hz[cj, ci], mm_old[cj, f0 - 1 : f1 + 1]
+        (
+            (d,), (wet,), (t1, t2, cross, df, df_safe), (both, over_r, over_l, tmp),
+            (t3, t4, t5, rhs), (mask,),
+        ) = carve(
+            out.dtype, transposed, (1, 1, z.shape), (5, 4, m_wide.shape),
+            (4, 1, (j1 - j0, f1 - f0)),
         )
-        rhs /= 1.0 + dt * fric
+        zl, zr, hl, hr = z[:, :-1], z[:, 1:], h[:, :-1], h[:, 1:]
 
-    m_next = np.where(open_c, rhs, 0.0)
+        # Total depth and wetness once per cell, shared by both its faces.
+        np.add(z, h, out=d)
+        np.greater(d, dry_threshold, out=wet)
+        dl, dr, wet_l, wet_r = d[:, :-1], d[:, 1:], wet[:, :-1], wet[:, 1:]
 
-    # Velocity cap: |M| <= cap * D.
-    limit = velocity_cap * df_safe_c
-    np.clip(m_next, -limit, limit, out=m_next)
+        # Overflow heads, t1 rightward and t2 leftward.  ``zl + hr > 0`` is
+        # ``zl > -hr`` exactly: x + y rounds to zero only when x == -y.
+        np.bitwise_and(wet_l, wet_r, out=both)
+        np.add(zl, hr, out=t1)
+        np.greater(wet_l, wet_r, out=over_r)  # wet on the left only
+        np.greater(t1, 0.0, out=tmp)
+        np.bitwise_and(over_r, tmp, out=over_r)
+        np.add(zr, hl, out=t2)
+        np.less(wet_l, wet_r, out=over_l)  # wet on the right only
+        np.greater(t2, 0.0, out=tmp)
+        np.bitwise_and(over_l, tmp, out=over_l)
 
-    out[...] = mm_old
-    out[tj, slice(g, g + nx + 1)] = m_next
+        # Face depth: the mean where both cells are wet, the head on an
+        # overflowing face (the cases exclude one another), else zero.
+        np.add(dl, dr, out=df)
+        np.multiply(0.5, df, out=df)
+        np.copyto(df, t1, where=over_r)
+        np.copyto(df, t2, where=over_l)
+        closed = both  # overwrites ``both``, which is dead from here
+        np.bitwise_or(both, over_r, out=closed)
+        np.bitwise_or(closed, over_l, out=closed)
+        np.invert(closed, out=closed)
+        np.copyto(df, 0.0, where=closed)
+        np.maximum(df, dry_threshold, out=df_safe)
+
+        if nonlinear:
+            # Advective flux F = M^2 / D at faces (zero on closed faces).
+            flux, nv = t1[tj], t2
+            np.multiply(m_wide[tj], m_wide[tj], out=flux)
+            np.divide(flux, df_safe[tj], out=flux)
+            np.copyto(flux, 0.0, where=closed[tj])
+
+            # Cross flux G = M * NV / D at faces, with NV the 4-point
+            # average of the transverse flux at the M point.  nn rows j
+            # and j+1 are the faces below/above cell row j.
+            nn = nn_old[j0 - 1 : j1 + 2, ci]
+            n_l, n_r = nn[:, :-1], nn[:, 1:]
+            np.add(n_l[:-1], n_r[:-1], out=nv)
+            np.add(nv, n_l[1:], out=nv)
+            np.add(nv, n_r[1:], out=nv)
+            np.multiply(0.25, nv, out=nv)
+            np.multiply(m_wide, nv, out=cross)
+            np.divide(cross, df_safe, out=cross)
+            np.copyto(cross, 0.0, where=closed)
+
+        # Pressure gradient: rhs = M - g * D_f * dt * dz/dx.
+        m_c, df_safe_c = m_wide[tgt], df_safe[tgt]
+        np.subtract(zr[tgt], zl[tgt], out=t3)
+        np.divide(t3, dx, out=t3)
+        np.multiply(gravity, df[tgt], out=rhs)
+        np.multiply(rhs, dt, out=rhs)
+        np.multiply(rhs, t3, out=rhs)
+        np.subtract(m_c, rhs, out=rhs)
+
+        if nonlinear:
+            # First-order upwind advection.
+            f_c, nv_c, g_c = flux[:, tj], nv[tgt], cross[tgt]
+            np.subtract(flux[:, 2:], f_c, out=t3)
+            np.subtract(f_c, flux[:, :-2], out=t4)
+            np.greater_equal(m_c, 0.0, out=mask)
+            np.copyto(t3, t4, where=mask)
+            np.divide(t3, dx, out=t3)
+            np.subtract(cross[2:, tj], g_c, out=t4)
+            np.subtract(g_c, cross[:-2, tj], out=t5)
+            np.greater_equal(nv_c, 0.0, out=mask)
+            np.copyto(t4, t5, where=mask)
+            np.divide(t4, dx, out=t4)
+            np.add(t3, t4, out=t3)
+            np.multiply(dt, t3, out=t3)
+            np.subtract(rhs, t3, out=rhs)
+
+            # Semi-implicit Manning friction.
+            np.multiply(m_c, m_c, out=t3)
+            np.multiply(nv_c, nv_c, out=t4)
+            np.add(t3, t4, out=t3)
+            np.sqrt(t3, out=t3)
+            np.multiply(k_fric, t3, out=t3)
+            np.power(df_safe_c, 7.0 / 3.0, out=t4)
+            np.divide(t3, t4, out=t3)
+            np.multiply(dt, t3, out=t3)
+            np.add(1.0, t3, out=t3)
+            np.divide(rhs, t3, out=rhs)
+
+        np.copyto(rhs, 0.0, where=closed[tgt])
+
+        # Velocity cap: |M| <= cap * D.
+        np.multiply(velocity_cap, df_safe_c, out=t3)
+        np.negative(t3, out=t4)
+        np.clip(rhs, t4, t3, out=out[j0:j1, f0:f1])
     return out
 
 
@@ -175,37 +212,17 @@ def nlmnt2(
     The N update reuses :func:`momentum_core` on transposed views — the
     scheme is symmetric under (x <-> y, M <-> N).
     """
-    momentum_core(
-        z_new,
-        m_old,
-        n_old,
-        hz,
-        dt,
-        dx,
-        manning,
-        out_m,
+    options = dict(
         nonlinear=nonlinear,
         dry_threshold=dry_threshold,
         velocity_cap=velocity_cap,
         gravity=gravity,
         nghost=nghost,
     )
+    momentum_core(z_new, m_old, n_old, hz, dt, dx, manning, out_m, **options)
     # Transposed views: the N faces become "vertical" faces of the
     # transposed block, with M acting as the transverse flux.
-    out_n_t = out_n.T
     momentum_core(
-        z_new.T,
-        n_old.T,
-        m_old.T,
-        hz.T,
-        dt,
-        dx,
-        manning,
-        out_n_t,
-        nonlinear=nonlinear,
-        dry_threshold=dry_threshold,
-        velocity_cap=velocity_cap,
-        gravity=gravity,
-        nghost=nghost,
+        z_new.T, n_old.T, m_old.T, hz.T, dt, dx, manning, out_n.T, **options
     )
     return out_m, out_n

@@ -10,8 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import DRY_THRESHOLD, MAX_VELOCITY
+from repro.core.scratch import carve, strips
 from repro.grid.block import Block
-from repro.grid.staggered import NGHOST, interior
+from repro.grid.staggered import NGHOST
 
 
 class OutputAccumulator:
@@ -80,41 +81,49 @@ class OutputAccumulator:
         nghost: int = NGHOST,
     ) -> None:
         """Fold one step's padded state arrays into the running products."""
-        ny, nx = self.block.ny, self.block.nx
-        sl = interior(ny, nx, nghost)
+        nx = self.block.nx
         g = nghost
-        zi = z[sl]
-        hi = hz[sl]
-        d = np.maximum(zi + hi, 0.0)
-        wet = d > dry_threshold
+        ci = slice(g, g + nx)
+        for j0, j1, _ in strips(0, self.block.ny, nx):
+            rows, cj = slice(j0, j1), slice(g + j0, g + j1)
+            zi = z[cj, ci]
+            (d, speed, tmp), (wet, mask, inf) = carve(z.dtype, False, (3, 3, zi.shape))
+            np.add(zi, hz[cj, ci], out=d)
+            np.maximum(d, 0.0, out=d)
+            np.greater(d, dry_threshold, out=wet)
 
-        np.maximum(self.zmax, np.where(wet, zi, self.zmax), out=self.zmax)
+            np.maximum(self.zmax[rows], zi, out=self.zmax[rows], where=wet)
 
-        # Cell-centered speed from face fluxes.
-        mc = 0.5 * (m[g : g + ny, g : g + nx] + m[g : g + ny, g + 1 : g + nx + 1])
-        nc = 0.5 * (n[g : g + ny, g : g + nx] + n[g + 1 : g + ny + 1, g : g + nx])
-        # Speeds are meaningless on very thin films, and the face fluxes
-        # feeding a shoreline cell may reference a much larger face depth;
-        # report only where the water column is resolvable, clipped to the
-        # solver's own velocity cap.
-        deep_enough = d > max(dry_threshold, self.SPEED_MIN_DEPTH)
-        speed = np.where(
-            deep_enough, np.hypot(mc, nc) / np.maximum(d, self.SPEED_MIN_DEPTH), 0.0
-        )
-        np.minimum(speed, MAX_VELOCITY, out=speed)
-        np.maximum(self.vmax, speed, out=self.vmax)
+            # Cell-centered speed from face fluxes.
+            np.add(m[cj, ci], m[cj, g + 1 : g + nx + 1], out=speed)
+            np.multiply(0.5, speed, out=speed)
+            np.add(n[cj, ci], n[g + j0 + 1 : g + j1 + 1, ci], out=tmp)
+            np.multiply(0.5, tmp, out=tmp)
+            # Speeds are meaningless on very thin films, and the face
+            # fluxes feeding a shoreline cell may reference a much larger
+            # face depth; report only where the water column is
+            # resolvable, clipped to the solver's own velocity cap.
+            np.hypot(speed, tmp, out=speed)
+            np.maximum(d, self.SPEED_MIN_DEPTH, out=tmp)
+            np.divide(speed, tmp, out=speed)
+            np.greater(d, max(dry_threshold, self.SPEED_MIN_DEPTH), out=mask)
+            np.invert(mask, out=mask)
+            np.copyto(speed, 0.0, where=mask)
+            np.minimum(speed, MAX_VELOCITY, out=speed)
+            np.maximum(self.vmax[rows], speed, out=self.vmax[rows])
 
-        np.maximum(
-            self.inundation_max,
-            np.where(self._land & wet, d, 0.0),
-            out=self.inundation_max,
-        )
+            np.bitwise_and(self._land[rows], wet, out=mask)
+            tmp.fill(0.0)
+            np.copyto(tmp, d, where=mask)
+            np.maximum(self.inundation_max[rows], tmp, out=self.inundation_max[rows])
 
-        arrived = (
-            np.isinf(self.arrival_time)
-            & (np.abs(zi - self._z0) > self.arrival_threshold)
-        )
-        self.arrival_time[arrived] = time
+            arrival = self.arrival_time[rows]
+            np.subtract(zi, self._z0[rows], out=tmp)
+            np.abs(tmp, out=tmp)
+            np.greater(tmp, self.arrival_threshold, out=mask)
+            np.isinf(arrival, out=inf)
+            np.bitwise_and(inf, mask, out=mask)
+            np.copyto(arrival, time, where=mask)
 
     def inundated_area(self, dx: float) -> float:
         """Area of land that got wet at any time [m^2]."""
