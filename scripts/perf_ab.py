@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Same-runner A/B of one ledger workload: two trees, measured alternately.
+
+    scripts/perf_ab.py BASE_TREE HEAD_TREE --out perf-ab
+
+Each tree's own ``benchmarks/ledger/run.py`` measures that tree's ``src/``,
+*pairs* times, base and head taking turns at going first.  The runs are
+written as two ledger documents (one set per pair) and HEAD's
+``benchmarks/ledger/compare.py`` prints the table over them; everything
+lands under ``--out``.  Report only: exit 1 means a run failed, never that
+a metric moved (CI's first step toward ROADMAP item 1's relative gate).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+_RUN_ONE = (
+    "import json, sys; sys.path.insert(0, sys.argv[1]); import run; "
+    "print(json.dumps(run.run_workload(sys.argv[2], int(sys.argv[3]), "
+    "float(sys.argv[4]), 0)))"
+)
+
+
+def run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    ledger = tree / "benchmarks" / "ledger"
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_ONE, str(ledger), workload, str(seed),
+         str(seconds)],
+        capture_output=True, text=True, check=False,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree}: {workload} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("base", type=Path, help="checkout of the merge base")
+    ap.add_argument("head", type=Path, help="checkout of the change")
+    ap.add_argument("--out", type=Path, default=Path("perf-ab"))
+    ap.add_argument("--workload", default="nested_forecast")
+    ap.add_argument("--pairs", type=int, default=3)
+    ap.add_argument("--seconds", type=float, default=12.0)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args(argv)
+
+    trees = {"base": args.base.resolve(), "head": args.head.resolve()}
+    # compare.py walks every declared workload of every set; the ones not
+    # measured here are present and empty.
+    declared = json.loads((trees["head"] / "BENCHMARK.json").read_text())
+    blank = {w["name"]: {"seed": args.seed, "digest": None, "e2e": None}
+             for w in declared["workloads"]}
+    sets: dict[str, list] = {"base": [], "head": []}
+    ok = True
+    for pair in range(args.pairs):
+        for side in ("base", "head") if pair % 2 == 0 else ("head", "base"):
+            doc = run_one(trees[side], args.workload, args.seed, args.seconds)
+            ok &= doc["correct"]
+            solve = doc["e2e"]["solve_s_p50"]["value"]
+            print(f"pair {pair + 1} {side}: solve_s_p50 {solve:.4g} s  "
+                  f"digest {doc['digest'][:16]}", flush=True)
+            sets[side].append({**blank, args.workload: doc})
+
+    args.out.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for side, tree in trees.items():
+        paths.append(args.out / f"{side}.json")
+        paths[-1].write_text(json.dumps({
+            "schema": "repro.ledger/1",
+            "provenance": {"tree": str(tree), "argv": sys.argv[1:]},
+            "sets": sets[side],
+        }, indent=1) + "\n")
+    compare = trees["head"] / "benchmarks" / "ledger" / "compare.py"
+    table = subprocess.run(
+        [sys.executable, str(compare), *map(str, paths)],
+        capture_output=True, text=True, check=False,
+    )
+    (args.out / "compare.txt").write_text(table.stdout + table.stderr)
+    print(table.stdout + table.stderr, end="")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -146,11 +146,15 @@ class RTiModel:
             for (a, b) in lvl.neighbor_pairs()
         ]
         self._segments: dict[int, dict[str, list[tuple[int, int]]]] = {}
+        self._outer_sides: dict[int, tuple[str, ...]] = {}
         self._parents: dict[int, list[int]] = {}
         for lvl in grid.levels:
             for blk in lvl.blocks:
-                self._segments[blk.block_id] = child_boundary_segments(
-                    lvl.blocks, blk
+                segs = child_boundary_segments(lvl.blocks, blk)
+                self._segments[blk.block_id] = segs
+                # Sides with at least one segment not covered by a neighbor.
+                self._outer_sides[blk.block_id] = tuple(
+                    side for side, on_side in segs.items() if on_side
                 )
                 self._parents[blk.block_id] = [
                     p.block_id for p in grid.parent_blocks_of(blk)
@@ -202,12 +206,6 @@ class RTiModel:
 
     def _blocks_of_level(self, lvl_index: int):
         return self.grid.level(lvl_index).blocks
-
-    def _outer_sides(self, block_id: int) -> tuple[str, ...]:
-        """Sides with at least one segment not covered by a neighbor."""
-        return tuple(
-            side for side, segs in self._segments[block_id].items() if segs
-        )
 
     def step(self) -> None:
         """Advance the coupled model by one time step.
@@ -300,7 +298,7 @@ class RTiModel:
         with _span("JNQ", cat="comm"):
             for blk in self._blocks_of_level(1):
                 st = self.states[blk.block_id]
-                sides = self._outer_sides(blk.block_id)
+                sides = self._outer_sides[blk.block_id]
                 if not sides:
                     continue
                 if cfg.boundary == "open":

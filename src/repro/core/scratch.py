@@ -8,6 +8,7 @@ allocates nothing once the arena has seen its largest strip: DESIGN.md §9b.
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,13 +39,18 @@ def strips(start: int, stop: int, width: int) -> list[tuple[int, int, slice]]:
     """Fewest ``(lo, hi, whole)`` row ranges over ``start..stop`` within the cap,
     all of ``ceil(rows / n)`` rows but the last: never a strip and a sliver.
     *whole* opens the first and the last to the array's edge (the ghost rows)."""
+    return list(_strips(start, stop, width, STRIP_ELEMENTS))
+
+
+@lru_cache(maxsize=256)  # a block asks for the same few cuts on every step
+def _strips(start: int, stop: int, width: int, cap: int) -> tuple:
     rows = stop - start
-    n = -(-rows // max(1, STRIP_ELEMENTS // width))
+    n = -(-rows // max(1, cap // width))
     cuts = [*range(start, stop, -(-rows // n)), stop]
     ends = [None, *cuts[1:-1], None]
-    return [
+    return tuple(
         (lo, hi, slice(a, b)) for lo, hi, a, b in zip(cuts, cuts[1:], ends, ends[1:])
-    ]
+    )
 
 
 def carve(dtype: np.dtype, transposed: bool, *specs: tuple) -> list[tuple]:

@@ -135,7 +135,7 @@ class BlockState:
     def total_depth(self, new: bool = False) -> np.ndarray:
         """Total water depth D = h + eta over physical cells (>= 0)."""
         d = self.depth_interior() + self.eta_interior(new=new)
-        return np.maximum(d, 0.0)
+        return np.maximum(d, 0.0, out=d)
 
     def set_initial_eta(self, eta: np.ndarray) -> None:
         """Impose an initial water level on the physical cells (both buffers).

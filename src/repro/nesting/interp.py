@@ -7,9 +7,16 @@ volume flux through the interface exactly).
 
 Only the component *normal* to each child edge is imposed (W/E edges: M;
 S/N edges: N); tangential ghost data comes from the zero-gradient fill.
+
+Which parent faces feed which child faces is fixed by the two frozen
+blocks and the child's boundary segments, so each link's source index,
+target index and buffer slice live in a static table (Listing 6), built
+on the link's first step and looked up after.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,6 +24,7 @@ from repro.constants import REFINEMENT_RATIO
 from repro.errors import NestingError
 from repro.grid.block import Block
 from repro.grid.staggered import NGHOST
+from repro.xchg.offsets import TABLE_ENTRIES
 
 
 def _subtract_intervals(
@@ -107,6 +115,41 @@ def _edge_geometry(
     return (pface, plo, phi, face_y)
 
 
+@lru_cache(maxsize=TABLE_ENTRIES)
+def _build_flux_table(
+    parent: Block, child: Block, segments: tuple, ratio: int, nghost: int
+):
+    rows = []
+    total = 0
+    for side, segs in zip("WESN", segments):
+        is_m = side in "WE"  # M through W/E edges, which run along y
+        along, across = ("gj0", "gi0") if is_m else ("gi0", "gj0")
+        p0, c0 = nghost - getattr(parent, along), nghost - getattr(child, along)
+        for seg in segs:
+            geom = _edge_geometry(parent, child, side, seg, ratio)
+            if geom is None:
+                continue
+            pface, plo, phi, edge = geom
+            src = (slice(p0 + plo, p0 + phi), nghost + pface - getattr(parent, across))
+            dst = (
+                slice(c0 + ratio * plo, c0 + ratio * phi),
+                nghost + edge - getattr(child, across),
+            )
+            if not is_m:
+                src, dst = src[::-1], dst[::-1]
+            rows.append((is_m, src, dst, slice(total, total + phi - plo)))
+            total += phi - plo
+    return tuple(rows), total
+
+
+def _flux_table(parent, child, segments, ratio, nghost):
+    """One link's JNQ rows ``(is_m, parent index, child index, buffer slice)``,
+    side by side, seg by seg, and the buffer length.  *segments* is a dict of
+    lists, so the static table is keyed on what it holds."""
+    key = tuple(map(tuple, map(segments.get, "WESN", ((),) * 4)))
+    return _build_flux_table(parent, child, key, ratio, nghost)
+
+
 def pack_fluxes(
     parent_m: np.ndarray,
     parent_n: np.ndarray,
@@ -117,28 +160,11 @@ def pack_fluxes(
     nghost: int = NGHOST,
 ) -> np.ndarray:
     """Sender side of JNQ: parent face values, side by side, seg by seg."""
-    g = nghost
-    parts: list[np.ndarray] = []
-    for side in ("W", "E", "S", "N"):
-        flux = parent_m if side in ("W", "E") else parent_n
-        for seg in segments.get(side, []):
-            geom = _edge_geometry(parent, child, side, seg, ratio)
-            if geom is None:
-                continue
-            pface, plo, phi, _edge = geom
-            if side in ("W", "E"):
-                col = g + pface - parent.gi0
-                parts.append(
-                    flux[g + plo - parent.gj0 : g + phi - parent.gj0, col]
-                )
-            else:
-                row = g + pface - parent.gj0
-                parts.append(
-                    flux[row, g + plo - parent.gi0 : g + phi - parent.gi0]
-                )
-    if not parts:
-        return np.empty(0, dtype=parent_m.dtype)
-    return np.concatenate([np.asarray(p).ravel() for p in parts])
+    rows, total = _flux_table(parent, child, segments, ratio, nghost)
+    buf = np.empty(total, dtype=parent_m.dtype)
+    for is_m, src, _dst, at in rows:
+        buf[at] = (parent_m if is_m else parent_n)[src]
+    return buf
 
 
 def unpack_fluxes(
@@ -152,32 +178,10 @@ def unpack_fluxes(
     nghost: int = NGHOST,
 ) -> int:
     """Receiver side of JNQ: copy each parent value onto 3 child faces."""
-    g = nghost
-    offset = 0
-    written = 0
-    for side in ("W", "E", "S", "N"):
-        flux = child_m if side in ("W", "E") else child_n
-        for seg in segments.get(side, []):
-            geom = _edge_geometry(parent, child, side, seg, ratio)
-            if geom is None:
-                continue
-            pface, plo, phi, edge = geom
-            vals = buf[offset : offset + (phi - plo)]
-            offset += phi - plo
-            if side in ("W", "E"):
-                child_col = g + (edge - child.gi0)
-                r0 = g + ratio * plo - child.gj0
-                flux[r0 : r0 + ratio * (phi - plo), child_col] = np.repeat(
-                    vals, ratio
-                )
-            else:
-                child_row = g + (edge - child.gj0)
-                c0 = g + ratio * plo - child.gi0
-                flux[child_row, c0 : c0 + ratio * (phi - plo)] = np.repeat(
-                    vals, ratio
-                )
-            written += ratio * (phi - plo)
-    return written
+    rows, total = _flux_table(parent, child, segments, ratio, nghost)
+    for is_m, _src, dst, at in rows:
+        (child_m if is_m else child_n)[dst] = buf[at].repeat(ratio)
+    return ratio * total
 
 
 def interpolate_fluxes(
@@ -194,11 +198,13 @@ def interpolate_fluxes(
     """Impose parent fluxes on the child's boundary faces (in place).
 
     *segments* comes from :func:`child_boundary_segments`.  Returns the
-    number of child faces written (the JNQ message volume).  Implemented
-    as pack + unpack so the local and distributed (MPI) paths are
-    numerically identical by construction.
+    number of child faces written (the JNQ message volume).  The same
+    table rows as pack + unpack, without the buffer in between, so the
+    local and distributed (MPI) paths are numerically identical by
+    construction.
     """
-    buf = pack_fluxes(parent_m, parent_n, parent, child, segments, ratio, nghost)
-    return unpack_fluxes(
-        child_m, child_n, parent, child, segments, buf, ratio, nghost
-    )
+    rows, total = _flux_table(parent, child, segments, ratio, nghost)
+    for is_m, src, dst, _at in rows:
+        values = (parent_m if is_m else parent_n)[src]
+        (child_m if is_m else child_n)[dst] = values.repeat(ratio)
+    return ratio * total

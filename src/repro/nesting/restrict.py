@@ -5,9 +5,15 @@ boundary cells of a child grid to its parent grid ... and reduces the
 resolution by averaging the water levels in a 3x3 cell".  We implement the
 same operator vectorized: the child region is reshaped to
 ``(pj, 3, pi, 3)`` and averaged over the two length-3 axes.
+
+Which cells those are is fixed by the two frozen blocks, so the regions
+and their buffer layout live in static tables (Listing 6's
+``JNZ_BUFS_OFS``), built on a link's first step and looked up after.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,6 +21,11 @@ from repro.constants import REFINEMENT_RATIO
 from repro.errors import NestingError
 from repro.grid.block import Block
 from repro.grid.staggered import NGHOST
+from repro.xchg.offsets import (
+    TABLE_ENTRIES,
+    build_offset_table,
+    pack_irregular_offsets,
+)
 
 
 def restriction_region(
@@ -68,6 +79,27 @@ def restriction_buffer_cells(regions: list[tuple[int, int, int, int]]) -> int:
     return sum((i1 - i0) * (j1 - j0) for i0, j0, i1, j1 in regions)
 
 
+@lru_cache(maxsize=TABLE_ENTRIES)
+def _regions_of(parent: Block, child: Block, mode: str, width: int, ratio: int):
+    return tuple(restriction_region(parent, child, mode, width, ratio))
+
+
+@lru_cache(maxsize=TABLE_ENTRIES)
+def _buffer_layout(block: Block, regions: tuple, scale: int, nghost: int):
+    """Where *regions* sit in *block*'s padded array and in the JNZ buffer.
+
+    Array-index rectangles ``(j0, j1, i0, i1)`` plus their
+    :class:`~repro.xchg.offsets.OffsetTable`; *scale* is the refinement
+    ratio on the child (sending) side and 1 on the parent side.
+    """
+    gj, gi = nghost - block.gj0, nghost - block.gi0
+    cells = tuple(
+        (gj + scale * j0, gj + scale * j1, gi + scale * i0, gi + scale * i1)
+        for i0, j0, i1, j1 in regions
+    )
+    return cells, build_offset_table(cells, scale)
+
+
 def pack_restriction(
     child_z: np.ndarray,
     child: Block,
@@ -80,19 +112,8 @@ def pack_restriction(
     The buffer holds one value per parent cell, region by region in
     row-major order — the JNZ_BUFS layout of Listing 6.
     """
-    g = nghost
-    parts = []
-    for i0, j0, i1, j1 in regions:
-        cj0 = g + ratio * j0 - child.gj0
-        ci0 = g + ratio * i0 - child.gi0
-        npj, npi = j1 - j0, i1 - i0
-        sub = child_z[cj0 : cj0 + ratio * npj, ci0 : ci0 + ratio * npi]
-        parts.append(
-            sub.reshape(npj, ratio, npi, ratio).mean(axis=(1, 3)).ravel()
-        )
-    if not parts:
-        return np.empty(0, dtype=child_z.dtype)
-    return np.concatenate(parts)
+    cells, table = _buffer_layout(child, tuple(regions), ratio, nghost)
+    return pack_irregular_offsets(child_z, cells, table, ratio)
 
 
 def unpack_restriction(
@@ -111,20 +132,14 @@ def unpack_restriction(
     (sub-cell topography), and writing it would create phantom ponds of
     water on dry slopes.  Land cells keep the parent's own solution.
     """
-    g = nghost
-    offset = 0
-    for i0, j0, i1, j1 in regions:
-        pj = slice(g + j0 - parent.gj0, g + j1 - parent.gj0)
-        pi = slice(g + i0 - parent.gi0, g + i1 - parent.gi0)
-        npj, npi = j1 - j0, i1 - i0
-        vals = buf[offset : offset + npj * npi].reshape(npj, npi)
+    _cells, table = _buffer_layout(parent, tuple(regions), 1, nghost)
+    for cells, tiles, at in table.rows:
+        vals = buf[at].reshape(tiles[0], tiles[2])
         if parent_h is None:
-            parent_z[pj, pi] = vals
+            parent_z[cells] = vals
         else:
-            sea = parent_h[pj, pi] > 0.0
-            parent_z[pj, pi] = np.where(sea, vals, parent_z[pj, pi])
-        offset += npj * npi
-    return offset
+            np.copyto(parent_z[cells], vals, where=parent_h[cells] > 0.0)
+    return table.total
 
 
 def restrict_eta(
@@ -146,6 +161,6 @@ def restrict_eta(
     are numerically identical by construction.  See
     :func:`unpack_restriction` for the *parent_h* land mask.
     """
-    regions = restriction_region(parent, child, mode, width, ratio)
+    regions = _regions_of(parent, child, mode, width, ratio)
     buf = pack_restriction(child_z, child, regions, ratio, nghost)
     return unpack_restriction(parent_z, parent, regions, buf, nghost, parent_h)

@@ -34,11 +34,13 @@ from repro.grid.hierarchy import NestedGrid
 from repro.grid.staggered import NGHOST
 from repro.nesting.interp import (
     child_boundary_segments,
+    interpolate_fluxes,
     pack_fluxes,
     unpack_fluxes,
 )
 from repro.nesting.restrict import (
     pack_restriction,
+    restrict_eta,
     restriction_region,
     unpack_restriction,
 )
@@ -67,9 +69,8 @@ class _Topology:
 
     owner: dict[int, int]  # block_id -> rank
     seam_specs: list  # [(spec, tag_index)]
-    jnz_pairs: list  # [(level, child_id, parent_id, regions, tag)]
-    jnq_pairs: list  # [(child_id, parent_id, segments, tag)]
-    segments: dict[int, dict]
+    #: Per child level, coarsest first: [(child, parent, regions, segments, tag)]
+    links: list[list]
     outer_sides: dict[int, tuple[str, ...]]
 
 
@@ -84,38 +85,29 @@ def _build_topology(grid: NestedGrid, decomp: Decomposition, cfg) -> _Topology:
                 seam_specs.append((spec, tag))
                 tag += 1
 
-    jnz_pairs = []
-    jnq_pairs = []
     segments: dict[int, dict] = {}
     outer: dict[int, tuple[str, ...]] = {}
-    jtag = 0
-    qtag = 0
     for lvl in grid.levels:
         for blk in lvl.blocks:
             segs = child_boundary_segments(lvl.blocks, blk)
             segments[blk.block_id] = segs
             outer[blk.block_id] = tuple(s for s, v in segs.items() if v)
+    links = []
+    tag = 0
     for lvl in grid.levels[1:]:
+        links.append([])
         for child in lvl.blocks:
             for parent in grid.parent_blocks_of(child):
                 regions = restriction_region(
                     parent, child, mode=cfg.restriction,
                     width=cfg.restriction_width,
                 )
-                jnz_pairs.append(
-                    (lvl.index, child.block_id, parent.block_id, regions, jtag)
+                links[-1].append(
+                    (child, parent, tuple(regions),
+                     segments[child.block_id], tag)
                 )
-                jtag += 1
-                jnq_pairs.append(
-                    (
-                        child.block_id,
-                        parent.block_id,
-                        segments[child.block_id],
-                        qtag,
-                    )
-                )
-                qtag += 1
-    return _Topology(owner, seam_specs, jnz_pairs, jnq_pairs, segments, outer)
+                tag += 1
+    return _Topology(owner, seam_specs, links, outer)
 
 
 class _RankRuntime:
@@ -259,37 +251,30 @@ class _RankRuntime:
 
     def _jnz(self) -> None:
         """Child-to-parent restriction, finest level first."""
-        for lvl in reversed(self.grid.levels[1:]):
-            sends = [p for p in self.topo.jnz_pairs if p[0] == lvl.index]
-            for _lv, child_id, parent_id, regions, tag in sends:
-                c_rank = self.owner[child_id]
-                p_rank = self.owner[parent_id]
-                child = self.grid.block(child_id)
-                parent = self.grid.block(parent_id)
-                if c_rank == p_rank == self.comm.rank:
-                    buf = pack_restriction(
-                        self.states[child_id].z_new, child, regions
+        cfg, me, states = self.cfg, self.comm.rank, self.states
+        for links in reversed(self.topo.links):
+            for child, parent, regions, _segs, tag in links:
+                p_rank = self.owner[parent.block_id]
+                if self.owner[child.block_id] != me:
+                    continue
+                child_z = states[child.block_id].z_new
+                if p_rank == me:
+                    ps = states[parent.block_id]
+                    restrict_eta(
+                        ps.z_new, child_z, parent, child,
+                        mode=cfg.restriction, width=cfg.restriction_width,
+                        parent_h=ps.hz,
                     )
-                    unpack_restriction(
-                        self.states[parent_id].z_new, parent, regions, buf,
-                        parent_h=self.states[parent_id].hz,
-                    )
-                elif c_rank == self.comm.rank:
-                    buf = pack_restriction(
-                        self.states[child_id].z_new, child, regions
-                    )
+                else:
+                    buf = pack_restriction(child_z, child, regions)
                     self.comm.send(buf, dest=p_rank, tag=_TAG_JNZ + tag)
-            for _lv, child_id, parent_id, regions, tag in sends:
-                c_rank = self.owner[child_id]
-                p_rank = self.owner[parent_id]
-                if p_rank == self.comm.rank and c_rank != self.comm.rank:
+            for child, parent, regions, _segs, tag in links:
+                c_rank = self.owner[child.block_id]
+                if self.owner[parent.block_id] == me and c_rank != me:
                     buf = self.comm.recv(source=c_rank, tag=_TAG_JNZ + tag)
+                    ps = states[parent.block_id]
                     unpack_restriction(
-                        self.states[parent_id].z_new,
-                        self.grid.block(parent_id),
-                        regions,
-                        buf,
-                        parent_h=self.states[parent_id].hz,
+                        ps.z_new, parent, regions, buf, parent_h=ps.hz
                     )
 
     def _jnq(self) -> None:
@@ -299,41 +284,28 @@ class _RankRuntime:
         face that level l's own JNQ (from level l-1) just updated, so a
         level's receives must complete before the next level's packs.
         """
-        for lvl in self.grid.levels[1:]:
-            pairs = [
-                p
-                for p in self.topo.jnq_pairs
-                if self.grid.block(p[0]).level == lvl.index
-            ]
-            for child_id, parent_id, segs, tag in pairs:
-                c_rank = self.owner[child_id]
-                p_rank = self.owner[parent_id]
-                child = self.grid.block(child_id)
-                parent = self.grid.block(parent_id)
-                if p_rank == self.comm.rank:
-                    ps = self.states[parent_id]
-                    buf = pack_fluxes(ps.m_new, ps.n_new, parent, child, segs)
-                    if c_rank == self.comm.rank:
-                        cs = self.states[child_id]
-                        unpack_fluxes(
-                            cs.m_new, cs.n_new, parent, child, segs, buf
-                        )
-                    else:
-                        self.comm.send(buf, dest=c_rank, tag=_TAG_JNQ + tag)
-            for child_id, parent_id, segs, tag in pairs:
-                c_rank = self.owner[child_id]
-                p_rank = self.owner[parent_id]
-                if c_rank == self.comm.rank and p_rank != self.comm.rank:
-                    buf = self.comm.recv(source=p_rank, tag=_TAG_JNQ + tag)
-                    cs = self.states[child_id]
-                    unpack_fluxes(
-                        cs.m_new,
-                        cs.n_new,
-                        self.grid.block(parent_id),
-                        self.grid.block(child_id),
-                        segs,
-                        buf,
+        me, states = self.comm.rank, self.states
+        for links in self.topo.links:
+            for child, parent, _regions, segs, tag in links:
+                c_rank = self.owner[child.block_id]
+                if self.owner[parent.block_id] != me:
+                    continue
+                ps = states[parent.block_id]
+                if c_rank == me:
+                    cs = states[child.block_id]
+                    interpolate_fluxes(
+                        ps.m_new, ps.n_new, cs.m_new, cs.n_new,
+                        parent, child, segs,
                     )
+                else:
+                    buf = pack_fluxes(ps.m_new, ps.n_new, parent, child, segs)
+                    self.comm.send(buf, dest=c_rank, tag=_TAG_JNQ + tag)
+            for child, parent, _regions, segs, tag in links:
+                p_rank = self.owner[parent.block_id]
+                if self.owner[child.block_id] == me and p_rank != me:
+                    buf = self.comm.recv(source=p_rank, tag=_TAG_JNQ + tag)
+                    cs = states[child.block_id]
+                    unpack_fluxes(cs.m_new, cs.n_new, parent, child, segs, buf)
 
     # -- one step ----------------------------------------------------------
 

@@ -79,6 +79,7 @@ class HealthMonitor:
                 "numerical health checks executed",
             ).inc()
         dt = model.config.dt
+        dry = model.config.dry_threshold
         for bid, st in model.states.items():
             for name, arr in (
                 ("z", st.z_old),
@@ -90,17 +91,21 @@ class HealthMonitor:
                         f"step {model.step_count}: non-finite values in "
                         f"field {name} of block {bid}"
                     )
+            # One D per block and no gathered wet-cell copies: the largest D
+            # is a wet cell's whenever there is one, and |eta| zeroed off the
+            # wet cells peaks on them.
             depth = st.total_depth()
-            wet = depth > model.config.dry_threshold
+            wet = depth > dry
             if wet.any():
-                eta_max = float(np.abs(st.eta_interior()[wet]).max())
+                eta = np.where(wet, st.eta_interior(), 0.0)
+                eta_max = float(np.abs(eta, out=eta).max())
                 if eta_max > self.eta_limit:
                     raise NumericalError(
                         f"step {model.step_count}: water level blow-up in "
                         f"block {bid}: |eta| = {eta_max:.1f} m > "
                         f"{self.eta_limit:.1f} m"
                     )
-                d_max = float(depth[wet].max())
+                d_max = float(depth.max())
                 courant = math.sqrt(2.0 * GRAVITY * d_max) * dt / st.dx
                 if courant > self.cfl_limit:
                     raise NumericalError(

@@ -16,8 +16,6 @@ split-block run bitwise equal to a monolithic one for full-extent seams
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import CommunicationError
 from repro.grid.block import Block
 from repro.grid.staggered import NGHOST
@@ -38,8 +36,7 @@ def halo_cells(a: Block, b: Block, nghost: int = NGHOST) -> int:
     return 2 * nghost * (hi - lo)
 
 
-def _array(state, field: str) -> np.ndarray:
-    return {"z": state.z_new, "m": state.m_new, "n": state.n_new}[field]
+_WRITE_BUFFER = {"z": "z_new", "m": "m_new", "n": "n_new"}
 
 
 def exchange_halo(state_a, state_b, which: str, nghost: int = NGHOST) -> None:
@@ -48,15 +45,13 @@ def exchange_halo(state_a, state_b, which: str, nghost: int = NGHOST) -> None:
     Operates on the *new* (write) buffers, matching the paper's pipeline
     where exchanges immediately follow the kernel that produced the field.
     """
-    if which not in ("z", "m", "n"):
+    if which not in _WRITE_BUFFER:
         raise CommunicationError(f"unknown field {which!r}")
-    states = {
-        state_a.block.block_id: state_a,
-        state_b.block.block_id: state_b,
+    a, b = state_a.block, state_b.block
+    arrays = {
+        a.block_id: getattr(state_a, _WRITE_BUFFER[which]),
+        b.block_id: getattr(state_b, _WRITE_BUFFER[which]),
     }
-    for spec in seam_copy_specs(state_a.block, state_b.block, nghost):
-        if spec.field != which:
-            continue
-        src = _array(states[spec.src_block], which)
-        dst = _array(states[spec.dst_block], which)
-        dst[spec.dst] = src[spec.src]
+    for spec in seam_copy_specs(a, b, nghost):
+        if spec.field == which:
+            arrays[spec.dst_block][spec.dst] = arrays[spec.src_block][spec.src]

@@ -21,6 +21,12 @@ import numpy as np
 
 from repro.errors import CommunicationError
 
+#: Entries each static exchange table (seams, JNZ, JNQ) keeps, least recently
+#: used out first.  The decomposition is fixed during a run, so a grid's tables
+#: are built on its first step and only read after; the bound is what keeps a
+#: long-lived process that builds grid after grid from growing.
+TABLE_ENTRIES = 1024
+
 #: One boundary region to pack: ``(j0, j1, i0, i1)`` array index ranges of
 #: the *child* cells (row-major, end-exclusive).  For JNZ packs, the
 #: region spans whole 3x3 tiles and one output element is emitted per tile.
@@ -29,11 +35,17 @@ IrregularRegion = tuple[int, int, int, int]
 
 @dataclass(frozen=True)
 class OffsetTable:
-    """Buffer offsets of each boundary region, plus the total length."""
+    """Buffer offsets of each boundary region, plus the total length.
+
+    ``rows`` is what a pack or unpack walks: per region its field slices,
+    the ``(nj, ratio, ni, ratio)`` shape that views it as tiles, and its
+    slice of the buffer.
+    """
 
     offsets: tuple[int, ...]
     counts: tuple[int, ...]
     total: int
+    rows: tuple
 
     def offset_of(self, index: int) -> int:
         return self.offsets[index]
@@ -61,7 +73,15 @@ def build_offset_table(
     for c in counts:
         offsets.append(acc)
         acc += c
-    return OffsetTable(tuple(offsets), tuple(counts), acc)
+    rows = tuple(
+        (
+            (slice(j0, j1), slice(i0, i1)),
+            ((j1 - j0) // ratio, ratio, (i1 - i0) // ratio, ratio),
+            slice(off, off + c),
+        )
+        for (j0, j1, i0, i1), off, c in zip(regions, offsets, counts)
+    )
+    return OffsetTable(tuple(offsets), tuple(counts), acc, rows)
 
 
 def pack_irregular_naive(
@@ -89,15 +109,21 @@ def pack_irregular_offsets(
     table: OffsetTable | None = None,
     ratio: int = 3,
 ) -> np.ndarray:
-    """Listing-6 pack: every region written independently at its offset."""
+    """Listing-6 pack: every region written independently at its offset.
+
+    The one averaging pack: JNZ (:func:`repro.nesting.restrict.pack_restriction`)
+    calls it with regions and table out of the static exchange tables.
+    ``add.reduce`` then ``true_divide`` by an ``intp`` count is what
+    ``mean`` runs, so the values are those of ``sub.mean(axis=(1, 3))``.
+    """
     if table is None:
         table = build_offset_table(regions, ratio)
     buf = np.empty(table.total, dtype=field.dtype)
-    for idx, (j0, j1, i0, i1) in enumerate(regions):
-        nj, ni = (j1 - j0) // ratio, (i1 - i0) // ratio
-        sub = field[j0:j1, i0:i1].reshape(nj, ratio, ni, ratio)
-        buf[table.offsets[idx] : table.offsets[idx] + table.counts[idx]] = (
-            sub.mean(axis=(1, 3)).ravel()
+    tile = np.intp(ratio * ratio)
+    for cells, tiles, at in table.rows:
+        np.true_divide(
+            np.add.reduce(field[cells].reshape(tiles), axis=(1, 3)), tile,
+            out=buf[at].reshape(tiles[0], tiles[2]), casting="unsafe",
         )
     return buf
 
@@ -116,9 +142,6 @@ def unpack_irregular_offsets(
     """
     if table is None:
         table = build_offset_table(regions, ratio)
-    for idx, (j0, j1, i0, i1) in enumerate(regions):
-        nj, ni = (j1 - j0) // ratio, (i1 - i0) // ratio
-        vals = buf[table.offsets[idx] : table.offsets[idx] + table.counts[idx]]
-        field[j0:j1, i0:i1] = vals.reshape(nj, ni).repeat(ratio, 0).repeat(
-            ratio, 1
-        )
+    for cells, tiles, at in table.rows:
+        vals = buf[at].reshape(tiles[0], tiles[2])
+        field[cells] = vals.repeat(ratio, 0).repeat(ratio, 1)

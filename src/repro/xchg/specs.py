@@ -6,16 +6,21 @@ in-process exchange (:mod:`repro.xchg.halo`) applies specs directly; the
 distributed driver (:mod:`repro.par.driver`) packs the source region into
 a buffer, ships it over MPI, and unpacks into the destination region —
 the two paths are bitwise identical by construction because they share
-this index math.
+this index math.  A seam's specs depend only on the two frozen blocks, so
+they are built once and kept in a static table (the paper's Listing 6:
+"the grid organization and domain decomposition are fixed during
+runtime"); every later step is a lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.errors import CommunicationError
 from repro.grid.block import Block
 from repro.grid.staggered import NGHOST
+from repro.xchg.offsets import TABLE_ENTRIES
 
 Slices = tuple[slice, slice]
 
@@ -94,16 +99,26 @@ def _horizontal_specs(south: Block, north: Block, g: int) -> list[CopySpec]:
     return specs
 
 
-def seam_copy_specs(a: Block, b: Block, nghost: int = NGHOST) -> list[CopySpec]:
-    """All ghost copies for the seam between two touching blocks."""
+@lru_cache(maxsize=TABLE_ENTRIES)
+def _seam_table(a: Block, b: Block, nghost: int) -> tuple[CopySpec, ...]:
     if not a.touches(b):
         raise CommunicationError(
             f"blocks {a.block_id} and {b.block_id} are not edge neighbors"
         )
     if a.gi1 == b.gi0:
-        return _vertical_specs(a, b, nghost)
+        return tuple(_vertical_specs(a, b, nghost))
     if b.gi1 == a.gi0:
-        return _vertical_specs(b, a, nghost)
+        return tuple(_vertical_specs(b, a, nghost))
     if a.gj1 == b.gj0:
-        return _horizontal_specs(a, b, nghost)
-    return _horizontal_specs(b, a, nghost)
+        return tuple(_horizontal_specs(a, b, nghost))
+    return tuple(_horizontal_specs(b, a, nghost))
+
+
+def seam_copy_specs(
+    a: Block, b: Block, nghost: int = NGHOST
+) -> tuple[CopySpec, ...]:
+    """All ghost copies for the seam between two touching blocks.
+
+    A lookup in the static seam table, keyed on the blocks' geometry.
+    """
+    return _seam_table(a, b, nghost)
