@@ -22,7 +22,7 @@ from repro.balance.perfmodel import LinearPerfModel, fit_linear_model
 from repro.errors import CalibrationError, ConfigurationError
 
 #: Span-name suffix of the per-block kernel spans emitted by
-#: :meth:`repro.core.model.RTiModel.step`.
+#: :func:`repro.core.pipeline.run_step`.
 KERNEL_SPAN_SUFFIX = ".kernel"
 
 #: Default routine to calibrate — the paper's model is an NLMNT2 model.

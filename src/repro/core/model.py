@@ -1,16 +1,10 @@
 """RTiModel — the coupled nested-grid time integrator.
 
-One :meth:`RTiModel.step` reproduces the routine pipeline of the paper's
-Figure 2:
-
-1. ``NLMASS``  — continuity update on every block of every level;
-2. ``JNZ``     — child-to-parent water-level restriction;
-3. ``PTP_Z``   — intra-level halo exchange of the water level;
-4. ``NLMNT2``  — momentum update on every block;
-5. outer boundary conditions on level 1 / ``JNQ`` parent-to-child flux
-   interpolation on finer levels;
-6. ``PTP_MN``  — intra-level halo exchange of the fluxes;
-7. output accumulation and double-buffer swap.
+One :meth:`RTiModel.step` is one pass of the routine pipeline of the
+paper's Figure 2, whose single body is
+:func:`repro.core.pipeline.run_step`.  This class is its one-owner case:
+every block lives in this process, so every seam and nesting link takes
+the in-process operator and no communicator is involved.
 
 This class is the *numerical* model (single process, laptop scale).  The
 distributed performance replay of the same pipeline lives in
@@ -19,34 +13,26 @@ distributed performance replay of the same pipeline lives in
 
 from __future__ import annotations
 
+import time as _time
 from typing import Callable
 
 import numpy as np
 
-from repro.core.boundary import (
-    apply_open_boundary,
-    apply_wall_boundary,
-    fill_ghosts_zero_gradient,
-)
 from repro.core.config import SimulationConfig
-from repro.core.mass import nlmass
-from repro.core.momentum import nlmnt2
 from repro.core.outputs import OutputAccumulator
 from repro.core.state import BlockState
 from repro.errors import ConfigurationError
-from repro.fault.scenarios import GaussianSource, initial_eta_for_block
-from repro.grid.cfl import check_cfl_depth_field
+from repro.fault.scenarios import impose_source
 from repro.grid.hierarchy import NestedGrid
-from repro.grid.staggered import NGHOST
-from repro.nesting.interp import child_boundary_segments, interpolate_fluxes
-from repro.nesting.restrict import restrict_eta
-from repro.obs.trace import NOOP_SPAN as _NOOP_SPAN
+
+# Import order matters (DESIGN.md section 9d): the first import of repro.obs
+# pulls in repro.par.driver, which needs repro.core.pipeline whole, so obs is
+# entered from here and never first from the pipeline's own obs import.
 from repro.obs.trace import get_tracer
-from repro.obs.trace import span as _span
+from repro.core.pipeline import build_step_plan, make_block_state, run_step
+from repro.topo.bathymetry import ShelfBathymetry
 
 _TRACER = get_tracer()
-from repro.topo.bathymetry import ShelfBathymetry
-from repro.xchg.halo import exchange_halo
 
 
 class CompositeMonitor:
@@ -116,49 +102,16 @@ class RTiModel:
         #: Output-accumulation cadence in steps; the deadline supervisor
         #: raises it ("coarsen output") to shed the OUTPUT phase's cost.
         self.output_every = 1
-        g = NGHOST
 
-        self.states: dict[int, BlockState] = {}
-        for lvl in grid.levels:
-            for blk in lvl.blocks:
-                depth = bathymetry.sample_cells(
-                    (blk.gi0 - g) * lvl.dx,
-                    (blk.gj0 - g) * lvl.dx,
-                    blk.nx + 2 * g,
-                    blk.ny + 2 * g,
-                    lvl.dx,
-                )
-                # Only the physical cells plus one ghost layer feed the
-                # kernels (edge faces are overwritten by BC/coupling).
-                check_cfl_depth_field(
-                    lvl.dx, self.config.dt, depth[1:-1, 1:-1]
-                )
-                self.states[blk.block_id] = BlockState(
-                    blk, lvl.dx, depth, dtype=self.config.dtype
-                )
-
-        # Static topology: intra-level neighbor pairs, parent links and
-        # non-halo boundary segments (computed once; the decomposition is
-        # fixed during runtime, as the paper exploits in Listing 6).
-        self._neighbor_pairs = [
-            (a.block_id, b.block_id)
+        self.states: dict[int, BlockState] = {
+            blk.block_id: make_block_state(grid, bathymetry, self.config, blk)
             for lvl in grid.levels
-            for (a, b) in lvl.neighbor_pairs()
-        ]
-        self._segments: dict[int, dict[str, list[tuple[int, int]]]] = {}
-        self._outer_sides: dict[int, tuple[str, ...]] = {}
-        self._parents: dict[int, list[int]] = {}
-        for lvl in grid.levels:
-            for blk in lvl.blocks:
-                segs = child_boundary_segments(lvl.blocks, blk)
-                self._segments[blk.block_id] = segs
-                # Sides with at least one segment not covered by a neighbor.
-                self._outer_sides[blk.block_id] = tuple(
-                    side for side, on_side in segs.items() if on_side
-                )
-                self._parents[blk.block_id] = [
-                    p.block_id for p in grid.parent_blocks_of(blk)
-                ]
+            for blk in lvl.blocks
+        }
+        # Static exchange plan, and the ownership view that makes this
+        # model the one-owner case of the shared step body.
+        self._plan = build_step_plan(grid, self.config)
+        self._owner = dict.fromkeys(self.states, 0)
 
         self.outputs: dict[int, OutputAccumulator] = {}
         self._init_outputs()
@@ -191,167 +144,31 @@ class RTiModel:
         *source* is a :class:`~repro.fault.GaussianSource` or a list of
         :class:`~repro.fault.OkadaFault` segments.
         """
-        for lvl in self.grid.levels:
-            for blk in lvl.blocks:
-                st = self.states[blk.block_id]
-                eta = initial_eta_for_block(
-                    source, blk, lvl.dx, depth=st.depth_interior()
-                )
-                st.set_initial_eta(eta)
+        impose_source(self.states, source)
         self._init_outputs()
 
     # ------------------------------------------------------------------
     # One leap-frog step (Fig. 2 pipeline)
     # ------------------------------------------------------------------
 
-    def _blocks_of_level(self, lvl_index: int):
-        return self.grid.level(lvl_index).blocks
-
     def step(self) -> None:
         """Advance the coupled model by one time step.
 
-        Every phase opens a :func:`repro.obs.trace.span` named after the
-        paper's routine (the ``BREAKDOWN_PHASES`` vocabulary), so a
-        traced run renders the same stacked-bar accounting as the
-        offline performance replay.  With tracing disabled (the
-        default) each span is a shared no-op — see the <5 % overhead
-        guard in ``tests/test_obs.py``.
+        ``time`` and ``step_count`` advance only when the step completes.
         """
-        cfg = self.config
-        dt = cfg.dt
         obs_on = _TRACER.enabled
         if obs_on:
-            import time as _time
-
-            _t0 = _time.perf_counter()
-
-        # (1) NLMASS on every block.  Per-block kernel spans carry the
-        # block's cell count so live traces can recalibrate the Fig.-5
-        # linear cost model (repro.balance.calibrate); the hoisted
-        # obs_on check keeps the disabled path allocation-free.
-        with _span("NLMASS"):
-            for st in self.states.values():
-                with (
-                    _span("NLMASS.kernel", cells=st.block.n_cells)
-                    if obs_on else _NOOP_SPAN
-                ):
-                    nlmass(
-                        st.z_old,
-                        st.m_old,
-                        st.n_old,
-                        st.hz,
-                        dt,
-                        st.dx,
-                        out=st.z_new,
-                        dry_threshold=cfg.dry_threshold,
-                    )
-
-        # (2) JNZ: child -> parent restriction, finest level first so a
-        # multi-level cascade settles coarse levels last.
-        with _span("JNZ", cat="comm"):
-            for lvl in reversed(self.grid.levels[1:]):
-                with _span("restrict", cat="comm", level=lvl.index):
-                    for blk in lvl.blocks:
-                        child = self.states[blk.block_id]
-                        for pid in self._parents[blk.block_id]:
-                            parent = self.states[pid]
-                            restrict_eta(
-                                parent.z_new,
-                                child.z_new,
-                                parent.block,
-                                child.block,
-                                mode=cfg.restriction,
-                                width=cfg.restriction_width,
-                                parent_h=parent.hz,
-                            )
-
-        # (3) PTP_Z: ghost fill then halo exchange of the water level.
-        with _span("PTP_Z", cat="comm"):
-            for bid, st in self.states.items():
-                fill_ghosts_zero_gradient(st.z_new, ("W", "E", "S", "N"))
-            for aid, bid in self._neighbor_pairs:
-                exchange_halo(self.states[aid], self.states[bid], "z")
-
-        # (4) NLMNT2 on every block.
-        with _span("NLMNT2"):
-            for st in self.states.values():
-                with (
-                    _span("NLMNT2.kernel", cells=st.block.n_cells)
-                    if obs_on else _NOOP_SPAN
-                ):
-                    nlmnt2(
-                        st.z_new,
-                        st.m_old,
-                        st.n_old,
-                        st.hz,
-                        dt,
-                        st.dx,
-                        cfg.manning,
-                        out_m=st.m_new,
-                        out_n=st.n_new,
-                        nonlinear=cfg.nonlinear,
-                        dry_threshold=cfg.dry_threshold,
-                        velocity_cap=cfg.velocity_cap,
-                    )
-
-        # (5) Boundary conditions: outer BC on level 1, JNQ elsewhere.
-        with _span("JNQ", cat="comm"):
-            for blk in self._blocks_of_level(1):
-                st = self.states[blk.block_id]
-                sides = self._outer_sides[blk.block_id]
-                if not sides:
-                    continue
-                if cfg.boundary == "open":
-                    apply_open_boundary(
-                        st.z_new, st.m_new, st.n_new, st.hz, sides
-                    )
-                else:
-                    apply_wall_boundary(st.m_new, st.n_new, sides)
-            for lvl in self.grid.levels[1:]:
-                with _span("interp", cat="comm", level=lvl.index):
-                    for blk in lvl.blocks:
-                        child = self.states[blk.block_id]
-                        segs = self._segments[blk.block_id]
-                        for pid in self._parents[blk.block_id]:
-                            parent = self.states[pid]
-                            interpolate_fluxes(
-                                parent.m_new,
-                                parent.n_new,
-                                child.m_new,
-                                child.n_new,
-                                parent.block,
-                                child.block,
-                                segs,
-                            )
-
-        # (6) PTP_MN: ghost fill then halo exchange of the fluxes.
-        with _span("PTP_MN", cat="comm"):
-            for st in self.states.values():
-                fill_ghosts_zero_gradient(st.m_new, ("W", "E", "S", "N"))
-                fill_ghosts_zero_gradient(st.n_new, ("W", "E", "S", "N"))
-            for aid, bid in self._neighbor_pairs:
-                exchange_halo(self.states[aid], self.states[bid], "m")
-                exchange_halo(self.states[aid], self.states[bid], "n")
-
-        # (7) Outputs and double-buffer swap.
-        self.time += dt
+            t0 = _time.perf_counter()
+        now = self.time + self.config.dt
+        due = (self.step_count + 1) % self.output_every == 0
+        run_step(
+            self._plan, self.states, self._owner, self.config,
+            outputs=self.outputs if due else None, time=now,
+        )
+        self.time = now
         self.step_count += 1
-        update_outputs = self.step_count % self.output_every == 0
-        with _span("OUTPUT"):
-            for bid, st in self.states.items():
-                if update_outputs:
-                    self.outputs[bid].update(
-                        st.z_new,
-                        st.m_new,
-                        st.n_new,
-                        st.hz,
-                        self.time,
-                        dry_threshold=cfg.dry_threshold,
-                    )
-                st.swap()
-
         if obs_on:
-            self._observe_step(_time.perf_counter() - _t0)
+            self._observe_step(_time.perf_counter() - t0)
 
     def _observe_step(self, wall_s: float) -> None:
         """Fold one step into the process metrics registry (obs armed)."""
@@ -465,7 +282,7 @@ class RTiModel:
         """
         return sum(
             self.states[blk.block_id].volume()
-            for blk in self._blocks_of_level(1)
+            for blk in self.grid.level(1).blocks
         )
 
     def max_eta(self, level: int | None = None) -> float:

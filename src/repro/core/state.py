@@ -159,13 +159,30 @@ class BlockState:
         """Water volume over the physical cells [m^3]."""
         return float(self.total_depth().sum()) * self.dx * self.dx
 
-    # -- serialization (repro.persist) ------------------------------------
+    # -- capture / restore (checkpoints, migration, repro.persist) --------
+
+    @property
+    def flip(self) -> int:
+        """Index (0 or 1) of the buffers currently read as ``*_old``."""
+        return self._flip
+
+    def capture(self) -> tuple:
+        """Copies of the full leap-frog state, ``(z0, z1, m0, m1, n0, n1,
+        flip)``: safe to keep across later steps and to ship to a rank."""
+        return (*(a.copy() for a in self.state_arrays().values()), self._flip)
+
+    def restore(self, bufs: tuple) -> None:
+        """Overwrite the state bitwise from a :meth:`capture` tuple."""
+        *arrays, flip = bufs
+        for dst, src in zip(self.state_arrays().values(), arrays, strict=True):
+            dst[...] = src
+        self._flip = flip
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Both leap-frog copies of every prognostic buffer (views).
 
         Keys are the stable serialization names used by the on-disk
-        snapshot format; pair with ``_flip`` to capture the full state.
+        snapshot format; pair with :attr:`flip` to capture the full state.
         """
         return {
             "z0": self._z[0],

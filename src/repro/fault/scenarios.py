@@ -110,6 +110,16 @@ def initial_eta_for_block(
     return eta
 
 
+def impose_source(states: dict, sources) -> None:
+    """Impose a tsunami source on every block state of ``{block_id: state}``."""
+    for st in states.values():
+        st.set_initial_eta(
+            initial_eta_for_block(
+                sources, st.block, st.dx, depth=st.depth_interior()
+            )
+        )
+
+
 def moment_magnitude(faults: list[OkadaFault], rigidity: float = 3.0e10) -> float:
     """Moment magnitude Mw of a multi-segment source (Hanks & Kanamori)."""
     m0 = sum(rigidity * f.slip * f.length * f.width for f in faults)

@@ -154,8 +154,9 @@ def collect_sample(
     # Halo traffic of the single-process run, computed analytically from
     # the exchanged seams: one z plus two flux fields, fp32.
     per_step_cells = sum(
-        halo_cells(model.states[a].block, model.states[b].block)
-        for a, b in model._neighbor_pairs
+        halo_cells(a, b)
+        for lvl in model.grid.levels
+        for a, b in lvl.neighbor_pairs()
     )
     halo_bytes = per_step_cells * 3 * 4.0 * n_steps
 

@@ -222,7 +222,7 @@ def write_snapshot(model, dest: Path, *, extra: dict | None = None) -> Path:
             digests = write_arrays(tmp / fname, arrays)
             files[fname] = {"level": lvl.index, "arrays": digests}
             for blk in lvl.blocks:
-                flips[str(blk.block_id)] = model.states[blk.block_id]._flip
+                flips[str(blk.block_id)] = model.states[blk.block_id].flip
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "step": model.step_count,

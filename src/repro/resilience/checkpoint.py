@@ -125,13 +125,13 @@ class CheckpointRing:
         """
         states = {}
         for bid, st in model.states.items():
-            bufs = (*st._z, *st._m, *st._n)
-            if validate and not all(np.isfinite(a).all() for a in bufs):
+            bufs = st.capture()
+            if validate and not all(np.isfinite(a).all() for a in bufs[:-1]):
                 raise NumericalError(
                     f"refusing to checkpoint non-finite state "
                     f"(block {bid}, step {model.step_count})"
                 )
-            states[bid] = (*(a.copy() for a in bufs), st._flip)
+            states[bid] = bufs
         outputs = {
             bid: (
                 acc.zmax.copy(),
@@ -188,14 +188,7 @@ class CheckpointRing:
                 "(grid changed since the snapshot)"
             )
         for bid, st in model.states.items():
-            z0, z1, m0, m1, n0, n1, flip = ckpt.states[bid]
-            st._z[0][...] = z0
-            st._z[1][...] = z1
-            st._m[0][...] = m0
-            st._m[1][...] = m1
-            st._n[0][...] = n0
-            st._n[1][...] = n1
-            st._flip = flip
+            st.restore(ckpt.states[bid])
         for bid, acc in model.outputs.items():
             zmax, vmax, inund, arrival = ckpt.outputs[bid]
             acc.zmax[...] = zmax

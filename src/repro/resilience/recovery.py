@@ -84,13 +84,7 @@ def drop_finest_level(model: RTiModel) -> RTiModel:
     degraded.step_count = model.step_count
     degraded.output_every = model.output_every
     for bid, st in degraded.states.items():
-        src = model.states[bid]
-        for dst_buf, src_buf in (
-            (st._z, src._z), (st._m, src._m), (st._n, src._n)
-        ):
-            dst_buf[0][...] = src_buf[0]
-            dst_buf[1][...] = src_buf[1]
-        st._flip = src._flip
+        st.restore(model.states[bid].capture())
     for bid, acc in degraded.outputs.items():
         src = model.outputs[bid]
         acc.zmax[...] = src.zmax

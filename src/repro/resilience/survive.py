@@ -64,12 +64,14 @@ import numpy as np
 
 from repro.core.config import SimulationConfig
 from repro.core.model import RTiModel
-from repro.errors import CommunicationError, ConfigurationError
+from repro.core.pipeline import build_step_plan
+from repro.errors import CFLError, CommunicationError, ConfigurationError
+from repro.fault.scenarios import impose_source
 from repro.obs.log import get_logger
 from repro.obs.trace import get_tracer, instant
 from repro.par.comm import run_ranks
 from repro.par.decomposition import Decomposition
-from repro.par.driver import _build_topology, _RankRuntime
+from repro.par.driver import _RankRuntime
 from repro.persist.journal import EVENT_RANK_FAILURE, EVENT_RECOVERY_EPOCH
 from repro.resilience.faultplan import FaultPlan
 from repro.resilience.health import StepTimeMonitor
@@ -82,7 +84,7 @@ from repro.resilience.recovery import RecoveryEvent
 
 _LOG = get_logger("resilience")
 
-#: Tag bases, disjoint from the driver's halo/JNZ/JNQ spaces.
+#: Tag bases, disjoint from the step pipeline's halo/JNZ/JNQ spaces.
 TAG_CKPT = 5_000_000
 TAG_MIGRATE = 6_000_000
 
@@ -633,7 +635,6 @@ def survivable_run_distributed(
     failure and recovery epoch write-ahead.
     """
     from repro.balance.apply import shrink_decomposition
-    from repro.fault.scenarios import initial_eta_for_block
 
     scfg = survival or SurvivalConfig()
     report = SurvivalReport(n_steps=n_steps)
@@ -658,8 +659,8 @@ def survivable_run_distributed(
     epoch_now: int | None = None
     rounds = 0
 
+    plan = build_step_plan(grid, config)  # the same for every decomposition
     while True:
-        topo = _build_topology(grid, current, config)
         report.incarnations.append(
             IncarnationRecord(
                 index=len(report.incarnations),
@@ -672,28 +673,17 @@ def survivable_run_distributed(
         )
         this_restore = restore
         this_start = start_step
-        this_decomp = current
-        this_topo = topo
+        this_owner = current.owner_map()
 
         def rank_main(comm):
             get_tracer().set_context(rank=comm.rank)
             rt = _RankRuntime(
-                comm, grid, this_decomp, bathymetry, config, this_topo
+                comm, grid, this_owner, bathymetry, config, plan
             )
-            if this_restore is None:
-                if source is not None:
-                    for _bid, st in rt.states.items():
-                        lvl = grid.level(st.block.level)
-                        st.set_initial_eta(
-                            initial_eta_for_block(
-                                source,
-                                st.block,
-                                lvl.dx,
-                                depth=st.depth_interior(),
-                            )
-                        )
-            else:
+            if this_restore is not None:
                 rt.restore_blocks(this_restore)
+            elif source is not None:
+                impose_source(rt.states, source)
             ckpts = NeighborCheckpointStore(capacity=scfg.store_capacity)
             loop = _SurvivableLoop(
                 comm, rt, scfg, fault_plan, ckpts, n_steps, this_start
@@ -740,6 +730,10 @@ def survivable_run_distributed(
             comm_wrap=comm_wrap,
             return_errors=True,
         )
+        # A dt no relaunch can make stable is not a rank failure.
+        for _rank, exc in errors:
+            if isinstance(exc, CFLError):
+                raise exc
         outcomes = [r for r in results if isinstance(r, _RankOutcome)]
         _absorb_stats(report, outcomes)
 
@@ -993,16 +987,8 @@ def _breaker_fallback(
         model.set_initial_condition(source)
     if restore is not None:
         for bid, st in model.states.items():
-            if bid not in restore:
-                continue
-            z0, z1, m0, m1, n0, n1, flip = restore[bid]
-            st._z[0][...] = z0
-            st._z[1][...] = z1
-            st._m[0][...] = m0
-            st._m[1][...] = m1
-            st._n[0][...] = n0
-            st._n[1][...] = n1
-            st._flip = flip
+            if bid in restore:
+                st.restore(restore[bid])
         model.time = start_step * config.dt
         model.step_count = start_step
     else:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import RTiModel, SimulationConfig
-from repro.core import model as model_module
+from repro.core import pipeline as model_module
 from repro.core.state import BlockState
 from repro.fault import GaussianSource
 from repro.grid.block import Block
