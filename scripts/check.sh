@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: lint (when ruff is available) + the tier-1 test suite.
+# Repo gate: lint (when ruff is available; required when $CI is set) +
+# the tier-1 test suite.
 #
 #   scripts/check.sh          # lint + tests
 #   scripts/check.sh --fast   # tests only, stop at first failure
@@ -14,6 +15,10 @@ fast=0
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff =="
     ruff check src tests benchmarks
+elif [ -n "${CI:-}" ]; then
+    # CI must lint: a silent skip there is how unused imports piled up.
+    echo "== ruff not installed but \$CI is set; refusing to skip lint =="
+    exit 1
 else
     echo "== ruff not installed; skipping lint (pip install ruff) =="
 fi

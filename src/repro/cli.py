@@ -24,11 +24,14 @@ Commands
     Summarize a run directory from its telemetry (journal + trace +
     metrics): phase breakdown, critical path, slowest spans, rank
     imbalance, ETA accuracy.  Exits 3 when the run directory is
-    missing and 4 when it holds no recorded spans (structured JSON
-    error, no traceback) so scripts can tell the cases apart.  With
-    ``--request ID`` it instead renders that request's flight-recorder
-    timeline (dumped by the service on shed/failure/deadline breach);
-    exits 5 when no recording exists for the id.
+    missing or holds a damaged artifact and 4 when it holds no recorded
+    spans (structured JSON error, no traceback) so scripts can tell the
+    cases apart.  With ``--request ID`` it instead renders that
+    request's flight-recorder timeline (dumped by the service on
+    shed/failure/deadline breach); exits 5 when no recording exists for
+    the id.  One ``--<guard>`` flag per registered guard verdict
+    (:mod:`repro.guards`: ``--physics``, ``--integrity``) renders that
+    guard's artifact and exits with the guard's own codes.
 ``slo``
     Evaluate the service-level objectives of a run: reads ``slo.json``
     (or a run directory holding one), prints attainment, error-budget
@@ -69,6 +72,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+
+from repro import guards
 
 
 def _positive_float(text: str) -> float:
@@ -471,43 +476,38 @@ def _cmd_resume(args) -> int:
 EXIT_NO_RUNDIR = 3
 EXIT_NO_SPANS = 4
 EXIT_NO_FLIGHT = 5
-EXIT_NO_PHYSICS = 6
-#: The run's physics verdict is ``diverged`` (gate failure, not an error).
-EXIT_PHYSICS_DIVERGED = 7
-#: The run's integrity verdict is ``corrupted`` — detected but
-#: uncorrected data corruption (gate failure, not an error).
-EXIT_INTEGRITY_CORRUPTED = 8
-#: ``--integrity`` with no integrity.json shares the artifact-missing
-#: class with ``--physics``: the producing layer was off for this run.
-EXIT_NO_INTEGRITY = EXIT_NO_PHYSICS
 
-#: The table `repro inspect --help` and the README publish.
+#: The table `repro inspect --help` and the README publish; the guard
+#: rows come from the registry (:mod:`repro.guards`).
 INSPECT_EXIT_CODES = """\
 exit codes:
   0  report rendered (and any gated verdict is acceptable)
   3  run directory missing or unreadable
   4  no spans recorded (re-run with --export-trace)
   5  no flight recording for --request ID
-  6  requested artifact absent (physics.json / integrity.json layer off)
-  7  physics verdict is diverged (--physics gate)
-  8  integrity verdict is corrupted (--integrity gate)
-"""
+""" + "".join(
+    f"  {k.exit_absent}  {k.artifact} absent ({k.title} off for the run)\n"
+    f"  {k.exit_worst}  {k.name} verdict is {k.worst} (--{k.name} gate)\n"
+    for k in guards.KINDS
+)
 
 
 def _structured_error(code: str, exit_code: int, detail: str,
-                      hint: str | None = None) -> None:
-    """Print a machine-readable one-line JSON error."""
+                      hint: str | None = None) -> int:
+    """Print a machine-readable one-line JSON error; returns *exit_code*."""
     import json
 
     err: dict = {"code": code, "exit_code": exit_code, "detail": detail}
     if hint:
         err["hint"] = hint
     print(json.dumps({"error": err}))
+    return exit_code
 
 
 def _cmd_inspect(args) -> int:
+    from repro.artifacts import rejecting_malformed
     from repro.errors import PersistError
-    from repro.obs import load_rundir, render_report
+    from repro.obs.inspect import inspect_guard, load_rundir, render_report
 
     if args.request:
         from repro.obs import inspect_request
@@ -515,57 +515,38 @@ def _cmd_inspect(args) -> int:
         try:
             print(inspect_request(args.rundir, args.request))
         except PersistError as exc:
-            _structured_error(
+            return _structured_error(
                 "no-flight", EXIT_NO_FLIGHT, str(exc),
                 hint="flight recordings are dumped for shed, failed, "
                      "rejected, and deadline-missed requests only",
             )
-            return EXIT_NO_FLIGHT
         return 0
-    if args.physics:
-        from repro.obs import inspect_physics
-
+    for kind in guards.KINDS:
+        if not getattr(args, kind.name):
+            continue
         try:
-            text, ok = inspect_physics(args.rundir)
+            text, ok = inspect_guard(args.rundir, kind)
         except PersistError as exc:
-            _structured_error(
-                "no-physics", EXIT_NO_PHYSICS, str(exc),
-                hint="physics.json is written by `repro forecast "
-                     "--deadline --rundir DIR` and by soaks whose "
-                     "backend carries physics verdicts",
+            return _structured_error(
+                f"no-{kind.name}", kind.exit_absent, str(exc),
+                hint=kind.absent_hint,
             )
-            return EXIT_NO_PHYSICS
         print(text)
-        return 0 if ok else EXIT_PHYSICS_DIVERGED
-    if args.integrity:
-        from repro.obs import inspect_integrity
-
-        try:
-            text, ok = inspect_integrity(args.rundir)
-        except PersistError as exc:
-            _structured_error(
-                "no-integrity", EXIT_NO_INTEGRITY, str(exc),
-                hint="integrity.json is written by `repro forecast "
-                     "--integrity-every N --rundir DIR` and by soaks "
-                     "run with --corrupt-fraction",
-            )
-            return EXIT_NO_INTEGRITY
-        print(text)
-        return 0 if ok else EXIT_INTEGRITY_CORRUPTED
+        return 0 if ok else kind.exit_worst
     try:
         art = load_rundir(args.rundir)
+        with rejecting_malformed(args.rundir):
+            text = render_report(art, top_n=args.top) if art.spans else None
     except PersistError as exc:
-        _structured_error("rundir-missing", EXIT_NO_RUNDIR, str(exc))
-        return EXIT_NO_RUNDIR
-    if not art.spans:
-        _structured_error(
+        return _structured_error("rundir-missing", EXIT_NO_RUNDIR, str(exc))
+    if text is None:
+        return _structured_error(
             "no-spans", EXIT_NO_SPANS,
             f"{args.rundir} has no recorded spans",
             hint="re-run with `repro forecast --export-trace` to record "
                  "spans",
         )
-        return EXIT_NO_SPANS
-    print(render_report(art, top_n=args.top))
+    print(text)
     return 0
 
 
@@ -710,7 +691,7 @@ def _cmd_serve(args) -> int:
         print(report.summary())
         if args.rundir:
             print(f"wrote soak artifacts (slo.json, trace.json, "
-                  f"metrics.json, physics.json, integrity.json, flight/) "
+                  f"metrics.json, guard verdict documents, flight/) "
                   f"under {args.rundir}")
         if args.export_metrics:
             get_registry().write_json(args.export_metrics)
@@ -775,20 +756,20 @@ def _cmd_serve(args) -> int:
 def _cmd_slo(args) -> int:
     from pathlib import Path
 
+    from repro.artifacts import rejecting_malformed
     from repro.errors import PersistError
     from repro.obs import load_slo_report, render_slo_doc
 
     target = Path(args.target)
     path = target / "slo.json" if target.is_dir() else target
     try:
-        doc = load_slo_report(path)
+        with rejecting_malformed(path):
+            lines, ok = render_slo_doc(load_slo_report(path))
     except PersistError as exc:
-        _structured_error(
+        return _structured_error(
             "no-slo", EXIT_NO_RUNDIR, str(exc),
             hint="produce one with `repro serve --soak --rundir DIR`",
         )
-        return EXIT_NO_RUNDIR
-    lines, ok = render_slo_doc(doc)
     print("\n".join(lines))
     return 0 if ok else 1
 
@@ -982,14 +963,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_in.add_argument("--request", default=None, metavar="ID",
                       help="render this request's flight-recorder "
                            "timeline instead of the aggregate report")
-    p_in.add_argument("--physics", action="store_true",
-                      help="render the physics health timeline "
-                           "(physics.json) instead of the aggregate "
-                           "report; exits non-zero on a diverged verdict")
-    p_in.add_argument("--integrity", action="store_true",
-                      help="render the ABFT integrity ledger "
-                           "(integrity.json) instead of the aggregate "
-                           "report; exits 8 on a corrupted verdict")
+    for kind in guards.KINDS:
+        p_in.add_argument(
+            f"--{kind.name}", action="store_true",
+            help=f"render the {kind.title} report ({kind.artifact}) "
+                 f"instead of the aggregate report; exits "
+                 f"{kind.exit_worst} on a {kind.worst} verdict",
+        )
 
     p_sl = sub.add_parser(
         "slo",

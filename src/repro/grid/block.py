@@ -9,7 +9,7 @@ simulator) never allocate the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import GridError
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.constants import REFINEMENT_RATIO
 from repro.errors import GridError, NestingError

@@ -18,7 +18,7 @@ The anchors are the paper's own measurements; provenance is kept in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import PlatformError
 

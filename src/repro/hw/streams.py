@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import PlatformError
 from repro.hw.kernelcost import KernelInvocation

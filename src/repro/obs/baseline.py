@@ -21,14 +21,13 @@ The statistical comparison against a baseline lives in
 
 from __future__ import annotations
 
-import json
-import os
 import statistics
 import subprocess
 import time
 from pathlib import Path
 
-from repro.errors import ObservatoryError
+from repro.artifacts import load_json_artifact, publish_json
+from repro.errors import ObservatoryError, PersistError
 
 #: Bench document schema.  Version 1 was the flat single-sample
 #: ``repro.bench_obs/1`` snapshot; version 2 adds repeated samples,
@@ -274,27 +273,17 @@ def run_bench(
 
 
 def write_doc(doc: dict, path: str | Path) -> Path:
-    """Atomically write a bench document as pretty JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".tmp-{path.name}")
-    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-    return path
+    """Atomically publish a bench document as pretty JSON."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return publish_json(path, doc, indent=2, sort_keys=True)
 
 
 def load_doc(path: str | Path) -> dict:
     """Load a bench document, raising :class:`ObservatoryError` cleanly."""
-    path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ObservatoryError(f"no bench document at {path}") from None
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ObservatoryError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ObservatoryError(f"{path} is not a bench document")
-    return doc
+        return load_json_artifact(path, what="a bench document")
+    except PersistError as exc:
+        raise ObservatoryError(str(exc)) from exc
 
 
 def _summary_of(doc: dict) -> dict:

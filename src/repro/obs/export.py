@@ -17,10 +17,9 @@ paper's model-vs-measurement methodology.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 
+from repro.artifacts import publish_json
 from repro.obs.timebase import TIMEBASE
 from repro.obs.trace import Tracer, get_tracer
 
@@ -227,15 +226,13 @@ def chrome_trace(
 def write_chrome_trace(path, tracer: Tracer | None = None,
                        kernel_events=None, service_events=None,
                        physics_samples=None) -> Path:
-    """Atomically write a Chrome trace JSON file; returns its path."""
-    path = Path(path)
-    doc = chrome_trace(tracer, kernel_events=kernel_events,
-                       service_events=service_events,
-                       physics_samples=physics_samples)
-    tmp = path.with_name(f".tmp-{path.name}")
-    tmp.write_text(json.dumps(doc))
-    os.replace(tmp, path)
-    return path
+    """Atomically publish a Chrome trace JSON file; returns its path."""
+    return publish_json(
+        path,
+        chrome_trace(tracer, kernel_events=kernel_events,
+                     service_events=service_events,
+                     physics_samples=physics_samples),
+    )
 
 
 def validate_chrome_trace(doc: dict) -> list[str]:

@@ -21,11 +21,10 @@ kept), and a bounded ring of settled recorders.
 
 from __future__ import annotations
 
-import json
-import os
 from collections import OrderedDict, deque
 from pathlib import Path
 
+from repro.artifacts import load_json_artifact, publish_json
 from repro.obs.timebase import TIMEBASE
 
 #: Schema stamp of one dumped flight recording.
@@ -152,11 +151,10 @@ class FlightBook:
         if rec is None or self.out_dir is None:
             return None
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        path = self.out_dir / f"{request_id}.json"
-        tmp = path.with_name(f".tmp-{path.name}")
-        tmp.write_text(json.dumps(rec.to_dict(), indent=2, sort_keys=True))
-        os.replace(tmp, path)
-        return path
+        return publish_json(
+            self.out_dir / f"{request_id}.json", rec.to_dict(),
+            indent=2, sort_keys=True,
+        )
 
     def stats(self) -> dict:
         return {
@@ -176,14 +174,7 @@ def flight_path(rundir, request_id: str) -> Path:
 
 def load_flight(path) -> dict:
     """Load and sanity-check one dumped flight recording."""
-    path = Path(path)
-    doc = json.loads(path.read_text())
-    if doc.get("schema") != FLIGHT_SCHEMA:
-        raise ValueError(
-            f"{path} is not a flight recording "
-            f"(schema {doc.get('schema')!r}, want {FLIGHT_SCHEMA!r})"
-        )
-    return doc
+    return load_json_artifact(path, FLIGHT_SCHEMA, "a flight recording")
 
 
 def render_flight(doc: dict) -> str:

@@ -18,12 +18,15 @@ renders the paper's performance-accounting views for a *real* run:
 
 from __future__ import annotations
 
-import json
 import statistics
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
+from repro import guards
+from repro.artifacts import load_json_artifact, rejecting_malformed
 from repro.errors import PersistError
+from repro.obs.metrics import METRICS_SCHEMA
 from repro.runtime.breakdown import (
     BREAKDOWN_PHASES,
     PhaseTime,
@@ -67,31 +70,28 @@ def load_rundir(rundir) -> RunArtifacts:
 
     trace_path = rundir / TRACE_NAME
     if trace_path.exists():
-        try:
-            doc = json.loads(trace_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise PersistError(f"cannot read {trace_path}: {exc}") from exc
-        art.spans = [
-            {
-                "name": ev.get("name"),
-                "cat": ev.get("cat", ""),
-                "rank": (ev.get("args") or {}).get("rank"),
-                "ts_us": ev.get("ts", 0.0),
-                "dur_us": ev.get("dur", 0.0),
-                # Keep the args: the calibration path reads per-block
-                # cell counts out of <routine>.kernel spans.
-                "args": ev.get("args") or {},
-            }
-            for ev in doc.get("traceEvents", [])
-            if ev.get("ph") == "X"
-        ]
+        doc = load_json_artifact(trace_path, what="a Chrome trace")
+        with rejecting_malformed(trace_path):
+            art.spans = [
+                {
+                    "name": ev.get("name"),
+                    "cat": ev.get("cat", ""),
+                    "rank": (ev.get("args") or {}).get("rank"),
+                    "ts_us": ev.get("ts", 0.0),
+                    "dur_us": ev.get("dur", 0.0),
+                    # Keep the args: the calibration path reads per-block
+                    # cell counts out of <routine>.kernel spans.
+                    "args": ev.get("args") or {},
+                }
+                for ev in doc["traceEvents"]
+                if ev.get("ph") == "X"
+            ]
 
     metrics_path = rundir / METRICS_NAME
     if metrics_path.exists():
-        try:
-            art.metrics = json.loads(metrics_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise PersistError(f"cannot read {metrics_path}: {exc}") from exc
+        art.metrics = load_json_artifact(
+            metrics_path, METRICS_SCHEMA, "a metrics snapshot"
+        )
     return art
 
 
@@ -298,62 +298,28 @@ def inspect_rundir(rundir, top_n: int = 10) -> str:
     return render_report(load_rundir(rundir), top_n)
 
 
-def inspect_physics(rundir) -> tuple[str, bool]:
-    """Render the physics health timeline from a run directory.
+def inspect_guard(rundir, kind: guards.GuardKind) -> tuple[str, bool]:
+    """Render one guard's artifact: the ``repro inspect --<name>`` view.
 
-    The ``repro inspect --physics`` view: loads ``physics.json``
-    (written by :func:`repro.resilience.forecast.run_resilient_forecast`
-    for a single run, or by the soak harness for a service run) and
-    renders the sample timeline plus sentinel events.  Returns
-    ``(text, ok)`` — *ok* is False when the overall verdict is
-    ``diverged`` so callers can gate on it.  Raises
-    :class:`~repro.errors.PersistError` when the run never sampled
-    physics.
+    Returns ``(text, ok)``; *ok* is False exactly when the verdict is
+    the kind's worst level, so callers can gate on it.  Raises
+    :class:`~repro.errors.PersistError` when the run never armed the
+    guard (resilient forecasts and soaks do) or left a damaged artifact.
     """
-    from repro.obs.physics import (
-        PHYSICS_NAME,
-        load_physics_report,
-        render_physics_doc,
-    )
-
-    path = Path(rundir) / PHYSICS_NAME
+    path = Path(rundir) / kind.artifact
     if not path.exists():
         raise PersistError(
-            f"no {PHYSICS_NAME} under {rundir}; physics sampling was off "
-            "for this run (it is produced by resilient forecasts and "
-            "soaks with verdict-carrying backends)"
+            f"no {kind.artifact} under {rundir}; the {kind.title} guard "
+            "was off for this run"
         )
-    lines, ok = render_physics_doc(load_physics_report(path))
+    with rejecting_malformed(path):
+        lines, ok = kind.render(kind.load(path))
     return "\n".join(lines), ok
 
 
-def inspect_integrity(rundir) -> tuple[str, bool]:
-    """Render the ABFT integrity ledger from a run directory.
-
-    The ``repro inspect --integrity`` view: loads ``integrity.json``
-    (written by :func:`repro.resilience.forecast.run_resilient_forecast`
-    for a single run, or by the soak harness for a service run) and
-    renders the detection/correction ledger.  Returns ``(text, ok)`` —
-    *ok* is False exactly when the verdict is ``corrupted``
-    (detected-but-uncorrected corruption, the exit-8 condition).
-    Raises :class:`~repro.errors.PersistError` when the run never armed
-    the integrity layer.
-    """
-    from repro.resilience.integrity import (
-        INTEGRITY_NAME,
-        load_integrity_report,
-        render_integrity_doc,
-    )
-
-    path = Path(rundir) / INTEGRITY_NAME
-    if not path.exists():
-        raise PersistError(
-            f"no {INTEGRITY_NAME} under {rundir}; the integrity layer was "
-            "off for this run (arm it with `repro forecast "
-            "--integrity-every N` or a corrupt-fraction soak)"
-        )
-    lines, ok = render_integrity_doc(load_integrity_report(path))
-    return "\n".join(lines), ok
+#: The per-artifact names: :func:`inspect_guard` with the kind bound.
+inspect_physics = partial(inspect_guard, kind=guards.PHYSICS)
+inspect_integrity = partial(inspect_guard, kind=guards.INTEGRITY)
 
 
 def inspect_request(rundir, request_id: str) -> str:
@@ -382,4 +348,5 @@ def inspect_request(rundir, request_id: str) -> str:
             f"no flight recording for {request_id!r} under {flight_dir}; "
             + hint
         )
-    return render_flight(load_flight(path))
+    with rejecting_malformed(path):
+        return render_flight(load_flight(path))

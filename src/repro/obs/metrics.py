@@ -20,12 +20,12 @@ hot loops so a disabled run pays nothing.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import re
 import threading
 from pathlib import Path
+
+from repro.artifacts import publish_json
 
 #: Default histogram buckets [seconds] — spans checkpoint writes (ms) to
 #: full-forecast step times.
@@ -35,6 +35,9 @@ DEFAULT_SECONDS_BUCKETS = (
 )
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
+
+#: Schema stamp of one ``metrics.json`` snapshot.
+METRICS_SCHEMA = "repro.obs.metrics/1"
 
 #: Counter of NaN/negative histogram inputs counted-and-skipped instead
 #: of corrupting ``sum``/quantiles; exported only once non-zero.
@@ -339,19 +342,15 @@ class MetricsRegistry:
         if bad:
             counters[BAD_OBSERVATIONS_NAME] = float(bad)
         return {
-            "schema": "repro.obs.metrics/1",
+            "schema": METRICS_SCHEMA,
             "counters": counters,
             "gauges": gauges,
             "histograms": histograms,
         }
 
     def write_json(self, path) -> Path:
-        """Atomically write the ``metrics.json`` snapshot."""
-        path = Path(path)
-        tmp = path.with_name(f".tmp-{path.name}")
-        tmp.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-        os.replace(tmp, path)
-        return path
+        """Atomically publish the ``metrics.json`` snapshot."""
+        return publish_json(path, self.to_dict(), indent=2, sort_keys=True)
 
 
 _SAMPLE_RE = re.compile(

@@ -29,35 +29,26 @@ an atomic per-run ``physics.json``, and ``repro inspect RUNDIR
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from repro import guards
 from repro.constants import GRAVITY
-from repro.errors import ConfigurationError, NumericalError, PersistError
+from repro.errors import ConfigurationError, NumericalError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 
 _TRACER = get_tracer()
 
-#: Schema tag for ``physics.json`` documents.
-PHYSICS_SCHEMA = "repro.obs.physics/1"
-
-#: Default filename for the per-run physics document.
-PHYSICS_NAME = "physics.json"
-
+#: This guard's registry entry (:mod:`repro.guards`) declares the
+#: verdict levels, the artifact's file name and its schema tag, once.
+_KIND = guards.PHYSICS
+PHYSICS_SCHEMA = _KIND.schema
+PHYSICS_NAME = _KIND.artifact
 #: Verdicts, in increasing severity.
-HEALTHY = "healthy"
-SUSPECT = "suspect"
-DIVERGED = "diverged"
-VERDICTS = (HEALTHY, SUSPECT, DIVERGED)
-
-#: Numeric verdict codes for the ``repro_physics_verdict`` gauge.
-VERDICT_CODES = {HEALTHY: 0, SUSPECT: 1, DIVERGED: 2}
+HEALTHY, SUSPECT, DIVERGED = VERDICTS = _KIND.levels
 
 #: MAD -> sigma for normally distributed data (same constant the
 #: step-time watchdog uses).
@@ -437,8 +428,7 @@ class DivergenceSentinel:
         else:
             self._streak = self._streak if verdict == DIVERGED else 0
         self.verdict = verdict
-        if VERDICT_CODES[verdict] > VERDICT_CODES[self.worst]:
-            self.worst = verdict
+        self.worst = _KIND.worst_of((self.worst, verdict))
         if verdict != HEALTHY:
             self._note(smp, verdict, reasons)
         if _TRACER.enabled:
@@ -547,7 +537,7 @@ class DivergenceSentinel:
                 "repro_physics_verdict",
                 "current sentinel verdict (0 healthy, 1 suspect, 2 diverged)",
             )
-        self._metrics.set(VERDICT_CODES[verdict])
+        self._metrics.set(VERDICTS.index(verdict))
 
     def reset_baseline(self) -> None:
         """Re-seed after a rollback/degradation (recovery-engine hook).
@@ -597,67 +587,29 @@ def physics_doc(
 ) -> dict:
     """Assemble a ``physics.json`` document.
 
-    Two producers share the schema: a single run (sampler + sentinel —
-    sample timeline plus sentinel events) and a service soak (verdict
-    *counts* plus per-request verdict *requests*, no sample timeline).
+    A single run contributes *sampler* + *sentinel* (sample timeline
+    plus sentinel events); a service soak contributes *counts* and
+    *requests* instead — see :meth:`repro.guards.GuardKind.doc`.
     """
     if sentinel is not None and sampler is None:
         sampler = sentinel.sampler
-    doc: dict = {"schema": PHYSICS_SCHEMA}
-    if verdict is None and sentinel is not None:
-        verdict = sentinel.worst
-    doc["verdict"] = verdict if verdict is not None else HEALTHY
-    if sampler is not None:
-        doc["every"] = sampler.every
-        doc["samples_taken"] = sampler.samples_taken
-        doc["samples"] = [s.to_dict() for s in sampler.samples]
+    body = sampler.to_dict() if sampler is not None else {}
     if sentinel is not None:
-        doc["events"] = list(sentinel.events)
-        doc["aborts"] = sentinel.aborts
-        doc["thresholds"] = sentinel.to_dict()["thresholds"]
-    if counts is not None:
-        doc["counts"] = dict(counts)
-    if requests is not None:
-        doc["requests"] = list(requests)
-    return doc
+        ledger = sentinel.to_dict()  # its "verdict" is the worst one seen
+        keys = ("verdict", "events", "aborts", "thresholds")
+        body.update((k, ledger[k]) for k in keys)
+    return _KIND.doc(verdict, body, counts, requests)
 
 
-def write_physics_json(path, doc: dict) -> Path:
-    """Atomically write a physics document (same idiom as every export)."""
-    from repro.persist.snapshot import fsync_dir
-
-    path = Path(path)
-    tmp = path.with_name(f".tmp-{path.name}")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, allow_nan=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        fsync_dir(path.parent)
-    except OSError as exc:
-        tmp.unlink(missing_ok=True)
-        raise PersistError(f"cannot write physics report {path}: {exc}") from exc
-    return path
+#: The per-artifact names: the registry entry's publisher and loader.
+write_physics_json = _KIND.publish
+load_physics_report = _KIND.load
 
 
-def load_physics_report(path) -> dict:
-    """Load and sanity-check a ``physics.json`` document."""
-    path = Path(path)
-    if not path.is_file():
-        raise PersistError(f"no physics report at {path}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PersistError(f"unreadable physics report {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != PHYSICS_SCHEMA:
-        raise PersistError(
-            f"{path} is not a {PHYSICS_SCHEMA} document "
-            f"(schema={doc.get('schema') if isinstance(doc, dict) else None!r})"
-        )
-    return doc
+def physics_brief(doc: dict) -> str:
+    """The physics clause of a forecast summary line."""
+    aborts = doc.get("aborts", 0)
+    return f", {aborts} sentinel abort(s)" if aborts else ""
 
 
 _VERDICT_MARKS = {HEALTHY: " ", SUSPECT: "?", DIVERGED: "!"}
@@ -672,11 +624,6 @@ def render_physics_doc(doc: dict) -> tuple[list[str], bool]:
     verdict = doc.get("verdict", HEALTHY)
     ok = verdict != DIVERGED
     lines = [f"physics verdict: {verdict}"]
-    counts = doc.get("counts")
-    if counts:
-        total = sum(counts.values())
-        per = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        lines.append(f"requests: {total} ({per})")
     samples = doc.get("samples") or []
     if samples:
         lines.append(
@@ -704,19 +651,7 @@ def render_physics_doc(doc: dict) -> tuple[list[str], bool]:
                 f"  step {ev.get('step', 0):>6} t={ev.get('time', 0.0):>8.1f}s "
                 f"{ev.get('verdict', '?'):>8}: {reasons}"
             )
-    requests = doc.get("requests") or []
-    if requests:
-        bad = [r for r in requests if r.get("verdict") != HEALTHY]
-        lines.append(
-            f"per-request verdicts: {len(requests)} total, "
-            f"{len(bad)} not healthy"
-        )
-        for r in bad[:20]:
-            lines.append(
-                f"  {r.get('request_id', '?')}: {r.get('verdict', '?')}"
-            )
-        if len(bad) > 20:
-            lines.append(f"  ... {len(bad) - 20} more")
+    lines += _KIND.render_soak(doc)
     if doc.get("aborts"):
         lines.append(f"sentinel aborts: {doc['aborts']}")
     return lines, ok

@@ -23,11 +23,11 @@ forecast service's per-request outcomes into that statement:
 
 from __future__ import annotations
 
-import json
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.artifacts import load_json_artifact, publish_json
 
 #: Schema stamp of one ``slo.json`` report.
 SLO_SCHEMA = "repro.obs.slo/1"
@@ -354,19 +354,10 @@ class SLOEngine:
         return report
 
     def write_json(self, path, now: float) -> Path:
-        """Atomically write the ``slo.json`` report (fsync file + dir)."""
-        from repro.persist.snapshot import fsync_dir
-
-        path = Path(path)
-        doc = self.evaluate(now).to_dict()
-        tmp = path.with_name(f".tmp-{path.name}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2, sort_keys=True))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        fsync_dir(path.parent)
-        return path
+        """Atomically publish the ``slo.json`` report."""
+        return publish_json(
+            path, self.evaluate(now).to_dict(), indent=2, sort_keys=True
+        )
 
 
 def _fmt_s(seconds: float) -> str:
@@ -381,21 +372,7 @@ def _fmt_s(seconds: float) -> str:
 
 def load_slo_report(path) -> dict:
     """Load and sanity-check one ``slo.json`` report."""
-    from repro.errors import PersistError
-
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise PersistError(f"cannot read SLO report {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise PersistError(f"{path} is not valid JSON: {exc}") from exc
-    if doc.get("schema") != SLO_SCHEMA:
-        raise PersistError(
-            f"{path} is not an SLO report "
-            f"(schema {doc.get('schema')!r}, want {SLO_SCHEMA!r})"
-        )
-    return doc
+    return load_json_artifact(path, SLO_SCHEMA, "an SLO report")
 
 
 def render_slo_doc(doc: dict) -> tuple[list[str], bool]:

@@ -20,7 +20,7 @@ Two decomposition policies are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import DecompositionError
 from repro.grid.block import Block

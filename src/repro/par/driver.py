@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.artifacts import publishing
 from repro.core.config import SimulationConfig
 from repro.core.pipeline import (
     StepPlan,
@@ -216,27 +217,11 @@ def run_distributed(
 
 def _publish_distributed_eta(store, eta_by_block, n_steps: int) -> None:
     """Atomically write the gathered final eta into the store's products."""
-    import os
-
-    from repro.errors import PersistError
-    from repro.persist.snapshot import fsync_dir
-
     final = store.products_dir / f"distributed_eta_step_{n_steps:08d}.npz"
-    tmp = final.with_name(f".tmp-{final.name}")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(
-                fh, **{f"b{bid}": a for bid, a in eta_by_block.items()}
-            )
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, final)
-        fsync_dir(final.parent)
-    except OSError as exc:
-        tmp.unlink(missing_ok=True)
-        raise PersistError(
-            f"cannot publish distributed eta {final}: {exc}"
-        ) from exc
+    with publishing(final, "wb") as fh:
+        np.savez_compressed(
+            fh, **{f"b{bid}": a for bid, a in eta_by_block.items()}
+        )
     store.record_event(
         "distributed_complete", n_steps=n_steps, product=final.name
     )

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.artifacts import publishing
 from repro.errors import PersistError
 from repro.core.gauges import GaugeRecorder
-from repro.persist.snapshot import fsync_dir
 
 GAUGE_FILE = "gauges.csv"
 ETA_DIR = "eta"
@@ -102,17 +102,8 @@ class ProductStreamer:
         arrays["time"] = np.asarray(model.time)
         arrays["step"] = np.asarray(model.step_count)
         final = self.eta_dir / f"eta_step_{model.step_count:08d}.npz"
-        tmp = self.eta_dir / f".tmp-{final.name}"
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez_compressed(fh, **arrays)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, final)
-            fsync_dir(self.eta_dir)
-        except OSError as exc:
-            tmp.unlink(missing_ok=True)
-            raise PersistError(f"cannot write eta dump {final}: {exc}") from exc
+        with publishing(final, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
 
     # -- resume ----------------------------------------------------------
 
@@ -192,10 +183,8 @@ class ProductStreamer:
                     kept.append(line)
                 else:
                     dropped += 1
-            tmp = self.gauge_path.with_name(f".tmp-{GAUGE_FILE}")
-            tmp.write_text("\n".join(kept) + "\n")
-            os.replace(tmp, self.gauge_path)
-            fsync_dir(self.gauge_path.parent)
+            with publishing(self.gauge_path) as fh:
+                fh.write("\n".join(kept) + "\n")
         if self.eta_dir.is_dir():
             for path in sorted(self.eta_dir.glob("eta_step_*.npz")):
                 try:

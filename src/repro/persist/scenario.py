@@ -27,12 +27,12 @@ Spec keys
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.errors import ConfigurationError, PersistError
+from repro.artifacts import load_json_artifact
+from repro.errors import ConfigurationError
 from repro.core.config import SimulationConfig
 from repro.grid.block import Block
 from repro.grid.hierarchy import NestedGrid
@@ -53,14 +53,7 @@ class BuiltScenario:
 
 def load_scenario(path: Path) -> dict:
     """Read a scenario spec from a JSON file."""
-    try:
-        with open(path) as fh:
-            spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PersistError(f"cannot read scenario file {path}: {exc}") from exc
-    if not isinstance(spec, dict):
-        raise PersistError(f"scenario file {path} must hold a JSON object")
-    return spec
+    return load_json_artifact(path, what="a scenario spec")
 
 
 def build_grid(spec) -> NestedGrid:

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.artifacts import load_json_artifact
 from repro.errors import PersistError
 
 #: On-disk format version; bump on any incompatible layout change.
@@ -257,12 +258,8 @@ def write_snapshot(model, dest: Path, *, extra: dict | None = None) -> Path:
 def read_manifest(snapdir: Path) -> dict:
     """Parse a snapshot's manifest (no array verification)."""
     mpath = Path(snapdir) / MANIFEST_NAME
-    try:
-        with open(mpath) as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PersistError(f"unreadable snapshot manifest {mpath}: {exc}") from exc
-    if not isinstance(manifest, dict) or "files" not in manifest:
+    manifest = load_json_artifact(mpath, what="a snapshot manifest")
+    if "files" not in manifest:
         raise PersistError(f"malformed snapshot manifest {mpath}")
     return manifest
 

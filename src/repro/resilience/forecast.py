@@ -12,15 +12,14 @@ degraded) — it never hangs and never lets corruption through silently.
 
 from __future__ import annotations
 
+from repro import guards
 from repro.core.config import SimulationConfig
 from repro.core.model import CompositeMonitor, RTiModel
 from repro.obs.log import get_logger
 from repro.obs.physics import (
-    PHYSICS_NAME,
     DivergenceSentinel,
     PhysicsSampler,
     physics_doc,
-    write_physics_json,
 )
 from repro.resilience.checkpoint import CheckpointRing
 from repro.resilience.clock import SimulatedClock
@@ -28,12 +27,10 @@ from repro.resilience.deadline import DeadlineSupervisor
 from repro.resilience.faultplan import FaultPlan
 from repro.resilience.health import HealthMonitor
 from repro.resilience.integrity import (
-    INTEGRITY_NAME,
     CheckpointScrubber,
     IntegrityMonitor,
     IntegrityTracker,
     integrity_doc,
-    write_integrity_json,
 )
 from repro.resilience.recovery import RecoveryEngine
 from repro.resilience.report import ForecastReport
@@ -118,8 +115,15 @@ def run_resilient_forecast(
     health = HealthMonitor(
         every=health_every, eta_limit=eta_limit, mass_tol=mass_tol
     )
-    sentinel = None
-    monitor = health
+
+    def journal(guard: str):
+        """Each guard's events go to the run journal under its name."""
+        if store is None:
+            return None
+        return lambda ev: store.record_event(guard, **ev)
+
+    sentinel = tracker = None
+    monitors = [health]
     if physics_every:
         sampler = PhysicsSampler(
             every=physics_every, recorder=gauge_recorder
@@ -128,30 +132,18 @@ def run_resilient_forecast(
             sampler,
             eta_limit=eta_limit,
             abort=physics_abort,
-            on_event=(
-                (lambda ev: store.record_event("physics", **ev))
-                if store is not None
-                else None
-            ),
+            on_event=journal("physics"),
         )
-        monitor = CompositeMonitor([health, sentinel])
-    tracker = None
-    integrity = None
+        monitors.append(sentinel)
     if integrity_every:
-        tracker = IntegrityTracker(
-            on_event=(
-                (lambda ev: store.record_event("integrity", **ev))
-                if store is not None
-                else None
+        tracker = IntegrityTracker(on_event=journal("integrity"))
+        monitors.append(
+            IntegrityMonitor(
+                every=integrity_every, tracker=tracker,
+                abort=integrity_abort,
             )
         )
-        integrity = IntegrityMonitor(
-            every=integrity_every, tracker=tracker, abort=integrity_abort
-        )
-        parts = [health, integrity] if sentinel is None else [
-            health, sentinel, integrity
-        ]
-        monitor = CompositeMonitor(parts)
+    monitor = health if len(monitors) == 1 else CompositeMonitor(monitors)
     ring = CheckpointRing(
         capacity=checkpoint_capacity,
         store=store,
@@ -237,14 +229,14 @@ def run_resilient_forecast(
         integrity=integrity_doc(tracker) if tracker is not None else None,
     )
     report.model = final
+    verdicts = {kind.attr: kind.of(report) for kind in guards.KINDS}
     _LOG.info(
         "forecast_complete",
         status=report.status,
         achieved_s=round(final.time, 3),
         elapsed_s=round(clock.elapsed_s, 3),
         rollbacks=rollbacks,
-        physics_verdict=report.physics_verdict,
-        integrity_verdict=report.integrity_verdict,
+        **verdicts,
     )
     if store is not None:
         store.record_event(
@@ -255,13 +247,10 @@ def run_resilient_forecast(
             checkpoints_taken=ring.taken,
             checkpoints_spilled=ring.spilled,
             rollbacks=rollbacks,
-            physics_verdict=report.physics_verdict,
-            integrity_verdict=report.integrity_verdict,
+            **verdicts,
         )
-        if sentinel is not None:
-            write_physics_json(store.rundir / PHYSICS_NAME, report.physics)
-        if tracker is not None:
-            write_integrity_json(
-                store.rundir / INTEGRITY_NAME, report.integrity
-            )
+        for kind in guards.KINDS:
+            doc = getattr(report, kind.name, None)
+            if doc is not None:
+                kind.publish(store.rundir / kind.artifact, doc)
     return report

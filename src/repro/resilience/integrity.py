@@ -48,13 +48,12 @@ only on the hot path; tier-1 guards both properties).
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-from pathlib import Path
 
 import numpy as np
 
+from repro import guards
 from repro.errors import ConfigurationError, IntegrityError, PersistError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
@@ -62,23 +61,16 @@ from repro.xchg.packing import payload_crc
 
 _TRACER = get_tracer()
 
-#: Schema tag for ``integrity.json`` documents.
-INTEGRITY_SCHEMA = "repro.resilience.integrity/1"
-
-#: Default filename for the per-run integrity document.
-INTEGRITY_NAME = "integrity.json"
-
+#: This guard's registry entry (:mod:`repro.guards`) declares the
+#: verdict levels, the artifact's file name and its schema tag, once.
+_KIND = guards.INTEGRITY
+INTEGRITY_SCHEMA = _KIND.schema
+INTEGRITY_NAME = _KIND.artifact
 #: Verdicts, in increasing severity.  ``corrected`` means corruption was
 #: detected *and* neutralized (retransmit, scrub repair, or rollback to
 #: a verified checkpoint); ``corrupted`` means detected but not
 #: correctable — the run's products must not be trusted silently.
-CLEAN = "clean"
-CORRECTED = "corrected"
-CORRUPTED = "corrupted"
-INTEGRITY_VERDICTS = (CLEAN, CORRECTED, CORRUPTED)
-
-#: Numeric codes for the ``repro_integrity_verdict`` gauge.
-INTEGRITY_CODES = {CLEAN: 0, CORRECTED: 1, CORRUPTED: 2}
+CLEAN, CORRECTED, CORRUPTED = INTEGRITY_VERDICTS = _KIND.levels
 
 #: Injection/detection surfaces.
 SURFACES = ("state", "halo", "checkpoint")
@@ -345,7 +337,7 @@ class IntegrityTracker:
                 "repro_integrity_verdict",
                 "end-of-run integrity verdict "
                 "(0 clean, 1 corrected, 2 corrupted)",
-            ).set(INTEGRITY_CODES[self.verdict])
+            ).set(INTEGRITY_VERDICTS.index(self.verdict))
 
     def to_dict(self) -> dict:
         with self._lock:
@@ -717,65 +709,24 @@ def integrity_doc(
 ) -> dict:
     """Assemble an ``integrity.json`` document.
 
-    Two producers share the schema (mirroring ``physics.json``): a
-    single run (tracker ledger — checks, detections, corrections,
-    events) and a service soak (verdict *counts* plus per-request
-    *requests*, no ledger).
+    A single run contributes the *tracker* ledger (checks, detections,
+    corrections, events); a service soak contributes *counts* and
+    *requests* instead — see :meth:`repro.guards.GuardKind.doc`.
     """
-    doc: dict = {"schema": INTEGRITY_SCHEMA}
-    if verdict is None and tracker is not None:
-        verdict = tracker.verdict
-    doc["verdict"] = verdict if verdict is not None else CLEAN
-    if tracker is not None:
-        doc.update(tracker.to_dict())
-        doc["verdict"] = verdict if verdict is not None else tracker.verdict
-    if counts is not None:
-        doc["counts"] = dict(counts)
-    if requests is not None:
-        doc["requests"] = list(requests)
-    return doc
+    body = tracker.to_dict() if tracker is not None else None
+    return _KIND.doc(verdict, body, counts, requests)
 
 
-def write_integrity_json(path, doc: dict) -> Path:
-    """Atomically write an integrity document (fsync file + parent)."""
-    from repro.persist.snapshot import fsync_dir
-
-    path = Path(path)
-    tmp = path.with_name(f".tmp-{path.name}")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, allow_nan=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        fsync_dir(path.parent)
-    except OSError as exc:
-        tmp.unlink(missing_ok=True)
-        raise PersistError(
-            f"cannot write integrity report {path}: {exc}"
-        ) from exc
-    return path
+#: The per-artifact names: the registry entry's publisher and loader.
+write_integrity_json = _KIND.publish
+load_integrity_report = _KIND.load
 
 
-def load_integrity_report(path) -> dict:
-    """Load and sanity-check an ``integrity.json`` document."""
-    path = Path(path)
-    if not path.is_file():
-        raise PersistError(f"no integrity report at {path}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PersistError(
-            f"unreadable integrity report {path}: {exc}"
-        ) from exc
-    if not isinstance(doc, dict) or doc.get("schema") != INTEGRITY_SCHEMA:
-        raise PersistError(
-            f"{path} is not a {INTEGRITY_SCHEMA} document "
-            f"(schema={doc.get('schema') if isinstance(doc, dict) else None!r})"
-        )
-    return doc
+def integrity_brief(doc: dict) -> str:
+    """The integrity clause of a forecast summary line."""
+    det = sum((doc.get("detections") or {}).values())
+    cor = sum((doc.get("corrections") or {}).values())
+    return f", {det} detection(s), {cor} corrected" if det else ""
 
 
 def render_integrity_doc(doc: dict) -> tuple[list[str], bool]:
@@ -812,11 +763,6 @@ def render_integrity_doc(doc: dict) -> tuple[list[str], bool]:
             f"{doc.get('scrub_evictions', 0)} evicted, "
             f"{doc.get('scrub_repairs', 0)} repaired"
         )
-    counts = doc.get("counts")
-    if counts:
-        total = sum(counts.values())
-        per = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        lines.append(f"requests: {total} ({per})")
     events = doc.get("events") or []
     if events:
         lines.append(f"events ({len(events)}):")
@@ -828,17 +774,5 @@ def render_integrity_doc(doc: dict) -> tuple[list[str], bool]:
             )
         if len(events) > 40:
             lines.append(f"  ... {len(events) - 40} more")
-    requests = doc.get("requests") or []
-    if requests:
-        bad = [r for r in requests if r.get("verdict") == CORRUPTED]
-        lines.append(
-            f"per-request verdicts: {len(requests)} total, "
-            f"{len(bad)} corrupted"
-        )
-        for r in bad[:20]:
-            lines.append(
-                f"  {r.get('request_id', '?')}: {r.get('verdict', '?')}"
-            )
-        if len(bad) > 20:
-            lines.append(f"  ... {len(bad) - 20} more")
+    lines += _KIND.render_soak(doc)
     return lines, ok

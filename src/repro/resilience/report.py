@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import guards
 from repro.resilience.deadline import DegradationEvent
 from repro.resilience.recovery import RecoveryEvent
 
@@ -79,20 +80,13 @@ class ForecastReport:
             f"recovery        : {self.checkpoints_taken} checkpoints, "
             f"{self.rollbacks} rollbacks"
         )
-        if self.physics_verdict is not None:
-            aborts = (self.physics or {}).get("aborts", 0)
-            lines.append(
-                f"physics         : verdict {self.physics_verdict}"
-                + (f", {aborts} sentinel abort(s)" if aborts else "")
-            )
-        if self.integrity_verdict is not None:
-            doc = self.integrity or {}
-            det = sum((doc.get("detections") or {}).values())
-            cor = sum((doc.get("corrections") or {}).values())
-            lines.append(
-                f"integrity       : verdict {self.integrity_verdict}"
-                + (f", {det} detection(s), {cor} corrected" if det else "")
-            )
+        for kind in guards.KINDS:
+            verdict = kind.of(self)
+            if verdict is not None:
+                doc = getattr(self, kind.name, None) or {}
+                lines.append(
+                    f"{kind.name:<16}: verdict {verdict}{kind.brief(doc)}"
+                )
         if self.faults_triggered:
             lines.append("faults triggered:")
             lines.extend(f"  - {label}" for label in self.faults_triggered)

@@ -21,7 +21,6 @@ from repro.constants import KOCHI_STEPS
 from repro.errors import ConfigurationError
 from repro.grid.hierarchy import NestedGrid
 from repro.hw.cache import WORKING_SET_BYTES_PER_CELL
-from repro.hw.kernelcost import KernelInvocation, kernel_solo_time_us
 from repro.hw.platform import SystemSpec
 from repro.hw.registry import cache_model_for
 from repro.hw.streams import LaunchMode, StreamSimulator
@@ -31,7 +30,6 @@ from repro.par.decomposition import Decomposition
 from repro.par.protocol import ProtocolConfig, message_time
 from repro.par.timing import MessageCostModel
 from repro.runtime.breakdown import (
-    BREAKDOWN_PHASES,
     PhaseTime,
     RankBreakdown,
 )

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
+from repro import guards
 from repro.errors import NumericalError, ServiceError
 from repro.service.admission import CostEstimator
 from repro.service.request import (
@@ -158,16 +159,17 @@ class LocalBackend:
             },
             "max_eta": model.max_eta(),
         }
-        return BackendResult(
+        result = BackendResult(
             payload=payload,
             fidelity=fidelity,
             cost_s=report.elapsed_s,
             backend=self.name,
             degradations=list(report.degradations),
             report=report,
-            physics_verdict=report.physics_verdict,
-            integrity_verdict=report.integrity_verdict,
         )
+        for kind in guards.KINDS:
+            setattr(result, kind.attr, kind.of(report))
+        return result
 
 
 class SimulatedBackend:

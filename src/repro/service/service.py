@@ -34,6 +34,7 @@ import contextlib
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro import guards
 from repro.errors import (
     BackendUnavailableError,
     DeadlineUnmeetableError,
@@ -337,19 +338,15 @@ class ForecastService:
             "freshness", now,
             bool(fidelity.is_full) if fidelity is not None else True,
         )
-        # Validity is conditioned on the run having carried a physics
-        # verdict at all: a backend without in-situ sampling contributes
-        # no events, so the objective reads "no traffic" instead of
-        # silently perfect (or silently burning).
-        verdict = getattr(result, "physics_verdict", None)
-        if verdict is not None and self.slo.knows("validity"):
-            self.slo.record("validity", now, verdict == "healthy")
-        # Same conditioning for the ABFT verdict: clean and corrected
-        # completions keep the no-silent-wrong-answer promise, corrupted
-        # ones burn it; runs without the integrity layer feed nothing.
-        integrity = getattr(result, "integrity_verdict", None)
-        if integrity is not None and self.slo.knows("integrity"):
-            self.slo.record("integrity", now, integrity != "corrupted")
+        # A guard's objective is conditioned on the run having carried
+        # that guard's verdict at all: a backend without in-situ
+        # sampling (or with the ABFT layer off) contributes no events,
+        # so the objective reads "no traffic" instead of silently
+        # perfect (or silently burning).
+        for kind in guards.KINDS:
+            verdict = kind.of(result)
+            if verdict is not None and self.slo.knows(kind.slo):
+                self.slo.record(kind.slo, now, verdict in kind.slo_good)
 
     def _record_slo_loss(self, now: float) -> None:
         """One shed/failed admitted request: availability bad.  Latency
@@ -1039,48 +1036,36 @@ class ForecastService:
             f"latency={ticket.latency_s:.1f}s "
             f"deadline_met={ticket.deadline_met}",
         )
-        verdict = getattr(result, "physics_verdict", None)
-        if verdict is not None:
+        flagged = []
+        for kind in guards.KINDS:
+            verdict = kind.of(result)
+            if verdict is None:
+                continue
             self._counter(
-                "repro_service_physics_verdicts_total",
-                "completions by physics sentinel verdict",
+                f"repro_service_{kind.name}_verdicts_total",
+                f"completions by {kind.title} verdict",
                 labels={"verdict": verdict},
             ).inc()
-            if verdict != "healthy":
-                # Sentinel events are flight-recorder material: the
+            if verdict != kind.best:
+                # Guard events are flight-recorder material: the
                 # recording explains *why* the forecast is suspect.
-                self._note(
-                    "physics_verdict", ticket.request.request_id, verdict
-                )
-        integrity = getattr(result, "integrity_verdict", None)
-        if integrity is not None:
-            self._counter(
-                "repro_service_integrity_verdicts_total",
-                "completions by ABFT integrity verdict",
-                labels={"verdict": integrity},
-            ).inc()
-            if integrity != "clean":
-                self._note(
-                    "integrity_verdict", ticket.request.request_id,
-                    integrity,
-                )
+                self._note(kind.attr, ticket.request.request_id, verdict)
+            if verdict == kind.worst:
+                flagged.append(f" — {kind.name} {kind.worst}".upper())
         self._record_slo_completion(ticket, result, now)
-        # A deadline breach — or a forecast the sentinel declared
-        # diverged, or one whose corruption went uncorrected — is a bad
+        # A deadline breach — or a forecast some guard gave its worst
+        # verdict (diverged physics, uncorrected corruption) — is a bad
         # ending: dump the recorder so `repro inspect --request` can
         # explain it.
         met = bool(ticket.deadline_met)
-        diverged = verdict == "diverged"
-        corrupted = integrity == "corrupted"
         self.flight.settle(
             ticket.request.request_id,
             outcome=(
                 f"completed at fidelity {result.fidelity.tag}"
                 + ("" if met else " — DEADLINE MISSED")
-                + ("" if not diverged else " — PHYSICS DIVERGED")
-                + ("" if not corrupted else " — INTEGRITY CORRUPTED")
+                + "".join(flagged)
             ),
-            dump=(not met) or diverged or corrupted,
+            dump=(not met) or bool(flagged),
         )
 
     # -- the event loop --------------------------------------------------

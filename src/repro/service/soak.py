@@ -22,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from repro import guards
 from repro.errors import ServiceOverloadError
 from repro.obs.metrics import get_registry
 from repro.service.backend import SimulatedBackend
@@ -141,11 +142,16 @@ class SoakReport:
     integrity_failures: list
     #: ``slo.json``-shaped SLO report when the soak ran with an engine.
     slo: dict | None = None
-    #: Completions by physics verdict (empty when the backend attaches
-    #: no verdicts).
-    physics_verdicts: dict = field(default_factory=dict)
-    #: Completions by ABFT integrity verdict (clean/corrected/corrupted).
-    integrity_verdicts: dict = field(default_factory=dict)
+    #: Completions by guard kind name, then by verdict; a kind is absent
+    #: when the backend attached no verdict of it.
+    verdicts: dict = field(default_factory=dict)
+
+    def __getattr__(self, name: str) -> dict:
+        """``<kind>_verdicts`` (``physics_verdicts``, ...): one kind's tally."""
+        for kind in guards.KINDS:
+            if name == f"{kind.name}_verdicts":
+                return self.verdicts.get(kind.name, {})
+        raise AttributeError(name)
 
     @property
     def ok(self) -> bool:
@@ -184,17 +190,9 @@ class SoakReport:
             f"  deadline misses: {len(self.deadline_misses)}"
             + (f" {self.deadline_misses}" if self.deadline_misses else ""),
         ]
-        if self.physics_verdicts:
-            per = ", ".join(
-                f"{k}={v}" for k, v in sorted(self.physics_verdicts.items())
-            )
-            lines.append(f"  physics verdicts: {per}")
-        if self.integrity_verdicts:
-            per = ", ".join(
-                f"{k}={v}"
-                for k, v in sorted(self.integrity_verdicts.items())
-            )
-            lines.append(f"  integrity verdicts: {per}")
+        for name, counts in self.verdicts.items():
+            per = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+            lines.append(f"  {name} verdicts: {per}")
         if self.integrity_failures:
             lines.append(
                 f"  INTEGRITY FAILURES: {self.integrity_failures}"
@@ -314,10 +312,8 @@ def run_soak(
     latencies: list[float] = []
     misses: list[str] = []
     shed_by_class: dict[str, int] = {}
-    verdict_counts: dict[str, int] = {}
-    verdict_requests: list[dict] = []
-    iv_counts: dict[str, int] = {}
-    iv_requests: list[dict] = []
+    tallies: dict[str, dict[str, int]] = {}
+    verdict_requests: dict[str, list[dict]] = {}
     degraded = 0
     completed = 0
     unloaded = getattr(backend, "unloaded_payload", None)
@@ -328,10 +324,14 @@ def run_soak(
         if ticket.status not in (DONE_OK, "cached"):
             continue
         completed += 1
-        verdict = getattr(ticket.result, "physics_verdict", None)
-        if verdict is not None:
-            verdict_counts[verdict] = verdict_counts.get(verdict, 0) + 1
-            verdict_requests.append(
+        flagged = False  # some guard gave this completion its worst verdict
+        for kind in guards.KINDS:
+            verdict = kind.of(ticket.result)
+            if verdict is None:
+                continue
+            counts = tallies.setdefault(kind.name, {})
+            counts[verdict] = counts.get(verdict, 0) + 1
+            verdict_requests.setdefault(kind.name, []).append(
                 {
                     "request_id": ticket.request.request_id,
                     "verdict": verdict,
@@ -339,16 +339,7 @@ def run_soak(
                     "deadline_s": ticket.request.deadline_s,
                 }
             )
-        iverdict = getattr(ticket.result, "integrity_verdict", None)
-        if iverdict is not None:
-            iv_counts[iverdict] = iv_counts.get(iverdict, 0) + 1
-            if iverdict != "clean":
-                iv_requests.append(
-                    {
-                        "request_id": ticket.request.request_id,
-                        "verdict": iverdict,
-                    }
-                )
+            flagged = flagged or verdict == kind.worst
         if ticket.latency_s is not None:
             latencies.append(ticket.latency_s)
         if ticket.deadline_met is False:
@@ -361,12 +352,13 @@ def run_soak(
             degraded += 1
         elif unloaded is not None:
             # Full-fidelity results must be bitwise identical to an
-            # unloaded run of the same scenario — unless the run is
-            # *declared* corrupted, in which case the wrong answer is
-            # expected and flagged; a differing payload under a
-            # clean/corrected verdict is the silent-corruption failure.
+            # unloaded run of the same scenario — unless a guard
+            # *declared* the run bad (its worst verdict), in which case
+            # the wrong answer is expected and flagged; a differing
+            # payload under any better verdict is the silent-corruption
+            # failure.
             expect = unloaded(ticket.request.scenario)
-            if result.payload != expect and iverdict != "corrupted":
+            if result.payload != expect and not flagged:
                 integrity.append(
                     f"{ticket.request.request_id}: payload differs "
                     "from unloaded run"
@@ -395,8 +387,7 @@ def run_soak(
         calibration=estimator.calibration,
         final_time_s=final_time,
         integrity_failures=integrity,
-        physics_verdicts=verdict_counts,
-        integrity_verdicts=iv_counts,
+        verdicts=tallies,
     )
     reg = get_registry()
     reg.gauge(
@@ -426,47 +417,15 @@ def run_soak(
             rundir / "trace.json", service_events=list(service.events)
         )
         reg.write_json(rundir / "metrics.json")
-        if verdict_counts:
-            from repro.obs.physics import (
-                DIVERGED,
-                HEALTHY,
-                PHYSICS_NAME,
-                physics_doc,
-                write_physics_json,
-            )
-
-            overall = HEALTHY
-            if any(v != HEALTHY for v in verdict_counts):
-                overall = (
-                    DIVERGED if verdict_counts.get(DIVERGED) else "suspect"
+        for kind in guards.KINDS:
+            counts = tallies.get(kind.name)
+            if counts:
+                kind.publish(
+                    rundir / kind.artifact,
+                    kind.doc(
+                        verdict=kind.worst_of(counts),
+                        counts=counts,
+                        requests=verdict_requests[kind.name],
+                    ),
                 )
-            write_physics_json(
-                rundir / PHYSICS_NAME,
-                physics_doc(
-                    verdict=overall,
-                    counts=verdict_counts,
-                    requests=verdict_requests,
-                ),
-            )
-        if iv_counts:
-            from repro.resilience.integrity import (
-                INTEGRITY_NAME,
-                integrity_doc,
-                write_integrity_json,
-            )
-
-            if iv_counts.get("corrupted"):
-                soak_verdict = "corrupted"
-            elif iv_counts.get("corrected"):
-                soak_verdict = "corrected"
-            else:
-                soak_verdict = "clean"
-            write_integrity_json(
-                rundir / INTEGRITY_NAME,
-                integrity_doc(
-                    verdict=soak_verdict,
-                    counts=iv_counts,
-                    requests=iv_requests,
-                ),
-            )
     return report

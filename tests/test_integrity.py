@@ -642,6 +642,98 @@ class TestVerdictAndDocument:
 # ---------------------------------------------------------------------------
 
 
+def _streamer(tmp_path):
+    from repro.persist import ProductStreamer, RunStore
+
+    model = make_model(2)
+    return model, ProductStreamer(RunStore(tmp_path / "run"), model, eta_every=1)
+
+
+def _eta_dump(tmp_path):
+    model, streamer = _streamer(tmp_path)
+    return (lambda: streamer._dump_eta(model)), streamer.eta_dir
+
+
+def _gauge_rewrite(tmp_path):
+    model, streamer = _streamer(tmp_path)
+    streamer.after_step(model)
+    return (lambda: streamer.truncate_after(0.0)), streamer.gauge_path.parent
+
+
+def _distributed_eta(tmp_path):
+    from repro.par.driver import _publish_distributed_eta
+    from repro.persist import RunStore
+
+    store = RunStore(tmp_path / "run")
+    eta = {0: np.zeros((2, 2))}
+    return (lambda: _publish_distributed_eta(store, eta, 4)), store.products_dir
+
+
+def _flight_dump(tmp_path):
+    from repro.obs.flight import FlightBook
+
+    book = FlightBook(out_dir=tmp_path / "flight")
+    book.open("req-1")
+    return (
+        lambda: book.settle("req-1", outcome="failed", dump=True)
+    ), tmp_path / "flight"
+
+
+def _in_tmp(write):
+    """A writer of one named file directly under the test directory."""
+    return lambda tmp_path: ((lambda: write(tmp_path)), tmp_path)
+
+
+def _write_physics(d):
+    from repro.obs.physics import physics_doc, write_physics_json
+
+    write_physics_json(d / "physics.json", physics_doc())
+
+
+def _write_slo(d):
+    from repro.obs.slo import SLOEngine
+
+    SLOEngine().write_json(d / "slo.json", now=10.0)
+
+
+def _write_metrics(d):
+    from repro.obs.metrics import MetricsRegistry
+
+    MetricsRegistry().write_json(d / "metrics.json")
+
+
+def _write_trace(d):
+    from repro.obs.export import write_chrome_trace
+
+    write_chrome_trace(d / "trace.json")
+
+
+def _write_bench(d):
+    from repro.obs.baseline import write_doc
+
+    write_doc({"schema": "x"}, d / "bench.json")
+
+
+#: name -> ``setup(tmp_path) -> (write, directory the file lands in)``
+#: for every single-file artifact writer in the tree.
+ARTIFACT_WRITERS = {
+    "physics.json": _in_tmp(_write_physics),
+    "integrity.json": _in_tmp(
+        lambda d: write_integrity_json(
+            d / "integrity.json", integrity_doc(verdict=CLEAN)
+        )
+    ),
+    "slo.json": _in_tmp(_write_slo),
+    "metrics.json": _in_tmp(_write_metrics),
+    "trace.json": _in_tmp(_write_trace),
+    "bench document": _in_tmp(_write_bench),
+    "flight recording": _flight_dump,
+    "eta dump": _eta_dump,
+    "gauge rewrite": _gauge_rewrite,
+    "distributed eta": _distributed_eta,
+}
+
+
 class TestDirsyncRegression:
     def test_fsync_dir_is_public_with_compat_alias(self):
         from repro.persist import snapshot as snap
@@ -670,30 +762,36 @@ class TestDirsyncRegression:
             "snapshot publish renamed without fsyncing the parent dir"
         )
 
-    def test_integrity_json_fsyncs_parent(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("writer", sorted(ARTIFACT_WRITERS))
+    def test_writer_fsyncs_parent(self, writer, tmp_path, monkeypatch):
+        """Every single-file artifact is published durably: the rename
+        is followed by an fsync of the directory it landed in."""
         from repro.persist import snapshot as snap
 
+        write, parent = ARTIFACT_WRITERS[writer](tmp_path)
         calls: list = []
         real = snap.fsync_dir
         monkeypatch.setattr(
             snap, "fsync_dir", lambda p: (calls.append(p), real(p))[1]
         )
-        write_integrity_json(
-            tmp_path / "integrity.json", integrity_doc(verdict=CLEAN)
-        )
-        assert tmp_path in calls
+        write()
+        assert parent in calls
 
-    def test_slo_json_fsyncs_parent(self, tmp_path, monkeypatch):
-        from repro.obs.slo import SLOEngine
-        from repro.persist import snapshot as snap
+    @pytest.mark.parametrize("writer", sorted(ARTIFACT_WRITERS))
+    def test_writer_failure_is_persist_error_without_leftovers(
+        self, writer, tmp_path, monkeypatch
+    ):
+        import os
 
-        calls: list = []
-        real = snap.fsync_dir
-        monkeypatch.setattr(
-            snap, "fsync_dir", lambda p: (calls.append(p), real(p))[1]
-        )
-        SLOEngine().write_json(tmp_path / "slo.json", now=10.0)
-        assert tmp_path in calls
+        write, parent = ARTIFACT_WRITERS[writer](tmp_path)
+
+        def full_disk(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.raises(PersistError):
+            write()
+        assert not list(parent.glob(".tmp-*"))
 
 
 # ---------------------------------------------------------------------------
