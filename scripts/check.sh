@@ -5,7 +5,9 @@
 #   scripts/check.sh          # lint + tests
 #   scripts/check.sh --fast   # tests only, stop at first failure
 #
-# Mirrors what reviewers run; keep it green before pushing.
+# Mirrors what reviewers run; keep it green before pushing.  The test
+# session fails itself if it leaves a child process (a forked rank) or a
+# /dev/shm/repro-* name behind (tests/conftest.py::pytest_sessionfinish).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

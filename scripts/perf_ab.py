@@ -9,14 +9,23 @@ written as two ledger documents (one set per pair) and HEAD's
 ``benchmarks/ledger/compare.py`` prints the table over them; everything
 lands under ``--out``.  Report only: exit 1 means a run failed, never that
 a metric moved (CI's first step toward ROADMAP item 1's relative gate).
+
+Beside each pair it prints how many CPUs this process may run on and a
+two-process scaling probe: the wall of two concurrent NumPy burners over
+the wall of one.  1.0 is two real CPUs, 2.0 is two vCPUs served as one —
+which this kind of box does for minutes at a time — and a ``mosaic_2rank``
+pair (two rank processes) measured in that state reads differently for a
+reason that is not the code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 _RUN_ONE = (
@@ -38,6 +47,30 @@ def run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+_BURN = (
+    "import numpy as np, time; a = np.ones((128, 128)); b = np.empty_like(a)\n"
+    "t = time.perf_counter()\n"
+    "for _ in range(15000): np.multiply(a, 1.0001, out=b); np.add(b, a, out=b)\n"
+    "print(time.perf_counter() - t)"
+)
+
+
+def _burners(n: int) -> float:
+    """Slowest of *n* concurrent burners' own loop time [s]."""
+    procs = [
+        subprocess.Popen([sys.executable, "-c", _BURN],
+                         stdout=subprocess.PIPE, text=True)
+        for _ in range(n)
+    ]
+    return max(float(p.communicate()[0]) for p in procs)
+
+
+def scaling_probe() -> float:
+    """Two concurrent burners over one: 1.0 = two CPUs, 2.0 = one."""
+    one = min(_burners(1), _burners(1))
+    return _burners(2) / one
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", type=Path, help="checkout of the merge base")
@@ -57,7 +90,16 @@ def main(argv=None) -> int:
              for w in declared["workloads"]}
     sets: dict[str, list] = {"base": [], "head": []}
     ok = True
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else os.cpu_count())
+    machine = []
     for pair in range(args.pairs):
+        machine.append({"pair": pair + 1, "cpus": cpus,
+                        "two_process_scaling": scaling_probe(),
+                        "at": time.strftime("%H:%M:%S")})
+        print(f"pair {pair + 1}: {cpus} CPUs, two-process scaling "
+              f"{machine[-1]['two_process_scaling']:.2f}x "
+              f"(1.0 = two CPUs, 2.0 = served as one)", flush=True)
         for side in ("base", "head") if pair % 2 == 0 else ("head", "base"):
             doc = run_one(trees[side], args.workload, args.seed, args.seconds)
             ok &= doc["correct"]
@@ -72,7 +114,8 @@ def main(argv=None) -> int:
         paths.append(args.out / f"{side}.json")
         paths[-1].write_text(json.dumps({
             "schema": "repro.ledger/1",
-            "provenance": {"tree": str(tree), "argv": sys.argv[1:]},
+            "provenance": {"tree": str(tree), "argv": sys.argv[1:],
+                           "machine": machine},
             "sets": sets[side],
         }, indent=1) + "\n")
     compare = trees["head"] / "benchmarks" / "ledger" / "compare.py"

@@ -232,6 +232,11 @@ class MetricsRegistry:
         with self._lock:
             self._metrics.clear()
 
+    def counters(self) -> dict[tuple[str, tuple], Counter]:
+        """Every counter by ``(name, labels key)`` — what a forked rank
+        diffs to send its increments home (``dict(key[1])`` = labels)."""
+        return {k: m for k, m in self._items() if isinstance(m, Counter)}
+
     def sample(self, prefix: str = "") -> dict[str, float]:
         """Scalar samples (counters and gauges) filtered by name prefix.
 

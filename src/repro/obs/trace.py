@@ -4,8 +4,10 @@ The tracer answers "where did the time go" for *real* executions the
 same way :mod:`repro.runtime.perfsim` answers it for simulated ones:
 every instrumented region opens a :func:`span` named after the paper's
 routine vocabulary (``NLMASS``, ``PTP_Z``, …), spans nest via a
-per-thread stack (each simulated-MPI rank is a thread, so rank context
-propagates for free), and all timestamps come from the shared
+per-thread stack (a simulated-MPI rank is a thread, or the main thread
+of a forked process whose finished spans the launcher's tracer
+adopts — :meth:`Tracer.adopt`; the fork keeps the clock anchor, so both
+are on one time axis), and all timestamps come from the shared
 :mod:`~repro.obs.timebase` so spans merge cleanly with journal events.
 
 Disabled is the default and costs almost nothing: :func:`span` returns a
@@ -146,6 +148,10 @@ class Span:
         return False
 
 
+#: What :meth:`Tracer.rows` carries of a span.
+_ROW = tuple(f for f in Span.__slots__ if f != "_tracer")
+
+
 class _TlsState(threading.local):
     """Per-thread span stack, output buffer, and propagated context."""
 
@@ -188,6 +194,20 @@ class Tracer:
         self._tls = _TlsState()
         self._span_ids = itertools.count(1)
 
+    def forked(self, trace: TraceContext | None) -> None:
+        """Start over in a forked child, under the launcher's *trace*.
+
+        The parent's finished spans were copied by the fork and stay the
+        parent's to export.  The id counter runs on, so no span of this
+        process shares an id with one that was open at the fork — which
+        is what lets :meth:`adopt` tell the child's own parents from the
+        launcher's.
+        """
+        ids = self._span_ids
+        self.clear()
+        self._span_ids = ids
+        self.set_context(trace=trace)
+
     # -- context ---------------------------------------------------------
 
     def _tls_state(self) -> _TlsState:
@@ -220,6 +240,10 @@ class Tracer:
             yield ctx
         finally:
             tls.ctx_stack.pop()
+
+    def bound_rank(self) -> int | None:
+        """The rank bound to the calling thread's spans, if any."""
+        return self._tls_state().rank
 
     def current_context(self) -> TraceContext | None:
         """The context a child thread should inherit from this thread.
@@ -261,6 +285,33 @@ class Tracer:
                 out.extend(buf)
         out.sort(key=lambda s: s.ts_us)
         return out
+
+    def rows(self) -> list[tuple]:
+        """Finished spans as picklable rows: what a forked rank sends home."""
+        return [tuple(getattr(s, f) for f in _ROW) for s in self.spans()]
+
+    def adopt(self, rows: list[tuple], tid: int, prefix: str) -> None:
+        """Take the finished spans of another process (its :meth:`rows`).
+
+        They land on their own track *tid*; *prefix* keeps their span ids
+        apart from this process's, and a parent link is rewritten with it
+        only when it points at one of the adopted spans — a link to a
+        span that was open here when that process forked stays as it is.
+        """
+        own = {row[_ROW.index("span_id")] for row in rows}
+        adopted = []
+        for row in rows:
+            s = Span.__new__(Span)
+            for f, v in zip(_ROW, row):
+                setattr(s, f, v)
+            s._tracer = self
+            s.tid = tid
+            if s.parent_id in own:
+                s.parent_id = prefix + s.parent_id
+            s.span_id = prefix + s.span_id
+            adopted.append(s)
+        with self._lock:
+            self._drained.extend(adopted)
 
     def export(self) -> list[dict]:
         """Finished spans as plain dicts (JSON-ready)."""

@@ -3,10 +3,13 @@
 The original RTi code is flat-MPI Fortran.  mpi4py is not a dependency
 here; instead this package provides
 
-* :class:`Communicator` / :func:`run_ranks` — an in-process, thread-backed
-  MPI-like runtime (blocking/nonblocking point-to-point, barrier,
-  allreduce) used to run the *real* pack -> send -> recv -> unpack pipeline
-  in tests and examples;
+* :class:`Communicator` / :func:`run_ranks` — an MPI-like runtime
+  (blocking/nonblocking point-to-point, barrier, allreduce) that runs the
+  *real* pack -> send -> recv -> unpack pipeline over one of two
+  transports: rank threads in this process (fault injection, CRC framing,
+  rank-kill recovery) or forked rank processes exchanging packed halos
+  through preallocated shared-memory slots (the one that is faster than
+  a single rank);
 * :class:`Decomposition` and friends — the static block-to-rank mapping
   (one level per rank, consecutive blocks, optional 1-D row splits) with
   the original cell-equalizing algorithm (Section II-B);
@@ -15,7 +18,8 @@ here; instead this package provides
   GPUDirect) feeding the performance simulator;
 * :func:`run_distributed` — the full Fig.-2 pipeline executed across
   simulated-MPI ranks (pack -> send/recv -> unpack), bitwise identical to
-  the single-process model;
+  the single-process model on either transport; it forks unless something
+  it can observe needs one address space;
 * :mod:`repro.par.splitcost` — the 1-D vs 2-D decomposition trade-off
   (vector length vs halo volume, Section II-B).
 """

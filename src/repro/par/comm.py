@@ -1,16 +1,32 @@
-"""In-process simulated MPI.
+"""Simulated MPI over two transports: rank threads and rank processes.
 
-Ranks are Python callables executed on one thread each; a
-:class:`Communicator` gives them mpi4py-flavoured point-to-point and
-collective operations over in-memory mailboxes.  NumPy payloads are copied
-on send (MPI value semantics) so races on the caller's buffers are
-impossible.
+Ranks are Python callables; a :class:`Communicator` gives each of them
+mpi4py-flavoured point-to-point and collective operations (tag matching
+with a stash for out-of-order arrivals, timeouts, nonblocking requests).
+NumPy payloads are copied on send (MPI value semantics) so races on the
+caller's buffers are impossible.  What carries a message is the *world*
+behind the communicator, and :func:`run_ranks` has two:
 
-This is a *correctness* substrate: it runs the same pack/exchange/unpack
-code paths as a distributed run so they can be tested; timing comes from
-the separate cost model in :mod:`repro.par.timing`.
+* **rank threads** (:class:`_World`, the default): one thread per rank
+  over in-memory mailboxes, in one address space.  This is the
+  correctness substrate — fault injection (``comm_wrap``), CRC framing
+  (``integrity``) and the ULFM-style revoke/agree recovery of
+  :mod:`repro.resilience.survive` all need that one address space — but
+  the threads share one interpreter lock, so they do not run the kernels
+  in parallel;
+* **rank processes** (``slot_bytes=...``,
+  :mod:`repro.par.process_world`): the caller stays rank 0 and ranks
+  ``1..n-1`` are forked; packed halos move through preallocated
+  shared-memory slots, everything else pickled through pipes.  This is
+  the transport that is faster than one rank;
+  :func:`repro.par.driver.run_distributed` picks it whenever nothing it
+  can observe rules it out.  It refuses ``revoke``/``agree_failures``
+  rather than faking rank-kill support.
 
-Failure semantics (the operational-resilience contract):
+Both run the same pack/exchange/unpack code paths; modelled timing
+comes from the separate cost model in :mod:`repro.par.timing`.
+
+Failure semantics (the operational-resilience contract), on both:
 
 * a rank that raises is recorded in ``_World.errors`` *with its rank id*
   and every sibling mailbox is poisoned, so ranks blocked in ``recv``
@@ -19,9 +35,10 @@ Failure semantics (the operational-resilience contract):
 * timeouts are configurable per :class:`Communicator` and raise
   :class:`~repro.errors.CommTimeoutError` (a
   :class:`~repro.errors.CommunicationError` subclass), so callers can
-  distinguish a transient stall from protocol misuse;
-* a survivor that detects a failure can *revoke* the communicator
-  (ULFM ``MPI_Comm_revoke`` semantics): every blocked operation on every
+  distinguish a transient stall from protocol misuse; the group as a
+  whole has one deadline, and its expiry names the ranks still running;
+* on rank threads, a survivor that detects a failure can *revoke* the
+  communicator (ULFM ``MPI_Comm_revoke`` semantics): every blocked operation on every
   rank fails with :class:`~repro.errors.CommunicatorRevokedError`, after
   which the group runs an agreement round
   (:meth:`Communicator.agree_failures`, ULFM ``MPIX_Comm_agree``) to
@@ -30,6 +47,7 @@ Failure semantics (the operational-resilience contract):
 
 from __future__ import annotations
 
+import functools
 import queue
 import threading
 import time
@@ -74,6 +92,11 @@ _REVOKED = object()
 #: Sentinel distinguishing "use the communicator default" from an explicit
 #: ``None`` (= wait forever).
 _UNSET = object()
+
+#: Reserved tags of the collectives that run by messages.
+_TAG_GATHER = 987_654
+_TAG_ALLGATHER = 987_655
+_TAG_BROADCAST = 987_656
 
 
 @dataclass
@@ -138,7 +161,12 @@ class Request:
 
 
 class _World:
-    """Shared mailboxes and collective state for one group of ranks."""
+    """Shared mailboxes and collective state for one group of rank threads."""
+
+    #: One address space: ``Communicator`` makes the send copy itself,
+    #: collectives meet at a shared barrier, revoke/agree are available.
+    #: (:class:`repro.par.process_world._ProcessWorld` says ``False``.)
+    in_process = True
 
     def __init__(self, size: int) -> None:
         self.size = size
@@ -244,7 +272,8 @@ class Communicator:
         if not 0 <= dest < self.size:
             raise CommunicationError(f"bad destination rank {dest}")
         if isinstance(obj, np.ndarray):
-            payload = obj.copy()
+            # Between processes the copy into the peer's slot is the copy.
+            payload = obj.copy() if self._world.in_process else obj
             if self.integrity is not None:
                 payload = self.integrity.wrap(self.rank, dest, tag, payload)
             if _TRACER.enabled:
@@ -374,7 +403,16 @@ class Communicator:
         Mirrors ULFM ``MPI_Comm_revoke``.  Safe to call from several
         survivors concurrently.
         """
+        self._needs_rank_threads("revoke")
         self._world.revoke(self.rank)
+
+    def _needs_rank_threads(self, what: str) -> None:
+        if not self._world.in_process:
+            raise CommunicationError(
+                f"rank {self.rank}: {what} is not supported between rank "
+                f"processes — rank-kill recovery needs the rank-thread "
+                f"world (survivable_run_distributed runs on it)"
+            )
 
     def agree_failures(
         self, timeout: float | None = _UNSET
@@ -386,6 +424,7 @@ class Communicator:
         on every survivor.  A rank dying *during* the round is absorbed:
         its death shrinks the quorum and lands in the returned set.
         """
+        self._needs_rank_threads("agree_failures")
         if timeout is _UNSET:
             timeout = self.timeout
         w = self._world
@@ -415,9 +454,28 @@ class Communicator:
 
     # -- collectives ----------------------------------------------------
 
+    def _allgather(self, value: Any, timeout: float | None) -> list:
+        """Every rank's *value*, in rank order, by messages through rank 0:
+        what rank processes do where rank threads meet at the barrier."""
+        self.send((self.rank, value), dest=0, tag=_TAG_ALLGATHER)
+        if self.rank != 0:
+            return self.recv(source=0, tag=_TAG_BROADCAST, timeout=timeout)
+        got = sorted(
+            (self.recv(tag=_TAG_ALLGATHER, timeout=timeout)
+             for _ in range(self.size)),
+            key=lambda rv: rv[0],
+        )
+        values = [v for _r, v in got]
+        for dest in range(1, self.size):
+            self.send(values, dest=dest, tag=_TAG_BROADCAST)
+        return values
+
     def barrier_sync(self, timeout: float | None = _UNSET) -> None:
         if timeout is _UNSET:
             timeout = self.timeout
+        if not self._world.in_process:
+            self._allgather(None, timeout)
+            return
         try:
             self._world.barrier.wait(timeout)
         except threading.BrokenBarrierError:
@@ -433,6 +491,8 @@ class Communicator:
         if op is None:
             op = lambda a, b: a + b  # noqa: E731
         w = self._world
+        if not w.in_process:
+            return functools.reduce(op, self._allgather(value, self.timeout))
         self.barrier_sync()
         with w.reduce_lock:
             w.reduce_buf.append(value)
@@ -447,10 +507,10 @@ class Communicator:
         return acc
 
     def gather(self, value: Any, root: int = 0) -> list | None:
-        self.send((self.rank, value), dest=root, tag=987_654)
+        self.send((self.rank, value), dest=root, tag=_TAG_GATHER)
         if self.rank != root:
             return None
-        got = [self.recv(tag=987_654) for _ in range(self.size)]
+        got = [self.recv(tag=_TAG_GATHER) for _ in range(self.size)]
         got.sort(key=lambda rv: rv[0])
         return [v for _r, v in got]
 
@@ -463,13 +523,17 @@ def run_ranks(
     comm_wrap: Callable[[Communicator], Any] | None = None,
     return_errors: bool = False,
     integrity=None,
+    slot_bytes: int | None = None,
 ) -> list[Any] | tuple[list[Any], list[tuple[int, BaseException]]]:
-    """Execute *fn(comm)* on *n_ranks* threads; return per-rank results.
+    """Execute *fn(comm)* on *n_ranks* ranks; return per-rank results.
 
     Parameters
     ----------
     timeout:
-        Wall-clock bound [s] on the whole group (deadlock guard).
+        Wall-clock bound [s] on the whole group (deadlock guard): one
+        deadline, however many ranks; its expiry raises a
+        :class:`~repro.errors.CommTimeoutError` listing the ranks still
+        running.
     comm_timeout:
         Default timeout handed to every rank's :class:`Communicator`.
     comm_wrap:
@@ -479,13 +543,25 @@ def run_ranks(
     integrity:
         Optional shared :class:`repro.resilience.integrity.MessageIntegrity`
         policy handed to every rank's communicator (CRC framing +
-        NACK/retransmit on ndarray payloads).
+        NACK/retransmit on ndarray payloads).  Rank threads only: the
+        retransmit stash and the tracker live in one address space.
     return_errors:
         When true, rank failures are *returned* instead of re-raised:
         the call yields ``(results, errors)`` where *errors* is the list
         of ``(rank, exception)`` pairs in failure order.  This is the
         mode the survivable runtime uses: survivors return their state
         normally while the dead rank's exception is reported alongside.
+    slot_bytes:
+        ``None`` (the default) runs the ranks as threads of this process.
+        A byte count runs them as processes — the caller as rank 0,
+        ranks ``1..n-1`` forked — that hand each other ndarrays of up to
+        that size through preallocated shared-memory slots
+        (:mod:`repro.par.process_world`).  The caller must be this
+        process's only live thread and is refused otherwise (forking
+        beside a thread that holds a lock deadlocks the child); *fn* and
+        its results cross by fork and by
+        pickle, so what *fn* does to the caller's objects on ranks other
+        than 0 stays in those ranks.
 
     If a rank raises (and *return_errors* is false), the first failure is
     re-raised in the caller with ``failed_rank`` set to the offending
@@ -494,44 +570,26 @@ def run_ranks(
     """
     if n_ranks < 1:
         raise CommunicationError("need at least one rank")
-    world = _World(n_ranks)
-    results: list[Any] = [None] * n_ranks
 
-    # Trace context crosses the thread boundary here: capture the
-    # spawner's context once and bind it on every rank thread, so a
-    # request's rank-level spans hang under the service's request span
-    # (one trace tree per request in the Chrome export).
-    from repro.obs.trace import get_tracer
-
-    tracer = get_tracer()
-    trace_ctx = tracer.current_context() if tracer.enabled else None
-
-    def _runner(rank: int) -> None:
-        if trace_ctx is not None:
-            tracer.set_context(trace=trace_ctx)
+    def make_comm(world, rank):
         comm = Communicator(
             world, rank, timeout=comm_timeout, integrity=integrity
         )
-        if comm_wrap is not None:
-            comm = comm_wrap(comm)
-        try:
-            results[rank] = fn(comm)
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            world.fail(rank, exc)
+        return comm if comm_wrap is None else comm_wrap(comm)
 
-    threads = [
-        threading.Thread(target=_runner, args=(r,), daemon=True)
-        for r in range(n_ranks)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout)
-        if t.is_alive():
-            raise CommTimeoutError(
-                "simulated MPI run timed out — deadlock suspected"
+    if slot_bytes is None:
+        results, errors = _run_rank_threads(n_ranks, fn, make_comm, timeout)
+    else:
+        if integrity is not None:
+            raise CommunicationError(
+                "MessageIntegrity needs the rank-thread world (one address "
+                "space for its retransmit stash and tracker)"
             )
-    errors = list(world.errors)
+        from repro.par.process_world import run_rank_processes
+
+        results, errors = run_rank_processes(
+            n_ranks, fn, make_comm, timeout, slot_bytes
+        )
     for rank, exc in errors:
         if getattr(exc, "failed_rank", None) is None:
             try:
@@ -546,3 +604,48 @@ def run_ranks(
             exc.add_note(f"raised on simulated MPI rank {rank}")
         raise exc
     return results
+
+
+def _run_rank_threads(n_ranks, fn, make_comm, timeout):
+    """One thread per rank over a :class:`_World`: ``(results, errors)``."""
+    world = _World(n_ranks)
+    results: list[Any] = [None] * n_ranks
+
+    # Trace context crosses the thread boundary here: capture the
+    # spawner's context once and bind it on every rank thread, so a
+    # request's rank-level spans hang under the service's request span
+    # (one trace tree per request in the Chrome export).
+    tracer = get_tracer()
+    trace_ctx = tracer.current_context() if tracer.enabled else None
+
+    def _runner(rank: int) -> None:
+        if trace_ctx is not None:
+            tracer.set_context(trace=trace_ctx)
+        try:
+            results[rank] = fn(make_comm(world, rank))
+        except BaseException as exc:  # noqa: BLE001 - re-raised by run_ranks
+            world.fail(rank, exc)
+
+    threads = [
+        threading.Thread(target=_runner, args=(r,), daemon=True)
+        for r in range(n_ranks)
+    ]
+    for t in threads:
+        t.start()
+    deadline = time.monotonic() + timeout
+    for t in threads:
+        t.join(max(0.0, deadline - time.monotonic()))
+    alive = [r for r, t in enumerate(threads) if t.is_alive()]
+    if alive:
+        raise _group_timeout(timeout, alive)
+    return results, list(world.errors)
+
+
+def _group_timeout(timeout: float, alive: list[int]) -> CommTimeoutError:
+    """The whole group ran out of time: say which ranks had not finished."""
+    return CommTimeoutError(
+        f"simulated MPI run timed out after {timeout}s — deadlock "
+        f"suspected; ranks still running: {alive}",
+        op="run_ranks",
+        pending=[f"rank {r}" for r in alive],
+    )

@@ -14,13 +14,27 @@ communication migration relies on, verified in
 
 Each rank allocates only its own blocks' state (the distributed-memory
 point of the exercise); the grid, plan and ownership map are global.
+
+A rank is a process where it can be and a thread where it must be
+(:func:`_slot_bytes` decides, from what it can observe — there is no
+flag): rank processes over shared-memory slots sized from the plan's
+largest packed message run the kernels in parallel, which rank threads
+behind one interpreter lock do not; rank threads are the world in which
+faults can be injected, messages CRC-framed and ranks killed and
+replaced (:mod:`repro.resilience.survive` always runs on them).  The
+step body, tags, walk order and packing are the same on both, so both
+are bitwise identical to the model.  DESIGN.md section 9e.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from repro.artifacts import publishing
+from repro.constants import REFINEMENT_RATIO
 from repro.core.config import SimulationConfig
 from repro.core.pipeline import (
     StepPlan,
@@ -31,6 +45,7 @@ from repro.core.pipeline import (
 from repro.core.state import BlockState
 from repro.fault.scenarios import impose_source
 from repro.grid.hierarchy import NestedGrid
+from repro.nesting.restrict import restriction_buffer_cells
 from repro.obs.trace import get_tracer
 from repro.obs.trace import span as _span
 from repro.par.comm import Communicator, run_ranks
@@ -114,6 +129,42 @@ class _RankRuntime:
         )
 
 
+def _slot_bytes(plan: StepPlan, owner, config, fault_plan, integrity):
+    """Slot size [bytes] for rank processes, or ``None`` for rank threads.
+
+    Processes need more than one rank, ``fork``, a caller that is this
+    process's only thread (a forked copy of a thread-held lock is never
+    released) and nothing armed that lives in one address space: an
+    injected fault plan is consumed by all ranks, a message-integrity
+    policy keeps one retransmit stash and one tracker.  The slot then
+    holds the largest packed message that crosses ranks under *owner*:
+    a seam region, a JNZ buffer (one value per parent cell) or a JNQ
+    buffer (one per parent face along the child's open boundary — the
+    bound; a parent that covers only part of it sends less).
+    """
+    if (
+        len(set(owner.values())) < 2
+        or not hasattr(os, "fork")
+        or threading.active_count() != 1
+        or fault_plan is not None
+        or integrity is not None
+    ):
+        return None
+    cells = [1]
+    for a, b, specs, _tag in plan.seams:
+        if owner[a.block_id] != owner[b.block_id]:
+            cells += [rows * cols for rows, cols in (s.shape() for s in specs)]
+    for _level, links in plan.links:
+        for child, parent, regions, segments, _tag in links:
+            if owner[child.block_id] != owner[parent.block_id]:
+                cells.append(restriction_buffer_cells(regions))
+                cells.append(sum(
+                    (hi - lo) // REFINEMENT_RATIO
+                    for side in segments.values() for lo, hi in side
+                ))
+    return max(cells) * np.dtype(config.dtype).itemsize
+
+
 def run_distributed(
     grid: NestedGrid,
     bathymetry,
@@ -162,8 +213,9 @@ def run_distributed(
         comm_wrap = lambda comm: FaultyComm(comm, fault_plan)  # noqa: E731
 
     def rank_main(comm: Communicator) -> dict[int, np.ndarray]:
-        # Each rank is a thread: bind the rank id to this thread's spans
-        # so trace tracks and the imbalance summary separate per rank.
+        # Bind the rank id to this rank's spans (its thread's, or its
+        # process's main thread's) so trace tracks and the imbalance
+        # summary separate per rank.
         get_tracer().set_context(rank=comm.rank)
         rt = _RankRuntime(
             comm, grid, owner, bathymetry, config, plan,
@@ -194,7 +246,8 @@ def run_distributed(
             )
         )
     # A root span over the whole group: run_ranks captures this thread's
-    # context while it is open, so every rank's span tree hangs under it.
+    # context while it is open (before it forks, on processes), so every
+    # rank's span tree hangs under it.
     with guard, _span(
         "distributed", cat="step",
         n_ranks=decomp.n_ranks, n_steps=n_steps,
@@ -206,6 +259,7 @@ def run_distributed(
             comm_timeout=comm_timeout,
             comm_wrap=comm_wrap,
             integrity=integrity,
+            slot_bytes=_slot_bytes(plan, owner, config, fault_plan, integrity),
         )
     merged: dict[int, np.ndarray] = {}
     for part in results:

@@ -2,7 +2,11 @@
 
 The acceptance criterion is the paper's own: the communication
 reorganization must not change the physics.  Every configuration below
-must be *bitwise* identical to the single-process RTiModel.
+must be *bitwise* identical to the single-process RTiModel — on forked
+rank processes (``@forked``: the ``rank_processes`` fixture fails a
+multi-rank run that stayed on threads); ``TestWorldSelection`` covers when it must not
+fork, ``tests/test_resilience.py`` and ``tests/test_survive.py`` the
+bitwise runs on rank threads.
 """
 
 import numpy as np
@@ -19,10 +23,20 @@ from repro.par.decomposition import (
     WorkItem,
     equal_cell_assignment,
 )
+from repro.par import driver
+from repro.par.comm import run_ranks
 from repro.par.driver import run_distributed
 from repro.errors import DecompositionError
 from repro.topo import build_mini_kochi
 from repro.validation import FlatBathymetry
+from tests.rank_worlds import (
+    assert_nothing_left_behind,
+    slot_sizes,
+    wait_for_one_thread,
+)
+
+
+forked = pytest.mark.usefixtures("rank_processes")
 
 
 def reference_run(grid, bathy, cfg, source, n_steps):
@@ -43,6 +57,7 @@ def assert_identical(a: dict, b: dict):
         )
 
 
+@forked
 class TestSingleLevel:
     def grid(self):
         return NestedGrid(
@@ -92,6 +107,7 @@ class TestSingleLevel:
         assert_identical(ref, dist)
 
 
+@forked
 class TestNested:
     def test_mini_kochi_distributed_bitwise(self):
         """Five levels, ten blocks, ranks split across levels."""
@@ -147,6 +163,7 @@ class TestValidation:
             run_distributed(mk.grid, mk.bathymetry, cfg, decomp, None, 1)
 
 
+@forked
 class TestAutoNestDistributed:
     def test_2d_block_layout_bitwise(self):
         """The hard case: an auto-generated 2-D block mosaic (59 blocks,
@@ -172,3 +189,128 @@ class TestAutoNestDistributed:
                                timeout=240.0)
         ref = reference_run(grid, bathy, cfg, src, n_steps)
         assert_identical(ref, dist)
+
+
+def _two_blocks():
+    grid = TestSingleLevel().grid()
+    decomp = Decomposition(
+        grid,
+        (
+            RankWork(0, 1, (WorkItem(grid.block(0)),)),
+            RankWork(1, 1, (WorkItem(grid.block(1)),)),
+        ),
+    )
+    cfg = SimulationConfig(dt=1.0, boundary="wall")
+    src = GaussianSource(x0=2400.0, y0=2400.0, amplitude=1.0, sigma=600.0)
+    return grid, FlatBathymetry(50.0), cfg, decomp, src
+
+
+class TestWorldSelection:
+    """``run_distributed`` forks when nothing it can observe forbids it —
+    and only then.  There is no flag to get this wrong with."""
+
+    def sizes(self, **kwargs):
+        grid, bathy, cfg, decomp, src = _two_blocks()
+        with slot_sizes() as seen:
+            got = run_distributed(
+                grid, bathy, cfg, decomp, src, n_steps=4, comm_timeout=5.0,
+                **kwargs,
+            )
+        assert_identical(reference_run(grid, bathy, cfg, src, 4), got)
+        return seen
+
+    def test_a_plain_run_forks_with_slots_that_hold_its_largest_message(self):
+        wait_for_one_thread()
+        # One seam between two 24 x 48 blocks; its largest message is the
+        # n field's: (48 + 1 faces + 2 ghost rows each side) x 2 ghost
+        # columns of float64.
+        assert self.sizes() == [(2, (48 + 1 + 4) * 2 * 8)]
+
+    def test_an_injected_fault_plan_keeps_the_ranks_in_one_address_space(self):
+        from repro.resilience import FaultPlan
+
+        assert self.sizes(fault_plan=FaultPlan([])) == [(2, None)]
+
+    def test_message_integrity_keeps_the_ranks_in_one_address_space(self):
+        from repro.resilience.integrity import MessageIntegrity
+
+        assert self.sizes(integrity=MessageIntegrity()) == [(2, None)]
+
+    def test_a_caller_that_is_not_the_only_thread_does_not_fork(self):
+        import threading
+
+        seen = []
+        worker = threading.Thread(target=lambda: seen.extend(self.sizes()))
+        worker.start()
+        worker.join(60.0)
+        assert not worker.is_alive()
+        assert seen == [(2, None)]
+
+    def test_slots_hold_the_largest_nesting_message_too(self, monkeypatch):
+        """On mini-Kochi the largest message is a JNZ or JNQ buffer, not a
+        seam: every array that crosses ranks must fit the slot."""
+        mk = build_mini_kochi()
+        cfg = SimulationConfig(dt=mk.dt)
+        decomp = equal_cell_assignment(mk.grid, 5, split_blocks=False)
+        src = GaussianSource(x0=4_000.0, y0=16_000.0, amplitude=2.0,
+                             sigma=2_500.0)
+        plan = driver.build_step_plan(mk.grid, cfg)
+        slot = driver._slot_bytes(plan, decomp.owner_map(), cfg, None, None)
+        sent = []
+
+        class Recording:
+            """Every rank's sends — so on rank threads, in one list."""
+
+            def __init__(self, comm):
+                self.comm, self.rank = comm, comm.rank
+
+            def send(self, obj, dest, tag=0):
+                if isinstance(obj, np.ndarray):
+                    sent.append(obj.nbytes)
+                self.comm.send(obj, dest, tag)
+
+            def recv(self, *args, **kwargs):
+                return self.comm.recv(*args, **kwargs)
+
+        def on_threads(n_ranks, fn, **kwargs):
+            kwargs.update(slot_bytes=None, comm_wrap=Recording)
+            return run_ranks(n_ranks, fn, **kwargs)
+
+        monkeypatch.setattr(driver, "run_ranks", on_threads)
+        run_distributed(mk.grid, mk.bathymetry, cfg, decomp, src, 2)
+        assert sent and max(sent) <= slot
+        assert slot < 4 * max(sent)  # a bound, not a guess
+
+
+class _SignalsTheLauncher:
+    """A flat sea bed that, sampled in the launcher, SIGTERMs it — after
+    the fork: every rank allocates its block state once it is running."""
+
+    def __init__(self, launcher_pid):
+        self.launcher_pid = launcher_pid
+
+    def sample_cells(self, *args):
+        import os
+        import signal
+
+        if os.getpid() == self.launcher_pid:
+            os.kill(self.launcher_pid, signal.SIGTERM)
+        return FlatBathymetry(50.0).sample_cells(*args)
+
+
+def test_a_signalled_run_is_journaled_once_and_leaves_nothing(tmp_path):
+    import os
+
+    from repro.persist import RunStore
+
+    grid, _bathy, cfg, decomp, src = _two_blocks()
+    store = RunStore(tmp_path / "run", create=True)
+    with pytest.raises(KeyboardInterrupt):
+        run_distributed(
+            grid, _SignalsTheLauncher(os.getpid()), cfg, decomp, src,
+            n_steps=10_000, store=store,
+        )
+    events = [e["event"] for e in store.events()]
+    assert events == ["distributed_start", "interrupted"]
+    assert store.first_event("interrupted")["signal"] == "SIGTERM"
+    assert_nothing_left_behind()

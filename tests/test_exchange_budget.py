@@ -79,7 +79,11 @@ def test_model_derives_no_geometry_after_its_first_step(geometry_calls):
     assert geometry_calls == first
 
 
-def test_rank_threads_derive_no_geometry_after_their_first_step(geometry_calls):
+def test_rank_threads_derive_no_geometry_after_their_first_step(
+    geometry_calls, rank_threads
+):
+    # On rank threads, so the counts are every rank's: forked ranks keep
+    # theirs (tests/test_comm.py checks what a forked rank does send home).
     mk = build_mini_kochi()
     cfg = SimulationConfig(dt=mk.dt)
     decomp = equal_cell_assignment(mk.grid, 2, split_blocks=False)

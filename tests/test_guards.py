@@ -222,6 +222,20 @@ class TestImportHygiene:
         )
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("module", ["repro.par", "repro.service", "repro.cli"])
+    def test_no_import_pays_for_rank_processes(self, module):
+        """``multiprocessing`` (and ``multiprocessing.shared_memory`` with
+        it) comes in with the first forked run, not with the package."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, {module}; print(sorted(m for m in sys.modules"
+             " if m.startswith('multiprocessing')))"],
+            env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_registry_and_artifact_modules_are_leaves(self):
         """At import time the registry pulls in only the artifact leaf,
         and that only the error types — neither a guard's owner nor the

@@ -185,6 +185,7 @@ class TestTracer:
             assert phase in names, f"phase {phase} not traced"
         assert "restrict" in names or "interp" in names
 
+    @pytest.mark.usefixtures("rank_processes")
     def test_distributed_run_traces_ranks_and_halo(self):
         from repro.core import SimulationConfig
         from repro.fault import GaussianSource

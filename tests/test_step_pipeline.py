@@ -1,8 +1,9 @@
 """One Fig.-2 step pipeline: what holds because it is written once.
 
 ``repro.core.pipeline.run_step`` is the only step body; ``RTiModel`` is
-its one-owner case and every rank thread of ``run_distributed`` runs it
-with its own ownership view.  So any assignment of blocks to ranks is
+its one-owner case and every rank of ``run_distributed`` — a forked
+process here, wherever the test does not need to watch the ranks from
+inside — runs it with its own ownership view.  So any assignment of blocks to ranks is
 byte-equal to the single-process run, the distributed paths check CFL
 and emit kernel spans like the model does, and nothing outside that one
 function calls the kernels or opens a phase span.
@@ -41,6 +42,7 @@ from repro.resilience.survive import survivable_run_distributed
 from repro.runtime.breakdown import BREAKDOWN_PHASES
 from repro.topo import build_mini_kochi
 from repro.validation import SlopedBathymetry
+from tests.rank_worlds import forked_ranks
 
 SRC = Path(pipeline.__file__).resolve().parents[1]  # src/repro
 SOURCE = GaussianSource(x0=4_000.0, y0=16_000.0, amplitude=2.0, sigma=2_500.0)
@@ -120,10 +122,11 @@ def test_the_nest_has_a_two_parent_child_and_partial_seams():
 def test_any_owner_map_is_byte_equal_to_the_single_process_run(owners):
     want = _single_process_nest()
     assert max(np.abs(eta).max() for eta in want.values()) > 0.1
-    got = run_distributed(
-        NEST, NEST_BATHY, NEST_CFG, _decomposition(NEST, owners),
-        NEST_SOURCE, NEST_STEPS, comm_timeout=20.0,
-    )
+    with forked_ranks():
+        got = run_distributed(
+            NEST, NEST_BATHY, NEST_CFG, _decomposition(NEST, owners),
+            NEST_SOURCE, NEST_STEPS, comm_timeout=20.0,
+        )
     assert got.keys() == want.keys()
     for bid, eta in want.items():
         assert got[bid].tobytes() == eta.tobytes(), (owners, bid)
@@ -142,6 +145,7 @@ def _unstable_mini_kochi():
     return mk, cfg, equal_cell_assignment(mk.grid, 2, split_blocks=False)
 
 
+@pytest.mark.usefixtures("rank_processes")
 def test_run_distributed_rejects_a_dt_above_an_owned_blocks_cfl_bound():
     mk, cfg, decomp = _unstable_mini_kochi()
     t0 = time.perf_counter()
@@ -180,6 +184,7 @@ def traced():
     obs.reset()
 
 
+@pytest.mark.usefixtures("rank_processes")
 def test_rank_threads_emit_kernel_spans_that_calibrate_fits(traced):
     mk = build_mini_kochi()
     decomp = equal_cell_assignment(mk.grid, 2, split_blocks=False)
@@ -251,7 +256,11 @@ def test_one_function_calls_the_kernels_and_opens_the_phase_spans():
         assert openers == [("core/pipeline.py", "run_step")], phase
 
 
-def test_model_step_and_rank_step_both_reach_that_function(monkeypatch):
+def test_model_step_and_rank_step_both_reach_that_function(
+    monkeypatch, rank_threads
+):
+    # On rank threads: ``callers`` is filled through an in-process patch,
+    # which a forked rank would fill in its own copy.
     callers = []
 
     def counting(name):
@@ -294,6 +303,21 @@ def test_each_module_of_the_cycle_imports_first_in_a_fresh_interpreter(first):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_importing_the_distributed_driver_does_not_import_what_forking_needs():
+    """``setup.import_ms`` of the workloads that never fork: the process
+    world and its ``multiprocessing`` arrive with the first forked run."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.par, repro.par.driver; print(sorted("
+         "m for m in sys.modules if m.startswith('multiprocessing')"
+         " or m in ('mmap', 'repro.par.process_world')))"],
+        env={"PYTHONPATH": str(SRC.parent)}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
