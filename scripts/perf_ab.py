@@ -7,8 +7,11 @@ Each tree's own ``benchmarks/ledger/run.py`` measures that tree's ``src/``,
 *pairs* times, base and head taking turns at going first.  The runs are
 written as two ledger documents (one set per pair) and HEAD's
 ``benchmarks/ledger/compare.py`` prints the table over them; everything
-lands under ``--out``.  Report only: exit 1 means a run failed, never that
-a metric moved (CI's first step toward ROADMAP item 1's relative gate).
+lands under ``--out``.  Report only for speed: exit 1 means a run failed,
+or that a pair's base and head ``result_digest`` differ (both are printed
+beside every pair) — a change that alters the answer must not read as a
+speed-up — never that a metric moved (CI's first step toward ROADMAP item
+1's relative gate).
 
 Beside each pair it prints how many CPUs this process may run on and a
 two-process scaling probe: the wall of two concurrent NumPy burners over
@@ -107,6 +110,11 @@ def main(argv=None) -> int:
             print(f"pair {pair + 1} {side}: solve_s_p50 {solve:.4g} s  "
                   f"digest {doc['digest'][:16]}", flush=True)
             sets[side].append({**blank, args.workload: doc})
+        base, head = (sets[side][-1][args.workload]["digest"] for side in sets)
+        if base != head:
+            ok = False
+            print(f"pair {pair + 1}: result_digest differs, base {base[:16]} "
+                  f"head {head[:16]}: the change alters the answer", flush=True)
 
     args.out.mkdir(parents=True, exist_ok=True)
     paths = []

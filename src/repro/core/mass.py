@@ -11,7 +11,8 @@ the dry threshold have their water level pinned to the ground elevation
 
 This routine is one of the two bottlenecks the paper migrates (60-70 % of
 runtime together with NLMNT2).  It runs in row strips out of the thread's
-scratch arena (:mod:`repro.core.scratch`), so a call allocates nothing.
+scratch arena (:mod:`repro.core.scratch`), so a call allocates nothing, and
+like NLMNT2 over flat ranges at the row pitch of ``z`` (DESIGN.md §9b).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import DRY_THRESHOLD
-from repro.core.scratch import carve, reject_aliasing, strips
+from repro.core.scratch import carry_over, carve, reject_aliasing, strips, window
 from repro.grid.staggered import NGHOST
 
 
@@ -53,22 +54,33 @@ def nlmass(
     """
     g = nghost
     ny = z_old.shape[0] - 2 * g
-    nx = z_old.shape[1] - 2 * g
-    ci = slice(g, g + nx)
+    P = z_old.shape[1]
     reject_aliasing("nlmass", out, z_old, m_old, n_old, hz)
+    if not out.flags.c_contiguous:  # no flat frame to write: go through one
+        flat = np.empty(out.shape, out.dtype)
+        out[...] = nlmass(z_old, m_old, n_old, hz, dt, dx, flat, dry_threshold, g)
+        return out
 
-    for j0, j1, whole in strips(g, g + ny, nx):
-        out[whole] = z_old[whole]  # carries the ghosts over
-        cj = slice(j0, j1)
-        zi, h = out[cj, ci], hz[cj, ci]
-        ((tmp,), (dry,)) = carve(out.dtype, False, (1, 1, zi.shape))
+    out_flat = out.reshape(-1)
+    for j0, j1, _ in strips(g, g + ny, P):
+        # Whole rows, ghost columns included, as one flat range: the N face
+        # above a cell is one pitch on.
+        lo, hi = j0 * P, j1 * P
+        at_p, _, (tmp,), (dry,) = carve(
+            out.dtype, (3, 0, ((j1 - j0 + 1) * P,)), (1, 1, (hi - lo,))
+        )
+        z = window(z_old, P, lo, hi, at_p[0])  # views, unless handed loose arrays
+        h = window(hz, P, lo, hi, at_p[1])
+        nn = window(n_old, P, lo, hi + P, at_p[2])
+        zi = out_flat[lo:hi]
 
-        # Flux divergence.  M face i is the left edge of cell i; N face j
+        # Flux divergence.  M face i is the left edge of cell i (its rows
+        # lie one element further apart: the one strided pass); N face j
         # is the bottom edge of cell j.
-        np.subtract(m_old[cj, g + 1 : g + nx + 1], m_old[cj, ci], out=tmp)
+        np.subtract(m_old[j0:j1, 1:], m_old[j0:j1, :-1], out=tmp.reshape(j1 - j0, P))
         np.multiply(dt / dx, tmp, out=tmp)
-        np.subtract(zi, tmp, out=zi)
-        np.subtract(n_old[j0 + 1 : j1 + 1, ci], n_old[cj, ci], out=tmp)
+        np.subtract(z, tmp, out=zi)
+        np.subtract(nn[P:], nn[:-P], out=tmp)
         np.multiply(-dt / dx, tmp, out=tmp)
         np.add(zi, tmp, out=zi)
 
@@ -77,4 +89,6 @@ def nlmass(
         np.less(tmp, dry_threshold, out=dry)
         np.negative(h, out=tmp)
         np.copyto(zi, tmp, where=dry)
+    # The ghost columns were computed along with the rest: put them back.
+    carry_over(out, z_old, slice(g, g + ny), slice(g, P - g))
     return out

@@ -5,6 +5,14 @@ The x- and y-momentum equations are solved by the same kernel
 array views with the roles of M and N swapped, exactly as the original
 code's XMMT/YMMT routine pair mirrors one another.
 
+The kernel addresses memory the way the Fortran loops do (DESIGN.md §9b):
+a block's arrays are flat ranges at the row pitch ``P = nx + 2 * NGHOST``,
+the face at index ``I`` lies between cells ``I - s`` and ``I`` and has the
+transverse neighbours ``I - c`` and ``I + c`` — ``(s, c) = (1, P)`` for M,
+``(P, 1)`` for N.  Every intermediate is a contiguous slice of arena scratch;
+lanes at row wraps and in ghost columns compute on the real data next to
+them and are never written out.
+
 Discretization (TUNAMI-N2, Goto et al. 1997):
 
 * pressure gradient: centered, ``-g * D_f * dt/dx * (z_R - z_L)`` with the
@@ -33,7 +41,7 @@ except ImportError:  # NumPy 1.x
     from numpy.core.umath import clip as _clip
 
 from repro.constants import DRY_THRESHOLD, GRAVITY, MAX_VELOCITY
-from repro.core.scratch import carve, reject_aliasing, strips
+from repro.core.scratch import carry_over, carve, reject_aliasing, strips, window
 from repro.grid.staggered import NGHOST
 
 
@@ -61,8 +69,10 @@ def momentum_core(
 
     Physical faces (columns ``G .. G+nx`` inclusive) are all written,
     including block-edge faces; the caller overwrites edge faces that are
-    governed by boundary conditions or parent-grid coupling.  ``out`` must
-    not share memory with an input.
+    governed by boundary conditions or parent-grid coupling; the rest of
+    ``out`` is carried over from ``mm_old``.  ``out`` must not share memory
+    with an input.  An input at another pitch (``m``; anything not
+    contiguous) is copied to the flat frame a strip at a time.
 
     Returns ``out``.
     """
@@ -71,38 +81,44 @@ def momentum_core(
     nx = z_new.shape[1] - 2 * g
     reject_aliasing("momentum_core", out, z_new, mm_old, nn_old, hz)
 
-    # Strips follow memory rows: axis 0, or axis 1 of the transposed views
-    # the N pass hands in, so both passes stream contiguous memory.
+    # The memory frame.  Handed transposes (the N pass), undo them and step
+    # one row along the flux, one element across it, instead of the reverse.
+    frame = (z_new, hz, mm_old, nn_old, out)
+    rows, cols = slice(g, g + ny), slice(g, g + nx + 1)
     transposed = z_new.strides[0] < z_new.strides[1]
-    rows, faces = (g, g + ny), (g, g + nx + 1)
     if transposed:
-        windows = [(*rows, lo, hi, ..., ext) for lo, hi, ext in strips(*faces, ny + 2)]
-    else:
-        windows = [(lo, hi, *faces, ext, ...) for lo, hi, ext in strips(*rows, nx + 4)]
+        frame = [a.T for a in frame]
+        rows, cols = cols, rows
+    z_in, h_in, along, trans, dest = frame
+    P, nf = z_in.shape[1], cols.stop - cols.start
+    s, c = (P, 1) if transposed else (1, P)
+    carry_over(dest, along, rows, cols)
     k_fric = gravity * manning * manning
-    tj = slice(1, -1)
-    tgt = (tj, tj)  # target rows and faces within a window's wide range
-    for j0, j1, f0, f1, ej, ef in windows:
-        # Everything but the physical faces is carried over unchanged.
-        out[ej, ef] = mm_old[ej, ef]
-        # Target faces f0..f1 of rows j0..j1 need one more face and row on
-        # every side (the wide range), so cells j0-1..j1+1 x f0-2..f1+1:
-        # cell f-1 is left of face f.
-        cj, ci = slice(j0 - 1, j1 + 1), slice(f0 - 2, f1 + 1)
-        z, h, m_wide = z_new[cj, ci], hz[cj, ci], mm_old[cj, f0 - 1 : f1 + 1]
+    for r0, r1, _ in strips(rows.start, rows.stop, P):
+        # Targets: the flat range from the strip's first face to its last.
+        # Wide range: one pitch more either side, so I +- s and I +- c of
+        # every target; cells: one more s in front (the cell left of a face).
+        lt = (r1 - r0 - 1) * P + nf
+        lw = lt + 2 * P
+        w0 = (r0 - 1) * P + cols.start
         (
-            (d,), (wet,), (t1, t2, cross, df, df_safe), (both, over_r, over_l, tmp),
-            (t3, t4, t5, rhs), (mask,),
+            at_p, _, (d,), (wet,), (t1, t2, cross, df, df_safe),
+            (both, over_r, over_l, tmp), (t3, t4, t5, rhs), (mask,),
         ) = carve(
-            out.dtype, transposed, (1, 1, z.shape), (5, 4, m_wide.shape),
-            (4, 1, (j1 - j0, f1 - f0)),
+            out.dtype, (4, 0, ((r1 - r0 + 3) * P,)), (1, 1, (lw + s,)),
+            (5, 4, (lw,)), (4, 1, (lt,)),
         )
-        zl, zr, hl, hr = z[:, :-1], z[:, 1:], h[:, :-1], h[:, 1:]
+        # M (pitch P + 1) goes through ``at_p``; so would a loose input.
+        z = window(z_in, P, w0 - s, w0 + lw, at_p[0])
+        h = window(h_in, P, w0 - s, w0 + lw, at_p[1])
+        m_wide = window(along, P, w0, w0 + lw, at_p[2])
+        zl, zr, hl, hr = z[:lw], z[s:], h[:lw], h[s:]
+        tgt = slice(P, P + lt)  # the targets within the wide range
 
         # Total depth and wetness once per cell, shared by both its faces.
         np.add(z, h, out=d)
         np.greater(d, dry_threshold, out=wet)
-        dl, dr, wet_l, wet_r = d[:, :-1], d[:, 1:], wet[:, :-1], wet[:, 1:]
+        dl, dr, wet_l, wet_r = d[:lw], d[s:], wet[:lw], wet[s:]
 
         # Overflow heads, t1 rightward and t2 leftward.  ``zl + hr > 0`` is
         # ``zl > -hr`` exactly: x + y rounds to zero only when x == -y.
@@ -131,19 +147,18 @@ def momentum_core(
 
         if nonlinear:
             # Advective flux F = M^2 / D at faces (zero on closed faces).
-            flux, nv = t1[tj], t2
-            np.multiply(m_wide[tj], m_wide[tj], out=flux)
-            np.divide(flux, df_safe[tj], out=flux)
-            np.copyto(flux, 0.0, where=closed[tj])
+            flux, nv = t1, t2
+            np.multiply(m_wide, m_wide, out=flux)
+            np.divide(flux, df_safe, out=flux)
+            np.copyto(flux, 0.0, where=closed)
 
-            # Cross flux G = M * NV / D at faces, with NV the 4-point
-            # average of the transverse flux at the M point.  nn rows j
-            # and j+1 are the faces below/above cell row j.
-            nn = nn_old[j0 - 1 : j1 + 2, ci]
-            n_l, n_r = nn[:, :-1], nn[:, 1:]
-            np.add(n_l[:-1], n_r[:-1], out=nv)
-            np.add(nv, n_l[1:], out=nv)
-            np.add(nv, n_r[1:], out=nv)
+            # Cross flux G = M * NV / D at faces, with NV the average of the
+            # transverse flux at the four faces around the M point: those
+            # of the cell behind (-s) and the cell ahead, below and above (+c).
+            nn = window(trans, P, w0 - s, w0 + lw + c, at_p[3])
+            np.add(nn[:lw], nn[s : s + lw], out=nv)
+            np.add(nv, nn[c : c + lw], out=nv)
+            np.add(nv, nn[s + c :], out=nv)
             np.multiply(0.25, nv, out=nv)
             np.multiply(m_wide, nv, out=cross)
             np.divide(cross, df_safe, out=cross)
@@ -160,14 +175,14 @@ def momentum_core(
 
         if nonlinear:
             # First-order upwind advection.
-            f_c, nv_c, g_c = flux[:, tj], nv[tgt], cross[tgt]
-            np.subtract(flux[:, 2:], f_c, out=t3)
-            np.subtract(f_c, flux[:, :-2], out=t4)
+            f_c, nv_c, g_c = flux[tgt], nv[tgt], cross[tgt]
+            np.subtract(flux[P + s : P + s + lt], f_c, out=t3)
+            np.subtract(f_c, flux[P - s : P - s + lt], out=t4)
             np.greater_equal(m_c, 0.0, out=mask)
             np.copyto(t3, t4, where=mask)
             np.divide(t3, dx, out=t3)
-            np.subtract(cross[2:, tj], g_c, out=t4)
-            np.subtract(g_c, cross[:-2, tj], out=t5)
+            np.subtract(cross[P + c : P + c + lt], g_c, out=t4)
+            np.subtract(g_c, cross[P - c : P - c + lt], out=t5)
             np.greater_equal(nv_c, 0.0, out=mask)
             np.copyto(t4, t5, where=mask)
             np.divide(t4, dx, out=t4)
@@ -189,10 +204,13 @@ def momentum_core(
 
         np.copyto(rhs, 0.0, where=closed[tgt])
 
-        # Velocity cap: |M| <= cap * D.
+        # Velocity cap: |M| <= cap * D.  Only the faces leave the flat frame.
         np.multiply(velocity_cap, df_safe_c, out=t3)
         np.negative(t3, out=t4)
-        _clip(rhs, t4, t3, out=out[j0:j1, f0:f1])
+        _clip(rhs, t4, t3, out=rhs)
+        isz = rhs.itemsize  # row r of ``faces`` is rhs[r * P :][:nf]
+        faces = np.ndarray((r1 - r0, nf), rhs.dtype, rhs, 0, (P * isz, isz))
+        np.copyto(dest[r0:r1, cols], faces)
     return out
 
 

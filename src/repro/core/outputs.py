@@ -87,7 +87,7 @@ class OutputAccumulator:
         for j0, j1, _ in strips(0, self.block.ny, nx):
             rows, cj = slice(j0, j1), slice(g + j0, g + j1)
             zi = z[cj, ci]
-            (d, speed, tmp), (wet, mask, inf) = carve(z.dtype, False, (3, 3, zi.shape))
+            (d, speed, tmp), (wet, mask, inf) = carve(z.dtype, (3, 3, zi.shape))
             np.add(zi, hz[cj, ci], out=d)
             np.maximum(d, 0.0, out=d)
             np.greater(d, dry_threshold, out=wet)

@@ -1,12 +1,15 @@
-"""Row strips and the per-thread scratch arena the kernels run out of.
+"""Row strips, the per-thread scratch arena and the flat frame of the kernels.
 
 Every kernel intermediate is written through ``out=`` into views of one
 grow-only buffer per thread (rank threads each have their own), so a step
-allocates nothing once the arena has seen its largest strip: DESIGN.md §9b.
+allocates nothing once the arena has seen its largest strip.  NLMASS and
+NLMNT2 read a strip as flat 1-D ranges at one row pitch (:func:`window`)
+and leave that frame only to write their result: DESIGN.md §9b.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from functools import lru_cache
 
@@ -15,8 +18,8 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 #: Most elements (rows x padded width) one strip may hold.  A 128x128
-#: block is one strip; a 768-wide block gets 31 rows, whose ~85 B/element
-#: of intermediates (2 MB) share the 4 MiB L2 with the strip's inputs.
+#: block is one strip; a 768-wide block gets 31 rows, whose ~94 B/element
+#: of intermediates (2.4 MB) share the 4 MiB L2 with the strip's inputs.
 STRIP_ELEMENTS = 24 * 1024
 
 
@@ -53,32 +56,50 @@ def _strips(start: int, stop: int, width: int, cap: int) -> tuple:
     )
 
 
-def carve(dtype: np.dtype, transposed: bool, *specs: tuple) -> list[tuple]:
+def carve(dtype: np.dtype, *specs: tuple) -> list[tuple]:
     """Uninitialised scratch arrays out of the calling thread's arena.
 
     Each spec ``(n_float, n_bool, shape)`` yields a tuple of *dtype* arrays
-    then a tuple of bool arrays of that shape, contiguous (column-major if
-    *transposed*, like the N pass's views) until this thread's next call.
+    then a tuple of bool arrays of that shape (``(length,)`` for the kernels'
+    flat ranges), C-contiguous and valid until this thread's next call.
     """
-    arena, key = _ARENA, (dtype, transposed, specs)
+    arena, key = _ARENA, (dtype, specs)
     views = arena.views.get(key)
     if views is None:
         plan, need = [], 0
-        for n_float, n_bool, (rows, cols) in specs:
+        for n_float, n_bool, shape in specs:
             for n, dt in ((n_float, dtype), (n_bool, np.dtype(bool))):
-                shape = (n, cols, rows) if transposed else (n, rows, cols)
-                plan.append((shape, dt, need))
-                need += -(-n * rows * cols * dt.itemsize // 64) * 64  # cache lines
+                plan.append(((n, *shape), dt, need))
+                need += -(-n * math.prod(shape) * dt.itemsize // 64) * 64  # cache lines
         grown = arena.buf.nbytes < need
         if grown:
             arena.buf = np.empty(need, np.uint8)
         if grown or len(arena.views) >= 256:  # stale, or too many shapes seen
             arena.views.clear()
-        stacks = [np.ndarray(shape, dt, arena.buf, lo) for shape, dt, lo in plan]
         views = arena.views[key] = [
-            tuple(s.transpose(0, 2, 1) if transposed else s) for s in stacks
+            tuple(np.ndarray(shape, dt, arena.buf, lo)) for shape, dt, lo in plan
         ]
     return views
+
+
+def window(a: np.ndarray, pitch: int, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
+    """Flat offsets ``lo..hi`` of the row-pitch-*pitch* frame of *a*, as
+    contiguous 1-D memory: a view if *a*'s rows lie *pitch* apart, else the
+    rows covering the range copied (the strided pass) into *buf*."""
+    if a.flags.c_contiguous and a.shape[1] == pitch:
+        return a.reshape(-1)[lo:hi]
+    r0, r1 = lo // pitch, -(-hi // pitch)
+    np.copyto(buf[: (r1 - r0) * pitch].reshape(r1 - r0, pitch), a[r0:r1, :pitch])
+    return buf[lo - r0 * pitch : hi - r0 * pitch]
+
+
+def carry_over(out: np.ndarray, old: np.ndarray, rows: slice, cols: slice) -> None:
+    """Copy *old* into *out* around ``[rows, cols]``: the ghost frame a kernel
+    does not compute."""
+    out[: rows.start] = old[: rows.start]
+    out[rows.stop :] = old[rows.stop :]
+    out[rows, : cols.start] = old[rows, : cols.start]
+    out[rows, cols.stop :] = old[rows, cols.stop :]
 
 
 def reject_aliasing(kernel: str, out: np.ndarray, *inputs: np.ndarray) -> None:

@@ -30,6 +30,10 @@ class DecompositionError(ReproError):
 class CommunicationError(ReproError):
     """Simulated-MPI misuse: mismatched sends/recvs, bad buffers, deadlock."""
 
+    #: The rank whose failure this error only passes on (a receive woken by
+    #: a dead peer); ``None`` when the rank that raised it is the cause.
+    failed_peer: int | None = None
+
 
 class CommTimeoutError(CommunicationError):
     """A simulated communication operation exceeded its timeout.

@@ -341,10 +341,12 @@ class Communicator:
                 # Re-deliver so other blocked receives on this rank (e.g.
                 # irecv workers) observe the failure too.
                 self._world.mailboxes[self.rank].put((src, tg, payload))
-                raise CommunicationError(
+                woken = CommunicationError(
                     f"rank {self.rank}: rank {src} failed while we were "
                     f"waiting in recv(source={source}, tag={tag})"
                 )
+                woken.failed_peer = src
+                raise woken
             if (source in (ANY_SOURCE, src)) and tg == tag:
                 return self._maybe_unwrap(src, tg, payload)
             self._stash.append((src, tg, payload))

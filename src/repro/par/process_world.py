@@ -487,7 +487,9 @@ def run_rank_processes(n_ranks, fn, make_comm, timeout, slot_bytes):
       *errors* ahead of the failures it caused;
     * a child that dies silently is noticed at end-of-file on its pipes
       by every peer at once and reported by the launcher as a
-      :class:`~repro.errors.CommunicationError` naming it;
+      :class:`~repro.errors.CommunicationError` naming it — also ahead of
+      the failures it caused (``failed_peer`` set), whichever the launcher
+      happened to read first;
     * *timeout* is one deadline for the whole group: rank 0's blocking
       operations and the wait for the children's reports stop at it with
       a :class:`~repro.errors.CommTimeoutError` listing the ranks still
@@ -527,4 +529,8 @@ def run_rank_processes(n_ranks, fn, make_comm, timeout, slot_bytes):
         world.collect(results)
     finally:
         world.close()
-    return results, world.errors
+    # By cause, not by arrival: a sibling woken by a dead rank's end-of-file
+    # can report before the launcher reads that end-of-file itself.
+    return results, sorted(
+        world.errors, key=lambda e: getattr(e[1], "failed_peer", None) is not None
+    )

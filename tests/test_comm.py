@@ -463,6 +463,37 @@ class TestRankProcesses(_BothWorlds):
             assert isinstance(exc, CommunicationError)
             assert f"rank {rank}: rank " in str(exc) and " failed" in str(exc)
 
+    def test_the_culprit_comes_first_however_late_its_end_of_file_is_read(self):
+        """A sibling woken by the dead rank's end-of-file can have its report
+        parsed before the launcher reads that end-of-file itself; forced
+        here by reading rank 2's pipe alone until its report is in."""
+
+        def fn(comm):
+            if comm.rank == 1:
+                comm.recv(source=2)  # rank 2 is up
+                os.kill(os.getpid(), signal.SIGKILL)
+            if comm.rank == 2:
+                comm.send("up", dest=1)
+                return comm.recv(source=1, tag=9)  # never sent
+            world = comm._world
+            (from_2,) = (fd for fd, src in world.inbox._fds.items() if src == 2)
+            give_up = time.monotonic() + 30.0
+            while 2 not in world.reports:
+                assert time.monotonic() < give_up
+                world.inbox._drain([from_2])
+                time.sleep(0.001)
+            assert [rank for rank, _exc in world.errors] == [2]  # arrival order
+            return comm.recv(source=1, tag=9)  # now the end-of-file of rank 1
+
+        _results, errors = self.run(3, fn, comm_timeout=60.0, return_errors=True)
+        assert [rank for rank, _exc in errors] == [1, 2, 0]
+        assert "died without reporting (exit code -9)" in str(errors[0][1])
+        # Rank 0 met rank 2's failure before the end-of-file of rank 1.
+        assert [exc.failed_peer for _rank, exc in errors] == [None, 1, 2]
+        with pytest.raises(CommunicationError) as caught:
+            self.run(3, fn, comm_timeout=60.0)
+        assert caught.value.failed_rank == 1
+
     def test_keyboard_interrupt_in_the_launcher_reaps_the_children(self):
         def fn(comm):
             if comm.rank == 0:

@@ -1,0 +1,197 @@
+"""A deterministic contiguity budget for NLMNT2 and NLMASS: counts, no clock.
+
+The kernels run as flat offset arithmetic over one row pitch (DESIGN.md
+§9b), so almost every ufunc pass streams 1-D contiguous memory.  Here the
+NumPy the kernel modules see is wrapped (as ``tests/test_exchange_budget.py``
+wraps the geometry builders) and every ufunc / ``copyto`` call is recorded
+with its operands.  Per strip, for both passes, both dtypes, one strip and
+many: no more calls than the 2-D-view bodies made (65 / 10), every operand
+1-D and contiguous but for the documented strided passes, every result
+written into the arena or the caller's ``out``; and, unrecorded, a call
+allocates no array.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.core import mass, momentum, scratch
+from repro.grid.staggered import NGHOST
+
+from tests.test_kernels_bitwise import DT, DX, MANNING, random_state
+
+G = NGHOST
+
+#: ufunc/copyto calls one strip may make: what the 2-D-view bodies made.
+MOMENTUM_CALLS, MASS_CALLS = 65, 10
+#: Of those, the ones allowed a strided operand.  NLMNT2: the copy of M to
+#: the common pitch and the write of the finished faces.  NLMASS: the M
+#: difference.  (The issue budgeted 3; the ghost frame is carried over once
+#: per call by ``scratch.carry_over``, counted apart.)
+MOMENTUM_STRIDED, MASS_STRIDED = 2, 1
+
+
+class Recorder:
+    """Stands in for ``np`` in a kernel module; records array passes."""
+
+    def __init__(self):
+        self.calls = []  # (name, [array operands], the written operand)
+        self.carried = 0
+
+    def __getattr__(self, name):
+        return self.wrap(name, getattr(np, name))
+
+    def wrap(self, name, fn):
+        if not (isinstance(fn, np.ufunc) or fn is np.copyto):
+            return fn
+
+        def recorded(*args, **kwargs):
+            written = args[0] if fn is np.copyto else kwargs.get("out")
+            operands = [a for a in (*args, *kwargs.values()) if isinstance(a, np.ndarray)]
+            self.calls.append((name, operands, written))
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    def carry_over(self, *args):
+        self.carried += 1
+        scratch.carry_over(*args)
+
+    def strided(self):
+        return [
+            name for name, operands, _ in self.calls
+            if not all(a.ndim == 1 and a.flags.c_contiguous for a in operands)
+        ]
+
+
+@pytest.fixture
+def recorder(monkeypatch):
+    rec = Recorder()
+    for module in (momentum, mass, scratch):
+        monkeypatch.setattr(module, "np", rec)
+    monkeypatch.setattr(momentum, "_clip", rec.wrap("clip", momentum._clip))
+    for module in (momentum, mass):
+        monkeypatch.setattr(module, "carry_over", rec.carry_over)
+    return rec
+
+
+def assert_written_in_place(rec, out):
+    """Every pass has a destination, in the arena or in the caller's *out*."""
+    arena = scratch._ARENA.buf
+    for name, _operands, written in rec.calls:
+        assert written is not None, f"{name} allocated its result"
+        assert np.shares_memory(written, arena) or np.shares_memory(written, out), name
+
+
+def allocated_by(fn):
+    """Peak bytes *fn* allocates once the arena has seen it."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()  # tracemalloc's own bookkeeping warms here
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
+CASES = [  # (ny, nx, strip cap or None for the shipped one)
+    (37, 19, None),
+    (19, 37, None),
+    (50, 23, 300),  # many uneven strips
+    (23, 50, 300),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("transposed", [False, True], ids=["M", "N"])
+@pytest.mark.parametrize("ny,nx,cap", CASES)
+def test_momentum_pass_budget(monkeypatch, recorder, ny, nx, cap, transposed, dtype):
+    if cap:
+        monkeypatch.setattr(scratch, "STRIP_ELEMENTS", cap)
+    z, m, n, hz = random_state(ny, nx, seed=5, dtype=dtype)
+    if transposed:  # the N update, as nlmnt2 asks for it
+        args, out = (z.T, n.T, m.T, hz.T), np.empty_like(n).T
+        n_strips = len(scratch.strips(G, G + ny + 1, nx + 2 * G))
+    else:
+        args, out = (z, m, n, hz), np.empty_like(m)
+        n_strips = len(scratch.strips(G, G + ny, nx + 2 * G))
+    assert (n_strips > 2) == bool(cap)
+
+    def run():
+        momentum.momentum_core(*args, DT, DX, MANNING, out)
+
+    run()  # the arena grows to this shape
+    arena = scratch.arena_nbytes()
+    del recorder.calls[:]
+    recorder.carried = 0
+    run()
+    assert recorder.carried == 1
+    assert len(recorder.calls) <= MOMENTUM_CALLS * n_strips
+    assert len(recorder.strided()) == MOMENTUM_STRIDED * n_strips, recorder.strided()
+    assert set(recorder.strided()) == {"copyto"}
+    assert_written_in_place(recorder, out)
+    assert scratch.arena_nbytes() == arena
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("ny,nx,cap", CASES)
+def test_mass_pass_budget(monkeypatch, recorder, ny, nx, cap, dtype):
+    if cap:
+        monkeypatch.setattr(scratch, "STRIP_ELEMENTS", cap)
+    z, m, n, hz = random_state(ny, nx, seed=6, dtype=dtype)
+    out = np.empty_like(z)
+    n_strips = len(scratch.strips(G, G + ny, nx + 2 * G))
+    assert (n_strips > 2) == bool(cap)
+
+    def run():
+        mass.nlmass(z, m, n, hz, DT, DX, out)
+
+    run()
+    arena = scratch.arena_nbytes()
+    del recorder.calls[:]
+    recorder.carried = 0
+    run()
+    assert recorder.carried == 1
+    assert len(recorder.calls) <= MASS_CALLS * n_strips
+    assert len(recorder.strided()) == MASS_STRIDED * n_strips, recorder.strided()
+    assert set(recorder.strided()) == {"subtract"}
+    assert_written_in_place(recorder, out)
+    assert scratch.arena_nbytes() == arena
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("cap", [None, 2000])
+def test_a_kernel_call_allocates_no_array(monkeypatch, cap, dtype):
+    """Unrecorded (the recorder keeps what it sees).  What is left is views,
+    tuples and the two 8192-element buffers NumPy's iterator borrows for a
+    strided pass: less than half a field of this block, in either dtype."""
+    if cap:
+        monkeypatch.setattr(scratch, "STRIP_ELEMENTS", cap)
+    z, m, n, hz = random_state(300, 250, seed=9, dtype=dtype)
+    out_z, out_m, out_n = np.empty_like(z), np.empty_like(m), np.empty_like(n)
+    assert allocated_by(lambda: mass.nlmass(z, m, n, hz, DT, DX, out_z)) < z.nbytes // 2
+    assert allocated_by(
+        lambda: momentum.nlmnt2(z, m, n, hz, DT, DX, MANNING, out_m, out_n)
+    ) < z.nbytes // 2
+
+
+def test_linear_momentum_copies_nothing_it_does_not_read(recorder):
+    """Without advection the N pass never needs M at the common pitch."""
+    z, m, n, hz = random_state(20, 30, seed=7)
+    out = np.empty_like(n)
+    momentum.momentum_core(z.T, n.T, m.T, hz.T, DT, DX, MANNING, out.T, nonlinear=False)
+    assert recorder.strided() == ["copyto"]  # the finished faces only
+
+
+def test_a_non_contiguous_input_costs_one_more_strided_copy_each(recorder):
+    z, m, n, hz = random_state(20, 30, seed=8)
+    wide = np.zeros((z.shape[0], 2 * z.shape[1]))
+    wide[:, ::2] = hz
+    out = np.empty_like(m)
+    momentum.momentum_core(z, m, n, wide[:, ::2], DT, DX, MANNING, out)
+    assert recorder.strided() == ["copyto"] * (MOMENTUM_STRIDED + 1)

@@ -75,7 +75,7 @@ def test_arena_is_sized_by_the_strip_not_the_block():
 
 
 def test_fresh_thread_gets_its_own_arena():
-    spec = (np.dtype(np.float64), False, (2, 1, (8, 8)))
+    spec = (np.dtype(np.float64), (2, 1, (8, 8)))
     (mine, _), _ = scratch.carve(*spec)
     seen = {}
 
