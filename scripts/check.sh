@@ -7,7 +7,8 @@
 #
 # Mirrors what reviewers run; keep it green before pushing.  The test
 # session fails itself if it leaves a child process (a forked rank) or a
-# /dev/shm/repro-* name behind (tests/conftest.py::pytest_sessionfinish).
+# /dev/shm/repro-* name or a live non-daemon thread behind
+# (tests/conftest.py::pytest_sessionfinish).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -13,12 +13,17 @@ beside every pair) — a change that alters the answer must not read as a
 speed-up — never that a metric moved (CI's first step toward ROADMAP item
 1's relative gate).
 
-Beside each pair it prints how many CPUs this process may run on and a
-two-process scaling probe: the wall of two concurrent NumPy burners over
-the wall of one.  1.0 is two real CPUs, 2.0 is two vCPUs served as one —
-which this kind of box does for minutes at a time — and a ``mosaic_2rank``
-pair (two rank processes) measured in that state reads differently for a
-reason that is not the code.
+Beside each pair it prints how many CPUs this process may run on and two
+scaling probes: the wall of two concurrent NumPy burners over the wall of
+one, as two processes and as two threads of one process (25 k-element
+ufuncs, a strip's worth, at the strip team's switch interval).  1.0 is two
+real CPUs, 2.0 is two vCPUs served as one — which this kind of box does for
+minutes at a time — and a ``mosaic_2rank`` pair (two rank processes) or a
+``basin_large`` pair (a strip team of two) measured in that state reads
+differently for a reason that is not the code.  Beside each side's
+``solve_s_p50`` stand the raw wall and the ``SpeedGauge`` reading it was
+rescaled from: the gauge reads a few percent lower right after an op that
+kept both CPUs busy, and the rescaled metric counts that.
 """
 
 from __future__ import annotations
@@ -74,6 +79,39 @@ def scaling_probe() -> float:
     return _burners(2) / one
 
 
+# Ufuncs as dear as the kernels' (a 25 k-element multiply takes 8 us, less
+# than a contended hand-off of the interpreter lock: two threads of those
+# read 2.0 on any box).  One unmeasured round first: the second CPU of a
+# fresh process takes a second or two to come up to speed.
+_BURN_THREADS = (
+    "import sys, threading, time, numpy as np\n"
+    "sys.setswitchinterval(5e-5)\n"
+    "def burn(out):\n"
+    "    a = np.full(25_000, 1.5); b = np.empty_like(a)\n"
+    "    t = time.perf_counter()\n"
+    "    for _ in range(2000):\n"
+    "        np.divide(a, 1.0001, out=b); np.sqrt(b, out=b)\n"
+    "        np.power(b, 7.0 / 3.0, out=b)\n"
+    "    out.append(time.perf_counter() - t)\n"
+    "def walls(n):\n"
+    "    out = []\n"
+    "    threads = [threading.Thread(target=burn, args=(out,)) for _ in range(n)]\n"
+    "    for t in threads: t.start()\n"
+    "    for t in threads: t.join()\n"
+    "    return max(out)\n"
+    "walls(2)\n"
+    "one = min(walls(1), walls(1))\n"
+    "print(walls(2) / one)"
+)
+
+
+def thread_scaling_probe() -> float:
+    """The same with two threads of one process: what a strip team gets."""
+    done = subprocess.run([sys.executable, "-c", _BURN_THREADS],
+                          capture_output=True, text=True, check=True)
+    return float(done.stdout)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", type=Path, help="checkout of the merge base")
@@ -99,15 +137,20 @@ def main(argv=None) -> int:
     for pair in range(args.pairs):
         machine.append({"pair": pair + 1, "cpus": cpus,
                         "two_process_scaling": scaling_probe(),
+                        "two_thread_scaling": thread_scaling_probe(),
                         "at": time.strftime("%H:%M:%S")})
-        print(f"pair {pair + 1}: {cpus} CPUs, two-process scaling "
-              f"{machine[-1]['two_process_scaling']:.2f}x "
+        print(f"pair {pair + 1}: {cpus} CPUs, scaling of two processes "
+              f"{machine[-1]['two_process_scaling']:.2f}x, of two threads "
+              f"{machine[-1]['two_thread_scaling']:.2f}x "
               f"(1.0 = two CPUs, 2.0 = served as one)", flush=True)
         for side in ("base", "head") if pair % 2 == 0 else ("head", "base"):
             doc = run_one(trees[side], args.workload, args.seed, args.seconds)
             ok &= doc["correct"]
             solve = doc["e2e"]["solve_s_p50"]["value"]
             print(f"pair {pair + 1} {side}: solve_s_p50 {solve:.4g} s  "
+                  f"(raw wall {doc['raw']['solve_wall_s_p50']:.4g} s x gauge "
+                  f"{doc['raw']['machine_speed_p50']:.3f})  peak_rss_mb "
+                  f"{doc['e2e']['peak_rss_mb']['value']:.2f}  "
                   f"digest {doc['digest'][:16]}", flush=True)
             sets[side].append({**blank, args.workload: doc})
         base, head = (sets[side][-1][args.workload]["digest"] for side in sets)

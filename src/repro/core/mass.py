@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import DRY_THRESHOLD
-from repro.core.scratch import carry_over, carve, reject_aliasing, strips, window
+from repro.core.scratch import carry_over, carve, each_strip, reject_aliasing, strips, window
 from repro.grid.staggered import NGHOST
 
 
@@ -62,7 +62,8 @@ def nlmass(
         return out
 
     out_flat = out.reshape(-1)
-    for j0, j1, _ in strips(g, g + ny, P):
+
+    def body(j0: int, j1: int) -> None:
         # Whole rows, ghost columns included, as one flat range: the N face
         # above a cell is one pitch on.
         lo, hi = j0 * P, j1 * P
@@ -89,6 +90,8 @@ def nlmass(
         np.less(tmp, dry_threshold, out=dry)
         np.negative(h, out=tmp)
         np.copyto(zi, tmp, where=dry)
+
+    each_strip(body, strips(g, g + ny, P), "NLMASS")
     # The ghost columns were computed along with the rest: put them back.
     carry_over(out, z_old, slice(g, g + ny), slice(g, P - g))
     return out

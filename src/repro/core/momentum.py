@@ -41,7 +41,7 @@ except ImportError:  # NumPy 1.x
     from numpy.core.umath import clip as _clip
 
 from repro.constants import DRY_THRESHOLD, GRAVITY, MAX_VELOCITY
-from repro.core.scratch import carry_over, carve, reject_aliasing, strips, window
+from repro.core.scratch import carry_over, carve, each_strip, reject_aliasing, strips, window
 from repro.grid.staggered import NGHOST
 
 
@@ -94,7 +94,8 @@ def momentum_core(
     s, c = (P, 1) if transposed else (1, P)
     carry_over(dest, along, rows, cols)
     k_fric = gravity * manning * manning
-    for r0, r1, _ in strips(rows.start, rows.stop, P):
+
+    def body(r0: int, r1: int) -> None:
         # Targets: the flat range from the strip's first face to its last.
         # Wide range: one pitch more either side, so I +- s and I +- c of
         # every target; cells: one more s in front (the cell left of a face).
@@ -211,6 +212,8 @@ def momentum_core(
         isz = rhs.itemsize  # row r of ``faces`` is rhs[r * P :][:nf]
         faces = np.ndarray((r1 - r0, nf), rhs.dtype, rhs, 0, (P * isz, isz))
         np.copyto(dest[r0:r1, cols], faces)
+
+    each_strip(body, strips(rows.start, rows.stop, P), "NLMNT2")
     return out
 
 

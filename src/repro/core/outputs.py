@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import DRY_THRESHOLD, MAX_VELOCITY
-from repro.core.scratch import carve, strips
+from repro.core.scratch import carve, each_strip, strips
 from repro.grid.block import Block
 from repro.grid.staggered import NGHOST
 
@@ -84,7 +84,8 @@ class OutputAccumulator:
         nx = self.block.nx
         g = nghost
         ci = slice(g, g + nx)
-        for j0, j1, _ in strips(0, self.block.ny, nx):
+
+        def body(j0: int, j1: int) -> None:
             rows, cj = slice(j0, j1), slice(g + j0, g + j1)
             zi = z[cj, ci]
             (d, speed, tmp), (wet, mask, inf) = carve(z.dtype, (3, 3, zi.shape))
@@ -124,6 +125,8 @@ class OutputAccumulator:
             np.isinf(arrival, out=inf)
             np.bitwise_and(inf, mask, out=mask)
             np.copyto(arrival, time, where=mask)
+
+        each_strip(body, strips(0, self.block.ny, nx), "OUTPUT")
 
     def inundated_area(self, dx: float) -> float:
         """Area of land that got wet at any time [m^2]."""

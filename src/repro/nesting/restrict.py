@@ -63,7 +63,8 @@ def restriction_region(
         regions.append((i0, j0, i1, min(bot_hi, j1)))
     if max(top_lo, bot_hi) < j1:
         regions.append((i0, max(top_lo, bot_hi), i1, j1))
-    mid_lo, mid_hi = min(bot_hi, j1), max(top_lo, bot_hi)
+    mid_lo = max(j0, min(bot_hi, j1))
+    mid_hi = min(j1, max(top_lo, bot_hi))
     if mid_lo < mid_hi:
         left_hi = min(fi0 + w, i1)
         right_lo = max(fi1 - w, i0)

@@ -10,6 +10,8 @@ renders the paper's performance-accounting views for a *real* run:
   :class:`~repro.runtime.breakdown.RankBreakdown` rows the offline
   performance replay produces — one accounting vocabulary for both;
 * the top-N slowest individual spans;
+* the busy share of each member of the strip team, per kernel (the two
+  lanes of a shared kernel call in the Chrome trace, as numbers);
 * the rank-imbalance ratio (slowest rank / mean rank, the Fig. 12–13
   load-balance metric);
 * deadline/ETA accuracy: each degradation decision's projected finish
@@ -131,6 +133,32 @@ def imbalance_ratio(breakdowns: list[RankBreakdown]) -> float:
     if not totals or not any(totals):
         return 1.0
     return max(totals) / statistics.fmean(totals)
+
+
+def team_busy(spans: list[dict]) -> dict[str, dict[int, float]]:
+    """Per kernel, the share of its wall each member of the strip team was
+    inside strips (:func:`repro.core.scratch.each_strip`): member *k*'s
+    ``cat="team"`` spans over the kernel's ``<kernel>.kernel`` spans — its
+    phase spans where it has none (OUTPUT).  The rest of a member's share
+    is the serial part of a call (ghost carry-over, waking and waiting) and
+    calls of one strip; no entry for a kernel whose calls were never shared.
+    """
+    busy: dict[str, dict[int, float]] = {}
+    wall: dict[str, float] = {}
+    for s in spans:
+        name, dur = s.get("name") or "", float(s.get("dur_us", 0.0))
+        if s.get("cat") == "team":
+            member = int((s.get("args") or {}).get("member", 0))
+            per = busy.setdefault(name.removesuffix(".strips"), {})
+            per[member] = per.get(member, 0.0) + dur
+        else:
+            wall[name] = wall.get(name, 0.0) + dur
+    out = {}
+    for kernel, per in busy.items():
+        total = wall.get(kernel + ".kernel") or wall.get(kernel)
+        if total:
+            out[kernel] = {k: per[k] / total for k in sorted(per)}
+    return out
 
 
 def top_spans(spans: list[dict], n: int = 10) -> list[dict]:
@@ -274,6 +302,15 @@ def render_report(art: RunArtifacts, top_n: int = 10) -> str:
         path = analyze_spans(art.spans)
         if path is not None:
             sections.append(path.summary())
+        team = team_busy(art.spans)
+        if team:
+            sections.append("\n".join(
+                ["strip team (share of the kernel's wall inside strips, "
+                 "per member):"]
+                + [f"  {kernel:<8}" + "".join(
+                    f"  member {k}: {share:.2f}" for k, share in per.items())
+                   for kernel, per in team.items()]
+            ))
         slow = top_spans(art.spans, top_n)
         if slow:
             lines = [f"top {len(slow)} slowest spans:"]

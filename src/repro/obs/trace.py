@@ -13,8 +13,9 @@ are on one time axis), and all timestamps come from the shared
 Disabled is the default and costs almost nothing: :func:`span` returns a
 shared no-op context manager after a single attribute check — no
 allocation, no clock read.  Production code can therefore instrument
-hot loops unconditionally; the <5 % overhead guard in
-``tests/test_obs.py`` keeps it honest.
+hot loops unconditionally; ``tests/test_obs.py`` keeps that honest as
+counts (no span built, nothing allocated) and the ledger's
+``obs.trace_overhead_ratio`` as a ratio.
 
 Spans carry **trace context**: every span gets a ``span_id``, inherits
 the ``trace_id``/parent of the innermost open span on its thread, and —
@@ -376,7 +377,7 @@ def span(name: str, cat: str = CAT_COMPUTE, **args):
     """Module-level span entry point — the one hot paths call.
 
     The disabled path is a single attribute check returning a shared
-    no-op object; see the overhead guard in ``tests/test_obs.py``.
+    no-op object; see the no-span guard in ``tests/test_obs.py``.
     """
     t = _TRACER
     if not t.enabled:

@@ -42,6 +42,7 @@ from repro.core.pipeline import (
     make_block_state,
     run_step,
 )
+from repro.core.scratch import disband_team
 from repro.core.state import BlockState
 from repro.fault.scenarios import impose_source
 from repro.grid.hierarchy import NestedGrid
@@ -142,13 +143,20 @@ def _slot_bytes(plan: StepPlan, owner, config, fault_plan, integrity):
     buffer (one per parent face along the child's open boundary — the
     bound; a parent that covers only part of it sends less).
     """
+    n_ranks = len(set(owner.values()))
     if (
-        len(set(owner.values())) < 2
+        n_ranks < 2
         or not hasattr(os, "fork")
-        or threading.active_count() != 1
         or fault_plan is not None
         or integrity is not None
     ):
+        return None
+    # The strip team's parked helpers are threads of ours, not somebody
+    # else's: send them home before counting.  The next kernel call of two
+    # or more strips forms a team again — in each rank process its own,
+    # from that rank's share of the CPUs (run_distributed resets the share).
+    disband_team(cpu_share=n_ranks)
+    if threading.active_count() != 1:
         return None
     cells = [1]
     for a, b, specs, _tag in plan.seams:
@@ -248,19 +256,22 @@ def run_distributed(
     # A root span over the whole group: run_ranks captures this thread's
     # context while it is open (before it forks, on processes), so every
     # rank's span tree hangs under it.
-    with guard, _span(
-        "distributed", cat="step",
-        n_ranks=decomp.n_ranks, n_steps=n_steps,
-    ):
-        results = run_ranks(
-            decomp.n_ranks,
-            rank_main,
-            timeout=timeout,
-            comm_timeout=comm_timeout,
-            comm_wrap=comm_wrap,
-            integrity=integrity,
-            slot_bytes=_slot_bytes(plan, owner, config, fault_plan, integrity),
-        )
+    try:
+        with guard, _span(
+            "distributed", cat="step",
+            n_ranks=decomp.n_ranks, n_steps=n_steps,
+        ):
+            results = run_ranks(
+                decomp.n_ranks,
+                rank_main,
+                timeout=timeout,
+                comm_timeout=comm_timeout,
+                comm_wrap=comm_wrap,
+                integrity=integrity,
+                slot_bytes=_slot_bytes(plan, owner, config, fault_plan, integrity),
+            )
+    finally:
+        disband_team()  # the next strip team has the machine to itself again
     merged: dict[int, np.ndarray] = {}
     for part in results:
         merged.update(part)

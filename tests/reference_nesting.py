@@ -13,6 +13,13 @@ temporaries, which is what makes them easy to read and slow;
 operators to reproduce them bit for bit.  Do not tidy, cache, or "fix"
 anything here: a change to this file changes what the differential test
 proves.
+
+One exception, made in both places at once (ISSUE 20): this copy carried
+the shipped ``restriction_region(mode="boundary")``'s bug — the middle
+band was not clipped to a parent thinner than the child's footprint, so it
+could reach below or above the parent — and carries the same two-line fix
+(``mid_lo``/``mid_hi``).  Grids whose parents cover the footprint's top
+and bottom strips, mini-Kochi among them, get the tables they always got.
 """
 
 from __future__ import annotations
@@ -167,7 +174,8 @@ def restriction_region(
         regions.append((i0, j0, i1, min(bot_hi, j1)))
     if max(top_lo, bot_hi) < j1:
         regions.append((i0, max(top_lo, bot_hi), i1, j1))
-    mid_lo, mid_hi = min(bot_hi, j1), max(top_lo, bot_hi)
+    mid_lo = max(j0, min(bot_hi, j1))
+    mid_hi = min(j1, max(top_lo, bot_hi))
     if mid_lo < mid_hi:
         left_hi = min(fi0 + w, i1)
         right_lo = max(fi1 - w, i0)

@@ -13,8 +13,6 @@ run.  The 20+ scenario seeded SDC sweep lives in
 """
 
 import json
-import time
-import timeit
 
 import numpy as np
 import pytest
@@ -485,34 +483,41 @@ class TestQuarantineRollback:
         for bid in b:
             np.testing.assert_array_equal(a[bid], b[bid])
 
-    def test_overhead_under_5_percent(self):
-        """Per-check cost x cadence stays under 5 % of a run.
-
-        Same stable methodology as the physics sampler's guard: isolate
-        the per-call digest cost and scale by the cadence instead of an
-        A/B wall-clock diff.
+    def test_two_allocation_free_digest_passes_per_armed_step(
+        self, monkeypatch
+    ):
+        """What keeps the state check cheap, as counts: one record and one
+        verify pass per armed step, each a CRC over the buffers in place.
+        The ratio to the run's wall is the ledger's
+        ``resilience.guard_tax_ratio``; a wall-clock guard here drifted
+        with the box and with every kernel speed-up.
         """
-        n_steps = 50
-        model = make_model()
-        t0 = time.perf_counter()
-        model.run(n_steps)
-        run_s = time.perf_counter() - t0
+        import tracemalloc
 
-        monitor = IntegrityMonitor(every=4)
-        n_calls = 200
-        per_call_s = (
-            timeit.timeit(
-                lambda: state_checksums(model.states), number=n_calls
-            )
-            / n_calls
+        from repro.resilience import integrity
+
+        passes = []
+        real = integrity.state_checksums
+        monkeypatch.setattr(
+            integrity, "state_checksums",
+            lambda states, new=False: passes.append(new) or real(states, new),
         )
-        # One record + one verify (2 digest passes) per armed step.
-        overhead = 2 * per_call_s * (n_steps / monitor.every) / run_s
-        assert overhead < 0.05, (
-            f"integrity checks cost {overhead:.2%} of a {n_steps}-step "
-            f"run ({per_call_s * 1e6:.0f} us/digest at cadence "
-            f"{monitor.every})"
-        )
+        model = make_model()
+        model.run(50, monitor=[IntegrityMonitor(every=4)])
+        # Steps 4, 8 .. 48 are recorded; each is verified one step later.
+        assert passes.count(False) == passes.count(True) == 12
+
+        tracemalloc.start()
+        try:
+            real(model.states)  # tracemalloc's own bookkeeping
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            real(model.states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        smallest = min(st.z_old.nbytes for st in model.states.values())
+        assert peak - before < 4096 < smallest
 
 
 # ---------------------------------------------------------------------------

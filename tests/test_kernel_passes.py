@@ -8,9 +8,13 @@ with its operands.  Per strip, for both passes, both dtypes, one strip and
 many: no more calls than the 2-D-view bodies made (65 / 10), every operand
 1-D and contiguous but for the documented strided passes, every result
 written into the arena or the caller's ``out``; and, unrecorded, a call
-allocates no array.
+allocates no array.  The budgets hold *per member* of the strip team
+(``scratch.each_strip``), whichever thread took which strips: a member's
+calls are counted against the strips it carved for, its destinations
+looked up in its own arena.
 """
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,6 +24,7 @@ from repro.core import mass, momentum, scratch
 from repro.grid.staggered import NGHOST
 
 from tests.test_kernels_bitwise import DT, DX, MANNING, random_state
+from tests.test_strip_team import team_of
 
 G = NGHOST
 
@@ -33,10 +38,13 @@ MOMENTUM_STRIDED, MASS_STRIDED = 2, 1
 
 
 class Recorder:
-    """Stands in for ``np`` in a kernel module; records array passes."""
+    """Stands in for ``np`` in a kernel module; records array passes, and
+    who (which thread: a member of the strip team) made them."""
 
     def __init__(self):
-        self.calls = []  # (name, [array operands], the written operand)
+        #: (name, [array operands], the written operand, thread, its arena)
+        self.calls = []
+        self.carved = []  # (thread, its arena's size after the carve) per strip
         self.carried = 0
 
     def __getattr__(self, name):
@@ -49,20 +57,59 @@ class Recorder:
         def recorded(*args, **kwargs):
             written = args[0] if fn is np.copyto else kwargs.get("out")
             operands = [a for a in (*args, *kwargs.values()) if isinstance(a, np.ndarray)]
-            self.calls.append((name, operands, written))
+            self.calls.append(
+                (name, operands, written, threading.get_ident(), scratch._ARENA.buf)
+            )
             return fn(*args, **kwargs)
 
         return recorded
+
+    def carve(self, *args):
+        views = scratch.carve(*args)
+        self.carved.append((threading.get_ident(), scratch.arena_nbytes()))
+        return views
 
     def carry_over(self, *args):
         self.carried += 1
         scratch.carry_over(*args)
 
-    def strided(self):
+    def forget(self, arenas=False):
+        """Start counting again; the arena sizes seen so far stay, unless
+        a new team (new threads, new arenas) is about to run."""
+        del self.calls[:]
+        if arenas:
+            del self.carved[:]
+        self.carried, self.first_run = 0, len(self.carved)
+
+    def strided(self, member=None):
         return [
-            name for name, operands, _ in self.calls
+            name for name, operands, _, who, _ in self.calls
             if not all(a.ndim == 1 and a.flags.c_contiguous for a in operands)
+            and member in (None, who)
         ]
+
+    def assert_budget(self, calls, strided, n_strips, out):
+        """Per member: at most *calls* passes and exactly *strided* strided
+        ones per strip it took, every pass written into that member's arena
+        or into *out*, and an arena that only grew for a larger strip: there
+        are two strip sizes (the last is shorter), so two arena sizes at
+        most — and one for a member that walked every strip itself."""
+        taken = [who for who, _ in self.carved[self.first_run:]]
+        assert len(taken) == n_strips
+        for member in set(taken):
+            mine = [c for c in self.calls if c[3] == member]
+            assert len(mine) <= calls * taken.count(member)
+            assert len(self.strided(member)) == strided * taken.count(member)
+            for name, _operands, written, _, arena in mine:
+                assert written is not None, f"{name} allocated its result"
+                assert np.shares_memory(written, arena) or np.shares_memory(
+                    written, out
+                ), name
+            sizes = [size for who, size in self.carved if who == member]
+            assert sizes == sorted(sizes) and len(set(sizes)) <= 2
+            if len({who for who, _ in self.carved}) == 1:  # it took them all
+                assert len(set(sizes)) == 1
+        assert {c[3] for c in self.calls} == set(taken)
 
 
 @pytest.fixture
@@ -73,15 +120,20 @@ def recorder(monkeypatch):
     monkeypatch.setattr(momentum, "_clip", rec.wrap("clip", momentum._clip))
     for module in (momentum, mass):
         monkeypatch.setattr(module, "carry_over", rec.carry_over)
+        monkeypatch.setattr(module, "carve", rec.carve)
     return rec
 
 
-def assert_written_in_place(rec, out):
-    """Every pass has a destination, in the arena or in the caller's *out*."""
-    arena = scratch._ARENA.buf
-    for name, _operands, written in rec.calls:
-        assert written is not None, f"{name} allocated its result"
-        assert np.shares_memory(written, arena) or np.shares_memory(written, out), name
+def run_twice_per_team(recorder, run):
+    """*run* twice — the arenas grow in the first — alone and as a team of
+    three; yields after each second run, for the caller's assertions."""
+    for size in (1, 3):
+        with team_of(size):
+            recorder.forget(arenas=True)
+            run()
+            recorder.forget()
+            run()
+            yield size
 
 
 def allocated_by(fn):
@@ -125,17 +177,10 @@ def test_momentum_pass_budget(monkeypatch, recorder, ny, nx, cap, transposed, dt
     def run():
         momentum.momentum_core(*args, DT, DX, MANNING, out)
 
-    run()  # the arena grows to this shape
-    arena = scratch.arena_nbytes()
-    del recorder.calls[:]
-    recorder.carried = 0
-    run()
-    assert recorder.carried == 1
-    assert len(recorder.calls) <= MOMENTUM_CALLS * n_strips
-    assert len(recorder.strided()) == MOMENTUM_STRIDED * n_strips, recorder.strided()
-    assert set(recorder.strided()) == {"copyto"}
-    assert_written_in_place(recorder, out)
-    assert scratch.arena_nbytes() == arena
+    for _team_size in run_twice_per_team(recorder, run):
+        assert recorder.carried == 1
+        recorder.assert_budget(MOMENTUM_CALLS, MOMENTUM_STRIDED, n_strips, out)
+        assert set(recorder.strided()) == {"copyto"}
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -151,17 +196,10 @@ def test_mass_pass_budget(monkeypatch, recorder, ny, nx, cap, dtype):
     def run():
         mass.nlmass(z, m, n, hz, DT, DX, out)
 
-    run()
-    arena = scratch.arena_nbytes()
-    del recorder.calls[:]
-    recorder.carried = 0
-    run()
-    assert recorder.carried == 1
-    assert len(recorder.calls) <= MASS_CALLS * n_strips
-    assert len(recorder.strided()) == MASS_STRIDED * n_strips, recorder.strided()
-    assert set(recorder.strided()) == {"subtract"}
-    assert_written_in_place(recorder, out)
-    assert scratch.arena_nbytes() == arena
+    for _team_size in run_twice_per_team(recorder, run):
+        assert recorder.carried == 1
+        recorder.assert_budget(MASS_CALLS, MASS_STRIDED, n_strips, out)
+        assert set(recorder.strided()) == {"subtract"}
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.constants import REFINEMENT_RATIO
 from repro.errors import NestingError
 from repro.grid.block import Block
 from repro.grid.staggered import NGHOST, eta_shape, flux_m_shape, flux_n_shape
@@ -55,6 +58,108 @@ class TestRestrictionRegion:
     def test_unknown_mode(self):
         with pytest.raises(NestingError):
             restriction_region(self.parent, self.child, mode="bogus")
+
+
+@st.composite
+def thin_parents(draw):
+    """A child footprint, and a parent that overlaps it but is thinner:
+    it may start above the footprint's bottom strip, end below its top one,
+    or sit wholly inside the middle band (a multi-parent child's parent)."""
+    fi0, fj0 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    fi1, fj1 = fi0 + draw(st.integers(1, 9)), fj0 + draw(st.integers(1, 9))
+    r = REFINEMENT_RATIO
+    child = Block(1, 2, r * fi0, r * fj0, r * (fi1 - fi0), r * (fj1 - fj0))
+    pi0 = draw(st.integers(max(fi0 - 3, 0), fi1 - 1))
+    pj0 = draw(st.integers(max(fj0 - 3, 0), fj1 - 1))
+    pi1 = draw(st.integers(max(pi0, fi0) + 1, fi1 + 3))
+    pj1 = draw(st.integers(max(pj0, fj0) + 1, fj1 + 3))
+    parent = Block(0, 1, pi0, pj0, pi1 - pi0, pj1 - pj0)
+    return parent, child, draw(st.integers(1, 3))
+
+
+class TestThinParentRegions:
+    """ROADMAP 6(d): the middle band was not clipped to the parent."""
+
+    @given(case=thin_parents())
+    @settings(max_examples=300, deadline=None)
+    def test_regions_tile_the_footprints_frame_inside_the_parent(self, case):
+        parent, child, w = case
+        fi0, fj0, fi1, fj1 = child.parent_footprint(REFINEMENT_RATIO)
+        frame = {  # by definition, cell by cell
+            (i, j)
+            for i in range(max(fi0, parent.gi0), min(fi1, parent.gi1))
+            for j in range(max(fj0, parent.gj0), min(fj1, parent.gj1))
+            if i < fi0 + w or i >= fi1 - w or j < fj0 + w or j >= fj1 - w
+        }
+        cells = [
+            (i, j)
+            for i0, j0, i1, j1 in restriction_region(parent, child, "boundary", w)
+            for i in range(i0, i1) for j in range(j0, j1)
+        ]
+        assert len(cells) == len(set(cells)), "regions overlap"
+        assert set(cells) == frame
+
+    @given(case=thin_parents(), masked=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_restrict_eta_never_raises_nor_touches_a_parent_ghost(
+        self, case, masked
+    ):
+        parent, child, w = case
+        pz = np.full(eta_shape(parent.ny, parent.nx), np.nan)
+        pz[G:-G, G:-G] = -9.0
+        cz = np.full(eta_shape(child.ny, child.nx), 2.0)
+        depth = np.ones_like(pz) if masked else None
+        written = restrict_eta(
+            pz, cz, parent, child, mode="boundary", width=w, parent_h=depth
+        )
+        ghosts = np.ones(pz.shape, bool)
+        ghosts[G:-G, G:-G] = False
+        assert np.isnan(pz[ghosts]).all()
+        assert (pz[G:-G, G:-G] == 2.0).sum() == written
+
+    def test_the_case_that_used_to_raise(self):
+        # Footprint rows 0..9; the parent holds rows 4..6 only: the old
+        # middle band ran from row 2 (below the parent) to row 7 (above it).
+        parent, child = Block(0, 1, 0, 4, 9, 2), Block(1, 2, 0, 0, 27, 27)
+        assert restriction_region(parent, child, "boundary", 2) == [
+            (0, 4, 2, 6), (7, 4, 9, 6),
+        ]
+
+
+    def test_the_shipped_grids_keep_the_region_tables_they_had(self):
+        """Digests of every boundary table (widths 1-3) as they were before
+        the clip: no parent of these grids is thinner than the frame, so
+        the ledger's result digests do not move either."""
+        import hashlib
+
+        from repro.topo import (
+            AutoNestConfig,
+            ShelfBathymetry,
+            build_auto_nest,
+            build_mini_kochi,
+        )
+
+        def digest(grid):
+            rows = [
+                (parent.block_id, child.block_id, w,
+                 restriction_region(parent, child, "boundary", w))
+                for lvl in grid.levels[1:] for child in lvl.blocks
+                for parent in grid.parent_blocks_of(child) for w in (1, 2, 3)
+            ]
+            return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+        auto = build_auto_nest(  # the 59-block case of tests/test_distributed.py
+            ShelfBathymetry(
+                ocean_depth=2500.0, shelf_width=6_000.0, coast_y=8_000.0,
+                coast_amplitude=600.0, coast_wavelength=9_000.0, land_slope=0.02,
+            ),
+            27_000.0, 27_000.0,
+            AutoNestConfig(n_levels=3, dx_coarsest=270.0, dt=0.5,
+                           coastal_band_m=400.0),
+        )
+        assert len(list(auto.all_blocks())) == 59
+        assert digest(build_mini_kochi().grid) == "7bc23edc91f61139"
+        assert digest(auto) == "67a670cc50aa0713"
 
 
 class TestRestrictEta:

@@ -13,7 +13,6 @@ import io
 import json
 import math
 import time
-import timeit
 
 import pytest
 
@@ -222,36 +221,53 @@ class TestTracer:
         assert [bd.rank for bd in bds] == [0, 1]
         assert imbalance_ratio(bds) >= 1.0
 
-    def test_disabled_tracer_overhead_under_5_percent(self):
-        """The <5 % guard: disabled span calls are too cheap to matter.
-
-        Measured as (per-call disabled cost) x (span calls per step) x
-        (steps) against the wall time of a real 50-step run — a stable
-        bound, unlike an A/B wall-clock diff.
+    def test_disabled_tracer_creates_no_span_and_allocates_nothing(
+        self, monkeypatch
+    ):
+        """What keeps the disabled tracer cheap, as counts: every call
+        site gets the one shared no-op back, no ``Span`` is ever built and
+        nothing is allocated, over a bounded number of call sites a step.
+        (The ratio itself is the ledger's ``obs.trace_overhead_ratio``;
+        a wall-clock guard here drifted with the box and with every
+        kernel speed-up.)
         """
-        n_steps = 50
-        model = _mini_model()
-        t0 = time.perf_counter()
-        model.run(n_steps)
-        run_s = time.perf_counter() - t0
+        import tracemalloc
 
         obs.enable()
         probe = _mini_model()
         probe.run(2)
-        spans_per_step = len(obs.get_tracer().spans()) / 2
+        recorded = len(obs.get_tracer().spans())
+        spans_per_step = recorded / 2
         obs.disable()
+        # 7 phases + 2 kernels x 10 blocks + one restrict/interp per child
+        # level: 35 today.
+        assert 7 <= spans_per_step <= 40
 
-        n_calls = 10_000
-        per_call_s = (
-            timeit.timeit(lambda: obstrace.span("NLMASS"), number=n_calls)
-            / n_calls
+        built = []
+        init = obstrace.Span.__init__
+        monkeypatch.setattr(
+            obstrace.Span, "__init__",
+            lambda self, *a, **kw: (built.append(a), init(self, *a, **kw))[1],
         )
-        overhead = per_call_s * spans_per_step * n_steps / run_s
-        assert overhead < 0.05, (
-            f"disabled tracer costs {overhead:.2%} of a {n_steps}-step run "
-            f"({per_call_s * 1e9:.0f} ns/call, "
-            f"{spans_per_step:.0f} spans/step)"
-        )
+        assert obstrace.span("NLMASS", cells=5) is obstrace.NOOP_SPAN
+        assert obs.get_tracer().span("NLMASS", cat="comm") is obstrace.NOOP_SPAN
+        model = _mini_model()
+        model.run(3)
+        assert built == [] and len(obs.get_tracer().spans()) == recorded
+
+        tracemalloc.start()
+        try:
+            for _ in range(100):
+                obstrace.span("NLMASS", cells=5)  # warm
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            for _ in range(10_000):
+                with obstrace.span("NLMASS", cells=5):
+                    pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1024
 
 
 # ---------------------------------------------------------------------------

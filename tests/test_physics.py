@@ -13,8 +13,6 @@ round-trip.
 
 import json
 import math
-import time
-import timeit
 
 import numpy as np
 import pytest
@@ -224,36 +222,42 @@ class TestBitwiseIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Overhead guard (tier-1, <5 %)
+# Cost guard (tier-1): counts, no clock
 # ---------------------------------------------------------------------------
 
 
-class TestOverheadGuard:
-    def test_sampling_overhead_under_5_percent(self):
-        """Per-sample cost x samples-per-run stays under 5 % of the run.
-
-        Same stable methodology as the tracer's overhead guard
-        (``test_obs.py``): measure the isolated per-call cost and scale
-        by the cadence, rather than an A/B wall-clock diff.
+class TestSamplingCost:
+    def test_samples_follow_the_cadence_and_allocate_a_few_fields(self):
+        """What keeps sampling cheap, as counts: one sample per ``every``
+        steps, each allocating a few block-sized temporaries (2.8 fields
+        today) however large the block — not a copy of the state, not a
+        history.  The ratio to the run's wall is the ledger's
+        ``resilience.guard_tax_ratio``; a wall-clock guard here drifted
+        with the box and with every kernel speed-up.
         """
-        n_steps = 50
-        model = basin_model(n=60)
-        t0 = time.perf_counter()
-        model.run(n_steps)
-        run_s = time.perf_counter() - t0
+        import tracemalloc
 
+        model = basin_model(n=60)
         sampler = PhysicsSampler(every=5)
-        n_calls = 200
-        per_call_s = (
-            timeit.timeit(lambda: sampler.sample(model), number=n_calls)
-            / n_calls
-        )
-        overhead = per_call_s * (n_steps / sampler.every) / run_s
-        assert overhead < 0.05, (
-            f"physics sampling costs {overhead:.2%} of a {n_steps}-step "
-            f"run ({per_call_s * 1e6:.0f} us/sample at cadence "
-            f"{sampler.every})"
-        )
+        model.run(50, monitor=[sampler])
+        assert sampler.samples_taken == 10
+
+        for n in (60, 120):
+            model = basin_model(n=n)
+            model.run(3)
+            (state,) = model.states.values()
+            sampler = PhysicsSampler(every=5)
+            sampler.sample(model)  # anything built on first use
+            tracemalloc.start()
+            try:
+                sampler.sample(model)  # tracemalloc's own bookkeeping
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                sampler.sample(model)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - before < 4 * state.z_old.nbytes + 16_384
 
 
 # ---------------------------------------------------------------------------
