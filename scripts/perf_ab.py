@@ -24,6 +24,14 @@ differently for a reason that is not the code.  Beside each side's
 ``solve_s_p50`` stand the raw wall and the ``SpeedGauge`` reading it was
 rescaled from: the gauge reads a few percent lower right after an op that
 kept both CPUs busy, and the rescaled metric counts that.
+
+Before the first pair each tree is asked what runs its kernels here
+(``repro.core.loopnest``: the compiled nest or the NumPy bodies, the
+compiler's version line, why it fell back); the answers go into both
+documents' provenance.  Two trees that can both choose and chose
+differently — one side's build failed, one side's cache is stale — are not
+measured: that pair would compare executors, not the change.  A base from
+before the nest has no choice to make and runs NumPy by construction.
 """
 
 from __future__ import annotations
@@ -53,6 +61,28 @@ def run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: {workload} failed:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+_EXECUTOR = (
+    "import json, sys; sys.path.insert(0, sys.argv[1])\n"
+    "try:\n"
+    "    from repro.core import loopnest\n"
+    "except ImportError:\n"
+    "    print(json.dumps(None))\n"
+    "else:\n"
+    "    loopnest.choice(); print(json.dumps(loopnest.provenance()))"
+)
+
+
+def executor_of(tree: Path) -> dict | None:
+    """What runs *tree*'s kernels on this box; None: it predates the choice."""
+    done = subprocess.run(
+        [sys.executable, "-c", _EXECUTOR, str(tree / "src")],
+        capture_output=True, text=True, check=False,
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"{tree}: could not ask for its executor:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 _BURN = (
@@ -131,6 +161,14 @@ def main(argv=None) -> int:
              for w in declared["workloads"]}
     sets: dict[str, list] = {"base": [], "head": []}
     ok = True
+    executors = {side: executor_of(tree) for side, tree in trees.items()}
+    for side, ran in executors.items():
+        print(f"{side}: kernels on " + (
+            f"{ran['executor']} ({ran['reason'] or ran['compiler']})" if ran
+            else "numpy (no repro.core.loopnest in this tree)"), flush=True)
+    if all(executors.values()) and len({e["executor"] for e in executors.values()}) > 1:
+        print("the two trees chose different executors: not measured", flush=True)
+        return 1
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else os.cpu_count())
     machine = []
@@ -166,7 +204,8 @@ def main(argv=None) -> int:
         paths[-1].write_text(json.dumps({
             "schema": "repro.ledger/1",
             "provenance": {"tree": str(tree), "argv": sys.argv[1:],
-                           "machine": machine},
+                           "machine": machine,
+                           "kernel_executor": executors[side]},
             "sets": sets[side],
         }, indent=1) + "\n")
     compare = trees["head"] / "benchmarks" / "ledger" / "compare.py"

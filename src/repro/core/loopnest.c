@@ -1,0 +1,176 @@
+/* NLMASS and NLMNT2 as the loop nests the paper ports (its Listings 1-3):
+ * one cell, or one face, at a time over a row range of one block.
+ *
+ * repro/core/loopnest.py builds this file once with the host's `cc` and
+ * core/mass.py / core/momentum.py call it a row strip at a time; their NumPy
+ * bodies are the reference.  Every expression below keeps the operand order
+ * of those bodies and the file is built with -fno-fast-math
+ * -ffp-contract=off, so the two agree bit for bit in both precisions.  The
+ * Manning power D^(7/3) is not computed here: libm's pow is an ulp off
+ * NumPy's and 4-5x slower, so momentum_core makes that one NumPy call per
+ * strip between `faces` and `update` (DESIGN.md section 9g).
+ *
+ * Layout.  z, h: pitch P.  M faces: pitch P + 1, N faces: pitch P.  A face
+ * at (r, k) lies between the cell "behind" it and cell (r, k).  In the M pass
+ * (turned == 0) behind is one column back and across is one row; in the N
+ * pass (turned == 1) the reverse.  `faces` fills six scratch planes of
+ * (r1 - r0 + 2) rows of W = c1 - c0 + 2 lanes — the targets and one face all
+ * round — and `update` reads them.  Wet/dry logic is selects only, so the
+ * inner loops (always the unit-stride columns) vectorise.
+ */
+#ifndef REAL
+
+#include <math.h>
+
+#define REAL double
+#define FN(name) name##_f64
+#define SQRT sqrt
+#include __FILE__
+#undef REAL
+#undef FN
+#undef SQRT
+
+#define REAL float
+#define FN(name) name##_f32
+#define SQRT sqrtf
+#include __FILE__
+
+#else
+
+/* Eq. 1: z -= dt/dx (dM/dx + dN/dy) on cells [j0, j1) x [c0, c1), then the
+ * wet/dry clamp: a cell left with less than `dry` of water sits on the ground. */
+void FN(nlmass)(const REAL *z, const REAL *m, const REAL *n, const REAL *h,
+                REAL *restrict out, long P, long j0, long j1, long c0, long c1,
+                double dt_dx, double dry_)
+{
+    const REAL r = (REAL)dt_dx, nr = (REAL)-dt_dx, dry = (REAL)dry_;
+    for (long j = j0; j < j1; j++) {
+        const REAL *zj = z + j * P, *hj = h + j * P, *nj = n + j * P;
+        const REAL *mj = m + j * (P + 1);
+        REAL *oj = out + j * P;
+        for (long i = c0; i < c1; i++) {
+            REAL zi = zj[i] - r * (mj[i + 1] - mj[i]);
+            zi = zi + nr * (nj[i + P] - nj[i]);
+            oj[i] = zi + hj[i] < dry ? -hj[i] : zi;
+        }
+    }
+}
+
+/* Face quantities on rows [r0 - 1, r1 + 1) x columns [c0 - 1, c1 + 1): the
+ * moving-boundary face depth df — the mean where both cells are wet, the
+ * overflow head where one is and its water stands above the other's ground,
+ * else 0: the face is closed — df_safe = max(df, dry), and for the nonlinear
+ * scheme the advective flux M^2/D, the transverse flux NV averaged to the
+ * face and the cross flux M NV/D.  Plane 5 is left for the caller's
+ * df_safe^(7/3). */
+static inline void FN(face_row)(const REAL *z, const REAL *h, const REAL *a,
+                                const REAL *t, REAL *restrict df_, long plane,
+                                long k0, long k1, long back, long tb, long tx,
+                                REAL dry, const int nonlinear)
+{
+    for (long k = k0; k < k1; k++) {
+        const REAL zl = z[k - back], zr = z[k], hl = h[k - back], hr = h[k];
+        const REAL dl = zl + hl, dr = zr + hr;
+        const REAL t1 = zl + hr, t2 = zr + hl;  /* heads: rightward, leftward */
+        const REAL mean = (REAL)0.5 * (dl + dr);
+        const REAL over_r = t1 > 0 ? t1 : 0, over_l = t2 > 0 ? t2 : 0;
+        const REAL one_wet = dl > dry ? over_r : 0;
+        const REAL df = dr > dry ? (dl > dry ? mean : over_l) : one_wet;
+        const REAL dfs = df >= dry ? df : dry;
+        df_[k] = df;
+        df_[k + plane] = dfs;
+        if (nonlinear) {
+            const REAL m = a[k];
+            REAL nv = t[k - tb] + t[k];
+            nv = nv + t[k - tb + tx];
+            nv = nv + t[k + tx];
+            nv = (REAL)0.25 * nv;
+            const REAL flux = m * m / dfs, cross = m * nv / dfs;
+            df_[k + 2 * plane] = df == 0 ? 0 : flux;
+            df_[k + 3 * plane] = nv;
+            df_[k + 4 * plane] = df == 0 ? 0 : cross;
+        }
+    }
+}
+
+void FN(faces)(const REAL *z, const REAL *h, const REAL *along,
+               const REAL *trans, REAL *restrict scratch, long P, long turned,
+               long r0, long r1, long c0, long c1, long nonlinear, double dry)
+{
+    const long W = c1 - c0 + 2, plane = (r1 - r0 + 2) * W;
+    const long pa = turned ? P : P + 1, pt = turned ? P + 1 : P;
+    const long back = turned ? P : 1;            /* z, h: the cell behind */
+    const long tb = turned ? pt : 1, tx = turned ? 1 : pt;
+
+    for (long r = r0 - 1; r < r1 + 1; r++) {
+        REAL *row = scratch + (r - r0 + 1) * W - (c0 - 1);
+        if (nonlinear)  /* a literal each: behind a run-time flag gcc vectorises neither */
+            FN(face_row)(z + r * P, h + r * P, along + r * pa, trans + r * pt,
+                         row, plane, c0 - 1, c1 + 1, back, tb, tx, (REAL)dry, 1);
+        else
+            FN(face_row)(z + r * P, h + r * P, along + r * pa, trans + r * pt,
+                         row, plane, c0 - 1, c1 + 1, back, tb, tx, (REAL)dry, 0);
+    }
+}
+
+/* Eqs. 2-3 on the target faces [r0, r1) x [c0, c1): pressure gradient,
+ * first-order upwind advection, semi-implicit Manning friction (plane 5 of
+ * the scratch holds df_safe^(7/3)), closed faces zeroed, the velocity cap. */
+static inline void FN(update_row)(const REAL *z, const REAL *a,
+                                  REAL *restrict out, const REAL *df_,
+                                  long plane, long k0, long k1, long back,
+                                  long s, long c, REAL dt, REAL dx,
+                                  REAL gravity, REAL k_fric, REAL cap,
+                                  const int nonlinear)
+{
+    const REAL *dfs_ = df_ + plane, *flux_ = dfs_ + plane;
+    const REAL *nv_ = flux_ + plane, *cross_ = nv_ + plane;
+    const REAL *pw_ = cross_ + plane;
+
+    for (long k = k0; k < k1; k++) {
+        const REAL m = a[k];
+        REAL t3 = (z[k] - z[k - back]) / dx;
+        REAL rhs = gravity * df_[k];
+        rhs = rhs * dt;
+        rhs = m - rhs * t3;
+        if (nonlinear) {
+            const REAL f = flux_[k], g = cross_[k], nv = nv_[k];
+            const REAL f_up = f - flux_[k - s], f_down = flux_[k + s] - f;
+            const REAL g_up = g - cross_[k - c], g_down = cross_[k + c] - g;
+            t3 = (m >= 0 ? f_up : f_down) / dx;
+            const REAL t4 = (nv >= 0 ? g_up : g_down) / dx;
+            rhs = rhs - dt * (t3 + t4);
+            t3 = k_fric * SQRT(m * m + nv * nv);
+            t3 = 1 + dt * (t3 / pw_[k]);
+            rhs = rhs / t3;
+        }
+        rhs = df_[k] == 0 ? 0 : rhs;
+        const REAL hi = cap * dfs_[k], lo = -hi;   /* np.clip: a NaN stays */
+        rhs = rhs <= lo ? lo : rhs;
+        out[k] = rhs >= hi ? hi : rhs;
+    }
+}
+
+void FN(update)(const REAL *z, const REAL *along, REAL *restrict out,
+                const REAL *scratch, long P, long turned, long r0, long r1,
+                long c0, long c1, long nonlinear, double dt, double dx,
+                double gravity, double k_fric, double cap)
+{
+    const long W = c1 - c0 + 2, plane = (r1 - r0 + 2) * W;
+    const long pa = turned ? P : P + 1, back = turned ? P : 1;
+    const long s = turned ? W : 1, c = turned ? 1 : W;  /* scratch steps */
+
+    for (long r = r0; r < r1; r++) {
+        const REAL *row = scratch + (r - r0 + 1) * W - (c0 - 1);
+        if (nonlinear)
+            FN(update_row)(z + r * P, along + r * pa, out + r * pa, row, plane,
+                           c0, c1, back, s, c, (REAL)dt, (REAL)dx,
+                           (REAL)gravity, (REAL)k_fric, (REAL)cap, 1);
+        else
+            FN(update_row)(z + r * P, along + r * pa, out + r * pa, row, plane,
+                           c0, c1, back, s, c, (REAL)dt, (REAL)dx,
+                           (REAL)gravity, (REAL)k_fric, (REAL)cap, 0);
+    }
+}
+
+#endif

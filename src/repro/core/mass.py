@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import DRY_THRESHOLD
+from repro.core import loopnest
 from repro.core.scratch import carry_over, carve, each_strip, reject_aliasing, strips, window
 from repro.grid.staggered import NGHOST
 
@@ -62,6 +63,12 @@ def nlmass(
         return out
 
     out_flat = out.reshape(-1)
+    nest = loopnest.entry(g, (dt, dx, dry_threshold), (z_old, hz, out), (m_old,), (n_old,))
+    if nest:
+        ptrs = [a.ctypes.data for a in (z_old, m_old, n_old, hz, out)]
+
+    def compiled(j0: int, j1: int) -> None:
+        nest.nlmass(*ptrs, P, j0, j1, g, P - g, dt / dx, dry_threshold)
 
     def body(j0: int, j1: int) -> None:
         # Whole rows, ghost columns included, as one flat range: the N face
@@ -91,7 +98,7 @@ def nlmass(
         np.negative(h, out=tmp)
         np.copyto(zi, tmp, where=dry)
 
-    each_strip(body, strips(g, g + ny, P), "NLMASS")
+    each_strip(compiled if nest else body, strips(g, g + ny, P), "NLMASS")
     # The ghost columns were computed along with the rest: put them back.
     carry_over(out, z_old, slice(g, g + ny), slice(g, P - g))
     return out

@@ -41,6 +41,7 @@ except ImportError:  # NumPy 1.x
     from numpy.core.umath import clip as _clip
 
 from repro.constants import DRY_THRESHOLD, GRAVITY, MAX_VELOCITY
+from repro.core import loopnest
 from repro.core.scratch import carry_over, carve, each_strip, reject_aliasing, strips, window
 from repro.grid.staggered import NGHOST
 
@@ -94,6 +95,24 @@ def momentum_core(
     s, c = (P, 1) if transposed else (1, P)
     carry_over(dest, along, rows, cols)
     k_fric = gravity * manning * manning
+    scalars = (dt, dx, manning, dry_threshold, velocity_cap, gravity)
+    like_m, like_n = ((trans,), (along, dest)) if transposed else ((along, dest), (trans,))
+    # A face is closed exactly where its depth is 0 only over a positive threshold.
+    nest = dry_threshold > 0 and loopnest.entry(g, scalars, (z_in, h_in), like_m, like_n)
+    if nest:
+        z_p, h_p, along_p, trans_p, dest_p = (a.ctypes.data for a in frame)
+
+    def compiled(r0: int, r1: int) -> None:
+        # Six planes of the strip's targets and one face all round: df,
+        # df_safe, flux, NV, cross flux and — NumPy's, which libm's pow is
+        # an ulp off and 4-5x slower than — df_safe^(7/3).
+        W = nf + 2
+        planes, _ = carve(out.dtype, (6, 0, ((r1 - r0 + 2) * W,)))
+        at = (planes[0].ctypes.data, P, transposed, r0, r1, cols.start, cols.stop, nonlinear)
+        nest.faces(z_p, h_p, along_p, trans_p, *at, dry_threshold)
+        if nonlinear:
+            np.power(planes[1][W:-W], 7.0 / 3.0, out=planes[5][W:-W])
+        nest.update(z_p, along_p, dest_p, *at, dt, dx, gravity, k_fric, velocity_cap)
 
     def body(r0: int, r1: int) -> None:
         # Targets: the flat range from the strip's first face to its last.
@@ -213,7 +232,7 @@ def momentum_core(
         faces = np.ndarray((r1 - r0, nf), rhs.dtype, rhs, 0, (P * isz, isz))
         np.copyto(dest[r0:r1, cols], faces)
 
-    each_strip(body, strips(rows.start, rows.stop, P), "NLMNT2")
+    each_strip(compiled if nest else body, strips(rows.start, rows.stop, P), "NLMNT2")
     return out
 
 

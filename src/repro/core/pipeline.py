@@ -33,6 +33,7 @@ from repro.core.boundary import (
     apply_wall_boundary,
     fill_ghosts_zero_gradient,
 )
+from repro.core.loopnest import choice as _kernel_choice
 from repro.core.mass import nlmass
 from repro.core.momentum import nlmnt2
 from repro.core.state import BlockState
@@ -250,20 +251,21 @@ def run_step(
     paper's routine (the ``BREAKDOWN_PHASES`` vocabulary), so a traced
     run renders the same stacked-bar accounting as the offline
     performance replay.  With tracing disabled (the default) each span
-    is a shared no-op — see the <5 % overhead guard in
-    ``tests/test_obs.py``.
+    is a shared no-op that builds and allocates nothing — counted in
+    ``tests/test_obs.py`` (``test_disabled_tracer_creates_no_span_...``).
     """
     me = 0 if comm is None else comm.rank
     obs_on = _TRACER.enabled
 
-    # Per-block kernel spans carry the block's cell count so live traces
-    # can recalibrate the Fig.-5 linear cost model
-    # (repro.balance.calibrate); the hoisted obs_on check keeps the
-    # disabled path allocation-free.
+    # Per-block kernel spans carry the block's cell count and what ran the
+    # kernel ("nest" or "numpy") so live traces can recalibrate the Fig.-5
+    # linear cost model (repro.balance.calibrate); the hoisted obs_on check
+    # keeps the disabled path allocation-free.
+    executor = _kernel_choice().executor if obs_on else None
     with _span("NLMASS"):
         for st in states.values():
             with (
-                _span("NLMASS.kernel", cells=st.block.n_cells)
+                _span("NLMASS.kernel", cells=st.block.n_cells, executor=executor)
                 if obs_on else _NOOP_SPAN
             ):
                 nlmass(
@@ -286,7 +288,7 @@ def run_step(
     with _span("NLMNT2"):
         for st in states.values():
             with (
-                _span("NLMNT2.kernel", cells=st.block.n_cells)
+                _span("NLMNT2.kernel", cells=st.block.n_cells, executor=executor)
                 if obs_on else _NOOP_SPAN
             ):
                 nlmnt2(

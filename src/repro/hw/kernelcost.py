@@ -34,6 +34,20 @@ ROUTINE_BYTES_PER_CELL: dict[str, float] = {
 }
 
 
+#: The same linear model measured on the real clock of the reference
+#: container (2 vCPU Xeon @ 2.1 GHz, one thread, float64), per executor of
+#: ``repro.core``: ``(us per cell, us per call)`` of one ``nlmnt2`` call —
+#: *both* sweeps, so halve the slope to set it beside Fig. 5's.  Untraced
+#: direct calls at 1x1, 45x90 and 128x128 on stepped beach states (DESIGN.md
+#: section 9g, which also has the traced ``balance.calibrate`` fits).  Per
+#: sweep the compiled nest is 1.3e-2 us/cell + 31 us on one core, against the
+#: A100's 1.09e-4 us/cell + 46.2 us above.
+THIS_BOX_NLMNT2_US: dict[str, tuple[float, float]] = {
+    "numpy": (0.063, 120.0),  # the NumPy bodies: 65 ufunc passes a sweep
+    "nest": (0.0255, 62.0),  # this box, compiled: loopnest.c via the host cc
+}
+
+
 @dataclass(frozen=True)
 class KernelInvocation:
     """One kernel launch: a routine applied to one block (or strip).

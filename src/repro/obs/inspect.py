@@ -264,6 +264,10 @@ def _metrics_lines(metrics: dict) -> list[str]:
     steps = counters.get("repro_steps_total")
     if steps:
         lines.append(f"steps           : {steps:,.0f}")
+    ran = metrics.get("kernel_executor") or {}
+    if ran.get("executor"):
+        how = f"fell back: {ran['reason']}" if ran.get("reason") else ran.get("compiler")
+        lines.append(f"kernel executor : {ran['executor']} ({how})")
     return lines
 
 

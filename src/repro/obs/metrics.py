@@ -346,8 +346,13 @@ class MetricsRegistry:
         bad = self.bad_observations_total()
         if bad:
             counters[BAD_OBSERVATIONS_NAME] = float(bad)
+        from repro.core.loopnest import provenance  # not above: core imports obs
+
         return {
             "schema": METRICS_SCHEMA,
+            # What ran NLMASS/NLMNT2 in this process: "nest" or "numpy", the
+            # compiler asked, and why it fell back (None: no kernel ran).
+            "kernel_executor": provenance(),
             "counters": counters,
             "gauges": gauges,
             "histograms": histograms,

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import scratch
 from repro.par import driver
-from tests import rank_worlds
+from tests import executors, rank_worlds
 
 
 @pytest.fixture(autouse=True)
@@ -16,6 +16,14 @@ def no_team_left_behind():
     process would (``rank_worlds.wait_for_one_thread`` counts threads)."""
     yield
     scratch.disband_team()
+
+
+@pytest.fixture
+def numpy_executor():
+    """The kernels on their NumPy bodies: for what is asserted of those
+    (ufunc budgets), whatever executor this platform would choose."""
+    with executors.on_numpy():
+        yield
 
 
 @pytest.fixture

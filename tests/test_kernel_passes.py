@@ -12,6 +12,11 @@ allocates no array.  The budgets hold *per member* of the strip team
 (``scratch.each_strip``), whichever thread took which strips: a member's
 calls are counted against the strips it carved for, its destinations
 looked up in its own arena.
+
+Those are budgets of the NumPy bodies, so the ``recorder`` fixture pins the
+NumPy executor.  The compiled nest (``repro.core.loopnest``) has its own, at
+the end: per strip one nest call for NLMASS, two and one ``np.power`` (none
+when linear) for a ``momentum_core`` pass, and nothing block-sized allocated.
 """
 
 import threading
@@ -23,6 +28,7 @@ import pytest
 from repro.core import mass, momentum, scratch
 from repro.grid.staggered import NGHOST
 
+from tests import executors
 from tests.test_kernels_bitwise import DT, DX, MANNING, random_state
 from tests.test_strip_team import team_of
 
@@ -113,7 +119,7 @@ class Recorder:
 
 
 @pytest.fixture
-def recorder(monkeypatch):
+def recorder(monkeypatch, numpy_executor):
     rec = Recorder()
     for module in (momentum, mass, scratch):
         monkeypatch.setattr(module, "np", rec)
@@ -233,3 +239,83 @@ def test_a_non_contiguous_input_costs_one_more_strided_copy_each(recorder):
     out = np.empty_like(m)
     momentum.momentum_core(z, m, n, wide[:, ::2], DT, DX, MANNING, out)
     assert recorder.strided() == ["copyto"] * (MOMENTUM_STRIDED + 1)
+
+
+# ---------------------------------------------------------------------------
+# The compiled executor's budget
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def nest_recorder(monkeypatch):
+    """A recorder that also sees the nest's entry points called (by name, no
+    operands), on the compiled executor; skips where there is none."""
+    rec = Recorder()
+
+    def wrap(name, fn):
+        def recorded(*args):
+            rec.calls.append((name, [], None, threading.get_ident(), None))
+            return fn(*args)
+
+        return recorded
+
+    nests = executors.wrapped(executors.compiled_nests(), wrap)
+    for module in (momentum, mass):
+        monkeypatch.setattr(module, "np", rec)
+    with executors.on_nests(nests):
+        yield rec
+
+
+def calls_by_member(rec):
+    by_member = {}
+    for name, *_, who, _arena in rec.calls:
+        by_member.setdefault(who, []).append(name)
+    return by_member
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "linear"])
+@pytest.mark.parametrize("ny,nx,cap", CASES)
+def test_compiled_pass_budget(monkeypatch, nest_recorder, ny, nx, cap, nonlinear, dtype):
+    if cap:
+        monkeypatch.setattr(scratch, "STRIP_ELEMENTS", cap)
+    z, m, n, hz = random_state(ny, nx, seed=5, dtype=dtype)
+    out_z, out_m, out_n = np.empty_like(z), np.empty_like(m), np.empty_like(n)
+    P = nx + 2 * G
+    mass_strips = len(scratch.strips(G, G + ny, P))
+    momentum_strips = mass_strips + len(scratch.strips(G, G + ny + 1, P))
+    per_strip = ["faces", "power", "update"] if nonlinear else ["faces", "update"]
+
+    for _team_size in run_twice_per_team(nest_recorder, lambda: mass.nlmass(
+        z, m, n, hz, DT, DX, out_z
+    )):
+        assert sum(calls_by_member(nest_recorder).values(), []) == ["nlmass"] * mass_strips
+    for team_size in run_twice_per_team(nest_recorder, lambda: momentum.nlmnt2(
+        out_z, m, n, hz, DT, DX, MANNING, out_m, out_n, nonlinear=nonlinear
+    )):
+        members = calls_by_member(nest_recorder)
+        assert len(members) <= team_size
+        for mine in members.values():  # whole strips, each its own calls in order
+            assert mine == per_strip * (len(mine) // len(per_strip))
+        assert sum(map(len, members.values())) == len(per_strip) * momentum_strips
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("cap", [None, 2000])
+def test_a_compiled_kernel_call_allocates_nothing_that_grows_with_the_block(
+    monkeypatch, cap, dtype
+):
+    """After the arenas have grown: tuples, ints and the views of a strip's
+    planes, per member — the same few KB for this block and one 9x its size."""
+    executors.compiled_nests()
+    if cap:
+        monkeypatch.setattr(scratch, "STRIP_ELEMENTS", cap)
+    peaks = []
+    for ny, nx in ((100, 80), (300, 240)):
+        z, m, n, hz = random_state(ny, nx, seed=9, dtype=dtype)
+        out_z, out_m, out_n = np.empty_like(z), np.empty_like(m), np.empty_like(n)
+        peaks.append(allocated_by(lambda: mass.nlmass(z, m, n, hz, DT, DX, out_z)))
+        peaks.append(allocated_by(
+            lambda: momentum.nlmnt2(z, m, n, hz, DT, DX, MANNING, out_m, out_n)
+        ))
+    assert max(peaks) < 16 * 1024, peaks

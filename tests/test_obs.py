@@ -639,6 +639,16 @@ class TestInspect:
         doc = json.loads((rundir / "trace.json").read_text())
         assert validate_chrome_trace(doc) == []
         capsys.readouterr()
+        # What ran the kernels is on every kernel span and in the snapshot.
+        from repro.core import loopnest
+
+        ran = loopnest.choice()
+        kernels = [e for e in doc["traceEvents"] if e["name"].endswith(".kernel")]
+        assert kernels and {e["args"]["executor"] for e in kernels} == {ran.executor}
+        metrics = json.loads((rundir / "metrics.json").read_text())
+        assert metrics["kernel_executor"] == {
+            "executor": ran.executor, "compiler": ran.compiler, "reason": ran.reason,
+        }
 
         assert main(["inspect", str(rundir)]) == 0
         out = capsys.readouterr().out
@@ -647,6 +657,7 @@ class TestInspect:
         assert "NLMASS" in out
         assert "slowest spans" in out
         assert "throughput" in out
+        assert f"kernel executor : {ran.executor} (" in out
 
     def test_inspect_untraced_rundir_suggests_flag(self, tmp_path, capsys):
         from repro.cli import main
