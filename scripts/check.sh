@@ -4,6 +4,10 @@
 #
 #   scripts/check.sh          # lint + tests
 #   scripts/check.sh --fast   # tests only, stop at first failure
+#   scripts/check.sh --legs   # the kernel suites twice more (CI's steps):
+#                             # on one CPU — the strip team of one — and
+#                             # with CC=false, the platform without a
+#                             # compiler, whose executor is the NumPy bodies
 #
 # Mirrors what reviewers run; keep it green before pushing.  The test
 # session fails itself if it leaves a child process (a forked rank) or a
@@ -14,6 +18,22 @@ cd "$(dirname "$0")/.."
 
 fast=0
 [ "${1:-}" = "--fast" ] && fast=1
+
+# NLMASS, NLMNT2 and OUTPUT: bitwise, budgets, the team, the scalar oracle.
+kernel_suites="tests/test_kernels_bitwise.py tests/test_kernels_flat.py
+    tests/test_kernel_passes.py tests/test_strip_team.py
+    tests/test_boundary_outputs.py tests/test_loopnest_oracle.py"
+if [ "${1:-}" = "--legs" ]; then
+    echo "== kernel suites as a team of one (taskset -c 0) =="
+    PYTHONPATH=src taskset -c 0 python -m pytest -q $kernel_suites
+    echo "== kernel and pipeline suites without a compiler (CC=false) =="
+    CC=false PYTHONPATH=src python -m pytest -q $kernel_suites \
+        tests/test_kernels.py tests/test_step_pipeline.py \
+        tests/test_distributed.py tests/test_persist.py \
+        tests/test_loopnest_build.py
+    echo "BOTH LEGS PASSED"
+    exit 0
+fi
 
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff =="

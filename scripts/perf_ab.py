@@ -8,10 +8,16 @@ Each tree's own ``benchmarks/ledger/run.py`` measures that tree's ``src/``,
 written as two ledger documents (one set per pair) and HEAD's
 ``benchmarks/ledger/compare.py`` prints the table over them; everything
 lands under ``--out``.  Report only for speed: exit 1 means a run failed,
-or that a pair's base and head ``result_digest`` differ (both are printed
-beside every pair) — a change that alters the answer must not read as a
-speed-up — never that a metric moved (CI's first step toward ROADMAP item
-1's relative gate).
+or that a pair's base and head ``result_digest`` differ, or the two trees'
+products digests (all printed beside every pair) — a change that alters the
+answer must not read as a speed-up — never that a metric moved (CI's first
+step toward ROADMAP item 1's relative gate).
+
+The ledger's ``result_digest`` covers the final water level only.  The
+products digest is taken here, once per tree before the first pair: the
+workload's own model (``Workload.model``, every workload has one) stepped
+through the workload's step count in a fresh interpreter, then SHA-256 over
+``zmax``, ``vmax``, ``inundation_max`` and ``arrival_time`` of every block.
 
 Beside each pair it prints how many CPUs this process may run on and two
 scaling probes: the wall of two concurrent NumPy burners over the wall of
@@ -82,6 +88,30 @@ def executor_of(tree: Path) -> dict | None:
     )
     if done.returncode != 0:
         raise SystemExit(f"{tree}: could not ask for its executor:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+_PRODUCTS = (
+    "import hashlib, json, sys; sys.path[:0] = sys.argv[1:3]\n"
+    "from workloads import WORKLOAD_CLASSES\n"
+    "wl = WORKLOAD_CLASSES[sys.argv[3]](int(sys.argv[4])); wl.build()\n"
+    "wl.model.run(wl.steps); digest = hashlib.sha256()\n"
+    "for _bid, acc in sorted(wl.model.outputs.items()):\n"
+    "    for name in ('zmax', 'vmax', 'inundation_max', 'arrival_time'):\n"
+    "        digest.update(getattr(acc, name).tobytes())\n"
+    "print(json.dumps(digest.hexdigest()))"
+)
+
+
+def products_digest_of(tree: Path, workload: str, seed: int) -> str:
+    """SHA-256 of the four forecast products *tree* computes for *workload*."""
+    done = subprocess.run(
+        [sys.executable, "-c", _PRODUCTS, str(tree / "benchmarks" / "ledger"),
+         str(tree / "src"), workload, str(seed)],
+        capture_output=True, text=True, check=False,
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"{tree}: no products digest of {workload}:\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -169,6 +199,13 @@ def main(argv=None) -> int:
     if all(executors.values()) and len({e["executor"] for e in executors.values()}) > 1:
         print("the two trees chose different executors: not measured", flush=True)
         return 1
+    products = {side: products_digest_of(tree, args.workload, args.seed)
+                for side, tree in trees.items()}
+    if products["base"] != products["head"]:
+        ok = False
+        print(f"products digest differs, base {products['base'][:16]} head "
+              f"{products['head'][:16]}: the change alters the forecast products",
+              flush=True)
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else os.cpu_count())
     machine = []
@@ -189,7 +226,8 @@ def main(argv=None) -> int:
                   f"(raw wall {doc['raw']['solve_wall_s_p50']:.4g} s x gauge "
                   f"{doc['raw']['machine_speed_p50']:.3f})  peak_rss_mb "
                   f"{doc['e2e']['peak_rss_mb']['value']:.2f}  "
-                  f"digest {doc['digest'][:16]}", flush=True)
+                  f"digest {doc['digest'][:16]}  products "
+                  f"{products[side][:16]}", flush=True)
             sets[side].append({**blank, args.workload: doc})
         base, head = (sets[side][-1][args.workload]["digest"] for side in sets)
         if base != head:
@@ -205,7 +243,8 @@ def main(argv=None) -> int:
             "schema": "repro.ledger/1",
             "provenance": {"tree": str(tree), "argv": sys.argv[1:],
                            "machine": machine,
-                           "kernel_executor": executors[side]},
+                           "kernel_executor": executors[side],
+                           "products_digest": products[side]},
             "sets": sets[side],
         }, indent=1) + "\n")
     compare = trees["head"] / "benchmarks" / "ledger" / "compare.py"

@@ -1,10 +1,10 @@
-/* NLMASS and NLMNT2 as the loop nests the paper ports (its Listings 1-3):
- * one cell, or one face, at a time over a row range of one block.
+/* NLMASS, NLMNT2 and OUTPUT as the loop nests the paper ports (its Listings
+ * 1-3): one cell, or one face, at a time over a row range of one block.
  *
  * repro/core/loopnest.py builds this file once with the host's `cc` and
- * core/mass.py / core/momentum.py call it a row strip at a time; their NumPy
- * bodies are the reference.  Every expression below keeps the operand order
- * of those bodies and the file is built with -fno-fast-math
+ * core/mass.py, momentum.py and outputs.py call it a row strip at a time;
+ * their NumPy bodies are the reference.  Every expression below keeps their
+ * operand order and the file is built with -fno-fast-math
  * -ffp-contract=off, so the two agree bit for bit in both precisions.  The
  * Manning power D^(7/3) is not computed here: libm's pow is an ulp off
  * NumPy's and 4-5x slower, so momentum_core makes that one NumPy call per
@@ -22,17 +22,27 @@
 
 #include <math.h>
 
+/* np.maximum of a running product and a new value: a NaN in either stays,
+ * and of two equal ones — zeros of either sign — the new one, as x86's max. */
+static inline double fold(double a, double b)
+{
+    return a > b || a != a ? a : b;
+}
+
 #define REAL double
 #define FN(name) name##_f64
 #define SQRT sqrt
+#define HYPOT hypot
 #include __FILE__
 #undef REAL
 #undef FN
 #undef SQRT
+#undef HYPOT
 
 #define REAL float
 #define FN(name) name##_f32
 #define SQRT sqrtf
+#define HYPOT hypotf
 #include __FILE__
 
 #else
@@ -170,6 +180,46 @@ void FN(update)(const REAL *z, const REAL *along, REAL *restrict out,
             FN(update_row)(z + r * P, along + r * pa, out + r * pa, row, plane,
                            c0, c1, back, s, c, (REAL)dt, (REAL)dx,
                            (REAL)gravity, (REAL)k_fric, (REAL)cap, 0);
+    }
+}
+
+/* "Update output data" on cells [j0, j1) x [0, nx) of the physical block
+ * (products: pitch nx, no ghosts; zmax and z0 in the state's precision, the
+ * rest double): the depth D = max(z + h, 0) and wetness, zmax where wet, the
+ * cell-centred speed |(M, N)| / max(D, film) from the face means, capped — 0
+ * on water no deeper than max(dry, film) — into vmax, the depth on wet land,
+ * and the first time the level is more than `thr` off z0.  Where the gate
+ * zeroes the speed it is not computed (hypot is half of this loop); where it
+ * does not, D > film and max(D, film) is D. */
+void FN(output)(const REAL *z, const REAL *m, const REAL *n, const REAL *h,
+                REAL *zmax, double *vmax, double *inund, double *arrival,
+                const REAL *z0, const unsigned char *land, long P, long g,
+                long nx, long j0, long j1, double dry_, double film_,
+                double cap_, double thr_, double now)
+{
+    const REAL dry = (REAL)dry_, film = (REAL)film_, cap = (REAL)cap_;
+    const REAL thr = (REAL)thr_, gate = dry > film ? dry : film;
+    for (long j = j0; j < j1; j++) {
+        const REAL *zj = z + (g + j) * P + g, *hj = h + (g + j) * P + g;
+        const REAL *mj = m + (g + j) * (P + 1) + g, *nj = n + (g + j) * P + g;
+        for (long i = 0, k = j * nx; i < nx; i++, k++) {
+            const REAL zi = zj[i], sum = zi + hj[i], d = sum < 0 ? 0 : sum;
+            const int wet = d > dry;
+            REAL speed = 0, off = zi - z0[k];
+            if (wet)
+                zmax[k] = (REAL)fold(zmax[k], zi);
+            if (d > gate) {
+                const REAL mc = (REAL)0.5 * (mj[i] + mj[i + 1]);
+                const REAL nc = (REAL)0.5 * (nj[i] + nj[i + P]);
+                speed = HYPOT(mc, nc) / d;
+                speed = speed > cap ? cap : speed;
+            }
+            vmax[k] = fold(vmax[k], speed);
+            inund[k] = fold(inund[k], land[k] && wet ? d : 0);
+            off = off < 0 ? -off : off;
+            if (off > thr && isinf(arrival[k]))
+                arrival[k] = now;
+        }
     }
 }
 

@@ -1,5 +1,5 @@
-"""The compiled executor of NLMASS and NLMNT2: ``loopnest.c`` next to this
-file, built once by the host's C compiler and called through ``ctypes``.
+"""The compiled executor of NLMASS, NLMNT2 and OUTPUT: ``loopnest.c`` next to
+this file, built once by the host's C compiler and called through ``ctypes``.
 
 The first kernel call of a process chooses its executor from what it can
 observe: a compiler (``$CC``, else ``cc``) that builds the nest, an object
@@ -36,6 +36,7 @@ ARGTYPES = {
     "nlmass": (_PTR,) * 5 + (_INT,) * 5 + (_REAL,) * 2,
     "faces": (_PTR,) * 5 + (_INT,) * 7 + (_REAL,),
     "update": (_PTR,) * 4 + (_INT,) * 7 + (_REAL,) * 5,
+    "output": (_PTR,) * 10 + (_INT,) * 5 + (_REAL,) * 5,
 }
 
 _LOCK = threading.RLock()  # re-entered by the self-check's own kernel calls
@@ -95,9 +96,12 @@ def _build() -> dict:
 
 
 def _tiny_forecast(dtype) -> bytes:
-    """One step of a fixed 5 x 4 shore on the executor of the moment."""
+    """One step of a fixed 5 x 4 shore, and its products, on the executor of
+    the moment."""
     from repro.core.mass import nlmass as continuity  # not by run_step's names:
     from repro.core.momentum import nlmnt2 as momentum  # a forecast has one caller
+    from repro.core.outputs import OutputAccumulator
+    from repro.grid.block import Block
 
     j, i = np.mgrid[0:10, 0:9]
     wave, hz = np.sin(1.3 * j + 0.7 * i), (2.0 * np.cos(0.9 * i) + 0.5)[:9, :8].astype(dtype)
@@ -106,7 +110,11 @@ def _tiny_forecast(dtype) -> bytes:
     new = np.empty_like(z), np.empty_like(m), np.empty_like(n)
     continuity(z, m, n, hz, 0.5, 10.0, new[0])
     momentum(new[0], m, n, hz, 0.5, 10.0, 0.025, new[1], new[2])
-    return b"".join(a.tobytes() for a in new)
+    # (Cell (0, 0) comes out a 6 mm film between flowing faces: no speed reported.)
+    products = OutputAccumulator(Block(0, 1, 0, 0, 4, 5), hz[2:-2, 2:-2], z[2:-2, 2:-2])
+    new[0][2, 5], products.zmax[0, 3] = -0.0, 0.0  # a tie: this NumPy's maximum, or the nest's?
+    products.update(*new, hz, 7.0)
+    return b"".join(a.tobytes() for a in (*new, *products.product_arrays().values()))
 
 
 def _choose() -> None:

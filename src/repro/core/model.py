@@ -132,10 +132,9 @@ class RTiModel:
 
     def _init_outputs(self) -> None:
         for bid, st in self.states.items():
+            # Views of the live state: the accumulator keeps copies of its own.
             self.outputs[bid] = OutputAccumulator(
-                st.block,
-                st.depth_interior(),
-                st.eta_interior().copy(),
+                st.block, st.depth_interior(), st.eta_interior()
             )
 
     def set_initial_condition(self, source) -> None:

@@ -328,8 +328,12 @@ def run_step(
     with _span("OUTPUT"):
         for bid, st in states.items():
             if outputs is not None:
-                outputs[bid].update(
-                    st.z_new, st.m_new, st.n_new, st.hz, time,
-                    dry_threshold=cfg.dry_threshold,
-                )
+                with (
+                    _span("OUTPUT.kernel", cells=st.block.n_cells, executor=executor)
+                    if obs_on else _NOOP_SPAN
+                ):
+                    outputs[bid].update(
+                        st.z_new, st.m_new, st.n_new, st.hz, time,
+                        dry_threshold=cfg.dry_threshold,
+                    )
             st.swap()

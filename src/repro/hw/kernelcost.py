@@ -47,6 +47,15 @@ THIS_BOX_NLMNT2_US: dict[str, tuple[float, float]] = {
     "nest": (0.0255, 62.0),  # this box, compiled: loopnest.c via the host cc
 }
 
+#: Likewise one ``OutputAccumulator.update`` call (same box, same three block
+#: sizes, the two executors alternating in one process pinned to one CPU).
+#: Out of cache the NumPy body's slope grows — 25 ns/cell at 768x768 — and
+#: the nest's does not (11.1): it streams each array once.
+THIS_BOX_OUTPUT_US: dict[str, tuple[float, float]] = {
+    "numpy": (0.0188, 25.0),  # 25 ufunc passes a strip, np.hypot one of them
+    "nest": (0.0115, 23.0),  # one row loop; libm hypot is half of the slope
+}
+
 
 @dataclass(frozen=True)
 class KernelInvocation:

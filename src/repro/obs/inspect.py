@@ -138,10 +138,10 @@ def imbalance_ratio(breakdowns: list[RankBreakdown]) -> float:
 def team_busy(spans: list[dict]) -> dict[str, dict[int, float]]:
     """Per kernel, the share of its wall each member of the strip team was
     inside strips (:func:`repro.core.scratch.each_strip`): member *k*'s
-    ``cat="team"`` spans over the kernel's ``<kernel>.kernel`` spans — its
-    phase spans where it has none (OUTPUT).  The rest of a member's share
-    is the serial part of a call (ghost carry-over, waking and waiting) and
-    calls of one strip; no entry for a kernel whose calls were never shared.
+    ``cat="team"`` spans over the kernel's ``<kernel>.kernel`` spans.  The
+    rest of a member's share is the serial part of a call (ghost carry-over,
+    waking and waiting) and calls of one strip; no entry for a kernel whose
+    calls were never shared.
     """
     busy: dict[str, dict[int, float]] = {}
     wall: dict[str, float] = {}
@@ -155,7 +155,7 @@ def team_busy(spans: list[dict]) -> dict[str, dict[int, float]]:
             wall[name] = wall.get(name, 0.0) + dur
     out = {}
     for kernel, per in busy.items():
-        total = wall.get(kernel + ".kernel") or wall.get(kernel)
+        total = wall.get(kernel + ".kernel")
         if total:
             out[kernel] = {k: per[k] / total for k in sorted(per)}
     return out

@@ -1,4 +1,5 @@
-"""Eqs. 1-3 one cell and one face at a time, in pure Python: the oracle.
+"""Eqs. 1-3 and the forecast products one cell and one face at a time, in
+pure Python: the oracle.
 
 Written from the discretisation the kernels' docstrings state (TUNAMI-N2
 leap-frog on the staggered grid; moving boundary by wet/dry and overflow
@@ -13,7 +14,8 @@ Every value is a NumPy scalar of the arrays' dtype, so each ``+ - * /`` and
 one other function, the Manning term's ``D^(7/3)``, is ``np.power`` on such
 a scalar: NumPy's power gives one value per operand whatever array it sits
 in (Python's ``**`` and libm's ``pow`` are an ulp off it in a few percent of
-operands).  Meant for blocks of up to about 12 x 12 cells.
+operands); :func:`output` likewise takes its one ``np.hypot`` of two such
+scalars.  Meant for blocks of up to about 12 x 12 cells.
 """
 
 import numpy as np
@@ -110,3 +112,50 @@ def nlmnt2(z, m, n, h, dt, dx, manning, **options):
     new_m = x_momentum(z, h, m, n, dt, dx, manning, **options)
     new_n = x_momentum(z.T, h.T, n.T, m.T, dt, dx, manning, **options).T
     return new_m, new_n
+
+
+def larger(a, b):
+    """The running maximum *a* of a product after *b*: once not a number, it
+    stays so; of two equal ones — ``0.0`` and ``-0.0`` — it is the newer."""
+    if a != a:
+        return a
+    return a if a > b else b
+
+
+def output(products, z, m, n, h, time, arrival_threshold=0.01, dry=DRY_THRESHOLD,
+           thin=0.01, cap=MAX_VELOCITY, g=NGHOST):
+    """One "update output data" of ``OutputAccumulator``'s class docstring, on
+    copies of *products* (``product_arrays()``'s six): the highest level where
+    there was water; the highest speed — the flux at the cell centre over the
+    depth, reported only on a column deeper than *thin* and the dry threshold,
+    capped; the deepest water on what was land; the first *time* the level was
+    more than the threshold away from its reference."""
+    real = z.dtype.type
+    dry, thin, cap, threshold = (real(v) for v in (dry, thin, cap, arrival_threshold))
+    zero, half = real(0), real(0.5)
+    new = {key: a.copy() for key, a in products.items()}
+    with np.errstate(all="ignore"):
+        for j in range(z.shape[0] - 2 * g):
+            for i in range(z.shape[1] - 2 * g):
+                jj, ii = j + g, i + g
+                level = z[jj, ii]
+                depth = level + h[jj, ii]
+                if depth < zero:  # the ground is above the water: none
+                    depth = zero
+                wet = depth > dry
+                if wet:
+                    new["zmax"][j, i] = larger(new["zmax"][j, i], level)
+                speed = zero
+                if wet and depth > thin:
+                    u = half * (m[jj, ii] + m[jj, ii + 1])
+                    v = half * (n[jj, ii] + n[jj + 1, ii])
+                    speed = np.hypot(u, v) / depth
+                    if speed > cap:
+                        speed = cap
+                new["vmax"][j, i] = larger(new["vmax"][j, i], speed)
+                flooded = depth if wet and new["land"][j, i] else zero
+                new["inundation_max"][j, i] = larger(new["inundation_max"][j, i], flooded)
+                away = abs(real(level - new["z0ref"][j, i]))
+                if away > threshold and np.isinf(new["arrival_time"][j, i]):
+                    new["arrival_time"][j, i] = time
+    return new

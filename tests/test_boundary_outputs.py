@@ -152,3 +152,26 @@ class TestOutputAccumulator:
         blk = Block(0, 1, 0, 0, 4, 4)
         with pytest.raises(ValueError):
             OutputAccumulator(blk, np.zeros((2, 2)), np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_a_models_accumulators_never_alias_its_state(self, dtype):
+        """``RTiModel`` hands the accumulator views of the live state; what it
+        keeps (each copied once, by the accumulator) must be its own."""
+        from repro.fault import GaussianSource
+        from repro.validation.analytic import SlopedBathymetry, single_block_model
+
+        model = single_block_model(
+            12, 10, 50.0, SlopedBathymetry(20.0, 20.0 / 400.0), boundary="wall", dtype=dtype
+        )
+        for _ in range(2):  # as constructed, and after a source re-makes them
+            (st,), (acc,) = model.states.values(), model.outputs.values()
+            for name, kept in acc.product_arrays().items():
+                assert kept.base is None and kept.flags.c_contiguous, name
+                for live in (*st.state_arrays().values(), st.hz):
+                    assert not np.shares_memory(kept, live), name
+            assert acc.product_arrays()["z0ref"].tobytes() == st.eta_interior().tobytes()
+            model.set_initial_condition(
+                GaussianSource(x0=300.0, y0=200.0, amplitude=1.0, sigma=100.0)
+            )
+        st.z_old[...] += 1.0  # the reference level does not follow the state
+        assert not np.array_equal(acc.product_arrays()["z0ref"], st.eta_interior())

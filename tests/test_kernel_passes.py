@@ -1,4 +1,4 @@
-"""A deterministic contiguity budget for NLMNT2 and NLMASS: counts, no clock.
+"""A deterministic pass budget for NLMNT2, NLMASS and OUTPUT: counts, no clock.
 
 The kernels run as flat offset arithmetic over one row pitch (DESIGN.md
 §9b), so almost every ufunc pass streams 1-D contiguous memory.  Here the
@@ -11,12 +11,15 @@ written into the arena or the caller's ``out``; and, unrecorded, a call
 allocates no array.  The budgets hold *per member* of the strip team
 (``scratch.each_strip``), whichever thread took which strips: a member's
 calls are counted against the strips it carved for, its destinations
-looked up in its own arena.
+looked up in its own arena.  ``OutputAccumulator.update`` walks 2-D views of
+the physical cells, so its budget is the count alone: 25 passes a strip, each
+written into the arena or a product.
 
 Those are budgets of the NumPy bodies, so the ``recorder`` fixture pins the
 NumPy executor.  The compiled nest (``repro.core.loopnest``) has its own, at
-the end: per strip one nest call for NLMASS, two and one ``np.power`` (none
-when linear) for a ``momentum_core`` pass, and nothing block-sized allocated.
+the end: per strip one nest call for NLMASS and for OUTPUT, two and one
+``np.power`` (none when linear) for a ``momentum_core`` pass, and nothing
+block-sized allocated.
 """
 
 import threading
@@ -25,17 +28,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core import mass, momentum, scratch
+from repro.core import mass, momentum, outputs, scratch
+from repro.grid.block import Block
 from repro.grid.staggered import NGHOST
 
 from tests import executors
 from tests.test_kernels_bitwise import DT, DX, MANNING, random_state
-from tests.test_strip_team import team_of
+from tests.test_strip_team import helpers, team_of
 
 G = NGHOST
 
 #: ufunc/copyto calls one strip may make: what the 2-D-view bodies made.
-MOMENTUM_CALLS, MASS_CALLS = 65, 10
+MOMENTUM_CALLS, MASS_CALLS, OUTPUT_CALLS = 65, 10, 25
 #: Of those, the ones allowed a strided operand.  NLMNT2: the copy of M to
 #: the common pitch and the write of the finished faces.  NLMASS: the M
 #: difference.  (The issue budgeted 3; the ghost frame is carried over once
@@ -94,10 +98,11 @@ class Recorder:
             and member in (None, who)
         ]
 
-    def assert_budget(self, calls, strided, n_strips, out):
+    def assert_budget(self, calls, strided, n_strips, *out):
         """Per member: at most *calls* passes and exactly *strided* strided
-        ones per strip it took, every pass written into that member's arena
-        or into *out*, and an arena that only grew for a larger strip: there
+        ones (None: not counted) per strip it took, every pass written into
+        that member's arena or into one of *out*, and an arena that only grew
+        for a larger strip: there
         are two strip sizes (the last is shorter), so two arena sizes at
         most — and one for a member that walked every strip itself."""
         taken = [who for who, _ in self.carved[self.first_run:]]
@@ -105,12 +110,11 @@ class Recorder:
         for member in set(taken):
             mine = [c for c in self.calls if c[3] == member]
             assert len(mine) <= calls * taken.count(member)
-            assert len(self.strided(member)) == strided * taken.count(member)
+            if strided is not None:
+                assert len(self.strided(member)) == strided * taken.count(member)
             for name, _operands, written, _, arena in mine:
                 assert written is not None, f"{name} allocated its result"
-                assert np.shares_memory(written, arena) or np.shares_memory(
-                    written, out
-                ), name
+                assert any(np.shares_memory(written, a) for a in (arena, *out)), name
             sizes = [size for who, size in self.carved if who == member]
             assert sizes == sorted(sizes) and len(set(sizes)) <= 2
             if len({who for who, _ in self.carved}) == 1:  # it took them all
@@ -121,11 +125,12 @@ class Recorder:
 @pytest.fixture
 def recorder(monkeypatch, numpy_executor):
     rec = Recorder()
-    for module in (momentum, mass, scratch):
+    for module in (momentum, mass, outputs, scratch):
         monkeypatch.setattr(module, "np", rec)
     monkeypatch.setattr(momentum, "_clip", rec.wrap("clip", momentum._clip))
     for module in (momentum, mass):
         monkeypatch.setattr(module, "carry_over", rec.carry_over)
+    for module in (momentum, mass, outputs):
         monkeypatch.setattr(module, "carve", rec.carve)
     return rec
 
@@ -142,9 +147,33 @@ def run_twice_per_team(recorder, run):
             yield size
 
 
+def every_member_walks(body, cuts, kernel):
+    """``each_strip`` for a warm-up: after the shared walk, every member of the
+    team walks every strip, one member at a time.  Which strips a helper finds
+    left in a shared walk is the scheduler's choice — none at all, often, on a
+    box that serves its two CPUs as one — so only this leaves each arena grown
+    to, and holding the views of, every strip its owner can meet later."""
+    scratch.each_strip(body, cuts, kernel)  # forms the team
+    members = 1 + len(helpers())
+    if members == 1 or len(cuts) == 1:
+        return
+    gate, turn = threading.Barrier(members), threading.Lock()
+
+    def walk_all(_lo, _hi):
+        gate.wait(timeout=60)  # every member is in here, holding one ticket
+        with turn:
+            for lo, hi, _whole in cuts:
+                body(lo, hi)
+
+    scratch.each_strip(walk_all, [(k, k + 1, None) for k in range(members)], kernel)
+
+
 def allocated_by(fn):
-    """Peak bytes *fn* allocates once the arena has seen it."""
-    fn()
+    """Peak bytes one call of *fn* allocates once every arena has seen it."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (momentum, mass, outputs):
+            patch.setattr(module, "each_strip", every_member_walks)
+        fn()
     tracemalloc.start()
     try:
         fn()  # tracemalloc's own bookkeeping warms here
@@ -208,6 +237,29 @@ def test_mass_pass_budget(monkeypatch, recorder, ny, nx, cap, dtype):
         assert set(recorder.strided()) == {"subtract"}
 
 
+def accumulator_after_a_step(ny, nx, dtype, seed=6):
+    """(an accumulator as ``RTiModel`` builds it, ``update``'s arguments)."""
+    z, m, n, hz = random_state(ny, nx, seed, dtype)
+    new = np.empty_like(z), np.empty_like(m), np.empty_like(n)
+    mass.nlmass(z, m, n, hz, DT, DX, new[0])
+    momentum.nlmnt2(new[0], m, n, hz, DT, DX, MANNING, new[1], new[2])
+    acc = outputs.OutputAccumulator(Block(0, 1, 0, 0, nx, ny), hz[G:-G, G:-G], z[G:-G, G:-G])
+    return acc, (*new, hz, 3.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("ny,nx,cap", CASES)
+def test_output_pass_budget(monkeypatch, recorder, ny, nx, cap, dtype):
+    if cap:
+        monkeypatch.setattr(scratch, "STRIP_ELEMENTS", cap)
+    acc, state = accumulator_after_a_step(ny, nx, dtype)
+    n_strips = len(scratch.strips(0, ny, nx))
+    assert (n_strips > 2) == bool(cap)
+    for _team_size in run_twice_per_team(recorder, lambda: acc.update(*state)):
+        assert recorder.carried == 0
+        recorder.assert_budget(OUTPUT_CALLS, None, n_strips, *acc.product_arrays().values())
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("cap", [None, 2000])
 def test_a_kernel_call_allocates_no_array(monkeypatch, cap, dtype):
@@ -260,7 +312,7 @@ def nest_recorder(monkeypatch):
         return recorded
 
     nests = executors.wrapped(executors.compiled_nests(), wrap)
-    for module in (momentum, mass):
+    for module in (momentum, mass, outputs):
         monkeypatch.setattr(module, "np", rec)
     with executors.on_nests(nests):
         yield rec
@@ -298,6 +350,11 @@ def test_compiled_pass_budget(monkeypatch, nest_recorder, ny, nx, cap, nonlinear
         for mine in members.values():  # whole strips, each its own calls in order
             assert mine == per_strip * (len(mine) // len(per_strip))
         assert sum(map(len, members.values())) == len(per_strip) * momentum_strips
+    acc, state = accumulator_after_a_step(ny, nx, dtype)
+    for team_size in run_twice_per_team(nest_recorder, lambda: acc.update(*state)):
+        members = calls_by_member(nest_recorder)  # no ufunc: the nest alone
+        assert len(members) <= team_size
+        assert sum(members.values(), []) == ["output"] * len(scratch.strips(0, ny, nx))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -318,4 +375,6 @@ def test_a_compiled_kernel_call_allocates_nothing_that_grows_with_the_block(
         peaks.append(allocated_by(
             lambda: momentum.nlmnt2(z, m, n, hz, DT, DX, MANNING, out_m, out_n)
         ))
+        acc, state = accumulator_after_a_step(ny, nx, dtype)
+        peaks.append(allocated_by(lambda: acc.update(*state)))
     assert max(peaks) < 16 * 1024, peaks

@@ -3,9 +3,10 @@
 The executor is chosen once per process (``repro.core.loopnest``), so each
 case is a fresh interpreter: a fake ``cc`` on a temporary ``PATH`` or in
 ``$CC``, a cache home of its own, one short forecast.  Whatever happened to
-the build, the forecast's bytes are those of the NumPy executor, the choice
-names one reason, and stderr carries one structured ``loopnest_fallback``
-line when — and only when — the process fell back.
+the build, the forecast's bytes — the state's and, apart, the products' — are
+those of the NumPy executor, the choice names one reason, and stderr carries
+one structured ``loopnest_fallback`` line when — and only when — the process
+fell back.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ from repro.core.momentum import nlmnt2
 
 from tests import executors
 from tests.test_kernels_bitwise import DT, DX, MANNING, random_state
-from tests.test_scratch_arena import beach_model, final_arrays
+from tests.test_scratch_arena import beach_model
 
 SRC = Path(loopnest.__file__).parents[2]
 REPO = Path(__file__).parents[1]
@@ -42,13 +43,14 @@ print(json.dumps(dict(digest=digest, executor=choice.executor,
 
 
 def forecast_digest():
-    """A short beach forecast's state and products, hashed."""
+    """A short beach forecast's state and its products, each hashed."""
     model = beach_model(40, 30)
     model.run(12)
-    digest = hashlib.sha256()
-    for _name, a in sorted(final_arrays(model).items()):
-        digest.update(a.tobytes())
-    return digest.hexdigest()
+    (st,), (acc,) = model.states.values(), model.outputs.values()
+    return {
+        what: hashlib.sha256(b"".join(a.tobytes() for _, a in sorted(arrays.items()))).hexdigest()
+        for what, arrays in (("state", st.state_arrays()), ("products", acc.product_arrays()))
+    }
 
 
 def forecast_in_a_fresh_process(cache, cc=None, path=None, before=""):
@@ -145,17 +147,28 @@ def test_a_compiler_that_writes_nothing(tmp_path, expected):
     fell_back(result, said, expected, "FileNotFoundError")
 
 
-def test_a_nest_that_computes_something_else_fails_the_self_check(tmp_path, expected):
+def a_wrong_nest_falls_back(tmp_path, expected, right, wrong):
     executors.compiled_nests()
-    wrong = tmp_path / "loopnest.c"
-    wrong.write_text(loopnest.SOURCE.read_text().replace(
-        "(m >= 0 ? f_up : f_down)", "(m >= 0 ? f_down : f_up)"
-    ))
+    source = loopnest.SOURCE.read_text()
+    assert source.count(right) == 1
+    (tmp_path / "loopnest.c").write_text(source.replace(right, wrong))
     result, said = forecast_in_a_fresh_process(
         tmp_path, before=f"from pathlib import Path; from repro.core import loopnest; "
-                         f"loopnest.SOURCE = Path({str(wrong)!r})"
+                         f"loopnest.SOURCE = Path({str(tmp_path / 'loopnest.c')!r})"
     )
     fell_back(result, said, expected, "does not reproduce")
+
+
+def test_a_nest_that_computes_something_else_fails_the_self_check(tmp_path, expected):
+    a_wrong_nest_falls_back(
+        tmp_path, expected, "(m >= 0 ? f_up : f_down)", "(m >= 0 ? f_down : f_up)"
+    )
+
+
+def test_an_output_without_the_speed_depth_floor_fails_the_self_check(tmp_path, expected):
+    """A wrong ``output`` ends on NumPy — state *and products* — never in a
+    wrong forecast: the nest is taken or left whole."""
+    a_wrong_nest_falls_back(tmp_path, expected, "gate = dry > film ? dry : film;", "gate = dry;")
 
 
 def test_without_a_cache_home_to_write_the_process_builds_for_itself(tmp_path, expected):
@@ -284,27 +297,69 @@ def test_an_installed_package_ships_the_source_and_finds_it(tmp_path):
     assert executor == loopnest.choice().executor
 
 
-def test_perf_ab_does_not_measure_two_trees_on_different_executors(tmp_path, capsys):
+def perf_ab_and_fake_trees(tmp_path, **sides):
+    """``scripts/perf_ab.py`` as a module, and under *tmp_path* one tree per
+    side whose ``loopnest`` answers with the side's ``(executor, product)``
+    — no ``loopnest`` at all for an executor of None — and whose one ledger
+    workload, ``w``, has products filled with *product*."""
     import importlib.util
 
     spec = importlib.util.spec_from_file_location("perf_ab", REPO / "scripts" / "perf_ab.py")
     perf_ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(perf_ab)
-    for side, executor in (("base", "numpy"), ("head", "nest"), ("old", None)):
-        core = tmp_path / side / "src" / "repro" / "core"
+    for side, (executor, product) in sides.items():
+        core, ledger = tmp_path / side / "src" / "repro" / "core", tmp_path / side / "benchmarks" / "ledger"
         core.mkdir(parents=True)
+        ledger.mkdir(parents=True)
         (core.parent / "__init__.py").write_text("")
         (core / "__init__.py").write_text("")
         (tmp_path / side / "BENCHMARK.json").write_text('{"workloads": []}')
+        (ledger / "compare.py").write_text("")
+        (ledger / "workloads.py").write_text(
+            "import numpy as np\n"
+            "class Acc:\n"
+            f"    zmax = vmax = inundation_max = arrival_time = np.full(3, {product!r})\n"
+            "class Model:\n"
+            "    outputs = {0: Acc()}\n"
+            "    def run(self, steps): pass\n"
+            "class W:\n"
+            "    steps, model = 1, Model()\n"
+            "    def __init__(self, seed): pass\n"
+            "    def build(self): pass\n"
+            "WORKLOAD_CLASSES = {'w': W}\n"
+        )
         if executor:
             (core / "loopnest.py").write_text(
                 "def choice(): pass\n"
                 f"def provenance(): return dict(executor={executor!r}, "
                 "compiler='cc 1.0', reason='')\n"
             )
+    return perf_ab
+
+
+def test_perf_ab_does_not_measure_two_trees_on_different_executors(tmp_path, capsys):
+    perf_ab = perf_ab_and_fake_trees(
+        tmp_path, base=("numpy", 1.0), head=("nest", 1.0), old=(None, 1.0)
+    )
     assert perf_ab.executor_of(tmp_path / "old") is None  # predates the choice
     assert perf_ab.executor_of(tmp_path / "head")["executor"] == "nest"
     args = ["--pairs", "0", "--out", str(tmp_path / "out")]
     assert perf_ab.main([str(tmp_path / "base"), str(tmp_path / "head"), *args]) == 1
     assert "different executors" in capsys.readouterr().out
     assert not (tmp_path / "out").exists()
+
+
+def test_perf_ab_fails_a_change_that_alters_the_products(tmp_path, capsys):
+    """The ledger's digest is the water level's; the products have their own."""
+    perf_ab = perf_ab_and_fake_trees(
+        tmp_path, base=("nest", 1.0), same=("nest", 1.0), head=("nest", 1.5)
+    )
+    args = ["--pairs", "0", "--workload", "w", "--out", str(tmp_path / "out")]
+    assert perf_ab.main([str(tmp_path / "base"), str(tmp_path / "same"), *args]) == 0
+    assert "products digest differs" not in capsys.readouterr().out
+    assert perf_ab.main([str(tmp_path / "base"), str(tmp_path / "head"), *args]) == 1
+    assert "products digest differs" in capsys.readouterr().out
+    written = json.loads((tmp_path / "out" / "head.json").read_text())
+    assert written["provenance"]["products_digest"] == perf_ab.products_digest_of(
+        tmp_path / "head", "w", 0
+    )

@@ -1,5 +1,6 @@
-"""Three executors of Eqs. 1-3, bit for bit: the scalar oracle
-(``tests/loopnest_oracle.py``), the NumPy bodies and the compiled nest.
+"""Three executors of Eqs. 1-3 and of the forecast products, bit for bit: the
+scalar oracle (``tests/loopnest_oracle.py``), the NumPy bodies and the compiled
+nest.
 
 ``tests/reference_kernels.py`` is the same vectorised algorithm as the NumPy
 bodies, frozen: it pins them against change, not against a mistake both
@@ -7,9 +8,16 @@ share.  The oracle is a second derivation.  Hypothesis draws small blocks
 (1 x 1 to 12 x 12) of the ``random_state`` family — a beach, an island, thin
 films around the dry threshold — plus cells whose depth *is* the threshold
 and NaN in every lane the stencil never reads, in both precisions, linear
-and nonlinear.  And the suite is itself checked: three mutants each of the C
-nest and of the NumPy body (a flipped upwind sign, a dropped overflow rule,
-``>`` for ``>=`` at the dry threshold) must fail it.
+and nonlinear.  For ``OutputAccumulator.update`` they add films around and
+exactly at ``SPEED_MIN_DEPTH``, levels exactly ``arrival_threshold`` off their
+reference, cells already arrived, ``-inf`` maxima on dry land, a level of one
+zero under a maximum of the other (``np.maximum`` keeps the newer), repeated
+updates — and NaN *in* lanes it reads, which ``maximum``/``minimum`` must keep.
+And the suite is itself checked: three mutants each of the C nest and of the
+NumPy body, per kernel (momentum: a flipped upwind sign, a dropped overflow
+rule, ``>`` for ``>=`` at the dry threshold; products: the speed gate dropped,
+``>=`` for ``>`` at the arrival threshold, ``vmax`` folded with ``min``; and
+of the C alone, the older of two zeros kept) must fail it.
 """
 
 import types
@@ -21,8 +29,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import DRY_THRESHOLD
-from repro.core import loopnest, mass, momentum
+from repro.core import loopnest, mass, momentum, outputs
+from repro.grid.block import Block
+from repro.fault import GaussianSource
 from repro.grid.staggered import NGHOST
+from repro.validation.analytic import SlopedBathymetry, single_block_model
 
 from tests import executors
 from tests import loopnest_oracle as oracle
@@ -115,6 +126,112 @@ def test_nlmnt2_is_the_x_update_on_transposes():
 
 
 # ---------------------------------------------------------------------------
+# The forecast products
+# ---------------------------------------------------------------------------
+
+THIN = outputs.OutputAccumulator.SPEED_MIN_DEPTH
+ARRIVAL = 0.01
+
+
+def flooded_shore(ny, nx, seed, dtype, poison):
+    """``shore`` as OUTPUT meets it, plus: a tenth of the cells each with a
+    film around ``SPEED_MIN_DEPTH``, with exactly that depth, and with deep
+    water exactly ``ARRIVAL`` above or below the datum (the reference level of
+    ``updates_agree``'s first state is what it is, of the later ones 0 there),
+    and with deep water level with the datum, at ``0.0`` or ``-0.0``; NaN in
+    every lane OUTPUT never reads and, with *poison*, in some it does."""
+    rng = np.random.default_rng(seed + 2)
+    z, m, n, hz = shore(ny, nx, seed, dtype)
+    lot = rng.random(z.shape)
+    film = lot < 0.1
+    z[film] = (-hz + THIN * 10.0 ** rng.uniform(-0.3, 0.3, z.shape))[film]
+    hz[(0.1 <= lot) & (lot < 0.2)], z[(0.1 <= lot) & (lot < 0.2)] = 0.0, THIN
+    edge = (0.2 <= lot) & (lot < 0.3)
+    hz[edge], z[edge] = 5.0, (ARRIVAL * rng.choice([-1.0, 1.0], z.shape))[edge]
+    flat = (0.3 <= lot) & (lot < 0.4)
+    hz[flat], z[flat] = 5.0, rng.choice([-0.0, 0.0], z.shape)[flat]
+    for a, rows, cols in ((z, 0, 0), (hz, 0, 0), (m, 0, 1), (n, 1, 0)):
+        keep = a[G : a.shape[0] - G, G : a.shape[1] - G].copy()
+        if poison:
+            keep[rng.random(keep.shape) < 0.05] = np.nan
+        a[...] = np.nan
+        a[G : a.shape[0] - G, G : a.shape[1] - G] = keep
+        assert keep.shape == (ny + rows, nx + cols)
+    return z, m, n, hz
+
+
+def updates_agree(ny, nx, seed, dtype, poison=False, loose=False, accumulator=None, nests=None):
+    """Three updates of one accumulator — as ``RTiModel`` builds it, or with
+    *loose* a float64 reference level whatever the state's precision, which
+    the nest declines — some of its cells arrived (and not a number) before the
+    first; of *accumulator* instead of ``OutputAccumulator``, on *nests*."""
+    states = [flooded_shore(ny, nx, seed + 7 * k, dtype, poison) for k in range(3)]
+    z0, _, _, h0 = states[0]
+    rng = np.random.default_rng(seed + 3)
+    early = np.where(rng.random((ny, nx)) < 0.2, 0.5, np.inf)
+    if poison:
+        early[rng.random((ny, nx)) < 0.05] = np.nan
+    reference = np.where(np.abs(z0) == ARRIVAL, 0.0, np.nan_to_num(z0))[G:-G, G:-G]
+    if loose:
+        reference = reference.astype(float)
+
+    def fresh():
+        acc = (accumulator or outputs.OutputAccumulator)(
+            Block(0, 1, 0, 0, nx, ny), np.nan_to_num(h0[G:-G, G:-G]), reference, ARRIVAL
+        )
+        acc.arrival_time[...] = early
+        acc.zmax[acc.zmax == 0.0] *= -1.0  # the first level there is the other zero
+        return acc
+
+    want = fresh().product_arrays()
+    assert np.isneginf(want["zmax"]).sum() == (np.nan_to_num(h0[G:-G, G:-G]) <= 0).sum()
+    for k, (z, m, n, hz) in enumerate(states):
+        want = oracle.output(want, z, m, n, hz, 1.5 * (k + 1), ARRIVAL)
+    for _name, executor in on_each_executor(nests):
+        acc = fresh()
+        with executor:
+            for k, (z, m, n, hz) in enumerate(states):
+                acc.update(z, m, n, hz, 1.5 * (k + 1))
+        if not all(same(a, want[key]) for key, a in acc.product_arrays().items()):
+            return False
+    return True
+
+
+@given(shape=shapes, seed=st.integers(0, 2**16), dtype=dtypes, poison=st.booleans(),
+       loose=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_output_three_ways(shape, seed, dtype, poison, loose):
+    assert updates_agree(*shape, seed, dtype, poison, loose)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_model_of_either_precision_runs_its_products_on_the_nest(dtype):
+    """What ``RTiModel`` builds is what the nest takes: in a float32 model the
+    maximum level and its reference are float32, the other products double."""
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: (calls.append(name), fn(*args))[1]
+
+    def forecast(executor):
+        model = single_block_model(
+            30, 24, 50.0, SlopedBathymetry(20.0, 20.0 / 900.0), boundary="wall", dtype=dtype
+        )
+        model.set_initial_condition(GaussianSource(x0=750.0, y0=800.0, amplitude=2.0, sigma=150.0))
+        with executor:
+            model.run(20)
+        (acc,) = model.outputs.values()
+        return acc.product_arrays()
+
+    got = forecast(executors.on_nests(executors.wrapped(executors.compiled_nests(), counted)))
+    assert calls.count("output") == 20
+    assert [a.dtype for a in got.values()] == [dtype, float, float, float, dtype, bool]
+    assert (got["inundation_max"] > 0).any() and np.isfinite(got["arrival_time"]).any()
+    want = forecast(executors.on_numpy())
+    assert all(same(got[key], want[key]) for key in want)
+
+
+# ---------------------------------------------------------------------------
 # The suite checked: mutants of both executors must fail it
 # ---------------------------------------------------------------------------
 
@@ -128,6 +245,10 @@ BATTERY = [
 
 def battery_passes(**mutant):
     return all(momentum_agrees(*case, **mutant) for case in BATTERY)
+
+
+def products_battery_passes(**mutant):
+    return all(updates_agree(*case[:4], poison=case[4], **mutant) for case in BATTERY)
 
 
 C_MUTANTS = {
@@ -144,6 +265,20 @@ NUMPY_MUTANTS = {
     ">= at the dry threshold": ("np.greater(d, dry_threshold, out=wet)",
                                 "np.greater_equal(d, dry_threshold, out=wet)"),
 }
+C_OUTPUT_MUTANTS = {
+    "speed gate dropped": ("if (d > gate) {", "{"),
+    ">= at the arrival threshold": ("if (off > thr &&", "if (off >= thr &&"),
+    "vmax folded with min": ("vmax[k] = fold(vmax[k], speed);",
+                             "vmax[k] = vmax[k] <= speed ? vmax[k] : speed;"),
+    "the older of two zeros kept": ("return a > b ||", "return a >= b ||"),
+}
+NUMPY_OUTPUT_MUTANTS = {
+    "speed gate dropped": ("            np.copyto(speed, 0.0, where=mask)\n", ""),
+    ">= at the arrival threshold": ("np.greater(tmp, self.arrival_threshold, out=mask)",
+                                    "np.greater_equal(tmp, self.arrival_threshold, out=mask)"),
+    "vmax folded with min": ("np.maximum(self.vmax[rows], speed, out=self.vmax[rows])",
+                             "np.minimum(self.vmax[rows], speed, out=self.vmax[rows])"),
+}
 
 
 def mutated(source: str, old: str, new: str) -> str:
@@ -152,18 +287,22 @@ def mutated(source: str, old: str, new: str) -> str:
 
 
 def test_the_battery_passes_unmutated():
-    assert battery_passes()
+    assert battery_passes() and products_battery_passes()
 
 
-@pytest.mark.parametrize("mutant", sorted(C_MUTANTS))
+@pytest.mark.parametrize("mutant", sorted({**C_MUTANTS, **C_OUTPUT_MUTANTS}))
 def test_a_mutant_of_the_c_nest_fails(tmp_path, monkeypatch, mutant):
     executors.compiled_nests()
     source = tmp_path / "loopnest.c"
-    source.write_text(mutated(loopnest.SOURCE.read_text(), *C_MUTANTS[mutant]))
+    change = {**C_MUTANTS, **C_OUTPUT_MUTANTS}[mutant]
+    source.write_text(mutated(loopnest.SOURCE.read_text(), *change))
     monkeypatch.setattr(loopnest, "SOURCE", source)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     nests = loopnest._build()  # built and loaded, the self-check not asked
-    assert not battery_passes(nests=nests)
+    hit, spared = battery_passes, products_battery_passes
+    if mutant in C_OUTPUT_MUTANTS:
+        hit, spared = spared, hit
+    assert not hit(nests=nests) and spared(nests=nests)
 
 
 @pytest.mark.parametrize("mutant", sorted(NUMPY_MUTANTS))
@@ -173,3 +312,11 @@ def test_a_mutant_of_the_numpy_body_fails(mutant):
     exec(compile(source, momentum.__file__, "exec"), module.__dict__)
     with executors.on_numpy():  # its NumPy body, whatever the platform chose
         assert not battery_passes(core=module.momentum_core)
+
+
+@pytest.mark.parametrize("mutant", sorted(NUMPY_OUTPUT_MUTANTS))
+def test_a_mutant_of_the_numpy_products_body_fails(mutant):
+    source = mutated(Path(outputs.__file__).read_text(), *NUMPY_OUTPUT_MUTANTS[mutant])
+    module = types.ModuleType("mutant_outputs")
+    exec(compile(source, outputs.__file__, "exec"), module.__dict__)
+    assert not products_battery_passes(accumulator=module.OutputAccumulator, nests={})

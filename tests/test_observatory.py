@@ -569,6 +569,8 @@ class TestCalibration:
         assert all(t >= 0.0 for t in times)
         fitted = calibrate_from_spans(spans)
         assert fitted.slope_us_per_cell > 0
+        # "Update output data" is a kernel like the other two.
+        assert sorted(kernel_samples(spans, "OUTPUT")[0]) == sorted(cells)
 
     def test_drift_verdict(self):
         ref = LinearPerfModel(1.09e-4, 46.2, 0.942)

@@ -321,6 +321,27 @@ def test_a_traced_team_call_is_one_span_per_member_under_the_kernel_span(traced)
     assert 0.0 < busy["NLMASS"][0] <= 1.0 and 0.0 <= busy["NLMASS"][1] <= 1.0
 
 
+def test_a_traced_step_hangs_each_kernels_strips_under_its_kernel_span(traced):
+    """OUTPUT like the other two: ``team_busy`` needs no phase span to fall
+    back on, and ``balance.calibrate`` has its cells."""
+    from repro.core import loopnest
+    from tests.test_scratch_arena import beach_model
+
+    model = beach_model(30, 40)
+    obs.enable()
+    with team_of(2, cap=150), obs.context(obstrace.TraceContext("t")):
+        model.step()
+    spans = obs.get_tracer().export()
+    for kernel in ("NLMASS", "NLMNT2", "OUTPUT"):
+        (call,) = (s for s in spans if s["name"] == kernel + ".kernel")
+        assert call["args"] == {"cells": 1200, "executor": loopnest.choice().executor}
+        shares = [s for s in spans if s["name"] == kernel + ".strips"]
+        assert shares and {s["parent_id"] for s in shares} == {call["span_id"]}
+    busy = team_busy(spans)
+    assert set(busy) == {"NLMASS", "NLMNT2", "OUTPUT"}
+    assert all(0.0 < per[0] <= 1.0 for per in busy.values())
+
+
 def test_an_untraced_team_call_builds_no_span(traced, monkeypatch):
     built = []
     monkeypatch.setattr(
