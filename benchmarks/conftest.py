@@ -3,27 +3,12 @@
 Every module regenerates one of the paper's tables or figures: it prints
 the same rows/series the paper reports (via ``repro.analysis.report``) and
 times the computation that produces them with pytest-benchmark.
-
-A benchmark session also leaves a machine-readable throughput snapshot in
-``benchmarks/BENCH_obs.json`` (steps/s, cells/s, cumulative per-phase µs
-from the span tracer, platform + git revision provenance) so PR-over-PR
-trajectories can be compared without re-parsing pytest-benchmark output.
-The document is produced by :func:`repro.obs.baseline.run_bench` — the
-same probe ``repro bench`` runs — so the pytest session and the CLI write
-byte-compatible schemas.
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
 from repro.par.decomposition import build_decomposition, equal_cell_assignment
 from repro.topo import build_kochi_grid
-
-#: Steps for the BENCH_obs.json probe run (small: it rides along every
-#: benchmark session).
-_OBS_STEPS = 40
 
 
 @pytest.fixture(scope="session")
@@ -46,25 +31,3 @@ def emit(text: str) -> None:
     print("\n" + "=" * 72)
     print(text)
     print("=" * 72)
-
-
-def bench_obs_snapshot(n_steps: int = _OBS_STEPS) -> dict:
-    """One-repeat bench document (delegates to the observatory probe)."""
-    from repro.obs.baseline import run_bench
-
-    return run_bench(repeats=1, n_steps=n_steps)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Drop ``benchmarks/BENCH_obs.json`` after every benchmark session."""
-    if exitstatus != 0:
-        return
-    out = Path(__file__).parent / "BENCH_obs.json"
-    try:
-        snap = bench_obs_snapshot()
-        out.write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n")
-    except Exception as exc:  # noqa: BLE001 - never fail the session
-        print(f"\nBENCH_obs.json skipped: {exc}")
-        return
-    sps = snap["medians"]["steps_per_second"]
-    print(f"\nwrote {out} ({sps:.1f} steps/s)")

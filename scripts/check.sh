@@ -46,6 +46,11 @@ else
     echo "== ruff not installed; skipping lint (pip install ruff) =="
 fi
 
+# One performance stack: the retired bench probe and baseline store stay gone.
+if git grep -nE 'BaselineStore|compare_docs|run_bench|BENCH_obs|allow-missing' -- \
+    src tests benchmarks/conftest.py .github scripts ':!scripts/check.sh'
+then echo "== a second performance stack is back (see above) =="; exit 1; fi
+
 echo "== pytest (tier 1) =="
 if [ "$fast" = 1 ]; then
     PYTHONPATH=src python -m pytest -x -q

@@ -37,16 +37,6 @@ Commands
     (or a run directory holding one), prints attainment, error-budget
     remaining, and burn rates per objective, and exits 1 when any
     error budget is exhausted — the CI gate for the nightly soak.
-``bench``
-    Run the repeated mini-Kochi probe and write a versioned bench
-    document (``benchmarks/BENCH_obs.json``) stamped with schema,
-    platform, and git revision; the first bench on a platform also
-    creates its baseline under ``benchmarks/baselines/``.
-``compare``
-    The statistical regression gate: compare a fresh probe (or a saved
-    document via ``--current``) against the stored baseline.  Exits 1
-    on confirmed regressions, 3 when no baseline exists (0 with
-    ``--allow-missing``), so CI can block on it.
 ``retune``
     Online calibration: fit the linear kernel-cost model from a traced
     run's per-block kernel spans, report drift against the platform's
@@ -550,91 +540,8 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.errors import ObservatoryError
-    from repro.obs import observatory
-    from repro.obs.baseline import BaselineStore, parse_injection
-
-    try:
-        inject = (
-            parse_injection(args.inject_slowdown)
-            if args.inject_slowdown else None
-        )
-        if args.no_baseline:
-            policy = "never"
-        elif args.update_baseline:
-            policy = "always"
-        else:
-            policy = "if-missing"
-        _doc, lines = observatory.bench(
-            repeats=args.repeats,
-            n_steps=args.steps,
-            platform_key=args.platform,
-            out=args.out,
-            inject=inject,
-            store=BaselineStore(args.baseline_dir),
-            save_baseline=policy,
-            rundir=args.rundir,
-        )
-    except ObservatoryError as exc:
-        print(f"error: {exc}")
-        return 2
-    for line in lines:
-        print(line)
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    from pathlib import Path
-
-    from repro.errors import ObservatoryError
-    from repro.obs.baseline import (
-        BaselineStore,
-        load_doc,
-        parse_injection,
-        run_bench,
-    )
-    from repro.obs.regression import compare_docs
-
-    store = BaselineStore(args.baseline_dir)
-    baseline_path = (
-        Path(args.baseline) if args.baseline
-        else store.path_for(args.platform)
-    )
-    if not baseline_path.exists():
-        msg = (
-            f"no baseline at {baseline_path} — run `repro bench` to "
-            "create one"
-        )
-        if args.allow_missing:
-            print(f"warning: {msg}; skipping the regression gate")
-            return 0
-        print(f"error: {msg}")
-        return 3
-    try:
-        base_doc = load_doc(baseline_path)
-        if args.current:
-            cur_doc = load_doc(args.current)
-        else:
-            inject = (
-                parse_injection(args.inject_slowdown)
-                if args.inject_slowdown else None
-            )
-            cur_doc = run_bench(
-                repeats=args.repeats, n_steps=args.steps,
-                platform_key=args.platform, inject=inject,
-            )
-        report = compare_docs(base_doc, cur_doc, threshold=args.threshold)
-    except ObservatoryError as exc:
-        print(f"error: {exc}")
-        return 2
-    print(f"baseline        : {baseline_path}")
-    print(report.summary())
-    return 0 if report.ok else 1
-
-
 def _cmd_retune(args) -> int:
-    from repro.errors import ObservatoryError, PersistError
+    from repro.errors import ReproError
     from repro.obs.observatory import retune_from_rundir
 
     try:
@@ -646,7 +553,7 @@ def _cmd_retune(args) -> int:
             iterations=args.iterations,
             seed=args.seed,
         )
-    except (ObservatoryError, PersistError) as exc:
+    except ReproError as exc:
         print(f"error: {exc}")
         return 1
     print(report.summary())
@@ -978,81 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sl.add_argument("target",
                       help="slo.json path, or a run directory holding one")
 
-    from repro.obs.baseline import (
-        DEFAULT_PLATFORM,
-        DEFAULT_REPEATS,
-        DEFAULT_STEPS,
-    )
-    from repro.obs.observatory import DEFAULT_BENCH_OUT
-    from repro.obs.regression import DEFAULT_THRESHOLD
-
-    p_be = sub.add_parser(
-        "bench",
-        help="run the mini-Kochi bench probe and write BENCH_obs.json",
-    )
-    p_be.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
-                      metavar="N",
-                      help=f"probe repetitions (default: {DEFAULT_REPEATS})")
-    p_be.add_argument("--steps", type=int, default=DEFAULT_STEPS,
-                      metavar="N",
-                      help=f"steps per probe (default: {DEFAULT_STEPS})")
-    p_be.add_argument("--platform", default=DEFAULT_PLATFORM,
-                      help="hw registry platform key for queue simulation "
-                           f"and baseline naming (default: {DEFAULT_PLATFORM})")
-    p_be.add_argument("--out", default=str(DEFAULT_BENCH_OUT), metavar="PATH",
-                      help="bench document path "
-                           f"(default: {DEFAULT_BENCH_OUT})")
-    p_be.add_argument("--baseline-dir", default=None, metavar="DIR",
-                      help="baseline store root "
-                           "(default: benchmarks/baselines)")
-    p_be.add_argument("--update-baseline", action="store_true",
-                      help="overwrite the stored baseline with this run "
-                           "(previous entries kept in its history)")
-    p_be.add_argument("--no-baseline", action="store_true",
-                      help="never touch the baseline store")
-    p_be.add_argument("--inject-slowdown", default=None,
-                      metavar="PHASE:FACTOR[,...]",
-                      help="scale recorded phase times, e.g. NLMNT2:2.0 "
-                           "(regression-gate self-test)")
-    p_be.add_argument("--rundir", default=None, metavar="DIR",
-                      help="also drop a bench.json snapshot into this "
-                           "run directory")
-
-    p_cp = sub.add_parser(
-        "compare",
-        help="gate current performance against the stored baseline",
-    )
-    p_cp.add_argument("--platform", default=DEFAULT_PLATFORM,
-                      help=f"baseline platform key (default: {DEFAULT_PLATFORM})")
-    p_cp.add_argument("--baseline", default=None, metavar="PATH",
-                      help="explicit baseline document (default: "
-                           "benchmarks/baselines/<platform>.json)")
-    p_cp.add_argument("--baseline-dir", default=None, metavar="DIR",
-                      help="baseline store root "
-                           "(default: benchmarks/baselines)")
-    p_cp.add_argument("--current", default=None, metavar="PATH",
-                      help="compare this bench document instead of running "
-                           "a fresh probe")
-    p_cp.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                      metavar="FRAC",
-                      help="regression threshold as a fraction "
-                           f"(default: {DEFAULT_THRESHOLD})")
-    p_cp.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
-                      metavar="N",
-                      help="repetitions for the fresh probe "
-                           f"(default: {DEFAULT_REPEATS})")
-    p_cp.add_argument("--steps", type=int, default=DEFAULT_STEPS,
-                      metavar="N",
-                      help="steps per fresh probe "
-                           f"(default: {DEFAULT_STEPS})")
-    p_cp.add_argument("--inject-slowdown", default=None,
-                      metavar="PHASE:FACTOR[,...]",
-                      help="scale the fresh probe's phase times "
-                           "(regression-gate self-test)")
-    p_cp.add_argument("--allow-missing", action="store_true",
-                      help="exit 0 with a warning when no baseline exists "
-                           "(first run in CI)")
-
     p_rt = sub.add_parser(
         "retune",
         help="recalibrate the perf model from a traced run and re-tune "
@@ -1070,7 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.add_argument("--grid", default="kochi",
                       choices=["kochi", "mini-kochi"],
                       help="grid to re-tune (default: kochi)")
-    p_rt.add_argument("--iterations", type=int, default=2000,
+    p_rt.add_argument("--iterations", type=_positive_int, default=2000,
                       help="hill-climb iterations (default: 2000)")
     p_rt.add_argument("--seed", type=int, default=0,
                       help="hill-climb RNG seed (default: 0)")
@@ -1172,8 +1004,6 @@ def main(argv: list[str] | None = None) -> int:
         "resume": _cmd_resume,
         "inspect": _cmd_inspect,
         "slo": _cmd_slo,
-        "bench": _cmd_bench,
-        "compare": _cmd_compare,
         "retune": _cmd_retune,
         "serve": _cmd_serve,
         "submit": _cmd_submit,

@@ -254,9 +254,9 @@ class BackendUnavailableError(ServiceOverloadError):
 class ObservatoryError(ReproError):
     """Performance-observatory failure.
 
-    Raised by the bench/baseline machinery (:mod:`repro.obs.baseline`,
-    :mod:`repro.obs.observatory`) for malformed bench documents, bad
-    injection specs, or a baseline store in an unusable state.
+    Raised by ``repro retune`` (:mod:`repro.obs.observatory`) for a run
+    directory without recorded spans or an unknown grid name; base of
+    :class:`CalibrationError`.
     """
 
 

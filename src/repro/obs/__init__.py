@@ -41,19 +41,15 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.obs import (
-    baseline,
     critpath,
     flight,
     log,
     metrics,
     physics,
-    regression,
     slo,
     trace,
 )
-from repro.obs.baseline import BaselineStore, run_bench
 from repro.obs.critpath import analyze_queues, analyze_spans
-from repro.obs.regression import compare_docs
 from repro.obs.export import (
     chrome_trace,
     kernel_events_to_chrome,
@@ -144,7 +140,6 @@ def export_run(
 
 __all__ = [
     "TIMEBASE",
-    "BaselineStore",
     "DivergenceSentinel",
     "FlightBook",
     "FlightRecorder",
@@ -157,9 +152,7 @@ __all__ = [
     "Tracer",
     "analyze_queues",
     "analyze_spans",
-    "baseline",
     "breakdowns_from_spans",
-    "compare_docs",
     "context",
     "critpath",
     "chrome_trace",
@@ -193,13 +186,11 @@ __all__ = [
     "physics_counter_events",
     "physics_doc",
     "queue_occupancy",
-    "regression",
     "render_flight",
     "render_physics_doc",
     "render_report",
     "render_slo_doc",
     "reset",
-    "run_bench",
     "service_events_to_chrome",
     "set_context",
     "slo",

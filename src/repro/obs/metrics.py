@@ -10,8 +10,7 @@ Two export formats:
   which the test suite uses as a format-correctness oracle;
 * **``metrics.json``** (:meth:`MetricsRegistry.to_dict` /
   :meth:`MetricsRegistry.write_json`), the per-run snapshot dropped in
-  the run directory that ``repro inspect`` and the PR-over-PR benchmark
-  trajectory (``benchmarks/BENCH_obs.json``) read.
+  the run directory that ``repro inspect`` reads.
 
 Instruments are cheap (a float add under no lock contention in the
 common single-writer case) but still gated behind ``obs`` enablement in

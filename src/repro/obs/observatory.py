@@ -1,21 +1,18 @@
-"""The performance observatory: telemetry turned into decisions.
+"""Online recalibration and re-tune of the decomposition from a traced run.
 
-PR 3 made the stack *observable* (spans, metrics, traces); this module
-makes it *actionable*.  Three instruments, surfaced as CLI commands:
+:func:`retune_from_rundir` (``repro retune``) folds a traced run's
+per-block kernel spans into the Fig.-5 linear fit
+(:mod:`repro.balance.calibrate`), reports drift against the platform's
+stored reference model (:mod:`repro.hw.registry`), and feeds the
+recalibrated model to the Algorithm-1 hill-climb re-tuner; the
+resulting max/mean rank-time imbalance is exported through the metrics
+registry as ``repro_rank_imbalance_ratio``.
 
-* **bench** (:func:`bench`) — run the repeated mini-Kochi probe, write
-  the versioned bench document, and manage the per-platform baseline in
-  the :class:`~repro.obs.baseline.BaselineStore`;
-* **compare** (:func:`compare_against_baseline`) — the statistical
-  regression gate of :mod:`repro.obs.regression`, non-zero on confirmed
-  regressions so CI can block on it;
-* **retune** (:func:`retune_from_rundir`) — fold a traced run's
-  per-block kernel spans into the Fig.-5 linear fit
-  (:mod:`repro.balance.calibrate`), report drift against the platform's
-  stored reference model (:mod:`repro.hw.registry`), and feed the
-  recalibrated model to the Algorithm-1 hill-climb re-tuner; the
-  resulting max/mean rank-time imbalance is exported through the
-  metrics registry as ``repro_rank_imbalance_ratio``.
+That is all this module holds — :class:`RetuneReport`,
+``_makespan_and_imbalance``, :func:`retune_from_rundir` and
+:data:`IMBALANCE_GAUGE` — and ROADMAP item 4 builds the paper's Fig.-6
+command on them.  How the repo *measures* itself is the ledger
+(``benchmarks/ledger/`` + ``scripts/perf_ab.py``), not this package.
 """
 
 from __future__ import annotations
@@ -31,106 +28,10 @@ from repro.balance.calibrate import (
 )
 from repro.balance.perfmodel import LinearPerfModel
 from repro.errors import ObservatoryError
-from repro.obs.baseline import (
-    BaselineStore,
-    load_doc,
-    parse_injection,
-    run_bench,
-    write_doc,
-)
 from repro.obs.metrics import get_registry
-from repro.obs.regression import (
-    DEFAULT_THRESHOLD,
-    RegressionReport,
-    compare_docs,
-)
-
-#: Default bench-document drop path (the PR-over-PR trajectory file).
-DEFAULT_BENCH_OUT = Path("benchmarks") / "BENCH_obs.json"
 
 #: Gauge exporting the predicted rank imbalance of the last retune.
 IMBALANCE_GAUGE = "repro_rank_imbalance_ratio"
-
-
-# ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-
-def bench(
-    repeats: int,
-    n_steps: int,
-    platform_key: str,
-    out: str | Path | None = None,
-    inject: dict[str, float] | None = None,
-    store: BaselineStore | None = None,
-    save_baseline: str = "if-missing",
-    rundir: str | Path | None = None,
-) -> tuple[dict, list[str]]:
-    """Run the probe, write artifacts, manage the baseline lifecycle.
-
-    *save_baseline* is one of ``"if-missing"`` (default: the first bench
-    on a platform creates its baseline), ``"always"`` (promote this
-    document to the baseline), or ``"never"`` (measure only — what CI
-    uses so the committed baseline stays authoritative).
-
-    Returns the bench document and the human-readable action log.
-    """
-    if save_baseline not in ("if-missing", "always", "never"):
-        raise ObservatoryError(
-            f"unknown save_baseline policy {save_baseline!r}"
-        )
-    store = store or BaselineStore()
-    doc = run_bench(
-        repeats=repeats, n_steps=n_steps,
-        platform_key=platform_key, inject=inject,
-    )
-    lines: list[str] = []
-    out_path = write_doc(doc, Path(out) if out else DEFAULT_BENCH_OUT)
-    lines.append(f"wrote bench document: {out_path}")
-    if save_baseline == "always" or (
-        save_baseline == "if-missing" and not store.exists(platform_key)
-    ):
-        path = store.save(doc)
-        lines.append(f"baseline saved: {path}")
-    elif save_baseline == "if-missing":
-        lines.append(
-            f"baseline kept: {store.path_for(platform_key)} "
-            "(use --update-baseline to promote this run)"
-        )
-    if rundir is not None:
-        snap = store.snapshot(rundir, doc)
-        lines.append(f"rundir snapshot: {snap}")
-    med = doc.get("medians", {})
-    sps = med.get("steps_per_second")
-    if sps:
-        lines.append(
-            f"median throughput: {sps:,.1f} steps/s, "
-            f"{med.get('cells_per_second', 0):,.0f} cell-updates/s "
-            f"over {doc['repeats']}x{doc['steps']} steps"
-        )
-    return doc, lines
-
-
-# ---------------------------------------------------------------------------
-# compare
-# ---------------------------------------------------------------------------
-
-
-def compare_against_baseline(
-    baseline_path: str | Path,
-    current_doc: dict,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> RegressionReport:
-    """Gate one bench document against a stored baseline."""
-    return compare_docs(
-        load_doc(baseline_path), current_doc, threshold=threshold
-    )
-
-
-# ---------------------------------------------------------------------------
-# retune
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -264,12 +165,7 @@ def retune_from_rundir(
 
 
 __all__ = [
-    "DEFAULT_BENCH_OUT",
     "IMBALANCE_GAUGE",
-    "BaselineStore",
     "RetuneReport",
-    "bench",
-    "compare_against_baseline",
-    "parse_injection",
     "retune_from_rundir",
 ]

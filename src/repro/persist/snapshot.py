@@ -98,10 +98,6 @@ def fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-#: Backwards-compatible private alias (public name: :func:`fsync_dir`).
-_fsync_dir = fsync_dir
-
-
 def write_arrays(path: Path, arrays: dict[str, np.ndarray]) -> dict[str, str]:
     """Write *arrays* to a compressed npz, fsync it, return digests."""
     digests = {key: array_digest(a) for key, a in arrays.items()}

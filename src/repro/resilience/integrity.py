@@ -156,16 +156,6 @@ def verify_checkpoint(ckpt) -> list[tuple[int, int]]:
     return bad
 
 
-def snapshot_checksums(blocks: dict) -> dict:
-    """Digest a rank snapshot's ``blocks`` map (survivable runtime).
-
-    Same layout as :func:`checkpoint_checksums`; shipped alongside the
-    buddy replica so the assembly step can tell a clean neighbor copy
-    from a corrupt own copy.
-    """
-    return checkpoint_checksums(blocks)
-
-
 def verify_blocks(blocks: dict, checksums: dict | None) -> list[int]:
     """Block ids of *blocks* whose stored CRCs fail to verify."""
     if not checksums:

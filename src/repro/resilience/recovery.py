@@ -86,13 +86,7 @@ def drop_finest_level(model: RTiModel) -> RTiModel:
     for bid, st in degraded.states.items():
         st.restore(model.states[bid].capture())
     for bid, acc in degraded.outputs.items():
-        src = model.outputs[bid]
-        acc.zmax[...] = src.zmax
-        acc.vmax[...] = src.vmax
-        acc.inundation_max[...] = src.inundation_max
-        acc.arrival_time[...] = src.arrival_time
-        acc._z0[...] = src._z0
-        acc._land[...] = src._land
+        acc.load_product_arrays(model.outputs[bid].product_arrays())
     return degraded
 
 

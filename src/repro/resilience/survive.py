@@ -161,7 +161,7 @@ class RankSnapshot:
     — deep copies, safe to ship and to hold across steps.
 
     ``checksums`` (``{bid: {"crc": ..., "sum": ...}}`` from
-    :func:`repro.resilience.integrity.snapshot_checksums`) travels with
+    :func:`repro.resilience.integrity.checkpoint_checksums`) travels with
     the buffers, so the *receiver* of a buddy replica — and a survivor
     assembling recovery state — can tell a bit-flipped copy from a clean
     one and prefer the neighbor's.
@@ -503,9 +503,9 @@ class _SurvivableLoop:
         blocks = self.rt.snapshot_blocks()
         digests = None
         if self.scfg.integrity:
-            from repro.resilience.integrity import snapshot_checksums
+            from repro.resilience.integrity import checkpoint_checksums
 
-            digests = snapshot_checksums(blocks)
+            digests = checkpoint_checksums(blocks)
         snap = RankSnapshot(
             epoch=epoch,
             step=k,

@@ -15,9 +15,7 @@ from repro.validation.analytic import (
     single_block_model,
 )
 from repro.validation.conservation import (
-    mass_conservation_drift,
     mass_residual,
-    lake_at_rest_deviation,
     lake_at_rest_residual,
 )
 
@@ -26,8 +24,6 @@ __all__ = [
     "SlopedBathymetry",
     "standing_wave_solution",
     "single_block_model",
-    "mass_conservation_drift",
     "mass_residual",
-    "lake_at_rest_deviation",
     "lake_at_rest_residual",
 ]

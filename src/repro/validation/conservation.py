@@ -1,16 +1,9 @@
 """Conservation and well-balancedness checkers.
 
-Two layers live here:
-
-* **Non-mutating residuals** (:func:`mass_residual`,
-  :func:`lake_at_rest_residual`) — pure reads of the model's current
-  state, safe to call from an ``after_step`` monitor every step.  The
-  in-situ physics sampler (:mod:`repro.obs.physics`) is built on these.
-* **Run-consuming checkers** (:func:`mass_conservation_drift`,
-  :func:`lake_at_rest_deviation`) — the original offline helpers, kept
-  for their call signatures.  They *advance the model* by ``n_steps``
-  and then evaluate the residual; the mutation is now explicit in the
-  docstrings instead of a surprise.
+Non-mutating residuals (:func:`mass_residual`,
+:func:`lake_at_rest_residual`) — pure reads of the model's current
+state, safe to call from an ``after_step`` monitor every step.  The
+in-situ physics sampler (:mod:`repro.obs.physics`) is built on these.
 """
 
 from __future__ import annotations
@@ -46,29 +39,3 @@ def lake_at_rest_residual(model: RTiModel) -> float:
         worst = max(worst, float(np.abs(st.m_old).max()))
         worst = max(worst, float(np.abs(st.n_old).max()))
     return worst
-
-
-def mass_conservation_drift(model: RTiModel, n_steps: int) -> float:
-    """Relative change of total volume after *n_steps* steps.
-
-    **Mutates the model**: advances it by ``n_steps`` and evaluates
-    :func:`mass_residual` against the starting volume.  Only meaningful
-    with wall boundaries (closed basin); the wet/dry clamp introduces a
-    small non-conservation at moving shorelines, which this diagnostic
-    quantifies.
-    """
-    v0 = model.total_volume()
-    if v0 <= 0:
-        raise ValueError("model has no water")
-    model.run(n_steps)
-    return mass_residual(model, v0)
-
-
-def lake_at_rest_deviation(model: RTiModel, n_steps: int) -> float:
-    """Max |eta| and |flux| after integrating an initially-at-rest state.
-
-    **Mutates the model**: advances it by ``n_steps`` and evaluates
-    :func:`lake_at_rest_residual` on the final state.
-    """
-    model.run(n_steps)
-    return lake_at_rest_residual(model)

@@ -37,6 +37,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--comm", "telepathy"])
 
+    def test_bench_and_compare_are_not_commands(self):
+        parser = build_parser()
+        for retired in ("bench", "compare"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([retired])
+            assert exc.value.code == 2
+        args = parser.parse_args(["retune", "--from-rundir", "X"])
+        assert args.command == "retune"
+
 
 class TestCommands:
     def test_grid_prints_table1(self, capsys):

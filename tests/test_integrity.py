@@ -45,7 +45,6 @@ from repro.resilience.integrity import (
     integrity_doc,
     load_integrity_report,
     render_integrity_doc,
-    snapshot_checksums,
     state_checksums,
     verify_blocks,
     verify_checkpoint,
@@ -215,7 +214,7 @@ class TestDigests:
             bid: tuple(a.copy() for a in (*st._z, *st._m, *st._n))
             for bid, st in model.states.items()
         }
-        digests = snapshot_checksums(blocks)
+        digests = checkpoint_checksums(blocks)
         assert verify_blocks(blocks, digests) == []
         assert verify_blocks(blocks, None) == []
         flip_bit(blocks[0][0], 3)
@@ -535,11 +534,11 @@ class TestNeighborChecksums:
                    + (0,)}
         own = RankSnapshot(
             epoch=1, step=8, rank=0, blocks=blocks0,
-            checksums=snapshot_checksums(blocks0),
+            checksums=checkpoint_checksums(blocks0),
         )
         other = RankSnapshot(
             epoch=1, step=8, rank=1, blocks=blocks1,
-            checksums=snapshot_checksums(blocks1),
+            checksums=checkpoint_checksums(blocks1),
         )
         # Buddy layout: each store holds its own entry + the other's
         # replica (deep copies, as the wire transfer produces).
@@ -713,12 +712,6 @@ def _write_trace(d):
     write_chrome_trace(d / "trace.json")
 
 
-def _write_bench(d):
-    from repro.obs.baseline import write_doc
-
-    write_doc({"schema": "x"}, d / "bench.json")
-
-
 #: name -> ``setup(tmp_path) -> (write, directory the file lands in)``
 #: for every single-file artifact writer in the tree.
 ARTIFACT_WRITERS = {
@@ -731,7 +724,6 @@ ARTIFACT_WRITERS = {
     "slo.json": _in_tmp(_write_slo),
     "metrics.json": _in_tmp(_write_metrics),
     "trace.json": _in_tmp(_write_trace),
-    "bench document": _in_tmp(_write_bench),
     "flight recording": _flight_dump,
     "eta dump": _eta_dump,
     "gauge rewrite": _gauge_rewrite,
@@ -740,11 +732,6 @@ ARTIFACT_WRITERS = {
 
 
 class TestDirsyncRegression:
-    def test_fsync_dir_is_public_with_compat_alias(self):
-        from repro.persist import snapshot as snap
-
-        assert snap._fsync_dir is snap.fsync_dir
-
     def test_snapshot_publish_fsyncs_parent(self, tmp_path, monkeypatch):
         """Regression: rename without dirsync can vanish on power loss.
 

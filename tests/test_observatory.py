@@ -1,13 +1,7 @@
 """Tests for the performance observatory (PR 4).
 
-Covers the four instruments the observatory adds on top of the telemetry
-layer:
+Covers what the observatory adds on top of the telemetry layer:
 
-* the median/MAD **regression detector** and its edge cases (zero
-  variance, single sample, improvements, exact threshold boundary);
-* the versioned **baseline store** (save/load, bounded history, per-run
-  snapshots) and the ``repro bench`` / ``repro compare`` CLI round trip,
-  including the injected-slowdown self-test the gate must catch;
 * **critical-path analytics** over recorded spans and simulated
   :class:`~repro.hw.streams.KernelEvent` timelines (launch-bound versus
   dependency idle, longest kernel chain);
@@ -17,8 +11,6 @@ layer:
 """
 
 import json
-import math
-import subprocess
 
 import pytest
 
@@ -31,13 +23,6 @@ from repro.balance.calibrate import (
 from repro.balance.perfmodel import LinearPerfModel
 from repro.errors import CalibrationError, ObservatoryError
 from repro.hw.streams import KernelEvent
-from repro.obs.baseline import (
-    BENCH_SCHEMA,
-    BaselineStore,
-    flatten_sample,
-    load_doc,
-    parse_injection,
-)
 from repro.obs.critpath import (
     analyze_queues,
     analyze_spans,
@@ -46,12 +31,6 @@ from repro.obs.critpath import (
     saturation_summary,
 )
 from repro.obs.metrics import get_registry
-from repro.obs.regression import (
-    DEFAULT_THRESHOLD,
-    compare_docs,
-    detect,
-    direction_of,
-)
 
 
 @pytest.fixture(autouse=True)
@@ -62,338 +41,6 @@ def _clean_obs():
     yield
     obs.disable()
     obs.reset()
-
-
-# ---------------------------------------------------------------------------
-# Regression detector
-# ---------------------------------------------------------------------------
-
-
-class TestRegressionDetector:
-    def test_direction_classification(self):
-        assert direction_of("steps_per_second") == "higher"
-        assert direction_of("cells_per_second") == "higher"
-        assert direction_of("wall_s") == "lower"
-        assert direction_of("phase_us.NLMNT2") == "lower"
-
-    def test_zero_variance_baseline_uses_threshold_alone(self):
-        base = [100.0, 100.0, 100.0]
-        ok = detect("wall_s", base, [120.0])
-        assert ok.noise_frac == 0.0
-        assert not ok.regressed
-        bad = detect("wall_s", base, [140.0])
-        assert bad.regressed
-
-    def test_single_sample_documents_work(self):
-        v = detect("wall_s", [100.0], [150.0])
-        assert v.baseline_median == 100.0
-        assert v.delta_frac == pytest.approx(0.5)
-        assert v.regressed
-
-    def test_improvement_never_triggers(self):
-        v = detect("wall_s", [100.0] * 3, [10.0])
-        assert v.improved and not v.regressed
-        # Direction-aware: a throughput *drop* is the regression.
-        v = detect("steps_per_second", [100.0] * 3, [10.0])
-        assert v.regressed and not v.improved
-        v = detect("steps_per_second", [100.0] * 3, [500.0])
-        assert v.improved and not v.regressed
-
-    def test_threshold_boundary_is_exact(self):
-        # delta exactly at the threshold passes (strict inequality)...
-        at = detect("wall_s", [100.0], [130.0], threshold=0.30)
-        assert at.delta_frac == at.gate_frac
-        assert not at.regressed
-        # ...the next representable value above it fails.
-        above = detect(
-            "wall_s", [100.0],
-            [math.nextafter(130.0, math.inf)], threshold=0.30,
-        )
-        assert above.regressed
-
-    def test_noisy_baseline_widens_its_own_gate(self):
-        base = [100.0, 120.0, 140.0]  # median 120, MAD 20
-        v = detect("wall_s", base, [190.0])
-        assert v.noise_frac > DEFAULT_THRESHOLD
-        assert v.gate_frac == pytest.approx(v.noise_frac)
-        assert v.delta_frac > DEFAULT_THRESHOLD  # would fail a quiet gate
-        assert not v.regressed  # but sits inside the noise band
-
-    def test_zero_baseline_degrades_gracefully(self):
-        worse = detect("wall_s", [0.0, 0.0], [5.0])
-        assert worse.delta_frac == math.inf and worse.regressed
-        same = detect("wall_s", [0.0, 0.0], [0.0])
-        assert same.delta_frac == 0.0 and not same.regressed
-        better = detect("steps_per_second", [0.0], [5.0])
-        assert better.improved and not better.regressed
-
-    def test_empty_samples_rejected(self):
-        with pytest.raises(ValueError):
-            detect("wall_s", [], [1.0])
-        with pytest.raises(ValueError):
-            detect("wall_s", [1.0], [])
-        with pytest.raises(ValueError):
-            detect("wall_s", [1.0], [1.0], threshold=-0.1)
-
-
-def _doc(scale_nlmnt2=1.0, scale_all=1.0, rev="abc1234", n=3):
-    """A synthetic bench document with deterministic samples."""
-    samples = []
-    for i in range(n):
-        jitter = 1.0 + 0.001 * i
-        phase = {
-            "NLMASS": 2000.0 * jitter * scale_all,
-            "NLMNT2": 20000.0 * jitter * scale_all * scale_nlmnt2,
-            "OUTPUT": 3500.0 * jitter * scale_all,
-        }
-        wall = sum(phase.values()) * 1e-6
-        samples.append({
-            "wall_s": wall,
-            "steps_per_second": 40 / wall,
-            "cells_per_second": 40 * 24_000 / wall,
-            "halo_bytes": 334_080.0,
-            "phase_us": phase,
-        })
-    return {
-        "schema": BENCH_SCHEMA,
-        "grid": "mini-kochi",
-        "platform": "a100-sxm4",
-        "git_rev": rev,
-        "steps": 40,
-        "repeats": n,
-        "samples": samples,
-    }
-
-
-class TestCompareDocs:
-    def test_identical_documents_pass(self):
-        report = compare_docs(_doc(), _doc(rev="def5678"))
-        assert report.ok
-        assert report.baseline_rev == "abc1234"
-        assert report.current_rev == "def5678"
-        assert "no confirmed regressions" in report.summary()
-
-    def test_injected_nlmnt2_slowdown_is_confirmed(self):
-        report = compare_docs(_doc(), _doc(scale_nlmnt2=2.0))
-        regressed = {v.metric for v in report.regressions}
-        assert "phase_us.NLMNT2" in regressed
-        assert "wall_s" in regressed
-        assert "steps_per_second" in regressed  # throughput dropped
-        assert "phase_us.NLMASS" not in regressed  # untouched phase
-        assert "CONFIRMED REGRESSIONS" in report.summary()
-
-    def test_improvement_reported_not_flagged(self):
-        report = compare_docs(_doc(), _doc(scale_all=0.5))
-        assert report.ok
-        assert any(
-            v.metric == "wall_s" for v in report.improvements
-        )
-
-    def test_only_shared_metrics_compared(self):
-        cur = _doc()
-        for s in cur["samples"]:
-            del s["halo_bytes"]
-            s["new_metric"] = 1.0
-        report = compare_docs(_doc(), cur)
-        metrics = {v.metric for v in report.verdicts}
-        assert "halo_bytes" not in metrics
-        assert "new_metric" not in metrics
-        assert "wall_s" in metrics
-
-    def test_legacy_flat_v1_document_still_compares(self):
-        legacy = {
-            "schema": "repro.bench_obs/1",
-            "wall_s": 0.0255,
-            "steps_per_second": 1568.6,
-            "phase_us": {"NLMNT2": 20000.0, "NLMASS": 2000.0},
-        }
-        report = compare_docs(legacy, legacy)
-        assert report.ok
-        assert {v.metric for v in report.verdicts} >= {
-            "wall_s", "steps_per_second", "phase_us.NLMNT2",
-        }
-
-    def test_flatten_sample_prefixes_phases(self):
-        flat = flatten_sample(_doc()["samples"][0])
-        assert "phase_us.NLMNT2" in flat
-        assert "wall_s" in flat
-
-
-# ---------------------------------------------------------------------------
-# Baseline store + injection parsing
-# ---------------------------------------------------------------------------
-
-
-class TestBaselineStore:
-    def test_save_load_round_trip(self, tmp_path):
-        store = BaselineStore(tmp_path)
-        doc = _doc()
-        path = store.save(doc)
-        assert path == tmp_path / "a100-sxm4.json"
-        assert store.exists("a100-sxm4")
-        assert store.platforms() == ["a100-sxm4"]
-        loaded = store.load("a100-sxm4")
-        assert loaded["git_rev"] == "abc1234"
-        assert loaded["samples"] == doc["samples"]
-
-    def test_history_is_bounded(self, tmp_path):
-        from repro.obs.baseline import HISTORY_LIMIT
-
-        store = BaselineStore(tmp_path)
-        for i in range(HISTORY_LIMIT + 3):
-            store.save(_doc(rev=f"rev{i}"))
-        loaded = store.load("a100-sxm4")
-        assert loaded["git_rev"] == f"rev{HISTORY_LIMIT + 2}"
-        history = loaded["history"]
-        assert len(history) == HISTORY_LIMIT
-        # Oldest-first provenance chain; newest previous baseline last,
-        # stored as a compact summary (no raw samples).
-        assert history[-1]["git_rev"] == f"rev{HISTORY_LIMIT + 1}"
-        assert all("samples" not in h for h in history)
-
-    def test_rundir_snapshot(self, tmp_path):
-        store = BaselineStore(tmp_path / "bl")
-        rundir = tmp_path / "run"
-        rundir.mkdir()
-        snap = store.snapshot(rundir, _doc())
-        assert snap == rundir / "bench.json"
-        assert json.loads(snap.read_text())["schema"] == BENCH_SCHEMA
-
-    def test_load_doc_missing_raises_cleanly(self, tmp_path):
-        with pytest.raises(ObservatoryError):
-            load_doc(tmp_path / "nope.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(ObservatoryError):
-            load_doc(bad)
-
-    def test_parse_injection(self):
-        assert parse_injection("NLMNT2:2.0") == {"NLMNT2": 2.0}
-        assert parse_injection("NLMNT2:2,OUTPUT:1.5") == {
-            "NLMNT2": 2.0, "OUTPUT": 1.5,
-        }
-        for bad in ("NLMNT2", "NLMNT2:zero", "NLMNT2:-1", ":2", ""):
-            with pytest.raises(ObservatoryError):
-                parse_injection(bad)
-
-
-# ---------------------------------------------------------------------------
-# bench / compare CLI round trip (the ISSUE acceptance flow)
-# ---------------------------------------------------------------------------
-
-
-class TestBenchCompareCli:
-    def _bench(self, tmp_path, *extra):
-        from repro.cli import main
-
-        return main([
-            "bench", "--repeats", "1", "--steps", "3",
-            "--baseline-dir", str(tmp_path / "bl"), *extra,
-        ])
-
-    def test_bench_writes_document_and_creates_baseline(
-        self, tmp_path, capsys
-    ):
-        out = tmp_path / "BENCH.json"
-        assert self._bench(tmp_path, "--out", str(out)) == 0
-        text = capsys.readouterr().out
-        assert "baseline saved" in text
-        doc = load_doc(out)
-        assert doc["schema"] == BENCH_SCHEMA
-        assert doc["platform"] == "a100-sxm4"
-        # Provenance is stamped: the revision when the working
-        # directory is a git checkout, an explicit null in an export.
-        rev = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True,
-        )
-        assert "git_rev" in doc
-        if rev.returncode == 0:
-            assert doc["git_rev"] == rev.stdout.strip()
-        assert doc["repeats"] == 1 and len(doc["samples"]) == 1
-        assert doc["medians"]["steps_per_second"] > 0
-        assert doc["queue_occupancy"]
-        assert (tmp_path / "bl" / "a100-sxm4.json").exists()
-
-    def test_second_bench_keeps_baseline(self, tmp_path, capsys):
-        out = tmp_path / "BENCH.json"
-        assert self._bench(tmp_path, "--out", str(out)) == 0
-        first = load_doc(tmp_path / "bl" / "a100-sxm4.json")
-        capsys.readouterr()
-        assert self._bench(tmp_path, "--out", str(out)) == 0
-        assert "baseline kept" in capsys.readouterr().out
-        kept = load_doc(tmp_path / "bl" / "a100-sxm4.json")
-        assert kept["created_s"] == first["created_s"]
-
-    def test_update_baseline_promotes_and_keeps_history(
-        self, tmp_path, capsys
-    ):
-        out = tmp_path / "BENCH.json"
-        assert self._bench(tmp_path, "--out", str(out)) == 0
-        assert self._bench(
-            tmp_path, "--out", str(out), "--update-baseline"
-        ) == 0
-        doc = load_doc(tmp_path / "bl" / "a100-sxm4.json")
-        assert len(doc["history"]) == 1
-
-    def test_compare_missing_baseline_exit_codes(self, tmp_path, capsys):
-        from repro.cli import main
-
-        args = [
-            "compare", "--current", "ignored.json",
-            "--baseline-dir", str(tmp_path / "bl"),
-        ]
-        assert main(args) == 3
-        assert "no baseline" in capsys.readouterr().out
-        assert main(args + ["--allow-missing"]) == 0
-        assert "warning" in capsys.readouterr().out
-
-    def test_round_trip_unchanged_then_injected_regression(
-        self, tmp_path, capsys
-    ):
-        """The ISSUE acceptance flow: bench, re-compare clean, then a 2x
-        NLMNT2 slowdown must come back as a confirmed regression."""
-        from repro.cli import main
-
-        out = tmp_path / "BENCH.json"
-        assert self._bench(tmp_path, "--out", str(out)) == 0
-        capsys.readouterr()
-
-        # Unchanged re-run: the baseline document compared against
-        # itself is delta-zero on every metric — never flagged.
-        assert main([
-            "compare", "--current", str(out),
-            "--baseline-dir", str(tmp_path / "bl"),
-        ]) == 0
-        assert "no confirmed regressions" in capsys.readouterr().out
-
-        # Injected 2x NLMNT2 slowdown: confirmed, non-zero exit.
-        slow = tmp_path / "BENCH_slow.json"
-        assert self._bench(
-            tmp_path, "--out", str(slow), "--no-baseline",
-            "--inject-slowdown", "NLMNT2:2.0",
-        ) == 0
-        capsys.readouterr()
-        assert main([
-            "compare", "--current", str(slow),
-            "--baseline-dir", str(tmp_path / "bl"),
-        ]) == 1
-        text = capsys.readouterr().out
-        assert "CONFIRMED REGRESSIONS" in text
-        assert "phase_us.NLMNT2" in text
-
-    def test_bench_bad_injection_spec_fails_cleanly(self, tmp_path, capsys):
-        assert self._bench(tmp_path, "--inject-slowdown", "NLMNT2") == 2
-        assert "error" in capsys.readouterr().out
-
-    def test_bench_rundir_snapshot(self, tmp_path, capsys):
-        rundir = tmp_path / "run"
-        rundir.mkdir()
-        assert self._bench(
-            tmp_path, "--out", str(tmp_path / "B.json"),
-            "--rundir", str(rundir),
-        ) == 0
-        assert (rundir / "bench.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +339,21 @@ class TestRetune:
             "retune", "--from-rundir", str(tmp_path / "nope"),
         ]) == 1
         assert "error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", [
+        ["--system", "bogus"],
+        ["--ranks", "1000", "--grid", "mini-kochi"],
+    ], ids=["unknown-system", "starved-rank"])
+    def test_retune_bad_request_fails_cleanly(
+        self, traced_rundir, capsys, bad
+    ):
+        from repro.cli import main
+
+        assert main([
+            "retune", "--from-rundir", str(traced_rundir),
+            "--iterations", "10", *bad,
+        ]) == 1
+        assert capsys.readouterr().out.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
