@@ -19,10 +19,12 @@ cd "$(dirname "$0")/.."
 fast=0
 [ "${1:-}" = "--fast" ] && fast=1
 
-# NLMASS, NLMNT2 and OUTPUT: bitwise, budgets, the team, the scalar oracle.
+# NLMASS, NLMNT2 and OUTPUT: bitwise, budgets, the team, the scalar oracle,
+# the prepared calls (under CC=false nothing is prepared: every case holds).
 kernel_suites="tests/test_kernels_bitwise.py tests/test_kernels_flat.py
     tests/test_kernel_passes.py tests/test_strip_team.py
-    tests/test_boundary_outputs.py tests/test_loopnest_oracle.py"
+    tests/test_boundary_outputs.py tests/test_loopnest_oracle.py
+    tests/test_prepared_calls.py"
 if [ "${1:-}" = "--legs" ]; then
     echo "== kernel suites as a team of one (taskset -c 0) =="
     PYTHONPATH=src taskset -c 0 python -m pytest -q $kernel_suites

@@ -38,6 +38,10 @@ documents' provenance.  Two trees that can both choose and chose
 differently — one side's build failed, one side's cache is stale — are not
 measured: that pair would compare executors, not the change.  A base from
 before the nest has no choice to make and runs NumPy by construction.
+Each tree is also asked for its per-call floor — microseconds per ``nlmass``,
+``nlmnt2`` and accumulator ``update`` on a 1 x 1 and a 45 x 90 block, best of
+five batches in a fresh interpreter — printed and stored in the same
+provenance (DESIGN.md section 9h's table, by one command).
 """
 
 from __future__ import annotations
@@ -80,15 +84,21 @@ _EXECUTOR = (
 )
 
 
-def executor_of(tree: Path) -> dict | None:
-    """What runs *tree*'s kernels on this box; None: it predates the choice."""
+def ask(tree: Path, script: str, what: str, *args: str):
+    """*script*'s last line of output, as JSON, from a fresh interpreter whose
+    first argument is *tree*'s ``src``; a failure names *what* was asked."""
     done = subprocess.run(
-        [sys.executable, "-c", _EXECUTOR, str(tree / "src")],
+        [sys.executable, "-c", script, str(tree / "src"), *args],
         capture_output=True, text=True, check=False,
     )
     if done.returncode != 0:
-        raise SystemExit(f"{tree}: could not ask for its executor:\n{done.stderr}")
+        raise SystemExit(f"{tree}: {what}:\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def executor_of(tree: Path) -> dict | None:
+    """What runs *tree*'s kernels on this box; None: it predates the choice."""
+    return ask(tree, _EXECUTOR, "could not ask for its executor")
 
 
 _PRODUCTS = (
@@ -103,16 +113,55 @@ _PRODUCTS = (
 )
 
 
+# A sloped beach hit by a Gaussian hump, stepped until the wave has run up:
+# the kernels on the model's own buffers (the arrays a step hands them), best
+# of five batches.  A tree without these modules has no floor to report.
+_FLOOR = (
+    "import json, sys, time; sys.path.insert(0, sys.argv[1])\n"
+    "try:\n"
+    "    from repro.core.mass import nlmass\n"
+    "    from repro.core.momentum import nlmnt2\n"
+    "    from repro.fault import GaussianSource\n"
+    "    from repro.validation.analytic import SlopedBathymetry, single_block_model\n"
+    "except ImportError:\n"
+    "    print(json.dumps(None)); sys.exit(0)\n"
+    "floor = {}\n"
+    "for ny, nx in ((1, 1), (45, 90)):\n"
+    "    model = single_block_model(nx, ny, 50.0, SlopedBathymetry(20.0, 20.0 / (50.0 * nx)),\n"
+    "                               boundary='wall')\n"
+    "    model.set_initial_condition(GaussianSource(x0=35.0 * nx, y0=25.0 * ny, amplitude=2.0,\n"
+    "                                               sigma=10.0 * max(nx, 3)))\n"
+    "    model.run(40)\n"
+    "    (st,), (acc,), cfg = model.states.values(), model.outputs.values(), model.config\n"
+    "    calls = {\n"
+    "        'nlmass': lambda: nlmass(st.z_old, st.m_old, st.n_old, st.hz, cfg.dt, st.dx,\n"
+    "                                 out=st.z_new),\n"
+    "        'nlmnt2': lambda: nlmnt2(st.z_new, st.m_old, st.n_old, st.hz, cfg.dt, st.dx,\n"
+    "                                 cfg.manning, out_m=st.m_new, out_n=st.n_new),\n"
+    "        'update': lambda: acc.update(st.z_new, st.m_new, st.n_new, st.hz, 1.0),\n"
+    "    }\n"
+    "    for name, call in calls.items():\n"
+    "        batches = []\n"
+    "        for _ in range(5):\n"
+    "            t = time.perf_counter()\n"
+    "            for _ in range(400): call()\n"
+    "            batches.append((time.perf_counter() - t) / 400 * 1e6)\n"
+    "        floor[f'{name}_{ny}x{nx}_us'] = round(min(batches), 2)\n"
+    "print(json.dumps(floor))"
+)
+
+
+def floor_of(tree: Path) -> dict | None:
+    """Microseconds per call of *tree*'s ``nlmass``, ``nlmnt2`` and
+    accumulator ``update`` on a 1 x 1 and a 45 x 90 block, in a fresh
+    interpreter: the per-call floor (DESIGN.md section 9h's table)."""
+    return ask(tree, _FLOOR, "could not time its kernel calls")
+
+
 def products_digest_of(tree: Path, workload: str, seed: int) -> str:
     """SHA-256 of the four forecast products *tree* computes for *workload*."""
-    done = subprocess.run(
-        [sys.executable, "-c", _PRODUCTS, str(tree / "benchmarks" / "ledger"),
-         str(tree / "src"), workload, str(seed)],
-        capture_output=True, text=True, check=False,
-    )
-    if done.returncode != 0:
-        raise SystemExit(f"{tree}: no products digest of {workload}:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return ask(tree, _PRODUCTS, f"no products digest of {workload}",
+               str(tree / "benchmarks" / "ledger"), workload, str(seed))
 
 
 _BURN = (
@@ -199,6 +248,11 @@ def main(argv=None) -> int:
     if all(executors.values()) and len({e["executor"] for e in executors.values()}) > 1:
         print("the two trees chose different executors: not measured", flush=True)
         return 1
+    floors = {side: floor_of(tree) for side, tree in trees.items()}
+    for side, floor in floors.items():
+        if floor:
+            print(f"{side}: per call " + "  ".join(
+                f"{name[:-3]} {us:g} us" for name, us in floor.items()), flush=True)
     products = {side: products_digest_of(tree, args.workload, args.seed)
                 for side, tree in trees.items()}
     if products["base"] != products["head"]:
@@ -244,6 +298,7 @@ def main(argv=None) -> int:
             "provenance": {"tree": str(tree), "argv": sys.argv[1:],
                            "machine": machine,
                            "kernel_executor": executors[side],
+                           "per_call_floor_us": floors[side],
                            "products_digest": products[side]},
             "sets": sets[side],
         }, indent=1) + "\n")

@@ -1,26 +1,35 @@
 /* NLMASS, NLMNT2 and OUTPUT as the loop nests the paper ports (its Listings
- * 1-3): one cell, or one face, at a time over a row range of one block.
+ * 1-3): one cell, or one face, at a time over a row strip of one block.
  *
- * repro/core/loopnest.py builds this file once with the host's `cc` and
- * core/mass.py, momentum.py and outputs.py call it a row strip at a time;
- * their NumPy bodies are the reference.  Every expression below keeps their
- * operand order and the file is built with -fno-fast-math
- * -ffp-contract=off, so the two agree bit for bit in both precisions.  The
- * Manning power D^(7/3) is not computed here: libm's pow is an ulp off
- * NumPy's and 4-5x slower, so momentum_core makes that one NumPy call per
- * strip between `faces` and `update` (DESIGN.md section 9g).
+ * repro/core/loopnest.py builds this file once with the host's `cc`, lays a
+ * block's call out once (addresses, pitch, rows: its Listing-6 table) and
+ * then only launches it, a row strip at a time; the NumPy bodies of
+ * core/mass.py, momentum.py and outputs.py are the reference.  Every
+ * expression below keeps their operand order and the file is built with
+ * -fno-fast-math -ffp-contract=off, so the two agree bit for bit in both
+ * precisions.  The Manning power D^(7/3) is not computed here: libm's pow is
+ * an ulp off NumPy's and 4-5x slower, so a momentum strip is `faces`, one
+ * NumPy power over both sweeps' df_safe, `update` (DESIGN.md sections 9g, 9h).
  *
- * Layout.  z, h: pitch P.  M faces: pitch P + 1, N faces: pitch P.  A face
- * at (r, k) lies between the cell "behind" it and cell (r, k).  In the M pass
- * (turned == 0) behind is one column back and across is one row; in the N
- * pass (turned == 1) the reverse.  `faces` fills six scratch planes of
- * (r1 - r0 + 2) rows of W = c1 - c0 + 2 lanes — the targets and one face all
- * round — and `update` reads them.  Wet/dry logic is selects only, so the
- * inner loops (always the unit-stride columns) vectorise.
+ * Layout.  z, h: R rows of pitch P, g ghost layers.  M faces: pitch P + 1,
+ * N faces: pitch P, R + 1 rows.  A face at (r, k) lies between the cell
+ * "behind" it and cell (r, k).  In the M sweep (turned == 0) behind is one
+ * column back and across is one row; in the N sweep (turned == 1) the
+ * reverse.  A strip is the cell rows [r0, r1); its N sweep has the face row
+ * r1 as well when the strip is the block's last.  Per sweep `faces` fills
+ * planes of (rows + 2) x (faces per row + 2) lanes — the targets and one face
+ * all round — LM lanes for M, LN for N, laid out as six planes of LM + LN:
+ * df, df_safe, flux, NV, cross flux, and df_safe^(7/3) for the caller to
+ * fill, M's part of each first — so both sweeps' df_safe are one contiguous
+ * range.  `sweeps` is 1 (M), 2 (N) or 3.  `nlmass` and `update` also carry the
+ * ghost frame over from the old buffer: each strip its rows' ghost columns,
+ * the first and last strip the ghost rows.  Wet/dry logic is selects only, so
+ * the inner loops (always the unit-stride columns) vectorise.
  */
 #ifndef REAL
 
 #include <math.h>
+#include <string.h>
 
 /* np.maximum of a running product and a new value: a NaN in either stays,
  * and of two equal ones — zeros of either sign — the new one, as x86's max. */
@@ -28,6 +37,12 @@ static inline double fold(double a, double b)
 {
     return a > b || a != a ? a : b;
 }
+
+/* Where a strip's sweeps lie in its scratch: M's lanes, then N's, per plane. */
+#define SWEEPS                                                                 \
+    const long last = r1 == R - g, WM = P - 2 * g + 3, WN = WM - 1;            \
+    const long LM = sweeps & 1 ? (r1 - r0 + 2) * WM : 0;                       \
+    const long LN = sweeps & 2 ? (r1 + last - r0 + 2) * WN : 0;
 
 #define REAL double
 #define FN(name) name##_f64
@@ -47,10 +62,27 @@ static inline double fold(double a, double b)
 
 #else
 
-/* Eq. 1: z -= dt/dx (dM/dx + dN/dy) on cells [j0, j1) x [c0, c1), then the
- * wet/dry clamp: a cell left with less than `dry` of water sits on the ground. */
+/* The ghost frame of a strip: out = old on rows [r0, r1) left of column c0
+ * and from c1 on, above r0 for the block's first strip, from r1 down for its
+ * last (`rows` is the array's). */
+static void FN(carry)(const REAL *old, REAL *restrict out, long pitch, long rows,
+                      long r0, long r1, long c0, long c1, int first, int last)
+{
+    if (first)
+        memcpy(out, old, sizeof(REAL) * r0 * pitch);
+    for (long r = r0; r < r1; r++) {
+        memcpy(out + r * pitch, old + r * pitch, sizeof(REAL) * c0);
+        memcpy(out + r * pitch + c1, old + r * pitch + c1, sizeof(REAL) * (pitch - c1));
+    }
+    if (last)
+        memcpy(out + r1 * pitch, old + r1 * pitch, sizeof(REAL) * (rows - r1) * pitch);
+}
+
+/* Eq. 1: z -= dt/dx (dM/dx + dN/dy) on the physical cells of rows [j0, j1),
+ * then the wet/dry clamp: a cell left with less than `dry` of water sits on
+ * the ground. */
 void FN(nlmass)(const REAL *z, const REAL *m, const REAL *n, const REAL *h,
-                REAL *restrict out, long P, long j0, long j1, long c0, long c1,
+                REAL *restrict out, long P, long R, long g, long j0, long j1,
                 double dt_dx, double dry_)
 {
     const REAL r = (REAL)dt_dx, nr = (REAL)-dt_dx, dry = (REAL)dry_;
@@ -58,12 +90,13 @@ void FN(nlmass)(const REAL *z, const REAL *m, const REAL *n, const REAL *h,
         const REAL *zj = z + j * P, *hj = h + j * P, *nj = n + j * P;
         const REAL *mj = m + j * (P + 1);
         REAL *oj = out + j * P;
-        for (long i = c0; i < c1; i++) {
+        for (long i = g; i < P - g; i++) {
             REAL zi = zj[i] - r * (mj[i + 1] - mj[i]);
             zi = zi + nr * (nj[i + P] - nj[i]);
             oj[i] = zi + hj[i] < dry ? -hj[i] : zi;
         }
     }
+    FN(carry)(z, out, P, R, j0, j1, g, P - g, j0 == g, j1 == R - g);
 }
 
 /* Face quantities on rows [r0 - 1, r1 + 1) x columns [c0 - 1, c1 + 1): the
@@ -103,11 +136,12 @@ static inline void FN(face_row)(const REAL *z, const REAL *h, const REAL *a,
     }
 }
 
-void FN(faces)(const REAL *z, const REAL *h, const REAL *along,
-               const REAL *trans, REAL *restrict scratch, long P, long turned,
-               long r0, long r1, long c0, long c1, long nonlinear, double dry)
+static void FN(face_rows)(const REAL *z, const REAL *h, const REAL *along,
+                          const REAL *trans, REAL *restrict scratch, long plane,
+                          long P, long turned, long r0, long r1, long c0, long c1,
+                          long nonlinear, double dry)
 {
-    const long W = c1 - c0 + 2, plane = (r1 - r0 + 2) * W;
+    const long W = c1 - c0 + 2;
     const long pa = turned ? P : P + 1, pt = turned ? P + 1 : P;
     const long back = turned ? P : 1;            /* z, h: the cell behind */
     const long tb = turned ? pt : 1, tx = turned ? 1 : pt;
@@ -121,6 +155,19 @@ void FN(faces)(const REAL *z, const REAL *h, const REAL *along,
             FN(face_row)(z + r * P, h + r * P, along + r * pa, trans + r * pt,
                          row, plane, c0 - 1, c1 + 1, back, tb, tx, (REAL)dry, 0);
     }
+}
+
+void FN(faces)(const REAL *z, const REAL *h, const REAL *m, const REAL *n,
+               long P, long R, long g, long sweeps, REAL *restrict scratch,
+               long r0, long r1, long nonlinear, double dry)
+{
+    SWEEPS
+    if (sweeps & 1)
+        FN(face_rows)(z, h, m, n, scratch, LM + LN, P, 0, r0, r1, g, P - g + 1,
+                      nonlinear, dry);
+    if (sweeps & 2)
+        FN(face_rows)(z, h, n, m, scratch + LM, LM + LN, P, 1, r0, r1 + last, g,
+                      P - g, nonlinear, dry);
 }
 
 /* Eqs. 2-3 on the target faces [r0, r1) x [c0, c1): pressure gradient,
@@ -161,12 +208,13 @@ static inline void FN(update_row)(const REAL *z, const REAL *a,
     }
 }
 
-void FN(update)(const REAL *z, const REAL *along, REAL *restrict out,
-                const REAL *scratch, long P, long turned, long r0, long r1,
-                long c0, long c1, long nonlinear, double dt, double dx,
-                double gravity, double k_fric, double cap)
+static void FN(update_rows)(const REAL *z, const REAL *along, REAL *restrict out,
+                            const REAL *scratch, long plane, long P, long turned,
+                            long r0, long r1, long c0, long c1, long nonlinear,
+                            double dt, double dx, double gravity, double k_fric,
+                            double cap)
 {
-    const long W = c1 - c0 + 2, plane = (r1 - r0 + 2) * W;
+    const long W = c1 - c0 + 2;
     const long pa = turned ? P : P + 1, back = turned ? P : 1;
     const long s = turned ? W : 1, c = turned ? 1 : W;  /* scratch steps */
 
@@ -180,6 +228,24 @@ void FN(update)(const REAL *z, const REAL *along, REAL *restrict out,
             FN(update_row)(z + r * P, along + r * pa, out + r * pa, row, plane,
                            c0, c1, back, s, c, (REAL)dt, (REAL)dx,
                            (REAL)gravity, (REAL)k_fric, (REAL)cap, 0);
+    }
+}
+
+void FN(update)(const REAL *z, const REAL *m, const REAL *n, REAL *restrict out_m,
+                REAL *restrict out_n, long P, long R, long g, long sweeps,
+                const REAL *scratch, long r0, long r1, long nonlinear, double dt,
+                double dx, double gravity, double k_fric, double cap)
+{
+    SWEEPS
+    if (sweeps & 1) {
+        FN(update_rows)(z, m, out_m, scratch, LM + LN, P, 0, r0, r1, g, P - g + 1,
+                        nonlinear, dt, dx, gravity, k_fric, cap);
+        FN(carry)(m, out_m, P + 1, R, r0, r1, g, P - g + 1, r0 == g, last);
+    }
+    if (sweeps & 2) {
+        FN(update_rows)(z, n, out_n, scratch + LM, LM + LN, P, 1, r0, r1 + last, g,
+                        P - g, nonlinear, dt, dx, gravity, k_fric, cap);
+        FN(carry)(n, out_n, P, R + 1, r0, r1 + last, g, P - g, r0 == g, last);
     }
 }
 

@@ -9,6 +9,12 @@ cannot trust — leaves the NumPy bodies in charge and one logged reason.
 The object is cached per user under the hash of source, flags, compiler
 version and machine (no ``-march``: any CPU of the machine type runs it), in
 a directory and a file nobody else can write.  DESIGN.md section 9g.
+
+A kernel call on the nest is *prepared* once per set of array objects
+(:func:`prepared`): validated, its addresses resolved, its geometry laid out
+— the paper's Listing-6 tables, for launches — and from then on only
+launched.  The table is found again by the identity of the arrays, which it
+references weakly and dies with.  DESIGN.md section 9h.
 """
 
 from __future__ import annotations
@@ -22,26 +28,35 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import weakref
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+
+from repro.core import scratch
 
 SOURCE = Path(__file__).with_name("loopnest.c")
 #: IEEE arithmetic in source order.  The last two let gcc vectorise the
 #: selects and inline sqrt; they drop errno and exception flags, not bits.
 FLAGS = ("-O3", "-fno-fast-math", "-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math")
 _PTR, _INT, _REAL = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+#: What a call freezes comes first, what travels with a launch after it.
 ARGTYPES = {
-    "nlmass": (_PTR,) * 5 + (_INT,) * 5 + (_REAL,) * 2,
-    "faces": (_PTR,) * 5 + (_INT,) * 7 + (_REAL,),
-    "update": (_PTR,) * 4 + (_INT,) * 7 + (_REAL,) * 5,
-    "output": (_PTR,) * 10 + (_INT,) * 5 + (_REAL,) * 5,
+    "nlmass": (_PTR,) * 5 + (_INT,) * 3 + (_INT,) * 2 + (_REAL,) * 2,
+    "faces": (_PTR,) * 4 + (_INT,) * 4 + (_PTR,) + (_INT,) * 3 + (_REAL,),
+    "update": (_PTR,) * 5 + (_INT,) * 4 + (_PTR,) + (_INT,) * 3 + (_REAL,) * 5,
+    "output": (_PTR,) * 10 + (_INT,) * 3 + (_INT,) * 2 + (_REAL,) * 5,
 }
 
 _LOCK = threading.RLock()  # re-entered by the self-check's own kernel calls
 #: ``made``: False, None while the choice is being made, True.
 _CHOICE = SimpleNamespace(made=False, executor="numpy", reason="", compiler="", nests={})
+#: The prepared calls, by ``(kernel, ghosts, cells, strip cap, id of each array)``.
+_CALLS: dict = {}
+_COUNT = SimpleNamespace(lock=threading.Lock(), prepared=0, launches=0)
+_RAN = threading.local()  # .executor: what ran this thread's last kernel call
 
 
 def _mine(path: Path) -> Path:
@@ -134,6 +149,7 @@ def _choose() -> None:
     finally:
         if _CHOICE.executor != "nest":  # no candidate outlives a failed check
             _CHOICE.nests = {}
+        _COUNT.prepared = _COUNT.launches = 0  # the self-check's are not a run's
         _CHOICE.made = True
 
 
@@ -148,24 +164,159 @@ def choice() -> SimpleNamespace:
 
 
 def provenance() -> dict:
-    """The choice as a run records it; before any kernel ran, nothing chosen."""
+    """The choice as a run records it — before any kernel ran, nothing chosen —
+    and how many kernel calls this process has ``prepared`` and how many
+    ``launches`` it made of them: equal counts mean a caller hands in fresh
+    array objects on every step."""
     keys = ("executor", "compiler", "reason")
-    return {k: getattr(_CHOICE, k) if _CHOICE.made else None for k in keys}
+    said = {k: getattr(_CHOICE, k) if _CHOICE.made else None for k in keys}
+    return {**said, "prepared": _COUNT.prepared, "launches": _COUNT.launches}
 
 
-def entry(g: int, scalars: tuple, cells: tuple, ms: tuple, ns: tuple):
-    """The nest for this call, or None: the NumPy body's.  The nest takes a
-    dtype it was built for, C-contiguous arrays of exactly the shapes of z
-    (*cells*), M (*ms*) and N (*ns*), the two ghost layers its face ring
-    reads, and scalars NumPy would round to that dtype as C does."""
-    (R, P), dtype = cells[0].shape, cells[0].dtype
-    nest = choice().nests.get(dtype.char)
-    if nest is None or g < 2:
+def ran() -> str:
+    """What ran the calling thread's last kernel call: "nest" or "numpy"."""
+    return getattr(_RAN, "executor", "numpy")
+
+
+#: Per kernel: its arrays in call order — c: a cell frame (R x P), m, n: the
+#: face frames; of the forecast products z: one in the state's precision, d: a
+#: double one, b: the land mask —, how many of the last it writes, the sweeps
+#: of ``faces``/``update`` it runs, and whether it needs a positive dry
+#: threshold (a face is closed exactly where its depth is 0 only over one; a
+#: depth of -0.0 is then never wet).
+_KERNELS = {
+    "nlmass": ("cmncc", 1, 0, False),
+    "nlmnt2": ("cmncmn", 2, 3, True),
+    "xmmt": ("cmncm", 1, 1, True),
+    "ymmt": ("cmncn", 1, 2, True),
+    "output": ("cmnczdddzb", 0, 0, True),
+}
+
+
+class Prepared:
+    """One kernel's call on one set of arrays, validated and laid out: the
+    entry points (``fn``), for each the arguments that never change
+    (``table``), the strip ``cuts`` and, for the momentum sweeps, each
+    strip's scratch (``planes[r0]``, :func:`repro.core.scratch.sweep_planes`'s
+    arguments).  It holds addresses, not arrays: ``refs`` are weak, and the
+    death of any of them removes the call."""
+
+    __slots__ = ("refs", "nests", "dtype", "fn", "table", "cuts", "planes")
+
+    def holds(self, arrays: tuple) -> bool:
+        """Whether *arrays* are, object for object, what was prepared — on the
+        nests of the moment (a test pins others)."""
+        if self.nests is not _CHOICE.nests:
+            return False
+        for ref, a in zip(self.refs, arrays):
+            if ref() is not a:
+                return False
+        return True
+
+
+def _address(a: np.ndarray) -> int:
+    return a.ctypes.data
+
+
+def _round_as_c(scalars: tuple, dtype: np.dtype) -> bool:
+    """Whether NumPy would round every scalar to *dtype* the way a C cast does:
+    a Python number, or a NumPy scalar of that very dtype."""
+    for s in scalars:
+        if type(s) is not float and type(s) is not int and getattr(s, "dtype", None) != dtype:
+            return False
+    return True
+
+
+def _evict(calls: dict, key: tuple, ref) -> None:
+    """An array died: the call prepared on it goes (unless *key*, which holds
+    ids, already names a younger call on an array that took its place)."""
+    call = calls.get(key)
+    if call is not None and ref in call.refs:
+        calls.pop(key, None)
+
+
+def _prepare(key: tuple, kernel: str, arrays: tuple, g: int, cells) -> Prepared | None:
+    """Validate and lay out one call, or None: the NumPy body's.  The nest
+    takes a dtype it was built for, C-contiguous arrays of exactly the shapes
+    of z, M and N, the two ghost layers its face ring reads, products as
+    ``RTiModel`` builds them — the highest level and its reference in the
+    state's precision, the others double, the land mask bool — and nothing it
+    writes may share memory with anything else of the call (the NumPy body
+    raises that)."""
+    nests, z = choice().nests, arrays[0]
+    nest = nests.get(z.dtype.char)
+    if nest is None or g < 2 or z.ndim != 2:
         return None
-    for arrays, shape in ((cells, (R, P)), (ms, (R, P + 1)), (ns, (R + 1, P))):
-        for a in arrays:
-            if a.shape != shape or a.dtype != dtype or not a.flags.c_contiguous:
-                return None
-    if any(type(s) not in (float, int) and getattr(s, "dtype", None) != dtype for s in scalars):
+    (R, P), dtype = z.shape, z.dtype
+    ny, nx = cells or (R - 2 * g, P - 2 * g)
+    roles, written, sweeps, _ = _KERNELS[kernel]
+    frames = {
+        "c": ((ny + 2 * g, nx + 2 * g), dtype), "m": ((R, P + 1), dtype), "n": ((R + 1, P), dtype),
+        "z": ((ny, nx), dtype), "d": ((ny, nx), np.dtype(float)), "b": ((ny, nx), np.dtype(bool)),
+    }
+    for a, role in zip(arrays, roles, strict=True):
+        if (a.shape, a.dtype) != frames[role] or not a.flags.c_contiguous:
+            return None
+    for k in range(len(arrays) - written, len(arrays)):
+        if any(np.may_share_memory(arrays[k], a) for j, a in enumerate(arrays) if j != k):
+            return None
+
+    call = Prepared()
+    call.nests, call.dtype, call.planes = nests, dtype, None
+    at = [_address(a) for a in arrays]
+    rows = scratch.strips(g, g + ny, P)
+    if kernel == "nlmass":
+        call.fn, call.table, call.cuts = nest.nlmass, (*at, P, R, g), rows
+    elif kernel == "output":  # walks the products' rows, not the frame's
+        call.fn, call.table, call.cuts = nest.output, (*at, P, g, nx), scratch.strips(0, ny, nx)
+    else:
+        call.cuts = rows
+        z_p, m_p, n_p, h_p = at[:4]
+        out_m, out_n = at[4] if sweeps & 1 else None, at[-1] if sweeps & 2 else None
+        call.fn = (nest.faces, nest.update)
+        call.table = ((z_p, h_p, m_p, n_p, P, R, g, sweeps),
+                      (z_p, m_p, n_p, out_m, out_n, P, R, g, sweeps))
+        # A strip's scratch, as loopnest.c lays it out: per plane the M
+        # sweep's lanes — its face rows and one more either side, of nx + 3 —
+        # then the N sweep's, of nx + 2, the block's last strip with the face
+        # row beyond its cells.  The power skips the first and the last row.
+        WM, WN, call.planes = nx + 3, nx + 2, {}
+        for r0, r1, _ in call.cuts:
+            LM = (r1 - r0 + 2) * WM if sweeps & 1 else 0
+            LN = (r1 + (r1 == R - g) - r0 + 2) * WN if sweeps & 2 else 0
+            call.planes[r0] = (dtype, LM + LN, WM if LM else WN, WN if LN else WM)
+    call.refs = tuple(weakref.ref(a, partial(_evict, _CALLS, key)) for a in arrays)
+    _CALLS[key] = call
+    with _COUNT.lock:
+        _COUNT.prepared += 1
+    return call
+
+
+def prepared(kernel: str, arrays: tuple, g: int, scalars: tuple, cells=None) -> Prepared | None:
+    """The call of *kernel* on *arrays* (z, M, N, h, then what it writes)
+    with *g* ghost layers, ready to launch — or None: the NumPy body's.
+
+    Prepared on the first call on these array objects, found by their
+    identity on every later one: what a call freezes cannot change under it
+    (an array's buffer is its own for life; ``resize`` refuses an array that
+    is weakly referenced).  *scalars*, the dry threshold first, travel with
+    each launch and must be what NumPy would round to the arrays' dtype as C
+    does.  *cells*: the physical (ny, nx) the caller's products are for."""
+    if _CHOICE.made is True and not _CHOICE.nests:  # the NumPy executor
+        _RAN.executor = "numpy"
         return None
-    return nest
+    key = (kernel, g, cells, scratch.STRIP_ELEMENTS, *map(id, arrays))
+    call = _CALLS.get(key)
+    if call is None or not call.holds(arrays):
+        call = _prepare(key, kernel, arrays, g, cells)
+    if (
+        call is None
+        or not _round_as_c(scalars, call.dtype)
+        or (scalars[0] <= 0 and _KERNELS[kernel][3])
+    ):
+        _RAN.executor = "numpy"
+        return None
+    with _COUNT.lock:
+        _COUNT.launches += 1
+    _RAN.executor = "nest"
+    return call

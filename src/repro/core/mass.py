@@ -54,6 +54,16 @@ def nlmass(
     ``out``.
     """
     g = nghost
+    call = loopnest.prepared(
+        "nlmass", (z_old, m_old, n_old, hz, out), g, (dry_threshold, dt, dx)
+    )
+    if call:  # one nest call a strip, its ghost frame included
+        fn, table, ratio = call.fn, call.table, dt / dx
+        each_strip(
+            lambda j0, j1: fn(*table, j0, j1, ratio, dry_threshold), call.cuts, "NLMASS"
+        )
+        return out
+
     ny = z_old.shape[0] - 2 * g
     P = z_old.shape[1]
     reject_aliasing("nlmass", out, z_old, m_old, n_old, hz)
@@ -63,12 +73,6 @@ def nlmass(
         return out
 
     out_flat = out.reshape(-1)
-    nest = loopnest.entry(g, (dt, dx, dry_threshold), (z_old, hz, out), (m_old,), (n_old,))
-    if nest:
-        ptrs = [a.ctypes.data for a in (z_old, m_old, n_old, hz, out)]
-
-    def compiled(j0: int, j1: int) -> None:
-        nest.nlmass(*ptrs, P, j0, j1, g, P - g, dt / dx, dry_threshold)
 
     def body(j0: int, j1: int) -> None:
         # Whole rows, ghost columns included, as one flat range: the N face
@@ -98,7 +102,7 @@ def nlmass(
         np.negative(h, out=tmp)
         np.copyto(zi, tmp, where=dry)
 
-    each_strip(compiled if nest else body, strips(g, g + ny, P), "NLMASS")
+    each_strip(body, strips(g, g + ny, P), "NLMASS")
     # The ghost columns were computed along with the rest: put them back.
     carry_over(out, z_old, slice(g, g + ny), slice(g, P - g))
     return out

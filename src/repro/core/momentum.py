@@ -42,7 +42,9 @@ except ImportError:  # NumPy 1.x
 
 from repro.constants import DRY_THRESHOLD, GRAVITY, MAX_VELOCITY
 from repro.core import loopnest
-from repro.core.scratch import carry_over, carve, each_strip, reject_aliasing, strips, window
+from repro.core.scratch import (
+    carry_over, carve, each_strip, reject_aliasing, strips, sweep_planes, window,
+)
 from repro.grid.staggered import NGHOST
 
 
@@ -80,7 +82,6 @@ def momentum_core(
     g = nghost
     ny = z_new.shape[0] - 2 * g
     nx = z_new.shape[1] - 2 * g
-    reject_aliasing("momentum_core", out, z_new, mm_old, nn_old, hz)
 
     # The memory frame.  Handed transposes (the N pass), undo them and step
     # one row along the flux, one element across it, instead of the reverse.
@@ -91,28 +92,20 @@ def momentum_core(
         frame = [a.T for a in frame]
         rows, cols = cols, rows
     z_in, h_in, along, trans, dest = frame
+    scalars = (dry_threshold, dt, dx, manning, velocity_cap, gravity)
+    m_in, n_in = (trans, along) if transposed else (along, trans)
+    call = loopnest.prepared(
+        "ymmt" if transposed else "xmmt", (z_in, m_in, n_in, h_in, dest), g, scalars
+    )
+    if call:
+        _launch(call, nonlinear, *scalars)
+        return out
+
+    reject_aliasing("momentum_core", out, z_new, mm_old, nn_old, hz)
     P, nf = z_in.shape[1], cols.stop - cols.start
     s, c = (P, 1) if transposed else (1, P)
     carry_over(dest, along, rows, cols)
     k_fric = gravity * manning * manning
-    scalars = (dt, dx, manning, dry_threshold, velocity_cap, gravity)
-    like_m, like_n = ((trans,), (along, dest)) if transposed else ((along, dest), (trans,))
-    # A face is closed exactly where its depth is 0 only over a positive threshold.
-    nest = dry_threshold > 0 and loopnest.entry(g, scalars, (z_in, h_in), like_m, like_n)
-    if nest:
-        z_p, h_p, along_p, trans_p, dest_p = (a.ctypes.data for a in frame)
-
-    def compiled(r0: int, r1: int) -> None:
-        # Six planes of the strip's targets and one face all round: df,
-        # df_safe, flux, NV, cross flux and — NumPy's, which libm's pow is
-        # an ulp off and 4-5x slower than — df_safe^(7/3).
-        W = nf + 2
-        planes, _ = carve(out.dtype, (6, 0, ((r1 - r0 + 2) * W,)))
-        at = (planes[0].ctypes.data, P, transposed, r0, r1, cols.start, cols.stop, nonlinear)
-        nest.faces(z_p, h_p, along_p, trans_p, *at, dry_threshold)
-        if nonlinear:
-            np.power(planes[1][W:-W], 7.0 / 3.0, out=planes[5][W:-W])
-        nest.update(z_p, along_p, dest_p, *at, dt, dx, gravity, k_fric, velocity_cap)
 
     def body(r0: int, r1: int) -> None:
         # Targets: the flat range from the strip's first face to its last.
@@ -232,8 +225,26 @@ def momentum_core(
         faces = np.ndarray((r1 - r0, nf), rhs.dtype, rhs, 0, (P * isz, isz))
         np.copyto(dest[r0:r1, cols], faces)
 
-    each_strip(compiled if nest else body, strips(rows.start, rows.stop, P), "NLMNT2")
+    each_strip(body, strips(rows.start, rows.stop, P), "NLMNT2")
     return out
+
+
+def _launch(call, nonlinear, dry_threshold, dt, dx, manning, velocity_cap, gravity) -> None:
+    """A prepared call's sweeps — M, N or, for :func:`nlmnt2`, both of a strip
+    at once — on the compiled nest: ``faces``, one power over the sweeps'
+    ``df_safe`` (NumPy's: libm's ``pow`` is an ulp off it and 4-5x slower),
+    ``update``, which also carries the ghost frame over."""
+    (faces, update), (of_faces, of_update), planes = call.fn, call.table, call.planes
+    k_fric = gravity * manning * manning
+
+    def strip(r0: int, r1: int) -> None:
+        at, df_safe, power = sweep_planes(*planes[r0])
+        faces(*of_faces, at, r0, r1, nonlinear, dry_threshold)
+        if nonlinear:
+            np.power(df_safe, 7.0 / 3.0, out=power)
+        update(*of_update, at, r0, r1, nonlinear, dt, dx, gravity, k_fric, velocity_cap)
+
+    each_strip(strip, call.cuts, "NLMNT2")
 
 
 def nlmnt2(
@@ -257,6 +268,11 @@ def nlmnt2(
     The N update reuses :func:`momentum_core` on transposed views — the
     scheme is symmetric under (x <-> y, M <-> N).
     """
+    scalars = (dry_threshold, dt, dx, manning, velocity_cap, gravity)
+    call = loopnest.prepared("nlmnt2", (z_new, m_old, n_old, hz, out_m, out_n), nghost, scalars)
+    if call:
+        _launch(call, nonlinear, *scalars)
+        return out_m, out_n
     options = dict(
         nonlinear=nonlinear,
         dry_threshold=dry_threshold,

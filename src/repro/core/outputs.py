@@ -86,28 +86,21 @@ class OutputAccumulator:
         g = nghost
         ci = slice(g, g + nx)
         # The compiled loop takes the frames NLMASS's does and the products as
-        # RTiModel builds them: zmax and the reference level in the state's
-        # precision, the other three double — and a positive dry threshold (a
-        # depth of -0.0 is then never wet).  Of 0.0 and -0.0, this NumPy's
-        # maximum keeps its second operand; the nest does, and the self-check
-        # holds a level of one under a zmax of the other.
-        # The addresses are fetched per call: a restore overwrites the products
-        # in place, but anybody may rebind them.
+        # RTiModel builds them (``loopnest.prepared``).  Of 0.0 and -0.0, this
+        # NumPy's maximum keeps its second operand; the nest does, and the
+        # self-check holds a level of one under a zmax of the other.
+        # The products are looked up per call: a restore overwrites them in
+        # place, but anybody may rebind them — to another prepared call.
         mine = (self.zmax, self.vmax, self.inundation_max, self.arrival_time, self._z0, self._land)
-        kinds = (z.dtype, float, float, float, z.dtype, bool)
-        fits = dry_threshold > 0 and z.shape == (ny + 2 * g, nx + 2 * g) and all(
-            a.shape == (ny, nx) and a.dtype == kind and a.flags.c_contiguous
-            for a, kind in zip(mine, kinds)
-        )
-        nest = fits and loopnest.entry(g, (dry_threshold,), (z, hz), (m,), (n,))
-        if nest:
-            ptrs = [a.ctypes.data for a in (z, m, n, hz, *mine)]
-
-        def compiled(j0: int, j1: int) -> None:
-            nest.output(
-                *ptrs, z.shape[1], g, nx, j0, j1, dry_threshold, self.SPEED_MIN_DEPTH,
-                MAX_VELOCITY, self.arrival_threshold, float(time),
+        call = loopnest.prepared("output", (z, m, n, hz, *mine), g, (dry_threshold,), (ny, nx))
+        if call:
+            fn, table = call.fn, call.table
+            rest = (
+                dry_threshold, self.SPEED_MIN_DEPTH, MAX_VELOCITY, self.arrival_threshold,
+                float(time),
             )
+            each_strip(lambda j0, j1: fn(*table, j0, j1, *rest), call.cuts, "OUTPUT")
+            return
 
         def body(j0: int, j1: int) -> None:
             rows, cj = slice(j0, j1), slice(g + j0, g + j1)
@@ -150,7 +143,7 @@ class OutputAccumulator:
             np.bitwise_and(inf, mask, out=mask)
             np.copyto(arrival, time, where=mask)
 
-        each_strip(compiled if nest else body, strips(0, ny, nx), "OUTPUT")
+        each_strip(body, strips(0, ny, nx), "OUTPUT")
 
     def inundated_area(self, dx: float) -> float:
         """Area of land that got wet at any time [m^2]."""

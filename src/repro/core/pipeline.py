@@ -33,7 +33,7 @@ from repro.core.boundary import (
     apply_wall_boundary,
     fill_ghosts_zero_gradient,
 )
-from repro.core.loopnest import choice as _kernel_choice
+from repro.core.loopnest import ran as _ran
 from repro.core.mass import nlmass
 from repro.core.momentum import nlmnt2
 from repro.core.state import BlockState
@@ -258,20 +258,21 @@ def run_step(
     obs_on = _TRACER.enabled
 
     # Per-block kernel spans carry the block's cell count and what ran the
-    # kernel ("nest" or "numpy") so live traces can recalibrate the Fig.-5
-    # linear cost model (repro.balance.calibrate); the hoisted obs_on check
-    # keeps the disabled path allocation-free.
-    executor = _kernel_choice().executor if obs_on else None
+    # kernel on that block ("nest", or "numpy" where the block's call was not
+    # one the nest takes) so live traces can recalibrate the Fig.-5 linear
+    # cost model per executor (repro.balance.calibrate); the hoisted obs_on
+    # check keeps the disabled path allocation-free.
     with _span("NLMASS"):
         for st in states.values():
             with (
-                _span("NLMASS.kernel", cells=st.block.n_cells, executor=executor)
-                if obs_on else _NOOP_SPAN
-            ):
+                _span("NLMASS.kernel", cells=st.block.n_cells) if obs_on else _NOOP_SPAN
+            ) as sp:
                 nlmass(
                     st.z_old, st.m_old, st.n_old, st.hz, cfg.dt, st.dx,
                     out=st.z_new, dry_threshold=cfg.dry_threshold,
                 )
+                if obs_on:
+                    sp.set(executor=_ran())
 
     # Finest level first, so a multi-level cascade settles coarse levels
     # last.
@@ -288,9 +289,8 @@ def run_step(
     with _span("NLMNT2"):
         for st in states.values():
             with (
-                _span("NLMNT2.kernel", cells=st.block.n_cells, executor=executor)
-                if obs_on else _NOOP_SPAN
-            ):
+                _span("NLMNT2.kernel", cells=st.block.n_cells) if obs_on else _NOOP_SPAN
+            ) as sp:
                 nlmnt2(
                     st.z_new, st.m_old, st.n_old, st.hz, cfg.dt, st.dx,
                     cfg.manning, out_m=st.m_new, out_n=st.n_new,
@@ -298,6 +298,8 @@ def run_step(
                     dry_threshold=cfg.dry_threshold,
                     velocity_cap=cfg.velocity_cap,
                 )
+                if obs_on:
+                    sp.set(executor=_ran())
 
     # Outer BC on level 1, JNQ elsewhere, coarse level first.  The
     # cascade matters: a level-(l+1) pack may read a level-l edge face
@@ -329,11 +331,12 @@ def run_step(
         for bid, st in states.items():
             if outputs is not None:
                 with (
-                    _span("OUTPUT.kernel", cells=st.block.n_cells, executor=executor)
-                    if obs_on else _NOOP_SPAN
-                ):
+                    _span("OUTPUT.kernel", cells=st.block.n_cells) if obs_on else _NOOP_SPAN
+                ) as sp:
                     outputs[bid].update(
                         st.z_new, st.m_new, st.n_new, st.hz, time,
                         dry_threshold=cfg.dry_threshold,
                     )
+                    if obs_on:
+                        sp.set(executor=_ran())
             st.swap()

@@ -26,8 +26,14 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 #: Most elements (rows x padded width) one strip may hold.  A 128x128
-#: block is one strip; a 768-wide block gets 31 rows, whose ~94 B/element
-#: of intermediates (2.4 MB) share the 4 MiB L2 with the strip's inputs.
+#: block is one strip; a 768-wide block gets 31 rows.  The NumPy bodies keep
+#: ~94 B/element of intermediates (2.4 MB), the compiled NLMNT2 twelve planes —
+#: six a sweep, both sweeps of a strip at once — of the state's itemsize
+#: (96 B/element in float64, 2.5 MB), beside the strip's inputs in the 4 MiB
+#: L2.  Re-measured for the fused sweeps, not assumed: a 768^2 ``nlmnt2`` read
+#: 7.1-7.7 ms at this cap, 7.5-7.8 at half of it (six planes' worth of scratch
+#: again) and 7.4-7.8 at twice, two team members; on one CPU 13.7-14.2,
+#: 13.8-14.2 and 13.2-13.7 (DESIGN.md section 9h).
 STRIP_ELEMENTS = 24 * 1024
 
 #: Most members (the caller and its helpers) of the team sharing a call's
@@ -211,6 +217,20 @@ def carve(dtype: np.dtype, *specs: tuple) -> list[tuple]:
             tuple(np.ndarray(shape, dt, arena.buf, lo)) for shape, dt, lo in plan
         ]
     return views
+
+
+def sweep_planes(dtype: np.dtype, lanes: int, head: int, tail: int) -> tuple:
+    """A strip of the compiled NLMNT2's six planes of *lanes* elements out of
+    the calling thread's arena: their address, and plane 1 (``df_safe``) and
+    plane 5 (its power) without their first *head* and last *tail* lanes, the
+    face rows no target reads a power of.  Valid until this thread's next call."""
+    arena, key = _ARENA, (dtype, lanes, head, tail)
+    planes = arena.views.get(key)
+    if planes is None:
+        six, _ = carve(dtype, (6, 0, (lanes,)))
+        inner = slice(head, lanes - tail)
+        planes = arena.views[key] = (six[0].ctypes.data, six[1][inner], six[5][inner])
+    return planes
 
 
 def window(a: np.ndarray, pitch: int, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:

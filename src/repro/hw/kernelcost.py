@@ -39,21 +39,24 @@ ROUTINE_BYTES_PER_CELL: dict[str, float] = {
 #: ``repro.core``: ``(us per cell, us per call)`` of one ``nlmnt2`` call —
 #: *both* sweeps, so halve the slope to set it beside Fig. 5's.  Untraced
 #: direct calls at 1x1, 45x90 and 128x128 on stepped beach states (DESIGN.md
-#: section 9g, which also has the traced ``balance.calibrate`` fits).  Per
-#: sweep the compiled nest is 1.3e-2 us/cell + 31 us on one core, against the
-#: A100's 1.09e-4 us/cell + 46.2 us above.
+#: section 9g, which also has the traced ``balance.calibrate`` fits); the
+#: nest's re-measured with its calls prepared (section 9h: 10.8, 105 and
+#: 412 us — the intercept was 62).  Per sweep the compiled nest is
+#: 1.2e-2 us/cell + 5.4 us on one core, against the A100's 1.09e-4 us/cell +
+#: 46.2 us above: a launch here is now the cheaper one.
 THIS_BOX_NLMNT2_US: dict[str, tuple[float, float]] = {
     "numpy": (0.063, 120.0),  # the NumPy bodies: 65 ufunc passes a sweep
-    "nest": (0.0255, 62.0),  # this box, compiled: loopnest.c via the host cc
+    "nest": (0.0245, 10.8),  # this box, compiled: loopnest.c via the host cc
 }
 
 #: Likewise one ``OutputAccumulator.update`` call (same box, same three block
-#: sizes, the two executors alternating in one process pinned to one CPU).
+#: sizes, the two executors alternating in one process pinned to one CPU; the
+#: nest's re-measured prepared: 7.1, 50 and 181 us — the intercept was 23).
 #: Out of cache the NumPy body's slope grows — 25 ns/cell at 768x768 — and
 #: the nest's does not (11.1): it streams each array once.
 THIS_BOX_OUTPUT_US: dict[str, tuple[float, float]] = {
     "numpy": (0.0188, 25.0),  # 25 ufunc passes a strip, np.hypot one of them
-    "nest": (0.0115, 23.0),  # one row loop; libm hypot is half of the slope
+    "nest": (0.0106, 7.1),  # one row loop; libm hypot is half of the slope
 }
 
 

@@ -267,7 +267,10 @@ def _metrics_lines(metrics: dict) -> list[str]:
     ran = metrics.get("kernel_executor") or {}
     if ran.get("executor"):
         how = f"fell back: {ran['reason']}" if ran.get("reason") else ran.get("compiler")
-        lines.append(f"kernel executor : {ran['executor']} ({how})")
+        line = f"kernel executor : {ran['executor']} ({how})"
+        if ran.get("launches"):  # equal counts: fresh array objects on every call
+            line += f", {ran['prepared']:,} calls prepared, {ran['launches']:,} launches"
+        lines.append(line)
     return lines
 
 

@@ -349,8 +349,9 @@ class MetricsRegistry:
 
         return {
             "schema": METRICS_SCHEMA,
-            # What ran NLMASS/NLMNT2 in this process: "nest" or "numpy", the
-            # compiler asked, and why it fell back (None: no kernel ran).
+            # What ran NLMASS/NLMNT2/OUTPUT in this process: "nest" or "numpy",
+            # the compiler asked, why it fell back (None: no kernel ran), and
+            # the nest's kernel calls prepared and launched so far.
             "kernel_executor": provenance(),
             "counters": counters,
             "gauges": gauges,

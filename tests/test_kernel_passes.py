@@ -17,9 +17,11 @@ written into the arena or a product.
 
 Those are budgets of the NumPy bodies, so the ``recorder`` fixture pins the
 NumPy executor.  The compiled nest (``repro.core.loopnest``) has its own, at
-the end: per strip one nest call for NLMASS and for OUTPUT, two and one
-``np.power`` (none when linear) for a ``momentum_core`` pass, and nothing
-block-sized allocated.
+the end: per strip one nest call for NLMASS and for OUTPUT; for NLMNT2 — both
+sweeps of a strip at once — two and one ``np.power`` (none when linear); no
+ghost frame carried over in NumPy; nothing block-sized allocated; and on a
+warm call — the same array objects again — nothing validated, no address
+fetched, no scratch carved: the prepared call is found and launched.
 """
 
 import threading
@@ -28,7 +30,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core import mass, momentum, outputs, scratch
+from repro.core import loopnest, mass, momentum, outputs, scratch
 from repro.grid.block import Block
 from repro.grid.staggered import NGHOST
 
@@ -301,8 +303,11 @@ def test_a_non_contiguous_input_costs_one_more_strided_copy_each(recorder):
 @pytest.fixture
 def nest_recorder(monkeypatch):
     """A recorder that also sees the nest's entry points called (by name, no
-    operands), on the compiled executor; skips where there is none."""
+    operands), on the compiled executor; skips where there is none.  Its
+    ``cold`` counts what only a call's first launch may do: validate and lay
+    out (``_prepare``), fetch an address, carve scratch, check for aliasing."""
     rec = Recorder()
+    rec.cold = []
 
     def wrap(name, fn):
         def recorded(*args):
@@ -311,9 +316,19 @@ def nest_recorder(monkeypatch):
 
         return recorded
 
+    def cold(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: (rec.cold.append(name), fn(*args))[1])
+
     nests = executors.wrapped(executors.compiled_nests(), wrap)
     for module in (momentum, mass, outputs):
         monkeypatch.setattr(module, "np", rec)
+    for module in (momentum, mass):
+        monkeypatch.setattr(module, "carry_over", rec.carry_over)
+        cold(module, "reject_aliasing")
+    cold(loopnest, "_prepare")
+    cold(loopnest, "_address")
+    cold(scratch, "carve")
     with executors.on_nests(nests):
         yield rec
 
@@ -333,15 +348,15 @@ def test_compiled_pass_budget(monkeypatch, nest_recorder, ny, nx, cap, nonlinear
         monkeypatch.setattr(scratch, "STRIP_ELEMENTS", cap)
     z, m, n, hz = random_state(ny, nx, seed=5, dtype=dtype)
     out_z, out_m, out_n = np.empty_like(z), np.empty_like(m), np.empty_like(n)
-    P = nx + 2 * G
-    mass_strips = len(scratch.strips(G, G + ny, P))
-    momentum_strips = mass_strips + len(scratch.strips(G, G + ny + 1, P))
+    # Every kernel is cut over the cell rows; NLMNT2's last strip owns the N
+    # face row beyond them.
+    n_strips = len(scratch.strips(G, G + ny, nx + 2 * G))
     per_strip = ["faces", "power", "update"] if nonlinear else ["faces", "update"]
 
     for _team_size in run_twice_per_team(nest_recorder, lambda: mass.nlmass(
         z, m, n, hz, DT, DX, out_z
     )):
-        assert sum(calls_by_member(nest_recorder).values(), []) == ["nlmass"] * mass_strips
+        assert sum(calls_by_member(nest_recorder).values(), []) == ["nlmass"] * n_strips
     for team_size in run_twice_per_team(nest_recorder, lambda: momentum.nlmnt2(
         out_z, m, n, hz, DT, DX, MANNING, out_m, out_n, nonlinear=nonlinear
     )):
@@ -349,12 +364,49 @@ def test_compiled_pass_budget(monkeypatch, nest_recorder, ny, nx, cap, nonlinear
         assert len(members) <= team_size
         for mine in members.values():  # whole strips, each its own calls in order
             assert mine == per_strip * (len(mine) // len(per_strip))
-        assert sum(map(len, members.values())) == len(per_strip) * momentum_strips
+        assert sum(map(len, members.values())) == len(per_strip) * n_strips
     acc, state = accumulator_after_a_step(ny, nx, dtype)
     for team_size in run_twice_per_team(nest_recorder, lambda: acc.update(*state)):
         members = calls_by_member(nest_recorder)  # no ufunc: the nest alone
         assert len(members) <= team_size
         assert sum(members.values(), []) == ["output"] * len(scratch.strips(0, ny, nx))
+    assert nest_recorder.carried == 0  # the ghost frames are the nest's
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "linear"])
+def test_a_warm_compiled_call_only_launches(nest_recorder, nonlinear, dtype):
+    """One strip, the caller alone: the second call on the same array objects
+    is 1 / 2 / 1 foreign calls and at most one ufunc — counted, not timed."""
+    z, m, n, hz = random_state(9, 7, seed=5, dtype=dtype)
+    out_z, out_m, out_n = np.empty_like(z), np.empty_like(m), np.empty_like(n)
+    acc, state = accumulator_after_a_step(9, 7, dtype)
+    calls = {
+        "nlmass": lambda: mass.nlmass(z, m, n, hz, DT, DX, out_z),
+        "nlmnt2": lambda: momentum.nlmnt2(
+            out_z, m, n, hz, DT, DX, MANNING, out_m, out_n, nonlinear=nonlinear
+        ),
+        "output": lambda: acc.update(*state),
+    }
+    launched = {
+        "nlmass": ["nlmass"],
+        "nlmnt2": ["faces", "power", "update"] if nonlinear else ["faces", "update"],
+        "output": ["output"],
+    }
+    for kernel, call in calls.items():
+        before = loopnest.provenance()
+        call()
+        assert "_prepare" in nest_recorder.cold and "_address" in nest_recorder.cold
+        nest_recorder.forget()
+        del nest_recorder.cold[:]
+        call()
+        call()
+        assert nest_recorder.cold == [], kernel
+        assert [name for name, *_ in nest_recorder.calls] == 2 * launched[kernel]
+        after = loopnest.provenance()
+        assert after["prepared"] - before["prepared"] == 1
+        assert after["launches"] - before["launches"] == 3
+    assert nest_recorder.carried == 0
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -13,11 +13,17 @@ exactly at ``SPEED_MIN_DEPTH``, levels exactly ``arrival_threshold`` off their
 reference, cells already arrived, ``-inf`` maxima on dry land, a level of one
 zero under a maximum of the other (``np.maximum`` keeps the newer), repeated
 updates — and NaN *in* lanes it reads, which ``maximum``/``minimum`` must keep.
+``nlmnt2`` itself — on the nest both sweeps of a strip from one pair of entry
+points, one scratch, one power — is held to the oracle the same way, in one
+strip and cut into many (as is ``nlmass``), every ghost row and column of its
+results included: the nest carries those over itself.
 And the suite is itself checked: three mutants each of the C nest and of the
 NumPy body, per kernel (momentum: a flipped upwind sign, a dropped overflow
 rule, ``>`` for ``>=`` at the dry threshold; products: the speed gate dropped,
 ``>=`` for ``>`` at the arrival threshold, ``vmax`` folded with ``min``; and
-of the C alone, the older of two zeros kept) must fail it.
+of the C alone, the older of two zeros kept; of its fused sweeps, the M and N
+scratch offsets swapped, the last strip's extra N face row dropped, the ghost
+frame not carried over) must fail it.
 """
 
 import types
@@ -38,12 +44,13 @@ from repro.validation.analytic import SlopedBathymetry, single_block_model
 from tests import executors
 from tests import loopnest_oracle as oracle
 from tests.test_kernels_bitwise import DT, DX, MANNING, random_state
-from tests.test_kernels_flat import never_read_by_momentum_core
+from tests.test_kernels_flat import never_read_by_momentum_core, with_cap
 
 G = NGHOST
 
 shapes = st.tuples(st.integers(1, 12), st.integers(1, 12))
 dtypes = st.sampled_from([np.float64, np.float32])
+caps = st.sampled_from([None, 40])  # the shipped strip cap, or two rows a strip
 
 
 def shore(ny, nx, seed, dtype):
@@ -71,7 +78,7 @@ def same(a, b):
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def mass_agrees(ny, nx, seed, dtype):
+def mass_agrees(ny, nx, seed, dtype, cap=None):
     z, m, n, hz = shore(ny, nx, seed, dtype)
     for a in (m, n, hz):  # NLMASS reads the physical cells and their faces
         keep = a[G:-G, G:-G].copy()
@@ -79,7 +86,7 @@ def mass_agrees(ny, nx, seed, dtype):
         a[G:-G, G:-G] = keep
     want = oracle.nlmass(z, m, n, hz, DT, DX)
     for _name, executor in on_each_executor():
-        with executor:
+        with executor, with_cap(cap):
             if not same(mass.nlmass(z, m, n, hz, DT, DX, np.full_like(z, 7.0)), want):
                 return False
     return True
@@ -104,16 +111,43 @@ def momentum_agrees(ny, nx, seed, dtype, nonlinear, core=None, nests=None):
     return True
 
 
-@given(shape=shapes, seed=st.integers(0, 2**16), dtype=dtypes)
+def nlmnt2_agrees(ny, nx, seed, dtype, nonlinear, cap=None, nests=None):
+    """Both sweeps at once, as the step calls them — on the nest from the fused
+    entry points — with NaN in the twelve cells neither sweep has a path from."""
+    z, m, n, hz = shore(ny, nx, seed, dtype)
+    cells, _ = never_read_by_momentum_core(z, n)
+    cells &= never_read_by_momentum_core(z.T, m.T)[0].T
+    assert cells.sum() == 12
+    z[cells] = hz[cells] = np.nan
+    want = oracle.nlmnt2(z, m, n, hz, DT, DX, MANNING, nonlinear=nonlinear)
+    for _name, executor in on_each_executor(nests):
+        with executor, with_cap(cap):
+            got = momentum.nlmnt2(
+                z, m, n, hz, DT, DX, MANNING, np.full_like(m, 7.0), np.full_like(n, 7.0),
+                nonlinear=nonlinear,
+            )
+        if not all(same(a, b) for a, b in zip(got, want)):
+            return False
+    return True
+
+
+@given(shape=shapes, seed=st.integers(0, 2**16), dtype=dtypes, cap=caps)
 @settings(max_examples=150, deadline=None)
-def test_nlmass_three_ways(shape, seed, dtype):
-    assert mass_agrees(*shape, seed, dtype)
+def test_nlmass_three_ways(shape, seed, dtype, cap):
+    assert mass_agrees(*shape, seed, dtype, cap)
 
 
 @given(shape=shapes, seed=st.integers(0, 2**16), dtype=dtypes, nonlinear=st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_momentum_three_ways(shape, seed, dtype, nonlinear):
     assert momentum_agrees(*shape, seed, dtype, nonlinear)
+
+
+@given(shape=shapes, seed=st.integers(0, 2**16), dtype=dtypes, nonlinear=st.booleans(),
+       cap=caps)
+@settings(max_examples=150, deadline=None)
+def test_nlmnt2_three_ways(shape, seed, dtype, nonlinear, cap):
+    assert nlmnt2_agrees(*shape, seed, dtype, nonlinear, cap)
 
 
 def test_nlmnt2_is_the_x_update_on_transposes():
@@ -251,6 +285,10 @@ def products_battery_passes(**mutant):
     return all(updates_agree(*case[:4], poison=case[4], **mutant) for case in BATTERY)
 
 
+def fused_battery_passes(**mutant):
+    return all(nlmnt2_agrees(*case, cap=cap, **mutant) for case in BATTERY for cap in (None, 40))
+
+
 C_MUTANTS = {
     "flipped upwind sign": ("(m >= 0 ? f_up : f_down)", "(m >= 0 ? f_down : f_up)"),
     "dropped overflow rule": ("const REAL one_wet = dl > dry ? over_r : 0;",
@@ -264,6 +302,18 @@ NUMPY_MUTANTS = {
     "dropped overflow rule": ("        np.copyto(df, t1, where=over_r)\n", ""),
     ">= at the dry threshold": ("np.greater(d, dry_threshold, out=wet)",
                                 "np.greater_equal(d, dry_threshold, out=wet)"),
+}
+C_FUSED_MUTANTS = {  # of the two entry points' own lines, not of the row loops
+    "M and N scratch offsets swapped": (
+        "FN(face_rows)(z, h, n, m, scratch + LM, LM + LN,", "FN(face_rows)(z, h, n, m, scratch, LM + LN,"
+    ),
+    "the last strip's extra N row dropped": (
+        "FN(update_rows)(z, n, out_n, scratch + LM, LM + LN, P, 1, r0, r1 + last, g,",
+        "FN(update_rows)(z, n, out_n, scratch + LM, LM + LN, P, 1, r0, r1, g,",
+    ),
+    "the ghost frame not carried over": (
+        "        FN(carry)(n, out_n, P, R + 1, r0, r1 + last, g, P - g, r0 == g, last);\n", ""
+    ),
 }
 C_OUTPUT_MUTANTS = {
     "speed gate dropped": ("if (d > gate) {", "{"),
@@ -287,22 +337,25 @@ def mutated(source: str, old: str, new: str) -> str:
 
 
 def test_the_battery_passes_unmutated():
-    assert battery_passes() and products_battery_passes()
+    assert battery_passes() and products_battery_passes() and fused_battery_passes()
 
 
-@pytest.mark.parametrize("mutant", sorted({**C_MUTANTS, **C_OUTPUT_MUTANTS}))
+@pytest.mark.parametrize("mutant", sorted({**C_MUTANTS, **C_FUSED_MUTANTS, **C_OUTPUT_MUTANTS}))
 def test_a_mutant_of_the_c_nest_fails(tmp_path, monkeypatch, mutant):
     executors.compiled_nests()
     source = tmp_path / "loopnest.c"
-    change = {**C_MUTANTS, **C_OUTPUT_MUTANTS}[mutant]
+    change = {**C_MUTANTS, **C_FUSED_MUTANTS, **C_OUTPUT_MUTANTS}[mutant]
     source.write_text(mutated(loopnest.SOURCE.read_text(), *change))
     monkeypatch.setattr(loopnest, "SOURCE", source)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     nests = loopnest._build()  # built and loaded, the self-check not asked
-    hit, spared = battery_passes, products_battery_passes
+    hit, spared = (battery_passes, fused_battery_passes), (products_battery_passes,)
     if mutant in C_OUTPUT_MUTANTS:
         hit, spared = spared, hit
-    assert not hit(nests=nests) and spared(nests=nests)
+    elif mutant in C_FUSED_MUTANTS:  # (a sweep by itself may or may not notice)
+        hit = hit[1:]
+    assert not any(passes(nests=nests) for passes in hit)
+    assert all(passes(nests=nests) for passes in spared)
 
 
 @pytest.mark.parametrize("mutant", sorted(NUMPY_MUTANTS))

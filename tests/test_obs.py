@@ -628,7 +628,10 @@ class TestInspect:
     def test_inspect_traced_cli_run_end_to_end(self, tmp_path, capsys):
         from repro.cli import main
 
+        from repro.core import loopnest
+
         rundir = tmp_path / "run"
+        before = loopnest.provenance()  # this process has run kernels before
         assert main([
             "forecast", "--minutes", "0.05",
             "--rundir", str(rundir),
@@ -640,15 +643,22 @@ class TestInspect:
         assert validate_chrome_trace(doc) == []
         capsys.readouterr()
         # What ran the kernels is on every kernel span and in the snapshot.
-        from repro.core import loopnest
-
         ran = loopnest.choice()
         kernels = [e for e in doc["traceEvents"] if e["name"].endswith(".kernel")]
         assert kernels and {e["args"]["executor"] for e in kernels} == {ran.executor}
         metrics = json.loads((rundir / "metrics.json").read_text())
+        counts = {
+            k: metrics["kernel_executor"].pop(k) - before[k] for k in ("prepared", "launches")
+        }
         assert metrics["kernel_executor"] == {
             "executor": ran.executor, "compiler": ran.compiler, "reason": ran.reason,
         }
+        # Every block's three kernels, once per leap-frog parity, then launched.
+        steps = len(kernels) // 30
+        assert counts == (
+            {"prepared": 60, "launches": 30 * steps} if ran.executor == "nest"
+            else {"prepared": 0, "launches": 0}
+        )
 
         assert main(["inspect", str(rundir)]) == 0
         out = capsys.readouterr().out
@@ -658,6 +668,7 @@ class TestInspect:
         assert "slowest spans" in out
         assert "throughput" in out
         assert f"kernel executor : {ran.executor} (" in out
+        assert (" calls prepared, " in out) == (ran.executor == "nest")
 
     def test_inspect_untraced_rundir_suggests_flag(self, tmp_path, capsys):
         from repro.cli import main
