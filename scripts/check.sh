@@ -20,11 +20,12 @@ fast=0
 [ "${1:-}" = "--fast" ] && fast=1
 
 # NLMASS, NLMNT2 and OUTPUT: bitwise, budgets, the team, the scalar oracle,
-# the prepared calls (under CC=false nothing is prepared: every case holds).
+# the prepared calls (under CC=false nothing is prepared: every case holds);
+# the exchange phases on the nest against their NumPy bodies.
 kernel_suites="tests/test_kernels_bitwise.py tests/test_kernels_flat.py
     tests/test_kernel_passes.py tests/test_strip_team.py
     tests/test_boundary_outputs.py tests/test_loopnest_oracle.py
-    tests/test_prepared_calls.py"
+    tests/test_prepared_calls.py tests/test_exchange_nest.py"
 if [ "${1:-}" = "--legs" ]; then
     echo "== kernel suites as a team of one (taskset -c 0) =="
     PYTHONPATH=src taskset -c 0 python -m pytest -q $kernel_suites
@@ -32,7 +33,8 @@ if [ "${1:-}" = "--legs" ]; then
     CC=false PYTHONPATH=src python -m pytest -q $kernel_suites \
         tests/test_kernels.py tests/test_step_pipeline.py \
         tests/test_distributed.py tests/test_persist.py \
-        tests/test_loopnest_build.py
+        tests/test_loopnest_build.py tests/test_nesting_bitwise.py \
+        tests/test_exchange_budget.py
     echo "BOTH LEGS PASSED"
     exit 0
 fi

@@ -39,9 +39,12 @@ differently — one side's build failed, one side's cache is stale — are not
 measured: that pair would compare executors, not the change.  A base from
 before the nest has no choice to make and runs NumPy by construction.
 Each tree is also asked for its per-call floor — microseconds per ``nlmass``,
-``nlmnt2`` and accumulator ``update`` on a 1 x 1 and a 45 x 90 block, best of
-five batches in a fresh interpreter — printed and stored in the same
-provenance (DESIGN.md section 9h's table, by one command).
+``nlmnt2`` and accumulator ``update`` on a 1 x 1 and a 45 x 90 block, and per
+exchange call (``fill_ghosts_zero_gradient`` at 132^2 and 772^2, two of
+mini-Kochi's ``restrict_eta`` links, its mean ``interpolate_fluxes`` link and
+``exchange_halo`` seam field), best of five batches in a fresh interpreter —
+printed and stored in the same provenance (DESIGN.md sections 9h and 9i's
+tables, by one command).
 """
 
 from __future__ import annotations
@@ -119,12 +122,20 @@ _PRODUCTS = (
 _FLOOR = (
     "import json, sys, time; sys.path.insert(0, sys.argv[1])\n"
     "try:\n"
+    "    from repro.core import RTiModel, SimulationConfig\n"
     "    from repro.core.mass import nlmass\n"
     "    from repro.core.momentum import nlmnt2\n"
     "    from repro.fault import GaussianSource\n"
     "    from repro.validation.analytic import SlopedBathymetry, single_block_model\n"
     "except ImportError:\n"
     "    print(json.dumps(None)); sys.exit(0)\n"
+    "def best(call, calls=1):\n"
+    "    batches = []\n"
+    "    for _ in range(5):\n"
+    "        t = time.perf_counter()\n"
+    "        for _ in range(400 // calls): call()\n"
+    "        batches.append((time.perf_counter() - t) / (400 // calls * calls) * 1e6)\n"
+    "    return round(min(batches), 2)\n"
     "floor = {}\n"
     "for ny, nx in ((1, 1), (45, 90)):\n"
     "    model = single_block_model(nx, ny, 50.0, SlopedBathymetry(20.0, 20.0 / (50.0 * nx)),\n"
@@ -141,21 +152,49 @@ _FLOOR = (
     "        'update': lambda: acc.update(st.z_new, st.m_new, st.n_new, st.hz, 1.0),\n"
     "    }\n"
     "    for name, call in calls.items():\n"
-    "        batches = []\n"
-    "        for _ in range(5):\n"
-    "            t = time.perf_counter()\n"
-    "            for _ in range(400): call()\n"
-    "            batches.append((time.perf_counter() - t) / 400 * 1e6)\n"
-    "        floor[f'{name}_{ny}x{nx}_us'] = round(min(batches), 2)\n"
+    "        floor[f'{name}_{ny}x{nx}_us'] = best(call)\n"
+    "from repro.core.boundary import fill_ghosts_zero_gradient\n"
+    "from repro.nesting.interp import child_boundary_segments, interpolate_fluxes\n"
+    "from repro.nesting.restrict import restrict_eta\n"
+    "from repro.topo import build_mini_kochi\n"
+    "from repro.xchg.halo import exchange_halo\n"
+    "for n in (128, 768):\n"
+    "    (st,) = single_block_model(n, n, 50.0, SlopedBathymetry(20.0, 0.0)).states.values()\n"
+    "    floor[f'fill_{n + 4}x{n + 4}_us'] = best(\n"
+    "        lambda: fill_ghosts_zero_gradient(st.z_new, ('W', 'E', 'S', 'N')))\n"
+    "mk = build_mini_kochi()\n"
+    "model = RTiModel(mk.grid, mk.bathymetry, SimulationConfig(dt=mk.dt))\n"
+    "model.set_initial_condition(GaussianSource(x0=4e3, y0=16e3, amplitude=2.0, sigma=2.5e3))\n"
+    "model.run(40)\n"
+    "grid, states, cfg = model.grid, model.states, model.config\n"
+    "links = {(c.block_id, p.block_id): (states[p.block_id], states[c.block_id],\n"
+    "                                    child_boundary_segments(lvl.blocks, c))\n"
+    "         for lvl in grid.levels[1:] for c in lvl.blocks for p in grid.parent_blocks_of(c)}\n"
+    "seams = [(states[a.block_id], states[b.block_id], f)\n"
+    "         for lvl in grid.levels for a, b in lvl.neighbor_pairs() for f in 'zmn']\n"
+    "def restrict(p, c, _segs):\n"
+    "    restrict_eta(p.z_new, c.z_new, p.block, c.block, mode=cfg.restriction,\n"
+    "                 width=cfg.restriction_width, parent_h=p.hz)\n"
+    "for child, parent in ((6, 4), (3, 1)):\n"
+    "    floor[f'restrict_eta_{child}to{parent}_us'] = best(\n"
+    "        lambda: restrict(*links[child, parent]))\n"
+    "floor['interpolate_fluxes_us'] = best(lambda: [interpolate_fluxes(\n"
+    "    p.m_new, p.n_new, c.m_new, c.n_new, p.block, c.block, s) for p, c, s in links.values()],\n"
+    "    len(links))\n"
+    "floor['exchange_halo_us'] = best(lambda: [exchange_halo(a, b, f) for a, b, f in seams],\n"
+    "                                 len(seams))\n"
     "print(json.dumps(floor))"
 )
 
 
 def floor_of(tree: Path) -> dict | None:
     """Microseconds per call of *tree*'s ``nlmass``, ``nlmnt2`` and
-    accumulator ``update`` on a 1 x 1 and a 45 x 90 block, in a fresh
-    interpreter: the per-call floor (DESIGN.md section 9h's table)."""
-    return ask(tree, _FLOOR, "could not time its kernel calls")
+    accumulator ``update`` on a 1 x 1 and a 45 x 90 block, and of its
+    exchange phases — a ghost fill of a 132^2 and a 772^2 frame, the JNZ
+    links 6->4 (one parent cell wide) and 3->1 (under the 60-cell-wide block),
+    a JNQ link and a seam field (the means over mini-Kochi's) — in a fresh
+    interpreter: the per-call floor (DESIGN.md sections 9h and 9i)."""
+    return ask(tree, _FLOOR, "could not time its kernel and exchange calls")
 
 
 def products_digest_of(tree: Path, workload: str, seed: int) -> str:

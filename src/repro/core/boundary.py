@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import DRY_THRESHOLD, GRAVITY
+from repro.core import loopnest
 from repro.grid.staggered import NGHOST
 
 #: Side names in the order (west, east, south, north).
@@ -91,6 +92,21 @@ def apply_open_boundary(
         )
 
 
+def _fill_moves(shape: tuple, sides: tuple, g: int):
+    """The fill of an array of *shape* as moves, in the NumPy body's order."""
+    if len(shape) != 2 or g < 1:
+        return None, None
+    (R, P), rows, cols = shape, slice(0, shape[0]), slice(0, shape[1])
+    moves = {
+        "W": ((rows, slice(0, g)), (rows, slice(g, g + 1))),
+        "E": ((rows, slice(P - g, P)), (rows, slice(P - g - 1, P - g))),
+        "S": ((slice(0, g), cols), (slice(g, g + 1), cols)),
+        "N": ((slice(R - g, R), cols), (slice(R - g - 1, R - g), cols)),
+    }
+    copies = [loopnest.copy(0, to, 0, fro) for side, (to, fro) in moves.items() if side in sides]
+    return copies, None
+
+
 def fill_ghosts_zero_gradient(
     arr: np.ndarray,
     sides: tuple[str, ...],
@@ -100,8 +116,13 @@ def fill_ghosts_zero_gradient(
 
     Columns (W/E) are filled first, then rows (S/N) — rows copy whole
     padded rows so corner ghosts inherit already-exchanged column values,
-    which preserves split-vs-monolithic equivalence at seams.
+    which preserves split-vs-monolithic equivalence at seams.  On the
+    compiled nest the fill is one prepared ``moves`` call (DESIGN.md §9i).
     """
+    call = loopnest.exchange("moves", (arr,), _fill_moves, arr.shape, tuple(sides), nghost)
+    if call:
+        call.fn(*call.table)
+        return
     g = nghost
     if "W" in sides:
         arr[:, :g] = arr[:, g : g + 1]

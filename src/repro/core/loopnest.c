@@ -25,10 +25,16 @@
  * ghost frame over from the old buffer: each strip its rows' ghost columns,
  * the first and last strip the ghost rows.  Wet/dry logic is selects only, so
  * the inner loops (always the unit-stride columns) vectorise.
+ *
+ * The exchange phases (DESIGN.md section 9i) are two more entry points, each
+ * walking a table loopnest.py laid out once per set of arrays: `moves` (halo
+ * seams, ghost fills, JNQ) and `restrict` (JNZ's 3x3 mean, in NumPy's own
+ * summation orders).
  */
 #ifndef REAL
 
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 /* np.maximum of a running product and a new value: a NaN in either stays,
@@ -45,16 +51,19 @@ static inline double fold(double a, double b)
     const long LN = sweeps & 2 ? (r1 + last - r0 + 2) * WN : 0;
 
 #define REAL double
+#define BITS uint64_t
 #define FN(name) name##_f64
 #define SQRT sqrt
 #define HYPOT hypot
 #include __FILE__
 #undef REAL
+#undef BITS
 #undef FN
 #undef SQRT
 #undef HYPOT
 
 #define REAL float
+#define BITS uint32_t
 #define FN(name) name##_f32
 #define SQRT sqrtf
 #define HYPOT hypotf
@@ -285,6 +294,68 @@ void FN(output)(const REAL *z, const REAL *m, const REAL *n, const REAL *h,
             off = off < 0 ? -off : off;
             if (off > thr && isinf(arrival[k]))
                 arrival[k] = now;
+        }
+    }
+}
+
+/* The copies of the exchange phases, in table order — the order the NumPy
+ * bodies assign in.  Per row of the table (8 longs) a rectangle of rows x
+ * cols elements: the target's address and its row and column steps, the
+ * source's likewise (steps in elements; a step of 0 repeats the source: a
+ * ghost fill's one column or row, JNQ's parent face onto three child faces),
+ * rows, cols.  Element bits are copied as they are, and no move's source
+ * overlaps its target (loopnest.py checked both when it laid the table out). */
+void FN(moves)(const long *t, long n)
+{
+    for (const long *end = t + 8 * n; t < end; t += 8) {
+        BITS *d = (BITS *)t[0];
+        const BITS *s = (const BITS *)t[3];
+        const long drs = t[1], dcs = t[2], srs = t[4], scs = t[5], rows = t[6], cols = t[7];
+        for (long r = 0; r < rows; r++, d += drs, s += srs) {
+            if (dcs == 1 && scs == 1)
+                memcpy(d, s, sizeof(BITS) * cols);
+            else
+                for (long c = 0; c < cols; c++)
+                    d[c * dcs] = s[c * scs];
+        }
+    }
+}
+
+/* One 3x3 tile (rows p apart) summed as NumPy's add.reduce over the tile axes
+ * sums it: in a region one parent cell wide, one pairwise block of the nine in
+ * row-major order; in a wider one, row sums and then their sum.  Both start
+ * from +0.0, so a tile of -0.0 sums to +0.0.  (Where two NaNs of opposite
+ * sign meet, the sign that survives is the operand order each compiler chose
+ * for its add — gcc's here, NumPy's build's there — not the source's.) */
+static inline REAL FN(tile)(const REAL *a, long p, long narrow)
+{
+    const REAL *b = a + p, *c = b + p;
+    const REAL zero = 0;
+    if (narrow)
+        return zero + ((((a[0] + a[1]) + (a[2] + b[0])) + ((b[1] + b[2]) + (c[0] + c[1]))) + c[2]);
+    return ((zero + ((a[0] + a[1]) + a[2])) + ((b[0] + b[1]) + b[2])) + ((c[0] + c[1]) + c[2]);
+}
+
+/* JNZ: the 3x3 mean of child cells into parent cells.  Per row of the table
+ * (5 longs) one region: its first child cell (an offset into `child`, whose
+ * rows are cp apart), its nj x ni parent cells, where they go (an offset into
+ * `dst`) and dst's row pitch.  A mean is the tile's sum divided in double by
+ * 9 (NumPy's true_divide by an intp), rounded to the array's precision.  With
+ * a land mask `h`, laid out as dst, only cells where h > 0 are written; without
+ * one, dst is the parent or a dense JNZ buffer. */
+void FN(restrict)(const long *t, long n, const REAL *child, long cp, const REAL *h,
+                  REAL *dst)
+{
+    for (const long *end = t + 5 * n; t < end; t += 5) {
+        const long nj = t[1], ni = t[2], dp = t[4];
+        for (long j = 0; j < nj; j++) {
+            const REAL *row = child + t[0] + 3 * j * cp;
+            const long at = t[3] + j * dp;
+            for (long i = 0; i < ni; i++) {
+                const REAL mean = (REAL)((double)FN(tile)(row + 3 * i, cp, ni == 1) / 9.0);
+                if (!h || h[at + i] > 0)
+                    dst[at + i] = mean;
+            }
         }
     }
 }

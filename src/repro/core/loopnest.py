@@ -14,7 +14,9 @@ A kernel call on the nest is *prepared* once per set of array objects
 (:func:`prepared`): validated, its addresses resolved, its geometry laid out
 — the paper's Listing-6 tables, for launches — and from then on only
 launched.  The table is found again by the identity of the arrays, which it
-references weakly and dies with.  DESIGN.md section 9h.
+references weakly and dies with.  DESIGN.md section 9h.  The exchange phases
+— halo seams, ghost fills, JNQ, JNZ — are prepared the same way, as tables
+of two more entry points (:func:`exchange`; DESIGN.md section 9i).
 """
 
 from __future__ import annotations
@@ -48,14 +50,22 @@ ARGTYPES = {
     "faces": (_PTR,) * 4 + (_INT,) * 4 + (_PTR,) + (_INT,) * 3 + (_REAL,),
     "update": (_PTR,) * 5 + (_INT,) * 4 + (_PTR,) + (_INT,) * 3 + (_REAL,) * 5,
     "output": (_PTR,) * 10 + (_INT,) * 3 + (_INT,) * 2 + (_REAL,) * 5,
+    # The exchange phases: a table and its length, then the rest of the call.
+    "moves": (_PTR, _INT),
+    "restrict": (_PTR, _INT, _PTR, _INT, _PTR, _PTR),
 }
+#: The element type of the tables the exchange routines walk: C's ``long``.
+_TABLE = np.dtype(ctypes.c_long)
 
 _LOCK = threading.RLock()  # re-entered by the self-check's own kernel calls
 #: ``made``: False, None while the choice is being made, True.
 _CHOICE = SimpleNamespace(made=False, executor="numpy", reason="", compiler="", nests={})
-#: The prepared calls, by ``(kernel, ghosts, cells, strip cap, id of each array)``.
+#: The prepared calls, by ``(kernel, ghosts, cells, strip cap, id of each array)``
+#: or ``(routine, layout, geometry..., id of each array)``.
 _CALLS: dict = {}
-_COUNT = SimpleNamespace(lock=threading.Lock(), prepared=0, launches=0)
+#: Per routine, ``[prepared, launches]`` so far.
+_COUNTS = {routine: [0, 0] for routine in ("nlmass", "nlmnt2", "output", "moves", "restrict")}
+_COUNT_LOCK = threading.Lock()
 _RAN = threading.local()  # .executor: what ran this thread's last kernel call
 
 
@@ -132,12 +142,58 @@ def _tiny_forecast(dtype) -> bytes:
     return b"".join(a.tobytes() for a in (*new, *products.product_arrays().values()))
 
 
+def _tiny_exchange(dtype) -> bytes:
+    """The exchange phases of one step of a fixed two-level grid, on the
+    executor of the moment: two parents across a seam, one child over both —
+    restriction regions one parent cell wide and wider, a tile of -0.0 in
+    each, land and sea under them — and the two links' JNZ buffers."""
+    from repro.core.boundary import SIDES, fill_ghosts_zero_gradient
+    from repro.core.state import BlockState
+    from repro.grid.block import Block
+    from repro.nesting.interp import child_boundary_segments, interpolate_fluxes
+    from repro.nesting.restrict import pack_restriction, restrict_eta, restriction_region
+    from repro.xchg.halo import exchange_halo
+
+    west, east, child = Block(0, 1, 0, 0, 2, 6), Block(1, 1, 2, 0, 2, 6), Block(2, 2, 3, 0, 9, 18)
+    states = []
+    for k, blk in enumerate((west, east, child)):
+        j, i = np.mgrid[0 : blk.ny + 4, 0 : blk.nx + 4]
+        st = BlockState(blk, 1.0, np.cos(1.7 * i - 0.6 * j + k) + 1.5, dtype)
+        st.hz[3, 3], st.hz[4, 2] = -0.5, 0.0  # land in both parents' regions
+        for f, a in enumerate((st.z_new, st.m_new, st.n_new)):
+            r, c = np.mgrid[0 : a.shape[0], 0 : a.shape[1]]
+            a[...] = np.sin(0.9 * r + 1.3 * c + 2.1 * f + k) * 10.0 ** ((2 * r + c) % 7 - 3)
+        states.append(st)
+    parents, fine = states[:2], states[2]
+    fine.z_new[2:5, 2:5] = fine.z_new[2:5, 5:8] = -0.0  # a tile under each parent
+    for st in parents:  # JNZ
+        restrict_eta(st.z_new, fine.z_new, st.block, child, parent_h=st.hz)
+    out = [pack_restriction(fine.z_new, child, restriction_region(p.block, child)) for p in parents]
+    for st in states:  # PTP_Z
+        fill_ghosts_zero_gradient(st.z_new, SIDES)
+    exchange_halo(*parents, "z")
+    segs = child_boundary_segments([child], child)
+    for st in parents:  # JNQ
+        interpolate_fluxes(st.m_new, st.n_new, fine.m_new, fine.n_new, st.block, child, segs)
+    for st in states:  # PTP_MN
+        fill_ghosts_zero_gradient(st.m_new, SIDES)
+        fill_ghosts_zero_gradient(st.n_new, SIDES)
+    exchange_halo(*parents, "m")
+    exchange_halo(*parents, "n")
+    out += [a for st in states for a in st.state_arrays().values()]
+    return b"".join(a.tobytes() for a in out)
+
+
+def _tiny_step(dtype) -> bytes:
+    return _tiny_forecast(dtype) + _tiny_exchange(dtype)
+
+
 def _choose() -> None:
     _CHOICE.made = None
     try:
-        expected = [_tiny_forecast(dtype) for dtype in (np.float64, np.float32)]
+        expected = [_tiny_step(dtype) for dtype in (np.float64, np.float32)]
         _CHOICE.nests = _build()
-        if [_tiny_forecast(dtype) for dtype in (np.float64, np.float32)] != expected:
+        if [_tiny_step(dtype) for dtype in (np.float64, np.float32)] != expected:
             raise ArithmeticError("the built nest does not reproduce the NumPy bodies")
         _CHOICE.executor = "nest"
     except Exception as exc:  # noqa: BLE001 - whatever it is, the forecast runs on NumPy
@@ -149,7 +205,8 @@ def _choose() -> None:
     finally:
         if _CHOICE.executor != "nest":  # no candidate outlives a failed check
             _CHOICE.nests = {}
-        _COUNT.prepared = _COUNT.launches = 0  # the self-check's are not a run's
+        for counts in _COUNTS.values():  # the self-check's are not a run's
+            counts[:] = 0, 0
         _CHOICE.made = True
 
 
@@ -165,12 +222,19 @@ def choice() -> SimpleNamespace:
 
 def provenance() -> dict:
     """The choice as a run records it — before any kernel ran, nothing chosen —
-    and how many kernel calls this process has ``prepared`` and how many
-    ``launches`` it made of them: equal counts mean a caller hands in fresh
-    array objects on every step."""
+    and how many calls this process has ``prepared`` and how many
+    ``launches`` it made of them, in total and per ``routines`` entry (the
+    kernels, ``moves``, ``restrict``): equal counts mean a caller hands in
+    fresh array objects on every step."""
     keys = ("executor", "compiler", "reason")
     said = {k: getattr(_CHOICE, k) if _CHOICE.made else None for k in keys}
-    return {**said, "prepared": _COUNT.prepared, "launches": _COUNT.launches}
+    routines = {name: {"prepared": p, "launches": n} for name, (p, n) in _COUNTS.items()}
+    return {
+        **said,
+        "prepared": sum(r["prepared"] for r in routines.values()),
+        "launches": sum(r["launches"] for r in routines.values()),
+        "routines": routines,
+    }
 
 
 def ran() -> str:
@@ -183,25 +247,28 @@ def ran() -> str:
 #: double one, b: the land mask —, how many of the last it writes, the sweeps
 #: of ``faces``/``update`` it runs, and whether it needs a positive dry
 #: threshold (a face is closed exactly where its depth is 0 only over one; a
-#: depth of -0.0 is then never wet).
+#: depth of -0.0 is then never wet), and the routine it is counted under.
 _KERNELS = {
-    "nlmass": ("cmncc", 1, 0, False),
-    "nlmnt2": ("cmncmn", 2, 3, True),
-    "xmmt": ("cmncm", 1, 1, True),
-    "ymmt": ("cmncn", 1, 2, True),
-    "output": ("cmnczdddzb", 0, 0, True),
+    "nlmass": ("cmncc", 1, 0, False, "nlmass"),
+    "nlmnt2": ("cmncmn", 2, 3, True, "nlmnt2"),
+    "xmmt": ("cmncm", 1, 1, True, "nlmnt2"),
+    "ymmt": ("cmncn", 1, 2, True, "nlmnt2"),
+    "output": ("cmnczdddzb", 0, 0, True, "output"),
 }
 
 
 class Prepared:
-    """One kernel's call on one set of arrays, validated and laid out: the
-    entry points (``fn``), for each the arguments that never change
-    (``table``), the strip ``cuts`` and, for the momentum sweeps, each
-    strip's scratch (``planes[r0]``, :func:`repro.core.scratch.sweep_planes`'s
-    arguments).  It holds addresses, not arrays: ``refs`` are weak, and the
-    death of any of them removes the call."""
+    """One call on one set of arrays, validated and laid out: the entry
+    points (``fn``), for each the arguments that never change (``table``),
+    the strip ``cuts`` and, for the momentum sweeps, each strip's scratch
+    (``planes[r0]``, :func:`repro.core.scratch.sweep_planes`'s arguments); of
+    an exchange routine, the table it walks (``rows``) and what its NumPy
+    body returns (``result``).  It holds addresses, not arrays: ``refs`` are
+    weak, and the death of any of them removes the call."""
 
-    __slots__ = ("refs", "nests", "dtype", "fn", "table", "cuts", "planes")
+    __slots__ = (
+        "refs", "nests", "dtype", "fn", "table", "cuts", "planes", "rows", "result", "counts",
+    )
 
     def holds(self, arrays: tuple) -> bool:
         """Whether *arrays* are, object for object, what was prepared — on the
@@ -249,7 +316,7 @@ def _prepare(key: tuple, kernel: str, arrays: tuple, g: int, cells) -> Prepared 
         return None
     (R, P), dtype = z.shape, z.dtype
     ny, nx = cells or (R - 2 * g, P - 2 * g)
-    roles, written, sweeps, _ = _KERNELS[kernel]
+    roles, written, sweeps, _, routine = _KERNELS[kernel]
     frames = {
         "c": ((ny + 2 * g, nx + 2 * g), dtype), "m": ((R, P + 1), dtype), "n": ((R + 1, P), dtype),
         "z": ((ny, nx), dtype), "d": ((ny, nx), np.dtype(float)), "b": ((ny, nx), np.dtype(bool)),
@@ -285,10 +352,17 @@ def _prepare(key: tuple, kernel: str, arrays: tuple, g: int, cells) -> Prepared 
             LM = (r1 - r0 + 2) * WM if sweeps & 1 else 0
             LN = (r1 + (r1 == R - g) - r0 + 2) * WN if sweeps & 2 else 0
             call.planes[r0] = (dtype, LM + LN, WM if LM else WN, WN if LN else WM)
-    call.refs = tuple(weakref.ref(a, partial(_evict, _CALLS, key)) for a in arrays)
+    return _remember(key, call, arrays, routine)
+
+
+def _remember(key: tuple, call: Prepared, arrays: tuple, routine: str) -> Prepared:
+    """File a prepared *call* under *key*, until the first of *arrays* dies."""
+    evict = partial(_evict, _CALLS, key)
+    call.refs = tuple(weakref.ref(a, evict) for a in arrays)
+    call.counts = _COUNTS[routine]
     _CALLS[key] = call
-    with _COUNT.lock:
-        _COUNT.prepared += 1
+    with _COUNT_LOCK:
+        call.counts[0] += 1
     return call
 
 
@@ -316,7 +390,181 @@ def prepared(kernel: str, arrays: tuple, g: int, scalars: tuple, cells=None) -> 
     ):
         _RAN.executor = "numpy"
         return None
-    with _COUNT.lock:
-        _COUNT.launches += 1
+    with _COUNT_LOCK:
+        call.counts[1] += 1
     _RAN.executor = "nest"
+    return call
+
+
+# ---------------------------------------------------------------------------
+# The exchange phases: seams, ghost fills and JNQ are moves, JNZ is restrict
+# ---------------------------------------------------------------------------
+
+_UNITS = ((1, 0), (0, 1))  # one row on, one column on
+
+
+def _spans(index: tuple) -> list | None:
+    """``(start, extent)`` of each of unit-step slices with explicit bounds."""
+    out = []
+    for s in index:
+        if type(s) is not slice or s.start is None or s.stop is None or s.step not in (None, 1):
+            return None
+        out.append((s.start, s.stop - s.start))
+    return out
+
+
+def copy(dst: int, dst_index: tuple, src: int, src_index: tuple) -> tuple | None:
+    """The move ``arrays[dst][dst_index] = arrays[src][src_index]`` for two
+    pairs of unit-step slices with explicit bounds; a source axis of one
+    repeats along the target's, as NumPy broadcasts it.  None: not a move the
+    nest makes (the NumPy body runs, and raises what it raises)."""
+    have, want = _spans(src_index), _spans(dst_index)
+    if have is None or want is None:
+        return None
+    steps = []
+    for (_, n), (_, m), unit in zip(have, want, _UNITS):
+        if n != m and n != 1:
+            return None
+        steps.append(unit if n == m else (0, 0))
+    (r0, rows), (c0, cols) = want
+    return (dst, (r0, c0), *_UNITS, src, (have[0][0], have[1][0]), *steps, rows, cols)
+
+
+def repeat(dst: int, dst_index: tuple, src: int, src_index: tuple, ratio: int) -> tuple | None:
+    """The move ``arrays[dst][dst_index] = arrays[src][src_index].repeat(ratio)``
+    for a slice and an integer each, the two slices along one axis: every
+    source element onto *ratio* targets in a row (JNQ's parent face onto the
+    child faces it covers)."""
+    axis = 0 if type(src_index[0]) is slice else 1
+    spans = _spans((src_index[axis], dst_index[axis]))
+    fixed = (src_index[1 - axis], dst_index[1 - axis])
+    if spans is None or not all(isinstance(k, int) for k in fixed):
+        return None
+    (s0, n), (d0, m) = spans
+    if m != ratio * n:
+        return None
+    along = _UNITS[axis]
+    if axis == 0:
+        src_at, dst_at = (s0, fixed[0]), (d0, fixed[1])
+    else:
+        src_at, dst_at = (fixed[0], s0), (fixed[1], d0)
+    return (dst, dst_at, (ratio * along[0], ratio * along[1]), along,
+            src, src_at, along, (0, 0), n, ratio)
+
+
+def _rectangle(a: np.ndarray, at: tuple, row_step: tuple, col_step: tuple, rows: int, cols: int):
+    """Where a rows x cols rectangle of *a* lies in its memory — first
+    element, row and column steps, in elements — and its bounding box; None
+    if any of it lies outside *a* (no wrapping, no negative index).  Steps
+    are never negative (:func:`copy`, :func:`repeat`): *at* is the first
+    corner and the last is the far one."""
+    R, C = a.shape
+    r1 = at[0] + (rows - 1) * row_step[0] + (cols - 1) * col_step[0]
+    c1 = at[1] + (rows - 1) * row_step[1] + (cols - 1) * col_step[1]
+    if at[0] < 0 or at[1] < 0 or r1 >= R or c1 >= C:
+        return None
+    steps = (row_step[0] * C + row_step[1], col_step[0] * C + col_step[1])
+    return (at[0] * C + at[1], *steps), (at[0], r1, at[1], c1)
+
+
+def _apart(a: tuple, b: tuple) -> bool:
+    return a[1] < b[0] or b[1] < a[0] or a[3] < b[2] or b[3] < a[2]
+
+
+def _move_rows(arrays: tuple, moves, _result):
+    rows, base = [], [_address(a) for a in arrays]
+    for move in moves:
+        if move is None:
+            return None
+        dst, d_at, d_row, d_col, src, s_at, s_row, s_col, n_rows, n_cols = move
+        if n_rows <= 0 or n_cols <= 0:
+            continue
+        d, s = arrays[dst], arrays[src]
+        to = _rectangle(d, d_at, d_row, d_col, n_rows, n_cols)
+        fro = _rectangle(s, s_at, s_row, s_col, n_rows, n_cols)
+        if to is None or fro is None:
+            return None
+        if (not _apart(to[1], fro[1])) if d is s else np.may_share_memory(d, s):
+            return None  # NumPy copies an overlapping source first
+        (d_off, *d_steps), (s_off, *s_steps) = to[0], fro[0]
+        size = d.itemsize
+        rows.append((base[dst] + size * d_off, *d_steps, base[src] + size * s_off, *s_steps,
+                     n_rows, n_cols))
+    return np.array(rows, _TABLE).reshape(-1, 8), ()
+
+
+def _region_rows(arrays: tuple, regions, total):
+    child, dst, land = (*arrays, None, None)[:3]
+    if dst is not None and (
+        np.may_share_memory(dst, child)
+        or land is not None and (land.shape != dst.shape or np.may_share_memory(dst, land))
+    ):
+        return None
+    rows = []
+    for at, nj, ni, to in regions:
+        if nj <= 0 or ni <= 0:
+            continue
+        tiles = _rectangle(child, at, *_UNITS, 3 * nj, 3 * ni)
+        if dst is None:  # a dense buffer of *total* cells, allocated per launch
+            if tiles is None or to < 0 or to + nj * ni > total:
+                return None
+            rows.append((tiles[0][0], nj, ni, to, ni))
+            continue
+        cells = _rectangle(dst, to, *_UNITS, nj, ni)
+        if tiles is None or cells is None:
+            return None
+        rows.append((tiles[0][0], nj, ni, cells[0][0], dst.shape[1]))
+    frozen = (_address(child), child.shape[1], None if land is None else _address(land))
+    return np.array(rows, _TABLE).reshape(-1, 5), frozen + (() if dst is None else (_address(dst),))
+
+
+def _lay_out(key: tuple, routine: str, arrays: tuple, spec, result) -> Prepared | None:
+    """Validate and lay out one exchange call, or None: the NumPy body's.  The
+    nest takes 2-D C-contiguous arrays of one dtype it was built for, every
+    rectangle inside its array, and no target sharing memory with what its
+    move or mean reads."""
+    nests, first = choice().nests, arrays[0]
+    nest = nests.get(first.dtype.char)
+    if nest is None or spec is None:
+        return None
+    for a in arrays:
+        if a.dtype != first.dtype or a.ndim != 2 or not a.flags.c_contiguous:
+            return None
+    laid = (_move_rows if routine == "moves" else _region_rows)(arrays, spec, result)
+    if laid is None:
+        return None
+    call = Prepared()
+    call.nests, call.dtype, call.fn = nests, first.dtype, getattr(nest, routine)
+    (call.rows, frozen), call.result = laid, result
+    call.table = (_address(call.rows), len(call.rows), *frozen)
+    return _remember(key, call, arrays, routine)
+
+
+def exchange(routine: str, arrays: tuple, layout, *geometry) -> Prepared | None:
+    """The call of the exchange *routine* on *arrays*, ready to launch as
+    ``fn(*table)`` — or None: the NumPy body's.
+
+    ``layout(*geometry)`` describes the call; it is asked on a miss only and
+    returns ``(spec, result)``, *result* being what the NumPy body returns.
+    For ``moves`` (halo seams, ghost fills, JNQ), *spec* is the moves in
+    order, as :func:`copy` and :func:`repeat` make them on indices into
+    *arrays*.  For ``restrict`` (JNZ, tiles of 3 x 3) it is per region the
+    child cell it starts at, its ``nj`` x ``ni`` parent cells, and where they
+    go: a parent cell — *arrays* are then child, parent and, optionally, the
+    parent's depth, whose cells at or below 0 are land and not written — or
+    an offset into a JNZ buffer of *result* cells, whose address travels with
+    each launch (*arrays*: the child alone).  A *spec* of None declines.
+
+    Found again as :func:`prepared` calls are, by the identity of the arrays,
+    together with *layout* and *geometry* (hashable, compared by value)."""
+    if _CHOICE.made is not False and not _CHOICE.nests:  # NumPy's, or the self-check's
+        return None
+    key = (routine, layout, *geometry, *map(id, arrays))
+    call = _CALLS.get(key)
+    if call is None or not call.holds(arrays):
+        call = _lay_out(key, routine, arrays, *layout(*geometry))
+        if call is None:
+            return None
+    with _COUNT_LOCK:
+        call.counts[1] += 1
     return call

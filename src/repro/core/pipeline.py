@@ -13,11 +13,13 @@
 
 It is written once, and only the data movement varies: at each seam and
 nesting link of the static :class:`StepPlan` the body asks who owns the
-two ends.  Both mine: the in-process operator.  One mine: pack ->
-``comm.send`` / ``comm.recv`` -> unpack over the same index math, so any
-assignment of blocks to ranks is bitwise identical to the one-owner run
-(:class:`repro.core.RTiModel`; :mod:`repro.par.driver` runs the body on
-every rank thread).  DESIGN.md section 9d records the decision.
+two ends.  Both mine: the in-process operator (on the compiled nest, one
+prepared launch: DESIGN.md section 9i).  One mine: pack -> ``comm.send`` /
+``comm.recv`` -> unpack over the same index math, so any assignment of
+blocks to ranks is bitwise identical to the one-owner run
+(:class:`repro.core.RTiModel`; :mod:`repro.par.driver` runs the body in
+every rank — a forked rank process, or a rank thread where forking is ruled
+out).  DESIGN.md section 9d records the decision.
 
 A leaf of :mod:`repro.core`: it must not import ``repro.core.model``,
 because ``repro.par.driver`` imports it at module level and

@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.constants import REFINEMENT_RATIO
+from repro.core import loopnest
 from repro.errors import NestingError
 from repro.grid.block import Block
 from repro.grid.staggered import NGHOST
@@ -142,12 +143,26 @@ def _build_flux_table(
     return tuple(rows), total
 
 
+def _frozen(segments) -> tuple:
+    """*segments*, a dict of lists, as the key of what it holds."""
+    return tuple(map(tuple, map(segments.get, "WESN", ((),) * 4)))
+
+
 def _flux_table(parent, child, segments, ratio, nghost):
     """One link's JNQ rows ``(is_m, parent index, child index, buffer slice)``,
     side by side, seg by seg, and the buffer length.  *segments* is a dict of
     lists, so the static table is keyed on what it holds."""
-    key = tuple(map(tuple, map(segments.get, "WESN", ((),) * 4)))
-    return _build_flux_table(parent, child, key, ratio, nghost)
+    return _build_flux_table(parent, child, _frozen(segments), ratio, nghost)
+
+
+def _flux_moves(parent, child, segments: tuple, ratio, nghost):
+    """``interpolate_fluxes`` for ``loopnest.exchange``: its rows as moves on
+    (parent M, parent N, child M, child N)."""
+    rows, total = _build_flux_table(parent, child, segments, ratio, nghost)
+    return [
+        loopnest.repeat(2 if is_m else 3, dst, 0 if is_m else 1, src, ratio)
+        for is_m, src, dst, _at in rows
+    ], ratio * total
 
 
 def pack_fluxes(
@@ -201,9 +216,18 @@ def interpolate_fluxes(
     number of child faces written (the JNQ message volume).  The same
     table rows as pack + unpack, without the buffer in between, so the
     local and distributed (MPI) paths are numerically identical by
-    construction.
+    construction.  On the compiled nest those rows are one prepared
+    ``moves`` call (DESIGN.md §9i).
     """
-    rows, total = _flux_table(parent, child, segments, ratio, nghost)
+    key = _frozen(segments)
+    call = loopnest.exchange(
+        "moves", (parent_m, parent_n, child_m, child_n), _flux_moves,
+        parent, child, key, ratio, nghost,
+    )
+    if call:
+        call.fn(*call.table)
+        return call.result
+    rows, total = _build_flux_table(parent, child, key, ratio, nghost)
     for is_m, src, dst, _at in rows:
         values = (parent_m if is_m else parent_n)[src]
         (child_m if is_m else child_n)[dst] = values.repeat(ratio)

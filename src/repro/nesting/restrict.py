@@ -8,7 +8,11 @@ same operator vectorized: the child region is reshaped to
 
 Which cells those are is fixed by the two frozen blocks, so the regions
 and their buffer layout live in static tables (Listing 6's
-``JNZ_BUFS_OFS``), built on a link's first step and looked up after.
+``JNZ_BUFS_OFS``), built on a link's first step and looked up after.  On
+the compiled nest a link's restriction — into the parent, or into a JNZ
+buffer — is one prepared ``restrict`` call that sums each tile in NumPy's
+own order (DESIGN.md §9i); the NumPy bodies below are the fallback and the
+reference.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.constants import REFINEMENT_RATIO
+from repro.core import loopnest
 from repro.errors import NestingError
 from repro.grid.block import Block
 from repro.grid.staggered import NGHOST
@@ -101,6 +106,33 @@ def _buffer_layout(block: Block, regions: tuple, scale: int, nghost: int):
     return cells, build_offset_table(cells, scale)
 
 
+def _tiles(child: Block, regions: tuple, ratio: int, nghost: int):
+    """Per region its first child cell and its nj x ni parent cells — the
+    nest's tiles are 3 x 3, so None for another *ratio* — and the layout."""
+    cells, table = _buffer_layout(child, regions, ratio, nghost)
+    if ratio != 3:
+        return None, table
+    return [((j0, i0), (j1 - j0) // 3, (i1 - i0) // 3) for j0, j1, i0, i1 in cells], table
+
+
+def _pack_layout(child: Block, regions: tuple, ratio: int, nghost: int):
+    """``pack_restriction`` for ``loopnest.exchange``: into the buffer."""
+    tiles, table = _tiles(child, regions, ratio, nghost)
+    if tiles is None:
+        return None, None
+    return [(*tile, at) for tile, at in zip(tiles, table.offsets)], table.total
+
+
+def _restrict_layout(parent: Block, child: Block, mode: str, width: int, ratio: int, nghost: int):
+    """``restrict_eta`` for ``loopnest.exchange``: into the parent."""
+    regions = _regions_of(parent, child, mode, width, ratio)
+    tiles, table = _tiles(child, regions, ratio, nghost)
+    if tiles is None:
+        return None, None
+    into, _ = _buffer_layout(parent, regions, 1, nghost)
+    return [(*tile, (j0, i0)) for tile, (j0, _j1, i0, _i1) in zip(tiles, into)], table.total
+
+
 def pack_restriction(
     child_z: np.ndarray,
     child: Block,
@@ -111,9 +143,16 @@ def pack_restriction(
     """Sender side of JNZ: 3x3-average the child cells into a buffer.
 
     The buffer holds one value per parent cell, region by region in
-    row-major order — the JNZ_BUFS layout of Listing 6.
+    row-major order — the JNZ_BUFS layout of Listing 6.  On the nest this
+    is the routine :func:`restrict_eta` runs, writing the buffer instead.
     """
-    cells, table = _buffer_layout(child, tuple(regions), ratio, nghost)
+    regions = tuple(regions)
+    call = loopnest.exchange("restrict", (child_z,), _pack_layout, child, regions, ratio, nghost)
+    if call:
+        buf = np.empty(call.result, child_z.dtype)
+        call.fn(*call.table, buf.ctypes.data)
+        return buf
+    cells, table = _buffer_layout(child, regions, ratio, nghost)
     return pack_irregular_offsets(child_z, cells, table, ratio)
 
 
@@ -159,9 +198,17 @@ def restrict_eta(
     Both arrays are padded per :mod:`repro.grid.staggered`.  Returns the
     number of parent cells written (the JNZ message volume in cells).
     Implemented as pack + unpack so the local and distributed (MPI) paths
-    are numerically identical by construction.  See
+    are numerically identical by construction — on the nest, as the one
+    compiled routine :func:`pack_restriction` runs.  See
     :func:`unpack_restriction` for the *parent_h* land mask.
     """
+    arrays = (child_z, parent_z) if parent_h is None else (child_z, parent_z, parent_h)
+    call = loopnest.exchange(
+        "restrict", arrays, _restrict_layout, parent, child, mode, width, ratio, nghost
+    )
+    if call:
+        call.fn(*call.table)
+        return call.result
     regions = _regions_of(parent, child, mode, width, ratio)
     buf = pack_restriction(child_z, child, regions, ratio, nghost)
     return unpack_restriction(parent_z, parent, regions, buf, nghost, parent_h)

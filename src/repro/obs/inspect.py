@@ -271,6 +271,9 @@ def _metrics_lines(metrics: dict) -> list[str]:
         if ran.get("launches"):  # equal counts: fresh array objects on every call
             line += f", {ran['prepared']:,} calls prepared, {ran['launches']:,} launches"
         lines.append(line)
+        for name, n in (ran.get("routines") or {}).items():  # which routine re-prepares
+            if n["launches"]:
+                lines.append(f"  {name:<14}: {n['prepared']:,} prepared, {n['launches']:,} launches")
     return lines
 
 

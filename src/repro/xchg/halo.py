@@ -1,12 +1,13 @@
 """Intra-level halo (ghost) exchange between neighbor blocks.
 
 Implements the data movement of the paper's PTP_Z (water level) and PTP_MN
-(discharge fluxes) routines for blocks living in the same process: ghost
-layers are copied directly between the two :class:`BlockState` arrays.
-The distributed-memory path (:mod:`repro.par.driver`) moves the *same*
-regions through pack -> simulated MPI -> unpack; both paths share the
-index math of :mod:`repro.xchg.specs`, which is what makes them bitwise
-identical.
+(discharge fluxes) routines for blocks owned by one caller: ghost layers are
+copied directly between the two :class:`BlockState` arrays — on the compiled
+nest as one prepared ``moves`` call per field (DESIGN.md §9i).  A seam whose
+ends live on two ranks (:func:`repro.core.pipeline.run_step`, over threads or
+forked rank processes) moves the *same* regions through pack -> send ->
+receive -> unpack; both paths share the index math of
+:mod:`repro.xchg.specs`, which is what makes them bitwise identical.
 
 The exchanged range extends into the ghost rows/columns where both padded
 arrays cover them; combined with the zero-gradient fill this makes a
@@ -16,6 +17,7 @@ split-block run bitwise equal to a monolithic one for full-extent seams
 
 from __future__ import annotations
 
+from repro.core import loopnest
 from repro.errors import CommunicationError
 from repro.grid.block import Block
 from repro.grid.staggered import NGHOST
@@ -48,10 +50,23 @@ def exchange_halo(state_a, state_b, which: str, nghost: int = NGHOST) -> None:
     if which not in _WRITE_BUFFER:
         raise CommunicationError(f"unknown field {which!r}")
     a, b = state_a.block, state_b.block
-    arrays = {
-        a.block_id: getattr(state_a, _WRITE_BUFFER[which]),
-        b.block_id: getattr(state_b, _WRITE_BUFFER[which]),
-    }
+    ends = getattr(state_a, _WRITE_BUFFER[which]), getattr(state_b, _WRITE_BUFFER[which])
+    call = loopnest.exchange("moves", ends, _seam_moves, a, b, which, nghost)
+    if call:
+        call.fn(*call.table)
+        return
+    arrays = {a.block_id: ends[0], b.block_id: ends[1]}
     for spec in seam_copy_specs(a, b, nghost):
         if spec.field == which:
             arrays[spec.dst_block][spec.dst] = arrays[spec.src_block][spec.src]
+
+
+def _seam_moves(a: Block, b: Block, which: str, nghost: int):
+    """One field's copies of the seam, in apply order, as moves on the two
+    ends' arrays (a's first)."""
+    end = {a.block_id: 0, b.block_id: 1}
+    return [
+        loopnest.copy(end[spec.dst_block], spec.dst, end[spec.src_block], spec.src)
+        for spec in seam_copy_specs(a, b, nghost)
+        if spec.field == which
+    ], None

@@ -4,7 +4,9 @@ The seam, JNZ and JNQ geometry is built on a grid's first step and looked
 up after: from step 2 on, the functions that derive it run zero times, in
 the single-process model and on rank threads alike.  The tables are LRU
 caches of one fixed size, so a process that builds grid after grid evicts
-instead of growing.
+instead of growing.  On the compiled nest a warm step goes further: each
+ghost fill, seam field, JNQ link and JNZ link is one foreign call and no
+NumPy at all.
 """
 
 import threading
@@ -13,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core import RTiModel, SimulationConfig
+from repro.core import RTiModel, SimulationConfig, boundary, pipeline
 from repro.fault import GaussianSource
 from repro.grid.block import Block
 from repro.grid.hierarchy import NestedGrid
@@ -23,8 +25,10 @@ from repro.par.decomposition import equal_cell_assignment
 from repro.par.driver import run_distributed
 from repro.topo import build_mini_kochi
 from repro.validation import FlatBathymetry
-from repro.xchg import specs
+from repro.xchg import halo, specs
 from repro.xchg.offsets import TABLE_ENTRIES
+
+from tests import executors
 
 TABLES = (
     specs._seam_table,
@@ -141,3 +145,87 @@ def test_three_grids_in_one_process_evict_rather_than_grow():
     for bid, eta in first.items():
         assert np.array_equal(eta, again[bid])
     clear_tables()
+
+
+#: The four exchange functions of a step, and the routine each launches.
+LAUNCHES = {
+    "fill_ghosts_zero_gradient": "moves",
+    "exchange_halo": "moves",
+    "interpolate_fluxes": "moves",
+    "restrict_eta": "restrict",
+}
+
+
+def test_a_warm_step_on_the_nest_is_one_foreign_call_per_exchange_and_no_numpy(monkeypatch):
+    """Steps 2..N of mini-Kochi: every ghost fill, every field of every seam,
+    every JNQ and every JNZ link launches its routine once, and none of the
+    four functions touches NumPy — no function of the ``np`` its module sees,
+    no index into a state array, no array derived from one.  Counted by
+    patching, per call."""
+    nests = executors.compiled_nests()
+    running, seen = [], []  # per call: [function, foreign calls, NumPy touches]
+
+    def touched():
+        if running:
+            running[-1][2] += 1
+
+    class Watched(np.ndarray):
+        def __array_finalize__(self, obj):
+            touched()
+
+        def __getitem__(self, index):
+            touched()
+            return super().__getitem__(index)
+
+        def __setitem__(self, index, value):
+            touched()
+            super().__setitem__(index, value)
+
+    class NumPy:
+        def __getattr__(self, name):
+            touched()
+            return getattr(np, name)
+
+    def launching(name, fn):
+        def launch(*args):
+            if running:
+                running[-1][1].append(name)
+            return fn(*args)
+
+        return launch
+
+    def probed(name, fn):
+        def call(*args, **kwargs):
+            running.append([name, [], 0])
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seen.append(running.pop())
+
+        return call
+
+    for name in LAUNCHES:
+        monkeypatch.setattr(pipeline, name, probed(name, getattr(pipeline, name)))
+    for module in (boundary, halo, interp, restrict):
+        monkeypatch.setattr(module, "np", NumPy(), raising=False)
+    mk = build_mini_kochi()
+    model = RTiModel(mk.grid, mk.bathymetry, SimulationConfig(dt=mk.dt))
+    model.set_initial_condition(SOURCE)
+    for st in model.states.values():
+        st._z, st._m, st._n = ([a.view(Watched) for a in pair] for pair in (st._z, st._m, st._n))
+        st.hz = st.hz.view(Watched)
+    plan = pipeline.build_step_plan(model.grid, model.config)
+    links = sum(len(of_level) for _level, of_level in plan.links)
+    per_step = {
+        "fill_ghosts_zero_gradient": 3 * len(model.states),
+        "exchange_halo": 3 * len(plan.seams),
+        "interpolate_fluxes": links,
+        "restrict_eta": links,
+    }
+    with executors.on_nests(executors.wrapped(nests, launching)):
+        model.step()
+        del seen[:]
+        for _ in range(6):
+            model.step()
+    assert Counter(name for name, *_ in seen) == {k: 6 * n for k, n in per_step.items()}
+    assert all(foreign == [LAUNCHES[name]] and numpy == 0 for name, foreign, numpy in seen)

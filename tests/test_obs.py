@@ -43,6 +43,9 @@ from repro.obs.metrics import (
 from repro.obs.timebase import TIMEBASE, timestamp_pair
 from repro.runtime.breakdown import BREAKDOWN_PHASES
 
+#: ``loopnest.provenance()["routines"]`` entries that are kernels.
+KERNEL_ROUTINES = ("nlmass", "nlmnt2", "output")
+
 
 @pytest.fixture(autouse=True)
 def _clean_obs():
@@ -647,11 +650,16 @@ class TestInspect:
         kernels = [e for e in doc["traceEvents"] if e["name"].endswith(".kernel")]
         assert kernels and {e["args"]["executor"] for e in kernels} == {ran.executor}
         metrics = json.loads((rundir / "metrics.json").read_text())
-        counts = {
-            k: metrics["kernel_executor"].pop(k) - before[k] for k in ("prepared", "launches")
-        }
-        assert metrics["kernel_executor"] == {
+        said = metrics["kernel_executor"]
+        routines = said.pop("routines")
+        totals = {k: said.pop(k) for k in ("prepared", "launches")}
+        assert said == {
             "executor": ran.executor, "compiler": ran.compiler, "reason": ran.reason,
+        }
+        assert totals == {k: sum(r[k] for r in routines.values()) for k in totals}
+        counts = {
+            k: sum(routines[r][k] - before["routines"][r][k] for r in KERNEL_ROUTINES)
+            for k in totals
         }
         # Every block's three kernels, once per leap-frog parity, then launched.
         steps = len(kernels) // 30
@@ -669,6 +677,8 @@ class TestInspect:
         assert "throughput" in out
         assert f"kernel executor : {ran.executor} (" in out
         assert (" calls prepared, " in out) == (ran.executor == "nest")
+        for routine in routines:  # each its own line, where it was launched
+            assert (f"  {routine:<14}: " in out) == (ran.executor == "nest")
 
     def test_inspect_untraced_rundir_suggests_flag(self, tmp_path, capsys):
         from repro.cli import main

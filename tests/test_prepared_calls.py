@@ -5,9 +5,10 @@ A call on the compiled nest is validated and laid out once per set of array
 objects and then only launched.  What that must never change: a restore, a
 rollback or a rebinding mid-run, a halved ``dt``, loose inputs, two rank
 threads at once — every answer stays bitwise the answer without the cache —
-and the cache pins nothing: it dies with the arrays.  Where the platform's
-executor is NumPy (``CC=false``) nothing is prepared and every case still
-holds.
+and the cache pins nothing: it dies with the arrays.  The exchange phases'
+calls (``loopnest.exchange``, DESIGN.md §9i) share the cache and its rules;
+each routine is counted apart.  Where the platform's executor is NumPy
+(``CC=false``) nothing is prepared and every case still holds.
 """
 
 import gc
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import RTiModel, SimulationConfig, loopnest, mass, momentum, outputs
+from repro.core.pipeline import build_step_plan
 from repro.fault import GaussianSource
 from repro.grid.block import Block
 from repro.grid.staggered import NGHOST
@@ -50,23 +52,43 @@ def everything(model) -> bytes:
     )
 
 
-def counted() -> tuple[int, int]:
-    said = loopnest.provenance()
-    return said["prepared"], said["launches"]
+KERNELS = ("nlmass", "nlmnt2", "output")
+EXCHANGE = ("moves", "restrict")
 
 
-def since(before: tuple[int, int]) -> tuple[int, int]:
-    prepared, launches = counted()
+def counted(routines=KERNELS) -> tuple[int, int]:
+    said = loopnest.provenance()["routines"]
+    return tuple(sum(said[r][k] for r in routines) for k in ("prepared", "launches"))
+
+
+def since(before: tuple[int, int], routines=KERNELS) -> tuple[int, int]:
+    prepared, launches = counted(routines)
     return prepared - before[0], launches - before[1]
 
 
+def exchange_calls_per_step(model) -> dict:
+    """What one step asks of the exchange routines, from its step plan: per
+    block a ghost fill of each field and per seam a copy of each, per JNQ
+    link its faces — all ``moves`` — and per JNZ link one ``restrict``."""
+    plan = build_step_plan(model.grid, model.config)
+    links = sum(len(of_level) for _level, of_level in plan.links)
+    return {"moves": 3 * len(model.states) + 3 * len(plan.seams) + links, "restrict": links}
+
+
 def test_a_run_prepares_each_call_once_and_then_launches_it():
-    """Ten blocks, three kernels, two leap-frog parities: 60 calls, whatever
-    the number of steps."""
-    model, before = mini_kochi_model(), counted()
+    """Ten blocks, three kernels, two leap-frog parities: 60 kernel calls,
+    whatever the number of steps; and of each exchange routine what the step
+    plan enumerates, once per parity."""
+    model = mini_kochi_model()
+    before = {r: counted((r,)) for r in KERNELS + EXCHANGE}
     model.run(20)
-    assert since(before) == ((60, 600) if ON_NEST else (0, 0))
-    assert len(loopnest._CALLS) >= (60 if ON_NEST else 0)
+    got = {r: since(was, (r,)) for r, was in before.items()}
+    per_step = exchange_calls_per_step(model)
+    assert got == {
+        **{r: (20, 200) if ON_NEST else (0, 0) for r in KERNELS},
+        **{r: (2 * n, 20 * n) if ON_NEST else (0, 0) for r, n in per_step.items()},
+    }
+    assert len(loopnest._CALLS) >= sum(prepared for prepared, _ in got.values())
 
 
 def test_restores_and_a_rollback_mid_run_re_prepare_nothing_and_change_nothing():
@@ -118,7 +140,7 @@ def test_a_rebound_product_gets_the_next_update_and_the_old_array_is_never_writt
 
 def test_the_cache_dies_with_the_arrays():
     gc.collect()
-    held = len(loopnest._CALLS)
+    held, before = len(loopnest._CALLS), counted(KERNELS + EXCHANGE)
     model = mini_kochi_model()
     model.run(4)
     watched = [
@@ -127,7 +149,9 @@ def test_the_cache_dies_with_the_arrays():
         for a in (*st.state_arrays().values(), st.hz,
                   *model.outputs[bid].product_arrays().values())
     ]
-    assert len(loopnest._CALLS) == held + (60 if ON_NEST else 0)
+    per_step = sum(exchange_calls_per_step(model).values())
+    assert since(before, KERNELS + EXCHANGE)[0] == (60 + 2 * per_step if ON_NEST else 0)
+    assert len(loopnest._CALLS) == held + (60 + 2 * per_step if ON_NEST else 0)
     del model
     gc.collect()
     assert all(ref() is None for ref in watched)
