@@ -21,11 +21,13 @@ fast=0
 
 # NLMASS, NLMNT2 and OUTPUT: bitwise, budgets, the team, the scalar oracle,
 # the prepared calls (under CC=false nothing is prepared: every case holds);
-# the exchange phases on the nest against their NumPy bodies.
+# the exchange phases and the health guard's scan on the nest against their
+# NumPy bodies.
 kernel_suites="tests/test_kernels_bitwise.py tests/test_kernels_flat.py
     tests/test_kernel_passes.py tests/test_strip_team.py
     tests/test_boundary_outputs.py tests/test_loopnest_oracle.py
-    tests/test_prepared_calls.py tests/test_exchange_nest.py"
+    tests/test_prepared_calls.py tests/test_exchange_nest.py
+    tests/test_health_nest.py"
 if [ "${1:-}" = "--legs" ]; then
     echo "== kernel suites as a team of one (taskset -c 0) =="
     PYTHONPATH=src taskset -c 0 python -m pytest -q $kernel_suites
@@ -34,7 +36,8 @@ if [ "${1:-}" = "--legs" ]; then
         tests/test_kernels.py tests/test_step_pipeline.py \
         tests/test_distributed.py tests/test_persist.py \
         tests/test_loopnest_build.py tests/test_nesting_bitwise.py \
-        tests/test_exchange_budget.py
+        tests/test_exchange_budget.py tests/test_health_bitwise.py \
+        tests/test_physics.py
     echo "BOTH LEGS PASSED"
     exit 0
 fi

@@ -42,9 +42,10 @@ Each tree is also asked for its per-call floor — microseconds per ``nlmass``,
 ``nlmnt2`` and accumulator ``update`` on a 1 x 1 and a 45 x 90 block, and per
 exchange call (``fill_ghosts_zero_gradient`` at 132^2 and 772^2, two of
 mini-Kochi's ``restrict_eta`` links, its mean ``interpolate_fluxes`` link and
-``exchange_halo`` seam field), best of five batches in a fresh interpreter —
-printed and stored in the same provenance (DESIGN.md sections 9h and 9i's
-tables, by one command).
+``exchange_halo`` seam field), and per health guard call on mini-Kochi
+(``HealthMonitor.check``, ``PhysicsSampler.sample``), best of five batches in
+a fresh interpreter — printed and stored in the same provenance (DESIGN.md
+sections 9h, 9i and 9j's tables, by one command).
 """
 
 from __future__ import annotations
@@ -183,6 +184,11 @@ _FLOOR = (
     "    len(links))\n"
     "floor['exchange_halo_us'] = best(lambda: [exchange_halo(a, b, f) for a, b, f in seams],\n"
     "                                 len(seams))\n"
+    "from repro.obs.physics import PhysicsSampler\n"
+    "from repro.resilience.health import HealthMonitor\n"
+    "health, sampler = HealthMonitor(), PhysicsSampler()\n"
+    "floor['health_check_us'] = best(lambda: health.check(model))\n"
+    "floor['physics_sample_us'] = best(lambda: sampler.sample(model))\n"
     "print(json.dumps(floor))"
 )
 
@@ -192,8 +198,9 @@ def floor_of(tree: Path) -> dict | None:
     accumulator ``update`` on a 1 x 1 and a 45 x 90 block, and of its
     exchange phases — a ghost fill of a 132^2 and a 772^2 frame, the JNZ
     links 6->4 (one parent cell wide) and 3->1 (under the 60-cell-wide block),
-    a JNQ link and a seam field (the means over mini-Kochi's) — in a fresh
-    interpreter: the per-call floor (DESIGN.md sections 9h and 9i)."""
+    a JNQ link and a seam field (the means over mini-Kochi's) — and of the
+    health guard on mini-Kochi (a check, a physics sample) in a fresh
+    interpreter: the per-call floor (DESIGN.md sections 9h, 9i and 9j)."""
     return ask(tree, _FLOOR, "could not time its kernel and exchange calls")
 
 

@@ -29,7 +29,8 @@
  * The exchange phases (DESIGN.md section 9i) are two more entry points, each
  * walking a table loopnest.py laid out once per set of arrays: `moves` (halo
  * seams, ghost fills, JNQ) and `restrict` (JNZ's 3x3 mean, in NumPy's own
- * summation orders).
+ * summation orders).  The health guard (section 9j) is one more: `scan`, the
+ * per-block reductions HealthMonitor and PhysicsSampler judge a state by.
  */
 #ifndef REAL
 
@@ -44,6 +45,15 @@ static inline double fold(double a, double b)
     return a > b || a != a ? a : b;
 }
 
+/* A float's high 32-bit word holds its exponent: the finite test reads that
+ * word alone, a 32-bit compare SSE2 vectorises (it has no 64-bit one). */
+typedef uint32_t __attribute__((may_alias)) word;
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+#define HIGH 0
+#else
+#define HIGH (sizeof(REAL) / 4 - 1)
+#endif
+
 /* Where a strip's sweeps lie in its scratch: M's lanes, then N's, per plane. */
 #define SWEEPS                                                                 \
     const long last = r1 == R - g, WM = P - 2 * g + 3, WN = WM - 1;            \
@@ -52,21 +62,27 @@ static inline double fold(double a, double b)
 
 #define REAL double
 #define BITS uint64_t
+#define EXPONENT 0x7ff00000u
 #define FN(name) name##_f64
 #define SQRT sqrt
 #define HYPOT hypot
+#define FABS fabs
 #include __FILE__
 #undef REAL
 #undef BITS
+#undef EXPONENT
 #undef FN
 #undef SQRT
 #undef HYPOT
+#undef FABS
 
 #define REAL float
 #define BITS uint32_t
+#define EXPONENT 0x7f800000u
 #define FN(name) name##_f32
 #define SQRT sqrtf
 #define HYPOT hypotf
+#define FABS fabsf
 #include __FILE__
 
 #else
@@ -357,6 +373,97 @@ void FN(restrict)(const long *t, long n, const REAL *child, long cp, const REAL 
                     dst[at + i] = mean;
             }
         }
+    }
+}
+
+/* 1 if none of a's n elements is an inf or a NaN: its exponent bits, read
+ * from the high word, are not all set. */
+static double FN(finite)(const REAL *a, long n)
+{
+    const word *w = (const word *)a + HIGH;
+    const long step = sizeof(REAL) / 4;
+    unsigned bad = 0;
+    for (long k = 0; k < n; k++)
+        bad |= (w[k * step] & EXPONENT) == EXPONENT;
+    return !bad;
+}
+
+/* max |a| over n elements, from 0 (read only where a is finite).  Four
+ * running maxima, so that no compare waits on the one before it. */
+static double FN(peak)(const REAL *a, long n)
+{
+    REAL t0 = 0, t1 = 0, t2 = 0, t3 = 0;
+    long k = 0;
+    for (; k + 4 <= n; k += 4) {
+        const REAL v0 = FABS(a[k]), v1 = FABS(a[k + 1]), v2 = FABS(a[k + 2]), v3 = FABS(a[k + 3]);
+        t0 = v0 > t0 ? v0 : t0;
+        t1 = v1 > t1 ? v1 : t1;
+        t2 = v2 > t2 ? v2 : t2;
+        t3 = v3 > t3 ? v3 : t3;
+    }
+    for (; k < n; k++) {
+        const REAL v = FABS(a[k]);
+        t0 = v > t0 ? v : t0;
+    }
+    t0 = t1 > t0 ? t1 : t0;
+    t2 = t3 > t2 ? t3 : t2;
+    return t2 > t0 ? t2 : t0;
+}
+
+/* HealthMonitor's and PhysicsSampler's reductions over every block.  Per row
+ * of the table (9 longs) one block: the addresses of z, M, N and h (z, h: R
+ * rows of pitch P, M: R x (P + 1), N: (R + 1) x P), then R, P, g, ny, nx.
+ * Per block eight doubles of `rec`: whether all of the padded z, M and N are
+ * finite (1 or 0); of the ny x nx physical cells, the wet ones, max |z| over
+ * them (0 without one) and max D over all (a NaN if any is one); max |M| and
+ * |N| over the padded arrays.  Each is a count, a max or an AND: once the
+ * arrays are finite no order of the reduction changes it. */
+void FN(scan)(const long *t, long n, double *rec, double dry_)
+{
+    const REAL dry = (REAL)dry_;
+    for (const long *end = t + 9 * n; t < end; t += 9, rec += 8) {
+        const REAL *z = (const REAL *)t[0], *m = (const REAL *)t[1];
+        const REAL *nn = (const REAL *)t[2], *h = (const REAL *)t[3];
+        const long R = t[4], P = t[5], g = t[6], ny = t[7], nx = t[8];
+        long wet = 0;
+        unsigned nan = 0;
+        REAL eta = 0, d0 = 0, d1 = 0, d2 = 0, d3 = 0;
+/* Cell i + l: its depth D = max(h + z, 0) as np.maximum takes it (a NaN stays,
+ * -0.0 is +0.0) into the running max d<l> — four, so that no compare waits on
+ * the one before it — and the NaN flag; a wet one into the count and max |z|
+ * (a branch: water and land come in runs). */
+#define CELL(l)                                                                \
+    {                                                                          \
+        const REAL zi = zj[i + l], sum = hj[i + l] + zi;                       \
+        const REAL d = sum > 0 || sum != sum ? sum : 0;                        \
+        nan |= d != d;                                                         \
+        d##l = d > d##l ? d : d##l;                                            \
+        if (d > dry) {                                                         \
+            const REAL e = FABS(zi);                                           \
+            wet++;                                                             \
+            eta = e > eta ? e : eta;                                           \
+        }                                                                      \
+    }
+        for (long j = g; j < g + ny; j++) {
+            const REAL *zj = z + j * P + g, *hj = h + j * P + g;
+            long i = 0;
+            for (; i + 4 <= nx; i += 4) {
+                CELL(0) CELL(1) CELL(2) CELL(3)
+            }
+            for (; i < nx; i++)
+                CELL(0)
+        }
+#undef CELL
+        d0 = d1 > d0 ? d1 : d0;
+        d2 = d3 > d2 ? d3 : d2;
+        rec[0] = FN(finite)(z, R * P);
+        rec[1] = FN(finite)(m, R * (P + 1));
+        rec[2] = FN(finite)(nn, (R + 1) * P);
+        rec[3] = (double)wet;
+        rec[4] = eta;
+        rec[5] = nan ? NAN : d2 > d0 ? d2 : d0;
+        rec[6] = FN(peak)(m, R * (P + 1));
+        rec[7] = FN(peak)(nn, (R + 1) * P);
     }
 }
 

@@ -16,7 +16,9 @@ A kernel call on the nest is *prepared* once per set of array objects
 launched.  The table is found again by the identity of the arrays, which it
 references weakly and dies with.  DESIGN.md section 9h.  The exchange phases
 — halo seams, ghost fills, JNQ, JNZ — are prepared the same way, as tables
-of two more entry points (:func:`exchange`; DESIGN.md section 9i).
+of two more entry points (:func:`exchange`; DESIGN.md section 9i), and the
+health guard's reductions over every block as one more (:func:`scan`;
+DESIGN.md section 9j).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.core import scratch
+from repro.grid.staggered import NGHOST
 
 SOURCE = Path(__file__).with_name("loopnest.c")
 #: IEEE arithmetic in source order.  The last two let gcc vectorise the
@@ -53,6 +56,8 @@ ARGTYPES = {
     # The exchange phases: a table and its length, then the rest of the call.
     "moves": (_PTR, _INT),
     "restrict": (_PTR, _INT, _PTR, _INT, _PTR, _PTR),
+    # The health guard's reductions: a table, its length, the records; dry.
+    "scan": (_PTR, _INT, _PTR, _REAL),
 }
 #: The element type of the tables the exchange routines walk: C's ``long``.
 _TABLE = np.dtype(ctypes.c_long)
@@ -64,7 +69,9 @@ _CHOICE = SimpleNamespace(made=False, executor="numpy", reason="", compiler="", 
 #: or ``(routine, layout, geometry..., id of each array)``.
 _CALLS: dict = {}
 #: Per routine, ``[prepared, launches]`` so far.
-_COUNTS = {routine: [0, 0] for routine in ("nlmass", "nlmnt2", "output", "moves", "restrict")}
+_COUNTS = {
+    routine: [0, 0] for routine in ("nlmass", "nlmnt2", "output", "moves", "restrict", "scan")
+}
 _COUNT_LOCK = threading.Lock()
 _RAN = threading.local()  # .executor: what ran this thread's last kernel call
 
@@ -184,8 +191,34 @@ def _tiny_exchange(dtype) -> bytes:
     return b"".join(a.tobytes() for a in out)
 
 
+def _tiny_scan(dtype) -> bytes:
+    """The health guard's reductions, as the physics sampler reads them, on
+    the executor of the moment: an all-dry block, and a shore with land above
+    its waterline, a depth of -0.0 and its largest flux in M's extra face
+    column — then with a NaN in a ghost cell of z, then with an inf in that
+    column."""
+    from repro.core.state import BlockState
+    from repro.grid.block import Block
+    from repro.obs.physics import _block_maxima
+
+    land = BlockState(Block(0, 1, 0, 0, 3, 2), 1.0, np.full((2, 3), -4.0), dtype)
+    j, i = np.mgrid[0:7, 0:9]
+    shore = BlockState(Block(1, 1, 3, 0, 5, 3), 1.0, 3.0 * np.cos(0.8 * i - 0.5 * j), dtype)
+    for k, a in enumerate((shore.z_old, shore.m_old, shore.n_old)):
+        r, c = np.indices(a.shape)
+        a += np.sin(1.1 * c - r + k)
+    shore.hz[3, 4] = shore.z_old[3, 4] = -0.0
+    shore.m_old[4, -1] = 7.0
+    said = [repr(_block_maxima((land, shore), 0.01))]
+    for a, at, bad in ((shore.z_old, (0, 3), np.nan), (shore.m_old, (4, -1), np.inf)):
+        was, a[at] = a[at], bad
+        said.append(repr(_block_maxima((land, shore), 0.01)))
+        a[at] = was
+    return "".join(said).encode()
+
+
 def _tiny_step(dtype) -> bytes:
-    return _tiny_forecast(dtype) + _tiny_exchange(dtype)
+    return _tiny_forecast(dtype) + _tiny_exchange(dtype) + _tiny_scan(dtype)
 
 
 def _choose() -> None:
@@ -224,8 +257,8 @@ def provenance() -> dict:
     """The choice as a run records it — before any kernel ran, nothing chosen —
     and how many calls this process has ``prepared`` and how many
     ``launches`` it made of them, in total and per ``routines`` entry (the
-    kernels, ``moves``, ``restrict``): equal counts mean a caller hands in
-    fresh array objects on every step."""
+    kernels, ``moves``, ``restrict``, ``scan``): equal counts mean a caller
+    hands in fresh array objects on every step."""
     keys = ("executor", "compiler", "reason")
     said = {k: getattr(_CHOICE, k) if _CHOICE.made else None for k in keys}
     routines = {name: {"prepared": p, "launches": n} for name, (p, n) in _COUNTS.items()}
@@ -568,3 +601,67 @@ def exchange(routine: str, arrays: tuple, layout, *geometry) -> Prepared | None:
     with _COUNT_LOCK:
         call.counts[1] += 1
     return call
+
+
+# ---------------------------------------------------------------------------
+# The health guard: one scan of every block
+# ---------------------------------------------------------------------------
+
+
+def _scan_rows(key: tuple, arrays: tuple, g: int) -> Prepared | None:
+    """Validate and lay out a scan of the blocks whose z, M, N and h are
+    *arrays*, four at a time, or None: the NumPy bodies'.  The nest takes one
+    dtype it was built for, C-contiguous frames — z and h R x P, M R x (P + 1),
+    N (R + 1) x P — around at least one physical cell, and two ghost layers."""
+    nests, first = choice().nests, arrays[0]
+    nest = nests.get(first.dtype.char)
+    if nest is None or g < 2:
+        return None
+    rows = []
+    for k in range(0, len(arrays), 4):
+        block = arrays[k : k + 4]
+        if block[0].ndim != 2:
+            return None
+        R, P = block[0].shape
+        for a, shape in zip(block, ((R, P), (R, P + 1), (R + 1, P), (R, P))):
+            if a.shape != shape or a.dtype != first.dtype or not a.flags.c_contiguous:
+                return None
+        if min(R, P) <= 2 * g:
+            return None
+        rows.append((*map(_address, block), R, P, g, R - 2 * g, P - 2 * g))
+    call = Prepared()
+    call.nests, call.dtype, call.fn = nests, first.dtype, nest.scan
+    call.rows, call.result = np.array(rows, _TABLE), np.zeros((len(rows), 8))
+    call.table = (_address(call.rows), len(rows), _address(call.result))
+    return _remember(key, call, arrays, "scan")
+
+
+def scan(states, dry) -> np.ndarray | None:
+    """The per-block reductions ``HealthMonitor`` and ``PhysicsSampler`` judge
+    the read buffers of *states* (``BlockState``s) by, from one launch — or
+    None: the NumPy bodies'.
+
+    One row of eight per block, in *states* order: whether all of the padded
+    z, M and N are finite (1.0 or 0.0); the wet cells, whose total depth
+    ``max(h + z, 0)`` is above *dry*; max |z| over them (0 without one); max
+    D over the physical cells; max |M| and max |N| over the padded arrays.
+    The maxima are the NumPy bodies' wherever the flags are set.  The rows
+    are the prepared call's own, overwritten by its next launch.
+
+    Prepared as :func:`prepared` calls are, per set of array objects: a
+    model's two leap-frog parities are two tables."""
+    if _CHOICE.made is not False and not _CHOICE.nests:  # NumPy's, or the self-check's
+        return None
+    arrays = tuple(a for st in states for a in (st.z_old, st.m_old, st.n_old, st.hz))
+    if not arrays:
+        return None
+    key = ("scan", *map(id, arrays))
+    call = _CALLS.get(key)
+    if call is None or not call.holds(arrays):
+        call = _scan_rows(key, arrays, NGHOST)
+    if call is None or not _round_as_c((dry,), call.dtype):
+        return None
+    with _COUNT_LOCK:
+        call.counts[1] += 1
+    call.fn(*call.table, dry)
+    return call.result

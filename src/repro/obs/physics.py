@@ -36,6 +36,7 @@ import numpy as np
 
 from repro import guards
 from repro.constants import GRAVITY
+from repro.core import loopnest
 from repro.errors import ConfigurationError, NumericalError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
@@ -195,12 +196,11 @@ class PhysicsSampler:
         derived reductions, never the model itself — the bitwise-identity
         guarantee of physics sampling rests on this method.
         """
-        from repro.validation.conservation import mass_residual
-
         volume = model.total_volume()
         if self._v0 is None:
             self._v0 = volume
-        mass_drift = mass_residual(model, self._v0)
+        # repro.validation.conservation.mass_residual, on the volume in hand
+        mass_drift = (volume - self._v0) / self._v0 if self._v0 > 0 else 0.0
 
         dt = model.config.dt
         thr = model.config.dry_threshold
@@ -208,23 +208,18 @@ class PhysicsSampler:
         max_eta = 0.0
         max_flux = 0.0
         cfl_margin = math.inf
-        for st in model.states.values():
-            depth = st.total_depth()
-            wet = depth > thr
-            n_wet = int(np.count_nonzero(wet))
+        blocks, finite = _block_maxima(model.states.values(), thr)
+        for dx, n_wet, eta, d_max, flux in blocks:
             wet_total += n_wet
             if n_wet:
-                max_eta = max(
-                    max_eta, float(np.abs(st.eta_interior()[wet]).max())
-                )
-                d_max = float(depth.max())
-                courant = math.sqrt(2.0 * GRAVITY * d_max) * dt / st.dx
+                max_eta = max(max_eta, eta)
+                courant = math.sqrt(2.0 * GRAVITY * d_max) * dt / dx
                 cfl_margin = min(cfl_margin, 1.0 - courant)
-            max_flux = max(
-                max_flux,
-                float(np.abs(st.m_old).max()),
-                float(np.abs(st.n_old).max()),
-            )
+            max_flux = max(max_flux, flux)
+        if not finite:
+            # Python's max drops a NaN: a state that is not finite everywhere
+            # has no maxima, and the sentinel reads the sample as non-finite.
+            max_eta = max_flux = math.nan
         if not math.isfinite(cfl_margin):
             # All-dry grid: no wave anywhere, the CFL constraint is
             # vacuous — report full margin rather than dividing by the
@@ -337,6 +332,35 @@ class PhysicsSampler:
             "samples_taken": self.samples_taken,
             "samples": [s.to_dict() for s in self.samples],
         }
+
+
+def _block_maxima(states, dry) -> tuple[list, bool]:
+    """Per block ``(dx, wet cells, max |eta| over them, max D, max |M|, |N|)``
+    and whether every block's z, M and N are finite: on the nest, its
+    :func:`~repro.core.loopnest.scan` says whether, and gives the maxima when
+    they are; NumPy gives the rest."""
+    records = loopnest.scan(states, dry)
+    if records is not None:
+        rows = records.tolist()
+        if all(z and m and n for z, m, n, *_ in rows):
+            return [
+                (st.dx, int(wet), eta, depth, max(m, n))
+                for st, (_, _, _, wet, eta, depth, m, n) in zip(states, rows)
+            ], True
+    blocks, finite = [], records is None  # the nest has said it is not
+    for st in states:
+        depth = st.total_depth()
+        wet = depth > dry
+        n_wet = int(np.count_nonzero(wet))
+        eta = float(np.abs(st.eta_interior()[wet]).max()) if n_wet else 0.0
+        d_max = float(depth.max()) if n_wet else 0.0
+        peaks = float(np.abs(st.m_old).max()), float(np.abs(st.n_old).max())
+        blocks.append((st.dx, n_wet, eta, d_max, max(peaks)))
+        # |M| and |N| peak at a non-finite value if there is one; z may hide
+        # one from its wet cells.
+        finite = finite and all(map(math.isfinite, peaks))
+        finite = finite and bool(np.isfinite(st.z_old).all())
+    return blocks, finite
 
 
 class DivergenceSentinel:

@@ -2,17 +2,23 @@
 
 The operational contract of a real-time forecaster is "never return
 garbage": a NaN that leaks into the max-water-level product is worse
-than a late forecast.  :class:`HealthMonitor` runs four O(cells) checks
-on a configurable cadence and raises
-:class:`~repro.errors.NumericalError` on the first violation, which the
-recovery engine converts into a rollback:
+than a late forecast.  :class:`HealthMonitor` applies four rules on a
+configurable cadence and raises :class:`~repro.errors.NumericalError` on
+the first violation, which the recovery engine converts into a rollback:
 
-1. **NaN/Inf scan** of every prognostic read buffer;
+1. **NaN/Inf** anywhere in a prognostic read buffer, ghost cells included;
 2. **blow-up bound** — wet-cell water level beyond any physical tsunami;
 3. **CFL margin** — the current total depth (still water + surge) must
    keep ``sqrt(2 g D) * dt / dx`` below 1 on every level;
 4. **mass-conservation drift** (optional; only meaningful in a closed
    basin) — relative volume change against the first observation.
+
+The first three read per-block reductions — finite flags, wet cells, max
+|eta| over them, max D — that the compiled nest makes for every block in
+one launch (:func:`repro.core.loopnest.scan`, DESIGN.md section 9j); the
+per-block NumPy body computes the same where there is no nest, and is the
+reference it is held to.  The check runs on the state as it is when called
+(after any injected fault), not on a record stamped inside the step.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import math
 import numpy as np
 
 from repro.constants import GRAVITY
+from repro.core import loopnest
 from repro.errors import NumericalError
 from repro.obs.trace import get_tracer
 
@@ -78,41 +85,16 @@ class HealthMonitor:
                 "repro_health_checks_total",
                 "numerical health checks executed",
             ).inc()
-        dt = model.config.dt
-        dry = model.config.dry_threshold
-        for bid, st in model.states.items():
-            for name, arr in (
-                ("z", st.z_old),
-                ("m", st.m_old),
-                ("n", st.n_old),
-            ):
-                if not np.isfinite(arr).all():
-                    raise NumericalError(
-                        f"step {model.step_count}: non-finite values in "
-                        f"field {name} of block {bid}"
-                    )
-            # One D per block and no gathered wet-cell copies: the largest D
-            # is a wet cell's whenever there is one, and |eta| zeroed off the
-            # wet cells peaks on them.
-            depth = st.total_depth()
-            wet = depth > dry
-            if wet.any():
-                eta = np.where(wet, st.eta_interior(), 0.0)
-                eta_max = float(np.abs(eta, out=eta).max())
-                if eta_max > self.eta_limit:
-                    raise NumericalError(
-                        f"step {model.step_count}: water level blow-up in "
-                        f"block {bid}: |eta| = {eta_max:.1f} m > "
-                        f"{self.eta_limit:.1f} m"
-                    )
-                d_max = float(depth.max())
-                courant = math.sqrt(2.0 * GRAVITY * d_max) * dt / st.dx
-                if courant > self.cfl_limit:
-                    raise NumericalError(
-                        f"step {model.step_count}: CFL margin violated in "
-                        f"block {bid}: Courant number {courant:.3f} > "
-                        f"{self.cfl_limit:.3f} (D_max = {d_max:.1f} m)"
-                    )
+        records = loopnest.scan(model.states.values(), model.config.dry_threshold)
+        if records is None:
+            self._check_numpy(model)
+        else:  # the same rules, in the same order, on the nest's reductions
+            for (bid, st), rec in zip(model.states.items(), records.tolist()):
+                for name, finite in zip("zmn", rec):
+                    if not finite:
+                        raise self._nonfinite(model, name, bid)
+                if rec[3]:
+                    self._bounds(model, bid, st.dx, rec[4], rec[5])
         if self.mass_tol is not None:
             vol = model.total_volume()
             if self._v0 is None:
@@ -124,6 +106,51 @@ class HealthMonitor:
                         f"step {model.step_count}: mass-conservation "
                         f"drift {drift:.2%} exceeds {self.mass_tol:.2%}"
                     )
+
+    def _check_numpy(self, model) -> None:
+        """The per-block rules on NumPy's reductions: the body the nest's
+        :func:`~repro.core.loopnest.scan` is held to."""
+        dry = model.config.dry_threshold
+        for bid, st in model.states.items():
+            for name, arr in (
+                ("z", st.z_old),
+                ("m", st.m_old),
+                ("n", st.n_old),
+            ):
+                if not np.isfinite(arr).all():
+                    raise self._nonfinite(model, name, bid)
+            # One D per block and no gathered wet-cell copies: the largest D
+            # is a wet cell's whenever there is one, and |eta| zeroed off the
+            # wet cells peaks on them.
+            depth = st.total_depth()
+            wet = depth > dry
+            if wet.any():
+                eta = np.where(wet, st.eta_interior(), 0.0)
+                eta_max = float(np.abs(eta, out=eta).max())
+                self._bounds(model, bid, st.dx, eta_max, float(depth.max()))
+
+    @staticmethod
+    def _nonfinite(model, name: str, bid: int) -> NumericalError:
+        return NumericalError(
+            f"step {model.step_count}: non-finite values in "
+            f"field {name} of block {bid}"
+        )
+
+    def _bounds(self, model, bid: int, dx: float, eta_max: float, d_max: float) -> None:
+        """The blow-up and CFL rules of one block with a wet cell."""
+        if eta_max > self.eta_limit:
+            raise NumericalError(
+                f"step {model.step_count}: water level blow-up in "
+                f"block {bid}: |eta| = {eta_max:.1f} m > "
+                f"{self.eta_limit:.1f} m"
+            )
+        courant = math.sqrt(2.0 * GRAVITY * d_max) * model.config.dt / dx
+        if courant > self.cfl_limit:
+            raise NumericalError(
+                f"step {model.step_count}: CFL margin violated in "
+                f"block {bid}: Courant number {courant:.3f} > "
+                f"{self.cfl_limit:.3f} (D_max = {d_max:.1f} m)"
+            )
 
 
 class StepTimeMonitor:

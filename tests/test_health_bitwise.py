@@ -3,7 +3,9 @@
 The shipped check takes one ``D`` per block and never gathers wet-cell
 copies; the body below is the check as it stood before (boolean fancy
 indexing per block).  Both must reach the same verdict with the same
-message on healthy, blown-up, CFL-violating and all-dry states.
+message on healthy, blown-up, CFL-violating and all-dry states — the
+shipped check on each executor the process has: its NumPy body, and the
+compiled nest's records (``loopnest.scan``) where a compiler built one.
 """
 
 import math
@@ -14,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import GRAVITY
-from repro.core import RTiModel, SimulationConfig
+from repro.core import RTiModel, SimulationConfig, loopnest
 from repro.errors import NumericalError
 from repro.grid.block import Block
 from repro.grid.hierarchy import NestedGrid
 from repro.grid.level import GridLevel
 from repro.resilience.health import HealthMonitor
+
+from tests import executors
 
 
 def frozen_check(self, model) -> None:
@@ -78,6 +82,15 @@ def verdict(check, monitor, model):
     return None
 
 
+def shipped(monitor, model) -> set:
+    """The shipped check's verdicts: on NumPy, and on the nest if there is one."""
+    with executors.on_numpy():
+        said = {verdict(HealthMonitor.check, monitor, model)}
+    if loopnest.choice().executor == "nest":
+        said.add(verdict(HealthMonitor.check, monitor, model))
+    return said
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     dtype=st.sampled_from([np.float64, np.float32]),
@@ -106,7 +119,7 @@ def test_check_matches_frozen_body(
             [np.nan, np.inf, -np.inf])
     monitor = HealthMonitor(eta_limit=eta_limit, cfl_limit=cfl_limit)
     want = verdict(frozen_check, monitor, model)
-    assert verdict(HealthMonitor.check, monitor, model) == want
+    assert shipped(monitor, model) == {want}
 
 
 @pytest.mark.parametrize("expected", ["blow-up", "CFL margin", None])
@@ -118,6 +131,6 @@ def test_every_verdict_is_reachable(expected):
     eta = {"blow-up": 500.0, "CFL margin": 30.0, None: 0.1}[expected]
     model.states[0].set_initial_eta(np.full((6, 6), eta))
     monitor = HealthMonitor(cfl_limit=0.01 if expected == "CFL margin" else 1.0)
-    got = verdict(HealthMonitor.check, monitor, model)
+    (got,) = shipped(monitor, model)
     assert got == verdict(frozen_check, monitor, model)
     assert (got is None) if expected is None else (expected in got)

@@ -19,7 +19,7 @@ import pytest
 
 import repro.obs as obs
 from repro.cli import main
-from repro.core import CompositeMonitor, GaugeRecorder, SimulationConfig
+from repro.core import CompositeMonitor, GaugeRecorder, RTiModel, SimulationConfig
 from repro.errors import ConfigurationError, NumericalError, PersistError
 from repro.fault import GaussianSource
 from repro.grid.block import Block
@@ -55,6 +55,8 @@ from repro.validation import (
     mass_residual,
     single_block_model,
 )
+
+from tests import executors
 
 
 @pytest.fixture(autouse=True)
@@ -178,6 +180,26 @@ class TestPhysicsSampler:
     def test_bad_cadence_rejected(self):
         with pytest.raises(ConfigurationError):
             PhysicsSampler(every=0)
+
+    @pytest.mark.parametrize("executor", ["numpy", "nest"])
+    def test_a_nan_in_the_second_blocks_m_is_a_divergence(self, executor):
+        # Python's max(0.0, nan) is 0.0, and the volume sums level 1 only:
+        # a level-2 flux NaN used to leave every diagnostic finite.
+        if executor == "nest":
+            pinned = executors.on_nests(executors.compiled_nests())
+        else:
+            pinned = executors.on_numpy()
+        model = RTiModel(nested_grid(), FlatBathymetry(50.0), SimulationConfig(dt=1.0))
+        model.set_initial_condition(source())
+        model.run(3)
+        model.states[1].m_old[10, 10] = np.nan
+        sentinel = DivergenceSentinel(PhysicsSampler(every=1), abort=False)
+        with pinned:
+            sentinel.after_step(model)
+        (smp,) = sentinel.sampler.samples
+        assert math.isfinite(smp.mass_drift) and not smp.finite
+        assert sentinel.verdict == DIVERGED
+        assert sentinel.events[-1]["reasons"] == ["non-finite diagnostics"]
 
 
 class TestRobustScore:
