@@ -58,6 +58,12 @@ if git grep -nE 'BaselineStore|compare_docs|run_bench|BENCH_obs|allow-missing' -
     src tests benchmarks/conftest.py .github scripts ':!scripts/check.sh'
 then echo "== a second performance stack is back (see above) =="; exit 1; fi
 
+# One checkpoint type: ring entries, disk snapshots and buddy replicas are all
+# resilience.checkpoint.Checkpoint, with one digest and one verify.
+if git grep -nE 'RankSnapshot|restore_snapshot|verify_checkpoint|verify_blocks|checkpoint_checksums|masked_sum' -- \
+    src tests
+then echo "== a second checkpoint type or verifier is back (see above) =="; exit 1; fi
+
 echo "== pytest (tier 1) =="
 if [ "$fast" = 1 ]; then
     PYTHONPATH=src python -m pytest -x -q

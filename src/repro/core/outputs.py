@@ -168,14 +168,13 @@ class OutputAccumulator:
         }
 
     def load_product_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Overwrite the accumulators bitwise from *arrays*."""
+        """Overwrite the accumulators named in *arrays* bitwise from it."""
         targets = self.product_arrays()
-        for key, dst in targets.items():
-            src = np.asarray(arrays[key])
-            if src.shape != dst.shape:
+        for key, src in arrays.items():
+            if np.shape(src) != targets[key].shape:
                 raise ValueError(
                     f"block {self.block.block_id}: product {key!r} has shape "
-                    f"{src.shape}, expected {dst.shape}"
+                    f"{np.shape(src)}, expected {targets[key].shape}"
                 )
-        for key, dst in targets.items():
-            dst[...] = arrays[key]
+        for key, src in arrays.items():
+            targets[key][...] = src

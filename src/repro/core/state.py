@@ -172,9 +172,22 @@ class BlockState:
         return (*(a.copy() for a in self.state_arrays().values()), self._flip)
 
     def restore(self, bufs: tuple) -> None:
-        """Overwrite the state bitwise from a :meth:`capture` tuple."""
+        """Overwrite the state bitwise from a :meth:`capture` tuple.
+
+        Shapes and dtypes must match exactly — a mismatch means the tuple
+        belongs to a different grid or configuration.
+        """
         *arrays, flip = bufs
-        for dst, src in zip(self.state_arrays().values(), arrays, strict=True):
+        if flip not in (0, 1):
+            raise GridError(f"buffer flip must be 0 or 1, got {flip}")
+        targets = self.state_arrays()
+        for (key, dst), src in zip(targets.items(), arrays, strict=True):
+            if src.shape != dst.shape or src.dtype != dst.dtype:
+                raise GridError(
+                    f"block {self.block.block_id}: buffer {key!r} has shape "
+                    f"{src.shape}/{src.dtype}, expected {dst.shape}/{dst.dtype}"
+                )
+        for dst, src in zip(targets.values(), arrays):
             dst[...] = src
         self._flip = flip
 
@@ -194,21 +207,5 @@ class BlockState:
         }
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], flip: int) -> None:
-        """Overwrite the prognostic buffers bitwise from *arrays*.
-
-        Shapes and dtypes must match exactly — a mismatch means the
-        snapshot belongs to a different grid or configuration.
-        """
-        if flip not in (0, 1):
-            raise GridError(f"buffer flip must be 0 or 1, got {flip}")
-        targets = self.state_arrays()
-        for key, dst in targets.items():
-            src = np.asarray(arrays[key])
-            if src.shape != dst.shape or src.dtype != dst.dtype:
-                raise GridError(
-                    f"block {self.block.block_id}: buffer {key!r} has shape "
-                    f"{src.shape}/{src.dtype}, expected {dst.shape}/{dst.dtype}"
-                )
-        for key, dst in targets.items():
-            dst[...] = arrays[key]
-        self._flip = flip
+        """:meth:`restore` from *arrays* keyed like :meth:`state_arrays`."""
+        self.restore((*(np.asarray(arrays[k]) for k in self.state_arrays()), flip))

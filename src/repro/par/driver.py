@@ -89,34 +89,14 @@ class _RankRuntime:
                 self.grid, self.bathymetry, self.cfg, self.grid.block(bid)
             )
 
-    # -- state capture / restore (diskless checkpoints, migration) -------
-
-    def snapshot_blocks(self, block_ids=None) -> dict[int, tuple]:
-        """Deep-copy the full prognostic state of the given local blocks.
-
-        Returns ``{block_id: (z0, z1, m0, m1, n0, n1, flip)}`` — the same
-        buffer layout as :class:`repro.resilience.checkpoint.Checkpoint`.
-        The arrays are copies: safe to ship over the transport and to
-        keep across subsequent steps.
-        """
-        if block_ids is None:
-            block_ids = self.states.keys()
-        return {bid: self.states[bid].capture() for bid in block_ids}
-
-    def restore_blocks(self, data: dict[int, tuple]) -> None:
-        """Overwrite local block states from :meth:`snapshot_blocks` data.
-
-        Entries for blocks this rank does not own are ignored, so the
-        caller can hand every rank the same global restore map.
-        """
-        for bid, st in self.states.items():
-            if bid in data:
-                st.restore(data[bid])
+    # -- block migration (straggler hedging) -----------------------------
 
     def adopt_blocks(self, data: dict[int, tuple]) -> None:
-        """Take ownership of blocks migrated from another rank."""
+        """Take ownership of blocks migrated from another rank, given as
+        ``{block_id: BlockState.capture()}``."""
         self._allocate(data)
-        self.restore_blocks(data)
+        for bid, bufs in data.items():
+            self.states[bid].restore(bufs)
 
     def drop_blocks(self, block_ids) -> None:
         """Release ownership of blocks migrated to another rank."""

@@ -6,7 +6,8 @@ malformed input unacceptable.  This package provides:
 
 * :mod:`~repro.persist.snapshot` — versioned, per-array-checksummed
   snapshots (compressed npz per level + JSON manifest) published
-  atomically, with bitwise restore;
+  atomically; reading one gives a
+  :class:`~repro.resilience.checkpoint.Checkpoint`, restored bitwise;
 * :mod:`~repro.persist.journal` — a write-ahead JSONL run journal
   (fsync per event, torn-tail tolerant);
 * :class:`RunStore` — the run directory tying journal, snapshots and
@@ -46,12 +47,10 @@ from repro.persist.scenario import (
 from repro.persist.signals import interrupt_guard
 from repro.persist.snapshot import (
     SCHEMA_VERSION,
-    Snapshot,
     array_digest,
     grid_fingerprint,
     read_arrays,
     read_snapshot,
-    restore_snapshot,
     verify_snapshot,
     write_arrays,
     write_snapshot,
@@ -78,13 +77,11 @@ __all__ = [
     "domain_extent",
     "load_scenario",
     "interrupt_guard",
-    "Snapshot",
     "array_digest",
     "grid_fingerprint",
     "read_arrays",
     "write_arrays",
     "read_snapshot",
-    "restore_snapshot",
     "verify_snapshot",
     "write_snapshot",
     "RunStore",

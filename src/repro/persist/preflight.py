@@ -319,7 +319,7 @@ def check_rundir(report: PreflightReport, rundir: Path) -> None:
     snapshots as warnings when an older valid fallback exists (errors
     when none does).
     """
-    from repro.persist.snapshot import SCHEMA_VERSION, read_manifest, read_snapshot
+    from repro.persist.snapshot import SCHEMA_VERSION, read_manifest, verify_snapshot
     from repro.persist.store import RunStore
 
     try:
@@ -370,14 +370,13 @@ def check_rundir(report: PreflightReport, rundir: Path) -> None:
                 "matching build",
             )
             continue
-        try:
-            read_snapshot(path, verify=True)
-        except PersistError as exc:
+        problems = verify_snapshot(path)
+        if problems:
             report.add(
                 "persist.snapshot_corrupt",
                 f"rundir.snapshots/{path.name}",
                 "checksum",
-                str(exc),
+                problems[0],
                 "resume will fall back to the previous valid snapshot",
                 severity=WARNING,
             )

@@ -20,7 +20,7 @@ from repro.persist.journal import JOURNAL_VERSION
 from repro.persist.preflight import validate_scenario
 from repro.persist.products import ProductStreamer
 from repro.persist.scenario import BuiltScenario, build_scenario
-from repro.persist.snapshot import SCHEMA_VERSION, grid_fingerprint, restore_snapshot
+from repro.persist.snapshot import SCHEMA_VERSION, grid_fingerprint
 from repro.persist.store import RunStore
 
 DEFAULT_CHECKPOINT_EVERY = 25
@@ -163,19 +163,16 @@ def resume_run(rundir: Path, *, echo=_noecho) -> RTiModel:
         _LOG.warning("snapshot_skipped", rundir=str(rundir), detail=msg)
         echo(f"warning: {msg}")
 
-    snap = store.latest_valid_snapshot(warn=_warn)
+    # A snapshot taken on another grid or dtype is skipped like a corrupt one.
+    snap = store.latest_valid_snapshot(warn=_warn, grid_fingerprint=have)
     if snap is not None:
-        restore_snapshot(model, snap)
+        snap.restore(model)
         _LOG.info(
             "snapshot_restored",
-            snapshot=snap.path.name,
             step=snap.step,
             sim_time_s=round(snap.time, 3),
         )
-        echo(
-            f"restored snapshot {snap.path.name} "
-            f"(step {snap.step}, t={snap.time:.1f} s)"
-        )
+        echo(f"restored snapshot of step {snap.step} (t={snap.time:.1f} s)")
     else:
         _LOG.warning("no_valid_snapshot", rundir=str(rundir))
         echo("no valid snapshot found; restarting from step 0")
@@ -183,7 +180,6 @@ def resume_run(rundir: Path, *, echo=_noecho) -> RTiModel:
         "resume",
         from_step=model.step_count,
         from_time=model.time,
-        snapshot=snap.path.name if snap is not None else None,
     )
     return _run_to_completion(
         store, model, built, checkpoint_every, eta_every, echo

@@ -4,7 +4,10 @@ One snapshot is a directory holding one compressed ``.npz`` per grid
 level (all prognostic buffers and forecast-product accumulators of the
 level's blocks) plus a ``manifest.json`` carrying the schema version,
 the clock (step, sim time, dt), the grid fingerprint, and a SHA-256
-digest of every array.
+digest of every array.  Reading one back gives the in-memory image
+every other placement of model state uses, a
+:class:`~repro.resilience.checkpoint.Checkpoint`; its ``restore`` is
+the restore.
 
 Crash safety is by *atomic publication*: everything is written into a
 hidden temporary directory next to the destination, fsynced, and then
@@ -21,7 +24,6 @@ import hashlib
 import json
 import os
 import shutil
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -150,36 +152,6 @@ def read_arrays(
     return out
 
 
-@dataclass
-class Snapshot:
-    """An in-memory image of one on-disk snapshot."""
-
-    path: Path
-    manifest: dict
-    #: level index -> {array key -> ndarray}
-    arrays: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
-
-    @property
-    def step(self) -> int:
-        return int(self.manifest["step"])
-
-    @property
-    def time(self) -> float:
-        return float(self.manifest["time"])
-
-    @property
-    def dt(self) -> float:
-        return float(self.manifest["dt"])
-
-    @property
-    def schema_version(self) -> int:
-        return int(self.manifest.get("schema_version", -1))
-
-    @property
-    def fingerprint(self) -> str:
-        return str(self.manifest.get("grid_fingerprint", ""))
-
-
 def _model_level_arrays(model, lvl) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
     for blk in lvl.blocks:
@@ -260,13 +232,21 @@ def read_manifest(snapdir: Path) -> dict:
     return manifest
 
 
-def read_snapshot(snapdir: Path, *, verify: bool = True) -> Snapshot:
-    """Load a snapshot directory, checksum-verifying every array.
+def read_snapshot(snapdir: Path, **expect):
+    """Load a snapshot directory as a
+    :class:`~repro.resilience.checkpoint.Checkpoint`, verifying every
+    array against its manifest digest.
 
+    The checkpoint carries all six product arrays of every block and a
+    CRC-32 of each state buffer as read, like any digested one.  Each
+    *expect* keyword names a manifest entry the snapshot must hold (the
+    resume path passes ``grid_fingerprint``, the scrubber ``step``).
     Raises :class:`~repro.errors.PersistError` on any corruption —
-    missing manifest, unsupported schema, truncated npz member, or a
-    checksum mismatch.
+    missing manifest, unsupported schema, unmet expectation, truncated
+    npz member, a checksum mismatch or a block without its arrays.
     """
+    from repro.resilience.checkpoint import Checkpoint
+
     snapdir = Path(snapdir)
     manifest = read_manifest(snapdir)
     version = int(manifest.get("schema_version", -1))
@@ -275,58 +255,39 @@ def read_snapshot(snapdir: Path, *, verify: bool = True) -> Snapshot:
             f"snapshot {snapdir} has schema version {version}, "
             f"this build reads version {SCHEMA_VERSION}"
         )
-    snap = Snapshot(path=snapdir, manifest=manifest)
+    for key, want in expect.items():
+        if manifest.get(key) != want:
+            raise PersistError(
+                f"snapshot {snapdir} does not match: {key} is "
+                f"{manifest.get(key)!r}, expected {want!r}"
+            )
+    arrays: dict[str, np.ndarray] = {}
     for fname, info in manifest["files"].items():
-        digests = info["arrays"] if verify else None
-        snap.arrays[int(info["level"])] = read_arrays(snapdir / fname, digests)
-    return snap
+        arrays.update(read_arrays(snapdir / fname, info["arrays"]))
+    states, outputs = {}, {}
+    for key, flip in manifest.get("flips", {}).items():
+        bid = int(key)
+        try:
+            states[bid] = (*(arrays[f"b{bid}_{k}"] for k in STATE_FIELDS), int(flip))
+            outputs[bid] = tuple(arrays[f"b{bid}_{k}"] for k in OUTPUT_FIELDS)
+        except KeyError as exc:
+            raise PersistError(
+                f"snapshot {snapdir} lacks arrays for block {bid}: {exc}"
+            ) from exc
+    return Checkpoint(
+        step=int(manifest["step"]),
+        time=float(manifest["time"]),
+        dt=float(manifest["dt"]),
+        output_every=int(manifest.get("output_every", 1)),
+        states=states,
+        outputs=outputs,
+    ).digested()
 
 
 def verify_snapshot(snapdir: Path) -> list[str]:
     """Return a list of problems with a snapshot (empty == valid)."""
     try:
-        read_snapshot(snapdir, verify=True)
+        read_snapshot(snapdir)
     except PersistError as exc:
         return [str(exc)]
     return []
-
-
-def restore_snapshot(model, snap: Snapshot) -> None:
-    """Rewind *model* to *snap* bitwise (states, products, clock, dt).
-
-    The model must have been built on the identical grid topology and
-    dtype — enforced via the manifest's grid fingerprint.
-    """
-    from dataclasses import replace
-
-    want = grid_fingerprint(model.grid, model.config.dtype)
-    if snap.fingerprint != want:
-        raise PersistError(
-            f"snapshot {snap.path} was taken on a different grid/dtype "
-            f"(fingerprint {snap.fingerprint[:12]}… != model {want[:12]}…)"
-        )
-    flips = snap.manifest.get("flips", {})
-    for lvl in model.grid.levels:
-        arrays = snap.arrays.get(lvl.index)
-        if arrays is None:
-            raise PersistError(
-                f"snapshot {snap.path} lacks level {lvl.index} arrays"
-            )
-        for blk in lvl.blocks:
-            bid = blk.block_id
-            try:
-                state = {k: arrays[f"b{bid}_{k}"] for k in STATE_FIELDS}
-                products = {k: arrays[f"b{bid}_{k}"] for k in OUTPUT_FIELDS}
-            except KeyError as exc:
-                raise PersistError(
-                    f"snapshot {snap.path} lacks arrays for block {bid}: {exc}"
-                ) from exc
-            model.states[bid].load_state_arrays(
-                state, int(flips.get(str(bid), 0))
-            )
-            model.outputs[bid].load_product_arrays(products)
-    model.time = snap.time
-    model.step_count = snap.step
-    model.output_every = int(snap.manifest.get("output_every", 1))
-    if model.config.dt != snap.dt:
-        model.config = replace(model.config, dt=snap.dt)

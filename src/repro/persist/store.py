@@ -26,16 +26,16 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.errors import PersistError
 from repro.obs.trace import get_tracer
 from repro.obs.trace import span as _span
 from repro.persist.journal import RunJournal, read_journal
-from repro.persist.snapshot import (
-    Snapshot,
-    read_snapshot,
-    write_snapshot,
-)
+from repro.persist.snapshot import read_snapshot, write_snapshot
+
+if TYPE_CHECKING:
+    from repro.resilience.checkpoint import Checkpoint
 
 _SNAP_RE = re.compile(r"^ck_(\d+)_step_(\d+)$")
 
@@ -159,16 +159,17 @@ class RunStore:
             ).observe(_time.perf_counter() - t0)
         return path
 
-    def latest_valid_snapshot(self, warn=None) -> Snapshot | None:
+    def latest_valid_snapshot(self, warn=None, **expect) -> Checkpoint | None:
         """Newest snapshot that passes full checksum verification.
 
-        Corrupt, torn, or schema-incompatible candidates are skipped
-        (reported via *warn*, a ``callable(str)``), falling back to the
-        next older one — or ``None`` if no valid snapshot exists.
+        Corrupt, torn, or schema-incompatible candidates, and those whose
+        manifest does not hold *expect* (see :func:`read_snapshot`), are
+        skipped (reported via *warn*, a ``callable(str)``), falling back
+        to the next older one — or ``None`` if no valid snapshot exists.
         """
         for path in reversed(self.snapshot_paths()):
             try:
-                return read_snapshot(path, verify=True)
+                return read_snapshot(path, **expect)
             except PersistError as exc:
                 if warn is not None:
                     warn(f"skipping invalid snapshot {path.name}: {exc}")

@@ -10,8 +10,11 @@ failure.  It provides:
   hardware model;
 * :class:`HealthMonitor` — cheap per-step NaN/Inf, blow-up, CFL-margin
   and mass-drift checks raising :class:`~repro.errors.NumericalError`;
-* :class:`CheckpointRing` — in-memory snapshots with bitwise-identical
-  restore, powering automatic rollback + timestep halving;
+* :class:`Checkpoint` — the one in-memory image of model state (the
+  rollback ring's entries, a snapshot read from disk, a rank's buddy
+  replica), with one capture, one verify and a bitwise restore;
+  :class:`CheckpointRing` keeps the last few, powering automatic
+  rollback + timestep halving;
 * :class:`DeadlineSupervisor` — deadline-aware graceful degradation
   (drop the finest nest level, coarsen output cadence, finish early),
   every action recorded in the run report;
@@ -75,7 +78,6 @@ from repro.resilience.recovery import (
 from repro.resilience.report import ForecastReport
 from repro.resilience.survive import (
     NeighborCheckpointStore,
-    RankSnapshot,
     SurvivalConfig,
     SurvivalReport,
     buddy_of,
@@ -120,7 +122,6 @@ __all__ = [
     "StepTimeMonitor",
     "maybe_crash_at_step",
     "NeighborCheckpointStore",
-    "RankSnapshot",
     "SurvivalConfig",
     "SurvivalReport",
     "buddy_of",

@@ -1,16 +1,25 @@
-"""In-memory checkpoint ring for the coupled model.
+"""The one in-memory image of model state, and the rollback ring.
 
-A :class:`CheckpointRing` keeps the last *capacity* deep snapshots of an
-:class:`~repro.core.model.RTiModel`'s complete prognostic state (both
-leap-frog buffers of every block, the buffer flip, the clock) plus the
-forecast-product accumulators.  Restoring a snapshot and re-running is
-**bitwise identical** to an uninterrupted run — the property the
-rollback recovery relies on and ``tests/test_resilience.py`` proves.
+A :class:`Checkpoint` is a deep copy of a model's prognostic state
+(both leap-frog buffers of every block and the buffer flip, as
+:meth:`~repro.core.state.BlockState.capture` returns them), the clock,
+optionally the forecast-product accumulators and optionally a CRC-32
+per state buffer.  Every placement of model state uses it:
 
-Snapshots are validated on capture: a checkpoint of NaN-contaminated
-state would make rollback useless, so :meth:`CheckpointRing.snapshot`
-raises :class:`~repro.errors.NumericalError` instead of archiving
-corruption.
+* the rollback ring (:class:`CheckpointRing`, below);
+* the disk: :func:`repro.persist.snapshot.read_snapshot` returns one;
+* the survivable runtime's own and buddy replicas
+  (:mod:`repro.resilience.survive`): one per rank and epoch.
+
+So there is one capture, one verify (:meth:`Checkpoint.bad_blocks`) and
+one restore.  Restoring a checkpoint and re-running is **bitwise
+identical** to an uninterrupted run — the property rollback, resume and
+rank recovery rely on and the tests prove for each placement.
+
+The ring refuses to archive non-finite state: a checkpoint of
+NaN-contaminated state would make rollback useless, so
+:meth:`CheckpointRing.snapshot` raises
+:class:`~repro.errors.NumericalError` instead.
 """
 
 from __future__ import annotations
@@ -21,6 +30,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.errors import NumericalError, PersistError, ReproError
+from repro.xchg.packing import payload_crc
+
+#: How many leading ``OutputAccumulator.product_arrays()`` a ring entry
+#: keeps: the four running products, not the fixed ``z0ref``/``land``.
+RUNNING_PRODUCTS = 4
 
 
 @dataclass(frozen=True)
@@ -31,22 +45,121 @@ class Checkpoint:
     time: float
     dt: float
     output_every: int
-    n_levels: int
     #: block_id -> (z0, z1, m0, m1, n0, n1, flip)
     states: dict
-    #: block_id -> (zmax, vmax, inundation_max, arrival_time)
-    outputs: dict
-    #: block_id -> {"crc": (c0..c5), "sum": (s0..s5)} ABFT digests of the
-    #: state buffers, present when the ring runs with checksums enabled.
-    #: The scrubber and a verified rollback re-check arrays against these.
-    checksums: dict | None = None
+    #: block_id -> the leading arrays of ``product_arrays()``: the four
+    #: running products (ring), all six (disk); ``None`` for a rank's.
+    outputs: dict | None = None
+    #: block_id -> CRC-32 of each of the six state buffers (taken at
+    #: capture, or on reading from disk); ``None`` when undigested.
+    crcs: dict | None = None
+
+    @classmethod
+    def capture(
+        cls,
+        states: dict,
+        *,
+        step: int,
+        time: float,
+        dt: float,
+        output_every: int = 1,
+        outputs: dict | None = None,
+        products: int | None = RUNNING_PRODUCTS,
+        digest: bool = False,
+        finite: bool = False,
+    ) -> Checkpoint:
+        """Copy live block *states* and the first *products* (``None``:
+        all) arrays of each of *outputs*' accumulators at the given clock;
+        *digest* adds CRCs.  With *finite*, non-finite state raises
+        :class:`~repro.errors.NumericalError` instead of being archived.
+        """
+        captured = {}
+        for bid, st in states.items():
+            bufs = captured[bid] = st.capture()
+            if finite and not all(np.isfinite(a).all() for a in bufs[:6]):
+                raise NumericalError(
+                    f"refusing to checkpoint non-finite state "
+                    f"(block {bid}, step {step})"
+                )
+        ckpt = cls(
+            step=step,
+            time=time,
+            dt=dt,
+            output_every=output_every,
+            states=captured,
+            outputs=None if outputs is None else {
+                bid: tuple(
+                    a.copy() for a in list(acc.product_arrays().values())[:products]
+                )
+                for bid, acc in outputs.items()
+            },
+        )
+        return ckpt.digested() if digest else ckpt
+
+    def digested(self) -> Checkpoint:
+        """This checkpoint with a CRC-32 of each state buffer as it is now."""
+        return replace(self, crcs={
+            bid: tuple(payload_crc(a) for a in bufs[:6])
+            for bid, bufs in self.states.items()
+        })
 
     @property
     def nbytes(self) -> int:
         """Memory footprint of the snapshot arrays."""
         return sum(
             a.nbytes for bufs in self.states.values() for a in bufs[:6]
-        ) + sum(a.nbytes for accs in self.outputs.values() for a in accs)
+        ) + sum(a.nbytes for accs in (self.outputs or {}).values() for a in accs)
+
+    def bad_blocks(self) -> list[int]:
+        """Blocks whose buffers no longer match their CRCs, sorted.
+
+        Empty for a clean or an undigested checkpoint.
+        """
+        if self.crcs is None:
+            return []
+        return sorted(
+            bid
+            for bid, crcs in self.crcs.items()
+            if bid not in self.states
+            or any(payload_crc(a) != c for a, c in zip(self.states[bid], crcs))
+        )
+
+    def restore(self, model) -> None:
+        """Rewind *model* bitwise to this checkpoint.
+
+        Every block of *model* takes its state and the products this
+        checkpoint carries; the clock, output cadence and dt follow.  The
+        checkpoint may hold blocks the model lacks (a degraded model
+        dropped a level), never the reverse.
+        """
+        missing = set(model.states) - set(self.states)
+        if missing:
+            raise ReproError(
+                f"checkpoint lacks block(s) {sorted(missing)} of the model"
+            )
+        for bid, st in model.states.items():
+            st.restore(self.states[bid])
+        if self.outputs is not None:
+            for bid, acc in model.outputs.items():
+                acc.load_product_arrays(dict(zip(acc.product_arrays(), self.outputs[bid])))
+        model.time = self.time
+        model.step_count = self.step
+        model.output_every = self.output_every
+        if model.config.dt != self.dt:
+            model.config = replace(model.config, dt=self.dt)
+
+
+def capture_model(model, **kw) -> Checkpoint:
+    """:meth:`Checkpoint.capture` of an ``RTiModel`` at its own clock."""
+    return Checkpoint.capture(
+        model.states,
+        step=model.step_count,
+        time=model.time,
+        dt=model.config.dt,
+        output_every=model.output_every,
+        outputs=model.outputs,
+        **kw,
+    )
 
 
 class CheckpointRing:
@@ -55,11 +168,10 @@ class CheckpointRing:
     With a *store* (a :class:`repro.persist.RunStore`), the ring doubles
     as the durable-persistence trigger: every *spill_every*-th in-memory
     snapshot is also written to disk as a checksummed, atomically
-    published snapshot, so the rollback cadence of PR 1 and the
-    crash-restart cadence of ``repro resume`` share one policy.  Disk
-    failures during the spill raise
-    :class:`~repro.errors.PersistError`; the in-memory snapshot is kept
-    either way, so rollback keeps working on a full disk.
+    published snapshot, so the rollback cadence and the crash-restart
+    cadence of ``repro resume`` share one policy.  Disk failures during
+    the spill raise :class:`~repro.errors.PersistError`; the in-memory
+    snapshot is kept either way, so rollback keeps working on a full disk.
     """
 
     def __init__(
@@ -78,7 +190,6 @@ class CheckpointRing:
         self.spill_every = spill_every
         self.checksums = checksums
         self.taken = 0
-        self.restored = 0
         self.spilled = 0
 
     def __len__(self) -> int:
@@ -123,39 +234,7 @@ class CheckpointRing:
         :class:`~repro.errors.NumericalError` on non-finite state rather
         than storing a poisoned snapshot.
         """
-        states = {}
-        for bid, st in model.states.items():
-            bufs = st.capture()
-            if validate and not all(np.isfinite(a).all() for a in bufs[:-1]):
-                raise NumericalError(
-                    f"refusing to checkpoint non-finite state "
-                    f"(block {bid}, step {model.step_count})"
-                )
-            states[bid] = bufs
-        outputs = {
-            bid: (
-                acc.zmax.copy(),
-                acc.vmax.copy(),
-                acc.inundation_max.copy(),
-                acc.arrival_time.copy(),
-            )
-            for bid, acc in model.outputs.items()
-        }
-        digests = None
-        if self.checksums:
-            from repro.resilience.integrity import checkpoint_checksums
-
-            digests = checkpoint_checksums(states)
-        ckpt = Checkpoint(
-            step=model.step_count,
-            time=model.time,
-            dt=model.config.dt,
-            output_every=model.output_every,
-            n_levels=model.grid.n_levels,
-            states=states,
-            outputs=outputs,
-            checksums=digests,
-        )
+        ckpt = capture_model(model, digest=self.checksums, finite=validate)
         self._ring.append(ckpt)
         self.taken += 1
         if self.store is not None and (self.taken - 1) % self.spill_every == 0:
@@ -187,18 +266,5 @@ class CheckpointRing:
                 "checkpoint block set does not match the model "
                 "(grid changed since the snapshot)"
             )
-        for bid, st in model.states.items():
-            st.restore(ckpt.states[bid])
-        for bid, acc in model.outputs.items():
-            zmax, vmax, inund, arrival = ckpt.outputs[bid]
-            acc.zmax[...] = zmax
-            acc.vmax[...] = vmax
-            acc.inundation_max[...] = inund
-            acc.arrival_time[...] = arrival
-        model.time = ckpt.time
-        model.step_count = ckpt.step
-        model.output_every = ckpt.output_every
-        if model.config.dt != ckpt.dt:
-            model.config = replace(model.config, dt=ckpt.dt)
-        self.restored += 1
+        ckpt.restore(model)
         return ckpt

@@ -49,53 +49,44 @@ def run_resilient_forecast(
     fault_plan: FaultPlan | None = None,
     platform="squid-gpu",
     checkpoint_every: int = 20,
-    checkpoint_capacity: int = 4,
-    health_every: int = 1,
-    eta_limit: float = 100.0,
-    mass_tol: float | None = None,
     min_levels: int = 1,
     max_output_every: int = 8,
     max_rollbacks: int = 6,
     store=None,
-    spill_every: int = 1,
     physics_every: int = 5,
-    physics_abort: bool = True,
-    gauge_recorder=None,
     integrity_every: int = 0,
-    integrity_abort: bool = True,
     scrub_every: int = 0,
 ) -> ForecastReport:
     """Run a forecast that always produces a (possibly degraded) report.
 
     Parameters mirror the collaborators they configure; see
-    :class:`~repro.resilience.recovery.RecoveryEngine`.  The returned
+    :class:`~repro.resilience.recovery.RecoveryEngine`.  The monitors
+    and the checkpoint ring run with their own defaults.  The returned
     report carries the final model as ``report.model`` for product
     post-processing (damage assessment, gauges).
 
     *store* (a :class:`repro.persist.RunStore`) makes the run durable:
-    the checkpoint ring spills every *spill_every*-th snapshot to disk,
-    and every recovery/degradation action is journaled write-ahead.
+    the checkpoint ring spills every snapshot to disk, and every
+    recovery/degradation action is journaled write-ahead.
 
     *physics_every* arms the in-situ physics sampler + divergence
     sentinel (:mod:`repro.obs.physics`) on that step cadence (0 turns
     it off).  The sentinel composes with the health monitor via
-    :class:`~repro.core.CompositeMonitor`; a ``diverged`` verdict (with
-    *physics_abort*) raises into the recovery engine, so a doomed run
-    rolls back / halves dt / degrades within a few samples instead of
-    burning the deadline budget to the NaN wall.  The report carries
-    ``physics_verdict``/``physics``, and with *store* given a
-    ``physics.json`` lands in the run directory.  *gauge_recorder*
-    optionally feeds station series into the sampler's anomaly scores.
+    :class:`~repro.core.CompositeMonitor`; a ``diverged`` verdict
+    raises into the recovery engine, so a doomed run rolls back / halves
+    dt / degrades within a few samples instead of burning the deadline
+    budget to the NaN wall.  The report carries ``physics_verdict``/
+    ``physics``, and with *store* given a ``physics.json`` lands in the
+    run directory.
 
     *integrity_every* arms the ABFT layer
     (:mod:`repro.resilience.integrity`) on that step cadence (0 turns it
     off): per-block state checksums verified through the leap-frog
     window, digests on every ring checkpoint, and a scrubber pass every
     *scrub_every* steps plus once at the end of the run.  A checksum
-    mismatch (with *integrity_abort*) raises into the recovery engine's
-    quarantine-rollback; the report carries
-    ``integrity_verdict``/``integrity``, and with *store* given an
-    ``integrity.json`` lands in the run directory.  A cadence of 1
+    mismatch raises into the recovery engine's quarantine-rollback; the
+    report carries ``integrity_verdict``/``integrity``, and with *store*
+    given an ``integrity.json`` lands in the run directory.  A cadence of 1
     catches every between-step mutation; higher cadences trade detection
     coverage for overhead.
     """
@@ -112,9 +103,7 @@ def run_resilient_forecast(
             platform=str(platform),
             config=config.to_dict(),
         )
-    health = HealthMonitor(
-        every=health_every, eta_limit=eta_limit, mass_tol=mass_tol
-    )
+    health = HealthMonitor()
 
     def journal(guard: str):
         """Each guard's events go to the run journal under its name."""
@@ -125,31 +114,17 @@ def run_resilient_forecast(
     sentinel = tracker = None
     monitors = [health]
     if physics_every:
-        sampler = PhysicsSampler(
-            every=physics_every, recorder=gauge_recorder
-        )
         sentinel = DivergenceSentinel(
-            sampler,
-            eta_limit=eta_limit,
-            abort=physics_abort,
-            on_event=journal("physics"),
+            PhysicsSampler(every=physics_every), on_event=journal("physics")
         )
         monitors.append(sentinel)
     if integrity_every:
         tracker = IntegrityTracker(on_event=journal("integrity"))
         monitors.append(
-            IntegrityMonitor(
-                every=integrity_every, tracker=tracker,
-                abort=integrity_abort,
-            )
+            IntegrityMonitor(every=integrity_every, tracker=tracker)
         )
     monitor = health if len(monitors) == 1 else CompositeMonitor(monitors)
-    ring = CheckpointRing(
-        capacity=checkpoint_capacity,
-        store=store,
-        spill_every=spill_every,
-        checksums=integrity_every > 0,
-    )
+    ring = CheckpointRing(store=store, checksums=integrity_every > 0)
     scrubber = (
         CheckpointScrubber(ring, store=store, tracker=tracker)
         if tracker is not None

@@ -50,11 +50,10 @@ from __future__ import annotations
 
 import os
 import threading
-
-import numpy as np
+from dataclasses import replace
 
 from repro import guards
-from repro.errors import ConfigurationError, IntegrityError, PersistError
+from repro.errors import ConfigurationError, IntegrityError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.xchg.packing import payload_crc
@@ -89,20 +88,6 @@ _FIELDS = ("z", "m", "n")
 # ---------------------------------------------------------------------------
 
 
-def masked_sum(arr: np.ndarray) -> float:
-    """Sum of the finite entries of *arr* (the ABFT-style field sum).
-
-    Masking keeps the sum comparable in the presence of sentinel NaNs:
-    a checksum of partially-dry or deliberately-poisoned state still
-    carries signal about the finite part.
-    """
-    a = np.asarray(arr)
-    finite = np.isfinite(a)
-    if finite.all():
-        return float(a.sum(dtype=np.float64))
-    return float(a[finite].sum(dtype=np.float64))
-
-
 def state_checksums(states: dict, new: bool = False) -> dict:
     """Per-block CRC-32 of each prognostic field's published buffer.
 
@@ -118,60 +103,6 @@ def state_checksums(states: dict, new: bool = False) -> dict:
             arrs = (st.z_old, st.m_old, st.n_old)
         out[bid] = {f: payload_crc(a) for f, a in zip(_FIELDS, arrs)}
     return out
-
-
-def checkpoint_checksums(states: dict) -> dict:
-    """Digest a checkpoint's ``states`` map (all six leap-frog buffers).
-
-    Returns ``{block_id: {"crc": (c0..c5), "sum": (s0..s5)}}`` — the
-    CRCs give exact bit-level verification, the masked field sums are
-    the human-readable ABFT component that lands in scrub reports.
-    """
-    return {
-        bid: {
-            "crc": tuple(payload_crc(a) for a in bufs[:6]),
-            "sum": tuple(masked_sum(a) for a in bufs[:6]),
-        }
-        for bid, bufs in states.items()
-    }
-
-
-def verify_checkpoint(ckpt) -> list[tuple[int, int]]:
-    """Re-verify a checkpoint's stored digests against its arrays.
-
-    Returns the list of ``(block_id, buffer_index)`` pairs whose CRC no
-    longer matches — empty for a clean (or undigested) checkpoint.
-    """
-    if getattr(ckpt, "checksums", None) is None:
-        return []
-    bad: list[tuple[int, int]] = []
-    for bid, digest in ckpt.checksums.items():
-        bufs = ckpt.states.get(bid)
-        if bufs is None:
-            bad.append((bid, -1))
-            continue
-        for k, crc in enumerate(digest["crc"]):
-            if payload_crc(bufs[k]) != crc:
-                bad.append((bid, k))
-    return bad
-
-
-def verify_blocks(blocks: dict, checksums: dict | None) -> list[int]:
-    """Block ids of *blocks* whose stored CRCs fail to verify."""
-    if not checksums:
-        return []
-    bad = []
-    for bid, digest in checksums.items():
-        bufs = blocks.get(bid)
-        if bufs is None:
-            bad.append(bid)
-            continue
-        if any(
-            payload_crc(bufs[k]) != crc
-            for k, crc in enumerate(digest["crc"])
-        ):
-            bad.append(bid)
-    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +484,8 @@ class CheckpointScrubber:
     """Cadence re-verification of ring and disk checkpoints.
 
     ``scrub()`` walks the in-memory ring (entries that carry digests),
-    repairs a corrupt entry block-by-block from the verified disk spill
-    of the same step when one exists, evicts it otherwise, then verifies
+    repairs a corrupt entry's bad blocks from the newest verified disk
+    spill of the same step when one exists, evicts it otherwise, then verifies
     the digests of on-disk snapshots and quarantines any that fail
     (renamed ``quarantined-*`` so the restore path never sees them).
     Every action lands in the shared :class:`IntegrityTracker`.
@@ -570,24 +501,23 @@ class CheckpointScrubber:
     def scrub(self) -> dict:
         checked = evicted = repaired = 0
         for ckpt in self.ring.entries():
-            if ckpt.checksums is None:
+            if ckpt.crcs is None:
                 continue
             checked += 1
-            self.tracker.note_checks(len(ckpt.checksums))
-            bad = verify_checkpoint(ckpt)
-            if not bad:
+            self.tracker.note_checks(len(ckpt.crcs))
+            blocks = ckpt.bad_blocks()
+            if not blocks:
                 continue
-            blocks = sorted({bid for bid, _k in bad})
             self.tracker.detection(
                 "checkpoint",
                 step=ckpt.step,
                 detail=(
                     f"ring entry @ step {ckpt.step} failed digest "
-                    f"re-verification on {len(bad)} buffer(s)"
+                    f"re-verification on block(s) {blocks}"
                 ),
                 blocks=blocks,
             )
-            fixed = self._repair(ckpt, bad)
+            fixed = self._repair(ckpt, blocks)
             if fixed is not None:
                 self.ring.replace(ckpt, fixed)
                 repaired += 1
@@ -612,52 +542,19 @@ class CheckpointScrubber:
             "disk_quarantined": disk_quarantined,
         }
 
-    def _repair(self, ckpt, bad: list[tuple[int, int]]):
-        """Rebuild corrupt buffers from a same-step disk snapshot."""
-        if self.store is None:
-            return None
-        from repro.persist.snapshot import (
-            STATE_FIELDS,
-            read_manifest,
-            read_snapshot,
-            verify_snapshot,
+    def _repair(self, ckpt, bad: list[int]):
+        """Take the *bad* blocks from the newest same-step disk checkpoint
+        that verifies; ``None`` when there is none or it fails the CRCs too."""
+        disk = (
+            self.store.latest_valid_snapshot(step=ckpt.step)
+            if self.store is not None else None
         )
-
-        path = None
-        for cand in self.store.snapshot_paths():
-            try:
-                if int(read_manifest(cand)["step"]) == ckpt.step:
-                    path = cand
-                    break
-            except (PersistError, KeyError, ValueError):
-                continue
-        if path is None or verify_snapshot(path):
+        if disk is None or not set(bad) <= set(disk.states):
             return None
-        try:
-            snap = read_snapshot(path)
-        except PersistError:
-            return None
-        from dataclasses import replace as _dc_replace
-
-        # Snapshot arrays are grouped per grid level; flatten to the
-        # b{bid}_{field} namespace the ring entries use.
-        arrays: dict = {}
-        for level_arrays in snap.arrays.values():
-            arrays.update(level_arrays)
-        states = dict(ckpt.states)
-        for bid in sorted({b for b, _k in bad}):
-            want = [f"b{bid}_{f}" for f in STATE_FIELDS]
-            if any(name not in arrays for name in want):
-                return None
-            bufs = ckpt.states[bid]
-            states[bid] = (
-                *(arrays[name].copy() for name in want),
-                bufs[6],
-            )
-        fixed = _dc_replace(ckpt, states=states)
-        if verify_checkpoint(fixed):
-            return None  # disk copy disagrees with the digest too
-        return fixed
+        fixed = replace(
+            ckpt, states={**ckpt.states, **{bid: disk.states[bid] for bid in bad}}
+        )
+        return None if fixed.bad_blocks() else fixed
 
     def _scrub_disk(self) -> int:
         if self.store is None:

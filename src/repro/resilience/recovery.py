@@ -37,7 +37,7 @@ from repro.errors import (
 from repro.grid.hierarchy import NestedGrid
 from repro.obs.log import get_logger
 from repro.obs.trace import get_tracer, instant
-from repro.resilience.checkpoint import CheckpointRing
+from repro.resilience.checkpoint import CheckpointRing, capture_model
 from repro.resilience.deadline import DeadlineSupervisor, DegradationEvent
 from repro.resilience.faultplan import FaultPlan
 from repro.resilience.inject import (
@@ -45,7 +45,6 @@ from repro.resilience.inject import (
     corrupt_state,
     corrupt_state_bitflip,
 )
-from repro.resilience.integrity import verify_checkpoint
 
 _LOG = get_logger("resilience")
 
@@ -80,13 +79,7 @@ def drop_finest_level(model: RTiModel) -> RTiModel:
         model.bathymetry,
         model.config,
     )
-    degraded.time = model.time
-    degraded.step_count = model.step_count
-    degraded.output_every = model.output_every
-    for bid, st in degraded.states.items():
-        st.restore(model.states[bid].capture())
-    for bid, acc in degraded.outputs.items():
-        acc.load_product_arrays(model.outputs[bid].product_arrays())
+    capture_model(model, products=None).restore(degraded)
     return degraded
 
 
@@ -234,10 +227,9 @@ class RecoveryEngine:
             ckpt = self.ring.latest
             if ckpt is None:
                 return None
-            bad = verify_checkpoint(ckpt)
-            if not bad:
+            blocks = ckpt.bad_blocks()
+            if not blocks:
                 return ckpt
-            blocks = sorted({b for b, _k in bad})
             if self.tracker is not None:
                 self.tracker.detection(
                     "checkpoint",

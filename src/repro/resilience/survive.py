@@ -57,7 +57,7 @@ preserves the bitwise contract under every hedge decision.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -73,6 +73,7 @@ from repro.par.comm import run_ranks
 from repro.par.decomposition import Decomposition
 from repro.par.driver import _RankRuntime
 from repro.persist.journal import EVENT_RANK_FAILURE, EVENT_RECOVERY_EPOCH
+from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.faultplan import FaultPlan
 from repro.resilience.health import StepTimeMonitor
 from repro.resilience.inject import (
@@ -121,10 +122,6 @@ class SurvivalConfig:
     hedge_min_ratio: float = 1.5
     deadline_s: float | None = None
     store_capacity: int = 2
-    #: Digest every rank snapshot (own copy and buddy replica) so
-    #: recovery assembly can tell a corrupt own copy from a clean
-    #: neighbor one — the ABFT arm of the survivable runtime.
-    integrity: bool = False
 
     def __post_init__(self) -> None:
         if self.checkpoint_every < 1:
@@ -152,113 +149,68 @@ class SurvivalConfig:
 # -- diskless neighbor checkpoints --------------------------------------
 
 
-@dataclass
-class RankSnapshot:
-    """One rank's in-memory checkpoint entry for one epoch.
-
-    ``blocks`` maps block_id to the ``(z0, z1, m0, m1, n0, n1, flip)``
-    buffer tuple of :meth:`repro.par.driver._RankRuntime.snapshot_blocks`
-    — deep copies, safe to ship and to hold across steps.
-
-    ``checksums`` (``{bid: {"crc": ..., "sum": ...}}`` from
-    :func:`repro.resilience.integrity.checkpoint_checksums`) travels with
-    the buffers, so the *receiver* of a buddy replica — and a survivor
-    assembling recovery state — can tell a bit-flipped copy from a clean
-    one and prefer the neighbor's.
-    """
-
-    epoch: int
-    step: int
-    rank: int
-    blocks: dict[int, tuple]
-    checksums: dict | None = None
-
-
 class NeighborCheckpointStore:
     """A rank's diskless checkpoint memory: own ring + buddy replicas.
 
-    Bounded to *capacity* epochs each.  With the ring-buddy layout
-    (rank r replicates to ``(r+1) % n``) any single failure leaves every
-    block recoverable: survivors hold their own entries, and the dead
-    rank's entry survives as its buddy's replica.
+    Each ring maps epoch -> :class:`~repro.resilience.checkpoint.Checkpoint`
+    (digested, of one rank's blocks) and is bounded to *capacity* epochs.
+    With the ring-buddy layout (rank r replicates to ``(r+1) % n``) any
+    single failure leaves every block recoverable: survivors hold their
+    own entries, and the dead rank's entry survives as its buddy's replica.
     """
 
     def __init__(self, capacity: int = 2) -> None:
         self.capacity = capacity
-        self.own: dict[int, RankSnapshot] = {}
-        self.replicas: dict[int, RankSnapshot] = {}
+        self.own: dict[int, Checkpoint] = {}
+        self.replicas: dict[int, Checkpoint] = {}
 
-    def put_own(self, snap: RankSnapshot) -> None:
-        self.own[snap.epoch] = snap
-        self._prune(self.own)
+    def put_own(self, epoch: int, ckpt: Checkpoint) -> None:
+        self._put(self.own, epoch, ckpt)
 
-    def put_replica(self, snap: RankSnapshot) -> None:
-        self.replicas[snap.epoch] = snap
-        self._prune(self.replicas)
+    def put_replica(self, epoch: int, ckpt: Checkpoint) -> None:
+        self._put(self.replicas, epoch, ckpt)
 
     def epochs(self) -> list[int]:
         return sorted(set(self.own) | set(self.replicas))
 
-    def scrub(self) -> int:
-        """Drop entries whose digests no longer match their buffers.
-
-        Returns the number of snapshots evicted.  Entries without
-        checksums (integrity layer off) are kept — there is nothing to
-        verify them against.
-        """
-        from repro.resilience.integrity import verify_blocks
-
-        evicted = 0
-        for entries in (self.own, self.replicas):
-            for epoch in list(entries):
-                snap = entries[epoch]
-                if snap.checksums is None:
-                    continue
-                if verify_blocks(snap.blocks, snap.checksums):
-                    del entries[epoch]
-                    evicted += 1
-        return evicted
-
-    def _prune(self, entries: dict[int, RankSnapshot]) -> None:
+    def _put(self, entries: dict, epoch: int, ckpt: Checkpoint) -> None:
+        entries[epoch] = ckpt
         while len(entries) > self.capacity:
             del entries[min(entries)]
 
 
 def _assemble_recovery(
     grid, stores: list[NeighborCheckpointStore]
-) -> tuple[int, int, dict[int, tuple]] | None:
-    """Latest epoch whose snapshots cover every block of the grid.
+) -> tuple[int, Checkpoint] | None:
+    """Latest epoch whose checkpoints cover every block of the grid.
 
-    Returns ``(epoch, step, blocks)`` or ``None`` when no consistent
-    epoch exists (e.g. a crash during the very first replication).
+    Returns ``(epoch, checkpoint of every block)`` or ``None`` when no
+    consistent epoch exists (e.g. a crash during the very first
+    replication).
 
-    Snapshots carrying checksums are verified block-by-block: a block
-    whose digest fails is skipped, so the same block from another copy
-    of the epoch (typically the buddy replica of the corrupt own entry)
-    fills the slot instead — neighbor repair.  An epoch is only usable
-    when every needed block has at least one *clean* copy.
+    Every copy is verified block by block: a block whose digest fails is
+    skipped, so the same block from another copy of the epoch (typically
+    the buddy replica of the corrupt own entry) fills the slot instead —
+    neighbor repair.  An epoch is only usable when every needed block
+    has at least one *clean* copy.
     """
-    from repro.resilience.integrity import verify_blocks
-
     needed = {b.block_id for b in grid.all_blocks()}
     epochs = sorted(
         {e for s in stores for e in s.epochs()}, reverse=True
     )
     for epoch in epochs:
-        blocks: dict[int, tuple] = {}
-        step = None
-        for s in stores:
-            for snap in (s.own.get(epoch), s.replicas.get(epoch)):
-                if snap is None:
-                    continue
-                step = snap.step
-                bad = set(verify_blocks(snap.blocks, snap.checksums))
-                for bid, bufs in snap.blocks.items():
-                    if bid in bad:
-                        continue
-                    blocks.setdefault(bid, bufs)
-        if step is not None and needed <= set(blocks):
-            return epoch, step, blocks
+        copies = [
+            c for s in stores for c in (s.own.get(epoch), s.replicas.get(epoch))
+            if c is not None
+        ]
+        states: dict[int, tuple] = {}
+        for c in copies:
+            bad = c.bad_blocks()
+            for bid, bufs in c.states.items():
+                if bid not in bad:
+                    states.setdefault(bid, bufs)
+        if copies and needed <= set(states):
+            return epoch, replace(copies[0], states=states, crcs=None)
     return None
 
 
@@ -417,7 +369,7 @@ class _HedgeController:
         tag = TAG_MIGRATE + self._mig_seq
         self._mig_seq += 1
         if self.comm.rank == src:
-            payload = self.rt.snapshot_blocks(blocks)
+            payload = {bid: self.rt.states[bid].capture() for bid in blocks}
             self.comm.send(payload, dest=dst, tag=tag)
             self.rt.drop_blocks(blocks)
         elif self.comm.rank == dst:
@@ -500,30 +452,21 @@ class _SurvivableLoop:
 
     def _replicate_checkpoint(self, k: int) -> None:
         epoch = k // self.scfg.checkpoint_every
-        blocks = self.rt.snapshot_blocks()
-        digests = None
-        if self.scfg.integrity:
-            from repro.resilience.integrity import checkpoint_checksums
-
-            digests = checkpoint_checksums(blocks)
-        snap = RankSnapshot(
-            epoch=epoch,
-            step=k,
-            rank=self.comm.rank,
-            blocks=blocks,
-            checksums=digests,
+        dt = self.rt.cfg.dt
+        ckpt = Checkpoint.capture(
+            self.rt.states, step=k, time=k * dt, dt=dt, digest=True
         )
-        self.store.put_own(snap)
+        self.store.put_own(epoch, ckpt)
         if self.comm.size > 1:
             nxt = buddy_of(self.comm.rank, self.comm.size)
             prv = (self.comm.rank - 1) % self.comm.size
             _set_phase(self.comm, "ckpt")
             try:
-                self.comm.send(snap, dest=nxt, tag=TAG_CKPT + epoch)
+                self.comm.send(ckpt, dest=nxt, tag=TAG_CKPT + epoch)
                 got = self.comm.recv(source=prv, tag=TAG_CKPT + epoch)
             finally:
                 _set_phase(self.comm, None)
-            self.store.put_replica(got)
+            self.store.put_replica(epoch, got)
         self.replications += 1
 
     def stats(self) -> dict[str, Any]:
@@ -651,9 +594,9 @@ def survivable_run_distributed(
 
     current = decomp
     spares_left = scfg.spare_ranks
-    restore: dict[int, tuple] | None = None
+    restore: Checkpoint | None = None
     start_step = 0
-    last_good: tuple[int, int, dict[int, tuple]] | None = None
+    last_good: tuple[int, Checkpoint] | None = None
     action = "initial"
     dead_now: tuple[int, ...] = ()
     epoch_now: int | None = None
@@ -681,7 +624,8 @@ def survivable_run_distributed(
                 comm, grid, this_owner, bathymetry, config, plan
             )
             if this_restore is not None:
-                rt.restore_blocks(this_restore)
+                for bid, st in rt.states.items():
+                    st.restore(this_restore.states[bid])
             elif source is not None:
                 impose_source(rt.states, source)
             ckpts = NeighborCheckpointStore(capacity=scfg.store_capacity)
@@ -808,8 +752,8 @@ def survivable_run_distributed(
         if assembled is not None:
             last_good = assembled
         if last_good is not None:
-            epoch_now, start_step, blocks = last_good
-            restore = blocks
+            epoch_now, restore = last_good
+            start_step = restore.step
             scratch = False
         else:
             epoch_now, start_step, restore = None, 0, None
@@ -944,7 +888,7 @@ def _breaker_fallback(
     config,
     source,
     n_steps: int,
-    restore: dict[int, tuple] | None,
+    restore: Checkpoint | None,
     start_step: int,
     scfg: SurvivalConfig,
     report: SurvivalReport,
@@ -986,11 +930,7 @@ def _breaker_fallback(
     if source is not None:
         model.set_initial_condition(source)
     if restore is not None:
-        for bid, st in model.states.items():
-            if bid in restore:
-                st.restore(restore[bid])
-        model.time = start_step * config.dt
-        model.step_count = start_step
+        restore.restore(model)
     else:
         start_step = 0
 

@@ -41,13 +41,10 @@ from repro.resilience.integrity import (
     IntegrityMonitor,
     IntegrityTracker,
     MessageIntegrity,
-    checkpoint_checksums,
     integrity_doc,
     load_integrity_report,
     render_integrity_doc,
     state_checksums,
-    verify_blocks,
-    verify_checkpoint,
     write_integrity_json,
 )
 from repro.validation import FlatBathymetry
@@ -202,23 +199,11 @@ class TestDigests:
         model = make_model(4)
         ring = CheckpointRing(capacity=2, checksums=True)
         ckpt = ring.snapshot(model)
-        assert ckpt.checksums is not None
-        assert verify_checkpoint(ckpt) == []
+        assert ckpt.crcs is not None
+        assert CheckpointRing().snapshot(model).crcs is None
+        assert ckpt.bad_blocks() == []
         flip_bit(ckpt.states[1][2], 9)  # block 1, m0 buffer
-        bad = verify_checkpoint(ckpt)
-        assert bad == [(1, 2)]
-
-    def test_verify_blocks_names_the_corrupt_block(self):
-        model = make_model(3)
-        blocks = {
-            bid: tuple(a.copy() for a in (*st._z, *st._m, *st._n))
-            for bid, st in model.states.items()
-        }
-        digests = checkpoint_checksums(blocks)
-        assert verify_blocks(blocks, digests) == []
-        assert verify_blocks(blocks, None) == []
-        flip_bit(blocks[0][0], 3)
-        assert verify_blocks(blocks, digests) == [0]
+        assert ckpt.bad_blocks() == [1]
 
     def test_state_checksums_follow_the_leapfrog_window(self):
         # The digest of the published (old) buffers at step k must equal
@@ -366,7 +351,7 @@ class TestScrubber:
         tracker = IntegrityTracker()
         stats = CheckpointScrubber(ring, store=store, tracker=tracker).scrub()
         assert stats["repaired"] == 1 and stats["evicted"] == 0
-        assert verify_checkpoint(ring.latest) == []
+        assert ring.latest.bad_blocks() == []
         assert tracker.scrub_repairs == 1
 
     def test_corrupt_disk_snapshot_quarantined(self, tmp_path):
@@ -526,29 +511,22 @@ class TestQuarantineRollback:
 
 class TestNeighborChecksums:
     def _snapshots(self):
-        from repro.resilience import NeighborCheckpointStore, RankSnapshot
+        from repro.resilience import Checkpoint, NeighborCheckpointStore
 
-        blocks0 = {0: tuple(np.full((4, 4), float(k)) for k in range(6))
-                   + (0,)}
-        blocks1 = {1: tuple(np.full((4, 4), 10.0 + k) for k in range(6))
-                   + (0,)}
-        own = RankSnapshot(
-            epoch=1, step=8, rank=0, blocks=blocks0,
-            checksums=checkpoint_checksums(blocks0),
-        )
-        other = RankSnapshot(
-            epoch=1, step=8, rank=1, blocks=blocks1,
-            checksums=checkpoint_checksums(blocks1),
-        )
+        def rank_checkpoint(bid, base):
+            bufs = tuple(np.full((4, 4), base + k) for k in range(6)) + (0,)
+            return Checkpoint(8, 8.0, 1.0, 1, {bid: bufs}).digested()
+
+        own, other = rank_checkpoint(0, 0.0), rank_checkpoint(1, 10.0)
         # Buddy layout: each store holds its own entry + the other's
         # replica (deep copies, as the wire transfer produces).
         import copy
 
         s0, s1 = NeighborCheckpointStore(), NeighborCheckpointStore()
-        s0.put_own(own)
-        s0.put_replica(copy.deepcopy(other))
-        s1.put_own(other)
-        s1.put_replica(copy.deepcopy(own))
+        s0.put_own(1, own)
+        s0.put_replica(1, copy.deepcopy(other))
+        s1.put_own(1, other)
+        s1.put_replica(1, copy.deepcopy(own))
         return s0, s1
 
     def _grid(self):
@@ -563,28 +541,22 @@ class TestNeighborChecksums:
         from repro.resilience.survive import _assemble_recovery
 
         s0, s1 = self._snapshots()
-        flip_bit(s0.own[1].blocks[0][0], 12)  # corrupt rank 0's own copy
+        flip_bit(s0.own[1].states[0][0], 12)  # corrupt rank 0's own copy
         got = _assemble_recovery(self._grid(), [s0, s1])
         assert got is not None
-        epoch, step, blocks = got
-        assert (epoch, step) == (1, 8)
+        epoch, ckpt = got
+        assert (epoch, ckpt.step) == (1, 8)
         # Block 0 must come from the clean replica held by rank 1.
-        clean = s1.replicas[1].blocks[0][0]
-        np.testing.assert_array_equal(blocks[0][0], clean)
+        clean = s1.replicas[1].states[0][0]
+        np.testing.assert_array_equal(ckpt.states[0][0], clean)
 
     def test_epoch_unusable_when_every_copy_is_corrupt(self):
         from repro.resilience.survive import _assemble_recovery
 
         s0, s1 = self._snapshots()
-        flip_bit(s0.own[1].blocks[0][0], 12)
-        flip_bit(s1.replicas[1].blocks[0][0], 30)
+        flip_bit(s0.own[1].states[0][0], 12)
+        flip_bit(s1.replicas[1].states[0][0], 30)
         assert _assemble_recovery(self._grid(), [s0, s1]) is None
-
-    def test_store_scrub_drops_corrupt_entries(self):
-        s0, _s1 = self._snapshots()
-        flip_bit(s0.replicas[1].blocks[1][3], 7)
-        assert s0.scrub() == 1
-        assert s0.replicas == {} and 1 in s0.own
 
 
 # ---------------------------------------------------------------------------

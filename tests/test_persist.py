@@ -32,7 +32,6 @@ from repro.persist import (
     read_arrays,
     read_journal,
     read_snapshot,
-    restore_snapshot,
     verify_snapshot,
     write_arrays,
     write_snapshot,
@@ -132,9 +131,8 @@ class TestSnapshot:
         model = tiny_model(n_steps=13)
         write_snapshot(model, tmp_path / "snap")
         fresh = tiny_model()
-        snap = read_snapshot(tmp_path / "snap")
-        assert snap.schema_version == SCHEMA_VERSION
-        restore_snapshot(fresh, snap)
+        snap = read_snapshot(tmp_path / "snap", schema_version=SCHEMA_VERSION)
+        snap.restore(fresh)
         assert_models_bitwise_equal(model, fresh)
 
     def test_restore_then_run_matches_uninterrupted(self, tmp_path):
@@ -142,7 +140,7 @@ class TestSnapshot:
         model = tiny_model(n_steps=8)
         write_snapshot(model, tmp_path / "snap")
         fresh = tiny_model()
-        restore_snapshot(fresh, read_snapshot(tmp_path / "snap"))
+        read_snapshot(tmp_path / "snap").restore(fresh)
         fresh.run(12)
         assert_models_bitwise_equal(reference, fresh)
 
@@ -191,8 +189,11 @@ class TestSnapshot:
             FlatBathymetry(depth=50.0),
             SimulationConfig(dt=1.0),
         )
-        with pytest.raises(PersistError, match="different grid"):
-            restore_snapshot(other, read_snapshot(snapdir))
+        with pytest.raises(PersistError, match="grid_fingerprint"):
+            read_snapshot(
+                snapdir,
+                grid_fingerprint=grid_fingerprint(other.grid, other.config.dtype),
+            )
 
     def test_fingerprint_depends_on_dtype_and_topology(self):
         grid = tiny_grid()

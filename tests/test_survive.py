@@ -34,11 +34,10 @@ from repro.persist.journal import (
     EVENT_RECOVERY_EPOCH,
     recovery_epochs,
 )
-from repro.resilience import FaultPlan, FaultSpec, retry_with_backoff
+from repro.resilience import Checkpoint, FaultPlan, FaultSpec, retry_with_backoff
 from repro.resilience.health import StepTimeMonitor
 from repro.resilience.survive import (
     NeighborCheckpointStore,
-    RankSnapshot,
     SurvivalConfig,
     _assemble_recovery,
     buddy_of,
@@ -107,17 +106,17 @@ class TestNeighborCheckpointStore:
         assert buddy_of(3, 4) == 0
         assert buddy_of(0, 1) == 0
 
-    def snap(self, epoch, rank=0):
-        return RankSnapshot(
-            epoch=epoch, step=epoch * 10, rank=rank,
-            blocks={rank: (np.zeros(2),) * 6 + (0,)},
-        )
+    @staticmethod
+    def snap(epoch, rank=0):
+        """Rank *rank*'s checkpoint of its one block at *epoch*."""
+        bufs = (np.full(2, float(rank)),) * 6 + (0,)
+        return Checkpoint(epoch * 10, epoch * 10.0, 1.0, 1, {rank: bufs}).digested()
 
     def test_capacity_prunes_oldest(self):
         store = NeighborCheckpointStore(capacity=2)
         for e in range(4):
-            store.put_own(self.snap(e))
-            store.put_replica(self.snap(e, rank=1))
+            store.put_own(e, self.snap(e))
+            store.put_replica(e, self.snap(e, rank=1))
         assert sorted(store.own) == [2, 3]
         assert sorted(store.replicas) == [2, 3]
         assert store.epochs() == [2, 3]
@@ -126,29 +125,29 @@ class TestNeighborCheckpointStore:
         grid = flat_grid(2)
         s0, s1 = (NeighborCheckpointStore() for _ in range(2))
         for e in (1, 2):
-            s0.put_own(RankSnapshot(e, e * 10, 0, {0: ("b0",)}))
-            s1.put_own(RankSnapshot(e, e * 10, 1, {1: ("b1",)}))
+            s0.put_own(e, self.snap(e, 0))
+            s1.put_own(e, self.snap(e, 1))
         # Epoch 3 exists only on rank 0: incomplete, must be skipped.
-        s0.put_own(RankSnapshot(3, 30, 0, {0: ("b0",)}))
-        epoch, step, blocks = _assemble_recovery(grid, [s0, s1])
-        assert (epoch, step) == (2, 20)
-        assert set(blocks) == {0, 1}
+        s0.put_own(3, self.snap(3, 0))
+        epoch, ckpt = _assemble_recovery(grid, [s0, s1])
+        assert (epoch, ckpt.step) == (2, 20)
+        assert set(ckpt.states) == {0, 1}
 
     def test_assemble_uses_buddy_replica_for_dead_rank(self):
         grid = flat_grid(2)
         # Only rank 0's store survives; it holds rank 1's state as the
         # ring replica (1's buddy is 0 in a 2-rank ring).
         s0 = NeighborCheckpointStore()
-        s0.put_own(RankSnapshot(5, 50, 0, {0: ("b0",)}))
-        s0.put_replica(RankSnapshot(5, 50, 1, {1: ("b1",)}))
-        epoch, step, blocks = _assemble_recovery(grid, [s0])
-        assert (epoch, step) == (5, 50)
-        assert set(blocks) == {0, 1}
+        s0.put_own(5, self.snap(5, 0))
+        s0.put_replica(5, self.snap(5, 1))
+        epoch, ckpt = _assemble_recovery(grid, [s0])
+        assert (epoch, ckpt.step) == (5, 50)
+        assert set(ckpt.states) == {0, 1}
 
     def test_assemble_none_when_no_complete_epoch(self):
         grid = flat_grid(2)
         s0 = NeighborCheckpointStore()
-        s0.put_own(RankSnapshot(0, 0, 0, {0: ("b0",)}))
+        s0.put_own(0, self.snap(0, 0))
         assert _assemble_recovery(grid, [s0]) is None
 
 
