@@ -51,9 +51,10 @@ def main() -> None:
     gauges = GaugeRecorder(
         model,
         [("shelf", 5_000.0, 12_000.0), ("harbor", 3_000.0, 9_200.0)],
+        every=50,
     )
     horizon = 3000  # five simulated minutes
-    gauges.run_and_record(horizon, every=50)
+    model.run(horizon, monitor=gauges)
 
     print("\nPer-level forecast products:")
     print(f"{'level':>5} {'dx':>6} {'zmax [m]':>9} {'vmax':>6} "

@@ -64,6 +64,13 @@ if git grep -nE 'RankSnapshot|restore_snapshot|verify_checkpoint|verify_blocks|c
     src tests
 then echo "== a second checkpoint type or verifier is back (see above) =="; exit 1; fi
 
+# One run loop: RTiModel.run is step + monitor; RecoveryEngine is the one loop
+# that checkpoints, spills, catches signals and rolls back; survivable runs are
+# the one distributed recovery path.
+if git grep -nE 'callback_every|run_and_record|resilient_run_distributed|retry_with_backoff|RetryExhaustedError|spill_every|dt_min' -- \
+    src tests examples
+then echo "== a second run loop or recovery path is back (see above) =="; exit 1; fi
+
 echo "== pytest (tier 1) =="
 if [ "$fast" = 1 ]; then
     PYTHONPATH=src python -m pytest -x -q

@@ -216,7 +216,7 @@ def _cmd_forecast(args) -> int:
         or args.integrity_every is not None
     )
     if args.rundir is not None and not resilient:
-        from repro.errors import PersistError, ValidationError
+        from repro.errors import NumericalError, PersistError, ValidationError
         from repro.persist import resume_run, start_run
 
         try:
@@ -238,7 +238,7 @@ def _cmd_forecast(args) -> int:
         except ValidationError as exc:
             print(exc)
             return 1
-        except PersistError as exc:
+        except (PersistError, NumericalError) as exc:
             print(f"error: {exc}")
             return 1
         _print_products(model, mk.grid)
@@ -275,13 +275,18 @@ def _cmd_forecast(args) -> int:
         )
         print(f"Integrating {steps} steps ({args.minutes} simulated "
               f"minutes) with resilience enabled...")
-        report = run_resilient_forecast(
-            mk.grid, mk.bathymetry,
-            config=SimulationConfig(dt=mk.dt), source=source,
-            horizon_s=args.minutes * 60, deadline_s=args.deadline,
-            fault_plan=plan, store=store,
-            integrity_every=integrity_every, scrub_every=scrub_every,
-        )
+        try:
+            report = run_resilient_forecast(
+                mk.grid, mk.bathymetry,
+                config=SimulationConfig(dt=mk.dt), source=source,
+                horizon_s=args.minutes * 60, deadline_s=args.deadline,
+                fault_plan=plan, store=store,
+                integrity_every=integrity_every, scrub_every=scrub_every,
+            )
+        except KeyboardInterrupt:
+            # No resume hint: this run directory holds no run_start.
+            print("interrupted")
+            return 130
         print(report.summary())
         _print_products(report.model, mk.grid)
         if traced:
@@ -445,7 +450,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    from repro.errors import PersistError
+    from repro.errors import NumericalError, PersistError
     from repro.persist import resume_run
 
     try:
@@ -455,7 +460,7 @@ def _cmd_resume(args) -> int:
             f"interrupted again — continue with: repro resume {args.rundir}"
         )
         return 130
-    except PersistError as exc:
+    except (PersistError, NumericalError) as exc:
         print(f"error: {exc}")
         return 1
     _print_products(model, model.grid)

@@ -103,22 +103,13 @@ class GaugeRecorder:
     def after_step(self, model: RTiModel) -> None:
         """Monitor hook: sample on the recorder's cadence.
 
-        Lets a recorder ride :meth:`RTiModel.run`'s monitor slot —
-        alone or inside a :class:`~repro.core.model.CompositeMonitor` —
-        instead of requiring the dedicated :meth:`run_and_record` loop.
-        Pure read of ``z_old``: never perturbs the run.
+        A recorder rides :meth:`RTiModel.run`'s monitor slot — alone or
+        inside a :class:`~repro.core.model.CompositeMonitor`:
+        ``model.run(n, monitor=recorder)``.  Pure read of ``z_old``:
+        never perturbs the run.
         """
         if model.step_count % self.every == 0:
             self.record()
-
-    def run_and_record(self, n_steps: int, every: int = 1) -> None:
-        """Integrate the model, sampling every *every* steps."""
-        if every < 1:
-            raise ConfigurationError("sampling interval must be >= 1")
-        for k in range(n_steps):
-            self.model.step()
-            if (k + 1) % every == 0:
-                self.record()
 
     def restore(self, times: list[float], rows: list[list[float]]) -> None:
         """Reload previously recorded samples (resume support).

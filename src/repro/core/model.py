@@ -14,7 +14,6 @@ distributed performance replay of the same pipeline lives in
 from __future__ import annotations
 
 import time as _time
-from typing import Callable
 
 import numpy as np
 
@@ -200,74 +199,29 @@ class RTiModel:
             sps.set(self._obs_steps / self._obs_wall_s)
             cps.set(self._obs_steps * self._n_cells / self._obs_wall_s)
 
-    def run(
-        self,
-        n_steps: int | None = None,
-        callback: Callable[["RTiModel"], None] | None = None,
-        callback_every: int = 0,
-        monitor=None,
-        store=None,
-        checkpoint_every: int = 0,
-    ) -> None:
+    def run(self, n_steps: int | None = None, monitor=None) -> None:
         """Integrate *n_steps* (default: ``config.n_steps``) steps.
 
-        *monitor* is any object with ``after_step(model)`` — e.g. a
-        :class:`repro.resilience.HealthMonitor` — invoked after every
-        step; it may raise (typically
-        :class:`~repro.errors.NumericalError`) to abort the run.  A
-        list or tuple of such objects is wrapped in a
-        :class:`CompositeMonitor` so several observers compose.
+        The bare loop: step, then *monitor*'s ``after_step(model)`` — a
+        :class:`repro.resilience.HealthMonitor`, a gauge recorder, a
+        product streamer — which may raise (typically
+        :class:`~repro.errors.NumericalError`) to abort the run.  A list
+        or tuple of such objects is wrapped in a :class:`CompositeMonitor`
+        so several observers compose.
 
-        *store* is an optional :class:`repro.persist.RunStore`.  When
-        given, the loop spills a checksummed on-disk snapshot every
-        *checkpoint_every* steps (cadence on the absolute step count, so
-        a resumed run keeps the original alignment) and installs a
-        SIGTERM/SIGINT guard that captures one final snapshot and
-        journals the interruption before unwinding with
-        :class:`KeyboardInterrupt` — the run stays resumable via
-        ``repro resume``.
+        Checkpoints, disk spills, signal capture and rollback belong to
+        the one guarded loop,
+        :class:`repro.resilience.recovery.RecoveryEngine`.
         """
         steps = self.config.n_steps if n_steps is None else n_steps
         if steps < 0:
             raise ConfigurationError("n_steps must be non-negative")
         if isinstance(monitor, (list, tuple)):
             monitor = CompositeMonitor(monitor)
-
-        if store is None:
-            import contextlib
-
-            guard = contextlib.nullcontext()
-        else:
-            from repro.persist.signals import interrupt_guard
-
-            guard = interrupt_guard(
-                snapshot_fn=lambda: store.save_snapshot(self),
-                journal_fn=lambda sig, ok: store.record_event(
-                    "interrupted",
-                    signal=sig,
-                    step=self.step_count,
-                    time=self.time,
-                    snapshotted=ok,
-                ),
-            )
-        with guard:
-            for k in range(steps):
-                self.step()
-                if monitor is not None:
-                    monitor.after_step(self)
-                # Products stream before the checkpoint spill: a snapshot
-                # at step s then implies the product rows up to s are on
-                # disk (resume regenerates the tail either way).
-                if callback is not None and callback_every and (
-                    (k + 1) % callback_every == 0
-                ):
-                    callback(self)
-                if (
-                    store is not None
-                    and checkpoint_every
-                    and self.step_count % checkpoint_every == 0
-                ):
-                    store.save_snapshot(self)
+        for _ in range(steps):
+            self.step()
+            if monitor is not None:
+                monitor.after_step(self)
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -42,8 +42,8 @@ class CommTimeoutError(CommunicationError):
     :meth:`repro.par.comm.Communicator.recv` when no matching message
     arrives within the communicator's timeout.  Distinct from plain
     :class:`CommunicationError` (protocol misuse) so callers — notably the
-    resilience layer's retry-with-backoff — can tell a transient stall
-    from a programming error.
+    survivable runtime, which retries the epoch — can tell a transient
+    stall from a programming error.
 
     Attributes
     ----------
@@ -175,31 +175,6 @@ class DeadlineError(ReproError):
     budget, or when even the most aggressive graceful-degradation policy
     cannot produce any forecast before the deadline.
     """
-
-
-class RetryExhaustedError(ReproError):
-    """A retry loop gave up.
-
-    Raised by :func:`repro.resilience.recovery.retry_with_backoff` once
-    every attempt has failed (or the elapsed-time budget is spent), so
-    callers see *how much* was tried instead of just the final
-    exception.  The last underlying exception is chained as
-    ``__cause__``.
-
-    Attributes
-    ----------
-    attempts:
-        Number of calls actually made before giving up.
-    elapsed_s:
-        Total wall-clock spent in the retry loop (calls plus sleeps).
-    """
-
-    def __init__(
-        self, message: str, attempts: int, elapsed_s: float
-    ) -> None:
-        super().__init__(message)
-        self.attempts = attempts
-        self.elapsed_s = elapsed_s
 
 
 class ServiceError(ReproError):

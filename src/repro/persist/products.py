@@ -81,7 +81,7 @@ class ProductStreamer:
             ) from exc
 
     def after_step(self, model) -> None:
-        """Run-loop callback: sample/stream on the configured cadences."""
+        """Monitor hook: sample/stream on the configured cadences."""
         step = model.step_count
         if step % self.gauge_every == 0:
             self.recorder.record()

@@ -1,7 +1,13 @@
 """Persistent forecast driver: start, crash, resume.
 
 :func:`start_run` executes a scenario with durable state (journal,
-checkpoint spill, streamed products, signal capture).  :func:`resume_run`
+checkpoint spill, streamed products, signal capture) through the one
+guarded loop, :class:`~repro.resilience.recovery.RecoveryEngine`: its
+ring spills a snapshot before every step that is a multiple of the
+checkpoint cadence, the product streamer is its monitor, and a state
+the ring refuses to archive ends the run in
+:class:`~repro.errors.NumericalError` — never a published non-finite
+snapshot or a ``complete`` event.  :func:`resume_run`
 inspects a run directory, rebuilds the model from the journaled
 scenario, restores the newest *valid* snapshot (checksum-corrupt ones
 are skipped with a warning), rewinds the product streams to match, and
@@ -14,7 +20,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.core.model import RTiModel
-from repro.errors import PersistError
+from repro.errors import NumericalError, PersistError
 from repro.obs.log import get_logger
 from repro.persist.journal import JOURNAL_VERSION
 from repro.persist.preflight import validate_scenario
@@ -39,18 +45,37 @@ def _run_to_completion(
     checkpoint_every: int,
     eta_every: int,
     echo,
+    restored=None,
 ) -> RTiModel:
+    from repro.resilience.checkpoint import CheckpointRing
+    from repro.resilience.recovery import RecoveryEngine
+
     streamer = ProductStreamer(store, model, eta_every=eta_every)
     streamer.sync_resume_point(model)
-    remaining = built.n_steps - model.step_count
-    if remaining > 0:
-        model.run(
-            remaining,
-            callback=streamer.after_step,
-            callback_every=1,
-            store=store,
+    if built.n_steps > model.step_count:
+        # No rollback budget: a rewind would stream product rows twice,
+        # so the first unusable state (a snapshot the ring refuses) ends
+        # the run before it can publish anything non-finite.  Nothing is
+        # restored from the ring, so one slot does; a resumed run's ring
+        # holds the snapshot it restored, which is not written again.
+        ring = CheckpointRing(capacity=1, store=store)
+        if restored is not None:
+            ring.hold(restored)
+        engine = RecoveryEngine(
+            model,
+            built.n_steps * model.config.dt,
+            monitor=streamer,
+            ring=ring,
             checkpoint_every=checkpoint_every,
+            max_rollbacks=0,
+            journal=store.record_event,
         )
+        model = engine.run()
+        if engine.aborted:
+            raise NumericalError(
+                f"run stopped at step {model.step_count}: "
+                f"{engine.recoveries[-1].detail}"
+            )
     store.record_event(
         "complete", step=model.step_count, time=model.time
     )
@@ -182,5 +207,6 @@ def resume_run(rundir: Path, *, echo=_noecho) -> RTiModel:
         from_time=model.time,
     )
     return _run_to_completion(
-        store, model, built, checkpoint_every, eta_every, echo
+        store, model, built, checkpoint_every, eta_every, echo,
+        restored=snap,
     )

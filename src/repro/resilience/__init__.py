@@ -18,14 +18,15 @@ failure.  It provides:
 * :class:`DeadlineSupervisor` — deadline-aware graceful degradation
   (drop the finest nest level, coarsen output cadence, finish early),
   every action recorded in the run report;
-* :class:`RecoveryEngine` / :func:`run_resilient_forecast` — the
-  resilient integration loop and its one-call orchestrator;
-* :func:`resilient_run_distributed` — retry-with-backoff and
-  single-process fallback for the simulated-MPI pipeline;
-* :func:`survivable_run_distributed` — in-flight rank-failure survival:
-  ULFM-style revoke/agree, diskless neighbor checkpoints, shrinking
-  recovery or spare-rank respawn, and MAD-based straggler hedging
-  (:mod:`repro.resilience.survive`);
+* :class:`RecoveryEngine` / :func:`run_resilient_forecast` — the one
+  single-process loop that checkpoints, spills to disk, catches signals
+  and rolls back (also behind ``repro.persist``'s resumable runs and
+  the survivable runtime's breaker), and its one-call orchestrator;
+* :func:`survivable_run_distributed` — the one distributed recovery
+  path: ULFM-style revoke/agree, epoch retry on a lost message,
+  diskless neighbor checkpoints, shrinking recovery or spare-rank
+  respawn, a single-process circuit breaker, and MAD-based straggler
+  hedging (:mod:`repro.resilience.survive`);
 * :mod:`repro.resilience.integrity` — the ABFT silent-data-corruption
   defense: block checksums through the leap-frog window
   (:class:`IntegrityMonitor`), CRC-framed halo payloads with seeded
@@ -72,8 +73,6 @@ from repro.resilience.recovery import (
     RecoveryEngine,
     RecoveryEvent,
     drop_finest_level,
-    resilient_run_distributed,
-    retry_with_backoff,
 )
 from repro.resilience.report import ForecastReport
 from repro.resilience.survive import (
@@ -115,8 +114,6 @@ __all__ = [
     "RecoveryEngine",
     "RecoveryEvent",
     "drop_finest_level",
-    "resilient_run_distributed",
-    "retry_with_backoff",
     "run_resilient_forecast",
     "ForecastReport",
     "StepTimeMonitor",

@@ -166,28 +166,24 @@ class CheckpointRing:
     """Fixed-capacity ring of model snapshots (oldest evicted first).
 
     With a *store* (a :class:`repro.persist.RunStore`), the ring doubles
-    as the durable-persistence trigger: every *spill_every*-th in-memory
-    snapshot is also written to disk as a checksummed, atomically
-    published snapshot, so the rollback cadence and the crash-restart
-    cadence of ``repro resume`` share one policy.  Disk failures during
-    the spill raise :class:`~repro.errors.PersistError`; the in-memory
-    snapshot is kept either way, so rollback keeps working on a full disk.
+    as the durable-persistence trigger: every in-memory snapshot is also
+    written to disk as a checksummed, atomically published snapshot, so
+    the rollback cadence and the crash-restart cadence of ``repro
+    resume`` are one policy.  Disk failures during the spill raise
+    :class:`~repro.errors.PersistError`; the in-memory snapshot is kept
+    either way, so rollback keeps working on a full disk.
     """
 
     def __init__(
         self,
         capacity: int = 4,
         store=None,
-        spill_every: int = 1,
         checksums: bool = False,
     ) -> None:
         if capacity < 1:
             raise ReproError("checkpoint ring capacity must be >= 1")
-        if spill_every < 1:
-            raise ReproError("checkpoint spill cadence must be >= 1")
         self._ring: deque[Checkpoint] = deque(maxlen=capacity)
         self.store = store
-        self.spill_every = spill_every
         self.checksums = checksums
         self.taken = 0
         self.spilled = 0
@@ -227,6 +223,11 @@ class CheckpointRing:
         """Drop all snapshots (after a degradation changed the grid)."""
         self._ring.clear()
 
+    def hold(self, ckpt: Checkpoint) -> None:
+        """Hold *ckpt*, one already on disk (the snapshot a resume
+        restored), as the newest entry without spilling it again."""
+        self._ring.append(ckpt)
+
     def snapshot(self, model, validate: bool = True) -> Checkpoint:
         """Archive the model's current state; returns the checkpoint.
 
@@ -237,7 +238,7 @@ class CheckpointRing:
         ckpt = capture_model(model, digest=self.checksums, finite=validate)
         self._ring.append(ckpt)
         self.taken += 1
-        if self.store is not None and (self.taken - 1) % self.spill_every == 0:
+        if self.store is not None:
             try:
                 self.store.save_snapshot(model)
             except PersistError:

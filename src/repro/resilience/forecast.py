@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro import guards
 from repro.core.config import SimulationConfig
-from repro.core.model import CompositeMonitor, RTiModel
+from repro.core.model import RTiModel
 from repro.obs.log import get_logger
 from repro.obs.physics import (
     DivergenceSentinel,
@@ -66,8 +66,10 @@ def run_resilient_forecast(
     post-processing (damage assessment, gauges).
 
     *store* (a :class:`repro.persist.RunStore`) makes the run durable:
-    the checkpoint ring spills every snapshot to disk, and every
-    recovery/degradation action is journaled write-ahead.
+    the checkpoint ring spills every snapshot to disk, every
+    recovery/degradation action is journaled write-ahead, and
+    SIGTERM/SIGINT capture a final snapshot and journal ``interrupted``
+    before unwinding with :class:`KeyboardInterrupt`.
 
     *physics_every* arms the in-situ physics sampler + divergence
     sentinel (:mod:`repro.obs.physics`) on that step cadence (0 turns
@@ -123,7 +125,6 @@ def run_resilient_forecast(
         monitors.append(
             IntegrityMonitor(every=integrity_every, tracker=tracker)
         )
-    monitor = health if len(monitors) == 1 else CompositeMonitor(monitors)
     ring = CheckpointRing(store=store, checksums=integrity_every > 0)
     scrubber = (
         CheckpointScrubber(ring, store=store, tracker=tracker)
@@ -137,7 +138,7 @@ def run_resilient_forecast(
     engine = RecoveryEngine(
         model,
         horizon_s,
-        monitor=monitor,
+        monitor=monitors,
         ring=ring,
         supervisor=supervisor,
         clock=clock,
@@ -172,13 +173,8 @@ def run_resilient_forecast(
         for ev in engine.recoveries
         if ev.kind in ("rollback", "quarantine_rollback")
     )
-    degraded = (
-        engine.aborted
-        or (supervisor is not None and supervisor.degraded)
-        or final.time < horizon_s - 1e-9
-    )
     report = ForecastReport(
-        status="degraded" if degraded else "complete",
+        status="complete" if engine.completed else "degraded",
         horizon_s=horizon_s,
         achieved_s=final.time,
         deadline_s=deadline_s,

@@ -1,39 +1,42 @@
-"""Recovery engine: checkpoint/rollback, retry, and degradation drive.
+"""Recovery engine: the one single-process loop that guards a run.
 
-:class:`RecoveryEngine` owns the resilient time-integration loop of one
-forecast.  Around every model step it:
+:class:`RecoveryEngine` is the only loop that checkpoints.  Every guarded
+single-process run goes through it: ``repro forecast --deadline/--faults``
+(:func:`~repro.resilience.forecast.run_resilient_forecast`), the persistent
+``repro forecast --rundir`` / ``repro resume``
+(:mod:`repro.persist.runner`) and the survivable runtime's single-process
+breaker.  A bare run without any of that is :meth:`RTiModel.run` — step,
+then monitor.  Around every model step the engine:
 
 * prices the step on the simulated clock and lets the deadline
   supervisor order graceful degradations (drop the finest nest level,
   coarsen the output cadence, finish early);
-* maintains the checkpoint ring on a cadence, refusing to archive
-  corrupted state;
+* snapshots into the checkpoint ring before step *k* when
+  ``k % checkpoint_every == 0`` (the absolute step count, so a resumed
+  run keeps its alignment) and at once after a level drop emptied the
+  ring, refusing to archive corrupted state; a ring with a store spills
+  every snapshot to disk;
+* with a store, captures SIGTERM/SIGINT: one final disk snapshot, an
+  ``interrupted`` journal event, then :class:`KeyboardInterrupt`;
 * injects the fault plan's scheduled NaN corruptions (chaos testing);
-* runs the health monitor and, on :class:`~repro.errors.NumericalError`,
+* runs the monitors and, on :class:`~repro.errors.NumericalError`,
   rolls back to the last good checkpoint — halving the time step when
   the same checkpoint keeps blowing up (the classic stiff-case
-  response), and giving up into an explicitly degraded partial forecast
-  after ``max_rollbacks``.
+  response, down to a floor of an eighth of the initial dt), and giving
+  up into an explicitly degraded partial forecast after
+  ``max_rollbacks``.
 
-The communication-side recovery — retry with exponential backoff on
-timed-out simulated MPI, then a single-process fallback — lives in
-:func:`resilient_run_distributed`.
+Distributed runs recover in flight instead:
+:func:`repro.resilience.survive.survivable_run_distributed`.
 """
 
 from __future__ import annotations
 
 import math
-import random
-import time
 from dataclasses import dataclass, replace
 
-from repro.core.model import RTiModel
-from repro.errors import (
-    CommunicationError,
-    IntegrityError,
-    NumericalError,
-    RetryExhaustedError,
-)
+from repro.core.model import CompositeMonitor, RTiModel
+from repro.errors import IntegrityError, NumericalError
 from repro.grid.hierarchy import NestedGrid
 from repro.obs.log import get_logger
 from repro.obs.trace import get_tracer, instant
@@ -54,7 +57,7 @@ class RecoveryEvent:
     """One recovery action taken by the engine."""
 
     step: int
-    kind: str  # rollback | dt_halved | recovery_abort | comm_retry | fallback_single_process
+    kind: str  # rollback | dt_halved | recovery_abort | fallback_single_process | ...
     detail: str
     rank: int | None = None
 
@@ -95,13 +98,16 @@ class RecoveryEngine:
         Simulated physical time to integrate to.
     monitor, ring, supervisor, clock, fault_plan:
         Collaborators; all optional except the ring (created on demand).
+        *monitor* may be a list of monitors (one
+        :class:`~repro.core.model.CompositeMonitor`).  A ring with a
+        store makes the run durable: every snapshot spills to disk and
+        the loop captures SIGTERM/SIGINT.
     checkpoint_every:
-        Snapshot cadence [steps].
+        Snapshot cadence [steps], on the absolute step count.
     max_rollbacks:
         Rollback budget before the engine gives up into a partial,
-        explicitly degraded forecast.
-    dt_min:
-        Floor for timestep halving (default: dt/8).
+        explicitly degraded forecast (0: the first unusable state ends
+        the run).
     min_levels:
         Degradation floor for ``drop_level``.
     max_output_every:
@@ -128,7 +134,6 @@ class RecoveryEngine:
         fault_plan: FaultPlan | None = None,
         checkpoint_every: int = 20,
         max_rollbacks: int = 6,
-        dt_min: float | None = None,
         min_levels: int = 1,
         max_output_every: int = 8,
         journal=None,
@@ -142,6 +147,8 @@ class RecoveryEngine:
             raise NumericalError("checkpoint cadence must be >= 1")
         self.model = model
         self.horizon_s = float(horizon_s)
+        if isinstance(monitor, (list, tuple)):
+            monitor = CompositeMonitor(monitor)
         self.monitor = monitor
         # `ring or ...` would discard an empty caller ring (len == 0 is
         # falsy), silently breaking the report's checkpoint counters.
@@ -151,9 +158,8 @@ class RecoveryEngine:
         self.fault_plan = fault_plan
         self.checkpoint_every = checkpoint_every
         self.max_rollbacks = max_rollbacks
-        self.dt_min = (
-            model.config.dt / 8.0 if dt_min is None else float(dt_min)
-        )
+        #: Floor for timestep halving.
+        self._dt_floor = model.config.dt / 8.0
         self.min_levels = min_levels
         self.max_output_every = max_output_every
 
@@ -168,7 +174,8 @@ class RecoveryEngine:
         self.scrub_every = scrub_every
         self._rollbacks = 0
         self._last_rollback_step: int | None = None
-        self._last_ckpt_step: int | None = None
+        #: A level drop emptied the ring: snapshot before the next step.
+        self._snapshot_now = False
         self._last_scrub_step: int | None = None
 
     # -- helpers ---------------------------------------------------------
@@ -178,12 +185,12 @@ class RecoveryEngine:
         return self.supervisor.events if self.supervisor else []
 
     def _steps_left(self) -> int:
+        # Rounded: the clock is a running float sum that drifts off the
+        # step grid over a long run, and a horizon of n whole steps must
+        # still end at exactly step n.
         return max(
             0,
-            math.ceil(
-                (self.horizon_s - self.model.time) / self.model.config.dt
-                - 1e-9
-            ),
+            round((self.horizon_s - self.model.time) / self.model.config.dt),
         )
 
     def _record(self, kind: str, detail: str) -> None:
@@ -305,10 +312,10 @@ class RecoveryEngine:
         # stiff — dt halving is reserved for genuine numerical blow-ups.
         if repeat and not quarantine:
             new_dt = self.model.config.dt / 2.0
-            if new_dt < self.dt_min:
+            if new_dt < self._dt_floor:
                 self._record(
                     "recovery_abort",
-                    f"dt floor {self.dt_min:g}s reached while still "
+                    f"dt floor {self._dt_floor:g}s reached while still "
                     f"unstable",
                 )
                 self.aborted = True
@@ -334,7 +341,7 @@ class RecoveryEngine:
             dropped = model.grid.levels[-1]
             self.model = drop_finest_level(model)
             self.ring.clear()
-            self._last_ckpt_step = None
+            self._snapshot_now = True
             if self.monitor is not None and hasattr(
                 self.monitor, "reset_baseline"
             ):
@@ -459,16 +466,47 @@ class RecoveryEngine:
     def run(self) -> RTiModel:
         """Integrate to the horizon (or a degraded stop); returns the model.
 
+        With a ring that spills to a store, SIGTERM/SIGINT capture one
+        final disk snapshot of the current model, journal
+        ``interrupted`` and unwind with :class:`KeyboardInterrupt`
+        (:func:`repro.persist.signals.interrupt_guard`), so the run
+        stays resumable.
+
         Guaranteed to terminate: the iteration count is hard-capped well
         above any legitimate run length, and hitting the cap aborts into
         a degraded forecast rather than hanging.
         """
-        model = self.model
-        max_iters = 20 * math.ceil(self.horizon_s / self.dt_min) + 1000
-        iters = 0
-        while (
-            self.model.time < self.horizon_s - 1e-9 and not self.aborted
+        store = self.ring.store
+        if store is None:
+            return self._loop()
+        from repro.persist.signals import interrupt_guard
+
+        with interrupt_guard(
+            snapshot_fn=lambda: store.save_snapshot(self.model),
+            journal_fn=lambda sig, ok: store.record_event(
+                "interrupted",
+                signal=sig,
+                step=self.model.step_count,
+                time=self.model.time,
+                snapshotted=ok,
+            ),
         ):
+            return self._loop()
+
+    def _snapshot_due(self, step: int) -> bool:
+        if self._snapshot_now:
+            return True
+        latest = self.ring.latest
+        # Not again at a step the ring already holds (after a rollback).
+        return step % self.checkpoint_every == 0 and (
+            latest is None or latest.step != step
+        )
+
+    def _loop(self) -> RTiModel:
+        model = self.model
+        max_iters = 20 * math.ceil(self.horizon_s / self._dt_floor) + 1000
+        iters = 0
+        while self._steps_left() > 0 and not self.aborted:
             model = self.model
             iters += 1
             if iters > max_iters:
@@ -494,13 +532,10 @@ class RecoveryEngine:
                     if not self._degrade(cost_s):
                         break  # finish_early
                     continue  # re-project with the degraded model
-            if (
-                self._last_ckpt_step is None
-                or step - self._last_ckpt_step >= self.checkpoint_every
-            ):
+            if self._snapshot_due(step):
                 try:
                     self.ring.snapshot(model)
-                    self._last_ckpt_step = step
+                    self._snapshot_now = False
                 except NumericalError as exc:
                     self._rollback(exc)
                     continue
@@ -525,151 +560,6 @@ class RecoveryEngine:
         """Did the run reach the full horizon at full fidelity?"""
         return (
             not self.aborted
-            and self.model.time >= self.horizon_s - 1e-9
+            and self._steps_left() == 0
             and not (self.supervisor and self.supervisor.degraded)
         )
-
-
-def retry_with_backoff(
-    fn,
-    attempts: int = 3,
-    backoff_s: float = 0.05,
-    retry_on=(CommunicationError,),
-    on_retry=None,
-    jitter: bool = True,
-    max_elapsed_s: float | None = None,
-    rng=None,
-):
-    """Call *fn()* with exponential backoff on the given exceptions.
-
-    Returns *fn*'s value; re-raises the last exception once *attempts*
-    are exhausted or *max_elapsed_s* of wall clock (calls plus sleeps)
-    has been spent.  *on_retry(attempt, exc)* observes each failure.
-
-    With *jitter* (the default) each sleep is drawn uniformly from
-    ``[0, backoff_s * 2**attempt]`` — AWS-style "full jitter".  Every
-    rank of a distributed run retries after the same fault at the same
-    moment; deterministic backoff keeps them aligned so each retry storm
-    hits the transport as one spike.  Full jitter decorrelates them
-    while never sleeping longer than the deterministic schedule.  Pass a
-    seeded ``random.Random`` as *rng* for reproducible jitter.
-
-    *max_elapsed_s* bounds the total time the retry loop may consume —
-    the deadline-aware guard: a forecaster that can spend at most N
-    seconds recovering must not let exponential backoff eat the whole
-    deadline.  Sleeps are truncated to the remaining budget and no new
-    attempt starts once the budget is spent.
-    """
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
-    draw = rng.uniform if rng is not None else random.uniform
-    start = time.monotonic()
-    last: BaseException | None = None
-    calls = 0
-    for attempt in range(attempts):
-        if (
-            attempt > 0
-            and max_elapsed_s is not None
-            and time.monotonic() - start >= max_elapsed_s
-        ):
-            break
-        try:
-            calls += 1
-            return fn()
-        except retry_on as exc:  # noqa: PERF203 - retry loop
-            last = exc
-            if on_retry is not None:
-                on_retry(attempt, exc)
-            if attempt < attempts - 1:
-                delay = backoff_s * (2**attempt)
-                if jitter:
-                    delay = draw(0.0, delay)
-                if max_elapsed_s is not None:
-                    budget_left = max_elapsed_s - (
-                        time.monotonic() - start
-                    )
-                    delay = min(delay, max(0.0, budget_left))
-                time.sleep(delay)
-    elapsed = time.monotonic() - start
-    raise RetryExhaustedError(
-        f"gave up after {calls} attempt(s) in {elapsed:.3f}s: {last}",
-        attempts=calls,
-        elapsed_s=elapsed,
-    ) from last
-
-
-def resilient_run_distributed(
-    grid,
-    bathymetry,
-    config,
-    decomp,
-    source,
-    n_steps: int,
-    *,
-    fault_plan: FaultPlan | None = None,
-    attempts: int = 3,
-    backoff_s: float = 0.05,
-    comm_timeout: float = 2.0,
-    timeout: float = 300.0,
-):
-    """Distributed run that survives transport faults.
-
-    Retries :func:`repro.par.driver.run_distributed` with exponential
-    backoff on any :class:`~repro.errors.CommunicationError` (timeouts
-    from dropped messages, injected rank crashes, broken barriers).
-    One-shot faults are consumed by the plan on first trigger, so a
-    retry after a transient fault succeeds.  If every attempt fails, the
-    run falls back to the single-process model — bitwise-identical
-    physics, no transport to fail — so a result is always produced.
-
-    Returns ``(eta_by_block, recovery_events)``.
-    """
-    from repro.par.driver import run_distributed
-
-    events: list[RecoveryEvent] = []
-
-    def _note(attempt: int, exc: BaseException) -> None:
-        events.append(
-            RecoveryEvent(
-                step=-1,
-                kind="comm_retry",
-                detail=f"attempt {attempt + 1}/{attempts} failed: {exc}",
-                rank=getattr(exc, "failed_rank", None),
-            )
-        )
-
-    try:
-        out = retry_with_backoff(
-            lambda: run_distributed(
-                grid,
-                bathymetry,
-                config,
-                decomp,
-                source,
-                n_steps,
-                timeout=timeout,
-                comm_timeout=comm_timeout,
-                fault_plan=fault_plan,
-            ),
-            attempts=attempts,
-            backoff_s=backoff_s,
-            on_retry=_note,
-        )
-        return out, events
-    except RetryExhaustedError as exc:
-        events.append(
-            RecoveryEvent(
-                step=-1,
-                kind="fallback_single_process",
-                detail=f"all {exc.attempts} distributed attempts failed "
-                f"in {exc.elapsed_s:.3f}s ({exc.__cause__}); "
-                "re-running single-process",
-                rank=getattr(exc.__cause__, "failed_rank", None),
-            )
-        )
-    model = RTiModel(grid, bathymetry, config)
-    if source is not None:
-        model.set_initial_condition(source)
-    model.run(n_steps)
-    out = {bid: st.eta_interior().copy() for bid, st in model.states.items()}
-    return out, events

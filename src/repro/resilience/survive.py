@@ -2,9 +2,8 @@
 
 The operational premise of the paper is a *deadline*: a multi-hour
 tsunami forecast must finish in ~82 s, so losing one rank late in the
-run must not mean restarting from t=0.  This module upgrades the
-distributed driver from "retry the whole run" to ULFM-style in-flight
-recovery:
+run must not mean restarting from t=0.  This module is the distributed
+runtime's one recovery path, ULFM-style and in flight:
 
 1. **Revoke -> agree** — when a rank dies (or a message is lost), the
    first survivor to notice revokes the communicator
@@ -33,9 +32,12 @@ recovery:
    budget and a consecutive-loss circuit breaker bound the speculation.
 5. **Circuit breaker** — after ``max_rank_failures`` recovery rounds the
    orchestrator stops respawning/shrinking and completes single-process
-   from the latest consistent checkpoint, handing a deadline (when one
-   is configured) to the existing degradation ladder
-   (:class:`~repro.resilience.recovery.RecoveryEngine`).
+   from the latest consistent checkpoint through the one guarded
+   single-process loop, :class:`~repro.resilience.recovery.RecoveryEngine`
+   (its ring, rollback and — when a deadline is configured — its
+   degradation ladder).  A dropped message with no dead rank is an
+   *epoch retry*: a relaunch at the same width from the latest
+   consistent epoch, never a rerun from t=0.
 
 Bitwise contract: the distributed step is bitwise identical to the
 single-process model for *any* whole-block decomposition, and a buddy
@@ -74,6 +76,8 @@ from repro.par.decomposition import Decomposition
 from repro.par.driver import _RankRuntime
 from repro.persist.journal import EVENT_RANK_FAILURE, EVENT_RECOVERY_EPOCH
 from repro.resilience.checkpoint import Checkpoint
+from repro.resilience.clock import SimulatedClock
+from repro.resilience.deadline import DeadlineSupervisor
 from repro.resilience.faultplan import FaultPlan
 from repro.resilience.health import StepTimeMonitor
 from repro.resilience.inject import (
@@ -81,7 +85,7 @@ from repro.resilience.inject import (
     RankCrashError,
     maybe_crash_at_step,
 )
-from repro.resilience.recovery import RecoveryEvent
+from repro.resilience.recovery import RecoveryEngine, RecoveryEvent
 
 _LOG = get_logger("resilience")
 
@@ -898,11 +902,11 @@ def _breaker_fallback(
 ) -> tuple[dict[int, np.ndarray], SurvivalReport]:
     """Complete the forecast single-process from the latest checkpoint.
 
-    The end of the recovery ladder: no more respawns or shrinks.  With a
-    deadline configured the remaining integration is driven by the
-    existing :class:`~repro.resilience.recovery.RecoveryEngine` so the
-    degradation ladder (drop finest level, coarsen output, finish early)
-    can still save the forecast product.
+    The end of the recovery ladder: no more respawns or shrinks.  The
+    remaining integration is the one guarded loop,
+    :class:`~repro.resilience.recovery.RecoveryEngine`; with a deadline
+    configured its degradation ladder (drop finest level, coarsen
+    output, finish early) can still save the forecast product.
     """
     report.breaker_tripped = True
     report.completed_via = "single_process"
@@ -931,26 +935,21 @@ def _breaker_fallback(
         model.set_initial_condition(source)
     if restore is not None:
         restore.restore(model)
-    else:
-        start_step = 0
 
+    supervisor = clock = None
     if scfg.deadline_s is not None:
-        from repro.resilience.clock import SimulatedClock
-        from repro.resilience.deadline import DeadlineSupervisor
-        from repro.resilience.recovery import RecoveryEngine
-
-        engine = RecoveryEngine(
-            model,
-            n_steps * config.dt,
-            supervisor=DeadlineSupervisor(scfg.deadline_s),
-            clock=SimulatedClock(platform="squid-gpu"),
-            checkpoint_every=scfg.checkpoint_every,
-        )
-        model = engine.run()
-        report.degradations = list(engine.degradations)
-        report.events.extend(engine.recoveries)
-    else:
-        model.run(n_steps - start_step)
+        supervisor = DeadlineSupervisor(scfg.deadline_s)
+        clock = SimulatedClock(platform="squid-gpu")
+    engine = RecoveryEngine(
+        model,
+        n_steps * config.dt,
+        supervisor=supervisor,
+        clock=clock,
+        checkpoint_every=scfg.checkpoint_every,
+    )
+    model = engine.run()
+    report.degradations = list(engine.degradations)
+    report.events.extend(engine.recoveries)
     eta = {
         bid: st.eta_interior().copy() for bid, st in model.states.items()
     }

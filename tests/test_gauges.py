@@ -34,8 +34,8 @@ class TestRecording:
         model.set_initial_condition(
             GaussianSource(x0=800.0, y0=800.0, amplitude=0.5, sigma=300.0)
         )
-        rec = GaugeRecorder(model, [("center", 800.0, 800.0)])
-        rec.run_and_record(20, every=2)
+        rec = GaugeRecorder(model, [("center", 800.0, 800.0)], every=2)
+        model.run(20, monitor=rec)
         t, eta = rec.gauges[0].series()
         assert len(t) == 10
         assert np.all(np.diff(t) > 0)
@@ -49,7 +49,7 @@ class TestRecording:
         rec = GaugeRecorder(
             model, [("near", 2_000.0, 2_000.0), ("far", 3_900.0, 3_900.0)]
         )
-        rec.run_and_record(120)
+        model.run(120, monitor=rec)
         near, far = rec.gauges
         assert near.max_eta > 0.5  # sits on the source
         assert far.max_eta > 0.01  # the wave arrived
@@ -60,9 +60,8 @@ class TestRecording:
 
     def test_sampling_interval_validated(self):
         model = single_block_model(8, 8, 100.0, FlatBathymetry(10.0))
-        rec = GaugeRecorder(model, [("g", 400.0, 400.0)])
         with pytest.raises(ConfigurationError):
-            rec.run_and_record(5, every=0)
+            GaugeRecorder(model, [("g", 400.0, 400.0)], every=0)
 
     def test_summary_format(self):
         model = single_block_model(8, 8, 100.0, FlatBathymetry(10.0))

@@ -344,7 +344,7 @@ class TestScrubber:
         store = RunStore(tmp_path / "run")
         model = make_model(4)
         ring = CheckpointRing(
-            capacity=2, store=store, spill_every=1, checksums=True
+            capacity=2, store=store, checksums=True
         )
         ckpt = ring.snapshot(model)
         flip_bit(ckpt.states[1][4], 23)  # n0 buffer of block 1
@@ -360,7 +360,7 @@ class TestScrubber:
         store = RunStore(tmp_path / "run")
         model = make_model(4)
         ring = CheckpointRing(
-            capacity=2, store=store, spill_every=1, checksums=True
+            capacity=2, store=store, checksums=True
         )
         ring.snapshot(model)
         snapdir = store.snapshot_paths()[0]

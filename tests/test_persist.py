@@ -284,19 +284,19 @@ class TestRunStore:
 
 class TestCheckpointRingSpill:
     def test_ring_spills_on_cadence(self, tmp_path):
+        # The spill cadence is the ring's: every snapshot spills.
         store = RunStore(tmp_path / "run")
-        ring = CheckpointRing(capacity=4, store=store, spill_every=2)
+        ring = CheckpointRing(capacity=4, store=store)
         model = tiny_model()
         for _ in range(4):
             model.run(3)
             ring.snapshot(model)
-        assert ring.taken == 4
-        assert ring.spilled == 2
+        assert ring.taken == ring.spilled == 4
         steps = [
             json.loads((p / "manifest.json").read_text())["step"]
             for p in store.snapshot_paths()
         ]
-        assert steps == [3, 9]
+        assert steps == [3, 6, 9, 12]
 
     def test_ring_without_store_never_spills(self, tmp_path):
         ring = CheckpointRing(capacity=2)
@@ -306,7 +306,7 @@ class TestCheckpointRingSpill:
 
     def test_spill_failure_raises_persist_error(self, tmp_path):
         store = RunStore(tmp_path / "run")
-        ring = CheckpointRing(capacity=2, store=store, spill_every=1)
+        ring = CheckpointRing(capacity=2, store=store)
         model = tiny_model(n_steps=2)
         store.snapshots_dir.rmdir()
         store.snapshots_dir.write_text("")  # a file where a dir must be

@@ -24,14 +24,12 @@ from repro.errors import (
     NumericalError,
     PlatformError,
     ReproError,
-    RetryExhaustedError,
 )
 from repro.fault import GaussianSource
 from repro.grid.block import Block
 from repro.grid.hierarchy import NestedGrid
 from repro.grid.level import GridLevel
 from repro.par.comm import run_ranks
-from repro.par.decomposition import equal_cell_assignment
 from repro.resilience import (
     CheckpointRing,
     DeadlineSupervisor,
@@ -43,8 +41,6 @@ from repro.resilience import (
     corrupt_state,
     drop_finest_level,
     nonfinite_blocks,
-    resilient_run_distributed,
-    retry_with_backoff,
     run_resilient_forecast,
 )
 from repro.validation import FlatBathymetry
@@ -228,70 +224,6 @@ class TestFaultyCommInjection:
         err = RankCrashError("dead", failed_rank=3)
         assert err.failed_rank == 3
         assert isinstance(err, CommunicationError)
-
-
-class TestResilientDistributed:
-    def setup_case(self):
-        grid = flat_grid()
-        bathy = FlatBathymetry(50.0)
-        cfg = SimulationConfig(dt=1.0, boundary="wall")
-        decomp = equal_cell_assignment(grid, 2, split_blocks=False)
-        return grid, bathy, cfg, decomp
-
-    def reference(self, grid, bathy, cfg, n_steps):
-        model = RTiModel(grid, bathy, cfg)
-        model.set_initial_condition(source())
-        model.run(n_steps)
-        return {
-            bid: st.eta_interior().copy()
-            for bid, st in model.states.items()
-        }
-
-    def test_transient_crash_retried_and_identical(self):
-        grid, bathy, cfg, decomp = self.setup_case()
-        plan = FaultPlan([FaultSpec(kind="rank_crash", rank=0, op=2)])
-        out, events = resilient_run_distributed(
-            grid, bathy, cfg, decomp, source(), 10,
-            fault_plan=plan, comm_timeout=1.0, backoff_s=0.01,
-        )
-        ref = self.reference(grid, bathy, cfg, 10)
-        assert out.keys() == ref.keys()
-        for bid in ref:
-            assert np.array_equal(out[bid], ref[bid])
-        assert any(ev.kind == "comm_retry" for ev in events)
-        assert any(ev.rank == 0 for ev in events)
-
-    def test_persistent_failure_falls_back_single_process(self):
-        grid, bathy, cfg, decomp = self.setup_case()
-        plan = FaultPlan(
-            [FaultSpec(kind="rank_crash", rank=0, op=0) for _ in range(2)]
-        )
-        out, events = resilient_run_distributed(
-            grid, bathy, cfg, decomp, source(), 10,
-            fault_plan=plan, attempts=2, comm_timeout=1.0, backoff_s=0.01,
-        )
-        ref = self.reference(grid, bathy, cfg, 10)
-        for bid in ref:
-            assert np.array_equal(out[bid], ref[bid])
-        kinds = [ev.kind for ev in events]
-        assert kinds.count("comm_retry") == 2  # one per failed attempt
-        assert kinds[-1] == "fallback_single_process"
-
-    def test_retry_with_backoff_exhausts(self):
-        calls = []
-
-        def boom():
-            calls.append(1)
-            raise CommunicationError("always")
-
-        with pytest.raises(RetryExhaustedError) as exc_info:
-            retry_with_backoff(boom, attempts=3, backoff_s=0.001)
-        assert len(calls) == 3
-        # The exhaustion error says how much was tried and chains the
-        # last underlying failure.
-        assert exc_info.value.attempts == 3
-        assert exc_info.value.elapsed_s >= 0.0
-        assert isinstance(exc_info.value.__cause__, CommunicationError)
 
 
 class TestCheckpointRing:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import RTiModel
-from repro.errors import PersistError
+from repro.errors import NumericalError, PersistError
 from repro.persist import (
     JOURNAL_VERSION,
     SCHEMA_VERSION,
@@ -26,6 +26,12 @@ from repro.persist import (
     grid_fingerprint,
     resume_run,
     start_run,
+)
+from repro.resilience import (
+    CheckpointRing,
+    FaultSpec,
+    RecoveryEngine,
+    corrupt_state,
 )
 from tests.test_persist import (
     assert_models_bitwise_equal,
@@ -58,7 +64,7 @@ def run_until_killed(rundir, kill_at_step: int) -> RunStore:
     """Start SPEC persistently and SIGTERM our own process mid-run.
 
     Mirrors :func:`repro.persist.runner.start_run` exactly, but injects
-    the kill from the step callback; the installed interrupt guard
+    the kill from the step monitor; the installed interrupt guard
     captures a final snapshot, journals the interruption, and unwinds
     with :class:`KeyboardInterrupt` — the same crash surface a real
     ``kill <pid>`` produces.
@@ -79,19 +85,22 @@ def run_until_killed(rundir, kill_at_step: int) -> RunStore:
     )
     streamer = ProductStreamer(store, model)
 
-    def kill_switch(m):
-        streamer.after_step(m)
-        if m.step_count == kill_at_step:
-            os.kill(os.getpid(), signal.SIGTERM)
+    class KillSwitch:
+        def after_step(self, m):
+            streamer.after_step(m)
+            if m.step_count == kill_at_step:
+                os.kill(os.getpid(), signal.SIGTERM)
 
     with pytest.raises(KeyboardInterrupt):
-        model.run(
-            built.n_steps,
-            callback=kill_switch,
-            callback_every=1,
-            store=store,
+        RecoveryEngine(
+            model,
+            built.n_steps * built.config.dt,
+            monitor=KillSwitch(),
+            ring=CheckpointRing(store=store),
             checkpoint_every=CHECKPOINT_EVERY,
-        )
+            max_rollbacks=0,
+            journal=store.record_event,
+        ).run()
     return store
 
 
@@ -110,7 +119,7 @@ def reference_run() -> tuple[RTiModel, list[str]]:
 
     sink = _Sink()
     streamer = ProductStreamer(sink.store, model)
-    model.run(built.n_steps, callback=streamer.after_step, callback_every=1)
+    model.run(built.n_steps, monitor=streamer)
     lines = streamer.gauge_path.read_text().splitlines()
     return model, lines
 
@@ -257,3 +266,136 @@ class TestResumeCli:
         assert args.rundir == "d"
         assert args.resume is True
         assert args.checkpoint_every == 7
+
+
+def snapshot_steps(store: RunStore) -> list[int]:
+    return [
+        json.loads((p / "manifest.json").read_text())["step"]
+        for p in store.snapshot_paths()
+    ]
+
+
+def poison_streamer_at(monkeypatch, step: int) -> None:
+    """Make the persistent run's monitor, the product streamer, turn the
+    state of every block non-finite right after *step* (a parent cell
+    under a child would be overwritten by the child's restriction)."""
+    real = ProductStreamer.after_step
+
+    def poisoned(self, model):
+        real(self, model)
+        if model.step_count == step:
+            for bid in model.states:
+                corrupt_state(
+                    model.states, FaultSpec(kind="nan", step=step, block=bid)
+                )
+
+    monkeypatch.setattr(ProductStreamer, "after_step", poisoned)
+
+
+class TestOneGuardedLoop:
+    """Persistent and resilient runs share RecoveryEngine's loop: its
+    absolute snapshot cadence, its signal capture and its refusal to
+    archive non-finite state."""
+
+    def test_fresh_run_snapshots_only_at_multiples(self, tmp_path):
+        start_run(tmp_path / "run", SPEC, checkpoint_every=5)
+        store = RunStore(tmp_path / "run", create=False)
+        assert snapshot_steps(store) == [0, 5, 10, 15, 20, 25]
+
+    def test_resumed_run_keeps_the_alignment(self, tmp_path):
+        store = run_until_killed(tmp_path / "run", kill_at_step=17)
+        assert snapshot_steps(store) == [0, 5, 10, 15, 17]  # 17: the signal
+        resume_run(tmp_path / "run")
+        assert snapshot_steps(store) == [0, 5, 10, 15, 17, 20, 25]
+        # Resumed at a multiple of the cadence: that step is on disk
+        # already and is not written again.
+        store = run_until_killed(tmp_path / "at15", kill_at_step=15)
+        assert snapshot_steps(store) == [0, 5, 10, 15]
+        resume_run(tmp_path / "at15")
+        assert snapshot_steps(store) == [0, 5, 10, 15, 20, 25]
+
+    def test_a_drifted_clock_ends_on_the_step_count(self):
+        # The clock is a running sum of dt: 36,000 steps of 0.1 s end
+        # ~2e-9 s short of 3,600 s, 216,000 ~3e-8 s short of 21,600 s.
+        # A horizon of n steps must still end at step n, not n + 1.
+        model = tiny_model()
+        model.step_count, model.time = 100, 100.0 - 5e-8
+        engine = RecoveryEngine(model, 105.0)
+        assert engine.run().step_count == 105
+        assert engine.completed
+
+    def test_nonfinite_state_publishes_nothing(self, tmp_path, monkeypatch):
+        poison_streamer_at(monkeypatch, 12)
+        with pytest.raises(NumericalError, match="non-finite"):
+            start_run(tmp_path / "run", SPEC, checkpoint_every=5)
+        store = RunStore(tmp_path / "run", create=False)
+        assert store.status() == "incomplete"
+        assert snapshot_steps(store) == [0, 5, 10]
+
+    def test_cli_reports_a_nonfinite_run_in_one_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        poison_streamer_at(monkeypatch, 3)
+        code = main([
+            "forecast", "--rundir", str(tmp_path / "run"),
+            "--minutes", "0.05", "--checkpoint-every", "5",
+        ])
+        out = capsys.readouterr().out
+        assert code == 1
+        errors = [ln for ln in out.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "non-finite" in errors[0]
+        assert "run complete" not in out
+
+    def test_cli_reports_an_interrupted_resilient_run_in_one_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.resilience as resilience
+
+        def interrupted(*_args, **_kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(resilience, "run_resilient_forecast", interrupted)
+        code = main([
+            "forecast", "--rundir", str(tmp_path / "run"),
+            "--deadline", "30", "--minutes", "0.05",
+        ])
+        assert code == 130
+        assert capsys.readouterr().out.splitlines()[-1] == "interrupted"
+
+    def test_sigterm_during_resilient_forecast_is_journaled(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.resilience.forecast as forecast_mod
+        from repro.resilience import HealthMonitor, run_resilient_forecast
+
+        class KillSwitch(HealthMonitor):
+            def after_step(self, model):
+                super().after_step(model)
+                if model.step_count == 7:
+                    os.kill(os.getpid(), signal.SIGTERM)
+
+        class Unguarded(Exception):
+            pass
+
+        def unguarded(_signum, _frame):
+            raise Unguarded("SIGTERM reached the caller's handler")
+
+        monkeypatch.setattr(forecast_mod, "HealthMonitor", KillSwitch)
+        built = build_scenario(SPEC)
+        store = RunStore(tmp_path / "run")
+        # Without the engine's guard the signal must fail this test, not
+        # terminate the test process.
+        previous = signal.signal(signal.SIGTERM, unguarded)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_resilient_forecast(
+                    built.grid, built.bathymetry, config=built.config,
+                    source=built.source, horizon_s=20.0, store=store,
+                )
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        interrupted = store.first_event("interrupted")
+        assert interrupted["signal"] == "SIGTERM"
+        assert interrupted["snapshotted"] is True
+        assert interrupted["step"] == 7
+        assert snapshot_steps(store) == [0, 7]

@@ -4,8 +4,8 @@ The tentpole contract: kill a rank mid-run and the distributed forecast
 completes from the latest diskless buddy-checkpoint epoch — not from
 t=0 — via shrink or spare-rank respawn, **bitwise identical** to a
 failure-free run.  Plus the supporting machinery: buddy checkpointing,
-shrink re-decomposition, MAD straggler detection, jittered retry
-backoff, and straggler hedging.
+shrink re-decomposition, MAD straggler detection, and straggler
+hedging.
 """
 
 import numpy as np
@@ -13,10 +13,8 @@ import pytest
 
 from repro.core import RTiModel, SimulationConfig
 from repro.errors import (
-    CommunicationError,
     ConfigurationError,
     DecompositionError,
-    RetryExhaustedError,
 )
 from repro.fault import GaussianSource
 from repro.grid.block import Block
@@ -34,7 +32,7 @@ from repro.persist.journal import (
     EVENT_RECOVERY_EPOCH,
     recovery_epochs,
 )
-from repro.resilience import Checkpoint, FaultPlan, FaultSpec, retry_with_backoff
+from repro.resilience import Checkpoint, FaultPlan, FaultSpec
 from repro.resilience.health import StepTimeMonitor
 from repro.resilience.survive import (
     NeighborCheckpointStore,
@@ -212,81 +210,6 @@ class TestStepTimeMonitor:
         mon = StepTimeMonitor(min_ratio=1.2)
         per = {0: 0.1, 1: 0.1, 2: 0.1, 3: 0.4, 4: 0.9}
         assert mon.stragglers(per) == [4, 3]
-
-
-# -- unit: jittered, budgeted retry backoff ------------------------------
-
-
-class TestRetryBackoff:
-    def _failing(self, n_failures):
-        calls = {"n": 0}
-
-        def fn():
-            calls["n"] += 1
-            if calls["n"] <= n_failures:
-                raise CommunicationError("transient")
-            return "ok"
-
-        return fn, calls
-
-    def test_full_jitter_sleeps_within_exponential_envelope(
-        self, monkeypatch
-    ):
-        import random
-
-        import repro.resilience.recovery as rec
-
-        sleeps = []
-        monkeypatch.setattr(rec.time, "sleep", sleeps.append)
-        fn, _ = self._failing(3)
-        out = retry_with_backoff(
-            fn, attempts=4, backoff_s=0.1, rng=random.Random(7)
-        )
-        assert out == "ok"
-        assert len(sleeps) == 3
-        for i, s in enumerate(sleeps):
-            assert 0.0 <= s <= 0.1 * 2**i
-
-    def test_seeded_rng_reproducible(self, monkeypatch):
-        import random
-
-        import repro.resilience.recovery as rec
-
-        runs = []
-        for _ in range(2):
-            sleeps = []
-            monkeypatch.setattr(rec.time, "sleep", sleeps.append)
-            fn, _ = self._failing(2)
-            retry_with_backoff(
-                fn, attempts=3, backoff_s=0.1, rng=random.Random(42)
-            )
-            runs.append(sleeps)
-        assert runs[0] == runs[1]
-
-    def test_max_elapsed_caps_attempts(self, monkeypatch):
-        import repro.resilience.recovery as rec
-
-        t = {"now": 0.0}
-        monkeypatch.setattr(rec.time, "monotonic", lambda: t["now"])
-
-        def sleep(s):
-            t["now"] += s
-
-        monkeypatch.setattr(rec.time, "sleep", sleep)
-        fn, calls = self._failing(99)
-        with pytest.raises(RetryExhaustedError) as exc_info:
-            retry_with_backoff(
-                fn,
-                attempts=10,
-                backoff_s=0.05,
-                jitter=False,
-                max_elapsed_s=0.12,
-            )
-        # Sleep 0.05, then 0.10 truncated to the remaining 0.07: the
-        # 0.12 s budget is spent after 2 calls, not 10.
-        assert calls["n"] == 2
-        assert exc_info.value.attempts == 2
-        assert isinstance(exc_info.value.__cause__, CommunicationError)
 
 
 # -- integration: the survival paths, all bitwise ------------------------
