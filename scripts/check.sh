@@ -71,6 +71,13 @@ if git grep -nE 'callback_every|run_and_record|resilient_run_distributed|retry_w
     src tests examples
 then echo "== a second run loop or recovery path is back (see above) =="; exit 1; fi
 
+# One home for a multi-rank run: the survivable runtime owns its store,
+# journal, signal guard, replicated checkpoints (in CheckpointRing) and
+# policy; hedging's and the ring's sizes are constants, not knobs.
+if git grep -nE 'NeighborCheckpointStore|store_capacity|hedge_window|hedge_budget|hedge_max_losses|hedge_mad_k|hedge_min_ratio|survivable_complete' -- \
+    src tests examples
+then echo "== a second home for a multi-rank run is back (see above) =="; exit 1; fi
+
 echo "== pytest (tier 1) =="
 if [ "$fast" = 1 ]; then
     PYTHONPATH=src python -m pytest -x -q

@@ -308,9 +308,9 @@ def _cmd_forecast(args) -> int:
 
 def _forecast_distributed(args, mk, source, steps, traced) -> int:
     """``forecast --ranks N``: the survivable distributed runtime."""
-    import numpy as np
-
     from repro.core import SimulationConfig
+    from repro.core.pipeline import make_block_state
+    from repro.core.state import max_wet_eta
     from repro.par.decomposition import equal_cell_assignment
     from repro.resilience import FaultPlan, SurvivalConfig
     from repro.resilience.survive import survivable_run_distributed
@@ -339,17 +339,27 @@ def _forecast_distributed(args, mk, source, steps, traced) -> int:
         hedge_stragglers=args.hedge_stragglers,
         deadline_s=args.deadline,
     )
+    config = SimulationConfig(dt=mk.dt)
     print(f"Integrating {steps} steps ({args.minutes} simulated minutes) "
           f"on {args.ranks} ranks with failure survival...")
-    eta, report = survivable_run_distributed(
-        mk.grid, mk.bathymetry, SimulationConfig(dt=mk.dt), decomp,
-        source, steps, survival=survival, fault_plan=plan, store=store,
-    )
+    try:
+        eta, report = survivable_run_distributed(
+            mk.grid, mk.bathymetry, config, decomp, source, steps,
+            survival=survival, fault_plan=plan, store=store,
+        )
+    except KeyboardInterrupt:
+        print("interrupted")
+        return 130
     if plan is not None and plan.triggered_labels():
         print("faults fired    : " + "; ".join(plan.triggered_labels()))
     print("recovery        : " + report.summary())
-    eta_max = max(float(np.nanmax(a)) for a in eta.values())
-    print(f"max water level : {eta_max:.2f} m (final step, all blocks)")
+    eta_max = max(
+        max_wet_eta(a, make_block_state(
+            mk.grid, mk.bathymetry, config, mk.grid.block(bid)
+        ).depth_interior(), config.dry_threshold)
+        for bid, a in eta.items()
+    )
+    print(f"max water level : {eta_max:.2f} m")
     if traced:
         from repro.obs import get_registry
 

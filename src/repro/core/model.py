@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.config import SimulationConfig
 from repro.core.outputs import OutputAccumulator
-from repro.core.state import BlockState
+from repro.core.state import BlockState, max_wet_eta
 from repro.errors import ConfigurationError
 from repro.fault.scenarios import impose_source
 from repro.grid.hierarchy import NestedGrid
@@ -246,9 +246,10 @@ class RTiModel:
                 continue
             for blk in lvl.blocks:
                 st = self.states[blk.block_id]
-                wet = st.total_depth() > self.config.dry_threshold
-                if wet.any():
-                    out = max(out, float(st.eta_interior()[wet].max()))
+                out = max(out, max_wet_eta(
+                    st.eta_interior(), st.depth_interior(),
+                    self.config.dry_threshold,
+                ))
         return out
 
     def max_speed(self) -> float:

@@ -26,6 +26,13 @@ from repro.grid.staggered import (
 )
 
 
+def max_wet_eta(eta: np.ndarray, depth: np.ndarray, dry_threshold: float) -> float:
+    """Maximum of *eta* over cells whose total depth exceeds
+    *dry_threshold* (``-inf`` if none): on a dry cell eta is the ground."""
+    wet = depth + eta > dry_threshold  # dry_threshold > 0: no clamp needed
+    return float(eta[wet].max()) if wet.any() else -np.inf
+
+
 class BlockState:
     """Prognostic fields (eta, M, N) plus static depth for one block.
 

@@ -632,11 +632,18 @@ def _run_rank_threads(n_ranks, fn, make_comm, timeout):
         threading.Thread(target=_runner, args=(r,), daemon=True)
         for r in range(n_ranks)
     ]
-    for t in threads:
-        t.start()
-    deadline = time.monotonic() + timeout
-    for t in threads:
-        t.join(max(0.0, deadline - time.monotonic()))
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + timeout
+        for t in threads:
+            t.join(max(0.0, deadline - time.monotonic()))
+    except BaseException:
+        # Interrupted (a signal turned into KeyboardInterrupt): revoke on
+        # behalf of no rank, so every rank fails at its next receive or
+        # barrier instead of stepping on until its comm timeout.
+        world.revoke(-1)
+        raise
     alive = [r for r, t in enumerate(threads) if t.is_alive()]
     if alive:
         raise _group_timeout(timeout, alive)

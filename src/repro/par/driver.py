@@ -14,6 +14,14 @@ communication migration relies on, verified in
 
 Each rank allocates only its own blocks' state (the distributed-memory
 point of the exercise); the grid, plan and ownership map are global.
+:class:`_RankRuntime` is one rank's set-up — trace context, allocation,
+initial condition — and its step and gather, for this driver and for
+the survivable runtime alike.
+
+:func:`run_distributed` is launch + step and nothing else.  What a
+persisted multi-rank run writes (journal, final product), its SIGTERM
+capture, fault injection, replicated checkpoints and recovery policy
+all live in :func:`repro.resilience.survive.survivable_run_distributed`.
 
 A rank is a process where it can be and a thread where it must be
 (:func:`_slot_bytes` decides, from what it can observe — there is no
@@ -33,7 +41,6 @@ import threading
 
 import numpy as np
 
-from repro.artifacts import publishing
 from repro.constants import REFINEMENT_RATIO
 from repro.core.config import SimulationConfig
 from repro.core.pipeline import (
@@ -54,7 +61,13 @@ from repro.par.decomposition import Decomposition
 
 
 class _RankRuntime:
-    """One rank's blocks, and its view of who owns every block."""
+    """One rank's blocks, and its view of who owns every block.
+
+    *initial* is the initial condition of the rank's blocks: a source
+    (imposed as in ``RTiModel.set_initial_condition``), a restored
+    :class:`~repro.resilience.checkpoint.Checkpoint` (each block takes
+    its captured state) or ``None`` (a sea at rest).
+    """
 
     def __init__(
         self,
@@ -64,8 +77,13 @@ class _RankRuntime:
         bathymetry,
         cfg: SimulationConfig,
         plan: StepPlan,
+        initial=None,
         frame_halos: bool = False,
     ) -> None:
+        # Bind the rank id to this rank's spans (its thread's, or its
+        # process's main thread's) so trace tracks and the imbalance
+        # summary separate per rank.
+        get_tracer().set_context(rank=comm.rank)
         self.comm = comm
         self.grid = grid
         self.cfg = cfg
@@ -82,6 +100,12 @@ class _RankRuntime:
         self.owner: dict[int, int] = dict(owner)
         self.states: dict[int, BlockState] = {}
         self._allocate(b for b, r in owner.items() if r == comm.rank)
+        captured = getattr(initial, "states", None)
+        if captured is not None:
+            for bid, st in self.states.items():
+                st.restore(captured[bid])
+        elif initial is not None:
+            impose_source(self.states, initial)
 
     def _allocate(self, block_ids) -> None:
         for bid in block_ids:
@@ -109,27 +133,25 @@ class _RankRuntime:
             self.frame_halos,
         )
 
+    def eta(self) -> dict[int, np.ndarray]:
+        """A copy of the water level (physical cells) of this rank's blocks."""
+        return {bid: st.eta_interior().copy() for bid, st in self.states.items()}
 
-def _slot_bytes(plan: StepPlan, owner, config, fault_plan, integrity):
+
+def _slot_bytes(plan: StepPlan, owner, config, integrity):
     """Slot size [bytes] for rank processes, or ``None`` for rank threads.
 
     Processes need more than one rank, ``fork``, a caller that is this
     process's only thread (a forked copy of a thread-held lock is never
-    released) and nothing armed that lives in one address space: an
-    injected fault plan is consumed by all ranks, a message-integrity
-    policy keeps one retransmit stash and one tracker.  The slot then
-    holds the largest packed message that crosses ranks under *owner*:
-    a seam region, a JNZ buffer (one value per parent cell) or a JNQ
-    buffer (one per parent face along the child's open boundary — the
-    bound; a parent that covers only part of it sends less).
+    released) and no message-integrity policy (it keeps one retransmit
+    stash and one tracker, in one address space).  The slot then holds
+    the largest packed message that crosses ranks under *owner*: a seam
+    region, a JNZ buffer (one value per parent cell) or a JNQ buffer (one
+    per parent face along the child's open boundary — the bound; a
+    parent that covers only part of it sends less).
     """
     n_ranks = len(set(owner.values()))
-    if (
-        n_ranks < 2
-        or not hasattr(os, "fork")
-        or fault_plan is not None
-        or integrity is not None
-    ):
+    if n_ranks < 2 or not hasattr(os, "fork") or integrity is not None:
         return None
     # The strip team's parked helpers are threads of ours, not somebody
     # else's: send them home before counting.  The next kernel call of two
@@ -162,8 +184,6 @@ def run_distributed(
     n_steps: int,
     timeout: float = 300.0,
     comm_timeout: float = 30.0,
-    fault_plan=None,
-    store=None,
     integrity=None,
 ) -> dict[int, np.ndarray]:
     """Run the pipeline on ``decomp.n_ranks`` simulated MPI ranks.
@@ -173,71 +193,34 @@ def run_distributed(
 
     *comm_timeout* bounds every blocking transport operation (and thus
     how long a rank stalls on a lost message before raising
-    :class:`~repro.errors.CommTimeoutError`).  *fault_plan* is an
-    optional :class:`repro.resilience.FaultPlan` whose communication
-    faults (rank crashes, message drops/delays, stragglers) are injected
-    into each rank's transport — the chaos-testing surface of the
-    resilience layer.
-
-    *store* (a :class:`repro.persist.RunStore`) makes the distributed
-    run observable and restart-aware: start/interruption/completion are
-    journaled write-ahead (SIGTERM/SIGINT are caught while the ranks
-    run), and the gathered final water level is published atomically
-    into the store's products directory.
+    :class:`~repro.errors.CommTimeoutError`).
 
     *integrity* (a :class:`repro.resilience.integrity.MessageIntegrity`)
     arms the ABFT transport checks: packed halo buffers gain an
     xchg-level CRC trailer and every ndarray payload is CRC-framed at
     the transport with a NACK/retransmit correction path.  Detections
     and corrections land in the policy's shared tracker.
+
+    A run that must survive a rank's loss, be journaled or catch
+    SIGTERM is :func:`repro.resilience.survive.survivable_run_distributed`.
     """
     plan = build_step_plan(grid, config)
     owner = decomp.owner_map()
 
-    comm_wrap = None
-    if fault_plan is not None:
-        from repro.resilience.inject import FaultyComm
-
-        comm_wrap = lambda comm: FaultyComm(comm, fault_plan)  # noqa: E731
-
     def rank_main(comm: Communicator) -> dict[int, np.ndarray]:
-        # Bind the rank id to this rank's spans (its thread's, or its
-        # process's main thread's) so trace tracks and the imbalance
-        # summary separate per rank.
-        get_tracer().set_context(rank=comm.rank)
         rt = _RankRuntime(
-            comm, grid, owner, bathymetry, config, plan,
+            comm, grid, owner, bathymetry, config, plan, source,
             frame_halos=integrity is not None,
         )
-        if source is not None:
-            impose_source(rt.states, source)
         for _ in range(n_steps):
             rt.step()
-        return {bid: st.eta_interior().copy() for bid, st in rt.states.items()}
+        return rt.eta()
 
-    if store is None:
-        import contextlib
-
-        guard = contextlib.nullcontext()
-    else:
-        from repro.persist.signals import interrupt_guard
-
-        store.record_event(
-            "distributed_start",
-            n_ranks=decomp.n_ranks,
-            n_steps=n_steps,
-            config=config.to_dict(),
-        )
-        guard = interrupt_guard(
-            journal_fn=lambda sig, _ok: store.record_event(
-                "interrupted", signal=sig, phase="distributed"
-            )
-        )
     # A root span over the whole group: run_ranks captures this thread's
     # context while it is open (before it forks, on processes), so every
     # rank's span tree hangs under it.
     try:
-        with guard, _span(
+        with _span(
             "distributed", cat="step",
             n_ranks=decomp.n_ranks, n_steps=n_steps,
         ):
@@ -246,27 +229,12 @@ def run_distributed(
                 rank_main,
                 timeout=timeout,
                 comm_timeout=comm_timeout,
-                comm_wrap=comm_wrap,
                 integrity=integrity,
-                slot_bytes=_slot_bytes(plan, owner, config, fault_plan, integrity),
+                slot_bytes=_slot_bytes(plan, owner, config, integrity),
             )
     finally:
         disband_team()  # the next strip team has the machine to itself again
     merged: dict[int, np.ndarray] = {}
     for part in results:
         merged.update(part)
-    if store is not None:
-        _publish_distributed_eta(store, merged, n_steps)
     return merged
-
-
-def _publish_distributed_eta(store, eta_by_block, n_steps: int) -> None:
-    """Atomically write the gathered final eta into the store's products."""
-    final = store.products_dir / f"distributed_eta_step_{n_steps:08d}.npz"
-    with publishing(final, "wb") as fh:
-        np.savez_compressed(
-            fh, **{f"b{bid}": a for bid, a in eta_by_block.items()}
-        )
-    store.record_event(
-        "distributed_complete", n_steps=n_steps, product=final.name
-    )

@@ -76,7 +76,6 @@ from repro.resilience.recovery import (
 )
 from repro.resilience.report import ForecastReport
 from repro.resilience.survive import (
-    NeighborCheckpointStore,
     SurvivalConfig,
     SurvivalReport,
     buddy_of,
@@ -118,7 +117,6 @@ __all__ = [
     "ForecastReport",
     "StepTimeMonitor",
     "maybe_crash_at_step",
-    "NeighborCheckpointStore",
     "SurvivalConfig",
     "SurvivalReport",
     "buddy_of",

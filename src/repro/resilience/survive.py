@@ -13,9 +13,13 @@ runtime's one recovery path, ULFM-style and in flight:
    to reach one consistent view of the dead-rank set.
 2. **Diskless neighbor checkpoints** — every ``checkpoint_every`` steps
    each rank snapshots its blocks in memory and replicates the snapshot
-   to its ring buddy (rank ``(r+1) % n``).  Any single rank's state
-   therefore exists on two ranks, and recovery restores the lost
-   subdomain from a peer's memory instead of disk.
+   to its ring buddy (rank ``(r+1) % n``); each rank holds its own
+   checkpoints and the replicas it receives in one
+   :class:`~repro.resilience.checkpoint.CheckpointRing` of
+   :data:`EPOCHS_HELD` epochs.  A replica is a copy, never the sender's
+   own arrays, so any single rank's state exists on two ranks, one
+   flipped bit spoils one copy only, and recovery restores the lost or
+   corrupt subdomain from a peer's memory instead of disk.
 3. **Shrink or respawn** — the orchestrator either relaunches at the
    same width, consuming a configurable spare-rank pool (*respawn*), or
    re-decomposes the whole grid onto the surviving count with the
@@ -24,7 +28,7 @@ runtime's one recovery path, ULFM-style and in flight:
    way the run resumes from the latest *consistent* buddy-checkpoint
    epoch — not from t=0.
 4. **Straggler hedging** — per-rank busy times (step wall time minus
-   recv wait) are shared by allreduce every ``hedge_window`` steps; a
+   recv wait) are shared by allreduce every :data:`HEDGE_WINDOW` steps; a
    MAD-based test (:class:`~repro.resilience.health.StepTimeMonitor`)
    flags a straggling rank, whose blocks are speculatively migrated to
    the least-loaded rank.  The next window adjudicates: if the makespan
@@ -35,9 +39,15 @@ runtime's one recovery path, ULFM-style and in flight:
    from the latest consistent checkpoint through the one guarded
    single-process loop, :class:`~repro.resilience.recovery.RecoveryEngine`
    (its ring, rollback and — when a deadline is configured — its
-   degradation ladder).  A dropped message with no dead rank is an
-   *epoch retry*: a relaunch at the same width from the latest
-   consistent epoch, never a rerun from t=0.
+   degradation ladder, journaled to the run's store).  A dropped message
+   with no dead rank is an *epoch retry*: a relaunch at the same width
+   from the latest consistent epoch, never a rerun from t=0.
+
+The run directory of a multi-rank run is this module's alone:
+:func:`survivable_run_distributed` journals ``distributed_start``, every
+failure and recovery epoch, an ``interrupted`` record when SIGTERM or
+SIGINT ends the run, and — on every completion path — publishes the
+gathered final water level and journals ``distributed_complete``.
 
 Bitwise contract: the distributed step is bitwise identical to the
 single-process model for *any* whole-block decomposition, and a buddy
@@ -58,24 +68,26 @@ preserves the bitwise contract under every hedge decision.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
+from repro.artifacts import publishing
 from repro.core.config import SimulationConfig
 from repro.core.model import RTiModel
 from repro.core.pipeline import build_step_plan
 from repro.errors import CFLError, CommunicationError, ConfigurationError
-from repro.fault.scenarios import impose_source
 from repro.obs.log import get_logger
 from repro.obs.trace import get_tracer, instant
 from repro.par.comm import run_ranks
 from repro.par.decomposition import Decomposition
 from repro.par.driver import _RankRuntime
 from repro.persist.journal import EVENT_RANK_FAILURE, EVENT_RECOVERY_EPOCH
-from repro.resilience.checkpoint import Checkpoint
+from repro.persist.signals import interrupt_guard
+from repro.resilience.checkpoint import Checkpoint, CheckpointRing
 from repro.resilience.clock import SimulatedClock
 from repro.resilience.deadline import DeadlineSupervisor
 from repro.resilience.faultplan import FaultPlan
@@ -92,6 +104,17 @@ _LOG = get_logger("resilience")
 #: Tag bases, disjoint from the step pipeline's halo/JNZ/JNQ spaces.
 TAG_CKPT = 5_000_000
 TAG_MIGRATE = 6_000_000
+
+#: Checkpoint epochs each rank's ring holds (its own and its buddy's
+#: replicas): a crash can land mid-replication of the newest epoch, so
+#: the one before it must still be whole.
+EPOCHS_HELD = 2
+
+#: Straggler hedging: steps per adjudication window, migrations per run,
+#: and consecutive losses that open the hedge breaker.
+HEDGE_WINDOW = 5
+HEDGE_BUDGET = 2
+HEDGE_MAX_LOSSES = 2
 
 
 def buddy_of(rank: int, size: int) -> int:
@@ -112,20 +135,14 @@ def _metrics():
 
 @dataclass
 class SurvivalConfig:
-    """Policy knobs for the survivable distributed runtime."""
+    """Policy of the survivable distributed runtime (what the CLI sets)."""
 
     checkpoint_every: int = 10
     spare_ranks: int = 0
     max_rank_failures: int = 2
     policy: str = "auto"  # auto | shrink | respawn
     hedge_stragglers: bool = False
-    hedge_window: int = 5
-    hedge_budget: int = 2
-    hedge_max_losses: int = 2
-    hedge_mad_k: float = 3.5
-    hedge_min_ratio: float = 1.5
     deadline_s: float | None = None
-    store_capacity: int = 2
 
     def __post_init__(self) -> None:
         if self.checkpoint_every < 1:
@@ -139,82 +156,48 @@ class SurvivalConfig:
                 f"unknown recovery policy {self.policy!r}; expected "
                 f"'auto', 'shrink' or 'respawn'"
             )
-        if self.hedge_window < 1 or self.hedge_budget < 0:
-            raise ConfigurationError(
-                "hedge_window must be >= 1 and hedge_budget >= 0"
-            )
-        if self.store_capacity < 2:
-            raise ConfigurationError(
-                "store_capacity must be >= 2 (a crash can land mid "
-                "replication of the newest epoch)"
-            )
 
 
 # -- diskless neighbor checkpoints --------------------------------------
 
 
-class NeighborCheckpointStore:
-    """A rank's diskless checkpoint memory: own ring + buddy replicas.
+def _detached(ckpt: Checkpoint) -> Checkpoint:
+    """*ckpt* with copies of its arrays, to send to a buddy.
 
-    Each ring maps epoch -> :class:`~repro.resilience.checkpoint.Checkpoint`
-    (digested, of one rank's blocks) and is bounded to *capacity* epochs.
-    With the ring-buddy layout (rank r replicates to ``(r+1) % n``) any
-    single failure leaves every block recoverable: survivors hold their
-    own entries, and the dead rank's entry survives as its buddy's replica.
+    The transport copies an ndarray payload, not the arrays inside an
+    object: on rank threads the replica would otherwise be the sender's
+    own checkpoint, and one flipped bit would spoil both copies.
     """
-
-    def __init__(self, capacity: int = 2) -> None:
-        self.capacity = capacity
-        self.own: dict[int, Checkpoint] = {}
-        self.replicas: dict[int, Checkpoint] = {}
-
-    def put_own(self, epoch: int, ckpt: Checkpoint) -> None:
-        self._put(self.own, epoch, ckpt)
-
-    def put_replica(self, epoch: int, ckpt: Checkpoint) -> None:
-        self._put(self.replicas, epoch, ckpt)
-
-    def epochs(self) -> list[int]:
-        return sorted(set(self.own) | set(self.replicas))
-
-    def _put(self, entries: dict, epoch: int, ckpt: Checkpoint) -> None:
-        entries[epoch] = ckpt
-        while len(entries) > self.capacity:
-            del entries[min(entries)]
+    return replace(ckpt, states={
+        bid: (*(a.copy() for a in bufs[:-1]), bufs[-1])
+        for bid, bufs in ckpt.states.items()
+    })
 
 
-def _assemble_recovery(
-    grid, stores: list[NeighborCheckpointStore]
-) -> tuple[int, Checkpoint] | None:
-    """Latest epoch whose checkpoints cover every block of the grid.
+def _assemble_recovery(grid, rings: list[CheckpointRing]) -> Checkpoint | None:
+    """Latest checkpoint step whose copies cover every block of the grid.
 
-    Returns ``(epoch, checkpoint of every block)`` or ``None`` when no
-    consistent epoch exists (e.g. a crash during the very first
-    replication).
+    Returns one checkpoint of every block, or ``None`` when no consistent
+    step exists (e.g. a crash during the very first replication).
 
     Every copy is verified block by block: a block whose digest fails is
-    skipped, so the same block from another copy of the epoch (typically
+    skipped, so the same block from another copy of that step (typically
     the buddy replica of the corrupt own entry) fills the slot instead —
-    neighbor repair.  An epoch is only usable when every needed block
-    has at least one *clean* copy.
+    neighbor repair.  A step is only usable when every needed block has
+    at least one *clean* copy.
     """
     needed = {b.block_id for b in grid.all_blocks()}
-    epochs = sorted(
-        {e for s in stores for e in s.epochs()}, reverse=True
-    )
-    for epoch in epochs:
-        copies = [
-            c for s in stores for c in (s.own.get(epoch), s.replicas.get(epoch))
-            if c is not None
-        ]
+    held = [c for ring in rings for c in ring.entries()]
+    for step in sorted({c.step for c in held}, reverse=True):
+        copies = [c for c in held if c.step == step]
         states: dict[int, tuple] = {}
         for c in copies:
             bad = c.bad_blocks()
             for bid, bufs in c.states.items():
                 if bid not in bad:
                     states.setdefault(bid, bufs)
-        if copies and needed <= set(states):
-            return epoch, replace(copies[0], states=states, crcs=None)
+        if needed <= set(states):
+            return replace(copies[0], states=states, crcs=None)
     return None
 
 
@@ -225,12 +208,10 @@ def _assemble_recovery(
 class _RankOutcome:
     """What one rank brings home from one incarnation."""
 
-    kind: str  # "done" | "survivor"
-    rank: int
-    eta: dict[int, np.ndarray] | None
+    eta: dict[int, np.ndarray] | None  # None: the rank did not finish
     at_step: int
     dead: tuple[int, ...]
-    store: NeighborCheckpointStore
+    ring: CheckpointRing
     stats: dict[str, Any] = field(default_factory=dict)
 
 
@@ -265,8 +246,7 @@ def _set_phase(comm, phase: str | None) -> None:
         setter(phase)
 
 
-def _revoke_and_agree(comm) -> tuple[int, ...]:
-    comm.revoke()
+def _agree(comm) -> tuple[int, ...]:
     try:
         return comm.agree_failures()
     except CommunicationError:
@@ -283,13 +263,10 @@ class _HedgeController:
     no leader, no extra protocol.
     """
 
-    def __init__(self, comm, rt, scfg: SurvivalConfig) -> None:
+    def __init__(self, comm, rt) -> None:
         self.comm = comm
         self.rt = rt
-        self.scfg = scfg
-        self.monitor = StepTimeMonitor(
-            mad_k=scfg.hedge_mad_k, min_ratio=scfg.hedge_min_ratio
-        )
+        self.monitor = StepTimeMonitor()
         self.window_busy = 0.0
         self.attempts = 0
         self.wins = 0
@@ -330,7 +307,7 @@ class _HedgeController:
                     f"hedge did not pay off; blocks {p['blocks']} return "
                     f"to rank {p['straggler']}",
                 )
-                if self.consecutive_losses >= self.scfg.hedge_max_losses:
+                if self.consecutive_losses >= HEDGE_MAX_LOSSES:
                     self.tripped = True
                     self._note(
                         step,
@@ -339,7 +316,7 @@ class _HedgeController:
                         f"losses; hedging disabled for this run",
                     )
             return
-        if self.tripped or self.attempts >= self.scfg.hedge_budget:
+        if self.tripped or self.attempts >= HEDGE_BUDGET:
             return
         flagged = self.monitor.stragglers(per)
         if not flagged:
@@ -404,7 +381,6 @@ class _SurvivableLoop:
         rt: _RankRuntime,
         scfg: SurvivalConfig,
         plan: FaultPlan | None,
-        store: NeighborCheckpointStore,
         n_steps: int,
         start_step: int,
     ) -> None:
@@ -412,29 +388,29 @@ class _SurvivableLoop:
         self.rt = rt
         self.scfg = scfg
         self.plan = plan
-        self.store = store
         self.n_steps = n_steps
         self.start_step = start_step
         self.step_reached = start_step
         self.replications = 0
+        #: This rank's own checkpoints and its buddy's replicas.
+        self.ring = CheckpointRing(capacity=2 * EPOCHS_HELD)
         self.hedge = (
-            _HedgeController(comm, rt, scfg)
+            _HedgeController(comm, rt)
             if scfg.hedge_stragglers and comm.size >= 3
             else None
         )
 
-    def run(self) -> dict[int, np.ndarray]:
-        scfg = self.scfg
+    def run(self) -> None:
         for k in range(self.start_step, self.n_steps):
             self.step_reached = k
             if self.plan is not None:
                 maybe_crash_at_step(self.plan, self.comm.rank, k)
-            if k % scfg.checkpoint_every == 0:
+            if k % self.scfg.checkpoint_every == 0:
                 self._replicate_checkpoint(k)
             if (
                 self.hedge is not None
                 and k > self.start_step
-                and (k - self.start_step) % scfg.hedge_window == 0
+                and (k - self.start_step) % HEDGE_WINDOW == 0
             ):
                 self.hedge.scan(k)
             w0 = getattr(self.comm, "waited", 0.0)
@@ -449,28 +425,23 @@ class _SurvivableLoop:
                 waited = getattr(self.comm, "waited", 0.0) - w0
                 self.hedge.observe(max(0.0, wall - waited))
         self.step_reached = self.n_steps
-        return {
-            bid: st.eta_interior().copy()
-            for bid, st in self.rt.states.items()
-        }
 
     def _replicate_checkpoint(self, k: int) -> None:
-        epoch = k // self.scfg.checkpoint_every
+        tag = TAG_CKPT + k // self.scfg.checkpoint_every
         dt = self.rt.cfg.dt
         ckpt = Checkpoint.capture(
             self.rt.states, step=k, time=k * dt, dt=dt, digest=True
         )
-        self.store.put_own(epoch, ckpt)
+        self.ring.hold(ckpt)
         if self.comm.size > 1:
             nxt = buddy_of(self.comm.rank, self.comm.size)
             prv = (self.comm.rank - 1) % self.comm.size
             _set_phase(self.comm, "ckpt")
             try:
-                self.comm.send(ckpt, dest=nxt, tag=TAG_CKPT + epoch)
-                got = self.comm.recv(source=prv, tag=TAG_CKPT + epoch)
+                self.comm.send(_detached(ckpt), dest=nxt, tag=tag)
+                self.ring.hold(self.comm.recv(source=prv, tag=tag))
             finally:
                 _set_phase(self.comm, None)
-            self.store.put_replica(epoch, got)
         self.replications += 1
 
     def stats(self) -> dict[str, Any]:
@@ -578,18 +549,61 @@ def survivable_run_distributed(
 
     *perf_model* (a :class:`~repro.balance.perfmodel.LinearPerfModel`)
     scores shrink re-decompositions; defaults to the paper's published
-    fit.  *store* (a :class:`repro.persist.RunStore`) journals every
-    failure and recovery epoch write-ahead.
+    fit.
+
+    *store* (a :class:`repro.persist.RunStore`) is the run directory:
+    ``distributed_start`` is journaled before the first incarnation and
+    every failure and recovery epoch write-ahead; SIGTERM/SIGINT journal
+    ``interrupted`` (``phase="distributed"``) and unwind with
+    :class:`KeyboardInterrupt`; a completed run — distributed or through
+    the breaker — publishes its gathered final water level into the
+    store's products and journals ``distributed_complete``.
     """
+    scfg = survival or SurvivalConfig()
+    if store is None:
+        journal = lambda _event, **_fields: None  # noqa: E731
+        guard = contextlib.nullcontext()
+    else:
+        journal = store.record_event
+        journal(
+            "distributed_start",
+            n_ranks=decomp.n_ranks,
+            n_steps=n_steps,
+            config=config.to_dict(),
+        )
+        guard = interrupt_guard(
+            journal_fn=lambda sig, _ok: journal(
+                "interrupted", signal=sig, phase="distributed"
+            )
+        )
+    with guard:
+        eta, report = _incarnations(
+            grid, bathymetry, config, decomp, source, n_steps, scfg,
+            fault_plan, perf_model, journal, timeout, comm_timeout,
+        )
+        _export_metrics(report)
+        if store is not None:
+            journal(
+                "distributed_complete",
+                product=_publish_distributed_eta(store, eta, n_steps),
+                n_steps=n_steps,
+                incarnations=len(report.incarnations),
+                rank_failures=report.rank_failures,
+                summary=report.summary(),
+            )
+    return eta, report
+
+
+def _incarnations(
+    grid, bathymetry, config, decomp, source, n_steps, scfg, fault_plan,
+    perf_model, journal, timeout, comm_timeout,
+) -> tuple[dict[int, np.ndarray], SurvivalReport]:
+    """Launch, and relaunch after every failure round, until the run
+    completes distributed or the breaker completes it single-process."""
     from repro.balance.apply import shrink_decomposition
 
-    scfg = survival or SurvivalConfig()
     report = SurvivalReport(n_steps=n_steps)
     reg = _metrics()
-
-    def _journal(event: str, **fields) -> None:
-        if store is not None:
-            store.record_event(event, **fields)
 
     if fault_plan is not None:
         comm_wrap = lambda c: _RecvTimer(FaultyComm(c, fault_plan))  # noqa: E731
@@ -600,7 +614,7 @@ def survivable_run_distributed(
     spares_left = scfg.spare_ranks
     restore: Checkpoint | None = None
     start_step = 0
-    last_good: tuple[int, Checkpoint] | None = None
+    last_good: Checkpoint | None = None
     action = "initial"
     dead_now: tuple[int, ...] = ()
     epoch_now: int | None = None
@@ -618,55 +632,33 @@ def survivable_run_distributed(
                 epoch=epoch_now,
             )
         )
-        this_restore = restore
+        initial = source if restore is None else restore
         this_start = start_step
         this_owner = current.owner_map()
 
         def rank_main(comm):
-            get_tracer().set_context(rank=comm.rank)
             rt = _RankRuntime(
-                comm, grid, this_owner, bathymetry, config, plan
+                comm, grid, this_owner, bathymetry, config, plan, initial
             )
-            if this_restore is not None:
-                for bid, st in rt.states.items():
-                    st.restore(this_restore.states[bid])
-            elif source is not None:
-                impose_source(rt.states, source)
-            ckpts = NeighborCheckpointStore(capacity=scfg.store_capacity)
             loop = _SurvivableLoop(
-                comm, rt, scfg, fault_plan, ckpts, n_steps, this_start
+                comm, rt, scfg, fault_plan, n_steps, this_start
             )
             try:
-                eta = loop.run()
+                loop.run()
             except CommunicationError as exc:
                 if (
                     isinstance(exc, RankCrashError)
                     and exc.failed_rank == comm.rank
                 ):
                     raise  # we are the dead rank
-                dead = _revoke_and_agree(comm)
-                return _RankOutcome(
-                    kind="survivor",
-                    rank=comm.rank,
-                    eta=None,
-                    at_step=loop.step_reached,
-                    dead=dead,
-                    store=ckpts,
-                    stats=loop.stats(),
-                )
-            # Final rendezvous: vote so any concurrent agreement round
-            # converges even though this rank finished cleanly.
-            try:
-                agreed = comm.agree_failures()
-            except CommunicationError:
-                agreed = tuple(sorted(comm._world.dead))
+                comm.revoke()
+            # Survivors agree on the dead set; a rank that finished votes
+            # too, so an agreement round converges whoever finished first.
             return _RankOutcome(
-                kind="done",
-                rank=comm.rank,
-                eta=eta,
-                at_step=n_steps,
-                dead=agreed,
-                store=ckpts,
+                eta=rt.eta() if loop.step_reached == n_steps else None,
+                at_step=loop.step_reached,
+                dead=_agree(comm),
+                ring=loop.ring,
                 stats=loop.stats(),
             )
 
@@ -695,18 +687,11 @@ def survivable_run_distributed(
             not dead
             and not errors
             and len(outcomes) == current.n_ranks
-            and all(o.kind == "done" for o in outcomes)
+            and all(o.eta is not None for o in outcomes)
         ):
             merged: dict[int, np.ndarray] = {}
             for o in outcomes:
                 merged.update(o.eta)
-            _export_metrics(report)
-            _journal(
-                "survivable_complete",
-                incarnations=len(report.incarnations),
-                rank_failures=report.rank_failures,
-                summary=report.summary(),
-            )
             return merged, report
 
         # -- a failure round ------------------------------------------
@@ -731,7 +716,7 @@ def survivable_run_distributed(
                 )
             )
         if dead:
-            _journal(
+            journal(
                 EVENT_RANK_FAILURE,
                 ranks=list(dead),
                 at_step=at_step,
@@ -752,12 +737,13 @@ def survivable_run_distributed(
         )
 
         # Reconstruct the latest consistent state from survivor memory.
-        assembled = _assemble_recovery(grid, [o.store for o in outcomes])
+        assembled = _assemble_recovery(grid, [o.ring for o in outcomes])
         if assembled is not None:
             last_good = assembled
         if last_good is not None:
-            epoch_now, restore = last_good
+            restore = last_good
             start_step = restore.step
+            epoch_now = start_step // scfg.checkpoint_every
             scratch = False
         else:
             epoch_now, start_step, restore = None, 0, None
@@ -770,7 +756,7 @@ def survivable_run_distributed(
         if rounds > scfg.max_rank_failures:
             return _breaker_fallback(
                 grid, bathymetry, config, source, n_steps, restore,
-                start_step, scfg, report, reg, _journal,
+                start_step, scfg, report, reg, journal,
                 reason=f"{rounds} recovery rounds exceed "
                 f"max_rank_failures={scfg.max_rank_failures}",
             )
@@ -814,7 +800,7 @@ def survivable_run_distributed(
         else:
             return _breaker_fallback(
                 grid, bathymetry, config, source, n_steps, restore,
-                start_step, scfg, report, reg, _journal,
+                start_step, scfg, report, reg, journal,
                 reason=f"policy {scfg.policy!r} has no recovery action "
                 f"left (spares={spares_left}, survivors={survivors})",
             )
@@ -829,7 +815,7 @@ def survivable_run_distributed(
         report.events.append(
             RecoveryEvent(step=start_step, kind=action, detail=detail)
         )
-        _journal(
+        journal(
             EVENT_RECOVERY_EPOCH,
             epoch=epoch_now,
             step=start_step,
@@ -906,7 +892,8 @@ def _breaker_fallback(
     remaining integration is the one guarded loop,
     :class:`~repro.resilience.recovery.RecoveryEngine`; with a deadline
     configured its degradation ladder (drop finest level, coarsen
-    output, finish early) can still save the forecast product.
+    output, finish early) can still save the forecast product.  Its
+    rollbacks and degradations land in the run's *journal*.
     """
     report.breaker_tripped = True
     report.completed_via = "single_process"
@@ -946,6 +933,7 @@ def _breaker_fallback(
         supervisor=supervisor,
         clock=clock,
         checkpoint_every=scfg.checkpoint_every,
+        journal=journal,
     )
     model = engine.run()
     report.degradations = list(engine.degradations)
@@ -953,5 +941,15 @@ def _breaker_fallback(
     eta = {
         bid: st.eta_interior().copy() for bid, st in model.states.items()
     }
-    _export_metrics(report)
     return eta, report
+
+
+def _publish_distributed_eta(store, eta_by_block, n_steps: int) -> str:
+    """Atomically write the gathered final eta into the store's products;
+    returns the product's file name."""
+    final = store.products_dir / f"distributed_eta_step_{n_steps:08d}.npz"
+    with publishing(final, "wb") as fh:
+        np.savez_compressed(
+            fh, **{f"b{bid}": a for bid, a in eta_by_block.items()}
+        )
+    return final.name

@@ -65,3 +65,82 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "perf model" in out
         assert "optimized" in out
+
+
+class TestDistributedForecast:
+    """``forecast --ranks N`` reports and writes what the single-process
+    forecast of the same scenario does."""
+
+    @staticmethod
+    def max_line(out):
+        return [ln for ln in out.splitlines() if ln.startswith("max water level")]
+
+    def test_ranks_print_the_single_process_max_water_level(self, capsys):
+        assert main(["forecast", "--minutes", "0.2"]) == 0
+        single = self.max_line(capsys.readouterr().out)
+        assert main(["forecast", "--ranks", "2", "--minutes", "0.2"]) == 0
+        assert self.max_line(capsys.readouterr().out) == single
+        assert len(single) == 1
+
+    def test_a_rundir_gets_start_complete_and_the_bitwise_eta(self, tmp_path, capsys):
+        import numpy as np
+
+        from repro.cli import _make_source
+        from repro.core import RTiModel, SimulationConfig
+        from repro.persist import RunStore
+        from repro.topo import build_mini_kochi
+
+        rundir = tmp_path / "D"
+        argv = ["forecast", "--ranks", "2", "--minutes", "0.2", "--rundir", str(rundir)]
+        assert main(argv) == 0
+        store = RunStore(rundir)
+        assert [e["event"] for e in store.events()] == [
+            "distributed_start", "distributed_complete",
+        ]
+        (product,) = (rundir / "products").glob("distributed_eta_step_*.npz")
+        assert product.name == store.first_event("distributed_complete")["product"]
+
+        mk = build_mini_kochi()
+        model = RTiModel(mk.grid, mk.bathymetry, SimulationConfig(dt=mk.dt))
+        model.set_initial_condition(_make_source(build_parser().parse_args(argv)))
+        model.run(int(0.2 * 60 / mk.dt))
+        with np.load(product) as got:
+            assert sorted(got.files) == sorted(f"b{bid}" for bid in model.states)
+            for bid, st in model.states.items():
+                assert got[f"b{bid}"].tobytes() == st.eta_interior().tobytes()
+
+    def test_sigterm_prints_one_interrupted_line_and_exits_130(self, tmp_path):
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        rundir = tmp_path / "D"
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "forecast", "--ranks", "2",
+             "--minutes", "60", "--rundir", str(rundir)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            journal = rundir / "journal.jsonl"
+            deadline = time.monotonic() + 60
+            while not (journal.exists() and journal.read_text()):
+                assert time.monotonic() < deadline and proc.poll() is None
+                time.sleep(0.05)
+            time.sleep(0.5)  # the ranks are stepping
+            proc.send_signal(signal.SIGTERM)
+            out, _err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130
+        assert out.splitlines()[-1] == "interrupted"
+        assert out.count("interrupted") == 1
+        from repro.persist import RunStore
+
+        assert [e["event"] for e in RunStore(rundir).events()] == [
+            "distributed_start", "interrupted",
+        ]

@@ -9,6 +9,8 @@ fork, ``tests/test_resilience.py`` and ``tests/test_survive.py`` the
 bitwise runs on rank threads.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -227,9 +229,24 @@ class TestWorldSelection:
         assert self.sizes() == [(2, (48 + 1 + 4) * 2 * 8)]
 
     def test_an_injected_fault_plan_keeps_the_ranks_in_one_address_space(self):
-        from repro.resilience import FaultPlan
+        """Faults are injected by the survivable runtime, on rank threads."""
+        from repro.resilience import FaultPlan, survive
 
-        assert self.sizes(fault_plan=FaultPlan([])) == [(2, None)]
+        grid, bathy, cfg, decomp, src = _two_blocks()
+        seen = []
+        real = survive.run_ranks
+
+        def spy(n_ranks, *args, **kwargs):
+            seen.append((n_ranks, kwargs.get("slot_bytes")))
+            return real(n_ranks, *args, **kwargs)
+
+        with mock.patch.object(survive, "run_ranks", spy):
+            got, _report = survive.survivable_run_distributed(
+                grid, bathy, cfg, decomp, src, 4,
+                fault_plan=FaultPlan([]), comm_timeout=5.0,
+            )
+        assert_identical(reference_run(grid, bathy, cfg, src, 4), got)
+        assert seen == [(2, None)]
 
     def test_message_integrity_keeps_the_ranks_in_one_address_space(self):
         from repro.resilience.integrity import MessageIntegrity
@@ -255,7 +272,7 @@ class TestWorldSelection:
         src = GaussianSource(x0=4_000.0, y0=16_000.0, amplitude=2.0,
                              sigma=2_500.0)
         plan = driver.build_step_plan(mk.grid, cfg)
-        slot = driver._slot_bytes(plan, decomp.owner_map(), cfg, None, None)
+        slot = driver._slot_bytes(plan, decomp.owner_map(), cfg, None)
         sent = []
 
         class Recording:
@@ -283,8 +300,8 @@ class TestWorldSelection:
 
 
 class _SignalsTheLauncher:
-    """A flat sea bed that, sampled in the launcher, SIGTERMs it — after
-    the fork: every rank allocates its block state once it is running."""
+    """A flat sea bed that SIGTERMs the launcher when sampled in it: on
+    rank threads, as soon as the first rank allocates its block state."""
 
     def __init__(self, launcher_pid):
         self.launcher_pid = launcher_pid
@@ -299,18 +316,36 @@ class _SignalsTheLauncher:
 
 
 def test_a_signalled_run_is_journaled_once_and_leaves_nothing(tmp_path):
+    """The survivable runtime owns a multi-rank run's guard: a SIGTERM is
+    journaled once and revokes the ranks, which end within seconds, long
+    before their 10,000 steps or their comm timeout."""
     import os
+    import signal
 
     from repro.persist import RunStore
+    from repro.resilience.survive import survivable_run_distributed
+
+    def unguarded(_signum, _frame):
+        raise AssertionError("SIGTERM reached the caller's handler")
 
     grid, _bathy, cfg, decomp, src = _two_blocks()
     store = RunStore(tmp_path / "run", create=True)
-    with pytest.raises(KeyboardInterrupt):
-        run_distributed(
-            grid, _SignalsTheLauncher(os.getpid()), cfg, decomp, src,
-            n_steps=10_000, store=store,
-        )
+    # Without the runtime's guard the signal must fail this test, not
+    # terminate the test process.
+    previous = signal.signal(signal.SIGTERM, unguarded)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            survivable_run_distributed(
+                grid, _SignalsTheLauncher(os.getpid()), cfg, decomp, src,
+                n_steps=10_000, store=store, comm_timeout=2,
+            )
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     events = [e["event"] for e in store.events()]
     assert events == ["distributed_start", "interrupted"]
-    assert store.first_event("interrupted")["signal"] == "SIGTERM"
+    interrupted = store.first_event("interrupted")
+    assert (interrupted["signal"], interrupted["phase"]) == (
+        "SIGTERM", "distributed"
+    )
+    wait_for_one_thread(5.0)
     assert_nothing_left_behind()

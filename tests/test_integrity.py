@@ -510,24 +510,24 @@ class TestQuarantineRollback:
 
 
 class TestNeighborChecksums:
-    def _snapshots(self):
-        from repro.resilience import Checkpoint, NeighborCheckpointStore
+    def _rings(self):
+        from repro.resilience import Checkpoint, CheckpointRing
+        from repro.resilience.survive import _detached
 
         def rank_checkpoint(bid, base):
             bufs = tuple(np.full((4, 4), base + k) for k in range(6)) + (0,)
             return Checkpoint(8, 8.0, 1.0, 1, {bid: bufs}).digested()
 
         own, other = rank_checkpoint(0, 0.0), rank_checkpoint(1, 10.0)
-        # Buddy layout: each store holds its own entry + the other's
-        # replica (deep copies, as the wire transfer produces).
-        import copy
-
-        s0, s1 = NeighborCheckpointStore(), NeighborCheckpointStore()
-        s0.put_own(1, own)
-        s0.put_replica(1, copy.deepcopy(other))
-        s1.put_own(1, other)
-        s1.put_replica(1, copy.deepcopy(own))
-        return s0, s1
+        # Buddy layout: each ring holds its own entry, then the other's
+        # replica as the sender ships it — detached from the sender's
+        # arrays, since the transport copies no array inside an object.
+        r0, r1 = CheckpointRing(), CheckpointRing()
+        r0.hold(own)
+        r0.hold(_detached(other))
+        r1.hold(other)
+        r1.hold(_detached(own))
+        return r0, r1
 
     def _grid(self):
         return NestedGrid([
@@ -540,23 +540,23 @@ class TestNeighborChecksums:
     def test_corrupt_own_copy_repaired_from_neighbor(self):
         from repro.resilience.survive import _assemble_recovery
 
-        s0, s1 = self._snapshots()
-        flip_bit(s0.own[1].states[0][0], 12)  # corrupt rank 0's own copy
-        got = _assemble_recovery(self._grid(), [s0, s1])
-        assert got is not None
-        epoch, ckpt = got
-        assert (epoch, ckpt.step) == (1, 8)
+        r0, r1 = self._rings()
+        own, replica = r0.entries()[0], r1.entries()[1]
+        flip_bit(own.states[0][0], 12)  # corrupt rank 0's own copy
+        ckpt = _assemble_recovery(self._grid(), [r0, r1])
+        assert ckpt is not None and ckpt.step == 8
         # Block 0 must come from the clean replica held by rank 1.
-        clean = s1.replicas[1].states[0][0]
+        clean = replica.states[0][0]
+        assert not np.array_equal(own.states[0][0], clean)
         np.testing.assert_array_equal(ckpt.states[0][0], clean)
 
     def test_epoch_unusable_when_every_copy_is_corrupt(self):
         from repro.resilience.survive import _assemble_recovery
 
-        s0, s1 = self._snapshots()
-        flip_bit(s0.own[1].states[0][0], 12)
-        flip_bit(s1.replicas[1].states[0][0], 30)
-        assert _assemble_recovery(self._grid(), [s0, s1]) is None
+        r0, r1 = self._rings()
+        flip_bit(r0.entries()[0].states[0][0], 12)
+        flip_bit(r1.entries()[1].states[0][0], 30)
+        assert _assemble_recovery(self._grid(), [r0, r1]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +637,7 @@ def _gauge_rewrite(tmp_path):
 
 
 def _distributed_eta(tmp_path):
-    from repro.par.driver import _publish_distributed_eta
+    from repro.resilience.survive import _publish_distributed_eta
     from repro.persist import RunStore
 
     store = RunStore(tmp_path / "run")

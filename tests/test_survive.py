@@ -32,12 +32,16 @@ from repro.persist.journal import (
     EVENT_RECOVERY_EPOCH,
     recovery_epochs,
 )
-from repro.resilience import Checkpoint, FaultPlan, FaultSpec
+from repro.core.pipeline import build_step_plan
+from repro.par.comm import run_ranks
+from repro.par.driver import _RankRuntime
+from repro.resilience import Checkpoint, CheckpointRing, FaultPlan, FaultSpec
 from repro.resilience.health import StepTimeMonitor
 from repro.resilience.survive import (
-    NeighborCheckpointStore,
+    EPOCHS_HELD,
     SurvivalConfig,
     _assemble_recovery,
+    _SurvivableLoop,
     buddy_of,
     survivable_run_distributed,
 )
@@ -95,10 +99,10 @@ def assert_identical(a: dict, b: dict):
         )
 
 
-# -- unit: ring buddies and the checkpoint store -------------------------
+# -- unit: ring buddies and the rings they fill --------------------------
 
 
-class TestNeighborCheckpointStore:
+class TestBuddyRings:
     def test_buddy_ring(self):
         assert buddy_of(0, 4) == 1
         assert buddy_of(3, 4) == 0
@@ -110,53 +114,101 @@ class TestNeighborCheckpointStore:
         bufs = (np.full(2, float(rank)),) * 6 + (0,)
         return Checkpoint(epoch * 10, epoch * 10.0, 1.0, 1, {rank: bufs}).digested()
 
+    @classmethod
+    def ring(cls, *held):
+        ring = CheckpointRing(capacity=2 * EPOCHS_HELD)
+        for epoch, rank in held:
+            ring.hold(cls.snap(epoch, rank))
+        return ring
+
     def test_capacity_prunes_oldest(self):
-        store = NeighborCheckpointStore(capacity=2)
-        for e in range(4):
-            store.put_own(e, self.snap(e))
-            store.put_replica(e, self.snap(e, rank=1))
-        assert sorted(store.own) == [2, 3]
-        assert sorted(store.replicas) == [2, 3]
-        assert store.epochs() == [2, 3]
+        ring = self.ring(*((e, r) for e in range(4) for r in (0, 1)))
+        assert [c.step for c in ring.entries()] == [20, 20, 30, 30]
 
     def test_assemble_picks_latest_complete_epoch(self):
         grid = flat_grid(2)
-        s0, s1 = (NeighborCheckpointStore() for _ in range(2))
-        for e in (1, 2):
-            s0.put_own(e, self.snap(e, 0))
-            s1.put_own(e, self.snap(e, 1))
+        r0 = self.ring((1, 0), (2, 0))
+        r1 = self.ring((1, 1), (2, 1))
         # Epoch 3 exists only on rank 0: incomplete, must be skipped.
-        s0.put_own(3, self.snap(3, 0))
-        epoch, ckpt = _assemble_recovery(grid, [s0, s1])
-        assert (epoch, ckpt.step) == (2, 20)
+        r0.hold(self.snap(3, 0))
+        ckpt = _assemble_recovery(grid, [r0, r1])
+        assert ckpt.step == 20
         assert set(ckpt.states) == {0, 1}
 
     def test_assemble_uses_buddy_replica_for_dead_rank(self):
         grid = flat_grid(2)
-        # Only rank 0's store survives; it holds rank 1's state as the
+        # Only rank 0's ring survives; it holds rank 1's state as the
         # ring replica (1's buddy is 0 in a 2-rank ring).
-        s0 = NeighborCheckpointStore()
-        s0.put_own(5, self.snap(5, 0))
-        s0.put_replica(5, self.snap(5, 1))
-        epoch, ckpt = _assemble_recovery(grid, [s0])
-        assert (epoch, ckpt.step) == (5, 50)
+        ckpt = _assemble_recovery(grid, [self.ring((5, 0), (5, 1))])
+        assert ckpt.step == 50
         assert set(ckpt.states) == {0, 1}
 
     def test_assemble_none_when_no_complete_epoch(self):
         grid = flat_grid(2)
-        s0 = NeighborCheckpointStore()
-        s0.put_own(0, self.snap(0, 0))
-        assert _assemble_recovery(grid, [s0]) is None
+        assert _assemble_recovery(grid, [self.ring((0, 0))]) is None
+
+
+class TestReplicasOnRankThreads:
+    """A real 2-rank thread-world run of the rank loop: the replica a rank
+    receives is a copy, so neighbour repair works where the survivable
+    runtime runs."""
+
+    N_STEPS = 12
+
+    @pytest.fixture(scope="class")
+    def rings(self):
+        grid, bathy, cfg = flat_grid(2), FlatBathymetry(50.0), config()
+        plan = build_step_plan(grid, cfg)
+        owner = whole_block_decomp(grid, 2).owner_map()
+
+        def rank_main(comm):
+            rt = _RankRuntime(comm, grid, owner, bathy, cfg, plan, source())
+            loop = _SurvivableLoop(
+                comm, rt, SurvivalConfig(checkpoint_every=5), None,
+                self.N_STEPS, 0,
+            )
+            loop.run()
+            return loop.ring
+
+        return grid, run_ranks(2, rank_main, timeout=60.0, comm_timeout=10.0)
+
+    @staticmethod
+    def holding(ring, bid):
+        return [c for c in ring.entries() if bid in c.states]
+
+    def test_the_rings_hold_the_newest_epochs_own_and_replica(self, rings):
+        _grid, (r0, r1) = rings
+        for ring in (r0, r1):
+            assert [c.step for c in ring.entries()] == [5, 5, 10, 10]
+
+    def test_a_replica_shares_no_array_with_its_senders_checkpoint(self, rings):
+        _grid, (r0, r1) = rings
+        pairs = list(zip(self.holding(r0, 0), self.holding(r1, 0)))
+        assert [(own.step, rep.step) for own, rep in pairs] == [(5, 5), (10, 10)]
+        for own, replica in pairs:
+            for a, b in zip(own.states[0][:6], replica.states[0][:6]):
+                assert np.array_equal(a, b)
+                assert not np.shares_memory(a, b)
+
+    def test_a_flipped_own_checkpoint_is_repaired_from_the_replica(self, rings):
+        grid, (r0, r1) = rings
+        own, replica = self.holding(r0, 0)[-1], self.holding(r1, 0)[-1]
+        clean = [a.copy() for a in own.states[0][:6]]
+        own.states[0][2].view(np.uint64).flat[7] ^= np.uint64(1 << 51)
+        try:
+            ckpt = _assemble_recovery(grid, [r0, r1])
+            assert ckpt.step == own.step == 10
+            for got, want, rep in zip(ckpt.states[0][:6], clean, replica.states[0][:6]):
+                assert got is rep
+                assert got.tobytes() == want.tobytes()
+        finally:
+            own.states[0][2].view(np.uint64).flat[7] ^= np.uint64(1 << 51)
 
 
 class TestSurvivalConfig:
     def test_rejects_bad_policy(self):
         with pytest.raises(ConfigurationError):
             SurvivalConfig(policy="pray")
-
-    def test_rejects_single_epoch_store(self):
-        with pytest.raises(ConfigurationError):
-            SurvivalConfig(store_capacity=1)
 
     def test_rejects_negative_spares(self):
         with pytest.raises(ConfigurationError):
@@ -313,6 +365,27 @@ class TestSurvivableRuns:
         assert report.breaker_tripped
         assert report.completed_via == "single_process"
 
+    def test_the_breakers_tail_is_journaled(self, tmp_path):
+        grid, bathy, cfg, src, _ref = self.setup_run()
+        plan = FaultPlan(
+            [FaultSpec(kind="rank_crash", rank=1, step=24)], seed=4
+        )
+        store = RunStore(tmp_path / "run")
+        survivable_run_distributed(
+            grid, bathy, cfg, whole_block_decomp(grid, 2), src,
+            self.N_STEPS,
+            survival=SurvivalConfig(checkpoint_every=5, max_rank_failures=0,
+                                    deadline_s=1e-6),
+            fault_plan=plan, store=store, timeout=120.0, comm_timeout=5.0,
+        )
+        events = [ev["event"] for ev in store.events()]
+        tail = events[events.index("fallback_single_process") + 1:]
+        assert "degradation" in tail
+        assert events[0] == "distributed_start"
+        assert events[-1] == "distributed_complete"
+        product = store.first_event("distributed_complete")["product"]
+        assert (store.products_dir / product).is_file()
+
     def test_hedging_migrates_straggler_blocks(self):
         grid, bathy, cfg, src, ref = self.setup_run(n_blocks=3)
         # Rank 2 stalls 30 ms on every send: an unambiguous straggler.
@@ -328,7 +401,6 @@ class TestSurvivableRuns:
             self.N_STEPS,
             survival=SurvivalConfig(
                 checkpoint_every=10, hedge_stragglers=True,
-                hedge_window=5, hedge_budget=2,
             ),
             fault_plan=plan, timeout=200.0, comm_timeout=20.0,
         )
