@@ -4,10 +4,12 @@
 #
 #   scripts/check.sh          # lint + tests
 #   scripts/check.sh --fast   # tests only, stop at first failure
-#   scripts/check.sh --legs   # the kernel suites twice more (CI's steps):
-#                             # on one CPU — the strip team of one — and
+#   scripts/check.sh --legs   # the kernel suites three times more (CI's
+#                             # steps): on one CPU — the strip team of one —,
 #                             # with CC=false, the platform without a
-#                             # compiler, whose executor is the NumPy bodies
+#                             # compiler, whose executor is the NumPy bodies,
+#                             # and the nest's suites with the nest built
+#                             # under AddressSanitizer + UBSan
 #
 # Mirrors what reviewers run; keep it green before pushing.  The test
 # session fails itself if it leaves a child process (a forked rank) or a
@@ -38,7 +40,24 @@ if [ "${1:-}" = "--legs" ]; then
         tests/test_loopnest_build.py tests/test_nesting_bitwise.py \
         tests/test_exchange_budget.py tests/test_health_bitwise.py \
         tests/test_physics.py
-    echo "BOTH LEGS PASSED"
+    echo "== the nest's suites, the nest built with ASan + UBSan =="
+    # A cache of its own: this object needs libasan preloaded, and must never
+    # be what a plain run loads.  The leg refuses to test NumPy in its place.
+    asan_cache=$(mktemp -d)
+    trap 'rm -rf "$asan_cache"' EXIT
+    sanitized=(env XDG_CACHE_HOME="$asan_cache"
+        CC="cc -fsanitize=address,undefined"
+        LD_PRELOAD="$(cc -print-file-name=libasan.so)"
+        ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+        PYTHONPATH=src)
+    "${sanitized[@]}" python -c 'from repro.core import loopnest
+loopnest.choice()
+assert loopnest.provenance()["executor"] == "nest", loopnest.provenance()'
+    "${sanitized[@]}" python -m pytest -q tests/test_kernels_bitwise.py \
+        tests/test_kernels_flat.py tests/test_loopnest_oracle.py \
+        tests/test_exchange_nest.py tests/test_prepared_calls.py \
+        tests/test_nesting_bitwise.py tests/test_health_nest.py
+    echo "ALL THREE LEGS PASSED"
     exit 0
 fi
 

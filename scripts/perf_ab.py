@@ -29,7 +29,9 @@ minutes at a time — and a ``mosaic_2rank`` pair (two rank processes) or a
 differently for a reason that is not the code.  Beside each side's
 ``solve_s_p50`` stand the raw wall and the ``SpeedGauge`` reading it was
 rescaled from: the gauge reads a few percent lower right after an op that
-kept both CPUs busy, and the rescaled metric counts that.
+kept both CPUs busy, and the rescaled metric counts that.  Before it stand
+``setup_s`` (rescaled) and its raw ``setup_wall_s_p50``: a fresh process's
+imports, build and warm-up op, what a start-up change moves.
 
 Before the first pair each tree is asked what runs its kernels here
 (``repro.core.loopnest``: the compiled nest or the NumPy bodies, the
@@ -322,7 +324,9 @@ def main(argv=None) -> int:
             doc = run_one(trees[side], args.workload, args.seed, args.seconds)
             ok &= doc["correct"]
             solve = doc["e2e"]["solve_s_p50"]["value"]
-            print(f"pair {pair + 1} {side}: solve_s_p50 {solve:.4g} s  "
+            setup = doc["e2e"]["setup_s"]["value"]
+            print(f"pair {pair + 1} {side}: setup_s {setup:.4g} s (raw wall "
+                  f"{doc['raw']['setup_wall_s_p50']:.4g} s)  solve_s_p50 {solve:.4g} s  "
                   f"(raw wall {doc['raw']['solve_wall_s_p50']:.4g} s x gauge "
                   f"{doc['raw']['machine_speed_p50']:.3f})  peak_rss_mb "
                   f"{doc['e2e']['peak_rss_mb']['value']:.2f}  "

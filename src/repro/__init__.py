@@ -29,26 +29,15 @@ Quickstart::
     print(model.max_eta())
 """
 
-from repro.constants import GRAVITY, REFINEMENT_RATIO
-from repro.core import RTiModel, SimulationConfig
-from repro.fault import GaussianSource, OkadaFault, nankai_like_scenario
-from repro.grid import Block, GridLevel, NestedGrid
-from repro.topo import build_kochi_grid, build_mini_kochi
+from repro.lazy import exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "GRAVITY",
-    "REFINEMENT_RATIO",
-    "RTiModel",
-    "SimulationConfig",
-    "GaussianSource",
-    "OkadaFault",
-    "nankai_like_scenario",
-    "Block",
-    "GridLevel",
-    "NestedGrid",
-    "build_kochi_grid",
-    "build_mini_kochi",
-    "__version__",
-]
+__getattr__, __dir__, _lazy = exports(__name__, {
+    "constants": "GRAVITY REFINEMENT_RATIO",
+    "core": "RTiModel SimulationConfig",
+    "fault": "GaussianSource OkadaFault nankai_like_scenario",
+    "grid": "Block GridLevel NestedGrid",
+    "topo": "build_kochi_grid build_mini_kochi",
+})
+__all__ = [*_lazy, "__version__"]

@@ -28,14 +28,18 @@ from repro.core.momentum import nlmnt2, momentum_core
 from repro.core.boundary import apply_open_boundary, apply_wall_boundary
 from repro.core.outputs import OutputAccumulator
 from repro.core.config import SimulationConfig
-from repro.core.model import CompositeMonitor, RTiModel
-from repro.core.gauges import Gauge, GaugeRecorder
+from repro.lazy import exports
+
+# The kernels above import nothing above repro.core; the model (whose step
+# pipeline imports repro.nesting and repro.xchg, which import the kernels)
+# binds on first access, so the import graph stays one-way.
+__getattr__, __dir__, _lazy = exports(__name__, {
+    "model": "CompositeMonitor RTiModel",
+    "gauges": "Gauge GaugeRecorder",
+})
 
 __all__ = [
     "BlockState",
-    "CompositeMonitor",
-    "Gauge",
-    "GaugeRecorder",
     "nlmass",
     "nlmnt2",
     "momentum_core",
@@ -43,5 +47,5 @@ __all__ = [
     "apply_wall_boundary",
     "OutputAccumulator",
     "SimulationConfig",
-    "RTiModel",
+    *_lazy,
 ]

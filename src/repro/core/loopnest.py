@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.core import scratch
 from repro.grid.staggered import NGHOST
+from repro.obs.log import get_logger
 
 SOURCE = Path(__file__).with_name("loopnest.c")
 #: IEEE arithmetic in source order.  The last two let gcc vectorise the
@@ -104,7 +105,8 @@ def _build() -> dict:
     cc = shlex.split(os.environ.get("CC", "cc"))
     run = dict(capture_output=True, text=True, timeout=120, check=True)
     _CHOICE.compiler = subprocess.run([*cc, "--version"], **run).stdout.split("\n")[0]
-    key = repr((SOURCE.read_bytes(), FLAGS, _CHOICE.compiler, platform.machine()))
+    # The whole argv: ``cc -fsanitize=address`` answers --version as ``cc`` does.
+    key = repr((SOURCE.read_bytes(), FLAGS, cc, _CHOICE.compiler, platform.machine()))
     stem = f"loopnest-{hashlib.sha256(key.encode()).hexdigest()[:16]}"
     home = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "repro-loopnest"
     try:
@@ -230,8 +232,6 @@ def _choose() -> None:
             raise ArithmeticError("the built nest does not reproduce the NumPy bodies")
         _CHOICE.executor = "nest"
     except Exception as exc:  # noqa: BLE001 - whatever it is, the forecast runs on NumPy
-        from repro.obs.log import get_logger  # not above: repro.obs imports repro.core
-
         said = (getattr(exc, "stderr", None) or "").strip()[-200:]
         _CHOICE.reason = f"{type(exc).__name__}: {exc} {said}".strip()
         get_logger("core").warning("loopnest_fallback", reason=_CHOICE.reason, cc=_CHOICE.compiler)

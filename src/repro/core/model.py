@@ -19,16 +19,13 @@ import numpy as np
 
 from repro.core.config import SimulationConfig
 from repro.core.outputs import OutputAccumulator
+from repro.core.pipeline import build_step_plan, make_block_state, run_step
 from repro.core.state import BlockState, max_wet_eta
 from repro.errors import ConfigurationError
 from repro.fault.scenarios import impose_source
 from repro.grid.hierarchy import NestedGrid
-
-# Import order matters (DESIGN.md section 9d): the first import of repro.obs
-# pulls in repro.par.driver, which needs repro.core.pipeline whole, so obs is
-# entered from here and never first from the pipeline's own obs import.
+from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.core.pipeline import build_step_plan, make_block_state, run_step
 from repro.topo.bathymetry import ShelfBathymetry
 
 _TRACER = get_tracer()
@@ -172,8 +169,6 @@ class RTiModel:
         """Fold one step into the process metrics registry (obs armed)."""
         m = self._obs_metrics
         if m is None:
-            from repro.obs.metrics import get_registry
-
             reg = get_registry()
             m = self._obs_metrics = (
                 reg.counter("repro_steps_total", "model steps integrated"),

@@ -20,10 +20,6 @@ blocks to ranks is bitwise identical to the one-owner run
 (:class:`repro.core.RTiModel`; :mod:`repro.par.driver` runs the body in
 every rank — a forked rank process, or a rank thread where forking is ruled
 out).  DESIGN.md section 9d records the decision.
-
-A leaf of :mod:`repro.core`: it must not import ``repro.core.model``,
-because ``repro.par.driver`` imports it at module level and
-``repro.core.model`` reaches ``repro.par`` through ``repro.obs``.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from queue import SimpleQueue
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs.trace import get_tracer, span
 
 #: Most elements (rows x padded width) one strip may hold.  A 128x128
 #: block is one strip; a 768-wide block gets 31 rows.  The NumPy bodies keep
@@ -101,8 +102,6 @@ class _Team:
             share = None  # parked, a helper keeps no caller's arrays alive
 
     def walk(self, body, cuts: list, kernel: str) -> None:
-        from repro.obs.trace import get_tracer, span  # not above: a cycle
-
         tracer = get_tracer()
         obs_on = tracer.enabled
         context = tracer.current_context() if obs_on else None

@@ -12,17 +12,10 @@ machinery:
   Nankai-trough event, scaled to a given domain.
 """
 
-from repro.fault.okada import OkadaFault, okada_displacement
-from repro.fault.scenarios import (
-    GaussianSource,
-    nankai_like_scenario,
-    initial_eta_for_block,
-)
+from repro.lazy import exports
 
-__all__ = [
-    "OkadaFault",
-    "okada_displacement",
-    "GaussianSource",
-    "nankai_like_scenario",
-    "initial_eta_for_block",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "okada": "OkadaFault okada_displacement",
+    "scenarios": "GaussianSource nankai_like_scenario"
+                 " initial_eta_for_block",
+})

@@ -20,32 +20,14 @@ models exactly those mechanisms:
   CPU scaling of Fig. 15.
 """
 
-from repro.hw.platform import PlatformSpec, NodeSpec, SystemSpec
-from repro.hw.registry import (
-    PLATFORMS,
-    SYSTEMS,
-    get_platform,
-    get_system,
-)
-from repro.hw.kernelcost import KernelInvocation, kernel_solo_time_us, ROUTINE_BYTES_PER_CELL
-from repro.hw.streams import StreamSimulator, KernelEvent, LaunchMode
-from repro.hw.nvml import utilization_from_events
-from repro.hw.cache import CacheModel
+from repro.lazy import exports
 
-__all__ = [
-    "PlatformSpec",
-    "NodeSpec",
-    "SystemSpec",
-    "PLATFORMS",
-    "SYSTEMS",
-    "get_platform",
-    "get_system",
-    "KernelInvocation",
-    "kernel_solo_time_us",
-    "ROUTINE_BYTES_PER_CELL",
-    "StreamSimulator",
-    "KernelEvent",
-    "LaunchMode",
-    "utilization_from_events",
-    "CacheModel",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "platform": "PlatformSpec NodeSpec SystemSpec",
+    "registry": "PLATFORMS SYSTEMS get_platform get_system",
+    "kernelcost": "KernelInvocation kernel_solo_time_us"
+                  " ROUTINE_BYTES_PER_CELL",
+    "streams": "StreamSimulator KernelEvent LaunchMode",
+    "nvml": "utilization_from_events",
+    "cache": "CacheModel",
+})

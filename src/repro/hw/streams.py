@@ -76,6 +76,21 @@ class StreamResult:
         return self.bw_integral / self.makespan_us if self.makespan_us else 0.0
 
 
+def queue_occupancy(kernel_events, makespan_us: float) -> dict[int, float]:
+    """Per-queue busy fraction of one simulated batch.
+
+    The "queue occupancy" metric of the multi-queue experiments: how
+    much of the makespan each asynchronous queue spent with a resident
+    kernel.  Returns an empty dict for a zero/negative makespan.
+    """
+    if makespan_us <= 0:
+        return {}
+    busy: dict[int, float] = {}
+    for ev in kernel_events:
+        busy[ev.queue] = busy.get(ev.queue, 0.0) + ev.duration_us
+    return {q: b / makespan_us for q, b in sorted(busy.items())}
+
+
 @dataclass
 class _Active:
     kernel: KernelInvocation

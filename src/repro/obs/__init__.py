@@ -40,56 +40,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.obs import (
-    critpath,
-    flight,
-    log,
-    metrics,
-    physics,
-    slo,
-    trace,
-)
-from repro.obs.critpath import analyze_queues, analyze_spans
-from repro.obs.export import (
-    chrome_trace,
-    kernel_events_to_chrome,
-    physics_counter_events,
-    queue_occupancy,
-    service_events_to_chrome,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.flight import (
-    FlightBook,
-    FlightRecorder,
-    flight_path,
-    load_flight,
-    render_flight,
-)
-from repro.obs.inspect import (
-    breakdowns_from_spans,
-    imbalance_ratio,
-    inspect_integrity,
-    inspect_physics,
-    inspect_request,
-    inspect_rundir,
-    load_rundir,
-    render_report,
-    top_spans,
-)
-from repro.obs.physics import (
-    DivergenceSentinel,
-    PhysicsDivergenceError,
-    PhysicsSampler,
-    load_physics_report,
-    physics_doc,
-    render_physics_doc,
-    write_physics_json,
-)
+from repro.lazy import exports
+from repro.obs import log, metrics, trace
 from repro.obs.log import configure as configure_logging
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, get_registry, parse_prometheus
-from repro.obs.slo import SLO, SLOEngine, load_slo_report, render_slo_doc
 from repro.obs.timebase import TIMEBASE, mono_us, timestamp_pair
 from repro.obs.trace import (
     TraceContext,
@@ -101,6 +56,25 @@ from repro.obs.trace import (
     set_context,
     span,
 )
+
+# The leaves above are what every instrumented module needs; the rest
+# (critpath reaches repro.runtime, physics reaches repro.core) binds on
+# first access, so importing repro.obs.trace loads no layer above it.
+__getattr__, __dir__, _lazy = exports(__name__, {
+    "critpath": "analyze_queues analyze_spans",
+    "export": "chrome_trace kernel_events_to_chrome physics_counter_events"
+              " queue_occupancy service_events_to_chrome validate_chrome_trace"
+              " write_chrome_trace",
+    "flight": "FlightBook FlightRecorder flight_path load_flight"
+              " render_flight",
+    "inspect": "breakdowns_from_spans imbalance_ratio inspect_integrity"
+               " inspect_physics inspect_request inspect_rundir load_rundir"
+               " render_report top_spans",
+    "physics": "DivergenceSentinel PhysicsDivergenceError"
+               " PhysicsSampler load_physics_report physics_doc"
+               " render_physics_doc write_physics_json",
+    "slo": "SLO SLOEngine load_slo_report render_slo_doc",
+})
 
 
 def enable() -> None:
@@ -127,6 +101,8 @@ def export_run(
     rundir, kernel_events=None, physics_samples=None
 ) -> tuple[Path, Path]:
     """Write ``trace.json`` and ``metrics.json`` into *rundir*."""
+    from repro.obs.export import write_chrome_trace
+
     rundir = Path(rundir)
     rundir.mkdir(parents=True, exist_ok=True)
     trace_path = write_chrome_trace(
@@ -140,65 +116,32 @@ def export_run(
 
 __all__ = [
     "TIMEBASE",
-    "DivergenceSentinel",
-    "FlightBook",
-    "FlightRecorder",
     "MetricsRegistry",
-    "PhysicsDivergenceError",
-    "PhysicsSampler",
-    "SLO",
-    "SLOEngine",
     "TraceContext",
     "Tracer",
-    "analyze_queues",
-    "analyze_spans",
-    "breakdowns_from_spans",
+    "configure_logging",
     "context",
     "critpath",
-    "chrome_trace",
-    "configure_logging",
     "current_context",
     "disable",
     "enable",
     "export_run",
     "flight",
-    "flight_path",
     "get_logger",
     "get_registry",
     "get_tracer",
-    "imbalance_ratio",
-    "inspect_integrity",
-    "inspect_physics",
-    "inspect_request",
-    "inspect_rundir",
     "instant",
     "is_enabled",
-    "kernel_events_to_chrome",
-    "load_flight",
-    "load_physics_report",
-    "load_rundir",
-    "load_slo_report",
     "log",
     "metrics",
     "mono_us",
     "parse_prometheus",
     "physics",
-    "physics_counter_events",
-    "physics_doc",
-    "queue_occupancy",
-    "render_flight",
-    "render_physics_doc",
-    "render_report",
-    "render_slo_doc",
     "reset",
-    "service_events_to_chrome",
     "set_context",
     "slo",
     "span",
     "timestamp_pair",
-    "top_spans",
     "trace",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "write_physics_json",
+    *_lazy,
 ]

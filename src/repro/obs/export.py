@@ -20,6 +20,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.artifacts import publish_json
+from repro.hw.streams import queue_occupancy  # noqa: F401 - re-exported
 from repro.obs.timebase import TIMEBASE
 from repro.obs.trace import Tracer, get_tracer
 
@@ -268,17 +269,3 @@ def validate_chrome_trace(doc: dict) -> list[str]:
                 problems.append(f"event {i} lacks non-negative 'dur'")
     return problems
 
-
-def queue_occupancy(kernel_events, makespan_us: float) -> dict[int, float]:
-    """Per-queue busy fraction of one simulated batch.
-
-    The "queue occupancy" metric of the multi-queue experiments: how
-    much of the makespan each asynchronous queue spent with a resident
-    kernel.  Returns an empty dict for a zero/negative makespan.
-    """
-    if makespan_us <= 0:
-        return {}
-    busy: dict[int, float] = {}
-    for ev in kernel_events:
-        busy[ev.queue] = busy.get(ev.queue, 0.0) + ev.duration_us
-    return {q: b / makespan_us for q, b in sorted(busy.items())}

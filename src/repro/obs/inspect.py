@@ -28,7 +28,7 @@ from pathlib import Path
 from repro import guards
 from repro.artifacts import load_json_artifact, rejecting_malformed
 from repro.errors import PersistError
-from repro.obs.metrics import METRICS_SCHEMA
+from repro.obs.metrics import METRICS_SCHEMA, get_registry
 from repro.runtime.breakdown import (
     BREAKDOWN_PHASES,
     PhaseTime,
@@ -295,8 +295,6 @@ def render_report(art: RunArtifacts, top_n: int = 10) -> str:
         bds = breakdowns_from_spans(art.spans)
         if bds:
             ratio = imbalance_ratio(bds)
-            from repro.obs.metrics import get_registry
-
             get_registry().gauge(
                 "repro_rank_imbalance_ratio",
                 "max/mean rank time of the last inspected/re-tuned run",

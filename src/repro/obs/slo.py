@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.artifacts import load_json_artifact, publish_json
+from repro.obs.metrics import get_registry
 
 #: Schema stamp of one ``slo.json`` report.
 SLO_SCHEMA = "repro.obs.slo/1"
@@ -321,8 +322,6 @@ class SLOEngine:
     def export_gauges(self, now: float, registry=None) -> SLOReport:
         """Evaluate and publish ``repro_slo_*`` gauges; returns report."""
         if registry is None:
-            from repro.obs.metrics import get_registry
-
             registry = get_registry()
         report = self.evaluate(now)
         for s in report.statuses:

@@ -24,32 +24,14 @@ here; instead this package provides
   (vector length vs halo volume, Section II-B).
 """
 
-from repro.par.comm import Communicator, run_ranks
-from repro.par.driver import run_distributed
-from repro.par.decomposition import (
-    Decomposition,
-    RankWork,
-    WorkItem,
-    equal_cell_assignment,
-    ranks_per_level,
-    build_decomposition,
-    decomposition_from_separators,
-)
-from repro.par.timing import MessageCostModel
-from repro.par.protocol import ProtocolConfig, message_time
+from repro.lazy import exports
 
-__all__ = [
-    "Communicator",
-    "run_ranks",
-    "run_distributed",
-    "Decomposition",
-    "RankWork",
-    "WorkItem",
-    "equal_cell_assignment",
-    "ranks_per_level",
-    "build_decomposition",
-    "decomposition_from_separators",
-    "MessageCostModel",
-    "ProtocolConfig",
-    "message_time",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "comm": "Communicator run_ranks",
+    "driver": "run_distributed",
+    "decomposition": "Decomposition RankWork WorkItem"
+                     " equal_cell_assignment ranks_per_level"
+                     " build_decomposition decomposition_from_separators",
+    "timing": "MessageCostModel",
+    "protocol": "ProtocolConfig message_time",
+})

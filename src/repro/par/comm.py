@@ -61,6 +61,7 @@ from repro.errors import (
     CommunicationError,
     CommunicatorRevokedError,
 )
+from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 
 _TRACER = get_tracer()
@@ -68,8 +69,6 @@ _TRACER = get_tracer()
 
 def _sent_bytes(nbytes: int) -> None:
     """Fold one transport payload into the halo-traffic counter."""
-    from repro.obs.metrics import get_registry
-
     get_registry().counter(
         "repro_halo_bytes_total",
         "bytes moved through the simulated MPI transport",

@@ -42,6 +42,7 @@ import threading
 import numpy as np
 
 from repro.constants import REFINEMENT_RATIO
+from repro.core import loopnest
 from repro.core.config import SimulationConfig
 from repro.core.pipeline import (
     StepPlan,
@@ -158,6 +159,9 @@ def _slot_bytes(plan: StepPlan, owner, config, integrity):
     # or more strips forms a team again — in each rank process its own,
     # from that rank's share of the CPUs (run_distributed resets the share).
     disband_team(cpu_share=n_ranks)
+    # The kernels' executor is chosen here, once: a forked rank inherits the
+    # loaded nest and what its self-check imported, and imports nothing.
+    loopnest.choice()
     if threading.active_count() != 1:
         return None
     cells = [1]

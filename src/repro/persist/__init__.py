@@ -24,65 +24,17 @@ malformed input unacceptable.  This package provides:
   orchestration (bitwise-identical continuation).
 """
 
-from repro.persist.journal import JOURNAL_VERSION, RunJournal, read_journal
-from repro.persist.preflight import (
-    Finding,
-    PreflightReport,
-    preflight,
-    validate_rundir,
-    validate_scenario,
-)
-from repro.persist.products import ProductStreamer, default_stations
-from repro.persist.runner import (
-    DEFAULT_CHECKPOINT_EVERY,
-    resume_run,
-    start_run,
-)
-from repro.persist.scenario import (
-    BuiltScenario,
-    build_scenario,
-    domain_extent,
-    load_scenario,
-)
-from repro.persist.signals import interrupt_guard
-from repro.persist.snapshot import (
-    SCHEMA_VERSION,
-    array_digest,
-    grid_fingerprint,
-    read_arrays,
-    read_snapshot,
-    verify_snapshot,
-    write_arrays,
-    write_snapshot,
-)
-from repro.persist.store import RunStore
+from repro.lazy import exports
 
-__all__ = [
-    "JOURNAL_VERSION",
-    "SCHEMA_VERSION",
-    "DEFAULT_CHECKPOINT_EVERY",
-    "RunJournal",
-    "read_journal",
-    "Finding",
-    "PreflightReport",
-    "preflight",
-    "validate_rundir",
-    "validate_scenario",
-    "ProductStreamer",
-    "default_stations",
-    "resume_run",
-    "start_run",
-    "BuiltScenario",
-    "build_scenario",
-    "domain_extent",
-    "load_scenario",
-    "interrupt_guard",
-    "array_digest",
-    "grid_fingerprint",
-    "read_arrays",
-    "write_arrays",
-    "read_snapshot",
-    "verify_snapshot",
-    "write_snapshot",
-    "RunStore",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "journal": "JOURNAL_VERSION RunJournal read_journal",
+    "preflight": "Finding PreflightReport preflight validate_rundir"
+                 " validate_scenario",
+    "products": "ProductStreamer default_stations",
+    "runner": "DEFAULT_CHECKPOINT_EVERY resume_run start_run",
+    "scenario": "BuiltScenario build_scenario domain_extent load_scenario",
+    "signals": "interrupt_guard",
+    "snapshot": "SCHEMA_VERSION array_digest grid_fingerprint read_arrays"
+                " read_snapshot verify_snapshot write_arrays write_snapshot",
+    "store": "RunStore",
+})

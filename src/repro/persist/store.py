@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.errors import PersistError
+from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.obs.trace import span as _span
 from repro.persist.journal import RunJournal, read_journal
@@ -151,8 +152,6 @@ class RunStore:
                 snapshot=name,
             )
         if obs_on:
-            from repro.obs.metrics import get_registry
-
             get_registry().histogram(
                 "repro_checkpoint_seconds",
                 "wall time of one on-disk checkpoint publish",

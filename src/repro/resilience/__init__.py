@@ -37,88 +37,23 @@ failure.  It provides:
   :class:`ForecastReport`.
 """
 
-from repro.resilience.checkpoint import Checkpoint, CheckpointRing
-from repro.resilience.clock import SimulatedClock
-from repro.resilience.deadline import (
-    DEGRADATION_ORDER,
-    DeadlineSupervisor,
-    DegradationEvent,
-)
-from repro.resilience.faultplan import FAULT_KINDS, FaultPlan, FaultSpec
-from repro.resilience.forecast import run_resilient_forecast
-from repro.resilience.health import HealthMonitor, StepTimeMonitor
-from repro.resilience.inject import (
-    FaultyComm,
-    RankCrashError,
-    corrupt_state,
-    flip_bit,
-    maybe_crash_at_step,
-    nonfinite_blocks,
-)
-from repro.resilience.integrity import (
-    CLEAN,
-    CORRECTED,
-    CORRUPTED,
-    INTEGRITY_VERDICTS,
-    CheckpointScrubber,
-    IntegrityMonitor,
-    IntegrityTracker,
-    MessageIntegrity,
-    integrity_doc,
-    load_integrity_report,
-    render_integrity_doc,
-    write_integrity_json,
-)
-from repro.resilience.recovery import (
-    RecoveryEngine,
-    RecoveryEvent,
-    drop_finest_level,
-)
-from repro.resilience.report import ForecastReport
-from repro.resilience.survive import (
-    SurvivalConfig,
-    SurvivalReport,
-    buddy_of,
-    survivable_run_distributed,
-)
+from repro.lazy import exports
 
-__all__ = [
-    "CLEAN",
-    "CORRECTED",
-    "CORRUPTED",
-    "INTEGRITY_VERDICTS",
-    "CheckpointScrubber",
-    "IntegrityMonitor",
-    "IntegrityTracker",
-    "MessageIntegrity",
-    "flip_bit",
-    "integrity_doc",
-    "load_integrity_report",
-    "render_integrity_doc",
-    "write_integrity_json",
-    "FAULT_KINDS",
-    "DEGRADATION_ORDER",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultyComm",
-    "RankCrashError",
-    "corrupt_state",
-    "nonfinite_blocks",
-    "HealthMonitor",
-    "Checkpoint",
-    "CheckpointRing",
-    "SimulatedClock",
-    "DeadlineSupervisor",
-    "DegradationEvent",
-    "RecoveryEngine",
-    "RecoveryEvent",
-    "drop_finest_level",
-    "run_resilient_forecast",
-    "ForecastReport",
-    "StepTimeMonitor",
-    "maybe_crash_at_step",
-    "SurvivalConfig",
-    "SurvivalReport",
-    "buddy_of",
-    "survivable_run_distributed",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "checkpoint": "Checkpoint CheckpointRing",
+    "clock": "SimulatedClock",
+    "deadline": "DEGRADATION_ORDER DeadlineSupervisor DegradationEvent",
+    "faultplan": "FAULT_KINDS FaultPlan FaultSpec",
+    "forecast": "run_resilient_forecast",
+    "health": "HealthMonitor StepTimeMonitor",
+    "inject": "FaultyComm RankCrashError corrupt_state flip_bit"
+              " maybe_crash_at_step nonfinite_blocks",
+    "integrity": "CLEAN CORRECTED CORRUPTED INTEGRITY_VERDICTS"
+                 " CheckpointScrubber IntegrityMonitor IntegrityTracker"
+                 " MessageIntegrity integrity_doc load_integrity_report"
+                 " render_integrity_doc write_integrity_json",
+    "recovery": "RecoveryEngine RecoveryEvent drop_finest_level",
+    "report": "ForecastReport",
+    "survive": "SurvivalConfig SurvivalReport buddy_of"
+               " survivable_run_distributed",
+})

@@ -15,7 +15,9 @@ exposes.
 from __future__ import annotations
 
 from repro.hw.kernelcost import KernelInvocation
-from repro.hw.streams import LaunchMode, StreamSimulator
+from repro.hw.registry import get_system
+from repro.hw.streams import LaunchMode, StreamSimulator, queue_occupancy
+from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 
 
@@ -42,8 +44,6 @@ class SimulatedClock:
         comm_overhead: float = 1.25,
     ) -> None:
         if isinstance(platform, str):
-            from repro.hw import get_system
-
             platform = get_system(platform).platform
         self.platform = platform
         self.n_queues = n_queues
@@ -84,8 +84,6 @@ class SimulatedClock:
                         KernelInvocation("OUTPUT", cells, f"out b{bid}")
                     )
             result = sim.run()
-            from repro.obs.export import queue_occupancy
-
             self._cache[key] = (
                 result.makespan_us * self.comm_overhead,
                 queue_occupancy(result.events, result.makespan_us),
@@ -115,8 +113,6 @@ class SimulatedClock:
         )
         self.advance(cost)
         if get_tracer().enabled:
-            from repro.obs.metrics import get_registry
-
             reg = get_registry()
             reg.gauge(
                 "repro_sim_elapsed_seconds",

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import DeadlineError
+from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 
 #: Degradation actions, mildest first.
@@ -94,8 +95,6 @@ class DeadlineSupervisor:
     def record(self, event: DegradationEvent) -> None:
         self.events.append(event)
         if get_tracer().enabled:
-            from repro.obs.metrics import get_registry
-
             reg = get_registry()
             reg.gauge(
                 "repro_eta_projected_seconds",

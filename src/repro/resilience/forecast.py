@@ -21,6 +21,7 @@ from repro.obs.physics import (
     PhysicsSampler,
     physics_doc,
 )
+from repro.obs.trace import span
 from repro.resilience.checkpoint import CheckpointRing
 from repro.resilience.clock import SimulatedClock
 from repro.resilience.deadline import DeadlineSupervisor
@@ -152,9 +153,7 @@ def run_resilient_forecast(
         scrubber=scrubber,
         scrub_every=scrub_every,
     )
-    from repro.obs.trace import span as _span
-
-    with _span(
+    with span(
         "forecast", cat="step",
         horizon_s=horizon_s, platform=str(platform),
     ):

@@ -30,6 +30,7 @@ import numpy as np
 from repro.constants import GRAVITY
 from repro.core import loopnest
 from repro.errors import NumericalError
+from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 
 
@@ -79,8 +80,6 @@ class HealthMonitor:
         """Run all checks now; raise :class:`NumericalError` on failure."""
         self.checks_run += 1
         if get_tracer().enabled:
-            from repro.obs.metrics import get_registry
-
             get_registry().counter(
                 "repro_health_checks_total",
                 "numerical health checks executed",

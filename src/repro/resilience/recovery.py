@@ -39,6 +39,7 @@ from repro.core.model import CompositeMonitor, RTiModel
 from repro.errors import IntegrityError, NumericalError
 from repro.grid.hierarchy import NestedGrid
 from repro.obs.log import get_logger
+from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer, instant
 from repro.resilience.checkpoint import CheckpointRing, capture_model
 from repro.resilience.deadline import DeadlineSupervisor, DegradationEvent
@@ -207,8 +208,6 @@ class RecoveryEngine:
                 step=self.model.step_count,
                 detail=detail,
             )
-            from repro.obs.metrics import get_registry
-
             get_registry().counter(
                 "repro_recovery_actions_total",
                 "recovery-engine actions by kind",
@@ -399,8 +398,6 @@ class RecoveryEngine:
             )
         # Meter unconditionally: overload dashboards must see every
         # degradation whether or not the run was traced.
-        from repro.obs.metrics import get_registry
-
         get_registry().counter(
             "repro_degradations_total",
             "graceful-degradation actions by kind",

@@ -81,6 +81,7 @@ from repro.core.model import RTiModel
 from repro.core.pipeline import build_step_plan
 from repro.errors import CFLError, CommunicationError, ConfigurationError
 from repro.obs.log import get_logger
+from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer, instant
 from repro.par.comm import run_ranks
 from repro.par.decomposition import Decomposition
@@ -125,8 +126,6 @@ def buddy_of(rank: int, size: int) -> int:
 def _metrics():
     if not get_tracer().enabled:
         return None
-    from repro.obs.metrics import get_registry
-
     return get_registry()
 
 

@@ -12,21 +12,10 @@ decomposition), so the simulator times a single step in detail and
 multiplies by the step count.
 """
 
-from repro.runtime.launch import ExecutionConfig, build_routine_kernels
-from repro.runtime.breakdown import RankBreakdown, PhaseTime, BREAKDOWN_PHASES
-from repro.runtime.perfsim import (
-    PerformanceSimulator,
-    StepReport,
-    simulate_run_seconds,
-)
+from repro.lazy import exports
 
-__all__ = [
-    "ExecutionConfig",
-    "build_routine_kernels",
-    "RankBreakdown",
-    "PhaseTime",
-    "BREAKDOWN_PHASES",
-    "PerformanceSimulator",
-    "StepReport",
-    "simulate_run_seconds",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "launch": "ExecutionConfig build_routine_kernels",
+    "breakdown": "RankBreakdown PhaseTime BREAKDOWN_PHASES",
+    "perfsim": "PerformanceSimulator StepReport simulate_run_seconds",
+})

@@ -8,76 +8,20 @@ a deterministic simulated-clock soak harness.  See
 :mod:`repro.service.service` for the service contract.
 """
 
-from repro.service.admission import (
-    CostEstimator,
-    project_schedule,
-    scenario_cells_by_level,
-)
-from repro.service.backend import (
-    BackendResult,
-    LocalBackend,
-    SimulatedBackend,
-)
-from repro.service.breaker import CircuitBreaker
-from repro.service.cache import CacheEntry, SingleFlightCache
-from repro.service.clock import VirtualClock, WallClock
-from repro.service.queue import BoundedDeadlineQueue
-from repro.service.request import (
-    CLASS_RANK,
-    CLASS_SHED_ACTIONS,
-    FULL_FIDELITY,
-    REQUEST_CLASSES,
-    Fidelity,
-    ForecastRequest,
-    canonical_scenario,
-    ladder_fidelities,
-    scenario_key,
-)
-from repro.service.service import (
-    EventRing,
-    ForecastService,
-    ServiceConfig,
-    ServiceEvent,
-    Ticket,
-)
-from repro.service.soak import (
-    SoakConfig,
-    SoakReport,
-    poisson_arrivals,
-    run_soak,
-    synthetic_scenarios,
-)
+from repro.lazy import exports
 
-__all__ = [
-    "BackendResult",
-    "BoundedDeadlineQueue",
-    "CLASS_RANK",
-    "CLASS_SHED_ACTIONS",
-    "CacheEntry",
-    "CircuitBreaker",
-    "CostEstimator",
-    "EventRing",
-    "FULL_FIDELITY",
-    "Fidelity",
-    "ForecastRequest",
-    "ForecastService",
-    "LocalBackend",
-    "REQUEST_CLASSES",
-    "ServiceConfig",
-    "ServiceEvent",
-    "SimulatedBackend",
-    "SingleFlightCache",
-    "SoakConfig",
-    "SoakReport",
-    "Ticket",
-    "VirtualClock",
-    "WallClock",
-    "canonical_scenario",
-    "ladder_fidelities",
-    "poisson_arrivals",
-    "project_schedule",
-    "run_soak",
-    "scenario_cells_by_level",
-    "scenario_key",
-    "synthetic_scenarios",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "admission": "CostEstimator project_schedule scenario_cells_by_level",
+    "backend": "BackendResult LocalBackend SimulatedBackend",
+    "breaker": "CircuitBreaker",
+    "cache": "CacheEntry SingleFlightCache",
+    "clock": "VirtualClock WallClock",
+    "queue": "BoundedDeadlineQueue",
+    "request": "CLASS_RANK CLASS_SHED_ACTIONS FULL_FIDELITY"
+               " REQUEST_CLASSES Fidelity ForecastRequest"
+               " canonical_scenario ladder_fidelities scenario_key",
+    "service": "EventRing ForecastService ServiceConfig ServiceEvent"
+               " Ticket",
+    "soak": "SoakConfig SoakReport poisson_arrivals run_soak"
+            " synthetic_scenarios",
+})

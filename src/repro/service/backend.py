@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from repro import guards
 from repro.errors import NumericalError, ServiceError
+from repro.obs.trace import span
 from repro.service.admission import CostEstimator
 from repro.service.request import (
     FULL_FIDELITY,
@@ -291,8 +292,6 @@ class SimulatedBackend:
         request: ForecastRequest,
         budget_s: float | None,
     ) -> BackendResult:
-        from repro.obs.trace import span
-
         self.runs += 1
         key = request.cache_key(self.name)
         self.runs_by_key[key] = self.runs_by_key.get(key, 0) + 1

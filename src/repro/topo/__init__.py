@@ -12,25 +12,11 @@ this package provides
   3:1-nested topology for running the actual numerics.
 """
 
-from repro.topo.bathymetry import ShelfBathymetry, GaussianIslandField
-from repro.topo.blockgen import split_cells_into_blocks, factor_near_aspect
-from repro.topo.kochi import (
-    KOCHI_TABLE1,
-    build_kochi_grid,
-    build_mini_kochi,
-    kochi_table,
-)
-from repro.topo.autonest import AutoNestConfig, build_auto_nest
+from repro.lazy import exports
 
-__all__ = [
-    "ShelfBathymetry",
-    "GaussianIslandField",
-    "split_cells_into_blocks",
-    "factor_near_aspect",
-    "KOCHI_TABLE1",
-    "build_kochi_grid",
-    "build_mini_kochi",
-    "kochi_table",
-    "AutoNestConfig",
-    "build_auto_nest",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "bathymetry": "ShelfBathymetry GaussianIslandField",
+    "blockgen": "split_cells_into_blocks factor_near_aspect",
+    "kochi": "KOCHI_TABLE1 build_kochi_grid build_mini_kochi kochi_table",
+    "autonest": "AutoNestConfig build_auto_nest",
+})

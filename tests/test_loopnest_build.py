@@ -117,6 +117,17 @@ def test_a_working_compiler_builds_the_nest_once_and_the_next_process_loads_it(
     assert again["executor"] == "nest" and not said and obj.stat().st_mtime_ns == built
 
 
+def test_two_cc_values_differing_in_one_flag_build_two_objects(tmp_path, expected):
+    """``CC="cc -fsanitize=address,undefined"`` answers ``--version`` as plain
+    ``cc`` does: each must load the object it built, never the other's."""
+    executors.compiled_nests()
+    for cc in ("cc", "cc -g"):
+        result, said = forecast_in_a_fresh_process(tmp_path, cc=cc)
+        assert result["executor"] == "nest" and not said and result["digest"] == expected
+    objects = list((tmp_path / "repro-loopnest").iterdir())
+    assert len({obj.name.rsplit("-", 1)[0] for obj in objects}) == 2, objects
+
+
 def test_no_compiler(tmp_path, expected):
     empty = tmp_path / "bin"
     empty.mkdir()

@@ -677,8 +677,8 @@ class TestInspect:
         assert "throughput" in out
         assert f"kernel executor : {ran.executor} (" in out
         assert (" calls prepared, " in out) == (ran.executor == "nest")
-        for routine in routines:  # each its own line, where it was launched
-            assert (f"  {routine:<14}: " in out) == (ran.executor == "nest")
+        for routine, n in routines.items():  # each its own line, where it was launched
+            assert (f"  {routine:<14}: " in out) == (n["launches"] > 0), routine
 
     def test_inspect_untraced_rundir_suggests_flag(self, tmp_path, capsys):
         from repro.cli import main

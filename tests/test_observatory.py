@@ -214,10 +214,16 @@ class TestCalibration:
         assert len(cells) == 20
         assert len(set(cells)) >= 2
         assert all(t >= 0.0 for t in times)
-        fitted = calibrate_from_spans(spans)
-        assert fitted.slope_us_per_cell > 0
         # "Update output data" is a kernel like the other two.
         assert sorted(kernel_samples(spans, "OUTPUT")[0]) == sorted(cells)
+        # The fit reads these very spans; their wall times are two steps'
+        # noise, so they are set from a known line here.
+        for span in spans:
+            if span["name"] == "NLMNT2.kernel":
+                span["dur_us"] = 46.2 + 1.09e-4 * span["args"]["cells"]
+        fitted = calibrate_from_spans(spans)
+        assert fitted.slope_us_per_cell == pytest.approx(1.09e-4, rel=1e-6)
+        assert fitted.intercept_us == pytest.approx(46.2, rel=1e-6)
 
     def test_drift_verdict(self):
         ref = LinearPerfModel(1.09e-4, 46.2, 0.942)
