@@ -97,6 +97,14 @@ if git grep -nE 'NeighborCheckpointStore|store_capacity|hedge_window|hedge_budge
     src tests examples
 then echo "== a second home for a multi-rank run is back (see above) =="; exit 1; fi
 
+# One way a request ends: ForecastService settles every ticket through
+# _settle; its admission margin, platform and event buffer are constants, not
+# knobs, and a circuit breaker's state is read through the breaker.
+if git grep -nE '_finish_ok|est_raw_s|retry_failures|event_buffer|flight_events|flight_keep|admission_margin|breaker_cooldown_s' -- \
+    src tests examples ||
+    git grep -n '_probe_inflight' -- src tests examples ':!src/repro/service/breaker.py'
+then echo "== a second way a request ends, or a service knob, is back (see above) =="; exit 1; fi
+
 echo "== pytest (tier 1) =="
 if [ "$fast" = 1 ]; then
     PYTHONPATH=src python -m pytest -x -q

@@ -624,7 +624,9 @@ def _cmd_serve(args) -> int:
         print("error: serve needs --soak or --requests FILE")
         return 2
 
-    from repro.errors import ServiceOverloadError
+    import math
+
+    from repro.errors import ServiceError, ServiceOverloadError
     from repro.service import (
         ForecastRequest,
         ForecastService,
@@ -645,20 +647,44 @@ def _cmd_serve(args) -> int:
     )
     try:
         with open(args.requests, encoding="utf-8") as fh:
-            specs = [json.loads(line) for line in fh if line.strip()]
+            lines = [
+                (n, json.loads(line))
+                for n, line in enumerate(fh, 1) if line.strip()
+            ]
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read {args.requests}: {exc}")
         return 2
-    specs.sort(key=lambda d: float(d.get("at", 0.0)))
-    for spec in specs:
-        at = float(spec.pop("at", 0.0))
+    # Every line is checked before the first submission.  Requests are
+    # built in arrival order: the order their ids count in.
+    timed = []
+    for n, spec in lines:
+        raw = spec.pop("at", 0.0) if isinstance(spec, dict) else 0.0
+        try:
+            at = float(raw)
+        except (TypeError, ValueError, OverflowError):
+            at = math.nan
+        if not math.isfinite(at):
+            print(f"error: {args.requests}:{n}: 'at' must be a finite "
+                  f"number of seconds, got {raw!r}")
+            return 2
+        timed.append((at, n, spec))
+    requests = []
+    for at, n, spec in sorted(timed, key=lambda item: item[0]):
+        try:
+            requests.append((at, n, ForecastRequest.from_dict(spec)))
+        except ServiceError as exc:
+            print(f"error: {args.requests}:{n}: {exc}")
+            return 2
+    for at, n, request in requests:
         service.advance_to(max(at, service.clock.now()))
-        request = ForecastRequest.from_dict(spec)
         try:
             service.submit(request)
         except ServiceOverloadError as exc:
             print(f"{request.request_id:<12} {request.klass:<8} rejected "
                   f"{type(exc).__name__}: {exc}")
+        except ServiceError as exc:  # a scenario the service cannot price
+            print(f"error: {args.requests}:{n}: {exc}")
+            return 2
     service.run_until_idle()
     bad = 0
     for ticket in service.tickets:
@@ -699,6 +725,7 @@ def _cmd_slo(args) -> int:
 def _cmd_submit(args) -> int:
     import json
 
+    from repro.errors import ServiceError
     from repro.service import ForecastRequest
 
     if args.scenario is not None:
@@ -724,12 +751,16 @@ def _cmd_submit(args) -> int:
                 "sigma": 2_500.0,
             },
         }
-    request = ForecastRequest(
-        scenario=spec,
-        deadline_s=args.deadline,
-        tenant=args.tenant,
-        klass=args.klass,
-    )
+    try:
+        request = ForecastRequest(
+            scenario=spec,
+            deadline_s=args.deadline,
+            tenant=args.tenant,
+            klass=args.klass,
+        )
+    except ServiceError as exc:
+        print(f"error: {args.scenario or 'the built-in scenario'}: {exc}")
+        return 2
     doc = request.to_dict()
     if args.at is not None:
         doc["at"] = args.at

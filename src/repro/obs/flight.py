@@ -10,7 +10,9 @@ state transitions, degradations, retries, breaker trips, recovery
 epochs, and queue-depth samples, each stamped with the service's virtual
 time **and** the shared monotonic+wall pair from
 :mod:`repro.obs.timebase` (so flight events line up with trace spans and
-journal records on either axis).
+journal records on either axis).  An event is a :class:`ServiceEvent`:
+the service builds one per decision, and the same record sits in its own
+bounded :class:`EventRing` and in the request's recorder.
 
 On a bad ending — shed, failure, or deadline breach — the recorder is
 dumped as ``flight/<request_id>.json`` under the run directory, and
@@ -22,6 +24,7 @@ kept), and a bounded ring of settled recorders.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.artifacts import load_json_artifact, publish_json
@@ -34,45 +37,92 @@ FLIGHT_SCHEMA = "repro.obs.flight/1"
 FLIGHT_DIR = "flight"
 
 
-class FlightRecorder:
-    """Bounded event ring for one request."""
+@dataclass(frozen=True, slots=True)
+class ServiceEvent:
+    """One decision about one request, built once.
 
-    __slots__ = ("request_id", "capacity", "meta", "dropped", "outcome",
-                 "_events")
+    The service's bounded event log and the request's flight recorder hold
+    the same record; :meth:`to_flight` is its form in a dumped recording.
+    """
 
-    def __init__(self, request_id: str, capacity: int = 64,
-                 meta: dict | None = None) -> None:
-        self.request_id = request_id
+    #: Service (virtual-clock) time of the decision; None off the clock.
+    t: float | None
+    kind: str
+    request_id: str
+    detail: str = ""
+    #: Extra keys of the flight form (e.g. a queue-depth sample's depth).
+    fields: dict | None = None
+    #: ``(ts_wall, ts_mono_us)`` on the shared timebase, from one reading.
+    stamp: tuple = field(default_factory=TIMEBASE.pair, compare=False,
+                         repr=False)
+
+    def to_flight(self) -> dict:
+        ts_wall, ts_mono_us = self.stamp
+        ev: dict = {"kind": self.kind, "ts_wall": ts_wall,
+                    "ts_mono_us": ts_mono_us}
+        if self.t is not None:
+            ev["t_service"] = round(float(self.t), 6)
+        if self.detail:
+            ev["detail"] = self.detail
+        if self.fields:
+            ev.update(self.fields)
+        return ev
+
+
+class EventRing:
+    """Bounded record buffer — newest kept, drops counted.
+
+    Reads like a list (len / iteration / indexing), but a week-long soak
+    cannot grow memory without limit.
+    """
+
+    __slots__ = ("capacity", "dropped", "_events")
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError("event ring capacity must be >= 1")
         self.capacity = int(capacity)
-        self.meta = dict(meta or {})
         self.dropped = 0
-        self.outcome: str | None = None
-        self._events: deque[dict] = deque(maxlen=self.capacity)
+        self._events: deque = deque(maxlen=self.capacity)
+
+    def append(self, ev) -> None:
+        if len(self._events) == self.capacity:
+            self.dropped += 1
+        self._events.append(ev)
 
     def __len__(self) -> int:
         return len(self._events)
 
+    def __iter__(self):
+        return iter(self._events)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self._events)[index]
+        return self._events[index]
+
+
+class FlightRecorder(EventRing):
+    """The ring of one request's :class:`ServiceEvent` records."""
+
+    __slots__ = ("request_id", "meta", "outcome")
+
+    def __init__(self, request_id: str, capacity: int = 64,
+                 meta: dict | None = None) -> None:
+        super().__init__(capacity)
+        self.request_id = request_id
+        self.meta = dict(meta or {})
+        self.outcome: str | None = None
+
     def record(self, kind: str, detail: str = "",
                t_service: float | None = None, **fields) -> None:
         """Append one event; the oldest falls off a full ring."""
-        if len(self._events) == self.capacity:
-            self.dropped += 1
-        ts_wall, ts_mono_us = TIMEBASE.pair()
-        ev: dict = {
-            "kind": kind,
-            "ts_wall": ts_wall,
-            "ts_mono_us": ts_mono_us,
-        }
-        if t_service is not None:
-            ev["t_service"] = round(float(t_service), 6)
-        if detail:
-            ev["detail"] = detail
-        if fields:
-            ev.update(fields)
-        self._events.append(ev)
+        self.append(ServiceEvent(
+            t_service, kind, self.request_id, detail, fields or None
+        ))
 
     def events(self) -> list[dict]:
-        return list(self._events)
+        return [ev.to_flight() for ev in self]
 
     def to_dict(self) -> dict:
         doc: dict = {
@@ -123,6 +173,13 @@ class FlightBook:
         rec = self._live.get(request_id)
         if rec is not None:
             rec.record(kind, detail, t_service=t_service, **fields)
+
+    def add(self, event: ServiceEvent) -> None:
+        """File an already-built record with its request's open recorder;
+        silently ignores unknown ids."""
+        rec = self._live.get(event.request_id)
+        if rec is not None:
+            rec.append(event)
 
     def settle(self, request_id: str, outcome: str | None = None,
                dump: bool = False) -> Path | None:

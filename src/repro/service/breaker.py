@@ -37,7 +37,7 @@ class CircuitBreaker:
         self,
         name: str = "default",
         failure_threshold: int = 3,
-        cooldown_s: float = 120.0,
+        cooldown_s: float = 300.0,
     ) -> None:
         if failure_threshold < 1:
             raise ServiceError("failure_threshold must be >= 1")
@@ -52,20 +52,25 @@ class CircuitBreaker:
         self.trips = 0
         self._probe_inflight = False
 
-    def allow(self, now: float) -> bool:
-        """May a request be dispatched to this backend right now?"""
+    def would_allow(self, now: float) -> bool:
+        """Could a call pass at *now*?  Changes no state."""
         if self.state == CLOSED:
             return True
         if self.state == OPEN:
-            if now - self.opened_at >= self.cooldown_s:
-                self.state = HALF_OPEN
-                self._probe_inflight = False
-            else:
-                return False
-        # Half-open: admit exactly one probe at a time.
-        if self._probe_inflight:
+            return now - self.opened_at >= self.cooldown_s
+        return not self._probe_inflight
+
+    def allow(self, now: float) -> bool:
+        """May a request be dispatched to this backend right now?
+
+        Past an open breaker's cooldown the call is the half-open probe:
+        exactly one at a time.
+        """
+        if not self.would_allow(now):
             return False
-        self._probe_inflight = True
+        if self.state != CLOSED:
+            self.state = HALF_OPEN
+            self._probe_inflight = True
         return True
 
     def record_success(self, now: float) -> None:

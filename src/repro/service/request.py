@@ -218,6 +218,21 @@ class ForecastRequest:
 
     @classmethod
     def from_dict(cls, d: dict) -> ForecastRequest:
+        """The request a :meth:`to_dict` document (or a line of a
+        request file) describes; :class:`~repro.errors.ServiceError` on
+        anything else."""
+        if not isinstance(d, dict):
+            raise ServiceError(
+                f"a request is a JSON object, got {type(d).__name__}"
+            )
+        missing = [k for k in ("scenario", "deadline_s") if k not in d]
+        if missing:
+            raise ServiceError(f"request lacks {', '.join(missing)}")
+        deadline = d["deadline_s"]
+        if isinstance(deadline, bool) or not isinstance(deadline, (int, float)):
+            raise ServiceError(
+                f"deadline_s must be a number, got {deadline!r}"
+            )
         kwargs = {
             "scenario": d["scenario"],
             "deadline_s": d["deadline_s"],

@@ -31,7 +31,6 @@ reproducible bit-for-bit from its seed.
 from __future__ import annotations
 
 import contextlib
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro import guards
@@ -43,7 +42,7 @@ from repro.errors import (
     ServiceOverloadError,
     TenantQuotaError,
 )
-from repro.obs.flight import FlightBook
+from repro.obs.flight import EventRing, FlightBook, ServiceEvent
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.trace import TraceContext, get_tracer
@@ -67,6 +66,15 @@ LATENCY_BUCKETS = (
     1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0,
 )
 
+#: Fraction of each deadline the admission projection must fit into —
+#: headroom for estimation error (the un-modelled tail).
+ADMISSION_MARGIN = 0.8
+#: Table-II system the cost model prices; also scopes the cache keys.
+PLATFORM = "squid-gpu"
+#: Newest :class:`ServiceEvent`\ s kept in memory (older dropped and
+#: counted) — long soaks must not grow without bound.
+EVENT_BUFFER = 4096
+
 # Ticket lifecycle states.
 QUEUED = "queued"
 RUNNING = "running"
@@ -76,46 +84,34 @@ JOINED = "joined"
 SHED = "shed"
 FAILED = "failed"
 
+#: How a joiner's ending reads when its primary's flight ends.
+_JOINED_DETAIL = {
+    DONE_OK: "",
+    SHED: "primary of joined flight was shed",
+    FAILED: "primary of joined flight failed",
+}
+
 
 @dataclass
 class ServiceConfig:
-    """Operating envelope of one :class:`ForecastService`."""
+    """What a deployment sizes: workers, queue and per-tenant bulkhead."""
 
     workers: int = 2
     queue_capacity: int = 32
-    #: Fraction of each deadline the projection must fit into — headroom
-    #: for estimation error (the un-modelled tail).
-    admission_margin: float = 0.8
     #: Max queued + running primaries per tenant (the bulkhead).
     tenant_quota: int = 8
-    breaker_threshold: int = 3
-    breaker_cooldown_s: float = 300.0
-    cache_capacity: int = 256
-    platform: str = "squid-gpu"
-    #: One re-queue after a backend failure, deadline permitting.
-    retry_failures: bool = True
-    #: Newest :class:`ServiceEvent`\ s kept in memory (older dropped
-    #: and counted) — long soaks must not grow without bound.
-    event_buffer: int = 4096
-    #: Flight-recorder ring size per in-flight request.
-    flight_events: int = 64
-    #: Settled flight recorders retained in memory for post-mortems.
-    flight_keep: int = 512
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ServiceError("need at least one worker")
-        if not 0 < self.admission_margin <= 1:
-            raise ServiceError(
-                f"admission_margin must be in (0, 1], got "
-                f"{self.admission_margin}"
-            )
         if self.tenant_quota < 1:
             raise ServiceError("tenant_quota must be >= 1")
-        if self.event_buffer < 1:
-            raise ServiceError("event_buffer must be >= 1")
-        if self.flight_events < 1 or self.flight_keep < 1:
-            raise ServiceError("flight_events and flight_keep must be >= 1")
+
+
+def _margin_deadline(request: ForecastRequest) -> float:
+    """Latest completion admission plans for: the deadline less the
+    :data:`ADMISSION_MARGIN` headroom."""
+    return request.submitted_s + request.deadline_s * ADMISSION_MARGIN
 
 
 @dataclass
@@ -129,7 +125,6 @@ class Ticket:
     #: Remaining ladder below ``planned``, for later relief rounds.
     ladder: list = field(default_factory=list)
     est_s: float = 0.0
-    est_raw_s: float = 0.0
     result: object = None
     error: BaseException | None = None
     enqueued_s: float | None = None
@@ -138,10 +133,13 @@ class Ticket:
     backend: str | None = None
     attempts: int = 0
     outcome_detail: str = ""
-    #: Trace identity of this request's span tree (the request id).
-    trace_id: str = ""
     #: For joined tickets: the primary whose run resolves us.
     joined_to: "Ticket | None" = None
+
+    @property
+    def trace_id(self) -> str:
+        """Trace identity of this request's span tree: the request id."""
+        return self.request.request_id
 
     @property
     def deadline_abs(self) -> float:
@@ -181,54 +179,6 @@ class _Worker:
         return self.ticket is None
 
 
-@dataclass(frozen=True)
-class ServiceEvent:
-    """One decision the service took, for journals and tests."""
-
-    t: float
-    kind: str
-    request_id: str
-    detail: str = ""
-
-
-class EventRing:
-    """Bounded :class:`ServiceEvent` buffer — newest kept, drops counted.
-
-    Reads like the list it replaced (len / iteration / indexing) so the
-    journal-dump and test paths keep working, but a week-long soak can
-    no longer grow service memory without limit; the journal remains the
-    complete record when one is attached.
-    """
-
-    __slots__ = ("capacity", "dropped", "_events")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ServiceError("event ring capacity must be >= 1")
-        self.capacity = int(capacity)
-        self.dropped = 0
-        self._events: deque[ServiceEvent] = deque(maxlen=self.capacity)
-
-    def append(self, ev: ServiceEvent) -> None:
-        if len(self._events) == self.capacity:
-            self.dropped += 1
-        self._events.append(ev)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self):
-        return iter(self._events)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self._events)[index]
-        return self._events[index]
-
-    def __bool__(self) -> bool:
-        return bool(self._events)
-
-
 class ForecastService:
     """Admission control, EDF queueing, shedding, caching, breakers.
 
@@ -240,14 +190,10 @@ class ForecastService:
         backend.  Each backend gets its own circuit breaker.
     estimator:
         Shared :class:`~repro.service.admission.CostEstimator`; created
-        from ``config.platform`` when omitted.
+        for :data:`PLATFORM` when omitted.
     clock:
         Service time source; defaults to a fresh
         :class:`~repro.service.clock.VirtualClock`.
-    journal:
-        Optional ``callable(event_name, **fields)`` (e.g.
-        ``RunStore.record_event``) receiving every admission, shed,
-        breaker, and completion decision.
     slo:
         Optional :class:`repro.obs.slo.SLOEngine` fed one
         availability / latency / freshness outcome per settled request,
@@ -263,7 +209,6 @@ class ForecastService:
         config: ServiceConfig | None = None,
         estimator: CostEstimator | None = None,
         clock=None,
-        journal=None,
         slo=None,
         flight_dir=None,
     ) -> None:
@@ -273,31 +218,17 @@ class ForecastService:
         if not backends:
             raise ServiceError("need at least one backend")
         self.backends = backends
-        self.estimator = estimator or CostEstimator(
-            platform=self.config.platform
-        )
+        self.estimator = estimator or CostEstimator(platform=PLATFORM)
         self.clock = clock or VirtualClock()
-        self.journal = journal
         self.queue = BoundedDeadlineQueue(self.config.queue_capacity)
-        self.cache = SingleFlightCache(self.config.cache_capacity)
-        self.breakers = {
-            name: CircuitBreaker(
-                name,
-                failure_threshold=self.config.breaker_threshold,
-                cooldown_s=self.config.breaker_cooldown_s,
-            )
-            for name in backends
-        }
+        self.cache = SingleFlightCache()
+        self.breakers = {name: CircuitBreaker(name) for name in backends}
         self._workers = [_Worker(i) for i in range(self.config.workers)]
         self._tenant_inflight: dict[str, int] = {}
         self.tickets: list[Ticket] = []
-        self.events = EventRing(self.config.event_buffer)
+        self.events = EventRing(EVENT_BUFFER)
         self.slo = slo
-        self.flight = FlightBook(
-            capacity=self.config.flight_events,
-            keep=self.config.flight_keep,
-            out_dir=flight_dir,
-        )
+        self.flight = FlightBook(out_dir=flight_dir)
         self._event_budget = 1_000_000
 
     # -- small helpers ---------------------------------------------------
@@ -306,25 +237,16 @@ class ForecastService:
         return self.clock.now()
 
     def _note(self, kind: str, request_id: str, detail: str = "") -> None:
-        before = self.events.dropped
-        self.events.append(
-            ServiceEvent(self._now(), kind, request_id, detail)
-        )
-        if self.events.dropped > before:
+        ev = ServiceEvent(self._now(), kind, request_id, detail)
+        if len(self.events) == self.events.capacity:
             self._counter(
                 "repro_service_events_dropped_total",
                 "service events aged out of the bounded in-memory ring",
             ).inc()
-        # Every decision also lands on the request's own flight recorder
-        # (a no-op for requests without an open recorder).
-        self.flight.note(request_id, kind, detail, t_service=self._now())
-        if self.journal is not None:
-            self.journal(
-                "service_" + kind,
-                t=round(self._now(), 6),
-                request_id=request_id,
-                detail=detail,
-            )
+        self.events.append(ev)
+        # The same record lands on the request's own flight recorder (a
+        # no-op for requests without an open recorder).
+        self.flight.add(ev)
 
     def _record_slo_completion(self, ticket: Ticket, result, now: float):
         """One settled-well request: availability good, latency and
@@ -333,11 +255,7 @@ class ForecastService:
             return
         self.slo.record("availability", now, True)
         self.slo.record("latency", now, bool(ticket.deadline_met))
-        fidelity = getattr(result, "fidelity", None)
-        self.slo.record(
-            "freshness", now,
-            bool(fidelity.is_full) if fidelity is not None else True,
-        )
+        self.slo.record("freshness", now, result.fidelity.is_full)
         # A guard's objective is conditioned on the run having carried
         # that guard's verdict at all: a backend without in-situ
         # sampling (or with the ABFT layer off) contributes no events,
@@ -348,21 +266,11 @@ class ForecastService:
             if verdict is not None and self.slo.knows(kind.slo):
                 self.slo.record(kind.slo, now, verdict in kind.slo_good)
 
-    def _record_slo_loss(self, now: float) -> None:
-        """One shed/failed admitted request: availability bad.  Latency
-        and freshness are completion-conditioned, so nothing else."""
-        if self.slo is not None:
-            self.slo.record("availability", now, False)
-
     def _counter(self, name: str, help: str, labels: dict | None = None):
         return get_registry().counter(name, help, labels=labels)
 
     def _gauge(self, name: str, help: str, labels: dict | None = None):
         return get_registry().gauge(name, help, labels=labels)
-
-    def _margin_deadline(self, ticket: Ticket) -> float:
-        req = ticket.request
-        return req.submitted_s + req.deadline_s * self.config.admission_margin
 
     def _set_queue_gauges(self) -> None:
         self._gauge(
@@ -413,15 +321,10 @@ class ForecastService:
             labels={"class": request.klass},
         ).inc()
 
-        key = request.cache_key(self.config.platform)
+        key = request.cache_key(PLATFORM)
         entry = self.cache.lookup(key)
         if entry is not None and entry.state == DONE and entry.error is None:
-            ticket = Ticket(
-                request, status=CACHED, result=entry.result,
-                trace_id=request.request_id,
-            )
-            ticket.finished_s = now
-            ticket.outcome_detail = "served from result cache"
+            ticket = Ticket(request)
             self.cache.record_hit(entry)
             self._counter(
                 "repro_service_cache_hits_total",
@@ -429,10 +332,8 @@ class ForecastService:
             ).inc()
             self.tickets.append(ticket)
             self._note("cache_hit", request.request_id, key[:12])
-            self._record_slo_completion(ticket, entry.result, now)
-            self.flight.settle(
-                request.request_id, outcome="served from cache"
-            )
+            self._settle(ticket, CACHED, now, entry.result,
+                         "served from result cache")
             return ticket
         if entry is not None and entry.state != DONE:
             # Single-flight join: piggyback on the identical in-flight
@@ -446,22 +347,15 @@ class ForecastService:
             if entry.primary.status == QUEUED:
                 projected = max(
                     projected if projected is not None else 0.0,
-                    self._margin_deadline(entry.primary),
+                    _margin_deadline(entry.primary.request),
                 )
-            if (
-                projected is not None
-                and projected
-                > now + request.deadline_s * self.config.admission_margin
-            ):
+            if projected is not None and projected > _margin_deadline(request):
                 self._reject(request, DeadlineUnmeetableError(
                     f"identical computation in flight lands at "
                     f"t={projected:.1f}s, after the request deadline",
                     retry_after_s=max(0.0, projected - now),
                 ))
-            ticket = Ticket(
-                request, status=JOINED, joined_to=entry.primary,
-                trace_id=request.request_id,
-            )
+            ticket = Ticket(request, status=JOINED, joined_to=entry.primary)
             self.cache.join(entry, ticket)
             self._counter(
                 "repro_service_singleflight_joins_total",
@@ -480,28 +374,15 @@ class ForecastService:
             ))
 
         # Fail fast when no backend can currently execute anything.
-        if not any(
-            self._backend_available(br, now) for br in self.breakers.values()
-        ):
-            waits = [
-                br.retry_after_s(now) for br in self.breakers.values()
-            ]
-            waits = [w for w in waits if w is not None]
+        blocked, retry_s = self._backends_blocked(now)
+        if blocked:
             self._reject(request, BackendUnavailableError(
                 "every backend's circuit breaker is open",
-                retry_after_s=min(waits) if waits else None,
+                retry_after_s=retry_s,
             ))
 
-        fidelity, est_raw, est = self._plan_fidelity(request)
-        ticket = Ticket(
-            request,
-            planned=fidelity,
-            est_raw_s=est_raw,
-            est_s=est,
-            trace_id=request.request_id,
-        )
-        full_ladder = self._ladder_for(request)
-        ticket.ladder = self._ladder_after(full_ladder, fidelity)
+        fidelity, est, ladder = self._plan_fidelity(request)
+        ticket = Ticket(request, planned=fidelity, ladder=ladder, est_s=est)
         if not fidelity.is_full:
             for action in fidelity.actions():
                 self._counter(
@@ -535,27 +416,11 @@ class ForecastService:
         self._dispatch()
         return ticket
 
-    def _ladder_for(self, request: ForecastRequest) -> list[Fidelity]:
-        return ladder_fidelities(
-            request.allowed_actions,
-            self.estimator.max_levels_droppable(request.scenario),
-        )
-
-    @staticmethod
-    def _ladder_after(
-        ladder: list[Fidelity], chosen: Fidelity
-    ) -> list[Fidelity]:
-        if chosen.is_full:
-            return list(ladder)
-        try:
-            return ladder[ladder.index(chosen) + 1:]
-        except ValueError:
-            return []
-
     def _plan_fidelity(
         self, request: ForecastRequest
-    ) -> tuple[Fidelity, float, float]:
-        """Mildest fidelity whose projected completion meets the deadline.
+    ) -> tuple[Fidelity, float, list[Fidelity]]:
+        """Mildest fidelity whose projected completion meets the deadline,
+        its cost estimate, and the ladder left below it.
 
         Walks the class's ladder; at each rung the whole tentative EDF
         schedule is projected, and the rung is accepted when the new
@@ -565,22 +430,19 @@ class ForecastService:
         raises :class:`~repro.errors.DeadlineUnmeetableError`.
         """
         now = self._now()
-        margin_abs = (
-            request.submitted_s
-            + request.deadline_s * self.config.admission_margin
+        margin_abs = _margin_deadline(request)
+        candidates = [FULL_FIDELITY] + ladder_fidelities(
+            request.allowed_actions,
+            self.estimator.max_levels_droppable(request.scenario),
         )
-        candidates = [FULL_FIDELITY] + self._ladder_for(request)
         best_alone: float | None = None
-        for fid in candidates:
-            est_raw = self.estimator.estimate_raw_s(request.scenario, fid)
-            est = est_raw * self.estimator.calibration
+        for i, fid in enumerate(candidates):
+            est = self.estimator.estimate_s(request.scenario, fid)
             if now + est > margin_abs:
                 continue  # infeasible even on an idle service
             if best_alone is None:
                 best_alone = est
-            tentative = Ticket(
-                request, planned=fid, est_raw_s=est_raw, est_s=est
-            )
+            tentative = Ticket(request, planned=fid, est_s=est)
             violated = self._violations(extra=tentative)
             if tentative in violated:
                 continue  # queue ahead pushes us past the deadline
@@ -591,7 +453,7 @@ class ForecastService:
                 # least as important; degrading ourselves further can
                 # only shrink our footprint, so keep walking.
                 continue
-            return fid, est_raw, est
+            return fid, est, candidates[i + 1:]
         if best_alone is None:
             detail = (
                 f"even the most degraded fidelity the {request.klass!r} "
@@ -639,7 +501,7 @@ class ForecastService:
         )
         return [
             t for t, fin in projected
-            if fin > self._margin_deadline(t) + 1e-9
+            if fin > _margin_deadline(t.request) + 1e-9
         ]
 
     def _relieve_lower_priority(self, new: Ticket) -> None:
@@ -658,11 +520,8 @@ class ForecastService:
             if victim.ladder:
                 fid = victim.ladder.pop(0)
                 victim.planned = fid
-                victim.est_raw_s = self.estimator.estimate_raw_s(
+                victim.est_s = self.estimator.estimate_s(
                     victim.request.scenario, fid
-                )
-                victim.est_s = (
-                    victim.est_raw_s * self.estimator.calibration
                 )
                 action = (fid.actions() or ["degrade"])[-1]
                 self._counter(
@@ -694,9 +553,6 @@ class ForecastService:
     def _shed(self, ticket: Ticket, stage: str, reason: str) -> None:
         """Explicitly drop an admitted request (and its joiners)."""
         self.queue.remove(ticket)
-        ticket.status = SHED
-        ticket.finished_s = self._now()
-        ticket.outcome_detail = f"shed ({stage}): {reason}"
         self._counter(
             "repro_service_shed_total",
             "admitted requests dropped before completion, by stage",
@@ -704,28 +560,11 @@ class ForecastService:
         ).inc()
         self._note("shed", ticket.request.request_id,
                    f"stage={stage} {reason}")
-        exc = ServiceOverloadError(f"request shed: {reason}")
-        ticket.error = exc
-        self._record_slo_loss(self._now())
-        self.flight.settle(
-            ticket.request.request_id,
-            outcome=ticket.outcome_detail, dump=True,
+        self._settle(
+            ticket, SHED, self._now(),
+            ServiceOverloadError(f"request shed: {reason}"),
+            f"shed ({stage}): {reason}",
         )
-        entry = self.cache.fail(
-            ticket.request.cache_key(self.config.platform), exc
-        )
-        if entry is not None:
-            for waiter in entry.waiters:
-                waiter.status = SHED
-                waiter.error = exc
-                waiter.finished_s = self._now()
-                waiter.outcome_detail = "primary of joined flight was shed"
-                self._record_slo_loss(self._now())
-                self.flight.settle(
-                    waiter.request.request_id,
-                    outcome=waiter.outcome_detail, dump=True,
-                )
-        self._release_tenant(ticket.request.tenant)
         self._set_queue_gauges()
 
     def _release_tenant(self, tenant: str) -> None:
@@ -737,18 +576,23 @@ class ForecastService:
 
     # -- dispatch and completion -----------------------------------------
 
-    def _backend_available(self, br: CircuitBreaker, now: float) -> bool:
-        """Non-mutating 'could allow() pass right now' check."""
-        if br.state == "closed":
-            return True
-        if br.state == "open":
-            return now - br.opened_at >= br.cooldown_s
-        return not br._probe_inflight
+    def _backends_blocked(self, now: float) -> tuple[bool, float | None]:
+        """Whether no backend could take a call at *now*, and the seconds
+        until the earliest open breaker's half-open probe (None if none
+        is open)."""
+        breakers = self.breakers.values()
+        waits = [
+            w for br in breakers if (w := br.retry_after_s(now)) is not None
+        ]
+        return (
+            not any(br.would_allow(now) for br in breakers),
+            min(waits, default=None),
+        )
 
     def _pick_backend(self, now: float) -> str | None:
         for name in self.backends:
             br = self.breakers[name]
-            if self._backend_available(br, now) and br.allow(now):
+            if br.allow(now):
                 self._set_breaker_gauge(br)
                 return name
         return None
@@ -763,10 +607,10 @@ class ForecastService:
         """
         est = ticket.est_s
         for fid in ticket.ladder:
-            est = min(est, self.estimator.estimate_raw_s(
+            est = min(est, self.estimator.estimate_s(
                 ticket.request.scenario, fid
-            ) * self.estimator.calibration)
-        return self._margin_deadline(ticket) - est
+            ))
+        return _margin_deadline(ticket.request) - est
 
     def _pick_next(self) -> Ticket:
         """Least-laxity dispatch: run whoever is closest to doom.
@@ -815,22 +659,16 @@ class ForecastService:
         Rather than running work that is already doomed, walk whatever
         remains of the ticket's ladder; shed explicitly if nothing fits.
         """
-        remaining = self._margin_deadline(ticket) - now
-        est = (
-            self.estimator.estimate_raw_s(
-                ticket.request.scenario, ticket.planned
-            )
-            * self.estimator.calibration
+        remaining = _margin_deadline(ticket.request) - now
+        est = self.estimator.estimate_s(
+            ticket.request.scenario, ticket.planned
         )
         if est <= remaining:
             ticket.est_s = est
             return True
         while ticket.ladder:
             fid = ticket.ladder.pop(0)
-            est = (
-                self.estimator.estimate_raw_s(ticket.request.scenario, fid)
-                * self.estimator.calibration
-            )
+            est = self.estimator.estimate_s(ticket.request.scenario, fid)
             if est <= remaining:
                 ticket.planned = fid
                 ticket.est_s = est
@@ -850,7 +688,7 @@ class ForecastService:
         self, worker: _Worker, ticket: Ticket, backend_name: str,
         now: float,
     ) -> None:
-        budget = max(0.0, self._margin_deadline(ticket) - now)
+        budget = max(0.0, _margin_deadline(ticket.request) - now)
         ticket.status = RUNNING
         ticket.started_s = now
         ticket.backend = backend_name
@@ -863,11 +701,7 @@ class ForecastService:
         with contextlib.ExitStack() as stack:
             if tracer.enabled:
                 stack.enter_context(
-                    tracer.context(
-                        TraceContext(
-                            ticket.trace_id or ticket.request.request_id
-                        )
-                    )
+                    tracer.context(TraceContext(ticket.trace_id))
                 )
                 stack.enter_context(tracer.span(
                     "request", cat="service",
@@ -921,12 +755,11 @@ class ForecastService:
             "backend_failure", ticket.request.request_id,
             f"backend={backend_name}: {exc}",
         )
-        retryable = (
-            self.config.retry_failures
-            and ticket.attempts <= 1
-            and ticket.est_s <= self._margin_deadline(ticket) - now
-        )
-        if retryable:
+        # One retry, deadline permitting.
+        if (
+            ticket.attempts <= 1
+            and ticket.est_s <= _margin_deadline(ticket.request) - now
+        ):
             ticket.status = QUEUED
             self.queue.push(ticket)
             self._note(
@@ -934,34 +767,12 @@ class ForecastService:
                 f"retry after {backend_name} failure",
             )
             return
-        ticket.status = FAILED
-        ticket.error = exc
-        ticket.finished_s = now
-        ticket.outcome_detail = f"backend {backend_name} failed: {exc}"
         self._counter(
             "repro_service_failed_total",
             "requests that exhausted execution attempts",
         ).inc()
-        self._record_slo_loss(now)
-        self.flight.settle(
-            ticket.request.request_id,
-            outcome=ticket.outcome_detail, dump=True,
-        )
-        entry = self.cache.fail(
-            ticket.request.cache_key(self.config.platform), exc
-        )
-        if entry is not None:
-            for waiter in entry.waiters:
-                waiter.status = FAILED
-                waiter.error = exc
-                waiter.finished_s = now
-                waiter.outcome_detail = "primary of joined flight failed"
-                self._record_slo_loss(now)
-                self.flight.settle(
-                    waiter.request.request_id,
-                    outcome=waiter.outcome_detail, dump=True,
-                )
-        self._release_tenant(ticket.request.tenant)
+        self._settle(ticket, FAILED, now, exc,
+                     f"backend {backend_name} failed: {exc}")
 
     def _complete(self, worker: _Worker) -> None:
         now = self._now()
@@ -981,23 +792,60 @@ class ForecastService:
             "repro_service_cost_calibration",
             "EWMA of observed/predicted execution cost",
         ).set(self.estimator.calibration)
-
-        self._finish_ok(ticket, result, now)
-        cacheable = result.fidelity.is_full
-        entry = self.cache.resolve(
-            ticket.request.cache_key(self.config.platform),
-            result, now, cacheable=cacheable,
-        )
-        if entry is not None:
-            for waiter in entry.waiters:
-                self._finish_ok(waiter, result, now)
-        self._release_tenant(ticket.request.tenant)
+        self._settle(ticket, DONE_OK, now, result)
         self._dispatch()
 
-    def _finish_ok(self, ticket: Ticket, result, now: float) -> None:
-        ticket.status = DONE_OK
-        ticket.result = result
+    # -- the one way a request ends --------------------------------------
+
+    def _settle(
+        self, ticket: Ticket, status: str, now: float, outcome,
+        detail: str = "",
+    ) -> None:
+        """End *ticket* with *status* at *now*.
+
+        *outcome* is what the request ends with: its result (``DONE_OK``,
+        ``CACHED``) or its error (``SHED``, ``FAILED``); *detail* becomes
+        :attr:`Ticket.outcome_detail`.  Feeds the SLO engine and settles
+        the flight recorder, dumping it on a bad ending.  A primary's
+        joiners end the same way through this call, and the primary
+        frees its tenant slot.
+        """
+        ticket.status = status
         ticket.finished_s = now
+        ticket.outcome_detail = detail
+        rid = ticket.request.request_id
+        if status in (SHED, FAILED):
+            ticket.error = outcome
+            if self.slo is not None:
+                # Latency and freshness are completion-conditioned.
+                self.slo.record("availability", now, False)
+            self.flight.settle(rid, outcome=detail, dump=True)
+        else:
+            ticket.result = outcome
+            ending, dump = (
+                ("served from cache", False) if status == CACHED
+                else self._meter_completion(ticket, outcome, now)
+            )
+            self._record_slo_completion(ticket, outcome, now)
+            self.flight.settle(rid, outcome=ending, dump=dump)
+        if status == CACHED or ticket.joined_to is not None:
+            return
+        key = ticket.request.cache_key(PLATFORM)
+        if status == DONE_OK:
+            entry = self.cache.resolve(
+                key, outcome, now, cacheable=outcome.fidelity.is_full
+            )
+        else:
+            entry = self.cache.fail(key, outcome)
+        for waiter in entry.waiters if entry is not None else ():
+            self._settle(waiter, status, now, outcome, _JOINED_DETAIL[status])
+        self._release_tenant(ticket.request.tenant)
+
+    def _meter_completion(
+        self, ticket: Ticket, result, now: float
+    ) -> tuple[str, bool]:
+        """Meter and note one completion; returns its flight outcome and
+        whether that is a bad ending to dump."""
         # The exemplar links this latency bucket back to the request's
         # trace tree and flight recording.
         get_registry().histogram(
@@ -1007,7 +855,7 @@ class ForecastService:
             buckets=LATENCY_BUCKETS,
         ).observe(
             ticket.latency_s,
-            trace_id=ticket.trace_id or ticket.request.request_id,
+            trace_id=ticket.trace_id,
         )
         self._counter(
             "repro_service_completed_total", "completions by class",
@@ -1018,8 +866,9 @@ class ForecastService:
                 "repro_service_degraded_results_total",
                 "completions delivered below full fidelity",
             ).inc()
-        if not ticket.deadline_met:
-            # Accepted work must never miss silently: meter + journal.
+        met = bool(ticket.deadline_met)
+        if not met:
+            # Accepted work must never miss silently: meter + log.
             self._counter(
                 "repro_service_deadline_misses_total",
                 "accepted requests that finished after their deadline",
@@ -1052,20 +901,15 @@ class ForecastService:
                 self._note(kind.attr, ticket.request.request_id, verdict)
             if verdict == kind.worst:
                 flagged.append(f" — {kind.name} {kind.worst}".upper())
-        self._record_slo_completion(ticket, result, now)
         # A deadline breach — or a forecast some guard gave its worst
         # verdict (diverged physics, uncorrected corruption) — is a bad
         # ending: dump the recorder so `repro inspect --request` can
         # explain it.
-        met = bool(ticket.deadline_met)
-        self.flight.settle(
-            ticket.request.request_id,
-            outcome=(
-                f"completed at fidelity {result.fidelity.tag}"
-                + ("" if met else " — DEADLINE MISSED")
-                + "".join(flagged)
-            ),
-            dump=(not met) or bool(flagged),
+        return (
+            f"completed at fidelity {result.fidelity.tag}"
+            + ("" if met else " — DEADLINE MISSED")
+            + "".join(flagged),
+            not met or bool(flagged),
         )
 
     # -- the event loop --------------------------------------------------
@@ -1073,20 +917,11 @@ class ForecastService:
     def next_event_s(self) -> float | None:
         """Time of the next internal event (completion or breaker probe)."""
         times = [w.finish_s for w in self._workers if not w.idle]
-        if (
-            len(self.queue)
-            and any(w.idle for w in self._workers)
-        ):
+        if len(self.queue) and any(w.idle for w in self._workers):
             now = self._now()
-            waits = [
-                br.retry_after_s(now) for br in self.breakers.values()
-            ]
-            waits = [w for w in waits if w is not None]
-            if waits and not any(
-                self._backend_available(br, now)
-                for br in self.breakers.values()
-            ):
-                times.append(now + min(waits))
+            blocked, retry_s = self._backends_blocked(now)
+            if blocked and retry_s is not None:
+                times.append(now + retry_s)
         return min(times) if times else None
 
     def advance_to(self, t: float) -> None:

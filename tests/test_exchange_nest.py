@@ -265,6 +265,55 @@ def test_seams_fills_and_jnq_are_the_numpy_bodies(grid, seed, dtype):
 
 
 # ---------------------------------------------------------------------------
+# A table that runs past its arrays is refused at prepare: it never reaches C
+# ---------------------------------------------------------------------------
+
+
+def prepares(routine, arrays, spec, result=None) -> bool:
+    """Whether ``loopnest.exchange`` lays out *spec* on *arrays*; a refused
+    call is neither prepared nor launched — the NumPy body runs instead."""
+    counts = loopnest.provenance()["routines"][routine]
+    before = counts["prepared"], counts["launches"]
+    call = loopnest.exchange(routine, arrays, lambda: (spec, result))
+    counts = loopnest.provenance()["routines"][routine]
+    made = call is not None
+    assert (counts["prepared"], counts["launches"]) == (before[0] + made, before[1] + made)
+    return made
+
+
+@pytest.mark.parametrize("to,fro,ok", [
+    ((3, 6), (0, 3), True),
+    ((5, 8), (0, 3), False),  # the target rectangle past its array
+    ((0, 3), (4, 7), False),  # the source rectangle past its array
+])
+def test_a_move_past_its_array_is_refused_at_prepare(to, fro, ok):
+    with executors.on_nests(executors.compiled_nests()):
+        a, b = np.zeros((6, 6)), np.ones((6, 6))
+        move = loopnest.copy(0, (slice(*to), slice(0, 2)), 1, (slice(*fro), slice(0, 2)))
+        assert move is not None
+        assert prepares("moves", (a, b), [move]) is ok
+
+
+@pytest.mark.parametrize("region,ok", [
+    (((0, 0), 2, 2, (1, 1)), True),
+    (((9, 0), 2, 2, (1, 1)), False),  # 3 x 3 tiles past the child
+    (((0, 9), 2, 2, (1, 1)), False),
+    (((0, 0), 2, 2, (5, 5)), False),  # parent cells past the parent
+])
+def test_a_restriction_past_its_arrays_is_refused_at_prepare(region, ok):
+    with executors.on_nests(executors.compiled_nests()):
+        child, parent = np.zeros((12, 12)), np.zeros((6, 6))
+        assert prepares("restrict", (child, parent), [region], 4) is ok
+
+
+@pytest.mark.parametrize("offset,ok", [(0, True), (1, False), (-1, False)])
+def test_a_jnz_buffer_offset_past_its_total_is_refused_at_prepare(offset, ok):
+    with executors.on_nests(executors.compiled_nests()):
+        child = np.zeros((12, 12))
+        assert prepares("restrict", (child,), [((0, 0), 2, 2, offset)], 4) is ok
+
+
+# ---------------------------------------------------------------------------
 # The self-check: a NumPy that sums otherwise keeps the whole process on NumPy
 # ---------------------------------------------------------------------------
 

@@ -255,7 +255,7 @@ class TestImportHygiene:
 
     def test_no_function_level_import_on_the_completion_path(self):
         tree = ast.parse((SRC / "repro/service/service.py").read_text())
-        on_path = {"_finish_ok", "_record_slo_completion"}
+        on_path = {"_settle", "_meter_completion", "_record_slo_completion"}
         found = {
             fn.name: [
                 n for n in ast.walk(fn)

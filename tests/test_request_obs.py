@@ -43,6 +43,7 @@ from repro.obs.slo import (
     render_slo_doc,
 )
 from repro.obs.trace import TraceContext
+from repro.service import service as service_module
 from repro.service import (
     EventRing,
     ForecastRequest,
@@ -313,7 +314,7 @@ class TestSLOEngine:
 
 
 class TestServiceRequestObs:
-    def test_event_ring_bounded_and_drop_metered(self):
+    def test_event_ring_bounded_and_drop_metered(self, monkeypatch):
         ring = EventRing(3)
         for i in range(5):
             ring.append(i)
@@ -321,7 +322,8 @@ class TestServiceRequestObs:
         assert len(ring) == 3 and ring.dropped == 2
         assert ring[-1] == 4 and ring[0:2] == [2, 3]
 
-        service, _ = make_service(event_buffer=4)
+        monkeypatch.setattr(service_module, "EVENT_BUFFER", 4)
+        service, _ = make_service()
         est = service.estimator.estimate_raw_s(scenario("e"))
         for i in range(3):
             service.submit(ForecastRequest(

@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro import cli
 from repro.errors import (
     BackendUnavailableError,
@@ -24,6 +25,8 @@ from repro.errors import (
     ServiceOverloadError,
     TenantQuotaError,
 )
+from repro.obs.flight import flight_path, load_flight
+from repro.obs.metrics import get_registry, parse_prometheus
 from repro.service import (
     FULL_FIDELITY,
     BoundedDeadlineQueue,
@@ -453,21 +456,67 @@ class TestSingleFlightService:
             ))
 
     def test_primary_failure_fails_joiners_too(self):
-        backend = SimulatedBackend(
-            noise=0.0, fail_when=lambda req: True
-        )
-        service, _ = make_service(backend=backend, retry_failures=False)
         sc = scenario("pf")
+        backend = SimulatedBackend(
+            noise=0.0, fail_when=lambda req: req.scenario == sc
+        )
+        service, _ = make_service(backend=backend)
         est = service.estimator.estimate_raw_s(sc)
+        # A healthy run holds the one worker, so the primary queues and
+        # the identical request joins its flight before it fails (a
+        # backend that raises does so at dispatch, synchronously).
+        service.submit(
+            ForecastRequest(scenario=scenario("busy"), deadline_s=5 * est)
+        )
         primary = service.submit(
             ForecastRequest(scenario=sc, deadline_s=5 * est)
         )
         joiner = service.submit(
             ForecastRequest(scenario=sc, deadline_s=5 * est)
         )
+        assert joiner.status == "joined"
         service.run_until_idle()
         assert primary.status == joiner.status == "failed"
+        assert primary.attempts == 2  # the one retry failed too
         assert isinstance(joiner.error, NumericalError)
+        assert joiner.outcome_detail == "primary of joined flight failed"
+
+
+class TestEveryEndingSettlesOnce:
+    def test_soak_with_failing_backend_and_duplicates(self, tmp_path):
+        """Completions, cache hits, sheds and failures — primaries and
+        the joiners that end with them — each settle exactly once."""
+        obs.reset()
+        backend = SimulatedBackend(fail_when=lambda r: round(
+            r.scenario["source"]["amplitude"] * 1000
+        ) % 9 == 0)
+        service = ForecastService(
+            backend, ServiceConfig(queue_capacity=8),
+            estimator=backend.estimator, flight_dir=tmp_path / "flight",
+        )
+        run_soak(SoakConfig(
+            seed=4, duration_s=600.0, rate_multiplier=4, queue_capacity=8,
+            dup_fraction=0.7,
+        ), backend=backend, service=service)
+        tickets = service.tickets
+        assert all(t.settled and t.finished_s is not None for t in tickets)
+        stats = service.stats()
+        assert stats["flight"]["live"] == 0
+        assert stats["tenants_inflight"] == {}
+        assert stats["cache"]["inflight"] == 0
+        bad = [t for t in tickets if t.status in ("failed", "shed")]
+        joined = {t.outcome_detail for t in bad if t.joined_to is not None}
+        assert joined == {
+            "primary of joined flight failed",
+            "primary of joined flight was shed",
+        }
+        for t in bad:
+            doc = load_flight(flight_path(tmp_path, t.request.request_id))
+            assert doc["outcome"] == t.outcome_detail
+        samples = parse_prometheus(get_registry().to_prometheus())
+        assert samples["repro_service_failed_total"] == sum(
+            t.status == "failed" and t.joined_to is None for t in tickets
+        )
 
 
 # -- backend failures and the breaker ------------------------------------
@@ -495,15 +544,13 @@ class TestBackendFailureHandling:
 
     def test_breaker_opens_then_recovers_via_probe(self):
         backend = SimulatedBackend(noise=0.0, fail_when=lambda req: True)
-        service, _ = make_service(
-            backend=backend,
-            breaker_threshold=3,
-            breaker_cooldown_s=10.0,
-        )
+        service, _ = make_service(backend=backend)
         est = service.estimator.estimate_raw_s(scenario("f0"))
-        for i in range(2):  # 2 requests x 2 attempts = 4 failures
+        # 2 requests x 2 attempts = 4 failures; the deadline outlasts the
+        # 300 s cooldown, so the second request's retry is the probe.
+        for i in range(2):
             t = service.submit(ForecastRequest(
-                scenario=scenario(f"f{i}"), deadline_s=50 * est
+                scenario=scenario(f"f{i}"), deadline_s=1000 * est
             ))
             service.run_until_idle()
             assert t.status == "failed"
@@ -517,7 +564,7 @@ class TestBackendFailureHandling:
         assert exc_info.value.retry_after_s is not None
         # Backend heals; after the cooldown one probe closes the breaker.
         backend.fail_when = None
-        service.advance_to(service.clock.now() + 11.0)
+        service.advance_to(service.clock.now() + 301.0)
         ticket = service.submit(ForecastRequest(
             scenario=scenario("f10"), deadline_s=50 * est
         ))
@@ -671,10 +718,6 @@ class TestServiceConfig:
         with pytest.raises(ServiceError):
             ServiceConfig(workers=0)
         with pytest.raises(ServiceError):
-            ServiceConfig(admission_margin=0.0)
-        with pytest.raises(ServiceError):
-            ServiceConfig(admission_margin=1.5)
-        with pytest.raises(ServiceError):
             ServiceConfig(tenant_quota=0)
         with pytest.raises(ServiceError):
             SimulatedBackend(noise=1.5)
@@ -729,6 +772,40 @@ class TestServiceCLI:
         out = capsys.readouterr().out
         assert code == 0
         assert "served 2 requests" in out
+
+    @pytest.mark.parametrize("line", [
+        '{"at": 0, "scenario": {"grid": "x"}}',
+        '[1, 2]',
+        '{"at": "soon", "scenario": {"grid": "x"}, "deadline_s": 60}',
+        '{"at": 0, "scenario": {"grid": "x"}, "deadline_s": "abc"}',
+        '{"at": 0, "scenario": {"grid": "x"}, "deadline_s": 60,'
+        ' "class": "vip"}',
+        '{"at": 0, "scenario": {"grid": "x"}, "deadline_s": 60}',
+    ])
+    def test_serve_malformed_request_is_one_error_line(
+        self, tmp_path, capsys, line
+    ):
+        path = tmp_path / "requests.jsonl"
+        good = {"at": 0, "scenario": scenario("ok"), "deadline_s": 500}
+        path.write_text(json.dumps(good) + "\n" + line + "\n")
+        code = cli.main([
+            "serve", "--requests", str(path), "--backend", "sim",
+        ])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(out) == 1 and out[0].startswith(f"error: {path}:2: ")
+
+    def test_submit_non_object_scenario_is_one_error_line(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "scenario.json"
+        path.write_text("[1]")
+        code = cli.main([
+            "submit", "--deadline", "60", "--scenario", str(path),
+        ])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert out == [f"error: {path}: scenario must be a non-empty dict"]
 
     def test_argparse_rejects_non_positive_values(self, capsys):
         bad = [
