@@ -105,6 +105,15 @@ if git grep -nE '_finish_ok|est_raw_s|retry_failures|event_buffer|flight_events|
     git grep -n '_probe_inflight' -- src tests examples ':!src/repro/service/breaker.py'
 then echo "== a second way a request ends, or a service knob, is back (see above) =="; exit 1; fi
 
+# One scenario spec, one meaning: repro.persist.scenario is the only code that
+# turns a spec into a grid, a step count and a source; the service, the
+# observatory and preflight build through it.
+if git grep -nE '_source_from_spec|_make_source|_GRID_CELLS' -- \
+    src tests examples ||
+    git grep -nE 'GaussianSource\(|nankai_like_scenario\(|build_mini_kochi\(|build_kochi_grid\(' -- \
+    src/repro/service src/repro/obs src/repro/persist/preflight.py
+then echo "== a second scenario decoder is back (see above) =="; exit 1; fi
+
 echo "== pytest (tier 1) =="
 if [ "$fast" = 1 ]; then
     PYTHONPATH=src python -m pytest -x -q

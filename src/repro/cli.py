@@ -97,16 +97,6 @@ def _cmd_grid(_args) -> int:
     return 0
 
 
-def _make_source(args):
-    from repro.fault import GaussianSource, nankai_like_scenario
-
-    if args.source == "gaussian":
-        return GaussianSource(x0=4_000.0, y0=16_000.0,
-                              amplitude=args.amplitude, sigma=2_500.0)
-    return nankai_like_scenario(29_160.0, 36_450.0,
-                                magnitude_scale=args.amplitude / 2.0)
-
-
 def _print_products(model, grid) -> None:
     from repro.damage import assess_damage
 
@@ -128,22 +118,24 @@ def _print_products(model, grid) -> None:
     print(f"population exposed       : {report.population_exposed:.0f}")
 
 
-def _forecast_spec(args, mk) -> dict:
-    """The journalable scenario spec equivalent to the CLI arguments."""
+def _cli_spec(args) -> dict:
+    """The scenario spec that ``forecast``'s and ``submit``'s flags describe.
+
+    It spells out the grid, the step and the source so that the spec
+    journaled by ``forecast --rundir`` stands on its own.
+    """
+    from repro.persist.scenario import GAUSSIAN_DEFAULTS, build_config
+
     if args.source == "gaussian":
-        source = {
-            "type": "gaussian",
-            "x0": 4_000.0,
-            "y0": 16_000.0,
-            "amplitude": args.amplitude,
-            "sigma": 2_500.0,
-        }
+        source = {"type": "gaussian", **GAUSSIAN_DEFAULTS,
+                  "amplitude": args.amplitude}
     else:
         source = {"type": "nankai", "magnitude_scale": args.amplitude / 2.0}
+    config = build_config({"grid": "mini-kochi", "minutes": args.minutes})
     return {
         "grid": "mini-kochi",
-        "dt": mk.dt,
-        "n_steps": int(args.minutes * 60 / mk.dt),
+        "dt": config.dt,
+        "n_steps": config.n_steps,
         "source": source,
     }
 
@@ -198,16 +190,16 @@ def _obs_export(args, physics_samples=None) -> None:
 
 
 def _cmd_forecast(args) -> int:
-    from repro.core import RTiModel, SimulationConfig
-    from repro.topo import build_mini_kochi
+    from repro.core import RTiModel
+    from repro.persist.scenario import build_scenario
 
     traced = _obs_setup(args)
-    mk = build_mini_kochi()
-    source = _make_source(args)
-    steps = int(args.minutes * 60 / mk.dt)
+    spec = _cli_spec(args)
+    built = build_scenario(spec)
+    steps = built.n_steps
 
     if args.ranks > 1:
-        return _forecast_distributed(args, mk, source, steps, traced)
+        return _forecast_distributed(args, built, traced)
 
     resilient = (
         args.deadline is not None
@@ -225,7 +217,7 @@ def _cmd_forecast(args) -> int:
             else:
                 model = start_run(
                     args.rundir,
-                    _forecast_spec(args, mk),
+                    spec,
                     checkpoint_every=args.checkpoint_every,
                     echo=print,
                 )
@@ -241,7 +233,7 @@ def _cmd_forecast(args) -> int:
         except (PersistError, NumericalError) as exc:
             print(f"error: {exc}")
             return 1
-        _print_products(model, mk.grid)
+        _print_products(model, built.grid)
         if traced:
             _obs_export(args)
         return 0
@@ -253,7 +245,6 @@ def _cmd_forecast(args) -> int:
         if args.faults is not None:
             plan = FaultPlan.from_file(args.faults)
         elif args.fault_seed is not None:
-            n_blocks = sum(len(lv.blocks) for lv in mk.grid.levels)
             # With the integrity layer armed, seeded plans may also flip
             # bits — the layer exists to catch exactly those.
             kinds = ("nan", "straggler")
@@ -262,7 +253,7 @@ def _cmd_forecast(args) -> int:
             plan = FaultPlan.random(
                 args.fault_seed, kinds=kinds,
                 n_faults=args.fault_count, n_ranks=1,
-                n_steps=max(steps, 1), n_blocks=n_blocks,
+                n_steps=max(steps, 1), n_blocks=built.grid.n_blocks,
             )
         store = None
         if args.rundir is not None:
@@ -277,9 +268,9 @@ def _cmd_forecast(args) -> int:
               f"minutes) with resilience enabled...")
         try:
             report = run_resilient_forecast(
-                mk.grid, mk.bathymetry,
-                config=SimulationConfig(dt=mk.dt), source=source,
-                horizon_s=args.minutes * 60, deadline_s=args.deadline,
+                built.grid, built.bathymetry,
+                config=built.config, source=built.source,
+                horizon_s=steps * built.config.dt, deadline_s=args.deadline,
                 fault_plan=plan, store=store,
                 integrity_every=integrity_every, scrub_every=scrub_every,
             )
@@ -288,7 +279,7 @@ def _cmd_forecast(args) -> int:
             print("interrupted")
             return 130
         print(report.summary())
-        _print_products(report.model, mk.grid)
+        _print_products(report.model, built.grid)
         if traced:
             _obs_export(
                 args,
@@ -296,25 +287,25 @@ def _cmd_forecast(args) -> int:
             )
         return 0
 
-    model = RTiModel(mk.grid, mk.bathymetry, SimulationConfig(dt=mk.dt))
-    model.set_initial_condition(source)
+    model = RTiModel(built.grid, built.bathymetry, built.config)
+    model.set_initial_condition(built.source)
     print(f"Integrating {steps} steps ({args.minutes} simulated minutes)...")
     model.run(steps)
-    _print_products(model, mk.grid)
+    _print_products(model, built.grid)
     if traced:
         _obs_export(args)
     return 0
 
 
-def _forecast_distributed(args, mk, source, steps, traced) -> int:
+def _forecast_distributed(args, built, traced) -> int:
     """``forecast --ranks N``: the survivable distributed runtime."""
-    from repro.core import SimulationConfig
     from repro.core.pipeline import make_block_state
     from repro.core.state import max_wet_eta
     from repro.par.decomposition import equal_cell_assignment
     from repro.resilience import FaultPlan, SurvivalConfig
     from repro.resilience.survive import survivable_run_distributed
 
+    grid, config, steps = built.grid, built.config, built.n_steps
     plan = None
     if args.faults is not None:
         plan = FaultPlan.from_file(args.faults)
@@ -330,7 +321,7 @@ def _forecast_distributed(args, mk, source, steps, traced) -> int:
         from repro.persist import RunStore
 
         store = RunStore(args.rundir)
-    decomp = equal_cell_assignment(mk.grid, args.ranks, split_blocks=False)
+    decomp = equal_cell_assignment(grid, args.ranks, split_blocks=False)
     survival = SurvivalConfig(
         checkpoint_every=args.checkpoint_every,
         spare_ranks=args.spare_ranks,
@@ -339,12 +330,11 @@ def _forecast_distributed(args, mk, source, steps, traced) -> int:
         hedge_stragglers=args.hedge_stragglers,
         deadline_s=args.deadline,
     )
-    config = SimulationConfig(dt=mk.dt)
     print(f"Integrating {steps} steps ({args.minutes} simulated minutes) "
           f"on {args.ranks} ranks with failure survival...")
     try:
         eta, report = survivable_run_distributed(
-            mk.grid, mk.bathymetry, config, decomp, source, steps,
+            grid, built.bathymetry, config, decomp, built.source, steps,
             survival=survival, fault_plan=plan, store=store,
         )
     except KeyboardInterrupt:
@@ -355,7 +345,7 @@ def _forecast_distributed(args, mk, source, steps, traced) -> int:
     print("recovery        : " + report.summary())
     eta_max = max(
         max_wet_eta(a, make_block_state(
-            mk.grid, mk.bathymetry, config, mk.grid.block(bid)
+            grid, built.bathymetry, config, grid.block(bid)
         ).depth_interior(), config.dry_threshold)
         for bid, a in eta.items()
     )
@@ -728,6 +718,7 @@ def _cmd_submit(args) -> int:
     from repro.errors import ServiceError
     from repro.service import ForecastRequest
 
+    where = args.scenario or "the built-in scenario"
     if args.scenario is not None:
         try:
             with open(args.scenario, encoding="utf-8") as fh:
@@ -736,21 +727,7 @@ def _cmd_submit(args) -> int:
             print(f"error: cannot read {args.scenario}: {exc}")
             return 2
     else:
-        from repro.topo import build_mini_kochi
-
-        mk = build_mini_kochi()
-        spec = {
-            "grid": "mini-kochi",
-            "dt": mk.dt,
-            "n_steps": int(args.minutes * 60 / mk.dt),
-            "source": {
-                "type": "gaussian",
-                "x0": 4_000.0,
-                "y0": 16_000.0,
-                "amplitude": args.amplitude,
-                "sigma": 2_500.0,
-            },
-        }
+        spec = _cli_spec(args)
     try:
         request = ForecastRequest(
             scenario=spec,
@@ -759,7 +736,7 @@ def _cmd_submit(args) -> int:
             klass=args.klass,
         )
     except ServiceError as exc:
-        print(f"error: {args.scenario or 'the built-in scenario'}: {exc}")
+        print(f"error: {where}: {exc}")
         return 2
     doc = request.to_dict()
     if args.at is not None:
@@ -775,6 +752,9 @@ def _cmd_submit(args) -> int:
         except ServiceOverloadError as exc:
             print(f"rejected: {type(exc).__name__}: {exc}")
             return 1
+        except ServiceError as exc:  # a scenario the builder refuses
+            print(f"error: {where}: {exc}")
+            return 2
         service.run_until_idle()
         print(_serve_outcome_line(ticket))
         if ticket.result is not None:
@@ -1032,6 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_su.add_argument("--run", action="store_true",
                       help="run the request immediately on a one-shot "
                            "local service")
+    p_su.set_defaults(source="gaussian")  # the one source submit builds
 
     return parser
 

@@ -60,8 +60,10 @@ class SimulationConfig:
     dtype: type = np.float64
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ConfigurationError(
+                f"dt must be positive and finite, got {self.dt}"
+            )
         if self.n_steps < 0:
             raise ConfigurationError("n_steps must be non-negative")
         if self.manning < 0:

@@ -101,15 +101,16 @@ def retune_from_rundir(
     Reads the rundir's recorded spans, fits the linear model from the
     per-block kernel spans, reports drift against the platform's stored
     reference model, and runs the Algorithm-1 separator optimization on
-    the chosen grid (``"kochi"`` — the production Table-I grid — or
-    ``"mini-kochi"``) under the recalibrated model.
+    the chosen grid (a named grid of :mod:`repro.persist.scenario`:
+    ``"kochi"`` — the production Table-I grid — or ``"mini-kochi"``)
+    under the recalibrated model.
     """
     from repro.balance.apply import optimized_decomposition
     from repro.balance.calibrate import kernel_samples
     from repro.hw.registry import get_system, platform_key_of
     from repro.obs.inspect import load_rundir
     from repro.par.decomposition import equal_cell_assignment
-    from repro.topo import build_kochi_grid, build_mini_kochi
+    from repro.persist.scenario import build_grid
 
     art = load_rundir(rundir)
     if not art.spans:
@@ -128,13 +129,7 @@ def retune_from_rundir(
     reference = reference_model_for(platform_key)
     dr = drift(model, reference)
 
-    if grid == "kochi":
-        g = build_kochi_grid()
-    elif grid == "mini-kochi":
-        g = build_mini_kochi().grid
-    else:
-        raise ObservatoryError(f"unknown grid {grid!r}")
-
+    g = build_grid(grid)
     base = equal_cell_assignment(g, ranks, split_blocks=False)
     opt = optimized_decomposition(
         g, ranks, platform, model=model, iterations=iterations, seed=seed

@@ -23,11 +23,11 @@ import numpy as np
 
 from repro.errors import (
     CFLError,
-    ConfigurationError,
     DecompositionError,
     GridError,
     NestingError,
     PersistError,
+    ReproError,
     ValidationError,
 )
 from repro.grid.cfl import cfl_time_step
@@ -287,25 +287,28 @@ def check_decomposition(report: PreflightReport, grid, n_ranks) -> None:
     """The requested rank count must admit a valid decomposition."""
     if n_ranks is None:
         return
-    n_ranks = int(n_ranks)
-    if n_ranks < 1:
+    try:
+        ranks = int(n_ranks)
+    except (TypeError, ValueError, OverflowError):
+        ranks = 0
+    if ranks < 1:
         report.add(
             "decomp.ranks_nonpositive",
             "ranks",
             n_ranks,
-            "rank count must be >= 1",
+            "rank count must be a whole number >= 1",
             "request at least one rank",
         )
         return
     from repro.par.decomposition import build_decomposition
 
     try:
-        build_decomposition(grid, n_ranks)
+        build_decomposition(grid, ranks)
     except (DecompositionError, GridError) as exc:
         report.add(
             "decomp.invalid",
             "ranks",
-            n_ranks,
+            ranks,
             f"no valid decomposition: {exc}",
             "choose a rank count compatible with the block structure "
             f"(grid has {grid.n_blocks} blocks)",
@@ -434,85 +437,51 @@ def validate_scenario(
 
     report = PreflightReport()
 
-    grid = None
+    def attempt(build, code, field_, value, suggestion):
+        """``build()``, or ``None`` and a finding when the builder refuses."""
+        try:
+            return build()
+        except ReproError as exc:
+            report.add(code, field_, value, str(exc), suggestion)
+            return None
+
     grid_spec = spec.get("grid", "mini-kochi")
     try:
         grid = sc.build_grid(grid_spec)
-    except NestingError as exc:
-        report.add(
-            "grid.nesting",
-            "grid",
-            "levels" if isinstance(grid_spec, dict) else grid_spec,
-            f"nesting invalid: {exc}",
-            "use 3:1 refinement with child blocks aligned to and "
-            "enclosed by parent cells",
-        )
-    except GridError as exc:
-        code = (
-            "grid.overlapping_blocks" if "overlap" in str(exc) else "grid.invalid"
-        )
-        report.add(
-            code,
-            "grid",
-            "levels" if isinstance(grid_spec, dict) else grid_spec,
-            str(exc),
-            "make blocks disjoint within each level"
-            if code == "grid.overlapping_blocks"
-            else "fix the grid spec",
-        )
-    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
-        report.add(
-            "grid.malformed_spec",
-            "grid",
-            grid_spec if isinstance(grid_spec, str) else "<inline>",
-            f"cannot parse grid spec: {exc}",
-            "see repro.persist.scenario for the expected format",
-        )
-
-    grid_name = grid_spec if isinstance(grid_spec, str) else None
-    if grid_spec is None:
-        grid_name = "mini-kochi"
-    bathymetry = None
-    try:
-        bathymetry = sc.build_bathymetry(spec.get("bathymetry"), grid_name)
-    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
-        report.add(
-            "bathymetry.malformed_spec",
-            "bathymetry",
-            spec.get("bathymetry"),
-            f"cannot build bathymetry: {exc}",
-            "use type 'flat', 'sloped' or 'shelf' with its kwargs",
-        )
-
-    dt = spec.get("dt", 0.1 if grid_name == "mini-kochi" else 0.2)
-    config = None
-    try:
-        from repro.core.config import SimulationConfig
-
-        config = SimulationConfig(
-            dt=float(dt), n_steps=max(int(spec.get("n_steps", 100)), 0)
-        )
-    except (ConfigurationError, TypeError, ValueError) as exc:
-        report.add(
-            "config.invalid",
-            "config",
-            f"dt={dt!r}",
-            str(exc),
-            "use a positive dt and a non-negative n_steps",
-        )
-
-    source = None
-    if grid is not None:
-        try:
-            source = sc.build_source(spec.get("source"), grid)
-        except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
-            report.add(
-                "source.malformed_spec",
-                "source",
-                spec.get("source"),
-                f"cannot build source: {exc}",
-                "use type 'gaussian' or 'nankai' with its kwargs",
+    except ReproError as exc:
+        grid = None
+        if isinstance(exc, NestingError):
+            code, fix = "grid.nesting", (
+                "use 3:1 refinement with child blocks aligned to and "
+                "enclosed by parent cells"
             )
+        elif isinstance(exc, GridError) and "overlap" in str(exc):
+            code, fix = "grid.overlapping_blocks", (
+                "make blocks disjoint within each level"
+            )
+        elif isinstance(exc, GridError):
+            code, fix = "grid.invalid", "fix the grid spec"
+        else:
+            code, fix = "grid.malformed_spec", (
+                "see repro.persist.scenario for the expected format"
+            )
+        shown = grid_spec if isinstance(grid_spec, str) else "<inline>"
+        report.add(code, "grid", shown, str(exc), fix)
+    bathymetry = attempt(
+        lambda: sc.build_bathymetry(spec.get("bathymetry"), grid_spec),
+        "bathymetry.malformed_spec", "bathymetry", spec.get("bathymetry"),
+        "use type 'flat', 'sloped' or 'shelf' with its kwargs",
+    )
+    config = attempt(
+        lambda: sc.build_config(spec), "config.invalid", "config",
+        {k: spec[k] for k in ("dt", "n_steps", "minutes") if k in spec},
+        "use a positive finite dt and a non-negative n_steps or minutes",
+    )
+    source = None if grid is None else attempt(
+        lambda: sc.build_source(spec.get("source"), grid),
+        "source.malformed_spec", "source", spec.get("source"),
+        "use type 'gaussian' or 'nankai' with its kwargs",
+    )
 
     sub = preflight(
         grid=grid,

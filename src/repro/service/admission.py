@@ -22,52 +22,75 @@ request's deadline.
 
 from __future__ import annotations
 
+import functools
+import json
 import math
+from contextlib import contextmanager
 
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.service.request import Fidelity
 
 #: Kernel launches per block per step, before output accumulation
 #: (NLMASS + NLMNT2 x-sweep + NLMNT2 y-sweep).
 _KERNELS_PER_BLOCK = 3
 
-#: Cells-by-level for named grids, resolved lazily and cached.
-_GRID_CELLS: dict[str, list[list[int]]] = {}
+
+@contextmanager
+def _refusing():
+    """A scenario the scenario builder refuses is a ServiceError here."""
+    try:
+        yield
+    except (ReproError, TypeError, ValueError, OverflowError) as exc:
+        raise ServiceError(f"scenario refused: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=64)
+def _grid_cells(grid_json: str) -> tuple[tuple[int, ...], ...]:
+    from repro.persist.scenario import build_grid
+
+    grid = build_grid(json.loads(grid_json))
+    return tuple(tuple(b.n_cells for b in lv.blocks) for lv in grid.levels)
 
 
 def scenario_cells_by_level(scenario: dict) -> list[list[int]]:
     """Per-level block cell counts of a scenario's grid.
 
     Synthetic scenarios (the soak harness) carry ``cells_by_level``
-    inline; operational scenarios name a grid (``mini-kochi`` or
-    ``kochi``), which is built once and cached.
+    inline; any other scenario's grid is built (once per process) by
+    :func:`repro.persist.scenario.build_grid`.
     """
+    with _refusing():
+        if "cells_by_level" in scenario:
+            cells = [[int(c) for c in lv] for lv in scenario["cells_by_level"]]
+            if not cells or any(not level for level in cells):
+                raise ServiceError("cells_by_level must be non-empty per level")
+            return cells
+        grid = json.dumps(scenario.get("grid", "mini-kochi"), sort_keys=True)
+        return [list(level) for level in _grid_cells(grid)]
+
+
+def _steps(scenario: dict) -> int:
+    from repro.persist.scenario import build_config
+
+    with _refusing():
+        return build_config(scenario).n_steps
+
+
+def check_scenario(scenario: dict) -> None:
+    """Raise :class:`~repro.errors.ServiceError` for a spec no backend runs.
+
+    A spec must build through :func:`repro.persist.scenario.
+    build_scenario` — the spec ``repro validate`` checks; a synthetic one
+    (inline ``cells_by_level``, priced but never built) must price.
+    """
+    from repro.persist.scenario import build_scenario
+
     if "cells_by_level" in scenario:
-        cells = [
-            [int(c) for c in level] for level in scenario["cells_by_level"]
-        ]
-        if not cells or any(not level for level in cells):
-            raise ServiceError("cells_by_level must be non-empty per level")
-        return cells
-    name = scenario.get("grid", "mini-kochi")
-    if name not in _GRID_CELLS:
-        if name == "mini-kochi":
-            from repro.topo import build_mini_kochi
-
-            grid = build_mini_kochi().grid
-        elif name == "kochi":
-            from repro.topo import build_kochi_grid
-
-            grid = build_kochi_grid()
-        else:
-            raise ServiceError(
-                f"unknown scenario grid {name!r}; have mini-kochi, kochi "
-                "(or inline cells_by_level)"
-            )
-        _GRID_CELLS[name] = [
-            [b.n_cells for b in level.blocks] for level in grid.levels
-        ]
-    return _GRID_CELLS[name]
+        scenario_cells_by_level(scenario)
+        _steps(scenario)
+    else:
+        with _refusing():
+            build_scenario(scenario)
 
 
 class CostEstimator:
@@ -136,7 +159,7 @@ class CostEstimator:
         kept = max(1, len(cells) - fidelity.levels_dropped)
         cells = cells[:kept]
         n_steps = max(
-            1, math.ceil(int(scenario["n_steps"]) * fidelity.horizon_frac)
+            1, math.ceil(_steps(scenario) * fidelity.horizon_frac)
         )
         base = self.step_cost_s(cells, with_outputs=False)
         with_out = self.step_cost_s(cells, with_outputs=True)

@@ -59,27 +59,9 @@ class BackendResult:
         return not self.fidelity.is_full
 
 
-def _source_from_spec(spec: dict):
-    from repro.fault import GaussianSource, nankai_like_scenario
-
-    kind = spec.get("type", "gaussian")
-    if kind == "gaussian":
-        return GaussianSource(
-            x0=spec.get("x0", 4_000.0),
-            y0=spec.get("y0", 16_000.0),
-            amplitude=spec.get("amplitude", 2.0),
-            sigma=spec.get("sigma", 2_500.0),
-        )
-    if kind == "nankai":
-        return nankai_like_scenario(
-            29_160.0, 36_450.0,
-            magnitude_scale=spec.get("magnitude_scale", 1.0),
-        )
-    raise ServiceError(f"unknown source type {kind!r}")
-
-
 class LocalBackend:
-    """Runs the real mini-Kochi numerics under the resilience stack."""
+    """Runs the real numerics of a request's scenario under the
+    resilience stack, built by :func:`repro.persist.scenario.build_scenario`."""
 
     def __init__(
         self,
@@ -95,33 +77,18 @@ class LocalBackend:
         self.integrity_every = integrity_every
         self.scrub_every = scrub_every
         self.runs = 0
-        self._mk = None
-
-    def _grid(self, scenario: dict):
-        if scenario.get("grid", "mini-kochi") != "mini-kochi":
-            raise ServiceError(
-                "LocalBackend only runs mini-kochi scenarios"
-            )
-        if self._mk is None:
-            from repro.topo import build_mini_kochi
-
-            self._mk = build_mini_kochi()
-        return self._mk
 
     def run(
         self,
         request: ForecastRequest,
         budget_s: float | None,
     ) -> BackendResult:
-        from repro.core import SimulationConfig
+        from repro.persist.scenario import build_scenario
         from repro.resilience.forecast import run_resilient_forecast
 
-        mk = self._grid(request.scenario)
-        scenario = request.scenario
-        dt = float(scenario.get("dt", mk.dt))
-        n_steps = int(scenario["n_steps"])
+        built = build_scenario(request.scenario)
         allowed = request.allowed_actions
-        n_levels = mk.grid.n_levels
+        n_levels = built.grid.n_levels
         # Class ladder -> engine degradation floors.  finish_early stays
         # available as the engine's last resort regardless of class: an
         # explicitly shortened forecast beats a silent deadline miss.
@@ -129,11 +96,11 @@ class LocalBackend:
         max_output_every = 1 if "coarsen_output" not in allowed else 8
         self.runs += 1
         report = run_resilient_forecast(
-            mk.grid,
-            mk.bathymetry,
-            config=SimulationConfig(dt=dt),
-            source=_source_from_spec(scenario.get("source", {})),
-            horizon_s=n_steps * dt,
+            built.grid,
+            built.bathymetry,
+            config=built.config,
+            source=built.source,
+            horizon_s=built.n_steps * built.config.dt,
             deadline_s=budget_s,
             platform=self.platform,
             min_levels=min_levels,

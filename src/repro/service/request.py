@@ -147,9 +147,9 @@ class ForecastRequest:
     Parameters
     ----------
     scenario:
-        Journalable scenario spec: ``{"grid": ..., "dt": ...,
-        "n_steps": ..., "source": {...}}``.  Synthetic scenarios used by
-        the soak harness may instead carry ``cells_by_level`` directly.
+        The scenario spec ``repro validate`` checks (keys and defaults:
+        :mod:`repro.persist.scenario`).  Synthetic scenarios used by the
+        soak harness may instead carry ``cells_by_level`` directly.
     deadline_s:
         Budget from submission [s of service time] after which the
         forecast is worthless.

@@ -46,7 +46,7 @@ from repro.obs.flight import EventRing, FlightBook, ServiceEvent
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.trace import TraceContext, get_tracer
-from repro.service.admission import CostEstimator, project_schedule
+from repro.service.admission import CostEstimator, check_scenario, project_schedule
 from repro.service.breaker import CircuitBreaker
 from repro.service.cache import DONE, SingleFlightCache
 from repro.service.clock import VirtualClock
@@ -311,9 +311,14 @@ class ForecastService:
         Returns a :class:`Ticket`; raises a
         :class:`~repro.errors.ServiceOverloadError` subclass when the
         request cannot be accepted without breaking promises already
-        made to admitted work.
+        made to admitted work; a plain ``ServiceError`` for a scenario
+        the scenario builder refuses.
         """
         now = self._now()
+        key = request.cache_key(PLATFORM)
+        entry = self.cache.lookup(key)
+        if entry is None:  # a known scenario was checked on first submit
+            check_scenario(request.scenario)
         request.submitted_s = now
         self.flight.open(request.request_id, **request.brief())
         self._counter(
@@ -321,8 +326,6 @@ class ForecastService:
             labels={"class": request.klass},
         ).inc()
 
-        key = request.cache_key(PLATFORM)
-        entry = self.cache.lookup(key)
         if entry is not None and entry.state == DONE and entry.error is None:
             ticket = Ticket(request)
             self.cache.record_hit(entry)

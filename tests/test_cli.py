@@ -85,10 +85,8 @@ class TestDistributedForecast:
     def test_a_rundir_gets_start_complete_and_the_bitwise_eta(self, tmp_path, capsys):
         import numpy as np
 
-        from repro.cli import _make_source
-        from repro.core import RTiModel, SimulationConfig
-        from repro.persist import RunStore
-        from repro.topo import build_mini_kochi
+        from repro.core import RTiModel
+        from repro.persist import RunStore, build_scenario
 
         rundir = tmp_path / "D"
         argv = ["forecast", "--ranks", "2", "--minutes", "0.2", "--rundir", str(rundir)]
@@ -100,10 +98,10 @@ class TestDistributedForecast:
         (product,) = (rundir / "products").glob("distributed_eta_step_*.npz")
         assert product.name == store.first_event("distributed_complete")["product"]
 
-        mk = build_mini_kochi()
-        model = RTiModel(mk.grid, mk.bathymetry, SimulationConfig(dt=mk.dt))
-        model.set_initial_condition(_make_source(build_parser().parse_args(argv)))
-        model.run(int(0.2 * 60 / mk.dt))
+        built = build_scenario({"minutes": 0.2, "source": {"type": "gaussian"}})
+        model = RTiModel(built.grid, built.bathymetry, built.config)
+        model.set_initial_condition(built.source)
+        model.run(built.n_steps)
         with np.load(product) as got:
             assert sorted(got.files) == sorted(f"b{bid}" for bid in model.states)
             for bid, st in model.states.items():

@@ -9,6 +9,7 @@ actionable message, while the shipped Kochi example passes clean.
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,21 @@ def spec_with(**overrides) -> dict:
 
 def codes(report) -> set:
     return {f.code for f in report.errors}
+
+
+def minutes_spec(minutes) -> dict:
+    spec = spec_with(minutes=minutes)
+    del spec["n_steps"]
+    return spec
+
+
+#: Broken specs and the input each one's findings name.
+BAD_SPECS = [
+    (spec_with(bathymetry={"type": "flat", "depth": -10.0}), "bathymetry"),
+    (spec_with(dt=math.nan), "config"),
+    (spec_with(dt=math.inf), "config"),
+    (minutes_spec(math.nan), "config"),
+]
 
 
 class TestRejectionClasses:
@@ -144,15 +160,15 @@ class TestMultiErrorReporting:
         assert {"bathymetry.no_water", "source.out_of_bounds"} <= codes(report)
 
     def test_findings_are_actionable(self):
-        report = validate_scenario(
-            spec_with(bathymetry={"type": "flat", "depth": -10.0})
-        )
-        for finding in report.errors:
-            assert finding.field
-            assert finding.constraint
-            assert finding.suggestion
-            rendered = str(finding)
-            assert "[ERROR]" in rendered and "fix:" in rendered
+        for spec, field in BAD_SPECS:
+            report = validate_scenario(spec)
+            assert any(f.field.startswith(field) for f in report.errors)
+            for finding in report.errors:
+                assert finding.field
+                assert finding.constraint
+                assert finding.suggestion
+                rendered = str(finding)
+                assert "[ERROR]" in rendered and "fix:" in rendered
 
     def test_raise_if_failed_carries_findings(self):
         report = validate_scenario(
@@ -188,12 +204,12 @@ class TestValidateCli:
         assert "PASS" in out
 
     def test_bad_scenario_file_exits_1(self, tmp_path, capsys):
-        bad = spec_with(bathymetry={"type": "flat", "depth": -10.0})
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(bad))
-        assert main(["validate", str(path)]) == 1
-        out = capsys.readouterr().out
-        assert "bathymetry" in out and "fix:" in out
+        for bad, field in BAD_SPECS:
+            path.write_text(json.dumps(bad))
+            assert main(["validate", str(path)]) == 1
+            out = capsys.readouterr().out
+            assert field in out and "fix:" in out
 
     def test_unreadable_target_exits_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2

@@ -807,6 +807,42 @@ class TestServiceCLI:
         assert code == 2
         assert out == [f"error: {path}: scenario must be a non-empty dict"]
 
+    def test_submit_runs_a_minutes_scenario(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "grid": "mini-kochi", "minutes": 0.01,
+            "source": {"type": "gaussian"},
+        }))
+        code = cli.main([
+            "submit", "--deadline", "600", "--scenario", str(path), "--run",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert " done " in out and "max water level" in out
+
+    @pytest.mark.parametrize("command", ["serve", "submit"])
+    def test_an_unknown_source_type_is_one_error_line(
+        self, tmp_path, capsys, command
+    ):
+        bad = {"grid": "mini-kochi", "n_steps": 6, "source": {"type": "okada"}}
+        path = tmp_path / "in.json"
+        if command == "serve":
+            path.write_text(json.dumps({"scenario": bad, "deadline_s": 600}))
+            # The priced backend never builds a scenario: the refusal
+            # comes from the service's door, not from a run.
+            argv = ["serve", "--requests", str(path), "--backend", "sim"]
+            where = f"{path}:1"
+        else:
+            path.write_text(json.dumps(bad))
+            argv = ["submit", "--deadline", "600", "--scenario", str(path),
+                    "--run"]
+            where = str(path)
+        code = cli.main(argv)
+        out = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(out) == 1 and out[0].startswith(f"error: {where}: ")
+        assert "'okada'" in out[0]
+
     def test_argparse_rejects_non_positive_values(self, capsys):
         bad = [
             ["forecast", "--minutes", "-3"],
