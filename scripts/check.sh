@@ -114,6 +114,13 @@ if git grep -nE '_source_from_spec|_make_source|_GRID_CELLS' -- \
     src/repro/service src/repro/obs src/repro/persist/preflight.py
 then echo "== a second scenario decoder is back (see above) =="; exit 1; fi
 
+# One run event: a guarded run's decisions are repro.obs.log.ServiceEvent
+# records emitted through RunEvents.emit — journal, log, trace and counter
+# once each — and report tallies are counts over the ring.
+if git grep -nE 'RecoveryEvent|DegradationEvent|_absorb_stats|_export_metrics|on_event=' -- \
+    src tests examples
+then echo "== a second run-event record or fan-out is back (see above) =="; exit 1; fi
+
 echo "== pytest (tier 1) =="
 if [ "$fast" = 1 ]; then
     PYTHONPATH=src python -m pytest -x -q

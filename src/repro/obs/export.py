@@ -103,7 +103,7 @@ def service_events_to_chrome(
     service_events, pid: int = 2,
     pid_name: str = "service (virtual clock)",
 ) -> list[dict]:
-    """Chrome instants from :class:`repro.service.service.ServiceEvent`.
+    """Chrome instants from :class:`repro.obs.log.ServiceEvent`.
 
     Each request gets its own track (``tid``, assigned in first-seen
     order and named after the request id), and every decision —

@@ -10,9 +10,10 @@ state transitions, degradations, retries, breaker trips, recovery
 epochs, and queue-depth samples, each stamped with the service's virtual
 time **and** the shared monotonic+wall pair from
 :mod:`repro.obs.timebase` (so flight events line up with trace spans and
-journal records on either axis).  An event is a :class:`ServiceEvent`:
-the service builds one per decision, and the same record sits in its own
-bounded :class:`EventRing` and in the request's recorder.
+journal records on either axis).  An event is a
+:class:`~repro.obs.log.ServiceEvent`: the service builds one per
+decision, and the same record sits in its own bounded
+:class:`~repro.obs.log.EventRing` and in the request's recorder.
 
 On a bad ending — shed, failure, or deadline breach — the recorder is
 dumped as ``flight/<request_id>.json`` under the run directory, and
@@ -23,83 +24,17 @@ kept), and a bounded ring of settled recorders.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from collections import OrderedDict
 from pathlib import Path
 
 from repro.artifacts import load_json_artifact, publish_json
-from repro.obs.timebase import TIMEBASE
+from repro.obs.log import EventRing, ServiceEvent
 
 #: Schema stamp of one dumped flight recording.
 FLIGHT_SCHEMA = "repro.obs.flight/1"
 
 #: Subdirectory of a run directory holding dumped recordings.
 FLIGHT_DIR = "flight"
-
-
-@dataclass(frozen=True, slots=True)
-class ServiceEvent:
-    """One decision about one request, built once.
-
-    The service's bounded event log and the request's flight recorder hold
-    the same record; :meth:`to_flight` is its form in a dumped recording.
-    """
-
-    #: Service (virtual-clock) time of the decision; None off the clock.
-    t: float | None
-    kind: str
-    request_id: str
-    detail: str = ""
-    #: Extra keys of the flight form (e.g. a queue-depth sample's depth).
-    fields: dict | None = None
-    #: ``(ts_wall, ts_mono_us)`` on the shared timebase, from one reading.
-    stamp: tuple = field(default_factory=TIMEBASE.pair, compare=False,
-                         repr=False)
-
-    def to_flight(self) -> dict:
-        ts_wall, ts_mono_us = self.stamp
-        ev: dict = {"kind": self.kind, "ts_wall": ts_wall,
-                    "ts_mono_us": ts_mono_us}
-        if self.t is not None:
-            ev["t_service"] = round(float(self.t), 6)
-        if self.detail:
-            ev["detail"] = self.detail
-        if self.fields:
-            ev.update(self.fields)
-        return ev
-
-
-class EventRing:
-    """Bounded record buffer — newest kept, drops counted.
-
-    Reads like a list (len / iteration / indexing), but a week-long soak
-    cannot grow memory without limit.
-    """
-
-    __slots__ = ("capacity", "dropped", "_events")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("event ring capacity must be >= 1")
-        self.capacity = int(capacity)
-        self.dropped = 0
-        self._events: deque = deque(maxlen=self.capacity)
-
-    def append(self, ev) -> None:
-        if len(self._events) == self.capacity:
-            self.dropped += 1
-        self._events.append(ev)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self):
-        return iter(self._events)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self._events)[index]
-        return self._events[index]
 
 
 class FlightRecorder(EventRing):

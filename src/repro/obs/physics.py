@@ -18,7 +18,8 @@ Design constraints mirror the tracer's:
   and derived quantities — a run with sampling enabled is bitwise
   identical to one without (tier-1 guarded).
 * **Cheap**: cadence-gated (``every`` steps) with a <5% overhead budget
-  (tier-1 guarded); metric/trace export only when the tracer is armed.
+  (tier-1 guarded); sample metrics and trace export only when the tracer
+  is armed (a verdict is a run record: its counter always moves).
 
 Exports ride the existing rails: ``repro_physics_*`` instruments (the
 anomaly histogram carries trace-id exemplars), Chrome-trace counter
@@ -38,6 +39,7 @@ from repro import guards
 from repro.constants import GRAVITY
 from repro.core import loopnest
 from repro.errors import ConfigurationError, NumericalError
+from repro.obs.log import RunEvents, ServiceEvent
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 
@@ -404,7 +406,7 @@ class DivergenceSentinel:
         window: int = 6,
         patience: int = 3,
         abort: bool = True,
-        on_event=None,
+        sink: RunEvents | None = None,
     ) -> None:
         if window < 2:
             raise ConfigurationError("sentinel window must be >= 2 samples")
@@ -421,10 +423,9 @@ class DivergenceSentinel:
         self.window = window
         self.patience = patience
         self.abort = abort
-        self.on_event = on_event
+        self.sink = sink if sink is not None else RunEvents()
         self.verdict = HEALTHY
         self.worst = HEALTHY
-        self.events: list[dict] = []
         self.aborts = 0
         self._streak = 0
         self._seen = 0
@@ -454,16 +455,19 @@ class DivergenceSentinel:
         self.verdict = verdict
         self.worst = _KIND.worst_of((self.worst, verdict))
         if verdict != HEALTHY:
-            self._note(smp, verdict, reasons)
+            self.sink.emit(ServiceEvent(None, verdict, fields={
+                "step": smp.step, "time": smp.time, "reasons": list(reasons),
+            }))
         if _TRACER.enabled:
             self._export_verdict(verdict)
         if verdict == DIVERGED and self.abort:
             self.aborts += 1
-            if _TRACER.enabled:
-                get_registry().counter(
-                    "repro_physics_aborts_total",
-                    "runs aborted early by the divergence sentinel",
-                ).inc()
+            # An abort is a raise, not a record: its counter is moved here,
+            # under the records' metering rule (traced or not).
+            get_registry().counter(
+                "repro_physics_aborts_total",
+                "runs aborted early by the divergence sentinel",
+            ).inc()
             raise PhysicsDivergenceError(
                 f"step {smp.step}: physics sentinel verdict diverged: "
                 + "; ".join(reasons)
@@ -532,28 +536,12 @@ class DivergenceSentinel:
 
     # -- bookkeeping -----------------------------------------------------
 
-    def _note(self, smp: PhysicsSample, verdict: str, reasons: list[str]) -> None:
-        event = {
-            "step": smp.step,
-            "time": smp.time,
-            "verdict": verdict,
-            "reasons": list(reasons),
-        }
-        self.events.append(event)
-        if _TRACER.enabled:
-            get_registry().counter(
-                "repro_physics_sentinel_events_total",
-                "sentinel verdicts other than healthy",
-                labels={"verdict": verdict},
-            ).inc()
-            _TRACER.instant(
-                f"physics:{verdict}",
-                cat="resilience",
-                step=smp.step,
-                reasons="; ".join(reasons),
-            )
-        if self.on_event is not None:
-            self.on_event(event)
+    @property
+    def events(self) -> list[dict]:
+        """Non-healthy verdicts, oldest first, in the ``physics.json`` shape."""
+        return [
+            {"verdict": ev.kind, **ev.fields} for ev in self.sink.of("physics")
+        ]
 
     def _export_verdict(self, verdict: str) -> None:
         if self._metrics is None:
@@ -582,7 +570,7 @@ class DivergenceSentinel:
             "verdict": self.worst,
             "current": self.verdict,
             "aborts": self.aborts,
-            "events": list(self.events),
+            "events": self.events,
             "thresholds": {
                 "mass_tol": self.mass_tol,
                 "mass_slope_tol": self.mass_slope_tol,

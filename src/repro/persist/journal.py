@@ -15,7 +15,7 @@ import os
 from pathlib import Path
 
 from repro.errors import PersistError
-from repro.obs.timebase import timestamp_pair
+from repro.obs.log import ServiceEvent
 from repro.obs.trace import span as _span
 
 #: Journal format version, recorded in every ``run_start`` event.
@@ -26,11 +26,11 @@ from repro.obs.trace import span as _span
 JOURNAL_VERSION = 2
 
 #: Event names the survivable distributed runtime journals
-#: (:mod:`repro.resilience.survive`).  ``rank_failure`` records each
-#: detected in-flight rank loss; ``recovery_epoch`` records the diskless
-#: checkpoint epoch the run resumed from and the action taken
-#: (shrink / respawn / epoch_retry / restart_scratch /
-#: fallback_single_process).
+#: (:mod:`repro.resilience.survive`): ``rank_failure``, each failure
+#: round's lost ranks; ``recovery_epoch``, the diskless checkpoint epoch
+#: the run resumed from and the action taken — shrink / respawn /
+#: epoch_retry, suffixed ``_scratch`` when it restarted from step 0.  The
+#: breaker's hand-over is an event of its own, ``fallback_single_process``.
 EVENT_RANK_FAILURE = "rank_failure"
 EVENT_RECOVERY_EPOCH = "recovery_epoch"
 
@@ -58,26 +58,30 @@ class RunJournal:
         if existing:
             self._seq = max(int(ev.get("seq", 0)) for ev in existing)
 
-    def record(self, event: str, **fields) -> dict:
-        """Durably append one event; returns the record written.
+    def record(self, event: str | ServiceEvent, **fields) -> dict:
+        """Durably append one event — a run record, or a name and its
+        fields; returns the line written.
 
-        Each record carries the shared monotonic + wall-clock pair from
-        :mod:`repro.obs.timebase` — the same clock trace spans use — so
-        merged journal/trace timelines stay monotone even when the
+        The line carries the record's stamp, the shared monotonic +
+        wall-clock pair of :mod:`repro.obs.timebase` that trace spans use,
+        so merged journal/trace timelines stay monotone even when the
         system clock steps or the run is resumed in a new process.
         """
+        if not isinstance(event, ServiceEvent):
+            event = ServiceEvent(None, event, fields=fields)
+        name, fields = event.journal_line()
+        ts_wall, ts_mono_us = event.stamp
         self._seq += 1
-        ts_wall, ts_mono_us = timestamp_pair()
         rec = {
             "seq": self._seq,
             "ts_wall": round(ts_wall, 6),
             "ts_mono_us": round(ts_mono_us, 1),
-            "event": event,
+            "event": name,
             **fields,
         }
         line = json.dumps(rec, sort_keys=True, default=str)
         try:
-            with _span("journal_append", cat="persist", event=event):
+            with _span("journal_append", cat="persist", event=name):
                 with open(self.path, "a") as fh:
                     fh.write(line + "\n")
                     fh.flush()

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from repro.core.model import RTiModel
 from repro.errors import NumericalError, PersistError
-from repro.obs.log import get_logger
+from repro.obs.log import RunEvents, get_logger
 from repro.persist.journal import JOURNAL_VERSION
 from repro.persist.preflight import validate_scenario
 from repro.persist.products import ProductStreamer
@@ -68,13 +68,13 @@ def _run_to_completion(
             ring=ring,
             checkpoint_every=checkpoint_every,
             max_rollbacks=0,
-            journal=store.record_event,
+            sink=RunEvents(store),
         )
         model = engine.run()
         if engine.aborted:
             raise NumericalError(
                 f"run stopped at step {model.step_count}: "
-                f"{engine.recoveries[-1].detail}"
+                f"{engine.events.of('recovery')[-1].detail}"
             )
     store.record_event(
         "complete", step=model.step_count, time=model.time

@@ -42,7 +42,7 @@ from repro.lazy import exports
 __getattr__, __dir__, __all__ = exports(__name__, {
     "checkpoint": "Checkpoint CheckpointRing",
     "clock": "SimulatedClock",
-    "deadline": "DEGRADATION_ORDER DeadlineSupervisor DegradationEvent",
+    "deadline": "DEGRADATION_ORDER DeadlineSupervisor",
     "faultplan": "FAULT_KINDS FaultPlan FaultSpec",
     "forecast": "run_resilient_forecast",
     "health": "HealthMonitor StepTimeMonitor",
@@ -52,7 +52,7 @@ __getattr__, __dir__, __all__ = exports(__name__, {
                  " CheckpointScrubber IntegrityMonitor IntegrityTracker"
                  " MessageIntegrity integrity_doc load_integrity_report"
                  " render_integrity_doc write_integrity_json",
-    "recovery": "RecoveryEngine RecoveryEvent drop_finest_level",
+    "recovery": "RecoveryEngine drop_finest_level",
     "report": "ForecastReport",
     "survive": "SurvivalConfig SurvivalReport buddy_of"
                " survivable_run_distributed",

@@ -14,39 +14,16 @@ fixed severity order:
 3. ``finish_early`` — stop integrating and publish the products
    accumulated so far (a shortened forecast horizon, clearly flagged).
 
-Every action is recorded as a :class:`DegradationEvent` in the run
-report — a degraded forecast must say it is degraded.
+Every action is one record of the run (kind = the action), and so lands
+in the run report — a degraded forecast must say it is degraded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import DeadlineError
-from repro.obs.metrics import get_registry
-from repro.obs.trace import get_tracer
 
 #: Degradation actions, mildest first.
 DEGRADATION_ORDER = ("drop_level", "coarsen_output", "finish_early")
-
-
-@dataclass(frozen=True)
-class DegradationEvent:
-    """One graceful-degradation decision."""
-
-    step: int
-    sim_time_s: float
-    action: str
-    detail: str
-    projected_s: float
-    deadline_s: float
-
-    def __str__(self) -> str:
-        return (
-            f"step {self.step} (t={self.sim_time_s:.1f}s): {self.action} — "
-            f"{self.detail} (projected {self.projected_s:.1f}s vs "
-            f"deadline {self.deadline_s:.1f}s)"
-        )
 
 
 class DeadlineSupervisor:
@@ -70,7 +47,6 @@ class DeadlineSupervisor:
             raise DeadlineError(f"margin must be in (0, 1], got {margin}")
         self.deadline_s = deadline_s
         self.margin = margin
-        self.events: list[DegradationEvent] = []
 
     def projected_finish_s(
         self, elapsed_s: float, steps_left: int, step_cost_s: float
@@ -91,20 +67,3 @@ class DeadlineSupervisor:
         if can_coarsen:
             return "coarsen_output"
         return "finish_early"
-
-    def record(self, event: DegradationEvent) -> None:
-        self.events.append(event)
-        if get_tracer().enabled:
-            reg = get_registry()
-            reg.gauge(
-                "repro_eta_projected_seconds",
-                "projected forecast finish at the last deadline decision",
-            ).set(event.projected_s)
-            reg.gauge(
-                "repro_eta_deadline_seconds",
-                "operational deadline the supervisor projects against",
-            ).set(event.deadline_s)
-
-    @property
-    def degraded(self) -> bool:
-        return bool(self.events)

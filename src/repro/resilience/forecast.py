@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro import guards
 from repro.core.config import SimulationConfig
 from repro.core.model import RTiModel
-from repro.obs.log import get_logger
+from repro.obs.log import RunEvents, get_logger
 from repro.obs.physics import (
     DivergenceSentinel,
     PhysicsSampler,
@@ -67,8 +67,8 @@ def run_resilient_forecast(
     post-processing (damage assessment, gauges).
 
     *store* (a :class:`repro.persist.RunStore`) makes the run durable:
-    the checkpoint ring spills every snapshot to disk, every
-    recovery/degradation action is journaled write-ahead, and
+    the checkpoint ring spills every snapshot to disk, every record of
+    the run (:class:`~repro.obs.log.RunEvents`) is journaled write-ahead, and
     SIGTERM/SIGINT capture a final snapshot and journal ``interrupted``
     before unwinding with :class:`KeyboardInterrupt`.
 
@@ -106,23 +106,16 @@ def run_resilient_forecast(
             platform=str(platform),
             config=config.to_dict(),
         )
-    health = HealthMonitor()
-
-    def journal(guard: str):
-        """Each guard's events go to the run journal under its name."""
-        if store is None:
-            return None
-        return lambda ev: store.record_event(guard, **ev)
-
+    events = RunEvents(store)
     sentinel = tracker = None
-    monitors = [health]
+    monitors = [HealthMonitor()]
     if physics_every:
         sentinel = DivergenceSentinel(
-            PhysicsSampler(every=physics_every), on_event=journal("physics")
+            PhysicsSampler(every=physics_every), sink=events
         )
         monitors.append(sentinel)
     if integrity_every:
-        tracker = IntegrityTracker(on_event=journal("integrity"))
+        tracker = IntegrityTracker(sink=events)
         monitors.append(
             IntegrityMonitor(every=integrity_every, tracker=tracker)
         )
@@ -148,7 +141,7 @@ def run_resilient_forecast(
         max_rollbacks=max_rollbacks,
         min_levels=min_levels,
         max_output_every=max_output_every,
-        journal=store.record_event if store is not None else None,
+        sink=events,
         tracker=tracker,
         scrubber=scrubber,
         scrub_every=scrub_every,
@@ -167,11 +160,6 @@ def run_resilient_forecast(
     if tracker is not None:
         tracker.export_verdict()
 
-    rollbacks = sum(
-        1
-        for ev in engine.recoveries
-        if ev.kind in ("rollback", "quarantine_rollback")
-    )
     report = ForecastReport(
         status="complete" if engine.completed else "degraded",
         horizon_s=horizon_s,
@@ -184,13 +172,11 @@ def run_resilient_forecast(
         dt_final=final.config.dt,
         max_eta=final.max_eta(),
         max_speed=final.max_speed(),
-        degradations=list(engine.degradations),
-        recoveries=list(engine.recoveries),
+        events=events,
         faults_triggered=(
             fault_plan.triggered_labels() if fault_plan is not None else []
         ),
         checkpoints_taken=ring.taken,
-        rollbacks=rollbacks,
         physics_verdict=sentinel.worst if sentinel is not None else None,
         # The full physics.json-shaped document (samples included), so
         # callers can merge counter tracks into their trace export.
@@ -199,26 +185,18 @@ def run_resilient_forecast(
         integrity=integrity_doc(tracker) if tracker is not None else None,
     )
     report.model = final
-    verdicts = {kind.attr: kind.of(report) for kind in guards.KINDS}
-    _LOG.info(
-        "forecast_complete",
+    complete = dict(
         status=report.status,
-        achieved_s=round(final.time, 3),
-        elapsed_s=round(clock.elapsed_s, 3),
-        rollbacks=rollbacks,
-        **verdicts,
+        achieved_s=final.time,
+        elapsed_s=clock.elapsed_s,
+        checkpoints_taken=ring.taken,
+        checkpoints_spilled=ring.spilled,
+        rollbacks=report.rollbacks,
+        **{kind.attr: kind.of(report) for kind in guards.KINDS},
     )
+    _LOG.info("forecast_complete", **complete)
     if store is not None:
-        store.record_event(
-            "forecast_complete",
-            status=report.status,
-            achieved_s=final.time,
-            elapsed_s=clock.elapsed_s,
-            checkpoints_taken=ring.taken,
-            checkpoints_spilled=ring.spilled,
-            rollbacks=rollbacks,
-            **verdicts,
-        )
+        store.record_event("forecast_complete", **complete)
         for kind in guards.KINDS:
             doc = getattr(report, kind.name, None)
             if doc is not None:

@@ -32,8 +32,9 @@ Four cooperating pieces, one per detection/containment point:
     quarantined (renamed out of the restore path).
 :class:`IntegrityTracker`
     The shared ledger: every check, detection, correction, retransmit
-    and scrub action lands here, becomes ``repro_integrity_*`` metrics
-    (detection-latency histogram carries trace-id exemplars), and folds
+    and scrub action lands here, each non-clean one a run record with a
+    ``repro_integrity_*`` counter (the detection-latency histogram carries
+    trace-id exemplars), and folds
     into the end-of-run verdict — ``clean`` / ``corrected`` /
     ``corrupted`` — that flows through
     :class:`~repro.resilience.report.ForecastReport`, the service
@@ -54,6 +55,7 @@ from dataclasses import replace
 
 from repro import guards
 from repro.errors import ConfigurationError, IntegrityError
+from repro.obs.log import RunEvents, ServiceEvent, traced_gauge
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.xchg.packing import payload_crc
@@ -116,14 +118,13 @@ class IntegrityTracker:
     One tracker is shared by every integrity collaborator of a run (the
     monitor, the scrubber, the message-CRC policy, the recovery engine),
     so the end-of-run verdict is a single fold over everything that
-    happened.  ``on_event`` (typically ``RunStore.record_event``)
-    receives every non-clean event write-ahead.
+    happened.  Every non-clean event is one record emitted into the run's
+    *sink* (:class:`~repro.obs.log.RunEvents`; a private one by default).
     """
 
-    def __init__(self, max_events: int = 512, on_event=None) -> None:
+    def __init__(self, sink: RunEvents | None = None) -> None:
         self._lock = threading.Lock()
-        self.max_events = max_events
-        self.on_event = on_event
+        self.sink = sink if sink is not None else RunEvents()
         self.checks = 0
         self.detections: dict[str, int] = dict.fromkeys(SURFACES, 0)
         self.corrections: dict[str, int] = {}
@@ -132,8 +133,6 @@ class IntegrityTracker:
         self.scrub_passes = 0
         self.scrub_evictions = 0
         self.scrub_repairs = 0
-        self.events: list[dict] = []
-        self._metrics = None
 
     # -- recording -------------------------------------------------------
 
@@ -141,20 +140,13 @@ class IntegrityTracker:
         with self._lock:
             self.checks += n
 
-    def _event(self, kind: str, **fields) -> None:
-        event = {"kind": kind, **fields}
-        with self._lock:
-            self.events.append(event)
-            if len(self.events) > self.max_events:
-                del self.events[: -self.max_events]
-        if _TRACER.enabled:
-            _TRACER.instant(
-                f"integrity:{kind}",
-                cat="resilience",
-                **{k: str(v) for k, v in fields.items()},
-            )
-        if self.on_event is not None:
-            self.on_event(event)
+    @property
+    def events(self) -> list[dict]:
+        """This ledger's records in the ``integrity.json`` shape."""
+        return [
+            {"kind": ev.kind, **ev.fields, "detail": ev.detail}
+            for ev in self.sink.of("integrity")
+        ]
 
     def detection(
         self,
@@ -167,22 +159,12 @@ class IntegrityTracker:
         """One detected corruption (not yet judged corrected or not)."""
         with self._lock:
             self.detections[surface] = self.detections.get(surface, 0) + 1
-        self._event(
-            "detection",
-            surface=surface,
-            step=step,
-            detail=detail,
-            blocks=sorted(blocks),
-        )
+        self.sink.emit(ServiceEvent(None, "detection", detail=detail, fields={
+            "surface": surface, "step": step, "blocks": sorted(blocks),
+        }))
         if _TRACER.enabled:
-            reg = get_registry()
-            reg.counter(
-                "repro_integrity_detections_total",
-                "corruption detections by surface",
-                labels={"surface": surface},
-            ).inc()
             ctx = _TRACER.current_context()
-            reg.histogram(
+            get_registry().histogram(
                 "repro_integrity_detection_latency_steps",
                 "steps between checksum capture and the failing check",
                 buckets=LATENCY_BUCKETS,
@@ -205,16 +187,9 @@ class IntegrityTracker:
                 self.retransmits += 1
             elif action == "scrub_repair":
                 self.scrub_repairs += 1
-        self._event(
-            "corrected", action=action, surface=surface, step=step,
-            detail=detail,
-        )
-        if _TRACER.enabled:
-            get_registry().counter(
-                "repro_integrity_corrections_total",
-                "corruption corrections by action",
-                labels={"action": action},
-            ).inc()
+        self.sink.emit(ServiceEvent(None, "corrected", detail=detail, fields={
+            "action": action, "surface": surface, "step": step,
+        }))
 
     def uncorrectable(
         self, surface: str, step: int | None = None, detail: str = ""
@@ -222,14 +197,8 @@ class IntegrityTracker:
         """A detected corruption could not be corrected (exit-8 class)."""
         with self._lock:
             self.uncorrected += 1
-        self._event(
-            "uncorrected", surface=surface, step=step, detail=detail
-        )
-        if _TRACER.enabled:
-            get_registry().counter(
-                "repro_integrity_uncorrected_total",
-                "detected-but-uncorrected corruption events",
-            ).inc()
+        self.sink.emit(ServiceEvent(None, "uncorrected", detail=detail,
+                                    fields={"surface": surface, "step": step}))
 
     def scrubbed(self, evicted: int = 0, repaired: int = 0) -> None:
         with self._lock:
@@ -253,12 +222,10 @@ class IntegrityTracker:
 
     def export_verdict(self) -> None:
         """Publish the current verdict gauge (called at run end)."""
-        if _TRACER.enabled:
-            get_registry().gauge(
-                "repro_integrity_verdict",
-                "end-of-run integrity verdict "
-                "(0 clean, 1 corrected, 2 corrupted)",
-            ).set(INTEGRITY_VERDICTS.index(self.verdict))
+        traced_gauge("repro_integrity_verdict",
+                     "end-of-run integrity verdict "
+                     "(0 clean, 1 corrected, 2 corrupted)",
+                     INTEGRITY_VERDICTS.index(self.verdict))
 
     def to_dict(self) -> dict:
         with self._lock:
@@ -272,7 +239,7 @@ class IntegrityTracker:
                 "scrub_passes": self.scrub_passes,
                 "scrub_evictions": self.scrub_evictions,
                 "scrub_repairs": self.scrub_repairs,
-                "events": list(self.events),
+                "events": self.events,
             }
 
 

@@ -33,38 +33,20 @@ Distributed runs recover in flight instead:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from repro.core.model import CompositeMonitor, RTiModel
 from repro.errors import IntegrityError, NumericalError
 from repro.grid.hierarchy import NestedGrid
-from repro.obs.log import get_logger
-from repro.obs.metrics import get_registry
-from repro.obs.trace import get_tracer, instant
+from repro.obs.log import RunEvents, ServiceEvent, traced_gauge
 from repro.resilience.checkpoint import CheckpointRing, capture_model
-from repro.resilience.deadline import DeadlineSupervisor, DegradationEvent
+from repro.resilience.deadline import DeadlineSupervisor
 from repro.resilience.faultplan import FaultPlan
 from repro.resilience.inject import (
     corrupt_checkpoint,
     corrupt_state,
     corrupt_state_bitflip,
 )
-
-_LOG = get_logger("resilience")
-
-
-@dataclass(frozen=True)
-class RecoveryEvent:
-    """One recovery action taken by the engine."""
-
-    step: int
-    kind: str  # rollback | dt_halved | recovery_abort | fallback_single_process | ...
-    detail: str
-    rank: int | None = None
-
-    def __str__(self) -> str:
-        who = f" (rank {self.rank})" if self.rank is not None else ""
-        return f"step {self.step}: {self.kind}{who} — {self.detail}"
 
 
 def drop_finest_level(model: RTiModel) -> RTiModel:
@@ -113,6 +95,10 @@ class RecoveryEngine:
         Degradation floor for ``drop_level``.
     max_output_every:
         Degradation ceiling for ``coarsen_output``.
+    sink:
+        The run's :class:`~repro.obs.log.RunEvents` (a private one by
+        default): every recovery and degradation action is one record
+        emitted into it as it happens — write-ahead.
     tracker:
         Optional :class:`repro.resilience.integrity.IntegrityTracker`
         collecting corruption detections/corrections — the engine marks
@@ -137,7 +123,7 @@ class RecoveryEngine:
         max_rollbacks: int = 6,
         min_levels: int = 1,
         max_output_every: int = 8,
-        journal=None,
+        sink: RunEvents | None = None,
         tracker=None,
         scrubber=None,
         scrub_every: int = 0,
@@ -164,11 +150,7 @@ class RecoveryEngine:
         self.min_levels = min_levels
         self.max_output_every = max_output_every
 
-        #: Optional ``callable(event_name, **fields)`` — typically
-        #: ``RunStore.record_event`` — receiving every recovery and
-        #: degradation action as it happens (write-ahead, not post-hoc).
-        self.journal = journal
-        self.recoveries: list[RecoveryEvent] = []
+        self.events = sink if sink is not None else RunEvents()
         self.aborted = False
         self.tracker = tracker
         self.scrubber = scrubber
@@ -181,10 +163,6 @@ class RecoveryEngine:
 
     # -- helpers ---------------------------------------------------------
 
-    @property
-    def degradations(self) -> list[DegradationEvent]:
-        return self.supervisor.events if self.supervisor else []
-
     def _steps_left(self) -> int:
         # Rounded: the clock is a running float sum that drifts off the
         # step grid over a long run, and a horizon of n whole steps must
@@ -195,31 +173,8 @@ class RecoveryEngine:
         )
 
     def _record(self, kind: str, detail: str) -> None:
-        self.recoveries.append(
-            RecoveryEvent(self.model.step_count, kind, detail)
-        )
-        _LOG.warning(
-            "recovery", kind=kind, step=self.model.step_count, detail=detail
-        )
-        if get_tracer().enabled:
-            instant(
-                f"recovery:{kind}",
-                cat="resilience",
-                step=self.model.step_count,
-                detail=detail,
-            )
-            get_registry().counter(
-                "repro_recovery_actions_total",
-                "recovery-engine actions by kind",
-                labels={"kind": kind},
-            ).inc()
-        if self.journal is not None:
-            self.journal(
-                "recovery",
-                kind=kind,
-                step=self.model.step_count,
-                detail=detail,
-            )
+        self.events.emit(ServiceEvent(self.model.time, kind, detail=detail,
+                                      fields={"step": self.model.step_count}))
 
     def _verified_checkpoint(self):
         """Newest ring entry whose digests still verify.
@@ -254,32 +209,29 @@ class RecoveryEngine:
             )
             self.ring.drop_latest()
 
+    def _abort(self, detail: str, exc=None, why: str = "") -> None:
+        """Give up into a degraded forecast; a corruption *exc* that
+        caused it (for reason *why*) is uncorrected."""
+        self._record("recovery_abort", detail)
+        if isinstance(exc, IntegrityError) and self.tracker is not None:
+            self.tracker.uncorrectable(
+                exc.surface or "state", step=exc.step, detail=f"{why}: {exc}"
+            )
+        self.aborted = True
+
     def _rollback(self, exc: NumericalError) -> None:
         self._rollbacks += 1
         quarantine = isinstance(exc, IntegrityError)
         if self._rollbacks > self.max_rollbacks:
-            self._record(
-                "recovery_abort",
+            self._abort(
                 f"rollback budget ({self.max_rollbacks}) exhausted: {exc}",
+                exc, "rollback budget exhausted",
             )
-            if quarantine and self.tracker is not None:
-                self.tracker.uncorrectable(
-                    exc.surface or "state",
-                    step=exc.step,
-                    detail=f"rollback budget exhausted: {exc}",
-                )
-            self.aborted = True
             return
         ckpt = self._verified_checkpoint()
         if ckpt is None:
-            self._record("recovery_abort", f"no checkpoint to restore: {exc}")
-            if quarantine and self.tracker is not None:
-                self.tracker.uncorrectable(
-                    exc.surface or "state",
-                    step=exc.step,
-                    detail=f"no clean checkpoint survives: {exc}",
-                )
-            self.aborted = True
+            self._abort(f"no checkpoint to restore: {exc}",
+                        exc, "no clean checkpoint survives")
             return
         repeat = ckpt.step == self._last_rollback_step
         self.ring.restore(self.model, ckpt)
@@ -312,12 +264,10 @@ class RecoveryEngine:
         if repeat and not quarantine:
             new_dt = self.model.config.dt / 2.0
             if new_dt < self._dt_floor:
-                self._record(
-                    "recovery_abort",
+                self._abort(
                     f"dt floor {self._dt_floor:g}s reached while still "
-                    f"unstable",
+                    f"unstable"
                 )
-                self.aborted = True
                 return
             self.model.config = replace(self.model.config, dt=new_dt)
             self._record("dt_halved", f"dt -> {new_dt:g}s")
@@ -371,47 +321,19 @@ class RecoveryEngine:
                 f"{self.horizon_s:.1f}s"
             )
             self.horizon_s = new_horizon
-        sup.record(
-            DegradationEvent(
-                step=self.model.step_count,
-                sim_time_s=self.model.time,
-                action=action,
-                detail=detail,
-                projected_s=projected,
-                deadline_s=sup.deadline_s,
-            )
-        )
-        _LOG.warning(
-            "degradation",
-            action=action,
-            step=self.model.step_count,
-            detail=detail,
-            projected_s=round(projected, 3),
-            deadline_s=sup.deadline_s,
-        )
-        if get_tracer().enabled:
-            instant(
-                f"degradation:{action}",
-                cat="resilience",
-                step=self.model.step_count,
-                detail=detail,
-            )
-        # Meter unconditionally: overload dashboards must see every
-        # degradation whether or not the run was traced.
-        get_registry().counter(
-            "repro_degradations_total",
-            "graceful-degradation actions by kind",
-            labels={"action": action},
-        ).inc()
-        if self.journal is not None:
-            self.journal(
-                "degradation",
-                action=action,
-                step=self.model.step_count,
-                detail=detail,
-                projected_s=round(projected, 3),
-                deadline_s=sup.deadline_s,
-            )
+        self.events.emit(ServiceEvent(
+            self.model.time, action, detail=detail, fields={
+                "step": self.model.step_count,
+                "projected_s": round(projected, 3),
+                "deadline_s": sup.deadline_s,
+            },
+        ))
+        traced_gauge("repro_eta_projected_seconds",
+                     "projected forecast finish at the last deadline decision",
+                     projected)
+        traced_gauge("repro_eta_deadline_seconds",
+                     "operational deadline the supervisor projects against",
+                     sup.deadline_s)
         return not (action == "finish_early" and self.horizon_s <= model.time)
 
     def _inject_state_faults(self) -> None:
@@ -507,11 +429,9 @@ class RecoveryEngine:
             model = self.model
             iters += 1
             if iters > max_iters:
-                self._record(
-                    "recovery_abort",
-                    f"iteration cap {max_iters} hit — stopping degraded",
+                self._abort(
+                    f"iteration cap {max_iters} hit — stopping degraded"
                 )
-                self.aborted = True
                 break
             step = model.step_count
             slowdown = (
@@ -558,5 +478,5 @@ class RecoveryEngine:
         return (
             not self.aborted
             and self._steps_left() == 0
-            and not (self.supervisor and self.supervisor.degraded)
+            and not self.events.of("degradation")
         )

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import guards
-from repro.resilience.deadline import DegradationEvent
-from repro.resilience.recovery import RecoveryEvent
+from repro.obs.log import RunEvents, ServiceEvent, counted
 
 
 @dataclass
@@ -30,11 +29,10 @@ class ForecastReport:
     dt_final: float
     max_eta: float
     max_speed: float
-    degradations: list[DegradationEvent] = field(default_factory=list)
-    recoveries: list[RecoveryEvent] = field(default_factory=list)
+    #: The run's records: its recovery, degradation and guard decisions.
+    events: RunEvents = field(default_factory=RunEvents)
     faults_triggered: list[str] = field(default_factory=list)
     checkpoints_taken: int = 0
-    rollbacks: int = 0
     #: Worst sentinel verdict over the run ("healthy" | "suspect" |
     #: "diverged"), or None when physics sampling was off.
     physics_verdict: str | None = None
@@ -54,6 +52,16 @@ class ForecastReport:
     @property
     def degraded(self) -> bool:
         return self.status == "degraded"
+
+    @property
+    def degradations(self) -> list[ServiceEvent]:
+        return self.events.of("degradation")
+
+    @property
+    def recoveries(self) -> list[ServiceEvent]:
+        return self.events.of("recovery")
+
+    rollbacks = counted("rollback", "quarantine_rollback")
 
     def summary(self) -> str:
         """Multi-line human-readable report."""
@@ -92,8 +100,16 @@ class ForecastReport:
             lines.extend(f"  - {label}" for label in self.faults_triggered)
         if self.degradations:
             lines.append("degradations:")
-            lines.extend(f"  - {ev}" for ev in self.degradations)
+            lines.extend(
+                f"  - step {ev.fields['step']} (t={ev.t:.1f}s): {ev.kind} — "
+                f"{ev.detail} (projected {ev.fields['projected_s']:.1f}s vs "
+                f"deadline {ev.fields['deadline_s']:.1f}s)"
+                for ev in self.degradations
+            )
         if self.recoveries:
             lines.append("recovery events:")
-            lines.extend(f"  - {ev}" for ev in self.recoveries)
+            lines.extend(
+                f"  - step {ev.fields['step']}: {ev.kind} — {ev.detail}"
+                for ev in self.recoveries
+            )
         return "\n".join(lines)

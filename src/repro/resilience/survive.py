@@ -45,9 +45,10 @@ runtime's one recovery path, ULFM-style and in flight:
 
 The run directory of a multi-rank run is this module's alone:
 :func:`survivable_run_distributed` journals ``distributed_start``, every
-failure and recovery epoch, an ``interrupted`` record when SIGTERM or
-SIGINT ends the run, and — on every completion path — publishes the
-gathered final water level and journals ``distributed_complete``.
+record of the run (failure, recovery epoch, hedge decision), an
+``interrupted`` record when SIGTERM or SIGINT ends the run, and — on
+every completion path — publishes the gathered final water level and
+journals ``distributed_complete``.
 
 Bitwise contract: the distributed step is bitwise identical to the
 single-process model for *any* whole-block decomposition, and a buddy
@@ -71,7 +72,6 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any
 
 import numpy as np
 
@@ -80,13 +80,10 @@ from repro.core.config import SimulationConfig
 from repro.core.model import RTiModel
 from repro.core.pipeline import build_step_plan
 from repro.errors import CFLError, CommunicationError, ConfigurationError
-from repro.obs.log import get_logger
-from repro.obs.metrics import get_registry
-from repro.obs.trace import get_tracer, instant
+from repro.obs.log import RunEvents, ServiceEvent, counted, traced_gauge
 from repro.par.comm import run_ranks
 from repro.par.decomposition import Decomposition
 from repro.par.driver import _RankRuntime
-from repro.persist.journal import EVENT_RANK_FAILURE, EVENT_RECOVERY_EPOCH
 from repro.persist.signals import interrupt_guard
 from repro.resilience.checkpoint import Checkpoint, CheckpointRing
 from repro.resilience.clock import SimulatedClock
@@ -98,9 +95,7 @@ from repro.resilience.inject import (
     RankCrashError,
     maybe_crash_at_step,
 )
-from repro.resilience.recovery import RecoveryEngine, RecoveryEvent
-
-_LOG = get_logger("resilience")
+from repro.resilience.recovery import RecoveryEngine
 
 #: Tag bases, disjoint from the step pipeline's halo/JNZ/JNQ spaces.
 TAG_CKPT = 5_000_000
@@ -121,12 +116,6 @@ HEDGE_MAX_LOSSES = 2
 def buddy_of(rank: int, size: int) -> int:
     """The ring buddy that holds *rank*'s checkpoint replica."""
     return (rank + 1) % size
-
-
-def _metrics():
-    if not get_tracer().enabled:
-        return None
-    return get_registry()
 
 
 # -- configuration ------------------------------------------------------
@@ -211,7 +200,8 @@ class _RankOutcome:
     at_step: int
     dead: tuple[int, ...]
     ring: CheckpointRing
-    stats: dict[str, Any] = field(default_factory=dict)
+    #: Hedge decisions (the same on every rank): the journal's owner emits.
+    events: list[ServiceEvent] = field(default_factory=list)
 
 
 class _RecvTimer:
@@ -267,13 +257,9 @@ class _HedgeController:
         self.rt = rt
         self.monitor = StepTimeMonitor()
         self.window_busy = 0.0
-        self.attempts = 0
-        self.wins = 0
-        self.losses = 0
         self.consecutive_losses = 0
-        self.tripped = False
         self.probation: dict | None = None
-        self.events: list[RecoveryEvent] = []
+        self.events: list[ServiceEvent] = []
         self._mig_seq = 0
 
     def observe(self, busy_s: float) -> None:
@@ -287,7 +273,6 @@ class _HedgeController:
         if self.probation is not None:
             p, self.probation = self.probation, None
             if makespan < p["baseline"] * 0.95:
-                self.wins += 1
                 self.consecutive_losses = 0
                 self._note(
                     step,
@@ -298,7 +283,6 @@ class _HedgeController:
                 )
             else:
                 self._migrate(p["blocks"], p["target"], p["straggler"])
-                self.losses += 1
                 self.consecutive_losses += 1
                 self._note(
                     step,
@@ -307,7 +291,6 @@ class _HedgeController:
                     f"to rank {p['straggler']}",
                 )
                 if self.consecutive_losses >= HEDGE_MAX_LOSSES:
-                    self.tripped = True
                     self._note(
                         step,
                         "hedge_breaker_open",
@@ -315,7 +298,9 @@ class _HedgeController:
                         f"losses; hedging disabled for this run",
                     )
             return
-        if self.tripped or self.attempts >= HEDGE_BUDGET:
+        kinds = [ev.kind for ev in self.events]  # this incarnation's hedges
+        if ("hedge_breaker_open" in kinds
+                or kinds.count("hedge_migrate") >= HEDGE_BUDGET):
             return
         flagged = self.monitor.stragglers(per)
         if not flagged:
@@ -328,7 +313,6 @@ class _HedgeController:
         if not blocks or not others:
             return
         target = min(others, key=lambda r: (per[r], r))
-        self.attempts += 1
         self._migrate(blocks, straggler, target)
         self.probation = {
             "straggler": straggler,
@@ -358,17 +342,9 @@ class _HedgeController:
             self.rt.owner[bid] = dst
 
     def _note(self, step: int, kind: str, detail: str) -> None:
-        self.events.append(RecoveryEvent(step=step, kind=kind, detail=detail))
-        if self.comm.rank == 0:
-            _LOG.info(kind, step=step, detail=detail)
-
-    def stats(self) -> dict[str, Any]:
-        return {
-            "hedge_attempts": self.attempts,
-            "hedge_wins": self.wins,
-            "hedge_losses": self.losses,
-            "hedge_tripped": self.tripped,
-        }
+        self.events.append(
+            ServiceEvent(None, kind, detail=detail, fields={"step": step})
+        )
 
 
 class _SurvivableLoop:
@@ -390,7 +366,6 @@ class _SurvivableLoop:
         self.n_steps = n_steps
         self.start_step = start_step
         self.step_reached = start_step
-        self.replications = 0
         #: This rank's own checkpoints and its buddy's replicas.
         self.ring = CheckpointRing(capacity=2 * EPOCHS_HELD)
         self.hedge = (
@@ -441,14 +416,6 @@ class _SurvivableLoop:
                 self.ring.hold(self.comm.recv(source=prv, tag=tag))
             finally:
                 _set_phase(self.comm, None)
-        self.replications += 1
-
-    def stats(self) -> dict[str, Any]:
-        out = {"replications": self.replications}
-        if self.hedge is not None:
-            out.update(self.hedge.stats())
-            out["events"] = list(self.hedge.events)
-        return out
 
 
 # -- orchestrator --------------------------------------------------------
@@ -468,25 +435,42 @@ class IncarnationRecord:
 
 @dataclass
 class SurvivalReport:
-    """Everything that happened across all incarnations of one run."""
+    """Everything that happened across all incarnations of one run; its
+    tallies are counts over the run's records, :attr:`events`."""
 
     n_steps: int
     completed_via: str = "distributed"  # distributed | single_process
     incarnations: list[IncarnationRecord] = field(default_factory=list)
-    events: list[RecoveryEvent] = field(default_factory=list)
-    rank_failures: int = 0
-    shrinks: int = 0
-    respawns: int = 0
-    epoch_retries: int = 0
-    scratch_restarts: int = 0
-    spares_used: int = 0
+    events: RunEvents = field(default_factory=RunEvents)
+    #: Wall time of the last shrink re-decomposition (a measurement).
     shrink_latency_s: float = 0.0
-    breaker_tripped: bool = False
-    hedge_attempts: int = 0
-    hedge_wins: int = 0
-    hedge_losses: int = 0
-    hedge_tripped: bool = False
-    degradations: list = field(default_factory=list)
+
+    shrinks = counted("shrink", "shrink_scratch")
+    respawns = counted("respawn", "respawn_scratch")
+    epoch_retries = counted("epoch_retry", "epoch_retry_scratch")
+    scratch_restarts = counted(
+        "shrink_scratch", "respawn_scratch", "epoch_retry_scratch"
+    )
+    hedge_attempts = counted("hedge_migrate")
+    hedge_wins = counted("hedge_commit")
+    hedge_losses = counted("hedge_rollback")
+
+    @property
+    def rank_failures(self) -> int:
+        return sum(
+            len(ev.fields["ranks"]) for ev in self.events.of("rank_failure")
+        )
+
+    @property
+    def spares_used(self) -> int:
+        return sum(
+            len(ev.fields["dead"]) for ev in self.events.of("recovery_epoch")
+            if ev.kind.startswith("respawn")
+        )
+
+    @property
+    def breaker_tripped(self) -> bool:
+        return self.events.count("fallback_single_process") > 0
 
     @property
     def final_n_ranks(self) -> int:
@@ -552,37 +536,40 @@ def survivable_run_distributed(
 
     *store* (a :class:`repro.persist.RunStore`) is the run directory:
     ``distributed_start`` is journaled before the first incarnation and
-    every failure and recovery epoch write-ahead; SIGTERM/SIGINT journal
+    every record of the run (failure, recovery epoch, hedge decision,
+    breaker hand-over) write-ahead; SIGTERM/SIGINT journal
     ``interrupted`` (``phase="distributed"``) and unwind with
     :class:`KeyboardInterrupt`; a completed run — distributed or through
     the breaker — publishes its gathered final water level into the
     store's products and journals ``distributed_complete``.
     """
     scfg = survival or SurvivalConfig()
+    report = SurvivalReport(n_steps=n_steps, events=RunEvents(store))
     if store is None:
-        journal = lambda _event, **_fields: None  # noqa: E731
         guard = contextlib.nullcontext()
     else:
-        journal = store.record_event
-        journal(
+        store.record_event(
             "distributed_start",
             n_ranks=decomp.n_ranks,
             n_steps=n_steps,
             config=config.to_dict(),
         )
         guard = interrupt_guard(
-            journal_fn=lambda sig, _ok: journal(
+            journal_fn=lambda sig, _ok: store.record_event(
                 "interrupted", signal=sig, phase="distributed"
             )
         )
     with guard:
-        eta, report = _incarnations(
+        eta = _incarnations(
             grid, bathymetry, config, decomp, source, n_steps, scfg,
-            fault_plan, perf_model, journal, timeout, comm_timeout,
+            fault_plan, perf_model, report, timeout, comm_timeout,
         )
-        _export_metrics(report)
+        if report.hedge_attempts:
+            traced_gauge("repro_hedge_win_rate",
+                         "hedge wins / attempts for the last survivable run",
+                         report.hedge_wins / report.hedge_attempts)
         if store is not None:
-            journal(
+            store.record_event(
                 "distributed_complete",
                 product=_publish_distributed_eta(store, eta, n_steps),
                 n_steps=n_steps,
@@ -595,14 +582,11 @@ def survivable_run_distributed(
 
 def _incarnations(
     grid, bathymetry, config, decomp, source, n_steps, scfg, fault_plan,
-    perf_model, journal, timeout, comm_timeout,
-) -> tuple[dict[int, np.ndarray], SurvivalReport]:
+    perf_model, report, timeout, comm_timeout,
+) -> dict[int, np.ndarray]:
     """Launch, and relaunch after every failure round, until the run
     completes distributed or the breaker completes it single-process."""
     from repro.balance.apply import shrink_decomposition
-
-    report = SurvivalReport(n_steps=n_steps)
-    reg = _metrics()
 
     if fault_plan is not None:
         comm_wrap = lambda c: _RecvTimer(FaultyComm(c, fault_plan))  # noqa: E731
@@ -658,7 +642,7 @@ def _incarnations(
                 at_step=loop.step_reached,
                 dead=_agree(comm),
                 ring=loop.ring,
-                stats=loop.stats(),
+                events=loop.hedge.events if loop.hedge is not None else [],
             )
 
         results, errors = run_ranks(
@@ -674,7 +658,8 @@ def _incarnations(
             if isinstance(exc, CFLError):
                 raise exc
         outcomes = [r for r in results if isinstance(r, _RankOutcome)]
-        _absorb_stats(report, outcomes)
+        for ev in outcomes[0].events if outcomes else ():
+            report.events.emit(ev)
 
         dead = tuple(
             sorted(
@@ -691,49 +676,20 @@ def _incarnations(
             merged: dict[int, np.ndarray] = {}
             for o in outcomes:
                 merged.update(o.eta)
-            return merged, report
+            return merged
 
         # -- a failure round ------------------------------------------
         rounds += 1
         at_step = max(
             [o.at_step for o in outcomes], default=start_step
         )
-        report.rank_failures += len(dead)
-        if reg is not None and dead:
-            reg.counter(
-                "repro_recovery_rank_failures_total",
-                "distributed ranks lost in-flight",
-            ).inc(len(dead))
-        for r in dead:
-            report.events.append(
-                RecoveryEvent(
-                    step=at_step,
-                    kind="rank_failure",
-                    detail=f"rank {r} of {current.n_ranks} died near "
-                    f"step {at_step}",
-                    rank=r,
-                )
-            )
         if dead:
-            journal(
-                EVENT_RANK_FAILURE,
-                ranks=list(dead),
-                at_step=at_step,
-                incarnation=len(report.incarnations) - 1,
-                n_ranks=current.n_ranks,
-            )
-            # Marker on the request's trace: a flat-line moment in the
-            # tree that explains the recovery spans following it.
-            instant(
-                "rank_failure", ranks=list(dead), at_step=at_step,
-                incarnation=len(report.incarnations) - 1,
-            )
-        _LOG.warning(
-            "rank_failure" if dead else "comm_failure",
-            dead=list(dead),
-            at_step=at_step,
-            incarnation=len(report.incarnations) - 1,
-        )
+            report.events.emit(ServiceEvent(None, "rank_failure", fields={
+                "ranks": list(dead),
+                "at_step": at_step,
+                "incarnation": len(report.incarnations) - 1,
+                "n_ranks": current.n_ranks,
+            }))
 
         # Reconstruct the latest consistent state from survivor memory.
         assembled = _assemble_recovery(grid, [o.ring for o in outcomes])
@@ -743,11 +699,8 @@ def _incarnations(
             restore = last_good
             start_step = restore.step
             epoch_now = start_step // scfg.checkpoint_every
-            scratch = False
         else:
             epoch_now, start_step, restore = None, 0, None
-            scratch = True
-            report.scratch_restarts += 1
 
         # -- circuit breaker ------------------------------------------
         n_dead = len(dead)
@@ -755,7 +708,7 @@ def _incarnations(
         if rounds > scfg.max_rank_failures:
             return _breaker_fallback(
                 grid, bathymetry, config, source, n_steps, restore,
-                start_step, scfg, report, reg, journal,
+                start_step, scfg, report,
                 reason=f"{rounds} recovery rounds exceed "
                 f"max_rank_failures={scfg.max_rank_failures}",
             )
@@ -763,112 +716,38 @@ def _incarnations(
         # -- choose the recovery action -------------------------------
         if n_dead == 0:
             action = "epoch_retry"
-            report.epoch_retries += 1
-            if reg is not None:
-                reg.counter(
-                    "repro_recovery_epoch_retries_total",
-                    "incarnation retries without a confirmed dead rank",
-                ).inc()
         elif scfg.policy in ("auto", "respawn") and spares_left >= n_dead:
             action = "respawn"
             spares_left -= n_dead
-            report.respawns += 1
-            report.spares_used += n_dead
-            if reg is not None:
-                reg.counter(
-                    "repro_recovery_respawns_total",
-                    "dead ranks replaced from the spare pool",
-                ).inc(n_dead)
         elif scfg.policy in ("auto", "shrink") and survivors >= 1:
             action = "shrink"
-            report.shrinks += 1
             t0 = time.perf_counter()
             current = shrink_decomposition(
                 grid, survivors, model=perf_model
             )
             report.shrink_latency_s = time.perf_counter() - t0
-            if reg is not None:
-                reg.counter(
-                    "repro_recovery_shrinks_total",
-                    "re-decompositions onto the surviving ranks",
-                ).inc()
-                reg.gauge(
-                    "repro_recovery_shrink_latency_seconds",
-                    "wall time of the last shrink re-decomposition",
-                ).set(report.shrink_latency_s)
+            traced_gauge("repro_recovery_shrink_latency_seconds",
+                         "wall time of the last shrink re-decomposition",
+                         report.shrink_latency_s)
         else:
             return _breaker_fallback(
                 grid, bathymetry, config, source, n_steps, restore,
-                start_step, scfg, report, reg, journal,
+                start_step, scfg, report,
                 reason=f"policy {scfg.policy!r} has no recovery action "
                 f"left (spares={spares_left}, survivors={survivors})",
             )
-        if scratch:
+        if restore is None:
             action += "_scratch"
         dead_now = dead
-        detail = (
-            f"{action}: resume step {start_step}"
-            + (f" (epoch {epoch_now})" if epoch_now is not None else "")
-            + f" on {current.n_ranks} ranks"
-        )
-        report.events.append(
-            RecoveryEvent(step=start_step, kind=action, detail=detail)
-        )
-        journal(
-            EVENT_RECOVERY_EPOCH,
-            epoch=epoch_now,
-            step=start_step,
-            action=action,
-            n_ranks=current.n_ranks,
-            dead=list(dead),
-        )
-        instant(
-            "recovery_epoch", epoch=epoch_now, step=start_step,
-            action=action, n_ranks=current.n_ranks,
-        )
-        if reg is not None:
-            reg.gauge(
-                "repro_recovery_epoch",
-                "buddy-checkpoint epoch the run last resumed from",
-            ).set(epoch_now if epoch_now is not None else -1)
-        _LOG.info("recovery", detail=detail)
-
-
-def _absorb_stats(report: SurvivalReport, outcomes) -> None:
-    """Fold one incarnation's (rank-identical) hedge stats into the report."""
-    if not outcomes:
-        return
-    stats = outcomes[0].stats
-    report.hedge_attempts += stats.get("hedge_attempts", 0)
-    report.hedge_wins += stats.get("hedge_wins", 0)
-    report.hedge_losses += stats.get("hedge_losses", 0)
-    report.hedge_tripped = report.hedge_tripped or stats.get(
-        "hedge_tripped", False
-    )
-    report.events.extend(stats.get("events", ()))
-
-
-def _export_metrics(report: SurvivalReport) -> None:
-    reg = _metrics()
-    if reg is None:
-        return
-    if report.hedge_attempts:
-        reg.counter(
-            "repro_hedge_attempts_total",
-            "speculative straggler-block migrations attempted",
-        ).inc(report.hedge_attempts)
-        reg.counter(
-            "repro_hedge_wins_total",
-            "hedge migrations that improved the window makespan",
-        ).inc(report.hedge_wins)
-        reg.counter(
-            "repro_hedge_losses_total",
-            "hedge migrations rolled back",
-        ).inc(report.hedge_losses)
-        reg.gauge(
-            "repro_hedge_win_rate",
-            "hedge wins / attempts for the last survivable run",
-        ).set(report.hedge_wins / report.hedge_attempts)
+        report.events.emit(ServiceEvent(None, action, fields={
+            "epoch": epoch_now,
+            "step": start_step,
+            "n_ranks": current.n_ranks,
+            "dead": list(dead),
+        }))
+        traced_gauge("repro_recovery_epoch",
+                     "buddy-checkpoint epoch the run last resumed from",
+                     epoch_now if epoch_now is not None else -1)
 
 
 def _breaker_fallback(
@@ -881,10 +760,8 @@ def _breaker_fallback(
     start_step: int,
     scfg: SurvivalConfig,
     report: SurvivalReport,
-    reg,
-    journal,
     reason: str,
-) -> tuple[dict[int, np.ndarray], SurvivalReport]:
+) -> dict[int, np.ndarray]:
     """Complete the forecast single-process from the latest checkpoint.
 
     The end of the recovery ladder: no more respawns or shrinks.  The
@@ -892,29 +769,12 @@ def _breaker_fallback(
     :class:`~repro.resilience.recovery.RecoveryEngine`; with a deadline
     configured its degradation ladder (drop finest level, coarsen
     output, finish early) can still save the forecast product.  Its
-    rollbacks and degradations land in the run's *journal*.
+    rollbacks and degradations are records of the run's events.
     """
-    report.breaker_tripped = True
     report.completed_via = "single_process"
-    report.events.append(
-        RecoveryEvent(
-            step=start_step,
-            kind="fallback_single_process",
-            detail=f"{reason}; completing single-process from step "
-            f"{start_step}",
-        )
-    )
-    journal(
-        "fallback_single_process", reason=reason, start_step=start_step
-    )
-    if reg is not None:
-        reg.counter(
-            "repro_recovery_breaker_trips_total",
-            "survivable runs that fell back to single-process",
-        ).inc()
-    _LOG.warning(
-        "survivable_breaker", reason=reason, start_step=start_step
-    )
+    report.events.emit(ServiceEvent(None, "fallback_single_process", fields={
+        "reason": reason, "start_step": start_step,
+    }))
 
     model = RTiModel(grid, bathymetry, config)
     if source is not None:
@@ -932,15 +792,12 @@ def _breaker_fallback(
         supervisor=supervisor,
         clock=clock,
         checkpoint_every=scfg.checkpoint_every,
-        journal=journal,
+        sink=report.events,
     )
     model = engine.run()
-    report.degradations = list(engine.degradations)
-    report.events.extend(engine.recoveries)
-    eta = {
+    return {
         bid: st.eta_interior().copy() for bid, st in model.states.items()
     }
-    return eta, report
 
 
 def _publish_distributed_eta(store, eta_by_block, n_steps: int) -> str:

@@ -22,7 +22,7 @@ simulated-seconds currency the service clock runs on, priced through
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import guards
 from repro.errors import NumericalError, ServiceError
@@ -45,7 +45,6 @@ class BackendResult:
     fidelity: Fidelity
     cost_s: float
     backend: str
-    degradations: list = field(default_factory=list)
     report: object = None
     #: Physics sentinel verdict of the producing run ("healthy" |
     #: "suspect" | "diverged"); None when physics sampling was off.
@@ -132,7 +131,6 @@ class LocalBackend:
             fidelity=fidelity,
             cost_s=report.elapsed_s,
             backend=self.name,
-            degradations=list(report.degradations),
             report=report,
         )
         for kind in guards.KINDS:
@@ -284,7 +282,6 @@ class SimulatedBackend:
         # remaining budget wins.
         fidelity = FULL_FIDELITY
         cost = self.estimator.estimate_raw_s(scenario, fidelity) * factor
-        degradations: list[str] = []
         if budget_s is not None and cost > budget_s:
             for fid in ladder_fidelities(
                 request.allowed_actions,
@@ -293,7 +290,6 @@ class SimulatedBackend:
                 c = self.estimator.estimate_raw_s(scenario, fid) * factor
                 if c <= budget_s:
                     fidelity, cost = fid, c
-                    degradations = fid.actions()
                     break
             else:
                 # Ladder exhausted (or class forbids it): run at the most
@@ -309,7 +305,6 @@ class SimulatedBackend:
                         self.estimator.estimate_raw_s(scenario, fidelity)
                         * factor
                     )
-                    degradations = fidelity.actions()
         verdict = "healthy" if self.physics_verdicts else None
         if self._diverges(scenario):
             # Simulated sentinel abort-early: the diverging run is cut
@@ -318,7 +313,6 @@ class SimulatedBackend:
             verdict = "diverged"
             budget = budget_s if budget_s is not None else cost
             cost = min(cost, self.abort_budget_frac * budget)
-            degradations = list(degradations) + ["abort_early"]
         integrity = self._corruption(scenario)
         payload = self.unloaded_payload(scenario, fidelity)
         if integrity == "corrected":
@@ -337,7 +331,6 @@ class SimulatedBackend:
             fidelity=fidelity,
             cost_s=cost,
             backend=self.name,
-            degradations=degradations,
             physics_verdict=verdict,
             integrity_verdict=integrity,
         )

@@ -42,8 +42,8 @@ from repro.errors import (
     ServiceOverloadError,
     TenantQuotaError,
 )
-from repro.obs.flight import EventRing, FlightBook, ServiceEvent
-from repro.obs.log import get_logger
+from repro.obs.flight import FlightBook
+from repro.obs.log import EventRing, ServiceEvent, get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.trace import TraceContext, get_tracer
 from repro.service.admission import CostEstimator, check_scenario, project_schedule

@@ -394,6 +394,28 @@ class TestRollbackRecovery:
             ev.kind == "recovery_abort" for ev in report.recoveries
         )
 
+    def test_an_untraced_rollback_is_metered(self):
+        """One metering rule: a recovery action moves its counter whether
+        or not the run is traced, as a degradation always has."""
+        import repro.obs as obs
+        from repro.obs.metrics import get_registry
+
+        obs.disable()
+        counter = get_registry().counter(
+            "repro_recovery_actions_total", labels={"kind": "rollback"}
+        )
+        before = counter.value
+        report = run_resilient_forecast(
+            nested_grid(), FlatBathymetry(50.0),
+            config=SimulationConfig(dt=1.0, boundary="wall"),
+            source=source(), horizon_s=60.0,
+            fault_plan=FaultPlan(
+                [FaultSpec(kind="nan", step=33, block=1, field="z")]
+            ),
+        )
+        assert report.rollbacks == 1
+        assert counter.value - before == 1
+
 
 class TestDeadlineDegradation:
     def test_supervisor_validation(self):
@@ -430,7 +452,7 @@ class TestDeadlineDegradation:
             deadline_s=0.05,
         )
         assert report.degraded
-        actions = [ev.action for ev in report.degradations]
+        actions = [ev.kind for ev in report.degradations]
         assert actions[0] == "drop_level"
         assert report.n_levels_final < report.n_levels_initial
         assert report.achieved_s > 0  # a forecast was still produced
@@ -450,7 +472,7 @@ class TestDeadlineDegradation:
 
     def test_full_ladder_is_journaled_and_metered(self, tmp_path):
         """An impossible deadline walks the whole ladder — drop-level,
-        coarsen-output, finish-early — and every DegradationEvent is
+        coarsen-output, finish-early — and every degradation record is
         both journaled (write-ahead, via the RunStore) and metered
         (``repro_degradations_total{action}``)."""
         from repro.obs.metrics import get_registry
@@ -472,7 +494,7 @@ class TestDeadlineDegradation:
             store=store,
         )
         assert report.degraded
-        actions = [ev.action for ev in report.degradations]
+        actions = [ev.kind for ev in report.degradations]
         for action in DEGRADATION_ORDER:
             assert action in actions
         # Severity order: each action's first use follows the ladder.

@@ -17,6 +17,7 @@ import pytest
 from repro.cli import main
 from repro.core import RTiModel
 from repro.errors import NumericalError, PersistError
+from repro.obs.log import RunEvents
 from repro.persist import (
     JOURNAL_VERSION,
     SCHEMA_VERSION,
@@ -99,7 +100,7 @@ def run_until_killed(rundir, kill_at_step: int) -> RunStore:
             ring=CheckpointRing(store=store),
             checkpoint_every=CHECKPOINT_EVERY,
             max_rollbacks=0,
-            journal=store.record_event,
+            sink=RunEvents(store),
         ).run()
     return store
 

@@ -8,6 +8,8 @@ shrink re-decomposition, MAD straggler detection, and straggler
 hedging.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,7 @@ from repro.resilience.health import StepTimeMonitor
 from repro.resilience.survive import (
     EPOCHS_HELD,
     SurvivalConfig,
+    _HedgeController,
     _assemble_recovery,
     _SurvivableLoop,
     buddy_of,
@@ -386,7 +389,7 @@ class TestSurvivableRuns:
         product = store.first_event("distributed_complete")["product"]
         assert (store.products_dir / product).is_file()
 
-    def test_hedging_migrates_straggler_blocks(self):
+    def test_hedging_migrates_straggler_blocks(self, tmp_path):
         grid, bathy, cfg, src, ref = self.setup_run(n_blocks=3)
         # Rank 2 stalls 30 ms on every send: an unambiguous straggler.
         plan = FaultPlan(
@@ -396,18 +399,95 @@ class TestSurvivableRuns:
             ],
             seed=5,
         )
+        store = RunStore(tmp_path / "run")
         eta, report = survivable_run_distributed(
             grid, bathy, cfg, whole_block_decomp(grid, 3), src,
             self.N_STEPS,
             survival=SurvivalConfig(
                 checkpoint_every=10, hedge_stragglers=True,
             ),
-            fault_plan=plan, timeout=200.0, comm_timeout=20.0,
+            fault_plan=plan, store=store, timeout=200.0, comm_timeout=20.0,
         )
         assert_identical(ref, eta)
         assert report.hedge_attempts >= 1
         kinds = {ev.kind for ev in report.events}
         assert "hedge_migrate" in kinds
+        # Every hedge decision is one journal line, in order, with its
+        # step and detail.
+        journaled = [
+            (ev["event"], ev["step"], ev["detail"])
+            for ev in store.events() if ev["event"].startswith("hedge_")
+        ]
+        assert [k for k, _s, _d in journaled[:2]] == [
+            "hedge_migrate", "hedge_commit"
+        ]
+        assert journaled == [
+            (ev.kind, ev.fields["step"], ev.detail) for ev in report.events
+        ]
+
+    def test_a_lost_hedge_is_journaled(self, tmp_path):
+        n_steps = 12  # one window to migrate, one to adjudicate
+        grid, bathy, cfg, src, _ref = self.setup_run(n_blocks=3)
+        ref = reference_run(grid, bathy, cfg, src, n_steps)
+        # Rank 2 straggles from the start; once its blocks have moved,
+        # rank 0 stalls harder, so the migration cannot pay off.
+        plan = FaultPlan(
+            [
+                FaultSpec(kind="straggler", rank=2, op=0, step=0,
+                          span=100, factor=4.0, delay_s=0.03),
+                FaultSpec(kind="straggler", rank=0, op=20, step=0,
+                          span=100, factor=4.0, delay_s=0.04),
+            ],
+            seed=5,
+        )
+        store = RunStore(tmp_path / "run")
+        eta, report = survivable_run_distributed(
+            grid, bathy, cfg, whole_block_decomp(grid, 3), src, n_steps,
+            survival=SurvivalConfig(
+                checkpoint_every=10, hedge_stragglers=True,
+            ),
+            fault_plan=plan, store=store, timeout=200.0, comm_timeout=20.0,
+        )
+        assert_identical(ref, eta)
+        journaled = [
+            (ev["event"], ev["step"])
+            for ev in store.events() if ev["event"].startswith("hedge_")
+        ]
+        assert journaled[:2] == [("hedge_migrate", 5), ("hedge_rollback", 10)]
+        assert report.hedge_losses == 1 and report.hedge_wins == 0
+
+    def test_two_lost_hedges_open_the_breaker_and_journal_it(self, tmp_path):
+        """One rank's controller through two losses: its records, emitted
+        as the orchestrator emits a rank's, are the journal's hedge lines."""
+        from repro.obs.log import RunEvents
+
+        class Comm:
+            rank = 1  # a bystander: a migration only re-labels owners
+
+            def __init__(self):
+                slow2 = [(0, 0.01), (1, 0.01), (2, 0.1)]
+                slow0 = [(0, 0.1), (1, 0.01), (2, 0.01)]
+                self.windows = iter([slow2, slow0, slow2, slow0])
+
+            def allreduce(self, _mine):
+                return next(self.windows)
+
+        hedge = _HedgeController(Comm(), SimpleNamespace(
+            owner={0: 0, 1: 1, 2: 2}
+        ))
+        for step in (5, 10, 15, 20):
+            hedge.scan(step)
+        kinds = ["hedge_migrate", "hedge_rollback"] * 2 + [
+            "hedge_breaker_open"
+        ]
+        assert [ev.kind for ev in hedge.events] == kinds
+        store = RunStore(tmp_path / "run")
+        events = RunEvents(store)
+        for ev in hedge.events:
+            events.emit(ev)
+        assert [
+            (ev["event"], ev["step"], ev["detail"]) for ev in store.events()
+        ] == [(ev.kind, ev.fields["step"], ev.detail) for ev in hedge.events]
 
 
 class TestMiniKochiAcceptance:
