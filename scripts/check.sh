@@ -121,6 +121,13 @@ if git grep -nE 'RecoveryEvent|DegradationEvent|_absorb_stats|_export_metrics|on
     src tests examples
 then echo "== a second run-event record or fan-out is back (see above) =="; exit 1; fi
 
+# One forecast run directory: start_run and resume_run hand every
+# single-process run directory to run_resilient_forecast; the journal opens
+# with run_start and ends in one complete — no second driver or vocabulary.
+if git grep -nwE '_run_to_completion|forecast_start|forecast_complete' -- \
+    src tests examples
+then echo "== a second run-directory driver or its journal lines are back (see above) =="; exit 1; fi
+
 echo "== pytest (tier 1) =="
 if [ "$fast" = 1 ]; then
     PYTHONPATH=src python -m pytest -x -q

@@ -161,139 +161,175 @@ def _obs_export(args, physics_samples=None) -> None:
 
     import repro.obs as obs
 
-    base = Path(args.rundir) if args.rundir is not None else Path(".")
-    trace_path = None
-    if args.export_trace is not None:
-        trace_path = (
-            Path(args.export_trace) if args.export_trace
-            else base / "trace.json"
-        )
-        obs.write_chrome_trace(trace_path, physics_samples=physics_samples)
-        print(f"wrote Chrome trace: {trace_path} (load in ui.perfetto.dev)")
-    metrics_path = None
-    if args.export_metrics is not None:
-        metrics_path = (
-            Path(args.export_metrics) if args.export_metrics
-            else base / "metrics.json"
-        )
-        obs.get_registry().write_json(metrics_path)
-        print(f"wrote metrics snapshot: {metrics_path}")
+    base = Path(args.rundir or ".")
+    artifacts = (
+        ("trace.json", args.export_trace,
+         "wrote Chrome trace: {} (load in ui.perfetto.dev)",
+         lambda path: obs.write_chrome_trace(
+             path, physics_samples=physics_samples)),
+        ("metrics.json", args.export_metrics, "wrote metrics snapshot: {}",
+         obs.get_registry().write_json),
+    )
+    written = set()
+    for name, flag, said, write in artifacts:
+        if flag is not None:
+            path = Path(flag) if flag else base / name
+            write(path)
+            print(said.format(path))
+            written.add(path)
     if args.rundir is not None:
-        # A traced persistent run always leaves both artifacts in the
-        # rundir so `repro inspect` finds them.
-        if trace_path != base / "trace.json":
-            obs.write_chrome_trace(
-                base / "trace.json", physics_samples=physics_samples
-            )
-        if metrics_path != base / "metrics.json":
-            obs.get_registry().write_json(base / "metrics.json")
+        # A traced run directory always holds both, for `repro inspect`.
+        for name, _flag, _said, write in artifacts:
+            if base / name not in written:
+                write(base / name)
+
+
+#: ``forecast`` flags only a distributed run reads, by destination: the
+#: :class:`~repro.resilience.SurvivalConfig` field each one sets.
+_RANK_FLAGS = {"spare_ranks": "--spare-ranks", "policy": "--recovery-policy",
+               "max_rank_failures": "--max-rank-failures",
+               "hedge_stragglers": "--hedge-stragglers"}
+#: ``forecast`` flags only a single-process run reads, by destination.
+_SINGLE_FLAGS = {"integrity_every": "--integrity-every",
+                 "scrub_every": "--scrub-every", "resume": "--resume"}
+
+
+def _ignored_flag(args) -> str | None:
+    """Why the path ``forecast``'s flags pick would ignore one of them."""
+    ranked = args.ranks > 1
+    for dest, flag in (_SINGLE_FLAGS if ranked else _RANK_FLAGS).items():
+        if getattr(args, dest) not in (None, False):
+            return f"{flag} needs --ranks {'1' if ranked else '> 1'}"
+    if args.scrub_every is not None and args.integrity_every is None:
+        return "--scrub-every needs --integrity-every"
+    if args.resume and args.rundir is None:
+        return "--resume needs --rundir"
+    return None
+
+
+def _fault_plan(args, built):
+    """The fault plan ``--faults``/``--fault-seed`` name, or None."""
+    from repro.resilience import FaultPlan
+
+    if args.faults is not None:
+        return FaultPlan.from_file(args.faults)
+    if args.fault_seed is None:
+        return None
+    if args.ranks > 1:
+        kinds = ("rank_crash", "msg_drop", "msg_delay")
+    else:
+        # With the integrity layer armed, seeded plans may also flip
+        # bits — the layer exists to catch exactly those.
+        kinds = ("nan", "straggler")
+        if args.integrity_every is not None:
+            kinds = kinds + ("bitflip",)
+    return FaultPlan.random(
+        args.fault_seed, kinds=kinds,
+        n_faults=args.fault_count, n_ranks=args.ranks,
+        n_steps=max(built.n_steps, 1), n_blocks=built.grid.n_blocks,
+    )
 
 
 def _cmd_forecast(args) -> int:
     from repro.core import RTiModel
     from repro.persist.scenario import build_scenario
 
+    ignored = _ignored_flag(args)
+    if ignored is not None:
+        print(f"error: {ignored}")
+        return 2
     traced = _obs_setup(args)
+    if args.resume:
+        from repro.persist import resume_run
+
+        return _run_in_rundir(
+            args, traced, lambda: resume_run(args.rundir, echo=print)
+        )
     spec = _cli_spec(args)
     built = build_scenario(spec)
     steps = built.n_steps
-
     if args.ranks > 1:
         return _forecast_distributed(args, built, traced)
 
-    resilient = (
-        args.deadline is not None
-        or args.faults is not None
-        or args.fault_seed is not None
-        or args.integrity_every is not None
-    )
-    if args.rundir is not None and not resilient:
-        from repro.errors import NumericalError, PersistError, ValidationError
-        from repro.persist import resume_run, start_run
-
-        try:
-            if args.resume:
-                model = resume_run(args.rundir, echo=print)
-            else:
-                model = start_run(
-                    args.rundir,
-                    spec,
-                    checkpoint_every=args.checkpoint_every,
-                    echo=print,
-                )
-        except KeyboardInterrupt:
-            print(
-                f"interrupted — continue later with: "
-                f"repro resume {args.rundir}"
-            )
-            return 130
-        except ValidationError as exc:
-            print(exc)
-            return 1
-        except (PersistError, NumericalError) as exc:
-            print(f"error: {exc}")
-            return 1
+    plan = _fault_plan(args, built)
+    integrity_every = args.integrity_every or 0
+    if (args.rundir is None and args.deadline is None and plan is None
+            and not integrity_every):
+        model = RTiModel(built.grid, built.bathymetry, built.config)
+        model.set_initial_condition(built.source)
+        print(f"Integrating {steps} steps ({args.minutes} simulated "
+              f"minutes)...")
+        model.run(steps)
         _print_products(model, built.grid)
         if traced:
             _obs_export(args)
         return 0
 
-    if resilient:
-        from repro.resilience import FaultPlan, run_resilient_forecast
+    settings = dict(
+        deadline_s=args.deadline,
+        fault_plan=plan,
+        checkpoint_every=args.checkpoint_every,
+        integrity_every=integrity_every,
+        scrub_every=args.scrub_every or integrity_every * 4,
+    )
+    print(f"Integrating {steps} steps ({args.minutes} simulated "
+          f"minutes) with resilience enabled...")
+    if args.rundir is not None:
+        from repro.persist import start_run
 
-        plan = None
-        if args.faults is not None:
-            plan = FaultPlan.from_file(args.faults)
-        elif args.fault_seed is not None:
-            # With the integrity layer armed, seeded plans may also flip
-            # bits — the layer exists to catch exactly those.
-            kinds = ("nan", "straggler")
-            if args.integrity_every is not None:
-                kinds = kinds + ("bitflip",)
-            plan = FaultPlan.random(
-                args.fault_seed, kinds=kinds,
-                n_faults=args.fault_count, n_ranks=1,
-                n_steps=max(steps, 1), n_blocks=built.grid.n_blocks,
-            )
-        store = None
-        if args.rundir is not None:
-            from repro.persist import RunStore
-
-            store = RunStore(args.rundir)
-        integrity_every = args.integrity_every or 0
-        scrub_every = args.scrub_every or (
-            integrity_every * 4 if integrity_every else 0
+        return _run_in_rundir(
+            args, traced,
+            lambda: start_run(args.rundir, spec, echo=print, **settings),
+            grid=built.grid,
         )
-        print(f"Integrating {steps} steps ({args.minutes} simulated "
-              f"minutes) with resilience enabled...")
-        try:
-            report = run_resilient_forecast(
-                built.grid, built.bathymetry,
-                config=built.config, source=built.source,
-                horizon_s=steps * built.config.dt, deadline_s=args.deadline,
-                fault_plan=plan, store=store,
-                integrity_every=integrity_every, scrub_every=scrub_every,
-            )
-        except KeyboardInterrupt:
-            # No resume hint: this run directory holds no run_start.
-            print("interrupted")
-            return 130
-        print(report.summary())
-        _print_products(report.model, built.grid)
-        if traced:
-            _obs_export(
-                args,
-                physics_samples=(report.physics or {}).get("samples"),
-            )
-        return 0
+    from repro.resilience import run_resilient_forecast
 
-    model = RTiModel(built.grid, built.bathymetry, built.config)
-    model.set_initial_condition(built.source)
-    print(f"Integrating {steps} steps ({args.minutes} simulated minutes)...")
-    model.run(steps)
-    _print_products(model, built.grid)
+    try:
+        report = run_resilient_forecast(
+            built.grid, built.bathymetry,
+            config=built.config, source=built.source,
+            horizon_s=steps * built.config.dt, **settings,
+        )
+    except KeyboardInterrupt:
+        print("interrupted")
+        return 130
+    print(report.summary())
+    _print_products(report.model, built.grid)
     if traced:
-        _obs_export(args)
+        _obs_export(
+            args, physics_samples=(report.physics or {}).get("samples")
+        )
+    return 0
+
+
+def _run_in_rundir(args, traced, run, grid=None) -> int:
+    """Drive ``args.rundir``'s run (:func:`repro.persist.start_run` or
+    :func:`~repro.persist.resume_run`) and report how it ended."""
+    from pathlib import Path
+
+    from repro.errors import NumericalError, PersistError, ValidationError
+    from repro.persist import RunStore, run_status
+
+    try:
+        model = run()
+    except KeyboardInterrupt:
+        _status, refusal = run_status(RunStore(args.rundir).events())
+        print("interrupted" if refusal else
+              f"interrupted — continue later with: repro resume {args.rundir}")
+        return 130
+    except ValidationError as exc:
+        print(exc)
+        return 1
+    except (PersistError, NumericalError) as exc:
+        print(f"error: {exc}")
+        return 1
+    _print_products(model, grid or model.grid)
+    if traced:
+        physics = Path(args.rundir) / guards.PHYSICS.artifact
+        _obs_export(args, physics_samples=(
+            guards.PHYSICS.load(physics).get("samples")
+            if physics.exists() else None
+        ))
     return 0
 
 
@@ -302,33 +338,21 @@ def _forecast_distributed(args, built, traced) -> int:
     from repro.core.pipeline import make_block_state
     from repro.core.state import max_wet_eta
     from repro.par.decomposition import equal_cell_assignment
-    from repro.resilience import FaultPlan, SurvivalConfig
+    from repro.resilience import SurvivalConfig
     from repro.resilience.survive import survivable_run_distributed
 
     grid, config, steps = built.grid, built.config, built.n_steps
-    plan = None
-    if args.faults is not None:
-        plan = FaultPlan.from_file(args.faults)
-    elif args.fault_seed is not None:
-        plan = FaultPlan.random(
-            args.fault_seed,
-            kinds=("rank_crash", "msg_drop", "msg_delay"),
-            n_faults=args.fault_count, n_ranks=args.ranks,
-            n_steps=max(steps, 1),
-        )
-    store = None
-    if args.rundir is not None:
-        from repro.persist import RunStore
+    plan = _fault_plan(args, built)
+    from repro.persist import RunStore
 
-        store = RunStore(args.rundir)
+    store = RunStore(args.rundir) if args.rundir is not None else None
     decomp = equal_cell_assignment(grid, args.ranks, split_blocks=False)
     survival = SurvivalConfig(
         checkpoint_every=args.checkpoint_every,
-        spare_ranks=args.spare_ranks,
-        max_rank_failures=args.max_rank_failures,
-        policy=args.recovery_policy,
-        hedge_stragglers=args.hedge_stragglers,
         deadline_s=args.deadline,
+        # An unset flag keeps SurvivalConfig's default.
+        **{dest: getattr(args, dest) for dest in _RANK_FLAGS
+           if getattr(args, dest) is not None},
     )
     print(f"Integrating {steps} steps ({args.minutes} simulated minutes) "
           f"on {args.ranks} ranks with failure survival...")
@@ -450,21 +474,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    from repro.errors import NumericalError, PersistError
     from repro.persist import resume_run
 
-    try:
-        model = resume_run(args.rundir, echo=print)
-    except KeyboardInterrupt:
-        print(
-            f"interrupted again — continue with: repro resume {args.rundir}"
-        )
-        return 130
-    except (PersistError, NumericalError) as exc:
-        print(f"error: {exc}")
-        return 1
-    _print_products(model, model.grid)
-    return 0
+    return _run_in_rundir(
+        args, False, lambda: resume_run(args.rundir, echo=print)
+    )
 
 
 #: ``repro inspect`` exit codes (distinct so wrappers can branch).
@@ -816,16 +830,19 @@ def build_parser() -> argparse.ArgumentParser:
                       help="checkpoint-ring scrub cadence (default: the "
                            "integrity cadence x 4; needs --integrity-every)")
     p_fc.add_argument("--rundir", default=None, metavar="DIR",
-                      help="persist the run (journal, checkpoints, "
-                           "streamed products) into DIR; enables "
-                           "crash-safe restart via 'repro resume'")
+                      help="persist the run into DIR: journal, "
+                           "checkpoints, streamed gauge products and guard "
+                           "verdicts; an interrupted run without --deadline "
+                           "restarts via 'repro resume DIR'")
     p_fc.add_argument("--checkpoint-every", type=_positive_int, default=25,
                       metavar="STEPS",
-                      help="on-disk checkpoint cadence for --rundir "
+                      help="checkpoint cadence of a guarded or --rundir "
+                           "run: its rollback targets, spilled to DIR "
                            "(default: 25 steps)")
     p_fc.add_argument("--resume", action="store_true",
-                      help="resume the interrupted run in --rundir "
-                           "instead of starting fresh")
+                      help="continue the interrupted run in --rundir "
+                           "(as 'repro resume DIR': the scenario and the "
+                           "guards come from its journal)")
     p_fc.add_argument("--export-trace", nargs="?", const="", default=None,
                       metavar="PATH",
                       help="record phase/halo/checkpoint spans and write "
@@ -840,19 +857,20 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run distributed on N simulated MPI ranks with "
                            "in-flight failure survival (default: 1 = "
                            "single process)")
-    p_fc.add_argument("--spare-ranks", type=int, default=0, metavar="N",
+    p_fc.add_argument("--spare-ranks", type=int, default=None, metavar="N",
                       help="spare-rank pool for respawn recovery "
-                           "(distributed runs)")
-    p_fc.add_argument("--max-rank-failures", type=int, default=2,
+                           "(distributed runs; default: 0)")
+    p_fc.add_argument("--max-rank-failures", type=int, default=None,
                       metavar="N",
                       help="recovery rounds before the survivable run "
                            "falls back to single-process (default: 2)")
-    p_fc.add_argument("--recovery-policy", default="auto",
+    p_fc.add_argument("--recovery-policy", dest="policy", default=None,
                       choices=["auto", "shrink", "respawn"],
                       help="how to recover a lost rank: respawn from the "
                            "spare pool, shrink onto the survivors, or "
-                           "auto (respawn while spares last, then shrink)")
-    p_fc.add_argument("--hedge-stragglers", action="store_true",
+                           "auto (the default: respawn while spares last, "
+                           "then shrink)")
+    p_fc.add_argument("--hedge-stragglers", action="store_true", default=None,
                       help="speculatively migrate a straggling rank's "
                            "blocks to the least-loaded rank (needs "
                            "--ranks >= 3)")

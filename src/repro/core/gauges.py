@@ -55,9 +55,10 @@ class Gauge:
 class GaugeRecorder:
     """Attach to a model and call :meth:`record` after each step.
 
-    Each gauge is resolved once to the finest block covering it; gauges
-    outside every block are rejected at construction (an operational
-    configuration error worth failing loudly on).
+    Each gauge is resolved to the finest block covering it (again when
+    :meth:`follow` is handed a new model); gauges outside every block are
+    rejected at construction (an operational configuration error worth
+    failing loudly on).
     """
 
     def __init__(
@@ -93,6 +94,14 @@ class GaugeRecorder:
             f"every grid block"
         )
 
+    def follow(self, model: RTiModel) -> None:
+        """Sample *model* from now on; a new model (a level dropped)
+        re-resolves every gauge to its finest covering level left."""
+        if model is not self.model:
+            self.model = model
+            for g in self.gauges:
+                self._resolve(g)
+
     def record(self) -> None:
         """Sample every gauge at the model's current time."""
         for g in self.gauges:
@@ -108,6 +117,7 @@ class GaugeRecorder:
         ``model.run(n, monitor=recorder)``.  Pure read of ``z_old``:
         never perturbs the run.
         """
+        self.follow(model)
         if model.step_count % self.every == 0:
             self.record()
 

@@ -145,9 +145,8 @@ PHYSICS = GuardKind(
     brief=_deferred("repro.obs.physics", "physics_brief"),
     exit_absent=6,
     exit_worst=7,
-    absent_hint="physics.json is written by `repro forecast --deadline "
-                "--rundir DIR` and by soaks whose backend carries "
-                "physics verdicts",
+    absent_hint="physics.json is written by `repro forecast --rundir DIR` "
+                "and by soaks whose backend carries physics verdicts",
 )
 
 INTEGRITY = GuardKind(

@@ -29,6 +29,7 @@ from repro import guards
 from repro.artifacts import load_json_artifact, rejecting_malformed
 from repro.errors import PersistError
 from repro.obs.metrics import METRICS_SCHEMA, get_registry
+from repro.persist.store import run_status
 from repro.runtime.breakdown import (
     BREAKDOWN_PHASES,
     PhaseTime,
@@ -49,12 +50,6 @@ class RunArtifacts:
     journal_warning: str | None = None
     spans: list[dict] = field(default_factory=list)
     metrics: dict | None = None
-
-    def first_event(self, name: str) -> dict | None:
-        for ev in self.events:
-            if ev.get("event") == name:
-                return ev
-        return None
 
 
 def load_rundir(rundir) -> RunArtifacts:
@@ -178,11 +173,9 @@ def top_spans(spans: list[dict], n: int = 10) -> list[dict]:
 def eta_summary(events: list[dict]) -> list[str]:
     """Deadline-supervisor accuracy lines from journal events."""
     start = next(
-        (ev for ev in events if ev.get("event") == "forecast_start"), None
+        (ev for ev in events if ev.get("event") == "run_start"), None
     )
-    done = next(
-        (ev for ev in events if ev.get("event") == "forecast_complete"), None
-    )
+    done = next((ev for ev in events if ev.get("event") == "complete"), None)
     lines: list[str] = []
     if start is None:
         return lines
@@ -228,12 +221,11 @@ def _status_lines(art: RunArtifacts) -> list[str]:
     if not names:
         lines.append("journal         : none")
     else:
-        if "complete" in names or "forecast_complete" in names:
-            status = "complete"
-        elif "interrupted" in names:
-            status = "interrupted (resumable)"
-        else:
-            status = "incomplete"
+        status, refusal = run_status(art.events)
+        if status != "complete":
+            status = "interrupted" if "interrupted" in names else "incomplete"
+            if refusal is None:
+                status += " (resumable)"
         lines.append(f"journal         : {len(names)} events, run {status}")
         ckpts = names.count("checkpoint")
         if ckpts:

@@ -322,23 +322,30 @@ class RunEvents(EventRing):
 
     :meth:`emit` keeps a record, writes its journal line when the run has a
     *store*, logs it, traces it when the tracer is armed and moves its
-    kind's counter — once each.  Thread-safe: rank threads emit too.
+    kind's counter — once each.  Thread-safe: rank threads emit too.  The
+    ring holds the newest records; :meth:`count` and :meth:`weight` count
+    every one emitted.
     """
 
-    __slots__ = ("store", "_lock")
+    __slots__ = ("store", "_lock", "_counts", "_weights")
 
     def __init__(self, store=None) -> None:
         super().__init__(RUN_EVENTS_HELD)
         self.store = store
         self._lock = threading.Lock()
+        self._counts: dict[str, int] = {}
+        self._weights: dict[str, int] = {}
 
     def emit(self, ev: ServiceEvent) -> None:
         spec = RUN_KINDS[ev.kind]
         event, line = ev.journal_line()
+        weight = len(line[spec.weight]) if spec.weight else 1
         # One lock over all four: the ring and the journal keep one order,
         # and a counter's add is a read-modify-write.
         with self._lock:
             self.append(ev)
+            self._counts[ev.kind] = self._counts.get(ev.kind, 0) + 1
+            self._weights[ev.kind] = self._weights.get(ev.kind, 0) + weight
             if self.store is not None:
                 self.store.journal.record(ev)
             level = "warning" if event in _WARN else "info"
@@ -350,11 +357,16 @@ class RunEvents(EventRing):
                 get_registry().counter(
                     spec.counter, spec.help,
                     labels={spec.label: line[spec.label]} if spec.label else None,
-                ).inc(len(line[spec.weight]) if spec.weight else 1)
+                ).inc(weight)
 
     def count(self, *kinds: str) -> int:
-        """Records of these kinds in the ring."""
-        return sum(ev.kind in kinds for ev in self)
+        """Records of these kinds emitted, held or dropped from the ring."""
+        return sum(self._counts.get(kind, 0) for kind in kinds)
+
+    def weight(self, *kinds: str) -> int:
+        """What these kinds moved their counters by: :meth:`count`, or the
+        lengths of their ``weight`` field (the ranks a failure lost)."""
+        return sum(self._weights.get(kind, 0) for kind in kinds)
 
     def of(self, event: str) -> list[ServiceEvent]:
         """The ring's records journaled as *event*, oldest first."""
@@ -362,7 +374,7 @@ class RunEvents(EventRing):
 
 
 def counted(*kinds: str) -> property:
-    """A report tally: the count of its ring's (``.events``) *kinds*."""
+    """A report tally: the count of its run's (``.events``) *kinds*."""
     return property(lambda report: report.events.count(*kinds))
 
 

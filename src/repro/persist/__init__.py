@@ -36,5 +36,5 @@ __getattr__, __dir__, __all__ = exports(__name__, {
     "signals": "interrupt_guard",
     "snapshot": "SCHEMA_VERSION array_digest grid_fingerprint read_arrays"
                 " read_snapshot verify_snapshot write_arrays write_snapshot",
-    "store": "RunStore",
+    "store": "RunStore run_status",
 })

@@ -323,7 +323,7 @@ def check_rundir(report: PreflightReport, rundir: Path) -> None:
     when none does).
     """
     from repro.persist.snapshot import SCHEMA_VERSION, read_manifest, verify_snapshot
-    from repro.persist.store import RunStore
+    from repro.persist.store import RunStore, run_status
 
     try:
         store = RunStore(rundir, create=False)
@@ -385,7 +385,7 @@ def check_rundir(report: PreflightReport, rundir: Path) -> None:
             )
         else:
             n_valid += 1
-    if paths and n_valid == 0 and store.status() == "incomplete":
+    if paths and n_valid == 0 and run_status(store.events())[1] is None:
         report.add(
             "persist.no_valid_snapshot",
             "rundir.snapshots",

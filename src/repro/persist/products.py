@@ -7,9 +7,12 @@ its gauge series and periodic coarse water-level fields up to step
 (level-1) water level to ``products/eta/`` on a cadence, each dump
 written atomically.
 
-On resume, :meth:`truncate_after` rewinds both streams to the restored
-snapshot's sim time so the resumed run appends exactly where the
-restored state left off — no duplicated or phantom samples.
+On resume, and on every rollback of the run
+(:meth:`ProductStreamer.reset_baseline`), :meth:`truncate_after` rewinds
+both streams to the restored snapshot's sim time so the run appends
+exactly where the restored state left off — no duplicated or phantom
+samples.  The gauges sample the model the run hands in, re-resolving
+when a level drop replaced it.
 """
 
 from __future__ import annotations
@@ -39,22 +42,19 @@ def default_stations(grid) -> list[tuple[str, float, float]]:
 
 
 class ProductStreamer:
-    """Stream gauge series and coarse eta fields into a run store."""
+    """Stream gauge series (every step) and coarse eta fields (every
+    *eta_every* steps, 0 = off) into a run store."""
 
     def __init__(
         self,
         store,
         model,
         stations: list[tuple[str, float, float]] | None = None,
-        gauge_every: int = 1,
         eta_every: int = 0,
     ) -> None:
-        if gauge_every < 1:
-            raise PersistError("gauge cadence must be >= 1 step")
         if eta_every < 0:
             raise PersistError("eta cadence must be >= 0 steps (0 = off)")
         self.store = store
-        self.gauge_every = gauge_every
         self.eta_every = eta_every
         if stations is None:
             stations = default_stations(model.grid)
@@ -82,14 +82,17 @@ class ProductStreamer:
 
     def after_step(self, model) -> None:
         """Monitor hook: sample/stream on the configured cadences."""
-        step = model.step_count
-        if step % self.gauge_every == 0:
-            self.recorder.record()
-            row = [f"{model.time:.6f}"]
-            row += [f"{g.eta[-1]:.9e}" for g in self.recorder.gauges]
-            self._append_line(",".join(row))
-        if self.eta_every and step % self.eta_every == 0:
+        self.recorder.follow(model)
+        self._sample(model)
+        if self.eta_every and model.step_count % self.eta_every == 0:
             self._dump_eta(model)
+
+    def _sample(self, model) -> None:
+        self.recorder.record()
+        self._append_line(",".join(
+            [f"{model.time:.6f}"]
+            + [f"{g.eta[-1]:.9e}" for g in self.recorder.gauges]
+        ))
 
     def _dump_eta(self, model) -> None:
         coarse = model.grid.level(1)
@@ -105,7 +108,12 @@ class ProductStreamer:
         with publishing(final, "wb") as fh:
             np.savez_compressed(fh, **arrays)
 
-    # -- resume ----------------------------------------------------------
+    # -- resume and rollback ---------------------------------------------
+
+    def reset_baseline(self) -> None:
+        """Rollback hook: rewind the streams to the model last handed in,
+        which a rollback restored in place (a level drop keeps the clock)."""
+        self.sync_resume_point(self.recorder.model)
 
     def sync_resume_point(self, model, eps: float = 1e-6) -> None:
         """Align the streams with a freshly restored (or fresh) model.
@@ -122,13 +130,8 @@ class ProductStreamer:
         step = model.step_count
         if step == 0:
             return
-        if step % self.gauge_every == 0 and not self._has_row_at(
-            model.time, eps
-        ):
-            self.recorder.record()
-            row = [f"{model.time:.6f}"]
-            row += [f"{g.eta[-1]:.9e}" for g in self.recorder.gauges]
-            self._append_line(",".join(row))
+        if not self._has_row_at(model.time, eps):
+            self._sample(model)
         if self.eta_every and step % self.eta_every == 0:
             if not (self.eta_dir / f"eta_step_{step:08d}.npz").exists():
                 self._dump_eta(model)

@@ -41,6 +41,35 @@ if TYPE_CHECKING:
 _SNAP_RE = re.compile(r"^ck_(\d+)_step_(\d+)$")
 
 
+def run_status(events: list[dict]) -> tuple[str, str | None]:
+    """The one status rule of a run journal: ``(status, refusal)``.
+
+    *status* is ``"complete"`` once a run journaled its end, else
+    ``"incomplete"`` once one started, else ``"empty"``.  *refusal* ends
+    "<rundir> …" with why :func:`repro.persist.runner.resume_run` refuses
+    the directory; ``None`` exactly when it would resume it.
+    """
+    names = {ev.get("event") for ev in events}
+    status = (
+        "complete" if names & {"complete", "distributed_complete"}
+        else "incomplete" if names & {"run_start", "distributed_start"}
+        else "empty"
+    )
+    start = next((ev for ev in events if ev.get("event") == "run_start"), {})
+    if "distributed_start" in names:
+        return status, "holds a distributed run, which cannot be resumed"
+    if not isinstance(start.get("scenario"), dict):
+        return status, "holds no journaled run to resume"
+    if status == "complete":
+        return status, "holds a run that already completed"
+    if start.get("deadline_s") is not None:
+        return status, (
+            f"holds a run with a {start['deadline_s']:g} s deadline, counted "
+            f"from its submission: it is not re-armed on a fresh clock"
+        )
+    return status, None
+
+
 class RunStore:
     """Durable state of one forecast run, rooted at *rundir*."""
 
@@ -84,17 +113,8 @@ class RunStore:
         return None
 
     def status(self) -> str:
-        """``"empty"`` | ``"incomplete"`` | ``"complete"``.
-
-        An ``incomplete`` run has a ``run_start`` but no ``complete``
-        event — either still running or interrupted; ``repro resume``
-        treats it as resumable.
-        """
-        events = self.events()
-        names = {ev.get("event") for ev in events}
-        if "run_start" not in names:
-            return "empty"
-        return "complete" if "complete" in names else "incomplete"
+        """``"empty"`` | ``"incomplete"`` | ``"complete"``: :func:`run_status`."""
+        return run_status(self.events())[0]
 
     def journal_warning(self) -> str | None:
         """The torn-tail warning for this journal, if any."""

@@ -4,10 +4,11 @@
 health monitor, checkpoint ring, simulated clock, deadline supervisor,
 recovery engine, fault plan — around one :class:`~repro.core.RTiModel`
 run and returns a :class:`~repro.resilience.report.ForecastReport`.
-This is the entry point behind ``python -m repro forecast --deadline
---faults`` and the unit the chaos-matrix test sweeps: whatever the
-fault plan does, the call returns a report (complete or explicitly
-degraded) — it never hangs and never lets corruption through silently.
+It is the one guarded single-process driver — of ``repro forecast`` with
+a guard flag or ``--rundir``, ``repro resume`` and the service — and the
+unit the chaos-matrix test sweeps: whatever the fault plan does, the
+call returns a report (complete or explicitly degraded) — it never hangs
+and never lets corruption through silently.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from repro import guards
 from repro.core.config import SimulationConfig
 from repro.core.model import RTiModel
+from repro.errors import NumericalError
 from repro.obs.log import RunEvents, get_logger
 from repro.obs.physics import (
     DivergenceSentinel,
@@ -48,7 +50,6 @@ def run_resilient_forecast(
     horizon_s: float,
     deadline_s: float | None = None,
     fault_plan: FaultPlan | None = None,
-    platform="squid-gpu",
     checkpoint_every: int = 20,
     min_levels: int = 1,
     max_output_every: int = 8,
@@ -57,6 +58,8 @@ def run_resilient_forecast(
     physics_every: int = 5,
     integrity_every: int = 0,
     scrub_every: int = 0,
+    eta_every: int = 0,
+    restored=None,
 ) -> ForecastReport:
     """Run a forecast that always produces a (possibly degraded) report.
 
@@ -66,11 +69,16 @@ def run_resilient_forecast(
     report carries the final model as ``report.model`` for product
     post-processing (damage assessment, gauges).
 
-    *store* (a :class:`repro.persist.RunStore`) makes the run durable:
-    the checkpoint ring spills every snapshot to disk, every record of
-    the run (:class:`~repro.obs.log.RunEvents`) is journaled write-ahead, and
-    SIGTERM/SIGINT capture a final snapshot and journal ``interrupted``
-    before unwinding with :class:`KeyboardInterrupt`.
+    *store* (a :class:`repro.persist.RunStore`; :mod:`repro.persist.runner`
+    journals its ``run_start``) makes the run durable: the ring spills
+    every snapshot to disk, every record of the run is journaled
+    write-ahead, SIGTERM/SIGINT capture a final snapshot and journal
+    ``interrupted`` before unwinding with :class:`KeyboardInterrupt`, a
+    :class:`~repro.persist.products.ProductStreamer` (coarse water level
+    every *eta_every* steps) is the last monitor, and the run ends in one
+    ``complete`` line — or, when the engine gave up, in
+    :class:`~repro.errors.NumericalError`.  A resume starts from
+    *restored*, a snapshot of *store* the ring then holds.
 
     *physics_every* arms the in-situ physics sampler + divergence
     sentinel (:mod:`repro.obs.physics`) on that step cadence (0 turns
@@ -98,14 +106,6 @@ def run_resilient_forecast(
     if source is not None:
         model.set_initial_condition(source)
 
-    if store is not None:
-        store.record_event(
-            "forecast_start",
-            horizon_s=horizon_s,
-            deadline_s=deadline_s,
-            platform=str(platform),
-            config=config.to_dict(),
-        )
     events = RunEvents(store)
     sentinel = tracker = None
     monitors = [HealthMonitor()]
@@ -120,12 +120,21 @@ def run_resilient_forecast(
             IntegrityMonitor(every=integrity_every, tracker=tracker)
         )
     ring = CheckpointRing(store=store, checksums=integrity_every > 0)
+    if restored is not None:
+        restored.restore(model)
+        ring.hold(restored)
+    if store is not None:
+        from repro.persist.products import ProductStreamer
+
+        streamer = ProductStreamer(store, model, eta_every=eta_every)
+        streamer.sync_resume_point(model)
+        monitors.append(streamer)
     scrubber = (
         CheckpointScrubber(ring, store=store, tracker=tracker)
         if tracker is not None
         else None
     )
-    clock = SimulatedClock(platform=platform)
+    clock = SimulatedClock()
     supervisor = (
         DeadlineSupervisor(deadline_s) if deadline_s is not None else None
     )
@@ -146,10 +155,7 @@ def run_resilient_forecast(
         scrubber=scrubber,
         scrub_every=scrub_every,
     )
-    with span(
-        "forecast", cat="step",
-        horizon_s=horizon_s, platform=str(platform),
-    ):
+    with span("forecast", cat="step", horizon_s=horizon_s):
         final = engine.run()
 
     if scrubber is not None:
@@ -193,12 +199,21 @@ def run_resilient_forecast(
         checkpoints_spilled=ring.spilled,
         rollbacks=report.rollbacks,
         **{kind.attr: kind.of(report) for kind in guards.KINDS},
+        step=final.step_count,
+        time=final.time,
     )
-    _LOG.info("forecast_complete", **complete)
     if store is not None:
-        store.record_event("forecast_complete", **complete)
         for kind in guards.KINDS:
             doc = getattr(report, kind.name, None)
             if doc is not None:
                 kind.publish(store.rundir / kind.artifact, doc)
+        if engine.aborted:
+            # A run that gave up is not complete: its directory stays
+            # incomplete, and nothing non-finite was ever archived.
+            raise NumericalError(
+                f"run stopped at step {final.step_count}: {engine.aborted}"
+            )
+    _LOG.info("run_complete", **complete)
+    if store is not None:
+        store.record_event("complete", **complete)
     return report

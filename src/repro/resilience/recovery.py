@@ -1,12 +1,12 @@
 """Recovery engine: the one single-process loop that guards a run.
 
 :class:`RecoveryEngine` is the only loop that checkpoints.  Every guarded
-single-process run goes through it: ``repro forecast --deadline/--faults``
-(:func:`~repro.resilience.forecast.run_resilient_forecast`), the persistent
-``repro forecast --rundir`` / ``repro resume``
-(:mod:`repro.persist.runner`) and the survivable runtime's single-process
-breaker.  A bare run without any of that is :meth:`RTiModel.run` — step,
-then monitor.  Around every model step the engine:
+single-process run goes through it: the one guarded driver,
+:func:`~repro.resilience.forecast.run_resilient_forecast` (``repro
+forecast`` with a guard flag or ``--rundir``, ``repro resume``, the
+service), and the survivable runtime's single-process breaker.  A bare
+run without any of that is :meth:`RTiModel.run` — step, then monitor.
+Around every model step the engine:
 
 * prices the step on the simulated clock and lets the deadline
   supervisor order graceful degradations (drop the finest nest level,
@@ -40,7 +40,7 @@ from repro.errors import IntegrityError, NumericalError
 from repro.grid.hierarchy import NestedGrid
 from repro.obs.log import RunEvents, ServiceEvent, traced_gauge
 from repro.resilience.checkpoint import CheckpointRing, capture_model
-from repro.resilience.deadline import DeadlineSupervisor
+from repro.resilience.deadline import DEGRADATION_ORDER, DeadlineSupervisor
 from repro.resilience.faultplan import FaultPlan
 from repro.resilience.inject import (
     corrupt_checkpoint,
@@ -151,7 +151,8 @@ class RecoveryEngine:
         self.max_output_every = max_output_every
 
         self.events = sink if sink is not None else RunEvents()
-        self.aborted = False
+        #: Why the engine gave up (its ``recovery_abort`` detail), or None.
+        self.aborted: str | None = None
         self.tracker = tracker
         self.scrubber = scrubber
         self.scrub_every = scrub_every
@@ -217,7 +218,7 @@ class RecoveryEngine:
             self.tracker.uncorrectable(
                 exc.surface or "state", step=exc.step, detail=f"{why}: {exc}"
             )
-        self.aborted = True
+        self.aborted = detail
 
     def _rollback(self, exc: NumericalError) -> None:
         self._rollbacks += 1
@@ -266,7 +267,7 @@ class RecoveryEngine:
             if new_dt < self._dt_floor:
                 self._abort(
                     f"dt floor {self._dt_floor:g}s reached while still "
-                    f"unstable"
+                    f"unstable: {exc}"
                 )
                 return
             self.model.config = replace(self.model.config, dt=new_dt)
@@ -478,5 +479,5 @@ class RecoveryEngine:
         return (
             not self.aborted
             and self._steps_left() == 0
-            and not self.events.of("degradation")
+            and not self.events.count(*DEGRADATION_ORDER)
         )

@@ -457,16 +457,11 @@ class SurvivalReport:
 
     @property
     def rank_failures(self) -> int:
-        return sum(
-            len(ev.fields["ranks"]) for ev in self.events.of("rank_failure")
-        )
+        return self.events.weight("rank_failure")
 
     @property
     def spares_used(self) -> int:
-        return sum(
-            len(ev.fields["dead"]) for ev in self.events.of("recovery_epoch")
-            if ev.kind.startswith("respawn")
-        )
+        return self.events.weight("respawn", "respawn_scratch")
 
     @property
     def breaker_tripped(self) -> bool:

@@ -60,21 +60,12 @@ class BackendResult:
 
 class LocalBackend:
     """Runs the real numerics of a request's scenario under the
-    resilience stack, built by :func:`repro.persist.scenario.build_scenario`."""
+    resilience stack, built by :func:`repro.persist.scenario.build_scenario`,
+    on the driver's defaults (integrity layer off)."""
 
-    def __init__(
-        self,
-        name: str = "local",
-        platform: str = "squid-gpu",
-        integrity_every: int = 0,
-        scrub_every: int = 0,
-    ):
-        self.name = name
-        self.platform = platform
-        #: Step cadence of the ABFT integrity layer under every run
-        #: (0 = off); verdicts surface on each BackendResult.
-        self.integrity_every = integrity_every
-        self.scrub_every = scrub_every
+    name = "local"
+
+    def __init__(self) -> None:
         self.runs = 0
 
     def run(
@@ -101,11 +92,8 @@ class LocalBackend:
             source=built.source,
             horizon_s=built.n_steps * built.config.dt,
             deadline_s=budget_s,
-            platform=self.platform,
             min_levels=min_levels,
             max_output_every=max_output_every,
-            integrity_every=self.integrity_every,
-            scrub_every=self.scrub_every,
         )
         model = report.model
         fidelity = Fidelity(

@@ -142,3 +142,27 @@ class TestDistributedForecast:
         assert [e["event"] for e in RunStore(rundir).events()] == [
             "distributed_start", "interrupted",
         ]
+
+
+class TestIgnoredFlags:
+    """A flag the path the others pick would ignore is refused: exit 2,
+    one line that names it, nothing run or written."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--ranks", "2", "--integrity-every", "1"], "--integrity-every"),
+        (["--ranks", "2", "--scrub-every", "4"], "--scrub-every"),
+        (["--scrub-every", "4"], "--scrub-every"),
+        (["--resume"], "--resume"),
+        (["--ranks", "2", "--rundir", "{tmp}", "--resume"], "--resume"),
+        (["--spare-ranks", "1"], "--spare-ranks"),
+        (["--max-rank-failures", "3"], "--max-rank-failures"),
+        (["--recovery-policy", "shrink"], "--recovery-policy"),
+        (["--hedge-stragglers"], "--hedge-stragglers"),
+    ])
+    def test_refused_in_one_line(self, argv, flag, tmp_path, capsys):
+        rundir = tmp_path / "run"
+        argv = [str(rundir) if a == "{tmp}" else a for a in argv]
+        assert main(["forecast", "--minutes", "0.05", *argv]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("error: ") and flag in line
+        assert not rundir.exists()

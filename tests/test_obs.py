@@ -616,12 +616,12 @@ class TestInspect:
 
     def test_eta_summary_reports_projection_error(self):
         events = [
-            {"event": "forecast_start", "deadline_s": 100.0},
+            {"event": "run_start", "deadline_s": 100.0},
             {
                 "event": "degradation", "action": "drop_level",
                 "step": 40, "projected_s": 120.0, "deadline_s": 100.0,
             },
-            {"event": "forecast_complete", "elapsed_s": 90.0},
+            {"event": "complete", "elapsed_s": 90.0},
         ]
         lines = "\n".join(eta_summary(events))
         assert "deadline" in lines

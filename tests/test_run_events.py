@@ -136,7 +136,7 @@ def test_single_process_records_are_journaled_and_counted_once(tmp_path):
         and ln["kind"] in ("rollback", "quarantine_rollback")
     ]
     assert report.rollbacks == len(rollbacks) == 2
-    assert store.first_event("forecast_complete")["rollbacks"] == 2
+    assert store.first_event("complete")["rollbacks"] == 2
     assert [ev.kind for ev in report.degradations] == [
         ln["action"] for ln in lines if ln["event"] == "degradation"
     ]
