@@ -23,15 +23,11 @@ Commands
 ``inspect``
     Summarize a run directory from its telemetry (journal + trace +
     metrics): phase breakdown, critical path, slowest spans, rank
-    imbalance, ETA accuracy.  Exits 3 when the run directory is
-    missing or holds a damaged artifact and 4 when it holds no recorded
-    spans (structured JSON error, no traceback) so scripts can tell the
-    cases apart.  With ``--request ID`` it instead renders that
-    request's flight-recorder timeline (dumped by the service on
-    shed/failure/deadline breach); exits 5 when no recording exists for
-    the id.  One ``--<guard>`` flag per registered guard verdict
-    (:mod:`repro.guards`: ``--physics``, ``--integrity``) renders that
-    guard's artifact and exits with the guard's own codes.
+    imbalance, ETA accuracy.  ``--request ID`` renders that request's
+    flight-recorder timeline instead, and one ``--<guard>`` flag per
+    registered guard (:mod:`repro.guards`) that guard's verdict.  Every
+    failure is one JSON line and a distinct exit code
+    (:data:`INSPECT_EXIT_CODES`, printed by ``repro inspect --help``).
 ``slo``
     Evaluate the service-level objectives of a run: reads ``slo.json``
     (or a run directory holding one), prints attainment, error-budget
@@ -204,6 +200,8 @@ def _ignored_flag(args) -> str | None:
         return "--scrub-every needs --integrity-every"
     if args.resume and args.rundir is None:
         return "--resume needs --rundir"
+    if args.fault_count is not None and (args.fault_seed is None or args.fault_count < 1):
+        return "--fault-count needs --fault-seed and a count >= 1"
     return None
 
 
@@ -225,13 +223,14 @@ def _fault_plan(args, built):
             kinds = kinds + ("bitflip",)
     return FaultPlan.random(
         args.fault_seed, kinds=kinds,
-        n_faults=args.fault_count, n_ranks=args.ranks,
+        n_faults=args.fault_count or 3, n_ranks=args.ranks,
         n_steps=max(built.n_steps, 1), n_blocks=built.grid.n_blocks,
     )
 
 
 def _cmd_forecast(args) -> int:
     from repro.core import RTiModel
+    from repro.errors import ConfigurationError
     from repro.persist.scenario import build_scenario
 
     ignored = _ignored_flag(args)
@@ -248,10 +247,13 @@ def _cmd_forecast(args) -> int:
     spec = _cli_spec(args)
     built = build_scenario(spec)
     steps = built.n_steps
+    try:
+        plan = _fault_plan(args, built)
+    except (OSError, ValueError, ConfigurationError) as exc:
+        print(f"error: --faults {args.faults}: {exc}")
+        return 2
     if args.ranks > 1:
-        return _forecast_distributed(args, built, traced)
-
-    plan = _fault_plan(args, built)
+        return _forecast_distributed(args, built, traced, plan)
     integrity_every = args.integrity_every or 0
     if (args.rundir is None and args.deadline is None and plan is None
             and not integrity_every):
@@ -333,18 +335,16 @@ def _run_in_rundir(args, traced, run, grid=None) -> int:
     return 0
 
 
-def _forecast_distributed(args, built, traced) -> int:
+def _forecast_distributed(args, built, traced, plan) -> int:
     """``forecast --ranks N``: the survivable distributed runtime."""
     from repro.core.pipeline import make_block_state
     from repro.core.state import max_wet_eta
     from repro.par.decomposition import equal_cell_assignment
+    from repro.persist import RunStore
     from repro.resilience import SurvivalConfig
     from repro.resilience.survive import survivable_run_distributed
 
     grid, config, steps = built.grid, built.config, built.n_steps
-    plan = _fault_plan(args, built)
-    from repro.persist import RunStore
-
     store = RunStore(args.rundir) if args.rundir is not None else None
     decomp = equal_cell_assignment(grid, args.ranks, split_blocks=False)
     survival = SurvivalConfig(
@@ -817,8 +817,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc.add_argument("--fault-seed", type=int, default=None,
                       help="generate a random seeded fault plan instead "
                            "of reading one from --faults")
-    p_fc.add_argument("--fault-count", type=int, default=3,
-                      help="number of faults for --fault-seed plans")
+    p_fc.add_argument("--fault-count", type=int, default=None,
+                      help="number of faults for --fault-seed plans (default: 3)")
     p_fc.add_argument("--integrity-every", type=_positive_int, default=None,
                       metavar="STEPS",
                       help="arm the ABFT integrity layer (state checksums, "

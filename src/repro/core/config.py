@@ -84,7 +84,7 @@ class SimulationConfig:
         if self.velocity_cap <= 0:
             raise ConfigurationError("velocity_cap must be positive")
 
-    # -- serialization (repro.persist journal round-trip) -----------------
+    # -- serialization (the journal's run record) -------------------------
 
     def to_dict(self) -> dict:
         """JSON-serializable image of the config (dtype by name)."""
@@ -100,19 +100,3 @@ class SimulationConfig:
             "velocity_cap": self.velocity_cap,
             "dtype": np.dtype(self.dtype).name,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimulationConfig":
-        """Inverse of :meth:`to_dict` (unknown keys rejected loudly)."""
-        kwargs = dict(data)
-        if "dtype" in kwargs:
-            try:
-                kwargs["dtype"] = np.dtype(kwargs["dtype"]).type
-            except TypeError as exc:
-                raise ConfigurationError(
-                    f"unknown dtype {kwargs['dtype']!r}"
-                ) from exc
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigurationError(f"bad config entry: {exc}") from exc

@@ -11,8 +11,7 @@ Conventions
   origin at the surface projection of the fault's *bottom-left* corner.
 * ``delta``: dip angle [rad]; ``L``: along-strike length [m]; ``W``:
   down-dip width [m]; ``d``: depth of the *bottom* edge [m].
-* Slip components: ``U1`` strike-slip, ``U2`` dip-slip (thrust positive),
-  ``U3`` tensile opening.
+* Slip components: ``U1`` strike-slip, ``U2`` dip-slip (thrust positive).
 * Poisson solid by default (``mu_over_lambda_mu = 0.5``, i.e.
   mu/(lambda+mu) with lambda = mu).
 
@@ -156,17 +155,6 @@ def _uz_ds(xi, eta, q, cs):
         dtilde * q / (R * (R + xi))
         + sd * _safe_atan(xi * eta, q * R)
         - _I5(xi, eta, q, c) * sd * cd
-    )
-
-
-def _uz_tf(xi, eta, q, cs):
-    cd, sd, alpha = cs
-    c = _geom(xi, eta, q, cd, sd, alpha)
-    R, ytilde = c[0], c[1]
-    return (
-        ytilde * q / (R * (R + xi))
-        + cd * (xi * q / (R * (R + eta)) - _safe_atan(xi * eta, q * R))
-        - _I5(xi, eta, q, c) * sd * sd
     )
 
 

@@ -27,8 +27,6 @@ from repro.grid.staggered import (
     flux_m_shape,
     flux_n_shape,
     interior,
-    interior_m,
-    interior_n,
     NGHOST,
 )
 
@@ -43,7 +41,5 @@ __all__ = [
     "flux_m_shape",
     "flux_n_shape",
     "interior",
-    "interior_m",
-    "interior_n",
     "NGHOST",
 ]

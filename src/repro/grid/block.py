@@ -120,33 +120,3 @@ class Block:
             self.gi1 // ratio,
             self.gj1 // ratio,
         )
-
-    def split_rows(self, n_parts: int) -> list["Block"]:
-        """One-dimensional decomposition of the block into row strips.
-
-        The original RTi code splits a block across ranks along one
-        dimension only, to keep the vectorized inner loop long (Section
-        II-B).  Strips are as equal as possible; earlier strips get the
-        remainder rows.
-        """
-        if not 1 <= n_parts <= self.ny:
-            raise GridError(
-                f"cannot split {self.ny} rows into {n_parts} parts"
-            )
-        base, rem = divmod(self.ny, n_parts)
-        parts: list[Block] = []
-        gj = self.gj0
-        for p in range(n_parts):
-            rows = base + (1 if p < rem else 0)
-            parts.append(
-                Block(
-                    block_id=self.block_id,
-                    level=self.level,
-                    gi0=self.gi0,
-                    gj0=gj,
-                    nx=self.nx,
-                    ny=rows,
-                )
-            )
-            gj += rows
-        return parts

@@ -114,23 +114,6 @@ class NestedGrid:
                 out.append(blk)
         return out
 
-    def child_blocks_of(self, parent: Block) -> list[Block]:
-        """Child-level blocks whose footprint overlaps a parent block."""
-        if parent.level >= self.n_levels:
-            return []
-        child_level = self.level(parent.level + 1)
-        out = []
-        for blk in child_level.blocks:
-            pi0, pj0, pi1, pj1 = blk.parent_footprint(self.ratio)
-            if (
-                parent.gi0 < pi1
-                and pi0 < parent.gi1
-                and parent.gj0 < pj1
-                and pj0 < parent.gj1
-            ):
-                out.append(blk)
-        return out
-
     def summary(self) -> str:
         """Human-readable per-level summary matching Table I's columns."""
         lines = [f"{'Level':>5}  {'dx':>8}  {'#blocks':>8}  {'#cells':>12}"]

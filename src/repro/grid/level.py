@@ -60,12 +60,6 @@ class GridLevel:
         """Total number of physical cells over all blocks of the level."""
         return sum(b.n_cells for b in self.blocks)
 
-    def block_by_id(self, block_id: int) -> Block:
-        for blk in self.blocks:
-            if blk.block_id == block_id:
-                return blk
-        raise GridError(f"no block {block_id} in level {self.index}")
-
     def covering_block(self, gi: int, gj: int) -> Block | None:
         """The block containing global cell ``(gi, gj)``, or ``None``."""
         for blk in self.blocks:

@@ -40,27 +40,3 @@ def flux_n_shape(ny: int, nx: int, nghost: int = NGHOST) -> tuple[int, int]:
 def interior(ny: int, nx: int, nghost: int = NGHOST) -> tuple[slice, slice]:
     """Slices selecting the physical cells of a cell-centered array."""
     return (slice(nghost, nghost + ny), slice(nghost, nghost + nx))
-
-
-def interior_m(ny: int, nx: int, nghost: int = NGHOST) -> tuple[slice, slice]:
-    """Slices selecting the physical faces of an M array (nx+1 faces)."""
-    return (slice(nghost, nghost + ny), slice(nghost, nghost + nx + 1))
-
-
-def interior_n(ny: int, nx: int, nghost: int = NGHOST) -> tuple[slice, slice]:
-    """Slices selecting the physical faces of an N array (ny+1 faces)."""
-    return (slice(nghost, nghost + ny + 1), slice(nghost, nghost + nx))
-
-
-def inner_m(ny: int, nx: int, nghost: int = NGHOST) -> tuple[slice, slice]:
-    """Slices selecting strictly interior M faces (excludes block-edge faces).
-
-    Block-edge faces are set by boundary conditions, halo exchange, or
-    parent-grid interpolation rather than by the momentum kernel.
-    """
-    return (slice(nghost, nghost + ny), slice(nghost + 1, nghost + nx))
-
-
-def inner_n(ny: int, nx: int, nghost: int = NGHOST) -> tuple[slice, slice]:
-    """Slices selecting strictly interior N faces (excludes block-edge faces)."""
-    return (slice(nghost + 1, nghost + ny), slice(nghost, nghost + nx))

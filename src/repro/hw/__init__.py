@@ -13,9 +13,8 @@ models exactly those mechanisms:
   invocation (bytes moved vs attainable bandwidth);
 * :mod:`repro.hw.streams` — an event-driven simulator of host launches and
   per-queue FIFO execution with bandwidth sharing (the async/multi-queue
-  mechanism of Section IV-B);
-* :mod:`repro.hw.nvml` — GPU/memory utilization computed from the
-  simulated timeline using NVML's definitions (Fig. 11);
+  mechanism of Section IV-B), which also accounts NVML's GPU and memory
+  utilization (Fig. 11);
 * :mod:`repro.hw.cache` — the L3 miss-rate model behind the super-linear
   CPU scaling of Fig. 15.
 """
@@ -25,9 +24,7 @@ from repro.lazy import exports
 __getattr__, __dir__, __all__ = exports(__name__, {
     "platform": "PlatformSpec NodeSpec SystemSpec",
     "registry": "PLATFORMS SYSTEMS get_platform get_system",
-    "kernelcost": "KernelInvocation kernel_solo_time_us"
-                  " ROUTINE_BYTES_PER_CELL",
+    "kernelcost": "KernelInvocation ROUTINE_BYTES_PER_CELL",
     "streams": "StreamSimulator KernelEvent LaunchMode",
-    "nvml": "utilization_from_events",
     "cache": "CacheModel",
 })

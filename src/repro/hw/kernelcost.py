@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import PlatformError
-from repro.hw.platform import PlatformSpec
 
 #: Algorithmic memory traffic per cell per invocation [bytes], fp32.
 #: NLMNT2 here is *one* momentum sweep as in the paper's microbenchmark
@@ -90,35 +89,3 @@ class KernelInvocation:
     @property
     def bytes_moved(self) -> float:
         return self.cells * ROUTINE_BYTES_PER_CELL[self.routine] + self.extra_bytes
-
-
-def kernel_solo_time_us(
-    kernel: KernelInvocation,
-    platform: PlatformSpec,
-    bw_scale: float = 1.0,
-) -> float:
-    """Device time of the kernel running alone (no host overhead).
-
-    ``bw_scale`` rescales the attainable bandwidth (used by the CPU cache
-    model, where the effective bandwidth depends on the working set).
-    """
-    bw = platform.solo_bw_gbs * bw_scale
-    return platform.kernel_fixed_us + 1e-3 * kernel.bytes_moved / bw
-
-
-def kernel_saturated_time_us(
-    kernel: KernelInvocation,
-    platform: PlatformSpec,
-    bw_scale: float = 1.0,
-) -> float:
-    """Aggregate device time contribution when the device is saturated.
-
-    This is the per-kernel share of wall time when enough concurrent
-    kernels keep the memory system busy: bytes over the *full* effective
-    bandwidth, plus the fixed cost amortized over the concurrency.
-    """
-    bw = platform.effective_bw_gbs * bw_scale
-    return (
-        platform.kernel_fixed_us / platform.max_queues
-        + 1e-3 * kernel.bytes_moved / bw
-    )

@@ -4,7 +4,7 @@ A package ``__init__`` whose submodules a forecast does not all run lists,
 per submodule, the names it re-exports (PEP 562)::
 
     __getattr__, __dir__, __all__ = exports(__name__, {
-        "critpath": "analyze_queues analyze_spans",
+        "critpath": "analyze_spans",
         "slo": "SLO SLOEngine",
     })
 

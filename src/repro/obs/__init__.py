@@ -7,12 +7,11 @@
 * :mod:`~repro.obs.trace` — hierarchical span tracer instrumenting the
   Fig.-2 pipeline phases, halo exchanges, checkpoint writes, and
   recovery actions (no-op when disabled);
-* :mod:`~repro.obs.metrics` — counters/gauges/histograms with Prometheus
-  text export and a per-run ``metrics.json`` snapshot;
+* :mod:`~repro.obs.metrics` — counters/gauges/histograms and a per-run
+  ``metrics.json`` snapshot;
 * :mod:`~repro.obs.export` — Chrome trace-event JSON (Perfetto /
-  ``chrome://tracing``) from live spans and from simulated
-  :class:`~repro.hw.streams.KernelEvent` timelines, so measured and
-  modeled schedules render in the same viewer;
+  ``chrome://tracing``) from live spans, service decisions and physics
+  counters;
 * :mod:`~repro.obs.log` — structured JSONL logging with rank/step
   context;
 * :mod:`~repro.obs.inspect` — the ``repro inspect <rundir>`` summarizer;
@@ -33,24 +32,22 @@ One switch arms the whole layer::
     import repro.obs as obs
     obs.enable()                # tracer + metrics collection on
     ...run a forecast...
-    obs.export_run(rundir)      # trace.json + metrics.json in the rundir
+    obs.write_chrome_trace(rundir / "trace.json")
+    obs.get_registry().write_json(rundir / "metrics.json")
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from repro.lazy import exports
 from repro.obs import log, metrics, trace
 from repro.obs.log import configure as configure_logging
 from repro.obs.log import get_logger
-from repro.obs.metrics import MetricsRegistry, get_registry, parse_prometheus
-from repro.obs.timebase import TIMEBASE, mono_us, timestamp_pair
+from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.timebase import TIMEBASE, timestamp_pair
 from repro.obs.trace import (
     TraceContext,
     Tracer,
     context,
-    current_context,
     get_tracer,
     instant,
     set_context,
@@ -61,14 +58,13 @@ from repro.obs.trace import (
 # (critpath reaches repro.runtime, physics reaches repro.core) binds on
 # first access, so importing repro.obs.trace loads no layer above it.
 __getattr__, __dir__, _lazy = exports(__name__, {
-    "critpath": "analyze_queues analyze_spans",
-    "export": "chrome_trace kernel_events_to_chrome physics_counter_events"
-              " queue_occupancy service_events_to_chrome validate_chrome_trace"
-              " write_chrome_trace",
+    "critpath": "analyze_spans",
+    "export": "chrome_trace physics_counter_events queue_occupancy"
+              " service_events_to_chrome write_chrome_trace",
     "flight": "FlightBook FlightRecorder flight_path load_flight"
               " render_flight",
     "inspect": "breakdowns_from_spans imbalance_ratio inspect_integrity"
-               " inspect_physics inspect_request inspect_rundir load_rundir"
+               " inspect_physics inspect_request load_rundir"
                " render_report top_spans",
     "physics": "DivergenceSentinel PhysicsDivergenceError"
                " PhysicsSampler load_physics_report physics_doc"
@@ -86,32 +82,10 @@ def disable() -> None:
     trace.disable()
 
 
-def is_enabled() -> bool:
-    """Is the telemetry layer armed?  Hot paths gate on this."""
-    return trace._TRACER.enabled
-
-
 def reset() -> None:
     """Drop all collected spans and metrics (tests, fresh runs)."""
     trace.clear()
     get_registry().clear()
-
-
-def export_run(
-    rundir, kernel_events=None, physics_samples=None
-) -> tuple[Path, Path]:
-    """Write ``trace.json`` and ``metrics.json`` into *rundir*."""
-    from repro.obs.export import write_chrome_trace
-
-    rundir = Path(rundir)
-    rundir.mkdir(parents=True, exist_ok=True)
-    trace_path = write_chrome_trace(
-        rundir / "trace.json",
-        kernel_events=kernel_events,
-        physics_samples=physics_samples,
-    )
-    metrics_path = get_registry().write_json(rundir / "metrics.json")
-    return trace_path, metrics_path
 
 
 __all__ = [
@@ -122,20 +96,15 @@ __all__ = [
     "configure_logging",
     "context",
     "critpath",
-    "current_context",
     "disable",
     "enable",
-    "export_run",
     "flight",
     "get_logger",
     "get_registry",
     "get_tracer",
     "instant",
-    "is_enabled",
     "log",
     "metrics",
-    "mono_us",
-    "parse_prometheus",
     "physics",
     "reset",
     "set_context",

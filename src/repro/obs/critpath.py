@@ -1,23 +1,11 @@
-"""Critical-path analytics over spans and simulated kernel timelines.
+"""Critical-path analytics over recorded spans: *what bounds the wall clock?*
 
-Two inputs, one question — *what bounds the wall clock?*
-
-* **Recorded spans** (a traced ``RTiModel``/distributed run): wall time
-  is attributed to compute phases (``NLMASS``/``NLMNT2``/``OUTPUT``)
-  versus halo-exchange phases (``JNZ``/``PTP_Z``/``JNQ``/``PTP_MN``);
-  the critical rank is the one with the largest serial phase total, and
-  its per-phase chain is the longest dependency chain of the step
-  pipeline (the phases are serial by construction, Fig. 2).
-* **Simulated :class:`~repro.hw.streams.KernelEvent` timelines** (the
-  Figs. 10–11 queue experiments): per-queue busy/idle accounting with
-  the idle gaps split into **launch-latency gaps** (the host had not
-  enqueued the next kernel yet — the synchronous-launch pathology) and
-  **dependency/contention gaps**, plus the longest back-to-back kernel
-  chain ending at the makespan.
-
-Both reports explain queue saturation the way the paper does: occupancy
-close to 1 on every queue means the device, not the launch path, is the
-bottleneck.
+In a traced ``RTiModel``/distributed run, wall time is attributed to
+compute phases (``NLMASS``/``NLMNT2``/``OUTPUT``) versus halo-exchange
+phases (``JNZ``/``PTP_Z``/``JNQ``/``PTP_MN``); the critical rank is the
+one with the largest serial phase total, and its per-phase chain is the
+longest dependency chain of the step pipeline (the phases are serial by
+construction, Fig. 2).
 """
 
 from __future__ import annotations
@@ -29,14 +17,6 @@ from repro.runtime.breakdown import BREAKDOWN_PHASES
 #: Phase classification for attribution.
 COMPUTE_PHASES = frozenset({"NLMASS", "NLMNT2", "OUTPUT"})
 EXCHANGE_PHASES = frozenset({"JNZ", "PTP_Z", "JNQ", "PTP_MN"})
-
-#: Gap/adjacency tolerance [us] when walking simulated timelines.
-_EPS = 1e-6
-
-
-# ---------------------------------------------------------------------------
-# Span analytics (live runs)
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -125,136 +105,3 @@ def analyze_spans(spans: list[dict]) -> SpanPathReport | None:
     return SpanPathReport(
         ranks=ranks, critical=critical, chain=chain, extent_us=extent
     )
-
-
-# ---------------------------------------------------------------------------
-# Queue analytics (simulated timelines)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class QueueReport:
-    """Busy/idle accounting of one simulated queue."""
-
-    queue: int
-    busy_us: float
-    idle_us: float
-    n_gaps: int
-    largest_gap_us: float
-    launch_gap_us: float  # idle attributable to the launch path
-    occupancy: float
-
-
-def analyze_queues(
-    kernel_events, makespan_us: float | None = None
-) -> list[QueueReport]:
-    """Per-queue idle-gap analysis of a simulated kernel batch.
-
-    A gap before a kernel is a **launch gap** to the extent the kernel
-    had not yet been *enqueued* when the queue drained — the exposed
-    launch latency of synchronous launches.  The remainder of a gap is
-    dependency/contention idle.  The tail after a queue's last kernel
-    counts as idle but not as a gap (nothing was waiting).
-    """
-    events = list(kernel_events)
-    if not events:
-        return []
-    if makespan_us is None:
-        makespan_us = max(ev.end_us for ev in events)
-    by_queue: dict[int, list] = {}
-    for ev in events:
-        by_queue.setdefault(ev.queue, []).append(ev)
-    out: list[QueueReport] = []
-    for q in sorted(by_queue):
-        evs = sorted(by_queue[q], key=lambda e: e.start_us)
-        busy = idle = launch = largest = 0.0
-        n_gaps = 0
-        prev_end = 0.0
-        for ev in evs:
-            gap = ev.start_us - prev_end
-            if gap > _EPS:
-                n_gaps += 1
-                idle += gap
-                largest = max(largest, gap)
-                if ev.enqueue_us > prev_end + _EPS:
-                    launch += min(gap, ev.enqueue_us - prev_end)
-            busy += ev.end_us - ev.start_us
-            prev_end = ev.end_us
-        if makespan_us - prev_end > _EPS:
-            idle += makespan_us - prev_end
-        out.append(
-            QueueReport(
-                queue=q,
-                busy_us=busy,
-                idle_us=idle,
-                n_gaps=n_gaps,
-                largest_gap_us=largest,
-                launch_gap_us=launch,
-                occupancy=busy / makespan_us if makespan_us > 0 else 0.0,
-            )
-        )
-    return out
-
-
-def launch_latency_us(kernel_events) -> float:
-    """Total exposed launch latency across a simulated batch."""
-    return sum(q.launch_gap_us for q in analyze_queues(kernel_events))
-
-
-def kernel_critical_chain(kernel_events) -> list:
-    """The back-to-back kernel chain ending at the batch makespan.
-
-    Starting from the kernel that finishes last, repeatedly step to the
-    kernel whose completion released it (same queue, adjacent within
-    tolerance); the walk stops at a kernel whose start was dictated by
-    its own enqueue time rather than a predecessor.  Returned in
-    execution order.
-    """
-    events = list(kernel_events)
-    if not events:
-        return []
-    cur = max(events, key=lambda e: e.end_us)
-    chain = [cur]
-    while True:
-        pred = None
-        for ev in events:
-            if ev is cur or ev.queue != cur.queue:
-                continue
-            if abs(ev.end_us - cur.start_us) <= _EPS:
-                pred = ev
-                break
-        if pred is None:
-            break
-        chain.append(pred)
-        cur = pred
-    chain.reverse()
-    return chain
-
-
-def saturation_summary(queue_reports: list[QueueReport]) -> str:
-    """Explain queue saturation the way Figs. 10–11 do."""
-    if not queue_reports:
-        return "no kernel events"
-    mean_occ = sum(q.occupancy for q in queue_reports) / len(queue_reports)
-    lines = [
-        f"queues          : {len(queue_reports)}, mean occupancy "
-        f"{mean_occ * 100:.1f}%"
-    ]
-    for q in queue_reports:
-        lines.append(
-            f"  queue {q.queue}: occupancy {q.occupancy * 100:5.1f}%  "
-            f"idle {q.idle_us:,.1f} us in {q.n_gaps} gaps "
-            f"(largest {q.largest_gap_us:,.1f} us, "
-            f"launch-bound {q.launch_gap_us:,.1f} us)"
-        )
-    total_launch = sum(q.launch_gap_us for q in queue_reports)
-    if mean_occ >= 0.95:
-        lines.append(
-            "  device saturated: adding queues cannot help (Fig. 10/11)"
-        )
-    elif total_launch > 0:
-        lines.append(
-            f"  launch path exposes {total_launch:,.1f} us — async "
-            "launches / more queues would close these gaps"
-        )
-    return "\n".join(lines)

@@ -1,18 +1,10 @@
-"""Exporters: Chrome trace-event JSON and the structured JSONL event log.
+"""Exporter: the Chrome trace-event JSON of a run.
 
 The Chrome trace-event format (loadable in Perfetto or
-``chrome://tracing``) is the common viewer for both halves of this
-reproduction:
-
-* **live spans** from the :mod:`repro.obs.trace` tracer — a real
-  ``RTiModel``/``run_distributed`` execution, one track per rank;
-* **simulated kernel timelines** from
-  :class:`repro.hw.streams.KernelEvent` — the multi-queue schedules of
-  the paper's Figs. 10–11, one track per queue.
-
-Both render in the same UI, so a simulated schedule and a measured run
-can be compared side by side — the observability analogue of the
-paper's model-vs-measurement methodology.
+``chrome://tracing``) shows the **live spans** of the
+:mod:`repro.obs.trace` tracer — a real ``RTiModel``/``run_distributed``
+execution, one track per rank — beside the service's decisions and the
+physics counters, each on a ``pid`` of its own.
 """
 
 from __future__ import annotations
@@ -61,41 +53,6 @@ def chrome_trace_events(spans: list[dict]) -> list[dict]:
             ev["ph"] = "i"
             ev["s"] = "t"
         events.append(ev)
-    return events
-
-
-def kernel_events_to_chrome(
-    kernel_events, pid: int = 1, pid_name: str = "device (simulated)"
-) -> list[dict]:
-    """Chrome events from :class:`repro.hw.streams.KernelEvent` records.
-
-    Each queue is one track; the host-side enqueue time is kept in the
-    args so launch gaps (the paper's sync-vs-async point) stay visible.
-    """
-    events: list[dict] = [
-        {
-            "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-            "args": {"name": pid_name},
-        }
-    ]
-    for ev in kernel_events:
-        events.append(
-            {
-                "name": ev.label,
-                "cat": f"kernel:{ev.routine}",
-                "ph": "X",
-                "pid": pid,
-                "tid": ev.queue,
-                "ts": ev.start_us,
-                "dur": ev.duration_us,
-                "args": {
-                    "routine": ev.routine,
-                    "queue": ev.queue,
-                    "enqueue_us": ev.enqueue_us,
-                    "bytes_moved": ev.bytes_moved,
-                },
-            }
-        )
     return events
 
 
@@ -193,7 +150,6 @@ def physics_counter_events(
 
 def chrome_trace(
     tracer: Tracer | None = None,
-    kernel_events=None,
     service_events=None,
     physics_samples=None,
 ) -> dict:
@@ -215,8 +171,6 @@ def chrome_trace(
         },
     ]
     events.extend(chrome_trace_events(tracer.export()))
-    if kernel_events:
-        events.extend(kernel_events_to_chrome(kernel_events))
     if service_events:
         events.extend(service_events_to_chrome(service_events))
     if physics_samples:
@@ -225,47 +179,10 @@ def chrome_trace(
 
 
 def write_chrome_trace(path, tracer: Tracer | None = None,
-                       kernel_events=None, service_events=None,
-                       physics_samples=None) -> Path:
+                       service_events=None, physics_samples=None) -> Path:
     """Atomically publish a Chrome trace JSON file; returns its path."""
     return publish_json(
         path,
-        chrome_trace(tracer, kernel_events=kernel_events,
-                     service_events=service_events,
+        chrome_trace(tracer, service_events=service_events,
                      physics_samples=physics_samples),
     )
-
-
-def validate_chrome_trace(doc: dict) -> list[str]:
-    """Schema check for a trace document; returns problems (empty = valid).
-
-    Enforces the trace-event contract the viewers rely on: a
-    ``traceEvents`` list, every event carrying ``name``/``ph``/``pid``/
-    ``tid``, numeric ``ts`` on all non-metadata events, and a
-    non-negative numeric ``dur`` on complete (``X``) events.
-    """
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return ["trace document is not a JSON object"]
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        return ["traceEvents is missing or not a list"]
-    for i, ev in enumerate(events):
-        if not isinstance(ev, dict):
-            problems.append(f"event {i} is not an object")
-            continue
-        for field in ("name", "ph"):
-            if field not in ev:
-                problems.append(f"event {i} lacks {field!r}")
-        for field in ("pid", "tid"):
-            if not isinstance(ev.get(field), int):
-                problems.append(f"event {i} lacks integer {field!r}")
-        ph = ev.get("ph")
-        if ph != "M" and not isinstance(ev.get("ts"), (int, float)):
-            problems.append(f"event {i} ({ph}) lacks numeric 'ts'")
-        if ph == "X":
-            dur = ev.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                problems.append(f"event {i} lacks non-negative 'dur'")
-    return problems
-

@@ -330,11 +330,6 @@ def render_report(art: RunArtifacts, top_n: int = 10) -> str:
     return "\n\n".join(sections)
 
 
-def inspect_rundir(rundir, top_n: int = 10) -> str:
-    """Render the full inspection report for one run directory."""
-    return render_report(load_rundir(rundir), top_n)
-
-
 def inspect_guard(rundir, kind: guards.GuardKind) -> tuple[str, bool]:
     """Render one guard's artifact: the ``repro inspect --<name>`` view.
 

@@ -128,17 +128,11 @@ class Logger:
         except (OSError, ValueError):
             pass  # a closed sink must never take the forecast down
 
-    def debug(self, event: str, **fields) -> None:
-        self._emit(LEVELS["debug"], event, fields)
-
     def info(self, event: str, **fields) -> None:
         self._emit(LEVELS["info"], event, fields)
 
     def warning(self, event: str, **fields) -> None:
         self._emit(LEVELS["warning"], event, fields)
-
-    def error(self, event: str, **fields) -> None:
-        self._emit(LEVELS["error"], event, fields)
 
 
 _LOGGERS: dict[str, Logger] = {}

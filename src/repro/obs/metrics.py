@@ -2,15 +2,10 @@
 
 The operational vocabulary of the paper's evaluation — steps/s, cells/s,
 halo bytes, checkpoint latency, queue occupancy, rank wait-time skew —
-becomes named instruments in one process-wide :class:`MetricsRegistry`.
-Two export formats:
-
-* **Prometheus text format** (:meth:`MetricsRegistry.to_prometheus`) for
-  scrape-style integration; :func:`parse_prometheus` round-trips it,
-  which the test suite uses as a format-correctness oracle;
-* **``metrics.json``** (:meth:`MetricsRegistry.to_dict` /
-  :meth:`MetricsRegistry.write_json`), the per-run snapshot dropped in
-  the run directory that ``repro inspect`` reads.
+becomes named instruments in one process-wide :class:`MetricsRegistry`,
+exported as ``metrics.json`` (:meth:`MetricsRegistry.to_dict` /
+:meth:`MetricsRegistry.write_json`), the per-run snapshot dropped in the
+run directory that ``repro inspect`` reads.
 
 Instruments are cheap (a float add under no lock contention in the
 common single-writer case) but still gated behind ``obs`` enablement in
@@ -41,20 +36,6 @@ METRICS_SCHEMA = "repro.obs.metrics/1"
 #: Counter of NaN/negative histogram inputs counted-and-skipped instead
 #: of corrupting ``sum``/quantiles; exported only once non-zero.
 BAD_OBSERVATIONS_NAME = "repro_metrics_bad_observations_total"
-
-
-def _exemplar_text(ex: tuple[str, float] | None) -> str:
-    """OpenMetrics-style exemplar suffix for one bucket sample line."""
-    if ex is None:
-        return ""
-    return f' # {{trace_id="{ex[0]}"}} {ex[1]:g}'
-
-#: Quantile summaries exported for every non-empty histogram.
-QUANTILE_SUFFIXES: tuple[tuple[float, str], ...] = (
-    (0.50, "p50"),
-    (0.95, "p95"),
-    (0.99, "p99"),
-)
 
 
 def _labels_key(labels: dict | None) -> tuple:
@@ -102,12 +83,9 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
-    """Cumulative fixed-bucket histogram (Prometheus semantics).
+    """Fixed-bucket histogram with an ``+Inf`` tail bucket.
 
     Each bucket retains the **most recent exemplar** — the ``trace_id``
     (and exact value) of one observation that landed in it — so a
@@ -156,35 +134,6 @@ class Histogram:
         self.counts[-1] += 1
         if trace_id is not None:
             self.exemplars[-1] = (str(trace_id), value)
-
-    def cumulative_counts(self) -> list[int]:
-        """Counts as Prometheus exposes them: cumulative, ending at +Inf."""
-        out, acc = [], 0
-        for c in self.counts:
-            acc += c
-            out.append(acc)
-        return out
-
-    def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile estimate (upper bound of the bucket).
-
-        An empty histogram has no observations to rank, so every
-        quantile is 0.0 — never NaN, which would poison downstream
-        arithmetic and serialize as the non-standard token ``nan`` in
-        JSON (the Prometheus export additionally omits the derived
-        quantile gauges entirely until the first observation).
-        """
-        if not 0 <= q <= 1:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        acc = 0
-        for i, c in enumerate(self.counts[:-1]):
-            acc += c
-            if acc >= target:
-                return self.buckets[i]
-        return math.inf
 
 
 class MetricsRegistry:
@@ -268,55 +217,6 @@ class MetricsRegistry:
         with self._lock:
             return sorted(self._metrics.items())
 
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition format (0.0.4)."""
-        lines: list[str] = []
-        typed: set[str] = set()
-        for (name, lkey), m in self._items():
-            kind = {Counter: "counter", Gauge: "gauge",
-                    Histogram: "histogram"}[type(m)]
-            if name not in typed:
-                if m.help:
-                    lines.append(f"# HELP {name} {m.help}")
-                lines.append(f"# TYPE {name} {kind}")
-                typed.add(name)
-            if isinstance(m, Histogram):
-                cum = m.cumulative_counts()
-                for i, (bound, c) in enumerate(zip(m.buckets, cum)):
-                    lb = _labels_text(lkey + (("le", f"{bound:g}"),))
-                    lines.append(
-                        f"{name}_bucket{lb} {c}"
-                        + _exemplar_text(m.exemplars[i])
-                    )
-                lb = _labels_text(lkey + (("le", "+Inf"),))
-                lines.append(
-                    f"{name}_bucket{lb} {cum[-1]}"
-                    + _exemplar_text(m.exemplars[-1])
-                )
-                lines.append(f"{name}_sum{_labels_text(lkey)} {m.sum:g}")
-                lines.append(f"{name}_count{_labels_text(lkey)} {m.count}")
-                # Derived p50/p95/p99 summaries (bucket-resolution upper
-                # bounds) so dashboards get tail latencies without
-                # re-deriving them from the cumulative buckets.
-                if m.count:
-                    for q, suffix in QUANTILE_SUFFIXES:
-                        qname = f"{name}_{suffix}"
-                        if qname not in typed:
-                            lines.append(f"# TYPE {qname} gauge")
-                            typed.add(qname)
-                        v = m.quantile(q)
-                        text = "+Inf" if math.isinf(v) else f"{v:g}"
-                        lines.append(
-                            f"{qname}{_labels_text(lkey)} {text}"
-                        )
-            else:
-                lines.append(f"{name}{_labels_text(lkey)} {m.value:g}")
-        bad = self.bad_observations_total()
-        if bad:
-            lines.append(f"# TYPE {BAD_OBSERVATIONS_NAME} counter")
-            lines.append(f"{BAD_OBSERVATIONS_NAME} {bad}")
-        return "\n".join(lines) + "\n"
-
     def to_dict(self) -> dict:
         """JSON-ready snapshot (the ``metrics.json`` schema, version 1)."""
         counters: dict[str, float] = {}
@@ -361,51 +261,6 @@ class MetricsRegistry:
     def write_json(self, path) -> Path:
         """Atomically publish the ``metrics.json`` snapshot."""
         return publish_json(path, self.to_dict(), indent=2, sort_keys=True)
-
-
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?P<labels>\{[^}]*\})?\s+(?P<value>\S+)"
-    r"(?:\s+#\s+(?P<exemplar>\{[^}]*\}\s+\S+(?:\s+\S+)?))?$"
-)
-
-_EXEMPLAR_RE = re.compile(
-    r'^\{trace_id="(?P<trace_id>[^"]*)"\}\s+(?P<value>\S+)'
-)
-
-
-def parse_prometheus(
-    text: str, exemplars: dict | None = None
-) -> dict[str, float]:
-    """Parse Prometheus text format into ``{sample_name: value}``.
-
-    Sample names include their label set verbatim (e.g.
-    ``repro_step_seconds_bucket{le="0.01"}``), so
-    ``parse_prometheus(reg.to_prometheus())`` round-trips every sample a
-    scraper would see.  OpenMetrics-style exemplar suffixes
-    (``... # {trace_id="req-3"} 4.2``) are accepted; pass an
-    *exemplars* dict to collect them as
-    ``{sample_name: {"trace_id": ..., "value": ...}}``.  Raises
-    :class:`ValueError` on malformed lines.
-    """
-    out: dict[str, float] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _SAMPLE_RE.match(line)
-        if m is None:
-            raise ValueError(f"malformed prometheus line {lineno}: {line!r}")
-        name = m.group("name") + (m.group("labels") or "")
-        out[name] = float(m.group("value"))
-        if exemplars is not None and m.group("exemplar"):
-            ex = _EXEMPLAR_RE.match(m.group("exemplar"))
-            if ex is not None:
-                exemplars[name] = {
-                    "trace_id": ex.group("trace_id"),
-                    "value": float(ex.group("value")),
-                }
-    return out
 
 
 #: The process-wide registry used by all built-in instrumentation.

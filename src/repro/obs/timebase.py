@@ -54,8 +54,3 @@ TIMEBASE = TimeBase()
 def timestamp_pair() -> tuple[float, float]:
     """The shared ``(ts_wall, ts_mono_us)`` pair for one event."""
     return TIMEBASE.pair()
-
-
-def mono_us() -> float:
-    """Monotonic microseconds on the shared timebase."""
-    return TIMEBASE.mono_us()

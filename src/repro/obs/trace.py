@@ -21,7 +21,7 @@ Spans carry **trace context**: every span gets a ``span_id``, inherits
 the ``trace_id``/parent of the innermost open span on its thread, and —
 when no span is open — falls back to the thread's bound
 :class:`TraceContext`.  The context crosses thread boundaries explicitly
-(:func:`current_context` captured by the spawner,
+(:meth:`Tracer.current_context` captured by the spawner,
 ``set_context(trace=...)`` bound by the spawned thread — the simulated
 MPI ranks in :func:`repro.par.comm.run_ranks` do exactly this), so one
 forecast request submitted to the service renders as a single trace tree
@@ -366,11 +366,6 @@ def set_context(rank: int | None = None, trace=_UNSET) -> None:
 def context(ctx: TraceContext):
     """Scope *ctx* over the calling thread's root-level spans."""
     return _TRACER.context(ctx)
-
-
-def current_context() -> TraceContext | None:
-    """Context a spawned thread should inherit (see :class:`Tracer`)."""
-    return _TRACER.current_context()
 
 
 def span(name: str, cat: str = CAT_COMPUTE, **args):

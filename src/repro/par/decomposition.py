@@ -136,9 +136,6 @@ class Decomposition:
                 owner[it.block.block_id] = rw.rank
         return owner
 
-    def ranks_of_level(self, level: int) -> list[RankWork]:
-        return [rw for rw in self.ranks if rw.level == level]
-
     def cells_per_rank(self) -> list[int]:
         return [rw.n_cells for rw in self.ranks]
 

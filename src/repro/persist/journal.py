@@ -35,16 +35,6 @@ EVENT_RANK_FAILURE = "rank_failure"
 EVENT_RECOVERY_EPOCH = "recovery_epoch"
 
 
-def recovery_epochs(events: list[dict]) -> list[dict]:
-    """The journal's recovery-epoch records, in write order.
-
-    Convenience filter for inspection tooling and tests: each returned
-    record tells from which buddy-checkpoint epoch (and model step) an
-    incarnation resumed, and why.
-    """
-    return [ev for ev in events if ev.get("event") == EVENT_RECOVERY_EPOCH]
-
-
 class RunJournal:
     """Append-only, fsync-on-write event log for one run directory."""
 

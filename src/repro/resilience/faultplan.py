@@ -84,9 +84,6 @@ FAULT_KINDS = (
 #: Kinds injected into the simulated-MPI transport.
 COMM_KINDS = ("rank_crash", "msg_drop", "msg_delay", "straggler")
 
-#: Kinds injected into the numerical state.
-STATE_KINDS = ("nan",)
-
 #: Injection targets for the ``bitflip`` kind.
 BITFLIP_TARGETS = ("state", "halo", "checkpoint")
 
@@ -110,6 +107,14 @@ class FaultSpec:
     bit: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("rank", "op", "step", "block", "span", "bit"):
+            v = getattr(self, name)
+            if type(v) is not int and not (v is None and name not in ("span", "bit")):
+                raise ConfigurationError(f"fault {name} must be an integer, got {v!r}")
+        for name in ("value", "delay_s", "factor"):
+            if type(getattr(self, name)) not in (int, float):
+                raise ConfigurationError(
+                    f"fault {name} must be a number, got {getattr(self, name)!r}")
         if self.kind not in FAULT_KINDS:
             raise ConfigurationError(
                 f"unknown fault kind {self.kind!r}; expected one of "
@@ -282,16 +287,17 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
+        faults = data.get("faults", []) if isinstance(data, dict) else None
+        if not isinstance(faults, list) or not all(
+                isinstance(raw, dict) for raw in faults):
+            raise ConfigurationError(
+                "a fault plan is an object whose 'faults' is a list of objects")
         known = {f.name for f in fields(FaultSpec)}
-        specs = []
-        for raw in data.get("faults", ()):
-            extra = set(raw) - known
-            if extra:
+        for raw in faults:
+            if set(raw) - known:
                 raise ConfigurationError(
-                    f"unknown fault-plan keys {sorted(extra)}"
-                )
-            specs.append(FaultSpec(**raw))
-        return cls(specs, seed=data.get("seed"))
+                    f"unknown fault-plan keys {sorted(set(raw) - known)}")
+        return cls([FaultSpec(**raw) for raw in faults], seed=data.get("seed"))
 
     def to_file(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -442,9 +448,3 @@ class FaultPlan:
 
     def __len__(self) -> int:
         return len(self.faults)
-
-    def __repr__(self) -> str:
-        return (
-            f"FaultPlan(seed={self.seed}, faults="
-            f"{[f.label() for f in self.faults]})"
-        )

@@ -62,10 +62,6 @@ class FaultyComm:
     def size(self) -> int:
         return self._comm.size
 
-    @property
-    def timeout(self):
-        return self._comm.timeout
-
     def set_phase(self, phase: str | None) -> None:
         """Mark the current transport phase ("halo", "ckpt" or None).
 

@@ -77,9 +77,6 @@ class StepReport:
     def phase_max_us(self, phase: str) -> float:
         return max(bd.total_us(phase) for bd in self.breakdowns)
 
-    def phase_busy_us(self, phase: str) -> list[float]:
-        return [bd.busy_us(phase) for bd in self.breakdowns]
-
 
 class PerformanceSimulator:
     """Simulate the RTi pipeline for one (decomposition, system, config)."""

@@ -15,7 +15,7 @@ __getattr__, __dir__, __all__ = exports(__name__, {
     "backend": "BackendResult LocalBackend SimulatedBackend",
     "breaker": "CircuitBreaker",
     "cache": "CacheEntry SingleFlightCache",
-    "clock": "VirtualClock WallClock",
+    "clock": "VirtualClock",
     "queue": "BoundedDeadlineQueue",
     "request": "CLASS_RANK CLASS_SHED_ACTIONS FULL_FIDELITY"
                " REQUEST_CLASSES Fidelity ForecastRequest"

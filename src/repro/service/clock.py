@@ -6,13 +6,10 @@ the system (execution cost, queue wait, latency) is priced through the
 same hardware model the rest of the stack uses.  Driving it from a
 virtual clock makes the whole service deterministic — the soak harness
 replays a seeded Poisson burst bit-for-bit, and tests assert on exact
-queue states at exact times.  A wall-clock-backed implementation
-satisfies the same two-method protocol for live deployments.
+queue states at exact times.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.errors import ServiceError
 
@@ -35,18 +32,3 @@ class VirtualClock:
 
     def advance(self, dt: float) -> None:
         self.advance_to(self._now + dt)
-
-
-class WallClock:
-    """Real time, for a live service. ``advance_to`` sleeps."""
-
-    def __init__(self) -> None:
-        self._t0 = time.monotonic()
-
-    def now(self) -> float:
-        return time.monotonic() - self._t0
-
-    def advance_to(self, t: float) -> None:
-        delay = t - self.now()
-        if delay > 0:
-            time.sleep(delay)

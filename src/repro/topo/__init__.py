@@ -15,7 +15,7 @@ this package provides
 from repro.lazy import exports
 
 __getattr__, __dir__, __all__ = exports(__name__, {
-    "bathymetry": "ShelfBathymetry GaussianIslandField",
+    "bathymetry": "ShelfBathymetry",
     "blockgen": "split_cells_into_blocks factor_near_aspect",
     "kochi": "KOCHI_TABLE1 build_kochi_grid build_mini_kochi kochi_table",
     "autonest": "AutoNestConfig build_auto_nest",

@@ -80,43 +80,3 @@ class ShelfBathymetry:
         xs = x0 + (np.arange(nx) + 0.5) * dx
         ys = y0 + (np.arange(ny) + 0.5) * dx
         return self.depth(xs[None, :], ys[:, None])
-
-
-@dataclass(frozen=True)
-class GaussianIslandField:
-    """Additive perturbation field: seeded Gaussian seamounts/islands.
-
-    Compose with :class:`ShelfBathymetry` to create irregular topography
-    (islands emerge where a bump's height exceeds the local depth).  The
-    field is deterministic in ``seed``.
-    """
-
-    n_islands: int = 5
-    height: float = 3000.0
-    radius: float = 30_000.0
-    extent_x: float = 1_000_000.0
-    extent_y: float = 1_000_000.0
-    seed: int = 0
-
-    def centers(self) -> np.ndarray:
-        """(n, 2) island center coordinates, deterministic in the seed."""
-        rng = np.random.default_rng(self.seed)
-        cx = rng.uniform(0.0, self.extent_x, self.n_islands)
-        cy = rng.uniform(0.0, self.extent_y, self.n_islands)
-        return np.stack([cx, cy], axis=1)
-
-    def elevation(
-        self, x: np.ndarray | float, y: np.ndarray | float
-    ) -> np.ndarray:
-        """Summed bump elevation (positive up) at position(s)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape, dtype=float)
-        for cx, cy in self.centers():
-            r2 = (x - cx) ** 2 + (y - cy) ** 2
-            out += self.height * np.exp(-r2 / (2.0 * self.radius**2))
-        return out
-
-    def apply(self, base_depth: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Depth with islands subtracted (bumps reduce depth)."""
-        return np.asarray(base_depth) - self.elevation(x, y)

@@ -13,7 +13,6 @@ from repro.xchg.halo import exchange_halo, halo_cells
 from repro.xchg.packing import (
     pack_boundary_naive,
     pack_boundary_offsets,
-    unpack_boundary_naive,
     unpack_boundary_offsets,
 )
 from repro.xchg.offsets import OffsetTable, build_offset_table
@@ -23,7 +22,6 @@ __all__ = [
     "halo_cells",
     "pack_boundary_naive",
     "pack_boundary_offsets",
-    "unpack_boundary_naive",
     "unpack_boundary_offsets",
     "OffsetTable",
     "build_offset_table",

@@ -47,9 +47,6 @@ class OffsetTable:
     total: int
     rows: tuple
 
-    def offset_of(self, index: int) -> int:
-        return self.offsets[index]
-
 
 def _tile_counts(regions: list[IrregularRegion], ratio: int) -> list[int]:
     counts = []
@@ -126,22 +123,3 @@ def pack_irregular_offsets(
             out=buf[at].reshape(tiles[0], tiles[2]), casting="unsafe",
         )
     return buf
-
-
-def unpack_irregular_offsets(
-    buf: np.ndarray,
-    field: np.ndarray,
-    regions: list[IrregularRegion],
-    table: OffsetTable | None = None,
-    ratio: int = 1,
-) -> None:
-    """Scatter a packed buffer back into *field* (receiver-side JNZ_RCVWAIT).
-
-    With ``ratio=1`` each buffer element maps to one cell (the parent-side
-    receive of already-averaged values).
-    """
-    if table is None:
-        table = build_offset_table(regions, ratio)
-    for cells, tiles, at in table.rows:
-        vals = buf[at].reshape(tiles[0], tiles[2])
-        field[cells] = vals.repeat(ratio, 0).repeat(ratio, 1)

@@ -70,25 +70,6 @@ def pack_boundary_offsets(
     return buf
 
 
-def unpack_boundary_naive(
-    buf: np.ndarray, arrays: list[np.ndarray], region: Region
-) -> None:
-    """Inverse of :func:`pack_boundary_naive` (in place)."""
-    count = _region_count(arrays[0], region)
-    if buf.size != len(arrays) * count:
-        raise CommunicationError(
-            f"buffer size {buf.size} != {len(arrays)} * {count}"
-        )
-    icnt = 0
-    rows = range(*region[0].indices(arrays[0].shape[0]))
-    cols = range(*region[1].indices(arrays[0].shape[1]))
-    for j in rows:
-        for i in cols:
-            for k, arr in enumerate(arrays):
-                arr[j, i] = buf[icnt + k * count]
-            icnt += 1
-
-
 def unpack_boundary_offsets(
     buf: np.ndarray, arrays: list[np.ndarray], region: Region
 ) -> None:

@@ -97,29 +97,3 @@ class TestParentFootprint:
             make(gi0=1).parent_footprint(3)
         with pytest.raises(GridError):
             make(nx=10).parent_footprint(3)
-
-
-class TestSplitRows:
-    def test_even_split(self):
-        parts = make(ny=6).split_rows(2)
-        assert [p.ny for p in parts] == [3, 3]
-        assert parts[0].gj0 == 0 and parts[1].gj0 == 3
-
-    def test_remainder_goes_to_early_parts(self):
-        parts = make(ny=7, nx=3).split_rows(3)
-        assert [p.ny for p in parts] == [3, 2, 2]
-        assert sum(p.n_cells for p in parts) == 21
-
-    def test_strips_cover_block_exactly(self):
-        b = make(gj0=12, ny=10, nx=6)
-        parts = b.split_rows(4)
-        cursor = b.gj0
-        for p in parts:
-            assert p.gj0 == cursor
-            assert p.gi0 == b.gi0 and p.nx == b.nx
-            cursor = p.gj1
-        assert cursor == b.gj1
-
-    def test_too_many_parts_raises(self):
-        with pytest.raises(GridError):
-            make(ny=3).split_rows(4)

@@ -166,3 +166,37 @@ class TestIgnoredFlags:
         (line,) = capsys.readouterr().out.splitlines()
         assert line.startswith("error: ") and flag in line
         assert not rundir.exists()
+
+
+class TestFaultPlanInputs:
+    """A fault plan that cannot be read or built, or a ``--fault-count``
+    no plan uses, is refused like an ignored flag: exit 2, one line that
+    names the flag, nothing run or written."""
+
+    BOGUS = '{"faults": [{"kind": "bogus"}]}'
+
+    @pytest.mark.parametrize("argv, plan, flag", [
+        (["--faults", "{tmp}/missing.json"], None, "--faults"),
+        (["--faults", "{plan}"], "not json", "--faults"),
+        (["--faults", "{plan}"], BOGUS, "--faults"),
+        (["--ranks", "2", "--faults", "{plan}"], BOGUS, "--faults"),
+        (["--faults", "{plan}"], '{"faults": [{"kind": "nan", "step": "x"}]}',
+         "--faults"),
+        (["--faults", "{plan}"], '{"faults": [{"kind": "nan", "step": 1, '
+         '"delay_s": "slow"}]}', "--faults"),
+        (["--faults", "{plan}"], '[{"kind": "nan", "step": 1}]', "--faults"),
+        (["--fault-count", "5"], None, "--fault-count"),
+        (["--fault-seed", "1", "--fault-count", "-2"], None, "--fault-count"),
+        (["--fault-seed", "1", "--fault-count", "0"], None, "--fault-count"),
+    ])
+    def test_refused_in_one_line(self, argv, plan, flag, tmp_path, capsys):
+        rundir, path = tmp_path / "run", tmp_path / "plan.json"
+        if plan is not None:
+            path.write_text(plan)
+        argv = [a.replace("{tmp}", str(tmp_path)).replace("{plan}", str(path))
+                for a in argv]
+        assert main(["forecast", "--minutes", "0.05", "--rundir", str(rundir),
+                     *argv]) == 2
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("error: ") and flag in line
+        assert not rundir.exists()

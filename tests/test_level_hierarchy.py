@@ -108,8 +108,6 @@ class TestNestedGrid:
         child = g.block(1)
         parents = g.parent_blocks_of(child)
         assert [p.block_id for p in parents] == [0]
-        children = g.child_blocks_of(g.block(0))
-        assert [c.block_id for c in children] == [1]
 
     def test_level_one_has_no_parents(self):
         g = two_level_grid()

@@ -250,11 +250,18 @@ def test_a_forked_child_and_its_team_helper_use_the_nest_loaded_before_the_fork(
     monkeypatch.setattr(scratch, "STRIP_ELEMENTS", 300)  # many strips: a team
     z, m, n, hz = random_state(40, 30, seed=4)
     want = nlmnt2(z, m, n, hz, DT, DX, MANNING, np.empty_like(m), np.empty_like(n))
-    calls = []
+    calls, waited, entered = [], [], threading.Event()
 
     def wrap(name, fn):
         def counted(*args):
-            calls.append(threading.current_thread().name)
+            me = threading.current_thread().name
+            calls.append(me)
+            if me.startswith("strip-team-"):
+                entered.set()
+            elif scratch._BUSY.locked() and not waited:
+                # The caller's first strip of a team walk waits (bounded) for
+                # a helper to enter one: else the caller may walk them all.
+                waited.append(entered.wait(timeout=30))
             return fn(*args)
 
         return counted

@@ -1,9 +1,9 @@
 """Tests for the ``repro.obs`` telemetry layer.
 
 Covers the tracer (nesting, rank context, the disabled no-op fast path
-and its <5 % overhead guard), the metrics registry (Prometheus text
-round-trip, histogram semantics), the Chrome trace exporter (schema
-validity for live spans and simulated kernel timelines), the shared
+and its <5 % overhead guard), the metrics registry (histogram semantics,
+the ``metrics.json`` snapshot), the Chrome trace exporter (schema
+validity for live spans), the shared
 journal/trace timebase (satellite bugfix: timestamps never run
 backwards, including across a resume), the inspect summarizer, and the
 CLI flags that arm the layer.
@@ -17,31 +17,20 @@ import time
 import pytest
 
 import repro.obs as obs
-from repro.hw.kernelcost import KernelInvocation
-from repro.hw.nvml import utilization_from_events
-from repro.hw.streams import KernelEvent, LaunchMode, StreamSimulator
+from repro.hw.streams import KernelEvent
 from repro.obs import log as obslog
 from repro.obs import trace as obstrace
-from repro.obs.export import (
-    chrome_trace,
-    kernel_events_to_chrome,
-    queue_occupancy,
-    validate_chrome_trace,
-)
+from repro.obs.export import chrome_trace, queue_occupancy
 from repro.obs.inspect import (
     breakdowns_from_spans,
     eta_summary,
     imbalance_ratio,
     top_spans,
 )
-from repro.obs.metrics import (
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    parse_prometheus,
-)
+from repro.obs.metrics import Histogram, MetricsRegistry, get_registry
 from repro.obs.timebase import TIMEBASE, timestamp_pair
 from repro.runtime.breakdown import BREAKDOWN_PHASES
+from tests.oracles import utilization_from_events, validate_chrome_trace
 
 #: ``loopnest.provenance()["routines"]`` entries that are kernels.
 KERNEL_ROUTINES = ("nlmass", "nlmnt2", "output")
@@ -297,104 +286,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             reg.gauge("a")  # already a counter
 
-    def test_histogram_buckets_are_cumulative(self):
-        h = Histogram("h", buckets=(0.01, 0.1, 1.0))
-        for v in (0.005, 0.05, 0.5, 5.0):
-            h.observe(v)
-        assert h.cumulative_counts() == [1, 2, 3, 4]
-        assert h.count == 4
-        assert h.sum == pytest.approx(5.555)
-        assert h.quantile(0.5) == 0.1
-
-    def test_prometheus_round_trip(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_halo_bytes_total", "halo bytes").inc(1024)
-        reg.gauge("repro_steps_per_second").set(42.5)
-        reg.gauge(
-            "repro_queue_occupancy", labels={"queue": "0"}
-        ).set(0.75)
-        h = reg.histogram(
-            "repro_step_seconds", buckets=(0.01, 0.1)
-        )
-        h.observe(0.05)
-        h.observe(0.5)
-        samples = parse_prometheus(reg.to_prometheus())
-        assert samples["repro_halo_bytes_total"] == 1024
-        assert samples["repro_steps_per_second"] == 42.5
-        assert samples['repro_queue_occupancy{queue="0"}'] == 0.75
-        assert samples['repro_step_seconds_bucket{le="0.01"}'] == 0
-        assert samples['repro_step_seconds_bucket{le="0.1"}'] == 1
-        assert samples['repro_step_seconds_bucket{le="+Inf"}'] == 2
-        assert samples["repro_step_seconds_sum"] == pytest.approx(0.55)
-        assert samples["repro_step_seconds_count"] == 2
-        # Derived quantile gauges (bucket upper bounds) round-trip too:
-        # one of two observations fell in the 0.1 bucket, the other past
-        # the last finite bound.
-        assert samples["repro_step_seconds_p50"] == 0.1
-        assert samples["repro_step_seconds_p95"] == math.inf
-        assert samples["repro_step_seconds_p99"] == math.inf
-
-    def test_prometheus_quantiles_skip_empty_histograms(self):
-        reg = MetricsRegistry()
-        reg.histogram("repro_empty_seconds", buckets=(0.1, 1.0))
-        text = reg.to_prometheus()
-        assert "repro_empty_seconds_count" in text
-        assert "repro_empty_seconds_p50" not in text
-
-    def test_empty_histogram_prometheus_text_exact(self):
-        # Regression: an empty histogram must export zero buckets/sum/
-        # count and no derived quantile gauges — and never the token
-        # `nan`, which scrapers reject.
-        reg = MetricsRegistry()
-        reg.histogram("repro_empty_seconds", "t", buckets=(0.1, 1.0))
-        assert reg.to_prometheus() == (
-            "# HELP repro_empty_seconds t\n"
-            "# TYPE repro_empty_seconds histogram\n"
-            'repro_empty_seconds_bucket{le="0.1"} 0\n'
-            'repro_empty_seconds_bucket{le="1"} 0\n'
-            'repro_empty_seconds_bucket{le="+Inf"} 0\n'
-            "repro_empty_seconds_sum 0\n"
-            "repro_empty_seconds_count 0\n"
-        )
-
-    def test_empty_histogram_quantile_is_zero_not_nan(self):
-        h = Histogram("h", buckets=(0.1, 1.0))
-        for q in (0.0, 0.5, 0.99, 1.0):
-            v = h.quantile(q)
-            assert v == 0.0 and not math.isnan(v)
-
-    def test_parse_rejects_malformed_lines(self):
-        with pytest.raises(ValueError):
-            parse_prometheus("this is not a sample\n")
-
-    def test_exemplar_prometheus_text_exact(self):
-        # One observation with a trace_id: its bucket line (and only its
-        # bucket line) carries an OpenMetrics exemplar suffix.
-        reg = MetricsRegistry()
-        h = reg.histogram("repro_lat_seconds", "t", buckets=(0.1, 1.0))
-        h.observe(0.05, trace_id="req-3")
-        h.observe(0.5)  # no trace_id -> no exemplar on the 1.0 bucket
-        text = reg.to_prometheus()
-        assert ('repro_lat_seconds_bucket{le="0.1"} 1 '
-                '# {trace_id="req-3"} 0.05') in text
-        assert 'repro_lat_seconds_bucket{le="1"} 2\n' in text
-
-    def test_parse_prometheus_collects_exemplars(self):
-        reg = MetricsRegistry()
-        h = reg.histogram(
-            "repro_lat_seconds", labels={"class": "critical"},
-            buckets=(0.1, 1.0),
-        )
-        h.observe(0.05, trace_id="req-1")
-        h.observe(12.0, trace_id="req-2")
-        exemplars: dict = {}
-        samples = parse_prometheus(reg.to_prometheus(), exemplars)
-        key = 'repro_lat_seconds_bucket{class="critical",le="0.1"}'
-        assert samples[key] == 1
-        assert exemplars[key] == {"trace_id": "req-1", "value": 0.05}
-        inf_key = 'repro_lat_seconds_bucket{class="critical",le="+Inf"}'
-        assert exemplars[inf_key] == {"trace_id": "req-2", "value": 12.0}
-
     def test_exemplar_keeps_most_recent_per_bucket(self):
         h = Histogram("h", buckets=(1.0,))
         h.observe(0.2, trace_id="old")
@@ -410,10 +301,10 @@ class TestMetrics:
         assert h.count == 1 and h.sum == pytest.approx(0.5)
         assert h.bad_observations == 2
         # The poison never lands in a bucket or exemplar slot...
-        assert h.cumulative_counts() == [1, 1]
+        assert h.counts == [1, 0]
         assert h.exemplars == [None, None]
-        # ...but is loudly metered in both export formats.
-        samples = parse_prometheus(reg.to_prometheus())
+        # ...but is loudly metered in both read-outs.
+        samples = reg.sample()
         assert samples["repro_metrics_bad_observations_total"] == 2
         assert reg.to_dict()["counters"][
             "repro_metrics_bad_observations_total"] == 2
@@ -421,7 +312,8 @@ class TestMetrics:
     def test_clean_registry_omits_bad_observation_counter(self):
         reg = MetricsRegistry()
         reg.histogram("repro_lat_seconds", buckets=(1.0,)).observe(0.5)
-        assert "bad_observations" not in reg.to_prometheus()
+        assert "repro_metrics_bad_observations_total" not in (
+            reg.to_dict()["counters"])
 
     def test_metrics_json_snapshot(self, tmp_path):
         reg = MetricsRegistry()
@@ -470,21 +362,6 @@ class TestChromeExport:
             ev for ev in doc["traceEvents"] if ev["name"] == "clock_sync"
         ]
         assert sync and sync[0]["args"]["wall_epoch_s"] == TIMEBASE.wall0
-
-    def test_kernel_events_render_one_track_per_queue(self):
-        from repro.hw import get_system
-
-        sim = StreamSimulator(
-            get_system("squid-gpu").platform, n_queues=2,
-            mode=LaunchMode.ASYNC,
-        )
-        for i in range(4):
-            sim.submit(KernelInvocation("NLMASS", 10_000, f"k{i}"))
-        res = sim.run()
-        events = kernel_events_to_chrome(res.events)
-        assert validate_chrome_trace({"traceEvents": events}) == []
-        tids = {ev["tid"] for ev in events if ev["ph"] == "X"}
-        assert tids == {ev.queue for ev in res.events}
 
     def test_validator_flags_broken_events(self):
         doc = {

@@ -2,9 +2,7 @@
 
 Covers what the observatory adds on top of the telemetry layer:
 
-* **critical-path analytics** over recorded spans and simulated
-  :class:`~repro.hw.streams.KernelEvent` timelines (launch-bound versus
-  dependency idle, longest kernel chain);
+* **critical-path analytics** over recorded spans;
 * **online calibration**: fitting the Fig.-5 linear model from live
   kernel spans, drift against the stored reference model, and the
   ``repro retune --from-rundir`` re-tuning acceptance criterion.
@@ -22,14 +20,7 @@ from repro.balance.calibrate import (
 )
 from repro.balance.perfmodel import LinearPerfModel
 from repro.errors import CalibrationError, ObservatoryError
-from repro.hw.streams import KernelEvent
-from repro.obs.critpath import (
-    analyze_queues,
-    analyze_spans,
-    kernel_critical_chain,
-    launch_latency_us,
-    saturation_summary,
-)
+from repro.obs.critpath import analyze_spans
 from repro.obs.metrics import get_registry
 
 
@@ -79,74 +70,6 @@ class TestSpanCriticalPath:
     def test_no_phase_spans_returns_none(self):
         assert analyze_spans([]) is None
         assert analyze_spans([_span("halo.pack", 0, 5.0)]) is None
-
-
-def _ev(queue, enqueue, start, end, label="k"):
-    return KernelEvent(
-        label=label, routine="NLMNT2", queue=queue,
-        enqueue_us=enqueue, start_us=start, end_us=end, bytes_moved=0.0,
-    )
-
-
-class TestQueueAnalytics:
-    def test_launch_gap_versus_dependency_gap(self):
-        events = [
-            _ev(0, 0.0, 0.0, 10.0),
-            _ev(0, 5.0, 10.0, 20.0),  # back-to-back: no gap
-            # Gap of 12 us; the host only enqueued at t=30, so 10 us of
-            # it is exposed launch latency, 2 us is startup phase.
-            _ev(0, 30.0, 32.0, 40.0),
-        ]
-        (q,) = analyze_queues(events, makespan_us=40.0)
-        assert q.queue == 0
-        assert q.busy_us == pytest.approx(28.0)
-        assert q.idle_us == pytest.approx(12.0)
-        assert q.n_gaps == 1
-        assert q.largest_gap_us == pytest.approx(12.0)
-        assert q.launch_gap_us == pytest.approx(10.0)
-        assert q.occupancy == pytest.approx(0.7)
-        assert launch_latency_us(events) == pytest.approx(10.0)
-
-    def test_dependency_gap_has_no_launch_share(self):
-        # Enqueued long before the queue drained: the 5 us gap is pure
-        # dependency/contention idle.
-        events = [
-            _ev(0, 0.0, 0.0, 10.0),
-            _ev(0, 1.0, 15.0, 20.0),
-        ]
-        (q,) = analyze_queues(events)
-        assert q.idle_us == pytest.approx(5.0)
-        assert q.launch_gap_us == 0.0
-
-    def test_tail_idle_counts_but_is_not_a_gap(self):
-        events = [_ev(0, 0.0, 0.0, 10.0), _ev(1, 0.0, 0.0, 40.0)]
-        reports = analyze_queues(events)
-        q0 = next(q for q in reports if q.queue == 0)
-        assert q0.idle_us == pytest.approx(30.0)
-        assert q0.n_gaps == 0
-        assert q0.occupancy == pytest.approx(0.25)
-
-    def test_kernel_critical_chain_walks_back_to_back(self):
-        chain_evs = [
-            _ev(0, 0.0, 0.0, 10.0, "a"),
-            _ev(0, 1.0, 10.0, 20.0, "b"),
-            _ev(0, 2.0, 20.0, 35.0, "c"),
-            _ev(1, 0.0, 0.0, 5.0, "other"),
-        ]
-        chain = kernel_critical_chain(chain_evs)
-        assert [e.label for e in chain] == ["a", "b", "c"]
-        assert kernel_critical_chain([]) == []
-
-    def test_saturation_summary_modes(self):
-        saturated = [_ev(0, 0.0, 0.0, 100.0)]
-        text = saturation_summary(analyze_queues(saturated))
-        assert "device saturated" in text
-        launchy = [
-            _ev(0, 0.0, 0.0, 10.0), _ev(0, 50.0, 50.0, 60.0),
-        ]
-        text = saturation_summary(analyze_queues(launchy))
-        assert "launch path exposes" in text
-        assert saturation_summary([]) == "no kernel events"
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from repro.fault import GaussianSource
 from repro.grid.block import Block
 from repro.grid.hierarchy import NestedGrid
 from repro.grid.level import GridLevel
-from repro.obs.export import physics_counter_events, validate_chrome_trace
+from repro.obs.export import physics_counter_events
 from repro.obs.inspect import inspect_physics
 from repro.obs.physics import (
     DIVERGED,
@@ -57,6 +57,7 @@ from repro.validation import (
 )
 
 from tests import executors
+from tests.oracles import validate_chrome_trace
 
 
 @pytest.fixture(autouse=True)

@@ -20,10 +20,7 @@ import repro.obs as obs
 from repro import cli
 from repro.errors import PersistError, ServiceOverloadError
 from repro.obs import trace as obstrace
-from repro.obs.export import (
-    service_events_to_chrome,
-    validate_chrome_trace,
-)
+from repro.obs.export import service_events_to_chrome
 from repro.obs.flight import (
     FLIGHT_SCHEMA,
     FlightBook,
@@ -33,7 +30,7 @@ from repro.obs.flight import (
     render_flight,
 )
 from repro.obs.inspect import inspect_request
-from repro.obs.metrics import MetricsRegistry, get_registry, parse_prometheus
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.slo import (
     DEFAULT_SLOS,
     SLO,
@@ -53,6 +50,7 @@ from repro.service import (
     SoakConfig,
     run_soak,
 )
+from tests.oracles import validate_chrome_trace
 
 
 @pytest.fixture(autouse=True)
@@ -278,7 +276,7 @@ class TestSLOEngine:
         eng.record("avail", 2.0, False)
         reg = MetricsRegistry()
         eng.export_gauges(5.0, registry=reg)
-        samples = parse_prometheus(reg.to_prometheus())
+        samples = reg.sample()
         assert samples['repro_slo_attainment{slo="avail"}'] == 0.5
         assert samples['repro_slo_target{slo="avail"}'] == 0.9
         assert samples[
@@ -334,7 +332,7 @@ class TestServiceRequestObs:
         assert len(service.events) == 4
         assert service.events.dropped > 0
         assert service.stats()["events_dropped"] == service.events.dropped
-        samples = parse_prometheus(get_registry().to_prometheus())
+        samples = get_registry().sample()
         assert samples[
             "repro_service_events_dropped_total"
         ] == service.events.dropped
@@ -384,11 +382,10 @@ class TestServiceRequestObs:
         assert by_name["availability"].good == 1
         assert by_name["latency"].good == 1
         # The latency histogram bucket exemplar links back to the trace.
-        exemplars: dict = {}
-        parse_prometheus(get_registry().to_prometheus(), exemplars)
         hits = [
-            ex for name, ex in exemplars.items()
-            if name.startswith("repro_service_latency_seconds_bucket")
+            ex for name, h in get_registry().to_dict()["histograms"].items()
+            if name.startswith("repro_service_latency_seconds")
+            for ex in h.get("exemplars", ()) if ex is not None
         ]
         assert any(
             ex["trace_id"] == ticket.request.request_id for ex in hits

@@ -26,7 +26,7 @@ from repro.errors import (
     TenantQuotaError,
 )
 from repro.obs.flight import flight_path, load_flight
-from repro.obs.metrics import get_registry, parse_prometheus
+from repro.obs.metrics import get_registry
 from repro.service import (
     FULL_FIDELITY,
     BoundedDeadlineQueue,
@@ -513,7 +513,7 @@ class TestEveryEndingSettlesOnce:
         for t in bad:
             doc = load_flight(flight_path(tmp_path, t.request.request_id))
             assert doc["outcome"] == t.outcome_detail
-        samples = parse_prometheus(get_registry().to_prometheus())
+        samples = get_registry().sample()
         assert samples["repro_service_failed_total"] == sum(
             t.status == "failed" and t.joined_to is None for t in tickets
         )

@@ -34,24 +34,6 @@ class TestStaggeredShapes:
         # Ghosts untouched.
         assert arr[0, :].sum() == 0 and arr[:, -1].sum() == 0
 
-    def test_interior_face_counts(self):
-        ny, nx = 5, 8
-        m = np.zeros(sg.flux_m_shape(ny, nx))
-        m[sg.interior_m(ny, nx)] = 1.0
-        assert m.sum() == ny * (nx + 1)
-        n = np.zeros(sg.flux_n_shape(ny, nx))
-        n[sg.interior_n(ny, nx)] = 1.0
-        assert n.sum() == (ny + 1) * nx
-
-    def test_inner_faces_exclude_edges(self):
-        ny, nx = 5, 8
-        m = np.zeros(sg.flux_m_shape(ny, nx))
-        m[sg.inner_m(ny, nx)] = 1.0
-        assert m.sum() == ny * (nx - 1)
-        n = np.zeros(sg.flux_n_shape(ny, nx))
-        n[sg.inner_n(ny, nx)] = 1.0
-        assert n.sum() == (ny - 1) * nx
-
     def test_two_ghost_layers(self):
         # The upwind advection requires two ghost layers (module docs).
         assert sg.NGHOST == 2

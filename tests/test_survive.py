@@ -29,11 +29,7 @@ from repro.par.decomposition import (
     equal_cell_assignment,
 )
 from repro.persist import RunStore
-from repro.persist.journal import (
-    EVENT_RANK_FAILURE,
-    EVENT_RECOVERY_EPOCH,
-    recovery_epochs,
-)
+from repro.persist.journal import EVENT_RANK_FAILURE, EVENT_RECOVERY_EPOCH
 from repro.core.pipeline import build_step_plan
 from repro.par.comm import run_ranks
 from repro.par.driver import _RankRuntime
@@ -317,7 +313,7 @@ class TestSurvivableRuns:
             ev["event"] == EVENT_RANK_FAILURE and ev["ranks"] == [1]
             for ev in events
         )
-        recs = recovery_epochs(events)
+        recs = [ev for ev in events if ev["event"] == EVENT_RECOVERY_EPOCH]
         assert recs and recs[0]["action"] == "shrink"
         assert recs[0]["step"] == last.start_step
 

@@ -7,7 +7,6 @@ from repro.errors import GridError
 from repro.grid.hierarchy import NestedGrid
 from repro.topo import (
     KOCHI_TABLE1,
-    GaussianIslandField,
     ShelfBathymetry,
     build_kochi_grid,
     build_mini_kochi,
@@ -54,22 +53,6 @@ class TestShelfBathymetry:
         fine = self.b.sample_cells(0.0, 200_000.0, 12, 12, 300.0)
         agg = fine.reshape(4, 3, 4, 3).mean(axis=(1, 3))
         assert np.allclose(agg, coarse, rtol=1e-3, atol=2.0)
-
-
-class TestGaussianIslandField:
-    def test_deterministic_in_seed(self):
-        a = GaussianIslandField(seed=7).centers()
-        b = GaussianIslandField(seed=7).centers()
-        assert np.array_equal(a, b)
-        c = GaussianIslandField(seed=8).centers()
-        assert not np.array_equal(a, c)
-
-    def test_apply_reduces_depth(self):
-        f = GaussianIslandField(n_islands=1, height=1000.0, seed=0)
-        cx, cy = f.centers()[0]
-        base = np.array([[2000.0]])
-        out = f.apply(base, np.array([[cx]]), np.array([[cy]]))
-        assert out[0, 0] == pytest.approx(1000.0)
 
 
 class TestBlockGen:

@@ -12,14 +12,13 @@ from repro.xchg.offsets import (
     build_offset_table,
     pack_irregular_naive,
     pack_irregular_offsets,
-    unpack_irregular_offsets,
 )
 from repro.xchg.packing import (
     pack_boundary_naive,
     pack_boundary_offsets,
-    unpack_boundary_naive,
     unpack_boundary_offsets,
 )
+from tests.oracles import unpack_boundary_naive, unpack_irregular_offsets
 
 G = NGHOST
 
