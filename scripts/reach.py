@@ -36,9 +36,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 LEDGER = ROOT / "benchmarks" / "ledger"
 
-#: Unreached on purpose, one reason each.  The entries marked "tests only"
-#: are read by tests and no product path; each is a candidate for the next
-#: deletion by census, which would edit the test named.
+#: Unreached on purpose, one reason each: an open ROADMAP item, a
+#: platform no census run is on, or a failure path no product input
+#: takes.  A function only its own tests call is deleted, not listed
+#: (tests/test_reach_allowlist.py keeps this table short).
 ALLOWED = {
     # -- kept for a named next step -------------------------------------
     "repro.validation": "analytic benchmarks and conservation checks of "
@@ -50,28 +51,19 @@ ALLOWED = {
     "repro.par.comm.Communicator.irecv": "nonblocking halo transport, "
                                          "ROADMAP item 7(a)",
     "repro.par.comm.Request": "nonblocking halo transport, ROADMAP item 7(a)",
-    # -- platforms and options no census run can take --------------------
+    # -- platforms no census run is on -----------------------------------
     "repro.resilience.health.HealthMonitor._check_numpy":
         "the health scan's NumPy body: runs where no C compiler is "
         "(CC=false; tests/test_health_nest.py)",
-    "repro.persist.products.ProductStreamer._dump_eta":
-        "eta field dumps: start_run(eta_every=), a library option no CLI "
-        "flag sets (tests/test_resume.py)",
-    "repro.persist.runner._noecho": "the library default of start_run's and "
-                                    "resume_run's echo; the CLI passes print",
-    "repro.resilience.faultplan.FaultPlan.halo_flip":
-        "halo CRC framing of run_distributed(integrity=); the CLI refuses "
-        "--integrity-every with --ranks (tests/test_integrity.py)",
-    "repro.resilience.integrity.MessageIntegrity":
-        "halo CRC framing of run_distributed(integrity=); the CLI refuses "
-        "--integrity-every with --ranks (tests/test_integrity.py)",
-    "repro.resilience.integrity.CrcFrame": "halo CRC framing, as above",
-    "repro.xchg.packing.frame_payload": "halo CRC framing, as above",
-    "repro.xchg.packing.unframe_payload": "halo CRC framing, as above",
-    "repro.xchg.packing._trailer_elems": "halo CRC framing, as above",
+    "repro.par.comm.Communicator._allgather":
+        "the collective of rank processes (their barrier and allreduce); "
+        "no census run reduces across forked ranks (tests/test_comm.py)",
+    "repro.lazy.exports.<locals>.__dir__": "dir() of a package: interactive "
+                                           "use (tests/test_import_graph.py)",
+    # -- failure paths no product input takes ----------------------------
     "repro.par.process_world._ProcessWorld.fail":
-        "a forked rank's failure paths: every faulted CLI run is on rank "
-        "threads (tests/test_comm.py kills forked ranks)",
+        "a forked rank's failure paths, ROADMAP item 7(c): every faulted "
+        "CLI run is on rank threads (tests/test_comm.py kills forked ranks)",
     "repro.par.process_world._ProcessWorld.lost": "forked-rank failure, "
                                                   "as above",
     "repro.par.process_world._ProcessWorld.timed_out": "forked-rank "
@@ -79,9 +71,6 @@ ALLOWED = {
     "repro.par.process_world._Inbox.put": "forked-rank failure, as above",
     "repro.par.comm._group_timeout": "a rank group that outlives its wall "
                                      "bound (tests/test_comm.py)",
-    "repro.par.comm.Communicator.gather": "library collective; the runtime "
-                                          "uses allreduce (tests/test_comm.py)",
-    "repro.par.comm.Communicator._allgather": "library collectives, as above",
     "repro.service.breaker.CircuitBreaker.record_failure":
         "a failing service backend; neither CLI backend fails "
         "(tests/test_service.py injects failures)",
@@ -96,61 +85,15 @@ ALLOWED = {
     "repro.errors.ValidationError.__init__":
         "preflight refusing a scenario; no CLI flag builds a refused one "
         "(tests/test_preflight.py)",
-    "repro.hw.registry.get_platform": "fits a platform with no stored "
-                                      "reference model; every Table-II "
-                                      "platform has one",
-    "repro.obs.physics.RobustScore": "gauge-anomaly score, armed when the "
-                                     "physics sampler is given a gauge "
-                                     "recorder (tests/test_physics.py)",
     "repro.persist.signals.interrupt_guard.<locals>._handler":
         "the SIGTERM handler of the interrupted run: the census's own profile "
         "callback, where no hook fires, often runs it (tests/test_resume.py)",
-    "repro.lazy.exports.<locals>.__dir__": "dir() of a package: interactive "
-                                           "use",
-    "repro.obs.trace.TraceContext.__repr__": "debug aid",
-    # -- tests only ---------------------------------------------------------
-    "repro.balance.perfmodel.rank_time_us": "tests only: test_balance.py",
-    "repro.core.gauges.Gauge.series": "tests only: test_gauges.py",
-    "repro.core.model.CompositeMonitor.__iter__": "tests only: "
-                                                  "test_physics.py",
-    "repro.core.model.CompositeMonitor.__len__": "tests only: "
-                                                 "test_physics.py",
-    "repro.core.scratch.arena_nbytes": "tests only: the allocation guards "
-                                       "of test_scratch_arena.py",
-    "repro.damage.exposure.BuildingInventory.total_buildings":
-        "tests only: test_damage.py",
-    "repro.damage.exposure.BuildingInventory.total_population":
-        "tests only: test_damage.py",
-    "repro.grid.block.Block.extent": "tests only: test_block.py",
-    "repro.obs.log.EventRing.__getitem__": "tests only: test_request_obs.py",
-    "repro.obs.log.LogConfig.set_context": "tests only: test_obs.py",
-    "repro.obs.log.set_context": "tests only: test_obs.py",
-    "repro.obs.metrics.Gauge.inc": "tests only: test_obs.py",
-    "repro.obs.slo.SLOReport.summary": "tests only: test_request_obs.py",
-    "repro.obs.trace.instant": "tests only: test_obs.py",
-    "repro.obs.trace.set_context": "tests only: test_obs.py, test_comm.py",
-    "repro.resilience.checkpoint.CheckpointRing.__len__": "tests only: "
-                                                          "test_resilience.py",
-    "repro.resilience.faultplan.FaultPlan.__len__": "tests only",
-    "repro.resilience.faultplan.FaultPlan.to_file": "tests only: "
-                                                    "test_resilience.py",
-    "repro.resilience.report.ForecastReport.complete": "tests only",
-    "repro.resilience.report.ForecastReport.degraded": "tests only",
-    "repro.resilience.inject.nonfinite_blocks": "tests only: "
-                                                "test_resilience.py",
-    "repro.runtime.breakdown.RankBreakdown.as_row": "tests only: "
-                                                    "test_runtime.py",
-    "repro.service.cache.SingleFlightCache.__len__": "tests only",
-    "repro.service.clock.VirtualClock.advance": "tests only: test_service.py",
-    "repro.service.queue.BoundedDeadlineQueue.peek": "tests only: "
-                                                     "test_service.py",
-    "repro.service.queue.BoundedDeadlineQueue.pop": "tests only: "
-                                                    "test_service.py",
-    "repro.service.service.Ticket.settled": "tests only: test_service.py",
-    "repro.service.soak.SoakReport.__getattr__": "tests only: the "
-                                                 "<kind>_verdicts read-outs",
-    "repro.xchg.halo.halo_cells": "tests only: test_xchg.py, "
-                                  "test_splitcost.py",
+    # -- a later change -------------------------------------------------
+    "repro.obs.physics.RobustScore": "gauge-anomaly score, armed when the "
+                                     "physics sampler is given a gauge "
+                                     "recorder; removing it changes "
+                                     "physics.json's gauge_anomaly column "
+                                     "(tests/test_physics.py)",
 }
 
 

@@ -2,8 +2,8 @@
 
 Every single-file artifact a run leaves behind (the guard documents,
 ``slo.json``, ``metrics.json``, ``trace.json``, ``flight/<id>.json``,
-bench documents, eta dumps, the gauge CSV) is written through
-:func:`publishing` and, when JSON, read back through
+bench documents, the distributed eta product, the gauge CSV) is written
+through :func:`publishing` and, when JSON, read back through
 :func:`load_json_artifact`: one durability rule, one rejection rule.
 A leaf (only :mod:`repro.errors` at import time) for every layer to use.
 """

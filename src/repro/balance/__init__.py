@@ -11,7 +11,6 @@ from repro.balance.perfmodel import (
     LinearPerfModel,
     fit_linear_model,
     measure_kernel_runtimes,
-    rank_time_us,
 )
 from repro.balance.hillclimb import (
     optimize_separators,
@@ -23,7 +22,6 @@ __all__ = [
     "LinearPerfModel",
     "fit_linear_model",
     "measure_kernel_runtimes",
-    "rank_time_us",
     "optimize_separators",
     "score_variance",
     "score_max",

@@ -64,27 +64,44 @@ def optimized_decomposition(
 ) -> Decomposition:
     """Decomposition with per-level separators tuned by Algorithm 1.
 
-    Falls back to the cell-equalizing split for levels whose rank count
-    exceeds their block count (those need intra-block row splits, which
-    the separator representation does not express) — in the evaluated
-    configurations (8-32 ranks on the Kochi grid) every level has enough
-    blocks.
+    Falls back to the cell-equalizing split when a level's rank count
+    exceeds its block count, or there are fewer ranks than levels (those
+    need intra-block row splits, which the separator representation does
+    not express) — in the evaluated configurations (8-32 ranks on the
+    Kochi grid) every level has enough blocks.  Whichever it is, the
+    result is kept only if its model makespan is no worse than the
+    whole-block baseline's (``equal_cell_assignment(...,
+    split_blocks=False)``); otherwise the baseline is returned.
     """
-    if total_ranks < grid.n_levels:
-        return equal_cell_assignment(grid, total_ranks)
     model = model or fit_platform_model(platform)
-    alloc = ranks_per_level(grid, total_ranks)
-    separators: dict[int, list[int]] = {}
-    for lvl, n in zip(grid.levels, alloc):
-        if n > lvl.n_blocks:
-            # Not expressible as block separators; keep the level dense.
-            return equal_cell_assignment(grid, total_ranks)
-        blocks = sorted(lvl.blocks, key=lambda b: b.block_id)
-        cells = [b.n_cells for b in blocks]
-        separators[lvl.index] = optimize_separators(
-            cells, n, model, iterations=iterations, seed=seed + lvl.index
-        )
-    return decomposition_from_separators(grid, separators)
+    base = equal_cell_assignment(grid, total_ranks, split_blocks=False)
+    alloc = (
+        ranks_per_level(grid, total_ranks)
+        if total_ranks >= grid.n_levels else None
+    )
+    if alloc is None or any(
+        n > lvl.n_blocks for lvl, n in zip(grid.levels, alloc)
+    ):
+        tuned = equal_cell_assignment(grid, total_ranks)
+    else:
+        separators = {
+            lvl.index: optimize_separators(
+                [b.n_cells for b in sorted(lvl.blocks,
+                                           key=lambda b: b.block_id)],
+                n, model, iterations=iterations, seed=seed + lvl.index,
+            )
+            for lvl, n in zip(grid.levels, alloc)
+        }
+        tuned = decomposition_from_separators(grid, separators)
+    return min((tuned, base), key=lambda d: makespan_us(d, model))
+
+
+def makespan_us(decomp: Decomposition, model: LinearPerfModel) -> float:
+    """The model's predicted time of the slowest rank [us]."""
+    return max(
+        model.rank_time_us([it.n_cells for it in rw.items])
+        for rw in decomp.ranks
+    )
 
 
 def shrink_decomposition(

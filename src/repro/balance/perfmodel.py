@@ -97,10 +97,3 @@ def fit_linear_model(
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return LinearPerfModel(float(slope), float(intercept), r2)
-
-
-def rank_time_us(
-    model: LinearPerfModel, assignment: list[list[int]]
-) -> list[float]:
-    """Predicted per-rank NLMNT2 times for a block-cells assignment."""
-    return [model.rank_time_us(cells) for cells in assignment]

@@ -202,6 +202,8 @@ def _ignored_flag(args) -> str | None:
         return "--resume needs --rundir"
     if args.fault_count is not None and (args.fault_seed is None or args.fault_count < 1):
         return "--fault-count needs --fault-seed and a count >= 1"
+    if args.faults is not None and args.fault_seed is not None:
+        return "--faults and --fault-seed each name a plan: give one"
     return None
 
 
@@ -418,7 +420,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_balance(args) -> int:
-    from repro.balance.apply import fit_platform_model, optimized_decomposition
+    from repro.balance.apply import (
+        fit_platform_model,
+        makespan_us,
+        optimized_decomposition,
+    )
     from repro.hw import get_system
     from repro.par.decomposition import equal_cell_assignment
     from repro.topo import build_kochi_grid
@@ -431,14 +437,7 @@ def _cmd_balance(args) -> int:
     base = equal_cell_assignment(grid, args.ranks, split_blocks=False)
     opt = optimized_decomposition(grid, args.ranks, system.platform,
                                   model=model)
-
-    def makespan(d):
-        return max(
-            model.rank_time_us([it.n_cells for it in rw.items])
-            for rw in d.ranks
-        )
-
-    mb, mo = makespan(base), makespan(opt)
+    mb, mo = makespan_us(base, model), makespan_us(opt, model)
     print(f"model makespan: baseline {mb:.0f} us -> optimized {mo:.0f} us "
           f"({mb / mo:.2f}x)")
     print(f"blocks/rank baseline : {base.blocks_per_rank()}")

@@ -31,9 +31,6 @@ class Gauge:
     times: list[float] = field(default_factory=list)
     eta: list[float] = field(default_factory=list)
 
-    def series(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.times), np.asarray(self.eta)
-
     @property
     def max_eta(self) -> float:
         return max(self.eta) if self.eta else float("nan")

@@ -62,12 +62,6 @@ class CompositeMonitor:
             if callable(reset):
                 reset()
 
-    def __iter__(self):
-        return iter(self.monitors)
-
-    def __len__(self) -> int:
-        return len(self.monitors)
-
 
 class RTiModel:
     """Coupled TUNAMI-N2 model on a validated nested grid.

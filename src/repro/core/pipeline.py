@@ -53,12 +53,7 @@ from repro.obs.trace import NOOP_SPAN as _NOOP_SPAN
 from repro.obs.trace import get_tracer
 from repro.obs.trace import span as _span
 from repro.xchg.halo import exchange_halo
-from repro.xchg.packing import (
-    frame_payload,
-    pack_boundary_offsets,
-    unframe_payload,
-    unpack_boundary_offsets,
-)
+from repro.xchg.packing import pack_boundary_offsets, unpack_boundary_offsets
 from repro.xchg.specs import seam_copy_specs
 
 _TRACER = get_tracer()
@@ -140,7 +135,7 @@ def make_block_state(grid, bathymetry, cfg, blk) -> BlockState:
     return BlockState(blk, dx, depth, dtype=cfg.dtype)
 
 
-def _ptp(plan, states, owner, me, comm, fields, tag_base, frame_halos) -> None:
+def _ptp(plan, states, owner, me, comm, fields, tag_base) -> None:
     """Halo exchange of the given fields over every seam.
 
     Seams and their specs are processed strictly in the global order on
@@ -164,16 +159,12 @@ def _ptp(plan, states, owner, me, comm, fields, tag_base, frame_halos) -> None:
                     arr = getattr(states[spec.src_block], spec.field + "_new")
                     with _span("halo_pack", cat="comm", field=spec.field):
                         buf = pack_boundary_offsets([arr], spec.src)
-                        if frame_halos:
-                            buf = frame_payload(buf)
                     comm.send(buf, dest=owner[spec.dst_block], tag=tag)
                 else:
                     with _span("halo_recv", cat="comm", field=spec.field):
                         buf = comm.recv(source=owner[spec.src_block], tag=tag)
                     arr = getattr(states[spec.dst_block], spec.field + "_new")
                     with _span("halo_unpack", cat="comm", field=spec.field):
-                        if frame_halos:
-                            buf = unframe_payload(buf)
                         unpack_boundary_offsets(buf, [arr], spec.dst)
 
 
@@ -232,7 +223,6 @@ def run_step(
     owner: dict[int, int],
     cfg,
     comm=None,
-    frame_halos: bool = False,
     outputs=None,
     time: float = 0.0,
 ) -> None:
@@ -240,10 +230,9 @@ def run_step(
 
     *states* holds the blocks this caller owns and *owner* maps every
     block of the grid to its rank; *comm* (``None`` when one caller owns
-    everything) carries what crosses ranks, CRC-framed with
-    *frame_halos*.  *outputs*, when given, maps each owned block to the
-    :class:`~repro.core.outputs.OutputAccumulator` updated at *time*,
-    the model time this step reaches.
+    everything) carries what crosses ranks.  *outputs*, when given, maps
+    each owned block to the :class:`~repro.core.outputs.OutputAccumulator`
+    updated at *time*, the model time this step reaches.
 
     Every phase opens a :func:`repro.obs.trace.span` named after the
     paper's routine (the ``BREAKDOWN_PHASES`` vocabulary), so a traced
@@ -282,7 +271,7 @@ def run_step(
     with _span("PTP_Z", cat="comm"):
         for st in states.values():
             fill_ghosts_zero_gradient(st.z_new, _ALL_SIDES)
-        _ptp(plan, states, owner, me, comm, ("z",), _TAG_PTP_Z, frame_halos)
+        _ptp(plan, states, owner, me, comm, ("z",), _TAG_PTP_Z)
 
     with _span("NLMNT2"):
         for st in states.values():
@@ -320,10 +309,7 @@ def run_step(
         for st in states.values():
             fill_ghosts_zero_gradient(st.m_new, _ALL_SIDES)
             fill_ghosts_zero_gradient(st.n_new, _ALL_SIDES)
-        _ptp(
-            plan, states, owner, me, comm, ("m", "n"), _TAG_PTP_MN,
-            frame_halos,
-        )
+        _ptp(plan, states, owner, me, comm, ("m", "n"), _TAG_PTP_MN)
 
     with _span("OUTPUT"):
         for bid, st in states.items():

@@ -56,11 +56,6 @@ class _Arena(threading.local):
 _ARENA = _Arena()
 
 
-def arena_nbytes() -> int:
-    """Size of the calling thread's arena (grows, never shrinks)."""
-    return _ARENA.buf.nbytes
-
-
 def strips(start: int, stop: int, width: int) -> list[tuple[int, int, slice]]:
     """Fewest ``(lo, hi, whole)`` row ranges over ``start..stop`` within the cap,
     all of ``ceil(rows / n)`` rows but the last: never a strip and a sliver.

@@ -34,14 +34,6 @@ class BuildingInventory:
         if self.people_per_building <= 0:
             raise ConfigurationError("people_per_building must be positive")
 
-    @property
-    def total_buildings(self) -> float:
-        return float(sum(arr.sum() for arr in self.counts.values()))
-
-    @property
-    def total_population(self) -> float:
-        return self.total_buildings * self.people_per_building
-
 
 def synthetic_inventory(
     block: Block,

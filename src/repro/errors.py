@@ -136,7 +136,7 @@ class IntegrityError(NumericalError):
     """Silent data corruption was detected by an integrity check.
 
     Raised by the ABFT layer (:mod:`repro.resilience.integrity`) when a
-    block checksum, message CRC, or checkpoint digest fails to verify:
+    block checksum or a checkpoint digest fails to verify:
     the state is *bitwise* wrong even though every value may still be
     finite and physically plausible — the corruption class the health
     monitor and divergence sentinel cannot see.  Subclasses
@@ -146,8 +146,8 @@ class IntegrityError(NumericalError):
     Attributes
     ----------
     surface:
-        Where the corruption was caught: ``"state"``, ``"halo"`` or
-        ``"checkpoint"``.
+        Where the corruption was caught (``"state"``: the published
+        state, checked through the leap-frog window).
     blocks:
         Block ids implicated by the failing checksums (the quarantine
         blast radius), when known.

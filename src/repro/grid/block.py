@@ -68,10 +68,6 @@ class Block:
         """One past the last cell index along y."""
         return self.gj0 + self.ny
 
-    def extent(self, dx: float) -> tuple[float, float, float, float]:
-        """Physical bounding box ``(x0, y0, x1, y1)`` for cell size *dx*."""
-        return (self.gi0 * dx, self.gj0 * dx, self.gi1 * dx, self.gj1 * dx)
-
     def contains_cell(self, gi: int, gj: int) -> bool:
         """Whether global cell ``(gi, gj)`` of this level lies in the block."""
         return self.gi0 <= gi < self.gi1 and self.gj0 <= gj < self.gj1

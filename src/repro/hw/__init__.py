@@ -23,7 +23,7 @@ from repro.lazy import exports
 
 __getattr__, __dir__, __all__ = exports(__name__, {
     "platform": "PlatformSpec NodeSpec SystemSpec",
-    "registry": "PLATFORMS SYSTEMS get_platform get_system",
+    "registry": "PLATFORMS SYSTEMS get_system",
     "kernelcost": "KernelInvocation ROUTINE_BYTES_PER_CELL",
     "streams": "StreamSimulator KernelEvent LaunchMode",
     "cache": "CacheModel",

@@ -190,11 +190,17 @@ SYSTEMS: dict[str, SystemSpec] = {
 
 #: Stored linear NLMNT2 cost models per platform key, as
 #: ``(slope_us_per_cell, intercept_us, r2)``.  The A100 entry is the
-#: paper's published Fig.-5 fit; other platforms are fitted on demand
-#: from the calibrated hardware model (the Fig.-5 procedure) and cached
-#: here.  ``repro retune`` reports live-trace drift against these.
+#: paper's published Fig.-5 fit; the others are
+#: :func:`repro.balance.apply.fit_platform_model` on the calibrated
+#: hardware model (the Fig.-5 procedure; ``tests/test_observatory.py``
+#: refits them).  ``repro retune`` reports live-trace drift against these.
 REFERENCE_MODELS: dict[str, tuple[float, float, float]] = {
     "a100-sxm4": (1.09e-4, 46.2, 0.942),
+    "h100-pcie": (0.0004499531888016348, 36.60527473322083,
+                  0.9998862093365234),
+    "ve-type30a": (0.00021176470588235298, 3.0000000000000404, 1.0),
+    "xeon-8368": (0.0006158873805932631, 3.0000000000002776, 1.0),
+    "xeon-8468": (0.0007980456026058632, 3.000000000000232, 1.0),
 }
 
 
@@ -207,33 +213,18 @@ def platform_key_of(platform: PlatformSpec) -> str | None:
 
 
 def reference_model_for(key: str):
-    """The stored :class:`~repro.balance.perfmodel.LinearPerfModel`.
-
-    Lazily fits and caches platforms without a published model so every
-    platform has a drift anchor.  (Imports are deferred: ``repro.hw``
-    must stay importable without ``repro.balance``.)
+    """The stored :class:`~repro.balance.perfmodel.LinearPerfModel` of
+    platform *key*, every platform's drift anchor.  (The import is
+    deferred: ``repro.hw`` must stay importable without
+    ``repro.balance``.)
     """
     from repro.balance.perfmodel import LinearPerfModel
 
-    params = REFERENCE_MODELS.get(key)
-    if params is None:
-        from repro.balance.apply import fit_platform_model
-
-        model = fit_platform_model(get_platform(key))
-        REFERENCE_MODELS[key] = (
-            model.slope_us_per_cell, model.intercept_us, model.r2
-        )
-        return model
-    return LinearPerfModel(*params)
-
-
-def get_platform(key: str) -> PlatformSpec:
-    try:
-        return PLATFORMS[key]
-    except KeyError:
+    if key not in REFERENCE_MODELS:
         raise PlatformError(
             f"unknown platform {key!r}; have {sorted(PLATFORMS)}"
-        ) from None
+        )
+    return LinearPerfModel(*REFERENCE_MODELS[key])
 
 
 def get_system(key: str) -> SystemSpec:

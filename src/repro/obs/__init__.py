@@ -49,8 +49,6 @@ from repro.obs.trace import (
     Tracer,
     context,
     get_tracer,
-    instant,
-    set_context,
     span,
 )
 
@@ -102,12 +100,10 @@ __all__ = [
     "get_logger",
     "get_registry",
     "get_tracer",
-    "instant",
     "log",
     "metrics",
     "physics",
     "reset",
-    "set_context",
     "slo",
     "span",
     "timestamp_pair",

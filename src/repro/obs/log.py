@@ -1,12 +1,11 @@
-"""Structured logging: JSONL events with rank/step/sim-time context.
+"""Structured logging: JSONL events on the shared timeline.
 
 Replaces ad-hoc ``print`` diagnostics in the library with one event
 stream.  Each record is a single JSON object (or a terse human line when
 JSON mode is off) carrying the shared timestamp pair from
-:mod:`repro.obs.timebase` plus whatever run context the caller bound
-(``rank``, ``step``, ``sim_time_s``) — the same fields journal events
-carry, so log lines, journal events, and trace spans all merge on one
-timeline.
+:mod:`repro.obs.timebase` plus the caller's fields (``rank``, ``step``,
+``sim_time_s``, ...) — the same fields journal events carry, so log
+lines, journal events, and trace spans all merge on one timeline.
 
 The default sink is ``stderr`` so structured diagnostics never corrupt
 a command's stdout deliverable (products, tables).  Configure once from
@@ -48,21 +47,6 @@ class LogConfig:
         self.threshold = LEVELS["warning"]
         self.json_mode = False
         self.stream = None  # None = sys.stderr at emit time
-        self._lock = threading.Lock()
-        self._context: dict = {}
-
-    def set_context(self, **fields) -> None:
-        """Bind fields (rank, run id…) to every subsequent record."""
-        with self._lock:
-            for k, v in fields.items():
-                if v is None:
-                    self._context.pop(k, None)
-                else:
-                    self._context[k] = v
-
-    def context(self) -> dict:
-        with self._lock:
-            return dict(self._context)
 
 
 _CONFIG = LogConfig()
@@ -83,11 +67,6 @@ def configure(
     _CONFIG.stream = stream
 
 
-def set_context(**fields) -> None:
-    """Bind run context (e.g. ``rank=3``) to all future records."""
-    _CONFIG.set_context(**fields)
-
-
 class Logger:
     """Named logger emitting structured events."""
 
@@ -106,7 +85,6 @@ class Logger:
             "level": _LEVEL_NAMES[level],
             "logger": self.name,
             "event": event,
-            **_CONFIG.context(),
             **fields,
         }
         stream = _CONFIG.stream or sys.stderr
@@ -226,11 +204,6 @@ class EventRing:
 
     def __iter__(self):
         return iter(self._events)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self._events)[index]
-        return self._events[index]
 
 
 # -- a guarded run's records ------------------------------------------------

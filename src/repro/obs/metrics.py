@@ -80,9 +80,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
 
 class Histogram:
     """Fixed-bucket histogram with an ``+Inf`` tail bucket.

@@ -188,9 +188,6 @@ class SLOReport:
             "exhausted": self.exhausted,
         }
 
-    def summary(self) -> str:
-        return "\n".join(render_slo_doc(self.to_dict())[0])
-
 
 class SLOEngine:
     """Ingests good/bad events; evaluates attainment, budgets, burn.

@@ -93,10 +93,6 @@ class TraceContext:
         self.trace_id = trace_id
         self.parent_span_id = parent_span_id
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"TraceContext(trace_id={self.trace_id!r}, "
-                f"parent_span_id={self.parent_span_id!r})")
-
 
 class Span:
     """One live (then finished) traced region."""
@@ -359,10 +355,6 @@ def clear() -> None:
     _TRACER.clear()
 
 
-def set_context(rank: int | None = None, trace=_UNSET) -> None:
-    _TRACER.set_context(rank=rank, trace=trace)
-
-
 def context(ctx: TraceContext):
     """Scope *ctx* over the calling thread's root-level spans."""
     return _TRACER.context(ctx)
@@ -379,6 +371,3 @@ def span(name: str, cat: str = CAT_COMPUTE, **args):
         return _NOOP
     return Span(t, name, cat, args or None)
 
-
-def instant(name: str, cat: str = CAT_RESILIENCE, **args) -> None:
-    _TRACER.instant(name, cat, **args)

@@ -6,8 +6,8 @@ here; instead this package provides
 * :class:`Communicator` / :func:`run_ranks` — an MPI-like runtime
   (blocking/nonblocking point-to-point, barrier, allreduce) that runs the
   *real* pack -> send -> recv -> unpack pipeline over one of two
-  transports: rank threads in this process (fault injection, CRC framing,
-  rank-kill recovery) or forked rank processes exchanging packed halos
+  transports: rank threads in this process (fault injection, rank-kill
+  recovery) or forked rank processes exchanging packed halos
   through preallocated shared-memory slots (the one that is faster than
   a single rank);
 * :class:`Decomposition` and friends — the static block-to-rank mapping

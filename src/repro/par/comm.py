@@ -9,11 +9,10 @@ behind the communicator, and :func:`run_ranks` has two:
 
 * **rank threads** (:class:`_World`, the default): one thread per rank
   over in-memory mailboxes, in one address space.  This is the
-  correctness substrate — fault injection (``comm_wrap``), CRC framing
-  (``integrity``) and the ULFM-style revoke/agree recovery of
-  :mod:`repro.resilience.survive` all need that one address space — but
-  the threads share one interpreter lock, so they do not run the kernels
-  in parallel;
+  correctness substrate — fault injection (``comm_wrap``) and the
+  ULFM-style revoke/agree recovery of :mod:`repro.resilience.survive`
+  need that one address space — but the threads share one interpreter
+  lock, so they do not run the kernels in parallel;
 * **rank processes** (``slot_bytes=...``,
   :mod:`repro.par.process_world`): the caller stays rank 0 and ranks
   ``1..n-1`` are forked; packed halos move through preallocated
@@ -93,7 +92,6 @@ _REVOKED = object()
 _UNSET = object()
 
 #: Reserved tags of the collectives that run by messages.
-_TAG_GATHER = 987_654
 _TAG_ALLGATHER = 987_655
 _TAG_BROADCAST = 987_656
 
@@ -233,12 +231,6 @@ class Communicator:
     timeout:
         Default timeout [s] for blocking operations (``recv``,
         ``Request.wait``, ``barrier_sync``); ``None`` waits forever.
-    integrity:
-        Optional :class:`repro.resilience.integrity.MessageIntegrity`
-        policy shared by the whole world.  When set, every ndarray
-        payload is CRC-framed on send and verified on receive; a CRC
-        mismatch is corrected from the sender's retransmit stash (the
-        NACK path) or raises :class:`~repro.errors.IntegrityError`.
     """
 
     def __init__(
@@ -246,13 +238,11 @@ class Communicator:
         world: _World,
         rank: int,
         timeout: float | None = DEFAULT_TIMEOUT,
-        integrity=None,
     ) -> None:
         self._world = world
         self.rank = rank
         self.size = world.size
         self.timeout = timeout
-        self.integrity = integrity
         # Out-of-order receives are stashed here until matched.
         self._stash: list[tuple[int, int, Any]] = []
         # Outstanding nonblocking requests (for timeout diagnostics).
@@ -273,23 +263,11 @@ class Communicator:
         if isinstance(obj, np.ndarray):
             # Between processes the copy into the peer's slot is the copy.
             payload = obj.copy() if self._world.in_process else obj
-            if self.integrity is not None:
-                payload = self.integrity.wrap(self.rank, dest, tag, payload)
             if _TRACER.enabled:
                 _sent_bytes(obj.nbytes)
         else:
             payload = obj
         self._world.mailboxes[dest].put((self.rank, tag, payload))
-
-    def _maybe_unwrap(self, src: int, tag: int, payload: Any) -> Any:
-        """Verify and strip a CRC frame on the receive side."""
-        if self.integrity is None:
-            return payload
-        from repro.resilience.integrity import CrcFrame
-
-        if isinstance(payload, CrcFrame):
-            return self.integrity.unwrap(self.rank, src, tag, payload)
-        return payload
 
     def recv(
         self,
@@ -309,7 +287,7 @@ class Communicator:
         for idx, (src, tg, payload) in enumerate(self._stash):
             if (source in (ANY_SOURCE, src)) and tg == tag:
                 self._stash.pop(idx)
-                return self._maybe_unwrap(src, tg, payload)
+                return payload
         while True:
             try:
                 src, tg, payload = self._world.mailboxes[self.rank].get(
@@ -347,7 +325,7 @@ class Communicator:
                 woken.failed_peer = src
                 raise woken
             if (source in (ANY_SOURCE, src)) and tg == tag:
-                return self._maybe_unwrap(src, tg, payload)
+                return payload
             self._stash.append((src, tg, payload))
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
@@ -507,14 +485,6 @@ class Communicator:
         self.barrier_sync()
         return acc
 
-    def gather(self, value: Any, root: int = 0) -> list | None:
-        self.send((self.rank, value), dest=root, tag=_TAG_GATHER)
-        if self.rank != root:
-            return None
-        got = [self.recv(tag=_TAG_GATHER) for _ in range(self.size)]
-        got.sort(key=lambda rv: rv[0])
-        return [v for _r, v in got]
-
 
 def run_ranks(
     n_ranks: int,
@@ -523,7 +493,6 @@ def run_ranks(
     comm_timeout: float | None = DEFAULT_TIMEOUT,
     comm_wrap: Callable[[Communicator], Any] | None = None,
     return_errors: bool = False,
-    integrity=None,
     slot_bytes: int | None = None,
 ) -> list[Any] | tuple[list[Any], list[tuple[int, BaseException]]]:
     """Execute *fn(comm)* on *n_ranks* ranks; return per-rank results.
@@ -541,11 +510,6 @@ def run_ranks(
         Optional decorator applied to each rank's communicator before it
         is handed to *fn* — the hook the resilience layer uses to splice
         fault injection into the transport.
-    integrity:
-        Optional shared :class:`repro.resilience.integrity.MessageIntegrity`
-        policy handed to every rank's communicator (CRC framing +
-        NACK/retransmit on ndarray payloads).  Rank threads only: the
-        retransmit stash and the tracker live in one address space.
     return_errors:
         When true, rank failures are *returned* instead of re-raised:
         the call yields ``(results, errors)`` where *errors* is the list
@@ -573,19 +537,12 @@ def run_ranks(
         raise CommunicationError("need at least one rank")
 
     def make_comm(world, rank):
-        comm = Communicator(
-            world, rank, timeout=comm_timeout, integrity=integrity
-        )
+        comm = Communicator(world, rank, timeout=comm_timeout)
         return comm if comm_wrap is None else comm_wrap(comm)
 
     if slot_bytes is None:
         results, errors = _run_rank_threads(n_ranks, fn, make_comm, timeout)
     else:
-        if integrity is not None:
-            raise CommunicationError(
-                "MessageIntegrity needs the rank-thread world (one address "
-                "space for its retransmit stash and tracker)"
-            )
         from repro.par.process_world import run_rank_processes
 
         results, errors = run_rank_processes(

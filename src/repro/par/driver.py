@@ -28,10 +28,10 @@ A rank is a process where it can be and a thread where it must be
 flag): rank processes over shared-memory slots sized from the plan's
 largest packed message run the kernels in parallel, which rank threads
 behind one interpreter lock do not; rank threads are the world in which
-faults can be injected, messages CRC-framed and ranks killed and
-replaced (:mod:`repro.resilience.survive` always runs on them).  The
-step body, tags, walk order and packing are the same on both, so both
-are bitwise identical to the model.  DESIGN.md section 9e.
+faults can be injected and ranks killed and replaced
+(:mod:`repro.resilience.survive` always runs on them).  The step body,
+tags, walk order and packing are the same on both, so both are bitwise
+identical to the model.  DESIGN.md section 9e.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ class _RankRuntime:
         cfg: SimulationConfig,
         plan: StepPlan,
         initial=None,
-        frame_halos: bool = False,
     ) -> None:
         # Bind the rank id to this rank's spans (its thread's, or its
         # process's main thread's) so trace tracks and the imbalance
@@ -90,10 +89,6 @@ class _RankRuntime:
         self.cfg = cfg
         self.plan = plan
         self.bathymetry = bathymetry
-        # With frame_halos, packed seam buffers carry a CRC-32 trailer
-        # verified before unpacking (the xchg-level ABFT check, on top
-        # of any transport-level MessageIntegrity policy).
-        self.frame_halos = frame_halos
         # Rank-local, mutable ownership view.  It starts as a copy of the
         # decomposition's map; the survivable runtime retargets entries
         # when it migrates blocks (straggler hedging), identically on
@@ -129,30 +124,26 @@ class _RankRuntime:
             self.states.pop(bid, None)
 
     def step(self) -> None:
-        run_step(
-            self.plan, self.states, self.owner, self.cfg, self.comm,
-            self.frame_halos,
-        )
+        run_step(self.plan, self.states, self.owner, self.cfg, self.comm)
 
     def eta(self) -> dict[int, np.ndarray]:
         """A copy of the water level (physical cells) of this rank's blocks."""
         return {bid: st.eta_interior().copy() for bid, st in self.states.items()}
 
 
-def _slot_bytes(plan: StepPlan, owner, config, integrity):
+def _slot_bytes(plan: StepPlan, owner, config):
     """Slot size [bytes] for rank processes, or ``None`` for rank threads.
 
-    Processes need more than one rank, ``fork``, a caller that is this
+    Processes need more than one rank, ``fork`` and a caller that is this
     process's only thread (a forked copy of a thread-held lock is never
-    released) and no message-integrity policy (it keeps one retransmit
-    stash and one tracker, in one address space).  The slot then holds
+    released).  The slot then holds
     the largest packed message that crosses ranks under *owner*: a seam
     region, a JNZ buffer (one value per parent cell) or a JNQ buffer (one
     per parent face along the child's open boundary — the bound; a
     parent that covers only part of it sends less).
     """
     n_ranks = len(set(owner.values()))
-    if n_ranks < 2 or not hasattr(os, "fork") or integrity is not None:
+    if n_ranks < 2 or not hasattr(os, "fork"):
         return None
     # The strip team's parked helpers are threads of ours, not somebody
     # else's: send them home before counting.  The next kernel call of two
@@ -188,7 +179,6 @@ def run_distributed(
     n_steps: int,
     timeout: float = 300.0,
     comm_timeout: float = 30.0,
-    integrity=None,
 ) -> dict[int, np.ndarray]:
     """Run the pipeline on ``decomp.n_ranks`` simulated MPI ranks.
 
@@ -199,12 +189,6 @@ def run_distributed(
     how long a rank stalls on a lost message before raising
     :class:`~repro.errors.CommTimeoutError`).
 
-    *integrity* (a :class:`repro.resilience.integrity.MessageIntegrity`)
-    arms the ABFT transport checks: packed halo buffers gain an
-    xchg-level CRC trailer and every ndarray payload is CRC-framed at
-    the transport with a NACK/retransmit correction path.  Detections
-    and corrections land in the policy's shared tracker.
-
     A run that must survive a rank's loss, be journaled or catch
     SIGTERM is :func:`repro.resilience.survive.survivable_run_distributed`.
     """
@@ -212,10 +196,7 @@ def run_distributed(
     owner = decomp.owner_map()
 
     def rank_main(comm: Communicator) -> dict[int, np.ndarray]:
-        rt = _RankRuntime(
-            comm, grid, owner, bathymetry, config, plan, source,
-            frame_halos=integrity is not None,
-        )
+        rt = _RankRuntime(comm, grid, owner, bathymetry, config, plan, source)
         for _ in range(n_steps):
             rt.step()
         return rt.eta()
@@ -233,8 +214,7 @@ def run_distributed(
                 rank_main,
                 timeout=timeout,
                 comm_timeout=comm_timeout,
-                integrity=integrity,
-                slot_bytes=_slot_bytes(plan, owner, config, integrity),
+                slot_bytes=_slot_bytes(plan, owner, config),
             )
     finally:
         disband_team()  # the next strip team has the machine to itself again

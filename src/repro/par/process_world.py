@@ -18,7 +18,7 @@ gets
 * a **pipe** carrying one small record per message — ``kind, tag,
   length`` then a body — which is also the wake-up: for a slot message
   the body is ``(slot, dtype, shape)``, for anything that is not a
-  fitting ndarray (gather tuples, an array larger than a slot, a full
+  fitting ndarray (allgather tuples, an array larger than a slot, a full
   ring, results, exceptions) it is the pickled payload itself.
 
 Every pipe end is non-blocking.  A writer that finds its pipe full takes

@@ -26,10 +26,6 @@ DEFAULT_CHECKPOINT_EVERY = 25
 _LOG = get_logger("persist")
 
 
-def _noecho(_msg: str) -> None:
-    pass
-
-
 def _drive(store: RunStore, built: BuiltScenario, start: dict, echo,
            restored=None):
     """Run *built* under the guards *start* journaled; returns the model."""
@@ -51,7 +47,6 @@ def _drive(store: RunStore, built: BuiltScenario, start: dict, echo,
         store=store,
         integrity_every=start.get("integrity_every", 0),
         scrub_every=start.get("scrub_every", 0),
-        eta_every=start.get("eta_every", 0),
         restored=restored,
     )
     echo(report.summary())
@@ -63,13 +58,12 @@ def start_run(
     spec: dict,
     *,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    eta_every: int = 0,
     deadline_s: float | None = None,
     fault_plan=None,
     integrity_every: int = 0,
     scrub_every: int = 0,
     skip_preflight: bool = False,
-    echo=_noecho,
+    echo,
 ):
     """Run a scenario with full persistence in a fresh run directory.
 
@@ -97,7 +91,6 @@ def start_run(
         scenario=built.spec,
         n_steps=built.n_steps,
         checkpoint_every=checkpoint_every,
-        eta_every=eta_every,
         grid_fingerprint=grid_fingerprint(built.grid, built.config.dtype),
         deadline_s=deadline_s,
         fault_plan=fault_plan.to_dict() if fault_plan is not None else None,
@@ -107,7 +100,7 @@ def start_run(
     return _drive(store, built, start, echo)
 
 
-def resume_run(rundir: Path, *, echo=_noecho):
+def resume_run(rundir: Path, *, echo):
     """Resume an interrupted run to a bitwise-identical final state.
 
     Raises :class:`~repro.errors.PersistError`, journaling nothing, if

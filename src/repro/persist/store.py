@@ -12,7 +12,6 @@ Layout of one run directory::
             .tmp-…                    torn publication attempts (ignored)
         products/
             gauges.csv         incrementally streamed gauge series
-            eta/               periodic coarse water-level dumps
 
 Snapshot directories are sequence-numbered so a re-checkpoint of the
 same step (after a rollback) gets a fresh name; "newest" always means

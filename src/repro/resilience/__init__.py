@@ -29,9 +29,8 @@ failure.  It provides:
   hedging (:mod:`repro.resilience.survive`);
 * :mod:`repro.resilience.integrity` — the ABFT silent-data-corruption
   defense: block checksums through the leap-frog window
-  (:class:`IntegrityMonitor`), CRC-framed halo payloads with seeded
-  NACK/retransmit (:class:`MessageIntegrity`), checkpoint digest
-  scrubbing with neighbor repair (:class:`CheckpointScrubber`), and the
+  (:class:`IntegrityMonitor`), checkpoint digest scrubbing with
+  neighbor repair (:class:`CheckpointScrubber`), and the
   shared :class:`IntegrityTracker` ledger whose
   clean/corrected/corrupted verdict rides every
   :class:`ForecastReport`.
@@ -47,10 +46,10 @@ __getattr__, __dir__, __all__ = exports(__name__, {
     "forecast": "run_resilient_forecast",
     "health": "HealthMonitor StepTimeMonitor",
     "inject": "FaultyComm RankCrashError corrupt_state flip_bit"
-              " maybe_crash_at_step nonfinite_blocks",
+              " maybe_crash_at_step",
     "integrity": "CLEAN CORRECTED CORRUPTED INTEGRITY_VERDICTS"
                  " CheckpointScrubber IntegrityMonitor IntegrityTracker"
-                 " MessageIntegrity integrity_doc load_integrity_report"
+                 " integrity_doc load_integrity_report"
                  " render_integrity_doc write_integrity_json",
     "recovery": "RecoveryEngine drop_finest_level",
     "report": "ForecastReport",

@@ -188,9 +188,6 @@ class CheckpointRing:
         self.taken = 0
         self.spilled = 0
 
-    def __len__(self) -> int:
-        return len(self._ring)
-
     @property
     def latest(self) -> Checkpoint | None:
         return self._ring[-1] if self._ring else None

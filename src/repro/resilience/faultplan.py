@@ -36,15 +36,13 @@ Fault kinds
 ``bitflip``
     One bit (index *bit*, default 1 — a low-order mantissa bit, i.e.
     quintessential *silent* corruption: the value stays finite and
-    plausible) is XORed into one of three targets selected by *target*:
+    plausible) is XORed into one of two targets selected by *target*:
     ``"state"`` flips a bit of field *field* in block *block* of the
-    published state before step *step* runs; ``"halo"`` flips a bit of
-    rank *rank*'s *op*-th transported message payload (in flight — the
-    sender's stash copy stays clean, so the CRC/NACK/retransmit path can
-    correct it); ``"checkpoint"`` flips a bit of the newest in-memory
-    checkpoint's stored buffers after the step-*step* checkpoint is
-    taken.  Only the ABFT layer (:mod:`repro.resilience.integrity`) can
-    see these — the health monitor and divergence sentinel cannot.
+    published state before step *step* runs; ``"checkpoint"`` flips a bit
+    of the newest in-memory checkpoint's stored buffers after the
+    step-*step* checkpoint is taken.  Only the ABFT layer
+    (:mod:`repro.resilience.integrity`) can see these — the health
+    monitor and divergence sentinel cannot.
 
 File format (JSON)::
 
@@ -85,7 +83,7 @@ FAULT_KINDS = (
 COMM_KINDS = ("rank_crash", "msg_drop", "msg_delay", "straggler")
 
 #: Injection targets for the ``bitflip`` kind.
-BITFLIP_TARGETS = ("state", "halo", "checkpoint")
+BITFLIP_TARGETS = ("state", "checkpoint")
 
 
 @dataclass(frozen=True)
@@ -136,13 +134,9 @@ class FaultSpec:
                     f"unknown bitflip target {self.target!r}; expected "
                     f"one of {BITFLIP_TARGETS}"
                 )
-            if tgt in ("state", "checkpoint") and self.step is None:
+            if self.step is None:
                 raise ConfigurationError(
                     f"bitflip target {tgt!r} needs a step"
-                )
-            if tgt == "halo" and (self.rank is None or self.op is None):
-                raise ConfigurationError(
-                    "bitflip target 'halo' needs a rank and an op"
                 )
             if self.bit < 0:
                 raise ConfigurationError("bit index must be >= 0")
@@ -171,8 +165,7 @@ class FaultSpec:
         if self.kind == "bitflip":
             tgt = self.target if self.target is not None else "state"
             parts.append(f"target={tgt}")
-            if tgt in ("state", "checkpoint"):
-                parts.append(f"{self.field}[block {self.block}]")
+            parts.append(f"{self.field}[block {self.block}]")
             parts.append(f"bit={self.bit}")
         return " ".join(parts)
 
@@ -225,28 +218,16 @@ class FaultPlan:
                     )
                 )
             elif kind == "bitflip":
-                target = rng.choice(BITFLIP_TARGETS)
-                if target == "halo":
-                    out.append(
-                        FaultSpec(
-                            kind="bitflip",
-                            target="halo",
-                            rank=rank,
-                            op=rng.randrange(0, 12),
-                            bit=rng.randrange(0, 16),
-                        )
+                out.append(
+                    FaultSpec(
+                        kind="bitflip",
+                        target=rng.choice(BITFLIP_TARGETS),
+                        step=rng.randrange(1, max(2, n_steps)),
+                        block=rng.randrange(n_blocks),
+                        field=rng.choice(("z", "m", "n")),
+                        bit=rng.randrange(0, 16),
                     )
-                else:
-                    out.append(
-                        FaultSpec(
-                            kind="bitflip",
-                            target=target,
-                            step=rng.randrange(1, max(2, n_steps)),
-                            block=rng.randrange(n_blocks),
-                            field=rng.choice(("z", "m", "n")),
-                            bit=rng.randrange(0, 16),
-                        )
-                    )
+                )
             elif kind == "straggler":
                 out.append(
                     FaultSpec(
@@ -298,10 +279,6 @@ class FaultPlan:
                 raise ConfigurationError(
                     f"unknown fault-plan keys {sorted(set(raw) - known)}")
         return cls([FaultSpec(**raw) for raw in faults], seed=data.get("seed"))
-
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
 
     @classmethod
     def from_file(cls, path) -> "FaultPlan":
@@ -389,8 +366,7 @@ class FaultPlan:
     def bitflips_at(self, step: int, target: str) -> list[FaultSpec]:
         """Unconsumed bit-flip faults for *target* scheduled at *step*.
 
-        *target* is ``"state"`` or ``"checkpoint"`` (halo flips are
-        matched per send via :meth:`halo_flip`).  Consumed on return —
+        *target* is ``"state"`` or ``"checkpoint"``.  Consumed on return —
         after a quarantine-rollback the rerun of the same step is clean,
         which is the transient-SDC model ECC scrubbing assumes.
         """
@@ -406,22 +382,6 @@ class FaultPlan:
         for i, _f in hits:
             self._mark(i, consume=True)
         return [f for _i, f in hits]
-
-    def halo_flip(self, rank: int, op: int) -> FaultSpec | None:
-        """Unconsumed halo bit-flip for *rank*'s *op*-th sent payload."""
-        with self._lock:
-            for i, f in enumerate(self.faults):
-                if (
-                    f.kind == "bitflip"
-                    and (f.target or "state") == "halo"
-                    and f.rank == rank
-                    and f.op == op
-                    and i not in self._consumed
-                ):
-                    self._triggered.add(i)
-                    self._consumed.add(i)
-                    return f
-        return None
 
     def straggler_factor(self, step: int) -> float:
         """Combined hardware slowdown active at model step *step*."""
@@ -445,6 +405,3 @@ class FaultPlan:
 
     def triggered_labels(self) -> list[str]:
         return [f.label() for f in self.triggered]
-
-    def __len__(self) -> int:
-        return len(self.faults)

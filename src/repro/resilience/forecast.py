@@ -58,7 +58,6 @@ def run_resilient_forecast(
     physics_every: int = 5,
     integrity_every: int = 0,
     scrub_every: int = 0,
-    eta_every: int = 0,
     restored=None,
 ) -> ForecastReport:
     """Run a forecast that always produces a (possibly degraded) report.
@@ -74,8 +73,8 @@ def run_resilient_forecast(
     every snapshot to disk, every record of the run is journaled
     write-ahead, SIGTERM/SIGINT capture a final snapshot and journal
     ``interrupted`` before unwinding with :class:`KeyboardInterrupt`, a
-    :class:`~repro.persist.products.ProductStreamer` (coarse water level
-    every *eta_every* steps) is the last monitor, and the run ends in one
+    :class:`~repro.persist.products.ProductStreamer` (the gauge series)
+    is the last monitor, and the run ends in one
     ``complete`` line — or, when the engine gave up, in
     :class:`~repro.errors.NumericalError`.  A resume starts from
     *restored*, a snapshot of *store* the ring then holds.
@@ -126,7 +125,7 @@ def run_resilient_forecast(
     if store is not None:
         from repro.persist.products import ProductStreamer
 
-        streamer = ProductStreamer(store, model, eta_every=eta_every)
+        streamer = ProductStreamer(store, model)
         streamer.sync_resume_point(model)
         monitors.append(streamer)
     scrubber = (

@@ -88,8 +88,8 @@ class FaultyComm:
         self._comm.send(obj, dest, tag)
 
     def __getattr__(self, name: str) -> Any:
-        # recv/isend/irecv/barrier_sync/allreduce/gather and anything
-        # else pass straight through (isend/gather call *our* send only
+        # recv/isend/irecv/barrier_sync/allreduce and anything
+        # else pass straight through (isend calls *our* send only
         # when defined on the wrapped class with self=wrapped, so sends
         # issued inside collectives are not double-counted — acceptable:
         # the op counter tracks direct transport sends).
@@ -189,15 +189,3 @@ def corrupt_checkpoint(ckpt, spec: FaultSpec) -> int | None:
     flip_bit(bufs[base + bufs[6]], spec.bit)
     return bid
 
-
-def nonfinite_blocks(states: dict) -> list[int]:
-    """Block ids whose prognostic read buffers contain NaN/Inf."""
-    bad = []
-    for bid, st in states.items():
-        if not (
-            np.isfinite(st.z_old).all()
-            and np.isfinite(st.m_old).all()
-            and np.isfinite(st.n_old).all()
-        ):
-            bad.append(bid)
-    return bad

@@ -9,7 +9,7 @@ ECC coverage; a wrong forecast delivered on time is the worst outcome it
 can produce, so corruption must be *detected*, *contained*, and either
 *corrected* or *reported* — never ignored.
 
-Four cooperating pieces, one per detection/containment point:
+Three cooperating pieces, one per detection/containment point:
 
 :class:`IntegrityMonitor`
     Rides the model's monitor hook.  On a cadence it records per-block
@@ -19,11 +19,6 @@ Four cooperating pieces, one per detection/containment point:
     published state between the two hooks (the SDC window) raises
     :class:`~repro.errors.IntegrityError` naming the corrupt blocks, and
     the recovery engine quarantines + rolls back instead of running on.
-:class:`MessageIntegrity`
-    CRC on :mod:`repro.par.comm` message payloads.  The sender stashes a
-    clean copy per channel; a receiver whose CRC check fails NACKs and
-    consumes the retransmit copy — the seeded wire-corruption path is
-    corrected in place, bitwise.
 :class:`CheckpointScrubber`
     Re-verifies the digests of in-memory ring checkpoints and
     disk-spilled snapshots on a cadence.  Corrupt ring entries are
@@ -31,8 +26,8 @@ Four cooperating pieces, one per detection/containment point:
     when one exists, else evicted; corrupt disk snapshots are
     quarantined (renamed out of the restore path).
 :class:`IntegrityTracker`
-    The shared ledger: every check, detection, correction, retransmit
-    and scrub action lands here, each non-clean one a run record with a
+    The shared ledger: every check, detection, correction and scrub
+    action lands here, each non-clean one a run record with a
     ``repro_integrity_*`` counter (the detection-latency histogram carries
     trace-id exemplars), and folds
     into the end-of-run verdict — ``clean`` / ``corrected`` /
@@ -68,12 +63,15 @@ _KIND = guards.INTEGRITY
 INTEGRITY_SCHEMA = _KIND.schema
 INTEGRITY_NAME = _KIND.artifact
 #: Verdicts, in increasing severity.  ``corrected`` means corruption was
-#: detected *and* neutralized (retransmit, scrub repair, or rollback to
+#: detected *and* neutralized (scrub repair, or rollback to
 #: a verified checkpoint); ``corrupted`` means detected but not
 #: correctable — the run's products must not be trusted silently.
 CLEAN, CORRECTED, CORRUPTED = INTEGRITY_VERDICTS = _KIND.levels
 
-#: Injection/detection surfaces.
+#: Detection surfaces of the ``integrity.json`` schema.  No check runs
+#: on halo payloads (a rank-thread message is a copy in one address
+#: space), so ``detections.halo`` reads 0; the key keeps the persisted
+#: document's shape.
 SURFACES = ("state", "halo", "checkpoint")
 
 #: Buckets for the detection-latency histogram [steps between the
@@ -116,7 +114,7 @@ class IntegrityTracker:
     """Thread-safe ledger of integrity checks, detections and outcomes.
 
     One tracker is shared by every integrity collaborator of a run (the
-    monitor, the scrubber, the message-CRC policy, the recovery engine),
+    monitor, the scrubber, the recovery engine),
     so the end-of-run verdict is a single fold over everything that
     happened.  Every non-clean event is one record emitted into the run's
     *sink* (:class:`~repro.obs.log.RunEvents`; a private one by default).
@@ -129,7 +127,6 @@ class IntegrityTracker:
         self.detections: dict[str, int] = dict.fromkeys(SURFACES, 0)
         self.corrections: dict[str, int] = {}
         self.uncorrected = 0
-        self.retransmits = 0
         self.scrub_passes = 0
         self.scrub_evictions = 0
         self.scrub_repairs = 0
@@ -183,9 +180,7 @@ class IntegrityTracker:
         """A detected corruption was neutralized by *action*."""
         with self._lock:
             self.corrections[action] = self.corrections.get(action, 0) + 1
-            if action == "retransmit":
-                self.retransmits += 1
-            elif action == "scrub_repair":
+            if action == "scrub_repair":
                 self.scrub_repairs += 1
         self.sink.emit(ServiceEvent(None, "corrected", detail=detail, fields={
             "action": action, "surface": surface, "step": step,
@@ -235,7 +230,7 @@ class IntegrityTracker:
                 "detections": dict(self.detections),
                 "corrections": dict(self.corrections),
                 "uncorrected": self.uncorrected,
-                "retransmits": self.retransmits,
+                "retransmits": 0,  # a schema field: nothing retransmits
                 "scrub_passes": self.scrub_passes,
                 "scrub_evictions": self.scrub_evictions,
                 "scrub_repairs": self.scrub_repairs,
@@ -333,113 +328,6 @@ class IntegrityMonitor:
     def reset_baseline(self) -> None:
         """Forget pending checksums after a rollback or grid change."""
         self._pending = None
-
-
-# ---------------------------------------------------------------------------
-# Message CRC + NACK/retransmit (par.comm policy object)
-# ---------------------------------------------------------------------------
-
-
-class CrcFrame:
-    """One CRC-protected transport payload (see :class:`MessageIntegrity`)."""
-
-    __slots__ = ("seq", "crc", "payload")
-
-    def __init__(self, seq: int, crc: int, payload) -> None:
-        self.seq = seq
-        self.crc = crc
-        self.payload = payload
-
-
-class MessageIntegrity:
-    """CRC framing + retransmit policy shared by one transport world.
-
-    Wired into :class:`repro.par.comm.Communicator` (one instance per
-    world, used from every rank thread — all state is lock-guarded):
-
-    * ``wrap`` runs on the sender: computes the payload CRC, stashes a
-      clean retransmit copy per ``(src, dest, tag)`` channel, consults
-      the fault plan for a scheduled wire bit-flip (applied to the
-      *transported* copy only — simulated in-flight corruption), and
-      frames the result;
-    * ``unwrap`` runs on the receiver: verifies the CRC and, on
-      mismatch, consumes the retransmit copy — the NACK path.  A
-      mismatch with no usable retransmit copy raises
-      :class:`~repro.errors.IntegrityError`.
-    """
-
-    def __init__(self, plan=None, tracker: IntegrityTracker | None = None,
-                 stash_depth: int = 4) -> None:
-        self.plan = plan
-        self.tracker = tracker if tracker is not None else IntegrityTracker()
-        self.stash_depth = stash_depth
-        self._lock = threading.Lock()
-        self._seq: dict[tuple, int] = {}
-        #: channel -> list of (seq, clean payload copy), newest last.
-        self._stash: dict[tuple, list] = {}
-        self._ops: dict[int, int] = {}
-
-    def wrap(self, src: int, dest: int, tag: int, payload) -> CrcFrame:
-        crc = payload_crc(payload)
-        channel = (src, dest, tag)
-        with self._lock:
-            seq = self._seq.get(channel, 0)
-            self._seq[channel] = seq + 1
-            stash = self._stash.setdefault(channel, [])
-            stash.append((seq, payload.copy()))
-            del stash[: -self.stash_depth]
-            op = self._ops.get(src, 0)
-            self._ops[src] = op + 1
-        wire = payload
-        if self.plan is not None:
-            spec = self.plan.halo_flip(src, op)
-            if spec is not None:
-                from repro.resilience.inject import flip_bit
-
-                wire = payload.copy()
-                flip_bit(wire, spec.bit)
-        return CrcFrame(seq, crc, wire)
-
-    def unwrap(self, rank: int, src: int, tag: int, frame: CrcFrame):
-        self.tracker.note_checks()
-        if payload_crc(frame.payload) == frame.crc:
-            return frame.payload
-        self.tracker.detection(
-            "halo",
-            detail=(
-                f"payload CRC mismatch on {src}->{rank} tag {tag} "
-                f"seq {frame.seq}"
-            ),
-        )
-        channel = (src, rank, tag)
-        with self._lock:
-            clean = next(
-                (
-                    p
-                    for s, p in self._stash.get(channel, ())
-                    if s == frame.seq
-                ),
-                None,
-            )
-        if clean is not None and payload_crc(clean) == frame.crc:
-            self.tracker.corrected(
-                "retransmit",
-                "halo",
-                detail=f"NACK {src}->{rank} tag {tag} seq {frame.seq}",
-            )
-            return clean.copy()
-        self.tracker.uncorrectable(
-            "halo",
-            detail=(
-                f"no clean retransmit copy for {src}->{rank} tag {tag} "
-                f"seq {frame.seq}"
-            ),
-        )
-        raise IntegrityError(
-            f"rank {rank}: corrupt payload from rank {src} (tag {tag}, "
-            f"seq {frame.seq}) and no clean retransmit copy",
-            surface="halo",
-        )
 
 
 # ---------------------------------------------------------------------------

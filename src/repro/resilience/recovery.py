@@ -137,8 +137,6 @@ class RecoveryEngine:
         if isinstance(monitor, (list, tuple)):
             monitor = CompositeMonitor(monitor)
         self.monitor = monitor
-        # `ring or ...` would discard an empty caller ring (len == 0 is
-        # falsy), silently breaking the report's checkpoint counters.
         self.ring = ring if ring is not None else CheckpointRing()
         self.supervisor = supervisor
         self.clock = clock
@@ -380,6 +378,10 @@ class RecoveryEngine:
                 f"evicted, {stats['disk_quarantined']} disk snapshot(s) "
                 f"quarantined",
             )
+        # Evicting the ring's last entry leaves nothing to roll back to
+        # until the next cadence: take one of the current state, which no
+        # flip has reached yet (they land after this point of the step).
+        self._snapshot_now = self.ring.latest is None
 
     # -- the loop --------------------------------------------------------
 
@@ -460,6 +462,8 @@ class RecoveryEngine:
             self._maybe_scrub(step)
             if self.aborted:
                 break
+            if self._snapshot_now:
+                continue  # the scrub emptied the ring: refill it first
             self._inject_bitflips()
             try:
                 model.step()

@@ -46,14 +46,6 @@ class ForecastReport:
     integrity: dict | None = None
 
     @property
-    def complete(self) -> bool:
-        return self.status == "complete"
-
-    @property
-    def degraded(self) -> bool:
-        return self.status == "degraded"
-
-    @property
     def degradations(self) -> list[ServiceEvent]:
         return self.events.of("degradation")
 

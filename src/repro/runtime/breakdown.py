@@ -48,14 +48,6 @@ class RankBreakdown:
     def total_us(self, phase: str) -> float:
         return self.phases[phase].total_us
 
-    def as_row(self) -> dict[str, float]:
-        """Flat dict for table/CSV output."""
-        row: dict[str, float] = {"rank": float(self.rank)}
-        for p in BREAKDOWN_PHASES:
-            row[p] = self.phases[p].total_us
-        row["step_us"] = self.step_us
-        return row
-
 
 def format_breakdown_table(breakdowns: list[RankBreakdown]) -> str:
     """ASCII rendering of Fig. 3/8-style per-rank stacked times [us]."""

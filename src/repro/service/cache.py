@@ -66,9 +66,6 @@ class SingleFlightCache:
         self.misses = 0
         self.evictions = 0
 
-    def __len__(self) -> int:
-        return len(self._done)
-
     def lookup(self, key: str) -> CacheEntry | None:
         """Done entry (LRU-refreshed) or in-flight entry or ``None``.
 

@@ -30,5 +30,3 @@ class VirtualClock:
             )
         self._now = max(self._now, float(t))
 
-    def advance(self, dt: float) -> None:
-        self.advance_to(self._now + dt)

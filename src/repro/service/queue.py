@@ -1,6 +1,6 @@
 """Bounded earliest-deadline-first admission queue.
 
-The pending-work queue of the forecast service: a binary heap ordered by
+The pending-work queue of the forecast service, ordered by
 ``(absolute deadline, class rank, arrival sequence)`` — earliest
 deadline first, ties broken toward the more important class, then FIFO.
 EDF is the right discipline for a deadline service (it is optimal for
@@ -14,14 +14,13 @@ worst class rank first, and among those the latest deadline — the
 request that was most likely to be degraded or late anyway.
 
 Entries are duck-typed: anything with ``deadline_abs`` and
-``class_rank`` attributes queues; shed entries are removed lazily from
-the heap (standard tombstone technique), so eviction is O(1) plus an
-amortized pop-time cleanup.
+``class_rank`` attributes queues.  The service reads the whole queue in
+EDF order (:meth:`BoundedDeadlineQueue.entries`) to project its schedule,
+and takes out the entry it starts or sheds (:meth:`~BoundedDeadlineQueue.remove`).
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 
 from repro.errors import ServiceError
@@ -34,8 +33,7 @@ class BoundedDeadlineQueue:
         if capacity < 1:
             raise ServiceError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._heap: list[list] = []  # [deadline, rank, seq, entry, live?]
-        self._live: dict[int, list] = {}  # seq -> heap node
+        self._live: dict[int, tuple] = {}  # seq -> (deadline, rank, seq, entry)
         self._seq = itertools.count()
         #: High-water mark, for the boundedness guarantee in reports.
         self.peak_depth = 0
@@ -53,30 +51,11 @@ class BoundedDeadlineQueue:
                 f"queue over capacity ({self.capacity}); the admission "
                 "controller must shed or reject first"
             )
-        node = [
-            float(entry.deadline_abs),
-            int(entry.class_rank),
-            next(self._seq),
-            entry,
-            True,
-        ]
-        heapq.heappush(self._heap, node)
-        self._live[node[2]] = node
+        seq = next(self._seq)
+        self._live[seq] = (
+            float(entry.deadline_abs), int(entry.class_rank), seq, entry
+        )
         self.peak_depth = max(self.peak_depth, len(self._live))
-
-    def pop(self):
-        """Remove and return the earliest-deadline live entry."""
-        while self._heap:
-            node = heapq.heappop(self._heap)
-            if node[4]:
-                del self._live[node[2]]
-                return node[3]
-        raise ServiceError("pop from an empty queue")
-
-    def peek(self):
-        while self._heap and not self._heap[0][4]:
-            heapq.heappop(self._heap)
-        return self._heap[0][3] if self._heap else None
 
     def entries(self) -> list:
         """Live entries in EDF order (for schedule projection)."""
@@ -86,10 +65,9 @@ class BoundedDeadlineQueue:
         ]
 
     def remove(self, entry) -> bool:
-        """Tombstone a specific entry; True if it was queued."""
+        """Take a specific entry out; True if it was queued."""
         for seq, node in self._live.items():
             if node[3] is entry:
-                node[4] = False
                 del self._live[seq]
                 return True
         return False

@@ -161,10 +161,6 @@ class Ticket:
             return None
         return self.finished_s <= self.deadline_abs + 1e-9
 
-    @property
-    def settled(self) -> bool:
-        return self.status in (DONE_OK, CACHED, SHED, FAILED)
-
 
 @dataclass
 class _Worker:

@@ -146,13 +146,6 @@ class SoakReport:
     #: when the backend attached no verdict of it.
     verdicts: dict = field(default_factory=dict)
 
-    def __getattr__(self, name: str) -> dict:
-        """``<kind>_verdicts`` (``physics_verdicts``, ...): one kind's tally."""
-        for kind in guards.KINDS:
-            if name == f"{kind.name}_verdicts":
-                return self.verdicts.get(kind.name, {})
-        raise AttributeError(name)
-
     @property
     def ok(self) -> bool:
         return (

@@ -9,7 +9,7 @@
   boundary sets (the JNZ_BUFS_OFS mechanism of Listing 6).
 """
 
-from repro.xchg.halo import exchange_halo, halo_cells
+from repro.xchg.halo import exchange_halo
 from repro.xchg.packing import (
     pack_boundary_naive,
     pack_boundary_offsets,
@@ -19,7 +19,6 @@ from repro.xchg.offsets import OffsetTable, build_offset_table
 
 __all__ = [
     "exchange_halo",
-    "halo_cells",
     "pack_boundary_naive",
     "pack_boundary_offsets",
     "unpack_boundary_offsets",

@@ -24,20 +24,6 @@ from repro.grid.staggered import NGHOST
 from repro.xchg.specs import seam_copy_specs
 
 
-def halo_cells(a: Block, b: Block, nghost: int = NGHOST) -> int:
-    """Number of cells moved by one z-exchange between two neighbors.
-
-    Used by the communication-volume model; returns 0 for non-neighbors.
-    """
-    if not a.touches(b):
-        return 0
-    if a.gi1 == b.gi0 or b.gi1 == a.gi0:  # vertical seam
-        lo, hi = max(a.gj0, b.gj0), min(a.gj1, b.gj1)
-        return 2 * nghost * (hi - lo)
-    lo, hi = max(a.gi0, b.gi0), min(a.gi1, b.gi1)
-    return 2 * nghost * (hi - lo)
-
-
 _WRITE_BUFFER = {"z": "z_new", "m": "m_new", "n": "n_new"}
 
 

@@ -12,14 +12,23 @@ each is the independent second computation of a result a test compares:
   utilization as an interval union over the simulated events, against the
   simulator's own busy accounting (Fig. 11);
 * :func:`validate_chrome_trace` — the trace-event schema the viewers
-  rely on.
+  rely on;
+* :func:`halo_cells` — the cells one water-level exchange moves between
+  two neighbours;
+* :func:`nonfinite_blocks` — the blocks whose published state holds a
+  NaN or an Inf, read field by field;
+* :func:`arena_nbytes` — the size of the calling thread's scratch arena,
+  which the allocation guards watch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core import scratch
 from repro.errors import CommunicationError
+from repro.grid.block import Block
+from repro.grid.staggered import NGHOST
 from repro.hw.kernelcost import KernelInvocation
 from repro.hw.platform import PlatformSpec
 from repro.hw.streams import KernelEvent, StreamResult
@@ -138,3 +147,28 @@ def validate_chrome_trace(doc: dict) -> list[str]:
             if not isinstance(dur, (int, float)) or dur < 0:
                 problems.append(f"event {i} lacks non-negative 'dur'")
     return problems
+
+
+def halo_cells(a: Block, b: Block, nghost: int = NGHOST) -> int:
+    """Number of cells moved by one z-exchange between two neighbors;
+    0 for non-neighbors."""
+    if not a.touches(b):
+        return 0
+    if a.gi1 == b.gi0 or b.gi1 == a.gi0:  # vertical seam
+        lo, hi = max(a.gj0, b.gj0), min(a.gj1, b.gj1)
+        return 2 * nghost * (hi - lo)
+    lo, hi = max(a.gi0, b.gi0), min(a.gi1, b.gi1)
+    return 2 * nghost * (hi - lo)
+
+
+def nonfinite_blocks(states: dict) -> list[int]:
+    """Block ids whose prognostic read buffers contain NaN/Inf."""
+    return [
+        bid for bid, st in states.items()
+        if not all(np.isfinite(a).all() for a in (st.z_old, st.m_old, st.n_old))
+    ]
+
+
+def arena_nbytes() -> int:
+    """Size of the calling thread's scratch arena (grows, never shrinks)."""
+    return scratch._ARENA.buf.nbytes

@@ -19,7 +19,7 @@ from repro.balance.perfmodel import (
     PAPER_SLOPE_US_PER_CELL,
 )
 from repro.errors import ConfigurationError, DecompositionError
-from repro.hw import get_platform
+from repro.hw import PLATFORMS
 from repro.topo import build_kochi_grid
 
 
@@ -55,7 +55,7 @@ class TestMicrobenchmarkFit:
         The cache-resident measurement reproduces the paper's published
         coefficients (slope 1.09e-4 us/cell, intercept 46.2 us).
         """
-        p = get_platform("a100-sxm4")
+        p = PLATFORMS["a100-sxm4"]
         cells = [50_000, 200_000, 500_000, 1_000_000, 1_500_000, 2_000_000]
         times = measure_kernel_runtimes(p, cells, traffic_multiplier=1.0)
         m = fit_linear_model(cells, times)
@@ -66,7 +66,7 @@ class TestMicrobenchmarkFit:
         )
 
     def test_production_model_consistent_units(self):
-        p = get_platform("a100-sxm4")
+        p = PLATFORMS["a100-sxm4"]
         m = fit_platform_model(p)
         # Production traffic is `traffic_multiplier` times the
         # cache-resident minimum; same intercept.
@@ -133,10 +133,18 @@ class TestHillClimb:
         assert score_max(t) == 3.0
 
 
+def model_max(decomp, model):
+    """The model's time of the slowest rank of *decomp*."""
+    return max(
+        model.rank_time_us([it.n_cells for it in rw.items])
+        for rw in decomp.ranks
+    )
+
+
 class TestOptimizedDecomposition:
     def test_valid_and_complete(self):
         grid = build_kochi_grid()
-        p = get_platform("a100-sxm4")
+        p = PLATFORMS["a100-sxm4"]
         d = optimized_decomposition(grid, 16, p, iterations=500)
         assert d.n_ranks == 16
         assert sum(d.cells_per_rank()) == grid.n_cells
@@ -145,15 +153,30 @@ class TestOptimizedDecomposition:
         from repro.par.decomposition import equal_cell_assignment
 
         grid = build_kochi_grid()
-        p = get_platform("a100-sxm4")
+        p = PLATFORMS["a100-sxm4"]
         model = fit_platform_model(p)
         base = equal_cell_assignment(grid, 16, split_blocks=False)
         opt = optimized_decomposition(grid, 16, p, model=model)
 
-        def model_max(d):
-            return max(
-                model.rank_time_us([it.n_cells for it in rw.items])
-                for rw in d.ranks
-            )
+        assert model_max(opt, model) <= model_max(base, model)
 
-        assert model_max(opt) <= model_max(base)
+    @pytest.mark.parametrize("grid_name", ["kochi", "mini-kochi"])
+    @pytest.mark.parametrize("ranks", range(2, 9))
+    def test_never_worse_than_the_whole_block_baseline(self, ranks, grid_name):
+        """Fewer ranks than levels, or a level with more ranks than
+        blocks, takes the row-split fallback, and a search can end above
+        the baseline too: neither is handed back when the baseline is
+        better."""
+        from repro.par.decomposition import equal_cell_assignment
+        from repro.persist.scenario import build_grid
+
+        grid = build_grid(grid_name)
+        p = PLATFORMS["a100-sxm4"]
+        model = fit_platform_model(p)
+        base = equal_cell_assignment(grid, ranks, split_blocks=False)
+        opt = optimized_decomposition(grid, ranks, p, model=model,
+                                      iterations=500)
+
+        assert opt.n_ranks == ranks
+        assert sum(opt.cells_per_rank()) == grid.n_cells
+        assert model_max(opt, model) <= model_max(base, model)

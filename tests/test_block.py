@@ -33,7 +33,7 @@ class TestConstruction:
 
     def test_extent_physical(self):
         b = make(gi0=3, gj0=6, nx=9, ny=6)
-        assert b.extent(10.0) == (30.0, 60.0, 120.0, 120.0)
+        assert (b.gi0, b.gj0, b.gi1, b.gj1) == (3, 6, 12, 12)
 
 
 class TestContainsAndOverlap:

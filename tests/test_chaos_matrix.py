@@ -29,11 +29,11 @@ from repro.par.decomposition import equal_cell_assignment
 from repro.resilience import (
     FaultPlan,
     SurvivalConfig,
-    nonfinite_blocks,
     run_resilient_forecast,
     survivable_run_distributed,
 )
 from repro.validation import FlatBathymetry
+from tests.oracles import nonfinite_blocks
 
 pytestmark = pytest.mark.slow
 
@@ -118,7 +118,7 @@ def test_forecast_surface_chaos(seed):
         )
     if report.degradations:
         assert deadline is not None, "degraded without a deadline"
-    if report.degraded:
+    if report.status == "degraded":
         assert (
             report.degradations
             or any(ev.kind == "recovery_abort" for ev in report.recoveries)
@@ -307,16 +307,15 @@ def test_crash_during_checkpoint_replication(seed):
     _phase_crash_scenario(seed, "ckpt")
 
 
-# -- SDC surface: silent bit flips (20 scenarios) --------------------------
+# -- SDC surface: silent bit flips (12 scenarios) --------------------------
 #
-# The integrity tentpole's acceptance gate: across 20+ seeded bit-flip
-# scenarios against state arrays, checkpoint buffers, and halo payloads,
+# The integrity layer's acceptance gate: across 12 seeded bit-flip
+# scenarios against state arrays and checkpoint buffers,
 # every injected corruption is either *corrected* (bitwise-identical
 # final answer) or flagged with an explicit ``corrupted`` verdict —
 # never a silent completion with a wrong answer.
 
 SDC_FORECAST_SEEDS = list(range(400, 412))
-SDC_HALO_SEEDS = list(range(500, 508))
 
 _sdc_reference_cache: dict = {}
 
@@ -397,56 +396,3 @@ def test_sdc_forecast_surface(seed):
         raise AssertionError(
             f"seed {seed}: corrections {corrections} without a fault"
         )
-
-
-@pytest.mark.parametrize("seed", SDC_HALO_SEEDS)
-def test_sdc_halo_surface(seed):
-    import random as _random
-
-    from repro.par.driver import run_distributed
-    from repro.resilience import FaultSpec, MessageIntegrity
-
-    rng = _random.Random(seed)
-    plan = FaultPlan(
-        [
-            FaultSpec(
-                kind="bitflip",
-                target="halo",
-                rank=rng.randrange(2),
-                op=rng.randrange(0, 24),
-                bit=rng.randrange(0, 16),
-            )
-        ],
-        seed=seed,
-    )
-    integrity = MessageIntegrity(plan=plan)
-    grid = flat_grid()
-    decomp = equal_cell_assignment(grid, 2, split_blocks=False)
-    out = run_distributed(
-        grid,
-        FlatBathymetry(50.0),
-        config(),
-        decomp,
-        source(),
-        N_STEPS_DIST,
-        integrity=integrity,
-    )
-
-    # Invariant 1: the wire flip never reaches the physics — the CRC
-    # catches it and the retransmit copy restores the clean payload.
-    ref = reference_run()
-    assert out.keys() == ref.keys()
-    for bid in ref:
-        assert np.array_equal(out[bid], ref[bid]), (
-            f"seed {seed}: block {bid} diverged through a halo flip"
-        )
-
-    # Invariant 2: a triggered flip is detected + corrected, a clean
-    # run stays clean — no phantom detections.
-    if plan.triggered:
-        assert integrity.tracker.verdict == "corrected"
-        assert integrity.tracker.retransmits >= 1
-        assert integrity.tracker.detections.get("halo", 0) >= 1
-    else:
-        assert integrity.tracker.verdict == "clean"
-        assert integrity.tracker.retransmits == 0

@@ -169,11 +169,14 @@ class TestIgnoredFlags:
 
 
 class TestFaultPlanInputs:
-    """A fault plan that cannot be read or built, or a ``--fault-count``
-    no plan uses, is refused like an ignored flag: exit 2, one line that
-    names the flag, nothing run or written."""
+    """A fault plan that cannot be read or built, or that nothing would
+    inject, or a ``--fault-count`` no plan uses, or a second plan, is
+    refused like an ignored flag: exit 2, one line that names the flag,
+    nothing run or written."""
 
     BOGUS = '{"faults": [{"kind": "bogus"}]}'
+    HALO_FLIP = ('{"faults": [{"kind": "bitflip", "target": "halo", '
+                 '"rank": 0, "op": 0, "bit": 3}]}')
 
     @pytest.mark.parametrize("argv, plan, flag", [
         (["--faults", "{tmp}/missing.json"], None, "--faults"),
@@ -188,6 +191,11 @@ class TestFaultPlanInputs:
         (["--fault-count", "5"], None, "--fault-count"),
         (["--fault-seed", "1", "--fault-count", "-2"], None, "--fault-count"),
         (["--fault-seed", "1", "--fault-count", "0"], None, "--fault-count"),
+        (["--integrity-every", "1", "--faults", "{plan}"], HALO_FLIP,
+         "--faults"),
+        (["--ranks", "2", "--faults", "{plan}"], HALO_FLIP, "--faults"),
+        (["--faults", "{plan}", "--fault-seed", "3"],
+         '{"faults": [{"kind": "nan", "step": 1}]}', "--fault-seed"),
     ])
     def test_refused_in_one_line(self, argv, plan, flag, tmp_path, capsys):
         rundir, path = tmp_path / "run", tmp_path / "plan.json"

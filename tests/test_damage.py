@@ -69,7 +69,7 @@ class TestInventory:
         inv = synthetic_inventory(blk, depth, dx=100.0, seed=1)
         total = inv.counts["wood"] + inv.counts["rc"]
         assert np.all(total[:, 4:] == 0.0)  # no buildings at sea
-        assert inv.total_buildings > 0
+        assert total.sum() > 0
 
     def test_deterministic(self):
         blk = self.block()
@@ -99,7 +99,8 @@ class TestInventory:
         inv = BuildingInventory(
             blk, {"wood": np.full((8, 10), 2.0)}, people_per_building=3.0
         )
-        assert inv.total_population == pytest.approx(480.0)
+        buildings = sum(arr.sum() for arr in inv.counts.values())
+        assert buildings * inv.people_per_building == pytest.approx(480.0)
 
 
 class TestAssessment:

@@ -211,12 +211,11 @@ class TestWorldSelection:
     """``run_distributed`` forks when nothing it can observe forbids it —
     and only then.  There is no flag to get this wrong with."""
 
-    def sizes(self, **kwargs):
+    def sizes(self):
         grid, bathy, cfg, decomp, src = _two_blocks()
         with slot_sizes() as seen:
             got = run_distributed(
                 grid, bathy, cfg, decomp, src, n_steps=4, comm_timeout=5.0,
-                **kwargs,
             )
         assert_identical(reference_run(grid, bathy, cfg, src, 4), got)
         return seen
@@ -248,11 +247,6 @@ class TestWorldSelection:
         assert_identical(reference_run(grid, bathy, cfg, src, 4), got)
         assert seen == [(2, None)]
 
-    def test_message_integrity_keeps_the_ranks_in_one_address_space(self):
-        from repro.resilience.integrity import MessageIntegrity
-
-        assert self.sizes(integrity=MessageIntegrity()) == [(2, None)]
-
     def test_a_caller_that_is_not_the_only_thread_does_not_fork(self):
         import threading
 
@@ -272,7 +266,7 @@ class TestWorldSelection:
         src = GaussianSource(x0=4_000.0, y0=16_000.0, amplitude=2.0,
                              sigma=2_500.0)
         plan = driver.build_step_plan(mk.grid, cfg)
-        slot = driver._slot_bytes(plan, decomp.owner_map(), cfg, None)
+        slot = driver._slot_bytes(plan, decomp.owner_map(), cfg)
         sent = []
 
         class Recording:

@@ -36,7 +36,7 @@ class TestRecording:
         )
         rec = GaugeRecorder(model, [("center", 800.0, 800.0)], every=2)
         model.run(20, monitor=rec)
-        t, eta = rec.gauges[0].series()
+        t = rec.gauges[0].times
         assert len(t) == 10
         assert np.all(np.diff(t) > 0)
 

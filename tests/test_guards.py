@@ -124,8 +124,7 @@ class TestANewGuardIsOneEntry:
         )
         assert report.completed > 0
         assert report.verdicts["tide"] == {"swamped": report.completed}
-        assert report.tide_verdicts == report.verdicts["tide"]
-        assert report.physics_verdicts and report.integrity_verdicts
+        assert report.verdicts["physics"] and report.verdicts["integrity"]
         assert f"  tide verdicts: swamped={report.completed}" in (
             report.summary().splitlines()
         )
@@ -134,7 +133,7 @@ class TestANewGuardIsOneEntry:
         doc = json.loads((tmp_path / "tide.json").read_text())
         assert doc["schema"] == "tests.tide/1"
         assert doc["verdict"] == "swamped"
-        assert doc["counts"] == report.tide_verdicts
+        assert doc["counts"] == report.verdicts["tide"]
         assert len(doc["requests"]) == report.completed
 
         capsys.readouterr()

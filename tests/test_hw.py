@@ -13,13 +13,12 @@ from repro.hw import (
     PLATFORMS,
     SYSTEMS,
     StreamSimulator,
-    get_platform,
     get_system,
 )
 from repro.hw.cache import WORKING_SET_BYTES_PER_CELL
 from repro.hw.kernelcost import ROUTINE_BYTES_PER_CELL
 from repro.hw.platform import NodeSpec, PlatformSpec
-from repro.hw.registry import cache_model_for
+from repro.hw.registry import cache_model_for, reference_model_for
 from tests.oracles import kernel_solo_time_us, nvml_report, utilization_from_events
 
 
@@ -30,7 +29,7 @@ class TestPlatformSpec:
 
     def test_unknown_keys_raise(self):
         with pytest.raises(PlatformError):
-            get_platform("cray-1")
+            reference_model_for("cray-1")
         with pytest.raises(PlatformError):
             get_system("fugaku")
 
@@ -43,14 +42,14 @@ class TestPlatformSpec:
             PlatformSpec(name="x", kind="gpu", mem_bw_gbs=1.0, efficiency=2.0)
 
     def test_solo_bw_relation(self):
-        p = get_platform("a100-sxm4")
+        p = PLATFORMS["a100-sxm4"]
         assert p.solo_bw_gbs == pytest.approx(
             p.mem_bw_gbs * p.efficiency * p.solo_fraction
         )
 
     def test_cache_model_only_for_cpus(self):
-        assert cache_model_for(get_platform("a100-sxm4")) is None
-        assert cache_model_for(get_platform("xeon-8368")) is not None
+        assert cache_model_for(PLATFORMS["a100-sxm4"]) is None
+        assert cache_model_for(PLATFORMS["xeon-8368"]) is not None
 
 
 class TestKernelCost:
@@ -68,14 +67,14 @@ class TestKernelCost:
         assert b.bytes_moved == pytest.approx(2 * a.bytes_moved)
 
     def test_solo_time_monotone(self):
-        p = get_platform("a100-sxm4")
+        p = PLATFORMS["a100-sxm4"]
         t1 = kernel_solo_time_us(KernelInvocation("NLMNT2", 100_000), p)
         t2 = kernel_solo_time_us(KernelInvocation("NLMNT2", 500_000), p)
         assert t2 > t1 > p.kernel_fixed_us
 
 class TestStreamSimulator:
     def p(self):
-        return get_platform("a100-sxm4")
+        return PLATFORMS["a100-sxm4"]
 
     def test_sync_serializes_with_launch_overhead(self):
         p = self.p()
@@ -236,6 +235,6 @@ class TestCacheModel:
 
 class TestNodeSpec:
     def test_validation(self):
-        p = get_platform("a100-sxm4")
+        p = PLATFORMS["a100-sxm4"]
         with pytest.raises(PlatformError):
             NodeSpec(platform=p, devices_per_node=0, nics_per_node=1, nic_bw_gbs=10.0)

@@ -35,6 +35,7 @@ from repro.grid.block import Block
 from repro.grid.staggered import NGHOST
 
 from tests import executors
+from tests.oracles import arena_nbytes
 from tests.test_kernels_bitwise import DT, DX, MANNING, random_state
 from tests.test_strip_team import helpers, team_of
 
@@ -78,7 +79,7 @@ class Recorder:
 
     def carve(self, *args):
         views = scratch.carve(*args)
-        self.carved.append((threading.get_ident(), scratch.arena_nbytes()))
+        self.carved.append((threading.get_ident(), arena_nbytes()))
         return views
 
     def carry_over(self, *args):

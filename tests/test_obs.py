@@ -137,12 +137,12 @@ class TestTracer:
 
     def test_rank_context_propagates(self):
         obs.enable()
-        obstrace.set_context(rank=3)
+        obs.get_tracer().set_context(rank=3)
         try:
             with obstrace.span("PTP_Z", cat="comm"):
                 pass
         finally:
-            obstrace.set_context(rank=None)
+            obs.get_tracer().set_context(rank=None)
         (s,) = [
             s for s in obs.get_tracer().export() if s["name"] == "PTP_Z"
         ]
@@ -150,7 +150,7 @@ class TestTracer:
 
     def test_instant_records_zero_duration(self):
         obs.enable()
-        obstrace.instant("degradation:drop_level", step=7)
+        obs.get_tracer().instant("degradation:drop_level", step=7)
         (s,) = obs.get_tracer().export()
         assert s["dur_us"] == 0.0
         assert s["args"]["step"] == 7
@@ -422,7 +422,6 @@ class TestLog:
     def _restore_config(self):
         yield
         obslog.configure(level="warning", json_mode=False, stream=None)
-        obslog.set_context(rank=None, run=None)
 
     def test_json_mode_emits_parseable_records(self):
         sink = io.StringIO()
@@ -443,11 +442,16 @@ class TestLog:
         assert "kept" in sink.getvalue()
 
     def test_context_binds_to_records(self):
+        """The run context a caller passes (rank, step) lands in the
+        record, in both formats."""
         sink = io.StringIO()
         obslog.configure(level="info", json_mode=True, stream=sink)
-        obslog.set_context(rank=2)
-        obslog.get_logger("t").info("x")
+        obslog.get_logger("t").info("x", rank=2)
         assert json.loads(sink.getvalue())["rank"] == 2
+        sink = io.StringIO()
+        obslog.configure(level="info", stream=sink)
+        obslog.get_logger("t").info("x", rank=2, step=5)
+        assert sink.getvalue() == "[info] t: x (rank=2 step=5)\n"
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):

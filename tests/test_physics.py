@@ -441,7 +441,7 @@ class TestCompositeMonitor:
         composite.reset_baseline()
         assert health._v0 is None
         assert sentinel.sampler._v0 is None
-        assert len(composite) == 2
+        assert len(composite.monitors) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +563,7 @@ class TestForecastIntegration:
             config=SimulationConfig(dt=1.0, boundary="wall"),
             source=source(), horizon_s=60.0, physics_every=2,
         )
-        assert report.complete
+        assert report.status == "complete"
         assert report.physics_verdict == HEALTHY
         assert report.physics["aborts"] == 0
         assert report.physics["events"] == []
@@ -583,7 +583,7 @@ class TestForecastIntegration:
             source=source(), horizon_s=60.0, fault_plan=plan,
             physics_every=1,
         )
-        assert report.complete
+        assert report.status == "complete"
         assert report.rollbacks >= 1
         assert report.physics_verdict == DIVERGED
         assert report.physics["aborts"] >= 1
@@ -601,7 +601,7 @@ class TestForecastIntegration:
             source=source(), horizon_s=40.0, physics_every=2,
             store=store,
         )
-        assert report.complete
+        assert report.status == "complete"
         doc = load_physics_report(store.rundir / PHYSICS_NAME)
         assert doc["verdict"] == HEALTHY
         assert doc["samples"]
@@ -623,7 +623,7 @@ class TestSoakDivergence:
             ),
             rundir=rundir,
         )
-        counts = report.physics_verdicts
+        counts = report.verdicts.get("physics", {})
         assert counts.get(DIVERGED, 0) > 0
         assert counts.get(HEALTHY, 0) > 0
         assert "physics verdicts" in report.summary()
@@ -651,7 +651,7 @@ class TestSoakDivergence:
         report = run_soak(
             SoakConfig(duration_s=600.0, seed=3, diverge_fraction=0.0)
         )
-        assert set(report.physics_verdicts) <= {HEALTHY}
+        assert set(report.verdicts.get("physics", {})) <= {HEALTHY}
         validity = next(
             s for s in report.slo["slos"] if s["name"] == "validity"
         )

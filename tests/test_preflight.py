@@ -133,7 +133,7 @@ class TestRejectionClasses:
 
     def test_schema_version_mismatch(self, tmp_path):
         rundir = tmp_path / "run"
-        start_run(rundir, BASE_SPEC, checkpoint_every=5)
+        start_run(rundir, BASE_SPEC, checkpoint_every=5, echo=print)
         store = RunStore(rundir, create=False)
         mpath = store.snapshot_paths()[-1] / "manifest.json"
         manifest = json.loads(mpath.read_text())
@@ -189,12 +189,12 @@ class TestStartRunGate:
     def test_start_run_refuses_invalid_scenario(self, tmp_path):
         bad = spec_with(bathymetry={"type": "flat", "depth": -10.0})
         with pytest.raises(ValidationError):
-            start_run(tmp_path / "run", bad)
+            start_run(tmp_path / "run", bad, echo=print)
 
     def test_skip_preflight_bypasses_gate(self, tmp_path):
         # malformed-but-runnable spec must still build when forced
         spec = spec_with(n_steps=1)
-        start_run(tmp_path / "run", spec, skip_preflight=True)
+        start_run(tmp_path / "run", spec, skip_preflight=True, echo=print)
 
 
 class TestValidateCli:
@@ -216,7 +216,7 @@ class TestValidateCli:
 
     def test_validate_rundir(self, tmp_path, capsys):
         rundir = tmp_path / "run"
-        start_run(rundir, BASE_SPEC, checkpoint_every=5)
+        start_run(rundir, BASE_SPEC, checkpoint_every=5, echo=print)
         assert main(["validate", str(rundir)]) == 0
 
     def test_directory_without_run_exits_2(self, tmp_path, capsys):

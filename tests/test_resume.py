@@ -11,7 +11,6 @@ import json
 import os
 import signal
 
-import numpy as np
 import pytest
 
 from repro.cli import main
@@ -81,7 +80,6 @@ def run_until_killed(rundir, kill_at_step: int) -> RunStore:
         scenario=built.spec,
         n_steps=built.n_steps,
         checkpoint_every=CHECKPOINT_EVERY,
-        eta_every=0,
         grid_fingerprint=grid_fingerprint(built.grid, built.config.dtype),
     )
     streamer = ProductStreamer(store, model)
@@ -136,7 +134,7 @@ class TestKillAndResume:
         assert interrupted["snapshotted"] is True
         assert store.status() == "incomplete"
 
-        resumed = resume_run(tmp_path / "run")
+        resumed = resume_run(tmp_path / "run", echo=print)
         reference, ref_lines = reference_run()
         assert_models_bitwise_equal(reference, resumed)
 
@@ -157,7 +155,7 @@ class TestKillAndResume:
             import shutil
 
             shutil.rmtree(newest)
-        resumed = resume_run(tmp_path / "run")
+        resumed = resume_run(tmp_path / "run", echo=print)
         reference, ref_lines = reference_run()
         assert_models_bitwise_equal(reference, resumed)
         got = (store.products_dir / "gauges.csv").read_text().splitlines()
@@ -196,14 +194,14 @@ class TestKillAndResume:
 
     def test_resume_requires_interrupted_run(self, tmp_path):
         with pytest.raises(PersistError, match="does not exist"):
-            resume_run(tmp_path / "missing")
-        start_run(tmp_path / "done", SPEC, checkpoint_every=10)
+            resume_run(tmp_path / "missing", echo=print)
+        start_run(tmp_path / "done", SPEC, checkpoint_every=10, echo=print)
         with pytest.raises(PersistError, match="already completed"):
-            resume_run(tmp_path / "done")
+            resume_run(tmp_path / "done", echo=print)
 
     def test_journal_records_full_lifecycle(self, tmp_path):
         store = run_until_killed(tmp_path / "run", kill_at_step=17)
-        resume_run(tmp_path / "run")
+        resume_run(tmp_path / "run", echo=print)
         events = [ev["event"] for ev in store.events()]
         assert events[0] == "run_start"
         assert "interrupted" in events
@@ -215,7 +213,7 @@ class TestKillAndResume:
 
 class TestStartRun:
     def test_start_run_completes_and_matches_reference(self, tmp_path):
-        model = start_run(tmp_path / "run", SPEC, checkpoint_every=10)
+        model = start_run(tmp_path / "run", SPEC, checkpoint_every=10, echo=print)
         reference, ref_lines = reference_run()
         assert_models_bitwise_equal(reference, model)
         store = RunStore(tmp_path / "run", create=False)
@@ -223,24 +221,10 @@ class TestStartRun:
         assert got == ref_lines
 
     def test_start_run_refuses_occupied_rundir(self, tmp_path):
-        start_run(tmp_path / "run", SPEC, checkpoint_every=10)
+        start_run(tmp_path / "run", SPEC, checkpoint_every=10, echo=print)
         with pytest.raises(PersistError, match="already holds a run"):
-            start_run(tmp_path / "run", SPEC)
+            start_run(tmp_path / "run", SPEC, echo=print)
 
-    def test_eta_dumps_streamed_on_cadence(self, tmp_path):
-        start_run(
-            tmp_path / "run", SPEC, checkpoint_every=10, eta_every=10
-        )
-        eta_dir = tmp_path / "run" / "products" / "eta"
-        dumps = sorted(p.name for p in eta_dir.glob("eta_step_*.npz"))
-        assert dumps == [
-            "eta_step_00000010.npz",
-            "eta_step_00000020.npz",
-            "eta_step_00000030.npz",
-        ]
-        with np.load(eta_dir / dumps[0]) as npz:
-            assert float(npz["time"]) == pytest.approx(10.0)
-            assert "b0_eta" in npz
 
 
 class TestResumeCli:
@@ -299,20 +283,20 @@ class TestOneGuardedLoop:
     archive non-finite state."""
 
     def test_fresh_run_snapshots_only_at_multiples(self, tmp_path):
-        start_run(tmp_path / "run", SPEC, checkpoint_every=5)
+        start_run(tmp_path / "run", SPEC, checkpoint_every=5, echo=print)
         store = RunStore(tmp_path / "run", create=False)
         assert snapshot_steps(store) == [0, 5, 10, 15, 20, 25]
 
     def test_resumed_run_keeps_the_alignment(self, tmp_path):
         store = run_until_killed(tmp_path / "run", kill_at_step=17)
         assert snapshot_steps(store) == [0, 5, 10, 15, 17]  # 17: the signal
-        resume_run(tmp_path / "run")
+        resume_run(tmp_path / "run", echo=print)
         assert snapshot_steps(store) == [0, 5, 10, 15, 17, 20, 25]
         # Resumed at a multiple of the cadence: that step is on disk
         # already and is not written again.
         store = run_until_killed(tmp_path / "at15", kill_at_step=15)
         assert snapshot_steps(store) == [0, 5, 10, 15]
-        resume_run(tmp_path / "at15")
+        resume_run(tmp_path / "at15", echo=print)
         assert snapshot_steps(store) == [0, 5, 10, 15, 20, 25]
 
     def test_a_drifted_clock_ends_on_the_step_count(self):
@@ -328,7 +312,7 @@ class TestOneGuardedLoop:
     def test_nonfinite_state_publishes_nothing(self, tmp_path, monkeypatch):
         poison_streamer_at(monkeypatch, 12)
         with pytest.raises(NumericalError, match="non-finite"):
-            start_run(tmp_path / "run", SPEC, checkpoint_every=5)
+            start_run(tmp_path / "run", SPEC, checkpoint_every=5, echo=print)
         store = RunStore(tmp_path / "run", create=False)
         assert store.status() == "incomplete"
         assert snapshot_steps(store) == [0, 5, 10]

@@ -176,8 +176,8 @@ def test_a_guarded_rundir_run_streams_and_keeps_the_cadence(tmp_path, capsys):
 def test_run_start_journals_the_fault_plan_it_replays(tmp_path):
     plan = FaultPlan([FaultSpec(kind="nan", step=12, block=1, field="z")])
     model = start_run(tmp_path / "faulty", SPEC, checkpoint_every=5,
-                      fault_plan=plan)
-    clean = start_run(tmp_path / "clean", SPEC, checkpoint_every=5)
+                      fault_plan=plan, echo=print)
+    clean = start_run(tmp_path / "clean", SPEC, checkpoint_every=5, echo=print)
     store = RunStore(tmp_path / "faulty", create=False)
     assert FaultPlan.from_dict(
         store.first_event("run_start")["fault_plan"]
@@ -194,7 +194,7 @@ def test_an_aborted_guarded_run_never_journals_complete(tmp_path, monkeypatch):
     poison_streamer_at(monkeypatch, 12)
     with pytest.raises(NumericalError, match="non-finite") as exc:
         start_run(tmp_path / "run", SPEC, checkpoint_every=5, deadline_s=1e6,
-                  integrity_every=1)
+                  integrity_every=1, echo=print)
     assert "run stopped at step" in str(exc.value)
     store = RunStore(tmp_path / "run", create=False)
     assert store.status() == "incomplete"
@@ -228,19 +228,19 @@ def test_a_level_drop_moves_the_gauges_to_the_model_left(tmp_path):
 
 
 def persistent(rundir, monkeypatch):
-    start_run(rundir, SPEC, checkpoint_every=5)
+    start_run(rundir, SPEC, checkpoint_every=5, echo=print)
 
 
 def interrupted(rundir, monkeypatch):
     kill_at(monkeypatch, 17)
     with pytest.raises(KeyboardInterrupt):
-        start_run(rundir, SPEC, checkpoint_every=5)
+        start_run(rundir, SPEC, checkpoint_every=5, echo=print)
 
 
 def interrupted_deadline(rundir, monkeypatch):
     kill_at(monkeypatch, 17)
     with pytest.raises(KeyboardInterrupt):
-        start_run(rundir, SPEC, checkpoint_every=5, deadline_s=1e6)
+        start_run(rundir, SPEC, checkpoint_every=5, deadline_s=1e6, echo=print)
 
 
 def distributed(rundir, monkeypatch):

@@ -9,6 +9,7 @@ import numpy as np
 from repro.core import scratch
 from repro.fault import GaussianSource
 from repro.validation.analytic import SlopedBathymetry, single_block_model
+from tests.oracles import arena_nbytes
 
 
 def beach_model(nx, ny, dx=50.0):
@@ -43,7 +44,7 @@ def test_a_step_allocates_less_than_three_fields():
     tracemalloc.start()
     try:
         model.step()  # tracemalloc's own bookkeeping warms here
-        arena_at_3 = scratch.arena_nbytes()
+        arena_at_3 = arena_nbytes()
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
         model.step()
@@ -53,7 +54,7 @@ def test_a_step_allocates_less_than_three_fields():
     assert peak - before < 3 * st.z_old.nbytes
     model.run(26)
     assert model.step_count == 30
-    assert 0 < scratch.arena_nbytes() == arena_at_3
+    assert 0 < arena_nbytes() == arena_at_3
 
 
 def test_arena_is_sized_by_the_strip_not_the_block():
@@ -62,7 +63,7 @@ def test_arena_is_sized_by_the_strip_not_the_block():
 
     def run(n):
         beach_model(n, n).run(2)
-        sizes[n] = scratch.arena_nbytes()
+        sizes[n] = arena_nbytes()
 
     for n in (512, 768):
         t = threading.Thread(target=run, args=(n,))
@@ -80,10 +81,10 @@ def test_fresh_thread_gets_its_own_arena():
     seen = {}
 
     def worker():
-        seen["nbytes_at_start"] = scratch.arena_nbytes()
+        seen["nbytes_at_start"] = arena_nbytes()
         (theirs, _), _ = scratch.carve(*spec)
         seen["shared"] = np.shares_memory(mine, theirs)
-        seen["nbytes"] = scratch.arena_nbytes()
+        seen["nbytes"] = arena_nbytes()
 
     t = threading.Thread(target=worker)
     t.start()

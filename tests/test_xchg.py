@@ -7,7 +7,7 @@ from repro.core.state import BlockState
 from repro.errors import CommunicationError
 from repro.grid.block import Block
 from repro.grid.staggered import NGHOST
-from repro.xchg.halo import exchange_halo, halo_cells
+from repro.xchg.halo import exchange_halo
 from repro.xchg.offsets import (
     build_offset_table,
     pack_irregular_naive,
@@ -18,7 +18,7 @@ from repro.xchg.packing import (
     pack_boundary_offsets,
     unpack_boundary_offsets,
 )
-from tests.oracles import unpack_boundary_naive, unpack_irregular_offsets
+from tests.oracles import halo_cells, unpack_boundary_naive, unpack_irregular_offsets
 
 G = NGHOST
 
