@@ -128,6 +128,13 @@ if git grep -nwE '_run_to_completion|forecast_start|forecast_complete' -- \
     src tests examples
 then echo "== a second run-directory driver or its journal lines are back (see above) =="; exit 1; fi
 
+# One configuration: a guard threshold, cadence or size that no product path
+# sets is a module constant, not a parameter (DESIGN.md section 12, "One
+# configuration"; tests/test_one_configuration.py lists the rest).
+if git grep -nE 'RobustScore|perf_model|physics_every|abort_budget_frac|corrupt_detect_fraction|physics_verdicts=|failure_threshold=|cooldown_s=|max_rollbacks=' -- \
+    src tests examples ':!tests/test_one_configuration.py'
+then echo "== a parameter no product path sets is back (see above) =="; exit 1; fi
+
 echo "== pytest (tier 1) =="
 if [ "$fast" = 1 ]; then
     PYTHONPATH=src python -m pytest -x -q

@@ -88,12 +88,6 @@ ALLOWED = {
     "repro.persist.signals.interrupt_guard.<locals>._handler":
         "the SIGTERM handler of the interrupted run: the census's own profile "
         "callback, where no hook fires, often runs it (tests/test_resume.py)",
-    # -- a later change -------------------------------------------------
-    "repro.obs.physics.RobustScore": "gauge-anomaly score, armed when the "
-                                     "physics sampler is given a gauge "
-                                     "recorder; removing it changes "
-                                     "physics.json's gauge_anomaly column "
-                                     "(tests/test_physics.py)",
 }
 
 

@@ -210,19 +210,18 @@ def _ignored_flag(args) -> str | None:
 def _fault_plan(args, built):
     """The fault plan ``--faults``/``--fault-seed`` name, or None."""
     from repro.resilience import FaultPlan
+    from repro.resilience.faultplan import INJECTED_KINDS
 
+    kinds = INJECTED_KINDS["ranks" if args.ranks > 1 else "process"]
     if args.faults is not None:
-        return FaultPlan.from_file(args.faults)
+        return FaultPlan.from_file(args.faults, kinds)
     if args.fault_seed is None:
         return None
-    if args.ranks > 1:
-        kinds = ("rank_crash", "msg_drop", "msg_delay")
-    else:
-        # With the integrity layer armed, seeded plans may also flip
-        # bits — the layer exists to catch exactly those.
-        kinds = ("nan", "straggler")
-        if args.integrity_every is not None:
-            kinds = kinds + ("bitflip",)
+    # A seeded rank plan kills, drops and delays; a seeded bit flip needs
+    # the integrity layer, which exists to catch exactly those.
+    skip = "straggler" if args.ranks > 1 else (
+        "bitflip" if args.integrity_every is None else None)
+    kinds = tuple(k for k in kinds if k != skip)
     return FaultPlan.random(
         args.fault_seed, kinds=kinds,
         n_faults=args.fault_count or 3, n_ranks=args.ranks,

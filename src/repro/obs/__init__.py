@@ -22,8 +22,8 @@
   error-budget tracking and multi-window burn-rate alerts, gated by
   ``repro slo``;
 * :mod:`~repro.obs.physics` — in-situ *solution* observability: the
-  numerical-health sampler (mass drift, CFL margin, wet front, gauge
-  anomalies) and the divergence sentinel that aborts doomed runs early,
+  numerical-health sampler (mass drift, CFL margin, peaks, wet front)
+  and the divergence sentinel that aborts doomed runs early,
   exported as ``repro_physics_*`` metrics, ``physics.json``, and Chrome
   counter tracks, rendered by ``repro inspect --physics``.
 

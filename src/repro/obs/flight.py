@@ -36,15 +36,18 @@ FLIGHT_SCHEMA = "repro.obs.flight/1"
 #: Subdirectory of a run directory holding dumped recordings.
 FLIGHT_DIR = "flight"
 
+#: Events one request's recorder holds, and settled recorders a book keeps.
+CAPACITY = 64
+KEEP = 512
+
 
 class FlightRecorder(EventRing):
     """The ring of one request's :class:`ServiceEvent` records."""
 
     __slots__ = ("request_id", "meta", "outcome")
 
-    def __init__(self, request_id: str, capacity: int = 64,
-                 meta: dict | None = None) -> None:
-        super().__init__(capacity)
+    def __init__(self, request_id: str, meta: dict | None = None) -> None:
+        super().__init__(CAPACITY)
         self.request_id = request_id
         self.meta = dict(meta or {})
         self.outcome: str | None = None
@@ -81,12 +84,7 @@ class FlightBook:
     without it the book is purely in-memory (unit tests, ad-hoc runs).
     """
 
-    def __init__(self, capacity: int = 64, keep: int = 512,
-                 out_dir=None) -> None:
-        if capacity < 1 or keep < 1:
-            raise ValueError("flight capacity and keep must be >= 1")
-        self.capacity = int(capacity)
-        self.keep = int(keep)
+    def __init__(self, out_dir=None) -> None:
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self._live: dict[str, FlightRecorder] = {}
         self._settled: OrderedDict[str, FlightRecorder] = OrderedDict()
@@ -95,7 +93,7 @@ class FlightBook:
         """Start (or return) the recorder for one in-flight request."""
         rec = self._live.get(request_id)
         if rec is None:
-            rec = FlightRecorder(request_id, self.capacity, meta=meta)
+            rec = FlightRecorder(request_id, meta=meta)
             self._live[request_id] = rec
         return rec
 
@@ -120,7 +118,7 @@ class FlightBook:
                dump: bool = False) -> Path | None:
         """Close a request's recorder; optionally dump it to disk.
 
-        The settled ring keeps the most recent :attr:`keep` recorders so
+        The settled ring keeps the most recent :data:`KEEP` recorders so
         post-mortems of a just-finished soak stay possible without
         unbounded growth.  Returns the dump path when one was written.
         """
@@ -130,7 +128,7 @@ class FlightBook:
         if outcome is not None:
             rec.outcome = outcome
         self._settled[request_id] = rec
-        while len(self._settled) > self.keep:
+        while len(self._settled) > KEEP:
             self._settled.popitem(last=False)
         if dump:
             return self.dump(request_id)

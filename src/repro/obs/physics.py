@@ -4,28 +4,28 @@ Everything else under :mod:`repro.obs` watches the *system* — spans,
 latencies, error budgets.  This module watches the *solution*: a
 :class:`PhysicsSampler` rides the model's monitor hook and samples cheap
 per-step diagnostics (relative mass drift, minimum CFL margin, max |eta|
-and |flux|, wet-cell count and inundation-front delta, robust EWMA+MAD
-anomaly scores over gauge series), and a :class:`DivergenceSentinel`
-turns those diagnostics into verdicts — ``healthy`` / ``suspect`` /
-``diverged`` — raising :class:`PhysicsDivergenceError` (a
-:class:`~repro.errors.NumericalError`) so the recovery engine's
-rollback / dt-halving / degradation machinery aborts a doomed run within
-a few samples instead of at the NaN wall.
+and |flux|, wet-cell count and inundation-front delta), and a
+:class:`DivergenceSentinel` turns those diagnostics into verdicts —
+``healthy`` / ``suspect`` / ``diverged`` — raising
+:class:`PhysicsDivergenceError` (a :class:`~repro.errors.NumericalError`)
+so the recovery engine's rollback / dt-halving / degradation machinery
+aborts a doomed run within a few samples instead of at the NaN wall.
 
 Design constraints mirror the tracer's:
 
 * **Non-mutating**: the sampler only reads ``z_old``/``m_old``/``n_old``
   and derived quantities — a run with sampling enabled is bitwise
   identical to one without (tier-1 guarded).
-* **Cheap**: cadence-gated (``every`` steps) with a <5% overhead budget
-  (tier-1 guarded); sample metrics and trace export only when the tracer
-  is armed (a verdict is a run record: its counter always moves).
+* **Cheap**: cadence-gated (:data:`SAMPLE_EVERY` steps) with a <5%
+  overhead budget (tier-1 guarded); sample metrics and trace export only
+  when the tracer is armed (a verdict is a run record: its counter always
+  moves).
 
-Exports ride the existing rails: ``repro_physics_*`` instruments (the
-anomaly histogram carries trace-id exemplars), Chrome-trace counter
-tracks (``"ph": "C"`` — see :func:`repro.obs.export.physics_counter_events`),
-an atomic per-run ``physics.json``, and ``repro inspect RUNDIR
---physics`` rendering the health timeline.
+Exports ride the existing rails: ``repro_physics_*`` instruments,
+Chrome-trace counter tracks (``"ph": "C"`` — see
+:func:`repro.obs.export.physics_counter_events`), an atomic per-run
+``physics.json``, and ``repro inspect RUNDIR --physics`` rendering the
+health timeline.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from repro import guards
 from repro.constants import GRAVITY
 from repro.core import loopnest
-from repro.errors import ConfigurationError, NumericalError
+from repro.errors import NumericalError
 from repro.obs.log import RunEvents, ServiceEvent
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
@@ -53,9 +53,28 @@ PHYSICS_NAME = _KIND.artifact
 #: Verdicts, in increasing severity.
 HEALTHY, SUSPECT, DIVERGED = VERDICTS = _KIND.levels
 
-#: MAD -> sigma for normally distributed data (same constant the
-#: step-time watchdog uses).
-MAD_SIGMA = 1.4826
+#: Sampling cadence [steps] and how many samples a run keeps (the
+#: oldest go first).
+SAMPLE_EVERY = 5
+MAX_SAMPLES = 4096
+
+#: The sentinel's rules (:class:`DivergenceSentinel`): relative mass
+#: drift (suspect beyond it, diverged beyond ten times it) and its slope
+#: per sample, the CFL margin floor, the max |eta| limit [m], and the
+#: floor [m] and factor of late |eta| growth over the trailing window.
+MASS_TOL = 5e-3
+MASS_SLOPE_TOL = 1e-3
+CFL_MARGIN_FLOOR = 0.05
+ETA_LIMIT = 100.0
+ETA_FLOOR = 1.0
+ETA_GROWTH_FACTOR = 4.0
+#: Trailing samples the growth and slope rules look at, and consecutive
+#: suspect samples that escalate to ``diverged``.
+WINDOW = 6
+PATIENCE = 3
+#: ``physics.json``'s ``thresholds.anomaly_limit`` (no rule reads it: a
+#: sample's ``gauge_anomaly`` is 0).
+ANOMALY_LIMIT = 8.0
 
 #: Buckets for the anomaly-score histogram (dimensionless sigmas).
 ANOMALY_BUCKETS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
@@ -82,7 +101,6 @@ class PhysicsSample:
     max_flux: float  # max |m|,|n| over all blocks [m^2/s]
     wet_cells: int
     front_delta: int  # wet-cell count change since previous sample
-    gauge_anomaly: float  # max robust anomaly score over gauge series
     verdict: str = HEALTHY
 
     @property
@@ -94,7 +112,6 @@ class PhysicsSample:
                 self.cfl_margin,
                 self.max_eta,
                 self.max_flux,
-                self.gauge_anomaly,
             )
         )
 
@@ -108,51 +125,9 @@ class PhysicsSample:
             "max_flux": self.max_flux,
             "wet_cells": self.wet_cells,
             "front_delta": self.front_delta,
-            "gauge_anomaly": self.gauge_anomaly,
+            "gauge_anomaly": 0.0,
             "verdict": self.verdict,
         }
-
-
-class RobustScore:
-    """Streaming EWMA + MAD-style anomaly score for one series.
-
-    Tracks an exponentially weighted mean and mean absolute deviation;
-    ``score(x)`` is |x - ewma| in normal-equivalent sigmas
-    (``MAD_SIGMA * ewmad``), evaluated *before* folding ``x`` in so a
-    genuine outlier cannot vouch for itself.  Returns 0 during warmup
-    and guards the near-zero-deviation regime with an absolute floor so
-    a flat series (still water) never divides by zero.
-    """
-
-    def __init__(
-        self, alpha: float = 0.25, warmup: int = 4, floor: float = 1e-9
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigurationError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self.warmup = warmup
-        self.floor = floor
-        self.reset()
-
-    def reset(self) -> None:
-        self._mean = 0.0
-        self._mad = 0.0
-        self._n = 0
-
-    def score(self, x: float) -> float:
-        if not math.isfinite(x):
-            return math.inf
-        out = 0.0
-        if self._n >= self.warmup:
-            sigma = max(MAD_SIGMA * self._mad, self.floor, 1e-3 * abs(self._mean))
-            out = abs(x - self._mean) / sigma
-        if self._n == 0:
-            self._mean = x
-        else:
-            self._mean += self.alpha * (x - self._mean)
-            self._mad += self.alpha * (abs(x - self._mean) - self._mad)
-        self._n += 1
-        return out
 
 
 class PhysicsSampler:
@@ -165,30 +140,17 @@ class PhysicsSampler:
     sampled twice).
     """
 
-    def __init__(
-        self,
-        every: int = 5,
-        recorder=None,
-        alpha: float = 0.25,
-        max_samples: int = 4096,
-    ) -> None:
-        if every < 1:
-            raise ConfigurationError("sampling cadence must be >= 1 step")
-        self.every = every
-        self.recorder = recorder
-        self.alpha = alpha
-        self.max_samples = max_samples
+    def __init__(self) -> None:
         self.samples: list[PhysicsSample] = []
         self.samples_taken = 0
         self._v0: float | None = None
         self._prev_wet: int | None = None
-        self._scores: dict[str, RobustScore] = {}
         self._metrics = None
 
     # -- sampling --------------------------------------------------------
 
     def after_step(self, model) -> None:
-        if model.step_count % self.every == 0:
+        if model.step_count % SAMPLE_EVERY == 0:
             self.sample(model)
 
     def sample(self, model) -> PhysicsSample:
@@ -233,16 +195,6 @@ class PhysicsSampler:
         )
         self._prev_wet = wet_total
 
-        anomaly = 0.0
-        if self.recorder is not None:
-            for g in self.recorder.gauges:
-                if not g.eta:
-                    continue
-                sc = self._scores.get(g.name)
-                if sc is None:
-                    sc = self._scores[g.name] = RobustScore(alpha=self.alpha)
-                anomaly = max(anomaly, sc.score(g.eta[-1]))
-
         smp = PhysicsSample(
             step=model.step_count,
             time=model.time,
@@ -252,11 +204,10 @@ class PhysicsSampler:
             max_flux=max_flux,
             wet_cells=wet_total,
             front_delta=front_delta,
-            gauge_anomaly=float(anomaly),
         )
         self.samples.append(smp)
-        if len(self.samples) > self.max_samples:
-            del self.samples[: -self.max_samples]
+        if len(self.samples) > MAX_SAMPLES:
+            del self.samples[:-MAX_SAMPLES]
         self.samples_taken += 1
         if _TRACER.enabled:
             self._export(smp)
@@ -308,29 +259,22 @@ class PhysicsSampler:
         wet.set(smp.wet_cells)
         front.set(smp.front_delta)
         ctx = _TRACER.current_context()
-        anom.observe(
-            smp.gauge_anomaly,
-            trace_id=ctx.trace_id if ctx is not None else None,
-        )
+        anom.observe(0.0, trace_id=ctx.trace_id if ctx is not None else None)
 
     # -- lifecycle -------------------------------------------------------
 
     def reset_baseline(self) -> None:
         """Forget baselines after a rollback or a grid/dt change.
 
-        Mirrors :meth:`repro.resilience.HealthMonitor.reset_baseline`:
-        the mass baseline, front history, and gauge anomaly statistics
-        all re-seed from the next sample so restored state is not judged
-        against a pre-rollback trajectory.
+        The mass baseline and front history re-seed from the next sample
+        so restored state is not judged against a pre-rollback trajectory.
         """
         self._v0 = None
         self._prev_wet = None
-        for sc in self._scores.values():
-            sc.reset()
 
     def to_dict(self) -> dict:
         return {
-            "every": self.every,
+            "every": SAMPLE_EVERY,
             "samples_taken": self.samples_taken,
             "samples": [s.to_dict() for s in self.samples],
         }
@@ -370,59 +314,29 @@ class DivergenceSentinel:
 
     Owns and drives a :class:`PhysicsSampler` through the monitor hook,
     evaluating every new sample against the rules below.  Rules escalate
-    ``healthy`` -> ``suspect``; *patience* consecutive suspect samples —
-    or any hard violation — escalate to ``diverged``, which (with
-    *abort* set) raises :class:`PhysicsDivergenceError` so the caller's
-    recovery machinery takes over.
+    ``healthy`` -> ``suspect``; :data:`PATIENCE` consecutive suspect
+    samples — or any hard violation — escalate to ``diverged``, which
+    raises :class:`PhysicsDivergenceError` so the caller's recovery
+    machinery takes over.
 
     Suspect rules (soft, need persistence):
-      * |mass drift| beyond *mass_tol*, or its per-sample slope beyond
-        *mass_slope_tol* (conservation bleeding away);
-      * CFL margin below *cfl_margin_floor* (stability collapsing);
-      * max |eta| above *eta_floor* growing by more than
-        *eta_growth_factor* over the trailing *window* samples with no
-        source active (the initial condition is the only source, so late
-        growth is spurious);
-      * gauge anomaly score beyond *anomaly_limit* sigmas.
+      * |mass drift| beyond :data:`MASS_TOL`, or its per-sample slope
+        beyond :data:`MASS_SLOPE_TOL` (conservation bleeding away);
+      * CFL margin below :data:`CFL_MARGIN_FLOOR` (stability collapsing);
+      * max |eta| above :data:`ETA_FLOOR` growing by more than
+        :data:`ETA_GROWTH_FACTOR` over the trailing :data:`WINDOW`
+        samples with no source active (the initial condition is the
+        only source, so late growth is spurious).
 
     Diverged rules (hard, immediate):
       * any non-finite diagnostic;
-      * max |eta| beyond *eta_limit*;
+      * max |eta| beyond :data:`ETA_LIMIT`;
       * CFL margin at or below zero;
-      * |mass drift| beyond ``10 * mass_tol``.
+      * |mass drift| beyond ``10 * MASS_TOL``.
     """
 
-    def __init__(
-        self,
-        sampler: PhysicsSampler | None = None,
-        *,
-        mass_tol: float = 5e-3,
-        mass_slope_tol: float = 1e-3,
-        cfl_margin_floor: float = 0.05,
-        eta_limit: float = 100.0,
-        eta_floor: float = 1.0,
-        eta_growth_factor: float = 4.0,
-        anomaly_limit: float = 8.0,
-        window: int = 6,
-        patience: int = 3,
-        abort: bool = True,
-        sink: RunEvents | None = None,
-    ) -> None:
-        if window < 2:
-            raise ConfigurationError("sentinel window must be >= 2 samples")
-        if patience < 1:
-            raise ConfigurationError("sentinel patience must be >= 1")
-        self.sampler = sampler if sampler is not None else PhysicsSampler()
-        self.mass_tol = mass_tol
-        self.mass_slope_tol = mass_slope_tol
-        self.cfl_margin_floor = cfl_margin_floor
-        self.eta_limit = eta_limit
-        self.eta_floor = eta_floor
-        self.eta_growth_factor = eta_growth_factor
-        self.anomaly_limit = anomaly_limit
-        self.window = window
-        self.patience = patience
-        self.abort = abort
+    def __init__(self, *, sink: RunEvents | None = None) -> None:
+        self.sampler = PhysicsSampler()
         self.sink = sink if sink is not None else RunEvents()
         self.verdict = HEALTHY
         self.worst = HEALTHY
@@ -445,7 +359,7 @@ class DivergenceSentinel:
         smp.verdict = verdict
         if verdict == SUSPECT:
             self._streak += 1
-            if self._streak >= self.patience:
+            if self._streak >= PATIENCE:
                 verdict = smp.verdict = DIVERGED
                 reasons.append(
                     f"suspect for {self._streak} consecutive samples"
@@ -460,7 +374,7 @@ class DivergenceSentinel:
             }))
         if _TRACER.enabled:
             self._export_verdict(verdict)
-        if verdict == DIVERGED and self.abort:
+        if verdict == DIVERGED:
             self.aborts += 1
             # An abort is a raise, not a record: its counter is moved here,
             # under the records' metering rule (traced or not).
@@ -483,54 +397,49 @@ class DivergenceSentinel:
         """
         if not smp.finite:
             return DIVERGED, ["non-finite diagnostics"]
-        if smp.max_eta > self.eta_limit:
+        if smp.max_eta > ETA_LIMIT:
             return DIVERGED, [
-                f"max |eta| {smp.max_eta:.3g} m beyond {self.eta_limit:g} m"
+                f"max |eta| {smp.max_eta:.3g} m beyond {ETA_LIMIT:g} m"
             ]
         if smp.cfl_margin <= 0.0:
             return DIVERGED, [
                 f"CFL margin {smp.cfl_margin:.3g} collapsed to <= 0"
             ]
-        if abs(smp.mass_drift) > 10.0 * self.mass_tol:
+        if abs(smp.mass_drift) > 10.0 * MASS_TOL:
             return DIVERGED, [
                 f"mass drift {smp.mass_drift:.3g} beyond hard tolerance "
-                f"{10.0 * self.mass_tol:g}"
+                f"{10.0 * MASS_TOL:g}"
             ]
 
         reasons: list[str] = []
-        if abs(smp.mass_drift) > self.mass_tol:
+        if abs(smp.mass_drift) > MASS_TOL:
             reasons.append(
-                f"mass drift {smp.mass_drift:.3g} beyond {self.mass_tol:g}"
+                f"mass drift {smp.mass_drift:.3g} beyond {MASS_TOL:g}"
             )
-        tail = self.sampler.samples[-self.window :]
+        tail = self.sampler.samples[-WINDOW:]
         if len(tail) >= 2:
             slope = (tail[-1].mass_drift - tail[0].mass_drift) / (
                 len(tail) - 1
             )
-            if abs(slope) > self.mass_slope_tol:
+            if abs(slope) > MASS_SLOPE_TOL:
                 reasons.append(
                     f"mass-drift slope {slope:.3g}/sample beyond "
-                    f"{self.mass_slope_tol:g}"
+                    f"{MASS_SLOPE_TOL:g}"
                 )
             low = min(s.max_eta for s in tail)
             if (
-                smp.max_eta > self.eta_floor
+                smp.max_eta > ETA_FLOOR
                 and low > 0.0
-                and smp.max_eta / low > self.eta_growth_factor
+                and smp.max_eta / low > ETA_GROWTH_FACTOR
             ):
                 reasons.append(
                     f"max |eta| grew {smp.max_eta / low:.2f}x over "
                     f"{len(tail)} samples with no source"
                 )
-        if smp.cfl_margin < self.cfl_margin_floor:
+        if smp.cfl_margin < CFL_MARGIN_FLOOR:
             reasons.append(
                 f"CFL margin {smp.cfl_margin:.3g} below floor "
-                f"{self.cfl_margin_floor:g}"
-            )
-        if smp.gauge_anomaly > self.anomaly_limit:
-            reasons.append(
-                f"gauge anomaly {smp.gauge_anomaly:.2f} sigma beyond "
-                f"{self.anomaly_limit:g}"
+                f"{CFL_MARGIN_FLOOR:g}"
             )
         return (SUSPECT, reasons) if reasons else (HEALTHY, reasons)
 
@@ -572,15 +481,15 @@ class DivergenceSentinel:
             "aborts": self.aborts,
             "events": self.events,
             "thresholds": {
-                "mass_tol": self.mass_tol,
-                "mass_slope_tol": self.mass_slope_tol,
-                "cfl_margin_floor": self.cfl_margin_floor,
-                "eta_limit": self.eta_limit,
-                "eta_floor": self.eta_floor,
-                "eta_growth_factor": self.eta_growth_factor,
-                "anomaly_limit": self.anomaly_limit,
-                "window": self.window,
-                "patience": self.patience,
+                "mass_tol": MASS_TOL,
+                "mass_slope_tol": MASS_SLOPE_TOL,
+                "cfl_margin_floor": CFL_MARGIN_FLOOR,
+                "eta_limit": ETA_LIMIT,
+                "eta_floor": ETA_FLOOR,
+                "eta_growth_factor": ETA_GROWTH_FACTOR,
+                "anomaly_limit": ANOMALY_LIMIT,
+                "window": WINDOW,
+                "patience": PATIENCE,
             },
         }
 

@@ -113,10 +113,13 @@ SOAK_SLOS: tuple[SLO, ...] = (
 )
 
 #: SRE-standard fast/slow multi-window pairs, in service seconds.
-DEFAULT_BURN_WINDOWS: tuple[BurnWindow, ...] = (
+BURN_WINDOWS: tuple[BurnWindow, ...] = (
     BurnWindow("fast", short_s=300.0, long_s=3600.0, factor=14.4),
     BurnWindow("slow", short_s=1800.0, long_s=21600.0, factor=6.0),
 )
+
+#: Events each SLO keeps for its burn windows (totals count them all).
+MAX_EVENTS = 200_000
 
 
 @dataclass
@@ -197,27 +200,19 @@ class SLOEngine:
     SLO history deterministically.  Event retention is bounded per SLO;
     cumulative totals are kept separately so attainment and budget
     consumption stay exact even after old events age out of the window
-    buffer.
+    buffer (the newest :data:`MAX_EVENTS` per SLO).
     """
 
-    def __init__(
-        self,
-        slos: tuple[SLO, ...] | None = None,
-        windows: tuple[BurnWindow, ...] | None = None,
-        max_events: int = 200_000,
-    ) -> None:
+    def __init__(self, slos: tuple[SLO, ...] | None = None) -> None:
         self.slos = tuple(slos if slos is not None else DEFAULT_SLOS)
         if not self.slos:
             raise ValueError("need at least one SLO")
         names = [s.name for s in self.slos]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate SLO names in {names}")
-        self.windows = tuple(
-            windows if windows is not None else DEFAULT_BURN_WINDOWS
-        )
         self._by_name = {s.name: s for s in self.slos}
         self._events: dict[str, deque] = {
-            s.name: deque(maxlen=max_events) for s in self.slos
+            s.name: deque(maxlen=MAX_EVENTS) for s in self.slos
         }
         self._total: dict[str, int] = {s.name: 0 for s in self.slos}
         self._good: dict[str, int] = {s.name: 0 for s in self.slos}
@@ -288,7 +283,7 @@ class SLOEngine:
             consumed = bad / allowed if allowed > 0 else 0.0
             burn_rates: dict[str, float] = {}
             alerts: list[str] = []
-            for w in self.windows:
+            for w in BURN_WINDOWS:
                 b_short = self.burn_rate(slo.name, now, w.short_s)
                 b_long = self.burn_rate(slo.name, now, w.long_s)
                 if b_short is not None:

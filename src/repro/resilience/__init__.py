@@ -8,8 +8,8 @@ failure.  It provides:
   injection (rank crashes, message drops/delays, stragglers, NaN
   corruption) into the simulated MPI transport and the event-driven
   hardware model;
-* :class:`HealthMonitor` — cheap per-step NaN/Inf, blow-up, CFL-margin
-  and mass-drift checks raising :class:`~repro.errors.NumericalError`;
+* :class:`HealthMonitor` — cheap per-step NaN/Inf, blow-up and
+  CFL-margin checks raising :class:`~repro.errors.NumericalError`;
 * :class:`Checkpoint` — the one in-memory image of model state (the
   rollback ring's entries, a snapshot read from disk, a rank's buddy
   replica), with one capture, one verify and a bitwise restore;

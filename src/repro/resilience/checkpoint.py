@@ -225,14 +225,13 @@ class CheckpointRing:
         restored), as the newest entry without spilling it again."""
         self._ring.append(ckpt)
 
-    def snapshot(self, model, validate: bool = True) -> Checkpoint:
+    def snapshot(self, model) -> Checkpoint:
         """Archive the model's current state; returns the checkpoint.
 
-        With *validate* (default), raises
-        :class:`~repro.errors.NumericalError` on non-finite state rather
-        than storing a poisoned snapshot.
+        Raises :class:`~repro.errors.NumericalError` on non-finite state
+        rather than storing a poisoned snapshot.
         """
-        ckpt = capture_model(model, digest=self.checksums, finite=validate)
+        ckpt = capture_model(model, digest=self.checksums, finite=True)
         self._ring.append(ckpt)
         self.taken += 1
         if self.store is not None:

@@ -21,33 +21,22 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 
 
+#: The Table-II system a step is priced on, here and by the service's
+#: admission cost model (whose cache keys it also scopes).
+PLATFORM = "squid-gpu"
+#: Asynchronous queue count (the paper's saturated configuration).
+N_QUEUES = 4
+#: Multiplier folding the exchange phases into the priced compute cost
+#: (the paper's post-optimization runs are compute-dominated).
+COMM_OVERHEAD = 1.25
+
+
 class SimulatedClock:
-    """Accumulates simulated elapsed time, priced per step.
+    """Accumulates simulated elapsed time, priced per step on
+    :data:`PLATFORM`."""
 
-    Parameters
-    ----------
-    platform:
-        A :class:`repro.hw.platform.PlatformSpec`, or a system name from
-        the Table-II registry (e.g. ``"squid-gpu"``).
-    n_queues:
-        Asynchronous queue count for the stream simulator (the paper's
-        saturated configuration is 4).
-    comm_overhead:
-        Multiplier folding exchange phases into the priced compute cost
-        (the paper's post-optimization runs are compute-dominated).
-    """
-
-    def __init__(
-        self,
-        platform="squid-gpu",
-        n_queues: int = 4,
-        comm_overhead: float = 1.25,
-    ) -> None:
-        if isinstance(platform, str):
-            platform = get_system(platform).platform
-        self.platform = platform
-        self.n_queues = n_queues
-        self.comm_overhead = comm_overhead
+    def __init__(self) -> None:
+        self.platform = get_system(PLATFORM).platform
         self.elapsed_us = 0.0
         # key -> (cost_us, per-queue busy fraction over the makespan)
         self._cache: dict[tuple, tuple[float, dict[int, float]]] = {}
@@ -71,7 +60,7 @@ class SimulatedClock:
         if key not in self._cache:
             sim = StreamSimulator(
                 self.platform,
-                n_queues=self.n_queues,
+                n_queues=N_QUEUES,
                 mode=LaunchMode.ASYNC,
                 slowdown=slowdown,
             )
@@ -85,7 +74,7 @@ class SimulatedClock:
                     )
             result = sim.run()
             self._cache[key] = (
-                result.makespan_us * self.comm_overhead,
+                result.makespan_us * COMM_OVERHEAD,
                 queue_occupancy(result.events, result.makespan_us),
             )
         return self._cache[key][0]

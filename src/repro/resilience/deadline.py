@@ -25,28 +25,22 @@ from repro.errors import DeadlineError
 #: Degradation actions, mildest first.
 DEGRADATION_ORDER = ("drop_level", "coarsen_output", "finish_early")
 
+#: Fraction of the budget the projection must fit into (headroom for the
+#: un-modelled tail: I/O, dissemination).
+MARGIN = 0.9
+
 
 class DeadlineSupervisor:
-    """Tracks projected finish against an operational deadline.
-
-    Parameters
-    ----------
-    deadline_s:
-        Wall-clock budget [s] for the whole forecast computation.
-    margin:
-        Fraction of the budget the projection must fit into (headroom
-        for the un-modelled tail: I/O, dissemination).
+    """Tracks projected finish against an operational deadline of
+    *deadline_s* wall-clock seconds for the whole forecast computation.
     """
 
-    def __init__(self, deadline_s: float, margin: float = 0.9) -> None:
+    def __init__(self, deadline_s: float) -> None:
         if deadline_s is None or deadline_s <= 0:
             raise DeadlineError(
                 f"deadline must be a positive duration, got {deadline_s!r}"
             )
-        if not 0 < margin <= 1:
-            raise DeadlineError(f"margin must be in (0, 1], got {margin}")
         self.deadline_s = deadline_s
-        self.margin = margin
 
     def projected_finish_s(
         self, elapsed_s: float, steps_left: int, step_cost_s: float
@@ -58,7 +52,7 @@ class DeadlineSupervisor:
     ) -> bool:
         """Would the run, unchanged, miss the (margin-shrunk) deadline?"""
         projected = self.projected_finish_s(elapsed_s, steps_left, step_cost_s)
-        return projected > self.deadline_s * self.margin
+        return projected > self.deadline_s * MARGIN
 
     def next_action(self, can_drop_level: bool, can_coarsen: bool) -> str:
         """Mildest degradation still available."""

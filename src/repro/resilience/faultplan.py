@@ -82,6 +82,16 @@ FAULT_KINDS = (
 #: Kinds injected into the simulated-MPI transport.
 COMM_KINDS = ("rank_crash", "msg_drop", "msg_delay", "straggler")
 
+#: The kinds each forecast path injects, in the order a seeded plan draws
+#: them: the single-process guarded run
+#: (:class:`~repro.resilience.recovery.RecoveryEngine`) and the rank
+#: threads (:func:`~repro.resilience.survive.survivable_run_distributed`).
+#: A plan for a path holds no other kind: nothing would inject it.
+INJECTED_KINDS = {
+    "process": ("nan", "straggler", "bitflip"),
+    "ranks": COMM_KINDS,
+}
+
 #: Injection targets for the ``bitflip`` kind.
 BITFLIP_TARGETS = ("state", "checkpoint")
 
@@ -281,9 +291,18 @@ class FaultPlan:
         return cls([FaultSpec(**raw) for raw in faults], seed=data.get("seed"))
 
     @classmethod
-    def from_file(cls, path) -> "FaultPlan":
+    def from_file(cls, path, kinds: tuple[str, ...] = FAULT_KINDS) -> "FaultPlan":
+        """The plan in JSON file *path*; a fault of a kind outside *kinds*
+        (what the run's path injects, :data:`INJECTED_KINDS`) is a
+        :class:`~repro.errors.ConfigurationError`."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            plan = cls.from_dict(json.load(fh))
+        for spec in plan.faults:
+            if spec.kind not in kinds:
+                raise ConfigurationError(
+                    f"fault kind {spec.kind!r} is never injected on this "
+                    f"path (it injects {', '.join(kinds)})")
+        return plan
 
     # -- matching / consumption -----------------------------------------
 

@@ -18,11 +18,7 @@ from repro.core.config import SimulationConfig
 from repro.core.model import RTiModel
 from repro.errors import NumericalError
 from repro.obs.log import RunEvents, get_logger
-from repro.obs.physics import (
-    DivergenceSentinel,
-    PhysicsSampler,
-    physics_doc,
-)
+from repro.obs.physics import DivergenceSentinel, physics_doc
 from repro.obs.trace import span
 from repro.resilience.checkpoint import CheckpointRing
 from repro.resilience.clock import SimulatedClock
@@ -53,9 +49,7 @@ def run_resilient_forecast(
     checkpoint_every: int = 20,
     min_levels: int = 1,
     max_output_every: int = 8,
-    max_rollbacks: int = 6,
     store=None,
-    physics_every: int = 5,
     integrity_every: int = 0,
     scrub_every: int = 0,
     restored=None,
@@ -79,10 +73,10 @@ def run_resilient_forecast(
     :class:`~repro.errors.NumericalError`.  A resume starts from
     *restored*, a snapshot of *store* the ring then holds.
 
-    *physics_every* arms the in-situ physics sampler + divergence
-    sentinel (:mod:`repro.obs.physics`) on that step cadence (0 turns
-    it off).  The sentinel composes with the health monitor via
-    :class:`~repro.core.CompositeMonitor`; a ``diverged`` verdict
+    The in-situ physics sampler + divergence sentinel
+    (:mod:`repro.obs.physics`) always ride along, composed with the
+    health monitor via :class:`~repro.core.CompositeMonitor`; a
+    ``diverged`` verdict
     raises into the recovery engine, so a doomed run rolls back / halves
     dt / degrades within a few samples instead of burning the deadline
     budget to the NaN wall.  The report carries ``physics_verdict``/
@@ -106,13 +100,9 @@ def run_resilient_forecast(
         model.set_initial_condition(source)
 
     events = RunEvents(store)
-    sentinel = tracker = None
-    monitors = [HealthMonitor()]
-    if physics_every:
-        sentinel = DivergenceSentinel(
-            PhysicsSampler(every=physics_every), sink=events
-        )
-        monitors.append(sentinel)
+    tracker = None
+    sentinel = DivergenceSentinel(sink=events)
+    monitors = [HealthMonitor(), sentinel]
     if integrity_every:
         tracker = IntegrityTracker(sink=events)
         monitors.append(
@@ -146,7 +136,6 @@ def run_resilient_forecast(
         clock=clock,
         fault_plan=fault_plan,
         checkpoint_every=checkpoint_every,
-        max_rollbacks=max_rollbacks,
         min_levels=min_levels,
         max_output_every=max_output_every,
         sink=events,
@@ -182,10 +171,10 @@ def run_resilient_forecast(
             fault_plan.triggered_labels() if fault_plan is not None else []
         ),
         checkpoints_taken=ring.taken,
-        physics_verdict=sentinel.worst if sentinel is not None else None,
+        physics_verdict=sentinel.worst,
         # The full physics.json-shaped document (samples included), so
         # callers can merge counter tracks into their trace export.
-        physics=physics_doc(sentinel=sentinel) if sentinel is not None else None,
+        physics=physics_doc(sentinel=sentinel),
         integrity_verdict=tracker.verdict if tracker is not None else None,
         integrity=integrity_doc(tracker) if tracker is not None else None,
     )

@@ -2,23 +2,24 @@
 
 The operational contract of a real-time forecaster is "never return
 garbage": a NaN that leaks into the max-water-level product is worse
-than a late forecast.  :class:`HealthMonitor` applies four rules on a
-configurable cadence and raises :class:`~repro.errors.NumericalError` on
-the first violation, which the recovery engine converts into a rollback:
+than a late forecast.  :class:`HealthMonitor` applies three rules every
+:data:`HEALTH_EVERY` steps and raises :class:`~repro.errors.NumericalError`
+on the first violation, which the recovery engine converts into a rollback:
 
 1. **NaN/Inf** anywhere in a prognostic read buffer, ghost cells included;
-2. **blow-up bound** — wet-cell water level beyond any physical tsunami;
+2. **blow-up bound** — wet-cell water level beyond :data:`ETA_LIMIT`;
 3. **CFL margin** — the current total depth (still water + surge) must
-   keep ``sqrt(2 g D) * dt / dx`` below 1 on every level;
-4. **mass-conservation drift** (optional; only meaningful in a closed
-   basin) — relative volume change against the first observation.
+   keep ``sqrt(2 g D) * dt / dx`` below :data:`CFL_LIMIT` on every level.
 
-The first three read per-block reductions — finite flags, wet cells, max
-|eta| over them, max D — that the compiled nest makes for every block in
-one launch (:func:`repro.core.loopnest.scan`, DESIGN.md section 9j); the
-per-block NumPy body computes the same where there is no nest, and is the
-reference it is held to.  The check runs on the state as it is when called
-(after any injected fault), not on a record stamped inside the step.
+Mass conservation is the physics sentinel's rule
+(:mod:`repro.obs.physics`).  The rules read per-block reductions —
+finite flags, wet cells, max |eta| over them, max D — that the compiled
+nest makes for every block in one launch
+(:func:`repro.core.loopnest.scan`, DESIGN.md section 9j); the per-block
+NumPy body computes the same where there is no nest, and is the
+reference it is held to.  The check runs on the state as it is when
+called (after any injected fault), not on a record stamped inside the
+step.
 """
 
 from __future__ import annotations
@@ -33,48 +34,28 @@ from repro.errors import NumericalError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 
+#: Check cadence [steps].
+HEALTH_EVERY = 1
+#: Maximum plausible wet-cell water level [m].
+ETA_LIMIT = 100.0
+#: Maximum allowed Courant number ``sqrt(2 g D_max) dt / dx``.
+CFL_LIMIT = 1.0
+#: The straggler test: a rank is one beyond ``median + MAD_K * sigma``
+#: (sigma from the MAD) and at least ``MIN_RATIO`` times the median.
+MAD_K = 3.5
+MIN_RATIO = 1.5
+
 
 class HealthMonitor:
-    """Per-step state validation with a configurable cadence.
+    """Per-step state validation every :data:`HEALTH_EVERY` steps."""
 
-    Parameters
-    ----------
-    every:
-        Check cadence in steps (1 = every step).
-    eta_limit:
-        Maximum plausible wet-cell water level [m].
-    cfl_limit:
-        Maximum allowed Courant number ``sqrt(2 g D_max) dt / dx``.
-    mass_tol:
-        Relative volume-drift tolerance, or ``None`` to disable the mass
-        check (open boundaries radiate volume out, so the check is only
-        meaningful for closed basins).
-    """
-
-    def __init__(
-        self,
-        every: int = 1,
-        eta_limit: float = 100.0,
-        cfl_limit: float = 1.0,
-        mass_tol: float | None = None,
-    ) -> None:
-        if every < 1:
-            raise ValueError("cadence must be >= 1")
-        self.every = every
-        self.eta_limit = eta_limit
-        self.cfl_limit = cfl_limit
-        self.mass_tol = mass_tol
-        self._v0: float | None = None
+    def __init__(self) -> None:
         self.checks_run = 0
 
     def after_step(self, model) -> None:
         """Cadence-gated hook for ``RTiModel.run`` / the recovery engine."""
-        if model.step_count % self.every == 0:
+        if model.step_count % HEALTH_EVERY == 0:
             self.check(model)
-
-    def reset_baseline(self) -> None:
-        """Forget the mass baseline (after a degradation rebuilt the model)."""
-        self._v0 = None
 
     def check(self, model) -> None:
         """Run all checks now; raise :class:`NumericalError` on failure."""
@@ -94,17 +75,6 @@ class HealthMonitor:
                         raise self._nonfinite(model, name, bid)
                 if rec[3]:
                     self._bounds(model, bid, st.dx, rec[4], rec[5])
-        if self.mass_tol is not None:
-            vol = model.total_volume()
-            if self._v0 is None:
-                self._v0 = vol
-            elif self._v0 > 0:
-                drift = abs(vol - self._v0) / self._v0
-                if drift > self.mass_tol:
-                    raise NumericalError(
-                        f"step {model.step_count}: mass-conservation "
-                        f"drift {drift:.2%} exceeds {self.mass_tol:.2%}"
-                    )
 
     def _check_numpy(self, model) -> None:
         """The per-block rules on NumPy's reductions: the body the nest's
@@ -135,20 +105,21 @@ class HealthMonitor:
             f"field {name} of block {bid}"
         )
 
-    def _bounds(self, model, bid: int, dx: float, eta_max: float, d_max: float) -> None:
+    @staticmethod
+    def _bounds(model, bid: int, dx: float, eta_max: float, d_max: float) -> None:
         """The blow-up and CFL rules of one block with a wet cell."""
-        if eta_max > self.eta_limit:
+        if eta_max > ETA_LIMIT:
             raise NumericalError(
                 f"step {model.step_count}: water level blow-up in "
                 f"block {bid}: |eta| = {eta_max:.1f} m > "
-                f"{self.eta_limit:.1f} m"
+                f"{ETA_LIMIT:.1f} m"
             )
         courant = math.sqrt(2.0 * GRAVITY * d_max) * model.config.dt / dx
-        if courant > self.cfl_limit:
+        if courant > CFL_LIMIT:
             raise NumericalError(
                 f"step {model.step_count}: CFL margin violated in "
                 f"block {bid}: Courant number {courant:.3f} > "
-                f"{self.cfl_limit:.3f} (D_max = {d_max:.1f} m)"
+                f"{CFL_LIMIT:.3f} (D_max = {d_max:.1f} m)"
             )
 
 
@@ -156,9 +127,9 @@ class StepTimeMonitor:
     """MAD-based straggler detection over per-rank step times.
 
     Classic robust outlier test: a rank is a straggler when its window
-    time exceeds ``median + mad_k * 1.4826 * MAD`` (1.4826 scales the
+    time exceeds ``median + MAD_K * 1.4826 * MAD`` (1.4826 scales the
     median absolute deviation to a normal-equivalent sigma).  A second
-    guard, ``min_ratio``, requires the rank to be at least that factor
+    guard, ``MIN_RATIO``, requires the rank to be at least that factor
     slower than the median — without it, a near-zero MAD (all ranks in
     lockstep) would flag microsecond jitter.
 
@@ -167,12 +138,6 @@ class StepTimeMonitor:
     computes the same verdict, which is what lets the survivable runtime
     make coordinated hedging decisions without a leader.
     """
-
-    def __init__(self, mad_k: float = 3.5, min_ratio: float = 1.5) -> None:
-        if mad_k <= 0 or min_ratio < 1.0:
-            raise ValueError("mad_k must be > 0 and min_ratio >= 1")
-        self.mad_k = mad_k
-        self.min_ratio = min_ratio
 
     def stragglers(self, per_rank_seconds: dict[int, float]) -> list[int]:
         """Ranks flagged as stragglers, worst (largest excess) first."""
@@ -183,8 +148,7 @@ class StepTimeMonitor:
         )
         med = float(np.median(times))
         mad = float(np.median(np.abs(times - med)))
-        threshold = max(med + self.mad_k * 1.4826 * mad,
-                        self.min_ratio * med)
+        threshold = max(med + MAD_K * 1.4826 * mad, MIN_RATIO * med)
         flagged = [
             (per_rank_seconds[r] - threshold, r)
             for r in per_rank_seconds

@@ -264,7 +264,6 @@ class IntegrityMonitor:
         self,
         every: int = 1,
         tracker: IntegrityTracker | None = None,
-        abort: bool = True,
     ) -> None:
         if every < 1:
             raise ConfigurationError(
@@ -272,7 +271,6 @@ class IntegrityMonitor:
             )
         self.every = every
         self.tracker = tracker if tracker is not None else IntegrityTracker()
-        self.abort = abort
         self.violations = 0
         self._pending: tuple[int, dict] | None = None
 
@@ -315,15 +313,14 @@ class IntegrityMonitor:
             blocks=blocks,
             latency_steps=step - pstep,
         )
-        if self.abort:
-            raise IntegrityError(
-                f"step {step}: checksum mismatch on published state of "
-                f"step {pstep} ({detail}) — silent corruption in the "
-                f"leap-frog window",
-                surface="state",
-                blocks=blocks,
-                step=step,
-            )
+        raise IntegrityError(
+            f"step {step}: checksum mismatch on published state of "
+            f"step {pstep} ({detail}) — silent corruption in the "
+            f"leap-frog window",
+            surface="state",
+            blocks=blocks,
+            step=step,
+        )
 
     def reset_baseline(self) -> None:
         """Forget pending checksums after a rollback or grid change."""

@@ -24,7 +24,7 @@ Around every model step the engine:
   the same checkpoint keeps blowing up (the classic stiff-case
   response, down to a floor of an eighth of the initial dt), and giving
   up into an explicitly degraded partial forecast after
-  ``max_rollbacks``.
+  :data:`MAX_ROLLBACKS`.
 
 Distributed runs recover in flight instead:
 :func:`repro.resilience.survive.survivable_run_distributed`.
@@ -40,13 +40,21 @@ from repro.errors import IntegrityError, NumericalError
 from repro.grid.hierarchy import NestedGrid
 from repro.obs.log import RunEvents, ServiceEvent, traced_gauge
 from repro.resilience.checkpoint import CheckpointRing, capture_model
-from repro.resilience.deadline import DEGRADATION_ORDER, DeadlineSupervisor
+from repro.resilience.deadline import (
+    DEGRADATION_ORDER,
+    MARGIN,
+    DeadlineSupervisor,
+)
 from repro.resilience.faultplan import FaultPlan
 from repro.resilience.inject import (
     corrupt_checkpoint,
     corrupt_state,
     corrupt_state_bitflip,
 )
+
+#: Rollback budget before the engine gives up into a partial, explicitly
+#: degraded forecast.
+MAX_ROLLBACKS = 6
 
 
 def drop_finest_level(model: RTiModel) -> RTiModel:
@@ -87,10 +95,6 @@ class RecoveryEngine:
         the loop captures SIGTERM/SIGINT.
     checkpoint_every:
         Snapshot cadence [steps], on the absolute step count.
-    max_rollbacks:
-        Rollback budget before the engine gives up into a partial,
-        explicitly degraded forecast (0: the first unusable state ends
-        the run).
     min_levels:
         Degradation floor for ``drop_level``.
     max_output_every:
@@ -120,7 +124,6 @@ class RecoveryEngine:
         clock=None,
         fault_plan: FaultPlan | None = None,
         checkpoint_every: int = 20,
-        max_rollbacks: int = 6,
         min_levels: int = 1,
         max_output_every: int = 8,
         sink: RunEvents | None = None,
@@ -142,7 +145,6 @@ class RecoveryEngine:
         self.clock = clock
         self.fault_plan = fault_plan
         self.checkpoint_every = checkpoint_every
-        self.max_rollbacks = max_rollbacks
         #: Floor for timestep halving.
         self._dt_floor = model.config.dt / 8.0
         self.min_levels = min_levels
@@ -221,9 +223,9 @@ class RecoveryEngine:
     def _rollback(self, exc: NumericalError) -> None:
         self._rollbacks += 1
         quarantine = isinstance(exc, IntegrityError)
-        if self._rollbacks > self.max_rollbacks:
+        if self._rollbacks > MAX_ROLLBACKS:
             self._abort(
-                f"rollback budget ({self.max_rollbacks}) exhausted: {exc}",
+                f"rollback budget ({MAX_ROLLBACKS}) exhausted: {exc}",
                 exc, "rollback budget exhausted",
             )
             return
@@ -307,7 +309,7 @@ class RecoveryEngine:
             # Shorten the horizon to what the remaining budget affords
             # rather than stopping dead: a 70%-horizon forecast beats
             # none at all.
-            budget_s = sup.deadline_s * sup.margin - self.clock.elapsed_s
+            budget_s = sup.deadline_s * MARGIN - self.clock.elapsed_s
             affordable = (
                 int(budget_s / step_cost_s) if step_cost_s > 0 else 0
             )

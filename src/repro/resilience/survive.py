@@ -511,7 +511,6 @@ def survivable_run_distributed(
     *,
     survival: SurvivalConfig | None = None,
     fault_plan: FaultPlan | None = None,
-    perf_model=None,
     store=None,
     timeout: float = 300.0,
     comm_timeout: float = 30.0,
@@ -524,10 +523,6 @@ def survivable_run_distributed(
     the survivors or respawned from the spare pool per
     :class:`SurvivalConfig` — from the latest consistent checkpoint
     epoch.  Returns ``(eta_by_block, SurvivalReport)``.
-
-    *perf_model* (a :class:`~repro.balance.perfmodel.LinearPerfModel`)
-    scores shrink re-decompositions; defaults to the paper's published
-    fit.
 
     *store* (a :class:`repro.persist.RunStore`) is the run directory:
     ``distributed_start`` is journaled before the first incarnation and
@@ -557,7 +552,7 @@ def survivable_run_distributed(
     with guard:
         eta = _incarnations(
             grid, bathymetry, config, decomp, source, n_steps, scfg,
-            fault_plan, perf_model, report, timeout, comm_timeout,
+            fault_plan, report, timeout, comm_timeout,
         )
         if report.hedge_attempts:
             traced_gauge("repro_hedge_win_rate",
@@ -577,7 +572,7 @@ def survivable_run_distributed(
 
 def _incarnations(
     grid, bathymetry, config, decomp, source, n_steps, scfg, fault_plan,
-    perf_model, report, timeout, comm_timeout,
+    report, timeout, comm_timeout,
 ) -> dict[int, np.ndarray]:
     """Launch, and relaunch after every failure round, until the run
     completes distributed or the breaker completes it single-process."""
@@ -717,9 +712,7 @@ def _incarnations(
         elif scfg.policy in ("auto", "shrink") and survivors >= 1:
             action = "shrink"
             t0 = time.perf_counter()
-            current = shrink_decomposition(
-                grid, survivors, model=perf_model
-            )
+            current = shrink_decomposition(grid, survivors)
             report.shrink_latency_s = time.perf_counter() - t0
             traced_gauge("repro_recovery_shrink_latency_seconds",
                          "wall time of the last shrink re-decomposition",
@@ -780,7 +773,7 @@ def _breaker_fallback(
     supervisor = clock = None
     if scfg.deadline_s is not None:
         supervisor = DeadlineSupervisor(scfg.deadline_s)
-        clock = SimulatedClock(platform="squid-gpu")
+        clock = SimulatedClock()
     engine = RecoveryEngine(
         model,
         n_steps * config.dt,

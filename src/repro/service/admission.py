@@ -28,11 +28,15 @@ import math
 from contextlib import contextmanager
 
 from repro.errors import ReproError, ServiceError
+from repro.resilience.clock import COMM_OVERHEAD, N_QUEUES, PLATFORM
 from repro.service.request import Fidelity
 
 #: Kernel launches per block per step, before output accumulation
 #: (NLMASS + NLMNT2 x-sweep + NLMNT2 y-sweep).
 _KERNELS_PER_BLOCK = 3
+
+#: EWMA weight of each new observed/predicted cost ratio.
+ALPHA = 0.3
 
 
 @contextmanager
@@ -94,45 +98,17 @@ def check_scenario(scenario: dict) -> None:
 
 
 class CostEstimator:
-    """Prices a scenario at a fidelity; self-calibrates from outcomes.
+    """Prices a scenario at a fidelity on the simulated clock's platform,
+    queues and exchange overhead (:mod:`repro.resilience.clock`), with
+    the platform's stored reference model; self-calibrates from outcomes."""
 
-    Parameters
-    ----------
-    model:
-        A :class:`~repro.balance.perfmodel.LinearPerfModel`; defaults to
-        the platform's stored reference model (lazily microbenchmarked
-        for platforms without a published fit).
-    platform:
-        Table-II system name; also names the cache/breaker scope.
-    alpha:
-        EWMA weight of each new observed/predicted ratio.
-    """
+    def __init__(self) -> None:
+        from repro.hw import get_system
+        from repro.hw.registry import platform_key_of, reference_model_for
 
-    def __init__(
-        self,
-        model=None,
-        platform: str = "squid-gpu",
-        n_queues: int = 4,
-        comm_overhead: float = 1.25,
-        alpha: float = 0.3,
-    ) -> None:
-        if model is None:
-            from repro.hw import get_system
-            from repro.hw.registry import platform_key_of, reference_model_for
-
-            spec = get_system(platform).platform
-            key = platform_key_of(spec)
-            if key is None:
-                from repro.balance.apply import fit_platform_model
-
-                model = fit_platform_model(spec)
-            else:
-                model = reference_model_for(key)
-        self.model = model
-        self.platform = platform
-        self.n_queues = max(1, int(n_queues))
-        self.comm_overhead = comm_overhead
-        self.alpha = alpha
+        self.model = reference_model_for(
+            platform_key_of(get_system(PLATFORM).platform)
+        )
         #: Live EWMA of observed/predicted cost; 1.0 = model is exact.
         self.calibration = 1.0
         self.observations = 0
@@ -149,7 +125,7 @@ class CostEstimator:
             for level in cells_by_level
             for c in level
         )
-        return total_us / self.n_queues * self.comm_overhead * 1e-6
+        return total_us / N_QUEUES * COMM_OVERHEAD * 1e-6
 
     def estimate_raw_s(
         self, scenario: dict, fidelity: Fidelity = Fidelity()
@@ -182,9 +158,7 @@ class CostEstimator:
         if raw_predicted_s <= 0 or actual_s <= 0:
             return
         ratio = actual_s / raw_predicted_s
-        self.calibration = (
-            (1.0 - self.alpha) * self.calibration + self.alpha * ratio
-        )
+        self.calibration = (1.0 - ALPHA) * self.calibration + ALPHA * ratio
         # Never let a pathological observation (a hung or instantly
         # failing backend) swing future admissions by more than 10x.
         self.calibration = min(10.0, max(0.1, self.calibration))

@@ -36,6 +36,13 @@ from repro.service.request import (
     ladder_fidelities,
 )
 
+#: The simulated sentinel cuts a diverging run at this fraction of its
+#: deadline budget.
+ABORT_BUDGET_FRAC = 0.25
+#: Of the runs a simulated bit flip hits, the fraction the simulated ABFT
+#: layer catches.
+CORRUPT_DETECT_FRACTION = 0.9
+
 
 @dataclass
 class BackendResult:
@@ -139,17 +146,14 @@ class SimulatedBackend:
     digest mismatch in the acceptance tests.
     """
 
+    name = "sim"
+
     def __init__(
         self,
-        name: str = "sim",
-        estimator: CostEstimator | None = None,
         noise: float = 0.1,
         fail_when=None,
         diverge_fraction: float = 0.0,
-        abort_budget_frac: float = 0.25,
-        physics_verdicts: bool = True,
         corrupt_fraction: float = 0.0,
-        corrupt_detect_fraction: float = 0.9,
     ) -> None:
         if not 0 <= noise < 1:
             raise ServiceError(f"noise must be in [0, 1), got {noise}")
@@ -161,37 +165,22 @@ class SimulatedBackend:
             raise ServiceError(
                 f"corrupt_fraction must be in [0, 1], got {corrupt_fraction}"
             )
-        if not 0 <= corrupt_detect_fraction <= 1:
-            raise ServiceError(
-                "corrupt_detect_fraction must be in [0, 1], got "
-                f"{corrupt_detect_fraction}"
-            )
-        if not 0 < abort_budget_frac <= 1:
-            raise ServiceError(
-                f"abort_budget_frac must be in (0, 1], got {abort_budget_frac}"
-            )
-        self.name = name
-        self.estimator = estimator or CostEstimator()
+        self.estimator = CostEstimator()
         self.noise = noise
         #: Optional ``callable(request) -> bool`` injecting failures.
         self.fail_when = fail_when
         #: Deterministic per-scenario fraction of runs whose numerics
         #: diverge; the simulated sentinel then aborts the run at
-        #: *abort_budget_frac* of its deadline budget and stamps the
+        #: :data:`ABORT_BUDGET_FRAC` of its deadline budget and stamps the
         #: result ``diverged`` — the priced analogue of the real
         #: sentinel's abort-early protocol.
         self.diverge_fraction = diverge_fraction
-        self.abort_budget_frac = abort_budget_frac
-        #: Attach physics verdicts to results (False = sampling off, as
-        #: for a backend that never ran the in-situ engine).
-        self.physics_verdicts = physics_verdicts
         #: Deterministic per-scenario fraction of runs hit by a
-        #: simulated bit flip.  Of those, *corrupt_detect_fraction* are
-        #: caught-and-rolled-back by the simulated ABFT layer (verdict
+        #: simulated bit flip.  Of those, :data:`CORRUPT_DETECT_FRACTION`
+        #: are caught-and-rolled-back by the simulated ABFT layer (verdict
         #: ``corrected``); the rest escape as ``corrupted`` — the case
         #: the integrity SLO must flag, never silently complete.
         self.corrupt_fraction = corrupt_fraction
-        self.corrupt_detect_fraction = corrupt_detect_fraction
         self.runs = 0
         self.runs_by_key: dict[str, int] = {}
 
@@ -216,7 +205,7 @@ class SimulatedBackend:
         """Integrity verdict of this scenario's run, deterministically.
 
         *corrupt_fraction* of runs take a simulated bit flip; of those,
-        *corrupt_detect_fraction* are caught by the simulated ABFT layer
+        :data:`CORRUPT_DETECT_FRACTION` are caught by the simulated ABFT layer
         and repaired by quarantine rollback (``corrected``), the rest
         escape detection (``corrupted`` — the explicit verdict that
         keeps the wrong answer from being silent).
@@ -226,7 +215,7 @@ class SimulatedBackend:
         ) < self.corrupt_fraction:
             caught = self._scenario_u(
                 scenario, salt="|corrupt-detect"
-            ) < self.corrupt_detect_fraction
+            ) < CORRUPT_DETECT_FRACTION
             return "corrected" if caught else "corrupted"
         return "clean"
 
@@ -293,14 +282,14 @@ class SimulatedBackend:
                         self.estimator.estimate_raw_s(scenario, fidelity)
                         * factor
                     )
-        verdict = "healthy" if self.physics_verdicts else None
+        verdict = "healthy"
         if self._diverges(scenario):
             # Simulated sentinel abort-early: the diverging run is cut
             # well inside its deadline budget instead of burning it all
             # the way to the NaN wall.
             verdict = "diverged"
             budget = budget_s if budget_s is not None else cost
-            cost = min(cost, self.abort_budget_frac * budget)
+            cost = min(cost, ABORT_BUDGET_FRAC * budget)
         integrity = self._corruption(scenario)
         payload = self.unloaded_payload(scenario, fidelity)
         if integrity == "corrected":

@@ -7,8 +7,8 @@ The breaker wraps every backend with the classic three-state machine:
 
 * **closed** — normal operation; consecutive failures are counted and
   any success resets the count;
-* **open** — tripped after ``failure_threshold`` consecutive failures;
-  all dispatches are refused for ``cooldown_s`` so the queue can be
+* **open** — tripped after :data:`FAILURE_THRESHOLD` consecutive failures;
+  all dispatches are refused for :data:`COOLDOWN_S` so the queue can be
   routed to healthy backends (or admission can fail fast);
 * **half-open** — after the cooldown, exactly one probe request is let
   through: success closes the breaker, failure re-opens it for another
@@ -20,7 +20,6 @@ deterministic under the simulated-clock soak harness.
 
 from __future__ import annotations
 
-from repro.errors import ServiceError
 
 CLOSED = "closed"
 OPEN = "open"
@@ -29,23 +28,17 @@ HALF_OPEN = "half_open"
 #: Numeric encoding for the state gauge (dashboards alert on > 0).
 STATE_CODES = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
 
+#: Consecutive failures that trip a closed breaker, and how long [s] an
+#: open one refuses calls before it lets one probe through.
+FAILURE_THRESHOLD = 3
+COOLDOWN_S = 300.0
+
 
 class CircuitBreaker:
     """Consecutive-failure breaker with half-open probing."""
 
-    def __init__(
-        self,
-        name: str = "default",
-        failure_threshold: int = 3,
-        cooldown_s: float = 300.0,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ServiceError("failure_threshold must be >= 1")
-        if cooldown_s <= 0:
-            raise ServiceError("cooldown_s must be positive")
+    def __init__(self, name: str = "default") -> None:
         self.name = name
-        self.failure_threshold = failure_threshold
-        self.cooldown_s = cooldown_s
         self.state = CLOSED
         self.consecutive_failures = 0
         self.opened_at: float | None = None
@@ -57,7 +50,7 @@ class CircuitBreaker:
         if self.state == CLOSED:
             return True
         if self.state == OPEN:
-            return now - self.opened_at >= self.cooldown_s
+            return now - self.opened_at >= COOLDOWN_S
         return not self._probe_inflight
 
     def allow(self, now: float) -> bool:
@@ -85,7 +78,7 @@ class CircuitBreaker:
         self._probe_inflight = False
         if self.state == HALF_OPEN or (
             self.state == CLOSED
-            and self.consecutive_failures >= self.failure_threshold
+            and self.consecutive_failures >= FAILURE_THRESHOLD
         ):
             self.state = OPEN
             self.opened_at = now
@@ -95,7 +88,7 @@ class CircuitBreaker:
         """Seconds until the next half-open probe; None when closed."""
         if self.state != OPEN or self.opened_at is None:
             return None
-        return max(0.0, self.opened_at + self.cooldown_s - now)
+        return max(0.0, self.opened_at + COOLDOWN_S - now)
 
     @property
     def state_code(self) -> int:

@@ -29,6 +29,9 @@ from repro.errors import ServiceError
 INFLIGHT = "inflight"
 DONE = "done"
 
+#: Completed results the LRU holds.
+CAPACITY = 256
+
 
 class CacheEntry:
     """One computation: in flight (with joiners) or done (with result)."""
@@ -55,10 +58,7 @@ class SingleFlightCache:
     admitted request.)
     """
 
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ServiceError(f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._done: OrderedDict[str, CacheEntry] = OrderedDict()
         self._inflight: dict[str, CacheEntry] = {}
         self.hits = 0
@@ -110,7 +110,7 @@ class SingleFlightCache:
         if cacheable:
             self._done[key] = entry
             self._done.move_to_end(key)
-            while len(self._done) > self.capacity:
+            while len(self._done) > CAPACITY:
                 self._done.popitem(last=False)
                 self.evictions += 1
         return entry

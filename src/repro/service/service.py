@@ -46,8 +46,9 @@ from repro.obs.flight import FlightBook
 from repro.obs.log import EventRing, ServiceEvent, get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.trace import TraceContext, get_tracer
+from repro.resilience.clock import PLATFORM
 from repro.service.admission import CostEstimator, check_scenario, project_schedule
-from repro.service.breaker import CircuitBreaker
+from repro.service.breaker import FAILURE_THRESHOLD, CircuitBreaker
 from repro.service.cache import DONE, SingleFlightCache
 from repro.service.clock import VirtualClock
 from repro.service.queue import BoundedDeadlineQueue
@@ -69,8 +70,6 @@ LATENCY_BUCKETS = (
 #: Fraction of each deadline the admission projection must fit into —
 #: headroom for estimation error (the un-modelled tail).
 ADMISSION_MARGIN = 0.8
-#: Table-II system the cost model prices; also scopes the cache keys.
-PLATFORM = "squid-gpu"
 #: Newest :class:`ServiceEvent`\ s kept in memory (older dropped and
 #: counted) — long soaks must not grow without bound.
 EVENT_BUFFER = 4096
@@ -214,7 +213,7 @@ class ForecastService:
         if not backends:
             raise ServiceError("need at least one backend")
         self.backends = backends
-        self.estimator = estimator or CostEstimator(platform=PLATFORM)
+        self.estimator = estimator or CostEstimator()
         self.clock = clock or VirtualClock()
         self.queue = BoundedDeadlineQueue(self.config.queue_capacity)
         self.cache = SingleFlightCache()
@@ -747,7 +746,7 @@ class ForecastService:
             self._note(
                 "breaker_open", ticket.request.request_id,
                 f"backend={backend_name} after "
-                f"{br.failure_threshold} failures",
+                f"{FAILURE_THRESHOLD} failures",
             )
         self._set_breaker_gauge(br)
         self._note(

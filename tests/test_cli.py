@@ -177,6 +177,10 @@ class TestFaultPlanInputs:
     BOGUS = '{"faults": [{"kind": "bogus"}]}'
     HALO_FLIP = ('{"faults": [{"kind": "bitflip", "target": "halo", '
                  '"rank": 0, "op": 0, "bit": 3}]}')
+    # Kinds the chosen path never injects: a crash in one process, a NaN
+    # on rank threads.
+    RANK_CRASH = '{"faults": [{"kind": "rank_crash", "rank": 0, "step": 3}]}'
+    NAN = '{"faults": [{"kind": "nan", "step": 3, "block": 0}]}'
 
     @pytest.mark.parametrize("argv, plan, flag", [
         (["--faults", "{tmp}/missing.json"], None, "--faults"),
@@ -194,6 +198,8 @@ class TestFaultPlanInputs:
         (["--integrity-every", "1", "--faults", "{plan}"], HALO_FLIP,
          "--faults"),
         (["--ranks", "2", "--faults", "{plan}"], HALO_FLIP, "--faults"),
+        (["--faults", "{plan}"], RANK_CRASH, "--faults"),
+        (["--ranks", "2", "--faults", "{plan}"], NAN, "--faults"),
         (["--faults", "{plan}", "--fault-seed", "3"],
          '{"faults": [{"kind": "nan", "step": 1}]}', "--fault-seed"),
     ])

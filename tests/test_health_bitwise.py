@@ -9,6 +9,7 @@ compiled nest's records (``loopnest.scan``) where a compiler built one.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.errors import NumericalError
 from repro.grid.block import Block
 from repro.grid.hierarchy import NestedGrid
 from repro.grid.level import GridLevel
+from repro.resilience import health
 from repro.resilience.health import HealthMonitor
 
 from tests import executors
@@ -44,19 +46,19 @@ def frozen_check(self, model) -> None:
         wet = depth > model.config.dry_threshold
         if wet.any():
             eta_max = float(np.abs(st.eta_interior()[wet]).max())
-            if eta_max > self.eta_limit:
+            if eta_max > health.ETA_LIMIT:
                 raise NumericalError(
                     f"step {model.step_count}: water level blow-up in "
                     f"block {bid}: |eta| = {eta_max:.1f} m > "
-                    f"{self.eta_limit:.1f} m"
+                    f"{health.ETA_LIMIT:.1f} m"
                 )
             d_max = float(depth[wet].max())
             courant = math.sqrt(2.0 * GRAVITY * d_max) * dt / st.dx
-            if courant > self.cfl_limit:
+            if courant > health.CFL_LIMIT:
                 raise NumericalError(
                     f"step {model.step_count}: CFL margin violated in "
                     f"block {bid}: Courant number {courant:.3f} > "
-                    f"{self.cfl_limit:.3f} (D_max = {d_max:.1f} m)"
+                    f"{health.CFL_LIMIT:.3f} (D_max = {d_max:.1f} m)"
                 )
 
 
@@ -117,20 +119,23 @@ def test_check_matches_frozen_body(
         arr = getattr(state, f"{poison}_old")
         arr[tuple(rng.integers(0, n) for n in arr.shape)] = rng.choice(
             [np.nan, np.inf, -np.inf])
-    monitor = HealthMonitor(eta_limit=eta_limit, cfl_limit=cfl_limit)
-    want = verdict(frozen_check, monitor, model)
-    assert shipped(monitor, model) == {want}
+    monitor = HealthMonitor()
+    with mock.patch.multiple(health, ETA_LIMIT=eta_limit, CFL_LIMIT=cfl_limit):
+        want = verdict(frozen_check, monitor, model)
+        assert shipped(monitor, model) == {want}
 
 
 @pytest.mark.parametrize("expected", ["blow-up", "CFL margin", None])
-def test_every_verdict_is_reachable(expected):
+def test_every_verdict_is_reachable(expected, monkeypatch):
     """The differential test above would pass vacuously on healthy states."""
     grid = NestedGrid(
         [GridLevel(index=1, dx=100.0, blocks=[Block(0, 1, 0, 0, 6, 6)])])
     model = RTiModel(grid, _Hills(1, False), SimulationConfig(dt=0.05))
     eta = {"blow-up": 500.0, "CFL margin": 30.0, None: 0.1}[expected]
     model.states[0].set_initial_eta(np.full((6, 6), eta))
-    monitor = HealthMonitor(cfl_limit=0.01 if expected == "CFL margin" else 1.0)
+    if expected == "CFL margin":
+        monkeypatch.setattr(health, "CFL_LIMIT", 0.01)
+    monitor = HealthMonitor()
     (got,) = shipped(monitor, model)
     assert got == verdict(frozen_check, monitor, model)
     assert (got is None) if expected is None else (expected in got)

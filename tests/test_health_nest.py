@@ -16,6 +16,7 @@ the nest is one foreign call and no NumPy, counted.
 
 import threading
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -77,13 +78,14 @@ def place(arr: np.ndarray, where: str, rng) -> tuple:
 def outcome(model, eta_limit: float, cfl_limit: float) -> tuple:
     """What the executor of the moment says of *model*: the check's
     exception (type and message, or None) and a fresh sampler's sample."""
-    monitor = HealthMonitor(eta_limit=eta_limit, cfl_limit=cfl_limit)
+    monitor = HealthMonitor()
     try:
-        monitor.check(model)
+        with mock.patch.multiple(health, ETA_LIMIT=eta_limit, CFL_LIMIT=cfl_limit):
+            monitor.check(model)
         verdict = None
     except NumericalError as exc:
         verdict = (type(exc), str(exc))
-    sample = PhysicsSampler(every=1).sample(model).to_dict()
+    sample = PhysicsSampler().sample(model).to_dict()
     return verdict, repr(sorted(sample.items()))
 
 

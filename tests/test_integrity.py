@@ -186,14 +186,16 @@ class TestIntegrityMonitor:
         assert tracker.detections["state"] == 1
 
     def test_abort_false_records_without_raising(self):
+        """The detection is in the tracker by the time the monitor raises."""
         model = make_model()
         tracker = IntegrityTracker()
-        monitor = IntegrityMonitor(every=1, tracker=tracker, abort=False)
+        monitor = IntegrityMonitor(every=1, tracker=tracker)
         model.run(1)
         monitor.after_step(model)
         flip_bit(model.states[1].m_old, 4)
         model.run(1)
-        monitor.after_step(model)  # no raise
+        with pytest.raises(IntegrityError):
+            monitor.after_step(model)
         assert tracker.detections["state"] == 1
 
     def test_reset_baseline_drops_pending_verification(self):
@@ -668,14 +670,15 @@ class TestDirsyncRegression:
 
 
 class TestServicePlumbing:
-    def test_simulated_backend_verdicts_are_deterministic(self):
+    def test_simulated_backend_verdicts_are_deterministic(self, monkeypatch):
+        from repro.service import backend
         from repro.service.backend import SimulatedBackend
         from repro.service.request import ForecastRequest
 
+        monkeypatch.setattr(backend, "CORRUPT_DETECT_FRACTION", 0.5)
+
         def mk_backend():
-            return SimulatedBackend(
-                corrupt_fraction=0.5, corrupt_detect_fraction=0.5
-            )
+            return SimulatedBackend(corrupt_fraction=0.5)
 
         scenarios = [
             {"grid": f"s-{i}", "cells_by_level": [[100_000]],
@@ -693,13 +696,13 @@ class TestServicePlumbing:
         assert runs[0] == runs[1]
         assert set(runs[0]) == {"clean", "corrected", "corrupted"}
 
-    def test_corrupted_payload_differs_but_is_declared(self):
+    def test_corrupted_payload_differs_but_is_declared(self, monkeypatch):
+        from repro.service import backend
         from repro.service.backend import SimulatedBackend
         from repro.service.request import ForecastRequest
 
-        be = SimulatedBackend(
-            corrupt_fraction=1.0, corrupt_detect_fraction=0.0
-        )
+        monkeypatch.setattr(backend, "CORRUPT_DETECT_FRACTION", 0.0)
+        be = SimulatedBackend(corrupt_fraction=1.0)
         scenario = {"grid": "s", "cells_by_level": [[100_000]],
                     "n_steps": 100, "dt": 1.0}
         res = be.run(ForecastRequest(scenario=scenario, deadline_s=1e9),

@@ -11,6 +11,7 @@ physics verdicts into the ``validity`` SLO, and the artifacts
 round-trip.
 """
 
+import contextlib
 import json
 import math
 
@@ -18,6 +19,8 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+import repro.obs.physics as physics
+import repro.resilience.health as health_mod
 from repro.cli import main
 from repro.core import CompositeMonitor, GaugeRecorder, RTiModel, SimulationConfig
 from repro.errors import ConfigurationError, NumericalError, PersistError
@@ -35,7 +38,6 @@ from repro.obs.physics import (
     DivergenceSentinel,
     PhysicsDivergenceError,
     PhysicsSampler,
-    RobustScore,
     load_physics_report,
     physics_doc,
     render_physics_doc,
@@ -134,19 +136,20 @@ class TestResiduals:
 class TestPhysicsSampler:
     def test_cadence(self):
         model = basin_model()
-        sampler = PhysicsSampler(every=5)
+        sampler = PhysicsSampler()
         model.run(30, monitor=sampler)
         assert sampler.samples_taken == 6
         assert [s.step for s in sampler.samples] == [5, 10, 15, 20, 25, 30]
 
-    def test_all_dry_grid_is_finite_and_healthy(self):
+    def test_all_dry_grid_is_finite_and_healthy(self, monkeypatch):
         # A grid that is land everywhere: no wet cells, zero volume.
         # Every diagnostic must stay finite (no division by the empty
         # wet set) and the verdict must be healthy.
         model = single_block_model(
             20, 20, 100.0, FlatBathymetry(-10.0), boundary="wall"
         )
-        sentinel = DivergenceSentinel(PhysicsSampler(every=1))
+        monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
+        sentinel = DivergenceSentinel()
         model.run(5, monitor=sentinel)
         assert len(sentinel.sampler.samples) == 5
         for smp in sentinel.sampler.samples:
@@ -157,33 +160,33 @@ class TestPhysicsSampler:
             assert smp.verdict == HEALTHY
         assert sentinel.worst == HEALTHY
 
-    def test_clean_run_is_healthy_no_false_aborts(self):
+    def test_clean_run_is_healthy_no_false_aborts(self, monkeypatch):
         model = basin_model()
         rec = GaugeRecorder(
             model, [("mid", 2000.0, 2000.0), ("edge", 300.0, 2000.0)]
         )
-        sentinel = DivergenceSentinel(PhysicsSampler(every=2, recorder=rec))
+        monkeypatch.setattr(physics, "SAMPLE_EVERY", 2)
+        sentinel = DivergenceSentinel()
         model.run(60, monitor=[rec, sentinel])
         assert sentinel.worst == HEALTHY
         assert sentinel.aborts == 0
         assert sentinel.events == []
         assert all(s.finite for s in sentinel.sampler.samples)
 
-    def test_reset_baseline_reseeds(self):
+    def test_reset_baseline_reseeds(self, monkeypatch):
         model = basin_model()
-        sampler = PhysicsSampler(every=1)
+        monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
+        sampler = PhysicsSampler()
         model.run(5, monitor=sampler)
         sampler.reset_baseline()
         assert sampler._v0 is None
         smp = sampler.sample(model)
         assert smp.mass_drift == 0.0  # volume re-baselined to "now"
 
-    def test_bad_cadence_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PhysicsSampler(every=0)
-
     @pytest.mark.parametrize("executor", ["numpy", "nest"])
-    def test_a_nan_in_the_second_blocks_m_is_a_divergence(self, executor):
+    def test_a_nan_in_the_second_blocks_m_is_a_divergence(
+        self, executor, monkeypatch
+    ):
         # Python's max(0.0, nan) is 0.0, and the volume sums level 1 only:
         # a level-2 flux NaN used to leave every diagnostic finite.
         if executor == "nest":
@@ -194,30 +197,14 @@ class TestPhysicsSampler:
         model.set_initial_condition(source())
         model.run(3)
         model.states[1].m_old[10, 10] = np.nan
-        sentinel = DivergenceSentinel(PhysicsSampler(every=1), abort=False)
-        with pinned:
+        monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
+        sentinel = DivergenceSentinel()
+        with pinned, pytest.raises(PhysicsDivergenceError):
             sentinel.after_step(model)
         (smp,) = sentinel.sampler.samples
         assert math.isfinite(smp.mass_drift) and not smp.finite
         assert sentinel.verdict == DIVERGED
         assert sentinel.events[-1]["reasons"] == ["non-finite diagnostics"]
-
-
-class TestRobustScore:
-    def test_flat_series_never_divides_by_zero(self):
-        sc = RobustScore(warmup=3)
-        scores = [sc.score(0.0) for _ in range(50)]
-        assert all(math.isfinite(s) and s == 0.0 for s in scores)
-
-    def test_outlier_scores_high_without_vouching_for_itself(self):
-        sc = RobustScore(warmup=4)
-        for x in [1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.02]:
-            sc.score(x)
-        assert sc.score(50.0) > 8.0
-
-    def test_nonfinite_scores_inf(self):
-        sc = RobustScore()
-        assert sc.score(float("nan")) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +213,14 @@ class TestRobustScore:
 
 
 class TestBitwiseIdentity:
-    def test_sampling_does_not_perturb_the_run(self):
+    def test_sampling_does_not_perturb_the_run(self, monkeypatch):
         bare = basin_model()
         bare.run(40)
 
         watched = basin_model()
         rec = GaugeRecorder(watched, [("mid", 2000.0, 2000.0)])
-        sentinel = DivergenceSentinel(
-            PhysicsSampler(every=1, recorder=rec)
-        )
+        monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
+        sentinel = DivergenceSentinel()
         watched.run(40, monitor=[rec, sentinel])
 
         assert sentinel.sampler.samples_taken == 40
@@ -261,7 +247,7 @@ class TestSamplingCost:
         import tracemalloc
 
         model = basin_model(n=60)
-        sampler = PhysicsSampler(every=5)
+        sampler = PhysicsSampler()
         model.run(50, monitor=[sampler])
         assert sampler.samples_taken == 10
 
@@ -269,7 +255,7 @@ class TestSamplingCost:
             model = basin_model(n=n)
             model.run(3)
             (state,) = model.states.values()
-            sampler = PhysicsSampler(every=5)
+            sampler = PhysicsSampler()
             sampler.sample(model)  # anything built on first use
             tracemalloc.start()
             try:
@@ -325,7 +311,7 @@ class _Destabilizer:
 
 class TestDivergenceSentinel:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_sentinel_fires_many_steps_before_nan_wall(self):
+    def test_sentinel_fires_many_steps_before_nan_wall(self, monkeypatch):
         """Seeded blow-up: sentinel >= 10 steps earlier than NaN scan.
 
         Fluxes doubling every step from step 20 stay finite for
@@ -345,20 +331,18 @@ class TestDivergenceSentinel:
                 return model.step_count
             pytest.fail("corrupted run was never aborted")
 
-        sentinel_step = corrupted_run(
-            DivergenceSentinel(PhysicsSampler(every=1))
-        )
-        health_step = corrupted_run(
-            HealthMonitor(
-                every=1, eta_limit=math.inf, cfl_limit=math.inf
-            )
-        )
+        monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
+        sentinel_step = corrupted_run(DivergenceSentinel())
+        monkeypatch.setattr(health_mod, "ETA_LIMIT", math.inf)
+        monkeypatch.setattr(health_mod, "CFL_LIMIT", math.inf)
+        health_step = corrupted_run(HealthMonitor())
         assert sentinel_step <= 30  # a few samples past the onset
         assert health_step - sentinel_step >= 10
 
-    def test_abort_raises_numerical_error_subclass(self):
+    def test_abort_raises_numerical_error_subclass(self, monkeypatch):
         model = basin_model()
-        sentinel = DivergenceSentinel(PhysicsSampler(every=1))
+        monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
+        sentinel = DivergenceSentinel()
         with pytest.raises(PhysicsDivergenceError) as err:
             model.run(40, monitor=[_Corruptor(10, 1.0e6), sentinel])
         assert isinstance(err.value, NumericalError)
@@ -366,31 +350,25 @@ class TestDivergenceSentinel:
         assert sentinel.aborts == 1
         assert sentinel.events and sentinel.events[-1]["verdict"] == DIVERGED
 
-    def test_no_abort_mode_records_but_continues(self):
-        model = basin_model()
-        sentinel = DivergenceSentinel(PhysicsSampler(every=1), abort=False)
-        model.run(30, monitor=[_Corruptor(10, 50.0), sentinel])
-        assert model.step_count == 30
-        assert sentinel.aborts == 0
-        assert sentinel.worst in (SUSPECT, DIVERGED)
-        assert sentinel.events
-
-    def test_patience_escalates_persistent_suspect(self):
-        sampler = PhysicsSampler(every=1)
-        sentinel = DivergenceSentinel(
-            sampler, cfl_margin_floor=0.9, patience=3, abort=False
-        )
+    def test_patience_escalates_persistent_suspect(self, monkeypatch):
+        monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
+        monkeypatch.setattr(physics, "CFL_MARGIN_FLOOR", 0.9)
+        sentinel = DivergenceSentinel()
+        sampler = sentinel.sampler
         model = basin_model()  # margin ~0.5 < 0.9 floor: always suspect
-        model.run(5, monitor=sentinel)
+        with pytest.raises(PhysicsDivergenceError):
+            model.run(5, monitor=sentinel)
         assert sentinel.worst == DIVERGED
         verdicts = [s.verdict for s in sampler.samples]
         assert verdicts[:3] == [SUSPECT, SUSPECT, DIVERGED]
 
-    def test_reset_baseline_clears_evidence_keeps_history(self):
-        sampler = PhysicsSampler(every=1)
-        sentinel = DivergenceSentinel(sampler, abort=False)
+    def test_reset_baseline_clears_evidence_keeps_history(self, monkeypatch):
+        monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
+        sentinel = DivergenceSentinel()
+        sampler = sentinel.sampler
         model = basin_model()
-        model.run(12, monitor=[_Corruptor(5, 50.0), sentinel])
+        with pytest.raises(PhysicsDivergenceError):
+            model.run(12, monitor=[_Corruptor(5, 50.0), sentinel])
         worst, events = sentinel.worst, list(sentinel.events)
         assert events
         sentinel.reset_baseline()
@@ -398,12 +376,6 @@ class TestDivergenceSentinel:
         assert sampler.samples == []
         assert sentinel.worst == worst  # reporting history preserved
         assert sentinel.events == events
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            DivergenceSentinel(window=1)
-        with pytest.raises(ConfigurationError):
-            DivergenceSentinel(patience=0)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +403,7 @@ class TestCompositeMonitor:
             CompositeMonitor([object()])
 
     def test_reset_baseline_propagates(self):
-        health = HealthMonitor(mass_tol=0.05)
+        health = PhysicsSampler()  # a monitor with a baseline of its own
         sentinel = DivergenceSentinel()
         composite = CompositeMonitor([health, sentinel])
         model = basin_model(n=10)
@@ -557,11 +529,12 @@ class TestValiditySLO:
 
 
 class TestForecastIntegration:
-    def test_clean_forecast_is_healthy(self):
+    def test_clean_forecast_is_healthy(self, monkeypatch):
+        monkeypatch.setattr(physics, "SAMPLE_EVERY", 2)
         report = run_resilient_forecast(
             nested_grid(), FlatBathymetry(50.0),
             config=SimulationConfig(dt=1.0, boundary="wall"),
-            source=source(), horizon_s=60.0, physics_every=2,
+            source=source(), horizon_s=60.0,
         )
         assert report.status == "complete"
         assert report.physics_verdict == HEALTHY
@@ -569,7 +542,7 @@ class TestForecastIntegration:
         assert report.physics["events"] == []
         assert "physics" in report.summary()
 
-    def test_seeded_divergence_aborts_and_recovers(self):
+    def test_seeded_divergence_aborts_and_recovers(self, monkeypatch):
         # A finite 60 m spike slips under the health monitor's 100 m
         # eta limit; only the sentinel's growth rule sees it.  The
         # sentinel abort must feed the existing rollback machinery and
@@ -577,11 +550,11 @@ class TestForecastIntegration:
         plan = FaultPlan(
             [FaultSpec(kind="nan", step=30, block=0, field="z", value=60.0)]
         )
+        monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
         report = run_resilient_forecast(
             nested_grid(), FlatBathymetry(50.0),
             config=SimulationConfig(dt=1.0, boundary="wall"),
             source=source(), horizon_s=60.0, fault_plan=plan,
-            physics_every=1,
         )
         assert report.status == "complete"
         assert report.rollbacks >= 1
@@ -591,14 +564,15 @@ class TestForecastIntegration:
             ev["verdict"] == DIVERGED for ev in report.physics["events"]
         )
 
-    def test_physics_json_written_to_rundir(self, tmp_path):
+    def test_physics_json_written_to_rundir(self, tmp_path, monkeypatch):
         from repro.persist.store import RunStore
 
         store = RunStore(tmp_path / "run")
+        monkeypatch.setattr(physics, "SAMPLE_EVERY", 2)
         report = run_resilient_forecast(
             nested_grid(), FlatBathymetry(50.0),
             config=SimulationConfig(dt=1.0, boundary="wall"),
-            source=source(), horizon_s=40.0, physics_every=2,
+            source=source(), horizon_s=40.0,
             store=store,
         )
         assert report.status == "complete"
@@ -664,17 +638,20 @@ class TestSoakDivergence:
 
 
 class TestArtifacts:
-    def _sentinel_after_run(self, corrupt=False):
+    def _sentinel_after_run(self, monkeypatch, corrupt=False):
         model = basin_model()
-        sentinel = DivergenceSentinel(PhysicsSampler(every=2), abort=False)
+        monkeypatch.setattr(physics, "SAMPLE_EVERY", 2)
+        sentinel = DivergenceSentinel()
         monitors = [sentinel]
         if corrupt:
             monitors.insert(0, _Corruptor(10, 50.0))
-        model.run(30, monitor=monitors)
+        with (pytest.raises(PhysicsDivergenceError) if corrupt
+              else contextlib.nullcontext()):
+            model.run(30, monitor=monitors)
         return sentinel
 
-    def test_physics_json_round_trip(self, tmp_path):
-        sentinel = self._sentinel_after_run(corrupt=True)
+    def test_physics_json_round_trip(self, tmp_path, monkeypatch):
+        sentinel = self._sentinel_after_run(monkeypatch, corrupt=True)
         path = write_physics_json(
             tmp_path / PHYSICS_NAME, physics_doc(sentinel=sentinel)
         )
@@ -694,8 +671,8 @@ class TestArtifacts:
         with pytest.raises(PersistError):
             load_physics_report(p)
 
-    def test_chrome_counter_tracks_validate(self):
-        sentinel = self._sentinel_after_run()
+    def test_chrome_counter_tracks_validate(self, monkeypatch):
+        sentinel = self._sentinel_after_run(monkeypatch)
         events = physics_counter_events(sentinel.sampler.samples)
         counters = [e for e in events if e.get("ph") == "C"]
         assert counters
@@ -705,12 +682,13 @@ class TestArtifacts:
         doc = {"traceEvents": events, "displayTimeUnit": "ms"}
         validate_chrome_trace(doc)  # raises on malformed events
 
-    def test_counter_tracks_merge_into_trace_export(self, tmp_path):
+    def test_counter_tracks_merge_into_trace_export(self, tmp_path, monkeypatch):
         from repro.obs.export import chrome_trace
 
         obs.enable()
         model = basin_model(n=10)
-        sentinel = DivergenceSentinel(PhysicsSampler(every=1))
+        monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
+        sentinel = DivergenceSentinel()
         model.run(4, monitor=sentinel)
         doc = chrome_trace(physics_samples=sentinel.sampler.samples)
         validate_chrome_trace(doc)
@@ -718,10 +696,11 @@ class TestArtifacts:
             e.get("ph") == "C" for e in doc["traceEvents"]
         )
 
-    def test_metrics_exported_when_armed(self):
+    def test_metrics_exported_when_armed(self, monkeypatch):
         obs.enable()
         model = basin_model(n=10)
-        sentinel = DivergenceSentinel(PhysicsSampler(every=1))
+        monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
+        sentinel = DivergenceSentinel()
         model.run(6, monitor=sentinel)
         snap = obs.get_registry().to_dict()
         assert snap["counters"]["repro_physics_samples_total"] == 6

@@ -19,6 +19,8 @@ import pytest
 import repro.obs as obs
 from repro import cli
 from repro.errors import PersistError, ServiceOverloadError
+from repro.obs import flight
+from repro.obs import slo as slo_module
 from repro.obs import trace as obstrace
 from repro.obs.export import service_events_to_chrome
 from repro.obs.flight import (
@@ -160,8 +162,9 @@ class TestTraceContext:
 
 
 class TestFlightRecorder:
-    def test_ring_bounds_and_counts_drops(self):
-        rec = FlightRecorder("req-1", capacity=3)
+    def test_ring_bounds_and_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(flight, "CAPACITY", 3)
+        rec = FlightRecorder("req-1")
         for i in range(5):
             rec.record("tick", f"n={i}", t_service=float(i))
         assert len(rec) == 3
@@ -169,8 +172,9 @@ class TestFlightRecorder:
         kinds = [ev["detail"] for ev in rec.events()]
         assert kinds == ["n=2", "n=3", "n=4"]  # oldest fell off
 
-    def test_book_settled_ring_is_bounded(self):
-        book = FlightBook(capacity=4, keep=2)
+    def test_book_settled_ring_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(flight, "KEEP", 2)
+        book = FlightBook()
         for i in range(4):
             book.open(f"req-{i}").record("admit")
             book.settle(f"req-{i}", outcome="done")
@@ -179,7 +183,7 @@ class TestFlightRecorder:
         assert book.get("req-3") is not None
 
     def test_note_unknown_or_settled_id_is_ignored(self):
-        book = FlightBook(capacity=4, keep=2)
+        book = FlightBook()
         book.note("ghost", "admit")  # no recorder, no error
         book.open("req-1")
         book.settle("req-1", outcome="done")
@@ -187,7 +191,7 @@ class TestFlightRecorder:
         assert len(book.get("req-1")) == 0
 
     def test_dump_render_inspect_round_trip(self, tmp_path):
-        book = FlightBook(capacity=8, out_dir=tmp_path / "flight")
+        book = FlightBook(out_dir=tmp_path / "flight")
         book.open("req-9", tenant="t0", klass="low")
         book.note("req-9", "admit", "fidelity=full", t_service=1.5)
         book.note("req-9", "shed", "displaced by req-10",
@@ -205,7 +209,7 @@ class TestFlightRecorder:
         assert inspect_request(tmp_path, "req-9") == text
 
     def test_inspect_unknown_request_lists_recorded_ids(self, tmp_path):
-        book = FlightBook(capacity=8, out_dir=tmp_path / "flight")
+        book = FlightBook(out_dir=tmp_path / "flight")
         book.open("req-1")
         book.settle("req-1", outcome="failed", dump=True)
         with pytest.raises(PersistError, match="req-1"):
@@ -248,9 +252,10 @@ class TestSLOEngine:
         (s,) = eng.evaluate(1000.0).statuses
         assert s.burn_rates == {} and s.alerts == []
 
-    def test_alert_requires_both_windows_burning(self):
+    def test_alert_requires_both_windows_burning(self, monkeypatch):
         w = BurnWindow("fast", short_s=10.0, long_s=100.0, factor=2.0)
-        eng = SLOEngine(slos=(SLO("avail", "d", 0.90),), windows=(w,))
+        monkeypatch.setattr(slo_module, "BURN_WINDOWS", (w,))
+        eng = SLOEngine(slos=(SLO("avail", "d", 0.90),))
         # Long window: mostly good traffic; short window: a pure burst
         # of failures.  Short burns hard, long stays under factor.
         for i in range(90):
@@ -267,11 +272,10 @@ class TestSLOEngine:
         (s,) = eng.evaluate(140.0).statuses
         assert s.alerts == ["fast"]
 
-    def test_gauges_exported_per_slo_and_window(self):
-        eng = SLOEngine(
-            slos=(SLO("avail", "d", 0.90),),
-            windows=(BurnWindow("fast", 10.0, 100.0, 2.0),),
-        )
+    def test_gauges_exported_per_slo_and_window(self, monkeypatch):
+        monkeypatch.setattr(slo_module, "BURN_WINDOWS",
+                            (BurnWindow("fast", 10.0, 100.0, 2.0),))
+        eng = SLOEngine(slos=(SLO("avail", "d", 0.90),))
         eng.record("avail", 1.0, True)
         eng.record("avail", 2.0, False)
         reg = MetricsRegistry()
@@ -536,7 +540,7 @@ class TestRequestObsCLI:
         assert "all error budgets intact" in capsys.readouterr().out
 
     def test_inspect_request_cli(self, tmp_path, capsys):
-        book = FlightBook(capacity=8, out_dir=tmp_path / "flight")
+        book = FlightBook(out_dir=tmp_path / "flight")
         book.open("req-5", tenant="t1")
         book.note("req-5", "admit", t_service=0.5)
         book.settle("req-5", outcome="failed: boom", dump=True)

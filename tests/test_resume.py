@@ -97,7 +97,6 @@ def run_until_killed(rundir, kill_at_step: int) -> RunStore:
             monitor=KillSwitch(),
             ring=CheckpointRing(store=store),
             checkpoint_every=CHECKPOINT_EVERY,
-            max_rollbacks=0,
             sink=RunEvents(store),
         ).run()
     return store

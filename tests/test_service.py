@@ -45,6 +45,8 @@ from repro.service import (
     run_soak,
     scenario_key,
 )
+from repro.service import admission, breaker
+from repro.service.cache import CAPACITY
 from repro.service.service import CACHED, DONE_OK, FAILED, SHED
 
 
@@ -186,8 +188,9 @@ class TestBoundedDeadlineQueue:
 
 
 class TestCircuitBreaker:
-    def test_trips_after_consecutive_failures(self):
-        br = CircuitBreaker(failure_threshold=3, cooldown_s=60.0)
+    def test_trips_after_consecutive_failures(self, monkeypatch):
+        monkeypatch.setattr(breaker, "COOLDOWN_S", 60.0)
+        br = CircuitBreaker()
         br.record_failure(0.0)
         br.record_failure(1.0)
         br.record_success(2.0)  # resets the count
@@ -199,9 +202,11 @@ class TestCircuitBreaker:
         assert not br.allow(10.0)
         assert br.retry_after_s(10.0) == pytest.approx(55.0)
 
-    def test_half_open_single_probe_then_close_or_reopen(self):
-        br = CircuitBreaker(failure_threshold=1, cooldown_s=60.0)
-        br.record_failure(0.0)
+    def test_half_open_single_probe_then_close_or_reopen(self, monkeypatch):
+        monkeypatch.setattr(breaker, "COOLDOWN_S", 60.0)
+        br = CircuitBreaker()
+        for _ in range(3):
+            br.record_failure(0.0)
         assert br.state == "open"
         assert br.allow(61.0)  # the probe
         assert br.state == "half_open"
@@ -218,28 +223,27 @@ class TestCircuitBreaker:
 
 class TestSingleFlightCache:
     def test_flight_lifecycle_and_lru(self):
-        cache = SingleFlightCache(capacity=2)
+        cache = SingleFlightCache()
         e1 = cache.begin("k1", primary="t1")
         cache.join(e1, "t2")
         assert cache.lookup("k1") is e1
         cache.resolve("k1", "result", now=1.0, cacheable=True)
         assert cache.lookup("k1").result == "result"
-        cache.begin("k2", "t3")
-        cache.resolve("k2", "r2", now=2.0, cacheable=True)
-        cache.begin("k3", "t4")
-        cache.resolve("k3", "r3", now=3.0, cacheable=True)
+        for i in range(2, CAPACITY + 2):  # one more than the LRU holds
+            cache.begin(f"k{i}", f"t{i + 1}")
+            cache.resolve(f"k{i}", f"r{i}", now=float(i), cacheable=True)
         assert cache.lookup("k1") is None  # LRU-evicted
         assert cache.evictions == 1
 
     def test_uncacheable_resolve_not_stored(self):
-        cache = SingleFlightCache(capacity=4)
+        cache = SingleFlightCache()
         cache.begin("k", "t")
         entry = cache.resolve("k", "degraded", now=1.0, cacheable=False)
         assert entry.result == "degraded"  # waiters still get it
         assert cache.lookup("k") is None  # but nothing is stored
 
     def test_failed_flight_not_stored(self):
-        cache = SingleFlightCache(capacity=4)
+        cache = SingleFlightCache()
         entry = cache.begin("k", "t")
         cache.join(entry, "w")
         failed = cache.fail("k", RuntimeError("boom"))
@@ -592,8 +596,9 @@ class TestCalibration:
         assert 0.5 < est.calibration < 2.0
         assert est.calibration != 1.0
 
-    def test_pathological_observation_clamped(self):
-        est = CostEstimator(alpha=1.0)
+    def test_pathological_observation_clamped(self, monkeypatch):
+        monkeypatch.setattr(admission, "ALPHA", 1.0)
+        est = CostEstimator()
         est.observe(1.0, 1e9)
         assert est.calibration == 10.0
         est.observe(1.0, 1e-9)
@@ -722,8 +727,6 @@ class TestServiceConfig:
             SimulatedBackend(noise=1.5)
         with pytest.raises(ServiceError):
             BoundedDeadlineQueue(0)
-        with pytest.raises(ServiceError):
-            SingleFlightCache(0)
 
 
 # -- CLI -----------------------------------------------------------------
