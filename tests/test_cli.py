@@ -198,10 +198,10 @@ class TestFaultPlanInputs:
         (["--integrity-every", "1", "--faults", "{plan}"], HALO_FLIP,
          "--faults"),
         (["--ranks", "2", "--faults", "{plan}"], HALO_FLIP, "--faults"),
-        (["--faults", "{plan}"], RANK_CRASH, "--faults"),
-        (["--ranks", "2", "--faults", "{plan}"], NAN, "--faults"),
         (["--faults", "{plan}", "--fault-seed", "3"],
          '{"faults": [{"kind": "nan", "step": 1}]}', "--fault-seed"),
+        (["--faults", "{plan}"], RANK_CRASH, "--faults"),
+        (["--ranks", "2", "--faults", "{plan}"], NAN, "--faults"),
     ])
     def test_refused_in_one_line(self, argv, plan, flag, tmp_path, capsys):
         rundir, path = tmp_path / "run", tmp_path / "plan.json"
