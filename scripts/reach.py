@@ -52,9 +52,10 @@ ALLOWED = {
                                          "ROADMAP item 7(a)",
     "repro.par.comm.Request": "nonblocking halo transport, ROADMAP item 7(a)",
     # -- platforms no census run is on -----------------------------------
-    "repro.resilience.health.HealthMonitor._check_numpy":
+    "repro.core.loopnest._scan_numpy":
         "the health scan's NumPy body: runs where no C compiler is "
-        "(CC=false; tests/test_health_nest.py)",
+        "(CC=false) and on a block the nest finds non-finite "
+        "(tests/test_health_nest.py)",
     "repro.par.comm.Communicator._allgather":
         "the collective of rank processes (their barrier and allreduce); "
         "no census run reduces across forked ranks (tests/test_comm.py)",

@@ -24,9 +24,18 @@ DRY_THRESHOLD: float = 1.0e-5
 #: model (and this paper) uses 3:1 exclusively.
 REFINEMENT_RATIO: int = 3
 
+#: The hard Courant bound: ``sqrt(2 g D_max) dt / dx`` beyond it violates
+#: the CFL condition (the health check raises; the physics sentinel's CFL
+#: margin is this bound minus the Courant number).
+CFL_LIMIT: float = 1.0
+
 #: Safety factor applied on top of the hard CFL bound when suggesting a
 #: time step.
 CFL_SAFETY: float = 0.8
+
+#: Largest plausible wet-cell water level |eta| [m]: beyond it a run has
+#: blown up (the health check and the physics sentinel both judge by it).
+ETA_LIMIT: float = 100.0
 
 #: Velocity cap [m/s] applied after the momentum update.  Operational
 #: TUNAMI-class codes clamp the flow speed to keep the moving-boundary

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import platform
 import shlex
@@ -194,14 +195,12 @@ def _tiny_exchange(dtype) -> bytes:
 
 
 def _tiny_scan(dtype) -> bytes:
-    """The health guard's reductions, as the physics sampler reads them, on
-    the executor of the moment: an all-dry block, and a shore with land above
-    its waterline, a depth of -0.0 and its largest flux in M's extra face
-    column — then with a NaN in a ghost cell of z, then with an inf in that
-    column."""
+    """The health guard's reductions on the executor of the moment: an all-dry
+    block, and a shore with land above its waterline, a depth of -0.0 and its
+    largest flux in M's extra face column — then with a NaN in a ghost cell
+    of z, then with an inf in that column."""
     from repro.core.state import BlockState
     from repro.grid.block import Block
-    from repro.obs.physics import _block_maxima
 
     land = BlockState(Block(0, 1, 0, 0, 3, 2), 1.0, np.full((2, 3), -4.0), dtype)
     j, i = np.mgrid[0:7, 0:9]
@@ -211,10 +210,10 @@ def _tiny_scan(dtype) -> bytes:
         a += np.sin(1.1 * c - r + k)
     shore.hz[3, 4] = shore.z_old[3, 4] = -0.0
     shore.m_old[4, -1] = 7.0
-    said = [repr(_block_maxima((land, shore), 0.01))]
+    said = [repr(scan((land, shore), 0.01))]
     for a, at, bad in ((shore.z_old, (0, 3), np.nan), (shore.m_old, (4, -1), np.inf)):
         was, a[at] = a[at], bad
-        said.append(repr(_block_maxima((land, shore), 0.01)))
+        said.append(repr(scan((land, shore), 0.01)))
         a[at] = was
     return "".join(said).encode()
 
@@ -636,20 +635,8 @@ def _scan_rows(key: tuple, arrays: tuple, g: int) -> Prepared | None:
     return _remember(key, call, arrays, "scan")
 
 
-def scan(states, dry) -> np.ndarray | None:
-    """The per-block reductions ``HealthMonitor`` and ``PhysicsSampler`` judge
-    the read buffers of *states* (``BlockState``s) by, from one launch — or
-    None: the NumPy bodies'.
-
-    One row of eight per block, in *states* order: whether all of the padded
-    z, M and N are finite (1.0 or 0.0); the wet cells, whose total depth
-    ``max(h + z, 0)`` is above *dry*; max |z| over them (0 without one); max
-    D over the physical cells; max |M| and max |N| over the padded arrays.
-    The maxima are the NumPy bodies' wherever the flags are set.  The rows
-    are the prepared call's own, overwritten by its next launch.
-
-    Prepared as :func:`prepared` calls are, per set of array objects: a
-    model's two leap-frog parities are two tables."""
+def _launch_scan(states: list, dry) -> list | None:
+    """The rows of *states* from one launch of the nest, or None."""
     if _CHOICE.made is not False and not _CHOICE.nests:  # NumPy's, or the self-check's
         return None
     arrays = tuple(a for st in states for a in (st.z_old, st.m_old, st.n_old, st.hz))
@@ -664,4 +651,45 @@ def scan(states, dry) -> np.ndarray | None:
     with _COUNT_LOCK:
         call.counts[1] += 1
     call.fn(*call.table, dry)
-    return call.result
+    return call.result.tolist()
+
+
+def _scan_numpy(st, dry) -> list:
+    """One block's row of :func:`scan` by NumPy: the reference body the
+    nest is held to, and its fallback.  One D per block and no gathered
+    wet-cell copies: |z| zeroed off the wet cells peaks on them, and |M|
+    and |N| peak at a non-finite value if there is one."""
+    depth = st.total_depth()
+    wet = depth > dry
+    n_wet = int(np.count_nonzero(wet))
+    eta = 0.0
+    if n_wet:
+        z = np.where(wet, st.eta_interior(), 0.0)
+        eta = float(np.abs(z, out=z).max())
+    m, n = float(np.abs(st.m_old).max()), float(np.abs(st.n_old).max())
+    finite = bool(np.isfinite(st.z_old).all()), math.isfinite(m), math.isfinite(n)
+    return [*map(float, finite), float(n_wet), eta, float(depth.max()), m, n]
+
+
+def scan(states, dry) -> list:
+    """The per-block reductions ``HealthMonitor`` and ``PhysicsSampler`` judge
+    the read buffers of *states* (``BlockState``s) by: one launch of the nest,
+    or :func:`_scan_numpy`.
+
+    One row of eight per block, in *states* order: whether each of the padded
+    z, M and N is finite everywhere (1.0 or 0.0); the wet cells, whose total
+    depth ``max(h + z, 0)`` is above *dry*; max |z| over them (0 without one);
+    max D over the physical cells; max |M| and max |N| over the padded arrays.
+    The nest's rows are :func:`_scan_numpy`'s wherever the flags are set; a
+    row with a flag unset is :func:`_scan_numpy`'s.
+
+    Prepared as :func:`prepared` calls are, per set of array objects: a
+    model's two leap-frog parities are two tables."""
+    states = list(states)
+    rows = _launch_scan(states, dry)
+    if rows is None:
+        return [_scan_numpy(st, dry) for st in states]
+    return [
+        row if row[0] and row[1] and row[2] else _scan_numpy(st, dry)
+        for st, row in zip(states, rows)
+    ]

@@ -64,8 +64,8 @@ __getattr__, __dir__, _lazy = exports(__name__, {
     "inspect": "breakdowns_from_spans imbalance_ratio inspect_integrity"
                " inspect_physics inspect_request load_rundir"
                " render_report top_spans",
-    "physics": "DivergenceSentinel PhysicsDivergenceError"
-               " PhysicsSampler load_physics_report physics_doc"
+    "physics": "PhysicsDivergenceError PhysicsSampler"
+               " load_physics_report physics_doc"
                " render_physics_doc write_physics_json",
     "slo": "SLO SLOEngine load_slo_report render_slo_doc",
 })

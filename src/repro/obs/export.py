@@ -132,7 +132,6 @@ def physics_counter_events(
             ("physics:cfl_margin", s.get("cfl_margin", 0.0)),
             ("physics:max_eta_m", s.get("max_eta", 0.0)),
             ("physics:wet_cells", s.get("wet_cells", 0)),
-            ("physics:gauge_anomaly", s.get("gauge_anomaly", 0.0)),
         ):
             events.append(
                 {

@@ -2,14 +2,17 @@
 
 Everything else under :mod:`repro.obs` watches the *system* — spans,
 latencies, error budgets.  This module watches the *solution*: a
-:class:`PhysicsSampler` rides the model's monitor hook and samples cheap
+:class:`PhysicsSampler` rides the model's monitor hook, samples cheap
 per-step diagnostics (relative mass drift, minimum CFL margin, max |eta|
-and |flux|, wet-cell count and inundation-front delta), and a
-:class:`DivergenceSentinel` turns those diagnostics into verdicts —
-``healthy`` / ``suspect`` / ``diverged`` — raising
-:class:`PhysicsDivergenceError` (a :class:`~repro.errors.NumericalError`)
-so the recovery engine's rollback / dt-halving / degradation machinery
-aborts a doomed run within a few samples instead of at the NaN wall.
+and |flux|, wet-cell count and inundation-front delta) and, as the
+divergence sentinel, turns each sample into a verdict — ``healthy`` /
+``suspect`` / ``diverged`` — raising :class:`PhysicsDivergenceError` (a
+:class:`~repro.errors.NumericalError`) so the recovery engine's rollback /
+dt-halving / degradation machinery aborts a doomed run within a few
+samples instead of at the NaN wall.  The diagnostics read the per-block
+rows of :func:`repro.core.loopnest.scan`: the health check's own, handed
+over by a :class:`~repro.resilience.health.HealthMonitor` that owns the
+sampler, or one scan of the sampler's own.
 
 Design constraints mirror the tracer's:
 
@@ -33,10 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro import guards
-from repro.constants import GRAVITY
+from repro.constants import CFL_LIMIT, ETA_LIMIT, GRAVITY
 from repro.core import loopnest
 from repro.errors import NumericalError
 from repro.obs.log import RunEvents, ServiceEvent
@@ -58,26 +59,21 @@ HEALTHY, SUSPECT, DIVERGED = VERDICTS = _KIND.levels
 SAMPLE_EVERY = 5
 MAX_SAMPLES = 4096
 
-#: The sentinel's rules (:class:`DivergenceSentinel`): relative mass
+#: The sentinel's rules (:meth:`PhysicsSampler.evaluate`): relative mass
 #: drift (suspect beyond it, diverged beyond ten times it) and its slope
-#: per sample, the CFL margin floor, the max |eta| limit [m], and the
-#: floor [m] and factor of late |eta| growth over the trailing window.
+#: per sample, the CFL margin floor, and the floor [m] and factor of late
+#: |eta| growth over the trailing window.  The max |eta| limit and the
+#: Courant bound are :mod:`repro.constants`' ``ETA_LIMIT`` and
+#: ``CFL_LIMIT``, the health check's.
 MASS_TOL = 5e-3
 MASS_SLOPE_TOL = 1e-3
 CFL_MARGIN_FLOOR = 0.05
-ETA_LIMIT = 100.0
 ETA_FLOOR = 1.0
 ETA_GROWTH_FACTOR = 4.0
 #: Trailing samples the growth and slope rules look at, and consecutive
 #: suspect samples that escalate to ``diverged``.
 WINDOW = 6
 PATIENCE = 3
-#: ``physics.json``'s ``thresholds.anomaly_limit`` (no rule reads it: a
-#: sample's ``gauge_anomaly`` is 0).
-ANOMALY_LIMIT = 8.0
-
-#: Buckets for the anomaly-score histogram (dimensionless sigmas).
-ANOMALY_BUCKETS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 
 class PhysicsDivergenceError(NumericalError):
@@ -125,36 +121,64 @@ class PhysicsSample:
             "max_flux": self.max_flux,
             "wet_cells": self.wet_cells,
             "front_delta": self.front_delta,
-            "gauge_anomaly": 0.0,
             "verdict": self.verdict,
         }
 
 
 class PhysicsSampler:
-    """Cadence-gated, non-mutating numerical-health sampler.
+    """Cadence-gated, non-mutating numerical-health sampler and the
+    divergence sentinel over its samples.
 
-    Any object with ``after_step(model)`` composes with it via
-    :class:`repro.core.CompositeMonitor`; typically it is owned and
-    driven by a :class:`DivergenceSentinel` instead of being registered
-    directly (register one or the other, not both, or each step is
-    sampled twice).
+    :meth:`sample` takes one sample and judges nothing.  The monitor hook
+    :meth:`after_step` samples every :data:`SAMPLE_EVERY` steps and
+    evaluates the sample against the rules below: they escalate
+    ``healthy`` -> ``suspect``; :data:`PATIENCE` consecutive suspect
+    samples — or any hard violation — escalate to ``diverged``, which
+    raises :class:`PhysicsDivergenceError` so the caller's recovery
+    machinery takes over.  Non-healthy verdicts go to *sink*.
+
+    Suspect rules (soft, need persistence):
+      * |mass drift| beyond :data:`MASS_TOL`, or its per-sample slope
+        beyond :data:`MASS_SLOPE_TOL` (conservation bleeding away);
+      * CFL margin below :data:`CFL_MARGIN_FLOOR` (stability collapsing);
+      * max |eta| above :data:`ETA_FLOOR` growing by more than
+        :data:`ETA_GROWTH_FACTOR` over the trailing :data:`WINDOW`
+        samples with no source active (the initial condition is the
+        only source, so late growth is spurious).
+
+    Diverged rules (hard, immediate):
+      * any non-finite diagnostic;
+      * max |eta| beyond :data:`~repro.constants.ETA_LIMIT`;
+      * CFL margin at or below zero;
+      * |mass drift| beyond ``10 * MASS_TOL``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, *, sink: RunEvents | None = None) -> None:
         self.samples: list[PhysicsSample] = []
         self.samples_taken = 0
+        self.sink = sink if sink is not None else RunEvents()
+        self.verdict = HEALTHY
+        self.worst = HEALTHY
+        self.aborts = 0
+        self._streak = 0
         self._v0: float | None = None
         self._prev_wet: int | None = None
         self._metrics = None
+        self._verdict_gauge = None
+
+    # -- monitor hook ----------------------------------------------------
+
+    def after_step(self, model, rows=None) -> None:
+        """Sample and judge on the cadence; *rows*: the
+        :func:`~repro.core.loopnest.scan` of the state, if one was made."""
+        if model.step_count % SAMPLE_EVERY == 0:
+            self._judge(self.sample(model, rows))
 
     # -- sampling --------------------------------------------------------
 
-    def after_step(self, model) -> None:
-        if model.step_count % SAMPLE_EVERY == 0:
-            self.sample(model)
-
-    def sample(self, model) -> PhysicsSample:
-        """Take one diagnostic sample of the model's current state.
+    def sample(self, model, rows=None) -> PhysicsSample:
+        """Take one diagnostic sample of the model's current state, from
+        *rows* (its :func:`~repro.core.loopnest.scan`) or one scan.
 
         Pure read: touches only the ``*_old`` (published) buffers and
         derived reductions, never the model itself — the bitwise-identity
@@ -167,20 +191,20 @@ class PhysicsSampler:
         mass_drift = (volume - self._v0) / self._v0 if self._v0 > 0 else 0.0
 
         dt = model.config.dt
-        thr = model.config.dry_threshold
+        if rows is None:
+            rows = loopnest.scan(model.states.values(), model.config.dry_threshold)
         wet_total = 0
         max_eta = 0.0
         max_flux = 0.0
         cfl_margin = math.inf
-        blocks, finite = _block_maxima(model.states.values(), thr)
-        for dx, n_wet, eta, d_max, flux in blocks:
-            wet_total += n_wet
-            if n_wet:
+        for st, (_, _, _, wet, eta, d_max, m, n) in zip(model.states.values(), rows):
+            wet_total += int(wet)
+            if wet:
                 max_eta = max(max_eta, eta)
-                courant = math.sqrt(2.0 * GRAVITY * d_max) * dt / dx
-                cfl_margin = min(cfl_margin, 1.0 - courant)
-            max_flux = max(max_flux, flux)
-        if not finite:
+                courant = math.sqrt(2.0 * GRAVITY * d_max) * dt / st.dx
+                cfl_margin = min(cfl_margin, CFL_LIMIT - courant)
+            max_flux = max(max_flux, max(m, n))
+        if not all(z and m and n for z, m, n, *_ in rows):
             # Python's max drops a NaN: a state that is not finite everywhere
             # has no maxima, and the sentinel reads the sample as non-finite.
             max_eta = max_flux = math.nan
@@ -188,7 +212,7 @@ class PhysicsSampler:
             # All-dry grid: no wave anywhere, the CFL constraint is
             # vacuous — report full margin rather than dividing by the
             # (empty) wet set.
-            cfl_margin = 1.0 if wet_total == 0 else cfl_margin
+            cfl_margin = CFL_LIMIT if wet_total == 0 else cfl_margin
 
         front_delta = (
             0 if self._prev_wet is None else wet_total - self._prev_wet
@@ -244,13 +268,8 @@ class PhysicsSampler:
                     "repro_physics_front_delta",
                     "wet-cell count change since previous sample",
                 ),
-                reg.histogram(
-                    "repro_physics_anomaly",
-                    "robust gauge-series anomaly score [sigma]",
-                    buckets=ANOMALY_BUCKETS,
-                ),
             )
-        total, drift, margin, eta, flux, wet, front, anom = self._metrics
+        total, drift, margin, eta, flux, wet, front = self._metrics
         total.inc()
         drift.set(smp.mass_drift)
         margin.set(smp.cfl_margin)
@@ -258,101 +277,8 @@ class PhysicsSampler:
         flux.set(smp.max_flux)
         wet.set(smp.wet_cells)
         front.set(smp.front_delta)
-        ctx = _TRACER.current_context()
-        anom.observe(0.0, trace_id=ctx.trace_id if ctx is not None else None)
 
-    # -- lifecycle -------------------------------------------------------
-
-    def reset_baseline(self) -> None:
-        """Forget baselines after a rollback or a grid/dt change.
-
-        The mass baseline and front history re-seed from the next sample
-        so restored state is not judged against a pre-rollback trajectory.
-        """
-        self._v0 = None
-        self._prev_wet = None
-
-    def to_dict(self) -> dict:
-        return {
-            "every": SAMPLE_EVERY,
-            "samples_taken": self.samples_taken,
-            "samples": [s.to_dict() for s in self.samples],
-        }
-
-
-def _block_maxima(states, dry) -> tuple[list, bool]:
-    """Per block ``(dx, wet cells, max |eta| over them, max D, max |M|, |N|)``
-    and whether every block's z, M and N are finite: on the nest, its
-    :func:`~repro.core.loopnest.scan` says whether, and gives the maxima when
-    they are; NumPy gives the rest."""
-    records = loopnest.scan(states, dry)
-    if records is not None:
-        rows = records.tolist()
-        if all(z and m and n for z, m, n, *_ in rows):
-            return [
-                (st.dx, int(wet), eta, depth, max(m, n))
-                for st, (_, _, _, wet, eta, depth, m, n) in zip(states, rows)
-            ], True
-    blocks, finite = [], records is None  # the nest has said it is not
-    for st in states:
-        depth = st.total_depth()
-        wet = depth > dry
-        n_wet = int(np.count_nonzero(wet))
-        eta = float(np.abs(st.eta_interior()[wet]).max()) if n_wet else 0.0
-        d_max = float(depth.max()) if n_wet else 0.0
-        peaks = float(np.abs(st.m_old).max()), float(np.abs(st.n_old).max())
-        blocks.append((st.dx, n_wet, eta, d_max, max(peaks)))
-        # |M| and |N| peak at a non-finite value if there is one; z may hide
-        # one from its wet cells.
-        finite = finite and all(map(math.isfinite, peaks))
-        finite = finite and bool(np.isfinite(st.z_old).all())
-    return blocks, finite
-
-
-class DivergenceSentinel:
-    """Turn physics samples into verdicts; abort runs that are doomed.
-
-    Owns and drives a :class:`PhysicsSampler` through the monitor hook,
-    evaluating every new sample against the rules below.  Rules escalate
-    ``healthy`` -> ``suspect``; :data:`PATIENCE` consecutive suspect
-    samples — or any hard violation — escalate to ``diverged``, which
-    raises :class:`PhysicsDivergenceError` so the caller's recovery
-    machinery takes over.
-
-    Suspect rules (soft, need persistence):
-      * |mass drift| beyond :data:`MASS_TOL`, or its per-sample slope
-        beyond :data:`MASS_SLOPE_TOL` (conservation bleeding away);
-      * CFL margin below :data:`CFL_MARGIN_FLOOR` (stability collapsing);
-      * max |eta| above :data:`ETA_FLOOR` growing by more than
-        :data:`ETA_GROWTH_FACTOR` over the trailing :data:`WINDOW`
-        samples with no source active (the initial condition is the
-        only source, so late growth is spurious).
-
-    Diverged rules (hard, immediate):
-      * any non-finite diagnostic;
-      * max |eta| beyond :data:`ETA_LIMIT`;
-      * CFL margin at or below zero;
-      * |mass drift| beyond ``10 * MASS_TOL``.
-    """
-
-    def __init__(self, *, sink: RunEvents | None = None) -> None:
-        self.sampler = PhysicsSampler()
-        self.sink = sink if sink is not None else RunEvents()
-        self.verdict = HEALTHY
-        self.worst = HEALTHY
-        self.aborts = 0
-        self._streak = 0
-        self._seen = 0
-        self._metrics = None
-
-    # -- monitor hook ----------------------------------------------------
-
-    def after_step(self, model) -> None:
-        self.sampler.after_step(model)
-        while self._seen < len(self.sampler.samples):
-            smp = self.sampler.samples[self._seen]
-            self._seen += 1
-            self._judge(smp)
+    # -- verdicts --------------------------------------------------------
 
     def _judge(self, smp: PhysicsSample) -> None:
         verdict, reasons = self.evaluate(smp)
@@ -387,12 +313,10 @@ class DivergenceSentinel:
                 + "; ".join(reasons)
             )
 
-    # -- rules -----------------------------------------------------------
-
     def evaluate(self, smp: PhysicsSample) -> tuple[str, list[str]]:
         """Score one sample; returns ``(verdict, reasons)``.
 
-        Pure function of the sample plus the sampler's trailing window —
+        Pure function of the sample plus the trailing window of samples —
         no side effects, so tests can probe rules directly.
         """
         if not smp.finite:
@@ -416,7 +340,7 @@ class DivergenceSentinel:
             reasons.append(
                 f"mass drift {smp.mass_drift:.3g} beyond {MASS_TOL:g}"
             )
-        tail = self.sampler.samples[-WINDOW:]
+        tail = self.samples[-WINDOW:]
         if len(tail) >= 2:
             slope = (tail[-1].mass_drift - tail[0].mass_drift) / (
                 len(tail) - 1
@@ -443,7 +367,15 @@ class DivergenceSentinel:
             )
         return (SUSPECT, reasons) if reasons else (HEALTHY, reasons)
 
-    # -- bookkeeping -----------------------------------------------------
+    def _export_verdict(self, verdict: str) -> None:
+        if self._verdict_gauge is None:
+            self._verdict_gauge = get_registry().gauge(
+                "repro_physics_verdict",
+                "current sentinel verdict (0 healthy, 1 suspect, 2 diverged)",
+            )
+        self._verdict_gauge.set(VERDICTS.index(verdict))
+
+    # -- lifecycle -------------------------------------------------------
 
     @property
     def events(self) -> list[dict]:
@@ -452,34 +384,32 @@ class DivergenceSentinel:
             {"verdict": ev.kind, **ev.fields} for ev in self.sink.of("physics")
         ]
 
-    def _export_verdict(self, verdict: str) -> None:
-        if self._metrics is None:
-            self._metrics = get_registry().gauge(
-                "repro_physics_verdict",
-                "current sentinel verdict (0 healthy, 1 suspect, 2 diverged)",
-            )
-        self._metrics.set(VERDICTS.index(verdict))
-
     def reset_baseline(self) -> None:
         """Re-seed after a rollback/degradation (recovery-engine hook).
 
-        The restored state must not be judged against the diverging
-        trajectory's window, or the sentinel re-fires on stale evidence
-        and the retry can never succeed.  Verdict history (``worst``,
-        ``events``, ``aborts``) is preserved for reporting.
+        The mass baseline and front history re-seed from the next sample,
+        and the rules' window starts empty: the restored state must not be
+        judged against the diverging trajectory, or the sentinel re-fires
+        on stale evidence and the retry can never succeed.  Verdict
+        history (``worst``, ``events``, ``aborts``) is preserved for
+        reporting.
         """
-        self.sampler.reset_baseline()
-        self.sampler.samples.clear()
-        self._seen = 0
+        self._v0 = None
+        self._prev_wet = None
+        self.samples.clear()
         self._streak = 0
         self.verdict = HEALTHY
 
     def to_dict(self) -> dict:
+        """The ``physics.json`` body: the sample timeline, the worst
+        verdict seen, the sentinel's events, aborts and thresholds."""
         return {
+            "every": SAMPLE_EVERY,
+            "samples_taken": self.samples_taken,
+            "samples": [s.to_dict() for s in self.samples],
             "verdict": self.worst,
-            "current": self.verdict,
-            "aborts": self.aborts,
             "events": self.events,
+            "aborts": self.aborts,
             "thresholds": {
                 "mass_tol": MASS_TOL,
                 "mass_slope_tol": MASS_SLOPE_TOL,
@@ -487,7 +417,6 @@ class DivergenceSentinel:
                 "eta_limit": ETA_LIMIT,
                 "eta_floor": ETA_FLOOR,
                 "eta_growth_factor": ETA_GROWTH_FACTOR,
-                "anomaly_limit": ANOMALY_LIMIT,
                 "window": WINDOW,
                 "patience": PATIENCE,
             },
@@ -501,24 +430,17 @@ class DivergenceSentinel:
 
 def physics_doc(
     sampler: PhysicsSampler | None = None,
-    sentinel: DivergenceSentinel | None = None,
     verdict: str | None = None,
     counts: dict | None = None,
     requests: list[dict] | None = None,
 ) -> dict:
     """Assemble a ``physics.json`` document.
 
-    A single run contributes *sampler* + *sentinel* (sample timeline
-    plus sentinel events); a service soak contributes *counts* and
-    *requests* instead — see :meth:`repro.guards.GuardKind.doc`.
+    A single run contributes its *sampler* (sample timeline plus sentinel
+    events); a service soak contributes *counts* and *requests* instead —
+    see :meth:`repro.guards.GuardKind.doc`.
     """
-    if sentinel is not None and sampler is None:
-        sampler = sentinel.sampler
-    body = sampler.to_dict() if sampler is not None else {}
-    if sentinel is not None:
-        ledger = sentinel.to_dict()  # its "verdict" is the worst one seen
-        keys = ("verdict", "events", "aborts", "thresholds")
-        body.update((k, ledger[k]) for k in keys)
+    body = sampler.to_dict() if sampler is not None else None
     return _KIND.doc(verdict, body, counts, requests)
 
 
@@ -549,8 +471,7 @@ def render_physics_doc(doc: dict) -> tuple[list[str], bool]:
     if samples:
         lines.append(
             f"{'step':>7} {'time[s]':>9} {'mass drift':>11} "
-            f"{'cfl margin':>11} {'max eta[m]':>11} {'wet':>7} "
-            f"{'anomaly':>8}  verdict"
+            f"{'cfl margin':>11} {'max eta[m]':>11} {'wet':>7}  verdict"
         )
         for s in samples:
             mark = _VERDICT_MARKS.get(s.get("verdict", HEALTHY), " ")
@@ -560,7 +481,6 @@ def render_physics_doc(doc: dict) -> tuple[list[str], bool]:
                 f"{s.get('cfl_margin', 0.0):>11.3f} "
                 f"{s.get('max_eta', 0.0):>11.3f} "
                 f"{s.get('wet_cells', 0):>7} "
-                f"{s.get('gauge_anomaly', 0.0):>8.2f} "
                 f"{mark} {s.get('verdict', HEALTHY)}"
             )
     events = doc.get("events") or []

@@ -18,7 +18,7 @@ from repro.core.config import SimulationConfig
 from repro.core.model import RTiModel
 from repro.errors import NumericalError
 from repro.obs.log import RunEvents, get_logger
-from repro.obs.physics import DivergenceSentinel, physics_doc
+from repro.obs.physics import PhysicsSampler, physics_doc
 from repro.obs.trace import span
 from repro.resilience.checkpoint import CheckpointRing
 from repro.resilience.clock import SimulatedClock
@@ -73,9 +73,9 @@ def run_resilient_forecast(
     :class:`~repro.errors.NumericalError`.  A resume starts from
     *restored*, a snapshot of *store* the ring then holds.
 
-    The in-situ physics sampler + divergence sentinel
-    (:mod:`repro.obs.physics`) always ride along, composed with the
-    health monitor via :class:`~repro.core.CompositeMonitor`; a
+    The in-situ physics sampler and divergence sentinel
+    (:mod:`repro.obs.physics`) always ride along, owned by the health
+    monitor, which hands it the rows of the step's one scan; a
     ``diverged`` verdict
     raises into the recovery engine, so a doomed run rolls back / halves
     dt / degrades within a few samples instead of burning the deadline
@@ -101,8 +101,8 @@ def run_resilient_forecast(
 
     events = RunEvents(store)
     tracker = None
-    sentinel = DivergenceSentinel(sink=events)
-    monitors = [HealthMonitor(), sentinel]
+    physics = PhysicsSampler(sink=events)
+    monitors = [HealthMonitor(physics)]
     if integrity_every:
         tracker = IntegrityTracker(sink=events)
         monitors.append(
@@ -171,10 +171,10 @@ def run_resilient_forecast(
             fault_plan.triggered_labels() if fault_plan is not None else []
         ),
         checkpoints_taken=ring.taken,
-        physics_verdict=sentinel.worst,
+        physics_verdict=physics.worst,
         # The full physics.json-shaped document (samples included), so
         # callers can merge counter tracks into their trace export.
-        physics=physics_doc(sentinel=sentinel),
+        physics=physics_doc(physics),
         integrity_verdict=tracker.verdict if tracker is not None else None,
         integrity=integrity_doc(tracker) if tracker is not None else None,
     )

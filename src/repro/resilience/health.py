@@ -7,19 +7,21 @@ than a late forecast.  :class:`HealthMonitor` applies three rules every
 on the first violation, which the recovery engine converts into a rollback:
 
 1. **NaN/Inf** anywhere in a prognostic read buffer, ghost cells included;
-2. **blow-up bound** — wet-cell water level beyond :data:`ETA_LIMIT`;
+2. **blow-up bound** — wet-cell water level beyond
+   :data:`~repro.constants.ETA_LIMIT`;
 3. **CFL margin** — the current total depth (still water + surge) must
-   keep ``sqrt(2 g D) * dt / dx`` below :data:`CFL_LIMIT` on every level.
+   keep ``sqrt(2 g D) * dt / dx`` below :data:`~repro.constants.CFL_LIMIT`
+   on every level.
 
 Mass conservation is the physics sentinel's rule
 (:mod:`repro.obs.physics`).  The rules read per-block reductions —
-finite flags, wet cells, max |eta| over them, max D — that the compiled
-nest makes for every block in one launch
-(:func:`repro.core.loopnest.scan`, DESIGN.md section 9j); the per-block
-NumPy body computes the same where there is no nest, and is the
-reference it is held to.  The check runs on the state as it is when
-called (after any injected fault), not on a record stamped inside the
-step.
+finite flags, wet cells, max |eta| over them, max D — that
+:func:`repro.core.loopnest.scan` makes for every block in one launch of
+the compiled nest, or by its NumPy reference body (DESIGN.md section 9j).
+A monitor given a :class:`~repro.obs.physics.PhysicsSampler` hands the
+rows it judged to it, so a checked step is one scan however many guards
+read it.  The check runs on the state as it is when called (after any
+injected fault), not on a record stamped inside the step.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 
 import numpy as np
 
-from repro.constants import GRAVITY
+from repro.constants import CFL_LIMIT, ETA_LIMIT, GRAVITY
 from repro.core import loopnest
 from repro.errors import NumericalError
 from repro.obs.metrics import get_registry
@@ -36,10 +38,6 @@ from repro.obs.trace import get_tracer
 
 #: Check cadence [steps].
 HEALTH_EVERY = 1
-#: Maximum plausible wet-cell water level [m].
-ETA_LIMIT = 100.0
-#: Maximum allowed Courant number ``sqrt(2 g D_max) dt / dx``.
-CFL_LIMIT = 1.0
 #: The straggler test: a rank is one beyond ``median + MAD_K * sigma``
 #: (sigma from the MAD) and at least ``MIN_RATIO`` times the median.
 MAD_K = 3.5
@@ -47,80 +45,58 @@ MIN_RATIO = 1.5
 
 
 class HealthMonitor:
-    """Per-step state validation every :data:`HEALTH_EVERY` steps."""
+    """Per-step state validation every :data:`HEALTH_EVERY` steps; with a
+    *physics* sampler, the physics sentinel on the same scan."""
 
-    def __init__(self) -> None:
+    def __init__(self, physics=None) -> None:
         self.checks_run = 0
+        self.physics = physics
 
     def after_step(self, model) -> None:
         """Cadence-gated hook for ``RTiModel.run`` / the recovery engine."""
-        if model.step_count % HEALTH_EVERY == 0:
-            self.check(model)
+        rows = self.check(model) if model.step_count % HEALTH_EVERY == 0 else None
+        if self.physics is not None:
+            self.physics.after_step(model, rows)
 
-    def check(self, model) -> None:
-        """Run all checks now; raise :class:`NumericalError` on failure."""
+    def reset_baseline(self) -> None:
+        """Recovery-engine hook: the sampler's baselines go."""
+        if self.physics is not None:
+            self.physics.reset_baseline()
+
+    def check(self, model) -> list:
+        """Run all checks now; raise :class:`NumericalError` on failure, else
+        return the :func:`~repro.core.loopnest.scan` rows judged."""
         self.checks_run += 1
         if get_tracer().enabled:
             get_registry().counter(
                 "repro_health_checks_total",
                 "numerical health checks executed",
             ).inc()
-        records = loopnest.scan(model.states.values(), model.config.dry_threshold)
-        if records is None:
-            self._check_numpy(model)
-        else:  # the same rules, in the same order, on the nest's reductions
-            for (bid, st), rec in zip(model.states.items(), records.tolist()):
-                for name, finite in zip("zmn", rec):
-                    if not finite:
-                        raise self._nonfinite(model, name, bid)
-                if rec[3]:
-                    self._bounds(model, bid, st.dx, rec[4], rec[5])
-
-    def _check_numpy(self, model) -> None:
-        """The per-block rules on NumPy's reductions: the body the nest's
-        :func:`~repro.core.loopnest.scan` is held to."""
-        dry = model.config.dry_threshold
-        for bid, st in model.states.items():
-            for name, arr in (
-                ("z", st.z_old),
-                ("m", st.m_old),
-                ("n", st.n_old),
-            ):
-                if not np.isfinite(arr).all():
-                    raise self._nonfinite(model, name, bid)
-            # One D per block and no gathered wet-cell copies: the largest D
-            # is a wet cell's whenever there is one, and |eta| zeroed off the
-            # wet cells peaks on them.
-            depth = st.total_depth()
-            wet = depth > dry
-            if wet.any():
-                eta = np.where(wet, st.eta_interior(), 0.0)
-                eta_max = float(np.abs(eta, out=eta).max())
-                self._bounds(model, bid, st.dx, eta_max, float(depth.max()))
-
-    @staticmethod
-    def _nonfinite(model, name: str, bid: int) -> NumericalError:
-        return NumericalError(
-            f"step {model.step_count}: non-finite values in "
-            f"field {name} of block {bid}"
-        )
-
-    @staticmethod
-    def _bounds(model, bid: int, dx: float, eta_max: float, d_max: float) -> None:
-        """The blow-up and CFL rules of one block with a wet cell."""
-        if eta_max > ETA_LIMIT:
-            raise NumericalError(
-                f"step {model.step_count}: water level blow-up in "
-                f"block {bid}: |eta| = {eta_max:.1f} m > "
-                f"{ETA_LIMIT:.1f} m"
-            )
-        courant = math.sqrt(2.0 * GRAVITY * d_max) * model.config.dt / dx
-        if courant > CFL_LIMIT:
-            raise NumericalError(
-                f"step {model.step_count}: CFL margin violated in "
-                f"block {bid}: Courant number {courant:.3f} > "
-                f"{CFL_LIMIT:.3f} (D_max = {d_max:.1f} m)"
-            )
+        rows = loopnest.scan(model.states.values(), model.config.dry_threshold)
+        for (bid, st), row in zip(model.states.items(), rows):
+            for name, finite in zip("zmn", row):
+                if not finite:
+                    raise NumericalError(
+                        f"step {model.step_count}: non-finite values in "
+                        f"field {name} of block {bid}"
+                    )
+            if not row[3]:
+                continue  # no wet cell: no level or depth to bound
+            eta_max, d_max = row[4], row[5]
+            if eta_max > ETA_LIMIT:
+                raise NumericalError(
+                    f"step {model.step_count}: water level blow-up in "
+                    f"block {bid}: |eta| = {eta_max:.1f} m > "
+                    f"{ETA_LIMIT:.1f} m"
+                )
+            courant = math.sqrt(2.0 * GRAVITY * d_max) * model.config.dt / st.dx
+            if courant > CFL_LIMIT:
+                raise NumericalError(
+                    f"step {model.step_count}: CFL margin violated in "
+                    f"block {bid}: Courant number {courant:.3f} > "
+                    f"{CFL_LIMIT:.3f} (D_max = {d_max:.1f} m)"
+                )
+        return rows
 
 
 class StepTimeMonitor:

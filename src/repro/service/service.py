@@ -167,7 +167,6 @@ class _Worker:
     ticket: Ticket | None = None
     result: object = None
     finish_s: float = 0.0
-    backend: str | None = None
 
     @property
     def idle(self) -> bool:
@@ -179,10 +178,10 @@ class ForecastService:
 
     Parameters
     ----------
-    backends:
-        Mapping ``name -> backend`` (anything with
-        ``run(request, budget_s) -> BackendResult``), or a single
-        backend.  Each backend gets its own circuit breaker.
+    backend:
+        Anything with ``run(request, budget_s) -> BackendResult``, behind
+        one circuit breaker named after its ``name`` ("default" without
+        one).
     estimator:
         Shared :class:`~repro.service.admission.CostEstimator`; created
         for :data:`PLATFORM` when omitted.
@@ -200,7 +199,7 @@ class ForecastService:
 
     def __init__(
         self,
-        backends,
+        backend,
         config: ServiceConfig | None = None,
         estimator: CostEstimator | None = None,
         clock=None,
@@ -208,16 +207,12 @@ class ForecastService:
         flight_dir=None,
     ) -> None:
         self.config = config or ServiceConfig()
-        if not isinstance(backends, dict):
-            backends = {getattr(backends, "name", "default"): backends}
-        if not backends:
-            raise ServiceError("need at least one backend")
-        self.backends = backends
+        self.backend = backend
         self.estimator = estimator or CostEstimator()
         self.clock = clock or VirtualClock()
         self.queue = BoundedDeadlineQueue(self.config.queue_capacity)
         self.cache = SingleFlightCache()
-        self.breakers = {name: CircuitBreaker(name) for name in backends}
+        self.breaker = CircuitBreaker(getattr(backend, "name", "default"))
         self._workers = [_Worker(i) for i in range(self.config.workers)]
         self._tenant_inflight: dict[str, int] = {}
         self.tickets: list[Ticket] = []
@@ -277,12 +272,12 @@ class ForecastService:
             "high-water mark of the admission queue",
         ).set(self.queue.peak_depth)
 
-    def _set_breaker_gauge(self, br: CircuitBreaker) -> None:
+    def _set_breaker_gauge(self) -> None:
         self._gauge(
             "repro_service_breaker_state",
             "circuit state per backend (0 closed, 1 half-open, 2 open)",
-            labels={"backend": br.name},
-        ).set(br.state_code)
+            labels={"backend": self.breaker.name},
+        ).set(self.breaker.state_code)
 
     def _reject(self, request: ForecastRequest, exc: ServiceOverloadError):
         self._counter(
@@ -371,9 +366,9 @@ class ForecastService:
                 f"requests in flight (quota {self.config.tenant_quota})"
             ))
 
-        # Fail fast when no backend can currently execute anything.
-        blocked, retry_s = self._backends_blocked(now)
-        if blocked:
+        # Fail fast when the backend can currently execute nothing.
+        retry_s = self.breaker.retry_after_s(now)
+        if not self.breaker.would_allow(now):
             self._reject(request, BackendUnavailableError(
                 "every backend's circuit breaker is open",
                 retry_after_s=retry_s,
@@ -574,27 +569,6 @@ class ForecastService:
 
     # -- dispatch and completion -----------------------------------------
 
-    def _backends_blocked(self, now: float) -> tuple[bool, float | None]:
-        """Whether no backend could take a call at *now*, and the seconds
-        until the earliest open breaker's half-open probe (None if none
-        is open)."""
-        breakers = self.breakers.values()
-        waits = [
-            w for br in breakers if (w := br.retry_after_s(now)) is not None
-        ]
-        return (
-            not any(br.would_allow(now) for br in breakers),
-            min(waits, default=None),
-        )
-
-    def _pick_backend(self, now: float) -> str | None:
-        for name in self.backends:
-            br = self.breakers[name]
-            if br.allow(now):
-                self._set_breaker_gauge(br)
-                return name
-        return None
-
     def _doom_s(self, ticket: Ticket) -> float:
         """Latest start time after which *ticket* must be shed.
 
@@ -631,7 +605,7 @@ class ForecastService:
 
     def _dispatch(self) -> None:
         now = self._now()
-        blocked = False  # every backend breaker-refused; stop trying
+        blocked = False  # the breaker refused; stop trying
         for worker in self._workers:
             # A synchronous backend failure leaves the worker idle (and
             # may re-queue the ticket), so keep feeding this worker
@@ -640,13 +614,13 @@ class ForecastService:
                 ticket = self._pick_next()
                 if not self._prepare_for_dispatch(ticket, now):
                     continue  # shed; try the next queued ticket
-                name = self._pick_backend(now)
-                if name is None:
+                if not self.breaker.allow(now):
                     # Wait for a breaker cooldown or a completion.
                     self.queue.push(ticket)
                     blocked = True
                     break
-                self._execute(worker, ticket, name, now)
+                self._set_breaker_gauge()
+                self._execute(worker, ticket, now)
         self._set_queue_gauges()
 
     def _prepare_for_dispatch(self, ticket: Ticket, now: float) -> bool:
@@ -682,16 +656,13 @@ class ForecastService:
         )
         return False
 
-    def _execute(
-        self, worker: _Worker, ticket: Ticket, backend_name: str,
-        now: float,
-    ) -> None:
+    def _execute(self, worker: _Worker, ticket: Ticket, now: float) -> None:
+        backend_name = self.breaker.name
         budget = max(0.0, _margin_deadline(ticket.request) - now)
         ticket.status = RUNNING
         ticket.started_s = now
         ticket.backend = backend_name
         ticket.attempts += 1
-        backend = self.backends[backend_name]
         # Bind the request's trace context around the backend run: the
         # "request" span becomes the root of the request's tree, and any
         # rank threads the backend spawns inherit it via run_ranks.
@@ -709,28 +680,26 @@ class ForecastService:
                     attempt=ticket.attempts,
                 ))
             try:
-                result = backend.run(ticket.request, budget)
+                result = self.backend.run(ticket.request, budget)
             except ServiceError:
                 raise  # configuration problems are bugs, not backend faults
             except Exception as exc:  # noqa: BLE001 - backend fault domain
-                self._on_backend_failure(ticket, backend_name, exc, now)
+                self._on_backend_failure(ticket, exc, now)
                 return
-        br = self.breakers[backend_name]
         worker.ticket = ticket
         worker.result = result
-        worker.backend = backend_name
         worker.finish_s = now + max(0.0, result.cost_s)
         self._note(
             "dispatch", ticket.request.request_id,
             f"backend={backend_name} fidelity={result.fidelity.tag} "
             f"cost={result.cost_s:.1f}s finish=t+{result.cost_s:.1f}s",
         )
-        self._set_breaker_gauge(br)
+        self._set_breaker_gauge()
 
     def _on_backend_failure(
-        self, ticket: Ticket, backend_name: str, exc: Exception, now: float
+        self, ticket: Ticket, exc: Exception, now: float
     ) -> None:
-        br = self.breakers[backend_name]
+        br, backend_name = self.breaker, self.breaker.name
         br.record_failure(now)
         self._counter(
             "repro_service_backend_failures_total",
@@ -748,7 +717,7 @@ class ForecastService:
                 f"backend={backend_name} after "
                 f"{FAILURE_THRESHOLD} failures",
             )
-        self._set_breaker_gauge(br)
+        self._set_breaker_gauge()
         self._note(
             "backend_failure", ticket.request.request_id,
             f"backend={backend_name}: {exc}",
@@ -777,9 +746,8 @@ class ForecastService:
         ticket, result = worker.ticket, worker.result
         worker.ticket = None
         worker.result = None
-        br = self.breakers[worker.backend]
-        br.record_success(now)
-        self._set_breaker_gauge(br)
+        self.breaker.record_success(now)
+        self._set_breaker_gauge()
         # Live calibration: observed cost vs the raw model prediction
         # for the fidelity that actually executed.
         raw = self.estimator.estimate_raw_s(
@@ -917,8 +885,8 @@ class ForecastService:
         times = [w.finish_s for w in self._workers if not w.idle]
         if len(self.queue) and any(w.idle for w in self._workers):
             now = self._now()
-            blocked, retry_s = self._backends_blocked(now)
-            if blocked and retry_s is not None:
+            retry_s = self.breaker.retry_after_s(now)
+            if not self.breaker.would_allow(now) and retry_s is not None:
                 times.append(now + retry_s)
         return min(times) if times else None
 
@@ -967,8 +935,9 @@ class ForecastService:
             "deadline_misses": missed,
             "cache": self.cache.stats(),
             "breakers": {
-                name: {"state": br.state, "trips": br.trips}
-                for name, br in self.breakers.items()
+                self.breaker.name: {
+                    "state": self.breaker.state, "trips": self.breaker.trips,
+                },
             },
             "calibration": self.estimator.calibration,
             "tenants_inflight": dict(self._tenant_inflight),

@@ -5,15 +5,13 @@ result of one evaluation figure — who wins, where curves saturate or cross
 — using the same code paths the benchmark harness runs.
 """
 
-import numpy as np
 import pytest
 
-from repro.balance.apply import fit_platform_model, optimized_decomposition
+from repro.balance.apply import optimized_decomposition
 from repro.hw import LaunchMode, StreamSimulator, get_system
 from repro.par.decomposition import build_decomposition, equal_cell_assignment
 from repro.runtime import (
     ExecutionConfig,
-    PerformanceSimulator,
     build_routine_kernels,
     simulate_run_seconds,
 )

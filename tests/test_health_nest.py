@@ -293,4 +293,4 @@ def test_a_forecast_prepares_two_scans_and_launches_one_per_guard_call(monkeypat
     after = loopnest.provenance()["routines"]["scan"]
     assert report.model.step_count == 20 and calls["check"] >= 20 and calls["sample"] > 0
     assert after["prepared"] - before["prepared"] == 2
-    assert after["launches"] - before["launches"] == calls["check"] + calls["sample"]
+    assert after["launches"] - before["launches"] == calls["check"]

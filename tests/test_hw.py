@@ -1,7 +1,5 @@
 """Tests for the hardware model (repro.hw)."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from repro.hw import (
     KernelInvocation,
     LaunchMode,
     PLATFORMS,
-    SYSTEMS,
     StreamSimulator,
     get_system,
 )

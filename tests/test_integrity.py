@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import RTiModel, SimulationConfig
-from repro.errors import IntegrityError, NumericalError, PersistError
+from repro.errors import IntegrityError, PersistError
 from repro.fault import GaussianSource
 from repro.grid.block import Block
 from repro.grid.hierarchy import NestedGrid

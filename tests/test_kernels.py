@@ -5,7 +5,7 @@ import pytest
 
 from repro.constants import GRAVITY
 from repro.core.mass import nlmass
-from repro.core.momentum import momentum_core, nlmnt2
+from repro.core.momentum import nlmnt2
 from repro.grid.staggered import (
     NGHOST,
     eta_shape,

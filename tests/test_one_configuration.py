@@ -35,9 +35,10 @@ GONE = [
     (recovery.RecoveryEngine, "max_rollbacks"),
     (forecast.run_resilient_forecast, "max_rollbacks physics_every"),
     (survive.survivable_run_distributed, "perf_model"),
-    (physics.PhysicsSampler, "every recorder alpha max_samples"),
-    (physics.DivergenceSentinel,
-     "sampler mass_tol mass_slope_tol cfl_margin_floor eta_limit eta_floor"
+    # The divergence sentinel's parameters too: it is the sampler's now.
+    (physics.PhysicsSampler,
+     "every recorder alpha max_samples"
+     " sampler mass_tol mass_slope_tol cfl_margin_floor eta_limit eta_floor"
      " eta_growth_factor anomaly_limit window patience abort"),
     (slo.SLOEngine, "windows max_events"),
     (flight.FlightBook, "capacity keep"),

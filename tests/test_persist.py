@@ -9,7 +9,6 @@ kill-and-resume scenarios live in ``tests/test_resume.py``.
 """
 
 import json
-import os
 
 import numpy as np
 import pytest

@@ -35,7 +35,6 @@ from repro.obs.physics import (
     HEALTHY,
     PHYSICS_NAME,
     SUSPECT,
-    DivergenceSentinel,
     PhysicsDivergenceError,
     PhysicsSampler,
     load_physics_report,
@@ -149,10 +148,10 @@ class TestPhysicsSampler:
             20, 20, 100.0, FlatBathymetry(-10.0), boundary="wall"
         )
         monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
-        sentinel = DivergenceSentinel()
+        sentinel = PhysicsSampler()
         model.run(5, monitor=sentinel)
-        assert len(sentinel.sampler.samples) == 5
-        for smp in sentinel.sampler.samples:
+        assert len(sentinel.samples) == 5
+        for smp in sentinel.samples:
             assert smp.finite
             assert smp.wet_cells == 0
             assert smp.cfl_margin == 1.0
@@ -166,12 +165,12 @@ class TestPhysicsSampler:
             model, [("mid", 2000.0, 2000.0), ("edge", 300.0, 2000.0)]
         )
         monkeypatch.setattr(physics, "SAMPLE_EVERY", 2)
-        sentinel = DivergenceSentinel()
+        sentinel = PhysicsSampler()
         model.run(60, monitor=[rec, sentinel])
         assert sentinel.worst == HEALTHY
         assert sentinel.aborts == 0
         assert sentinel.events == []
-        assert all(s.finite for s in sentinel.sampler.samples)
+        assert all(s.finite for s in sentinel.samples)
 
     def test_reset_baseline_reseeds(self, monkeypatch):
         model = basin_model()
@@ -198,10 +197,10 @@ class TestPhysicsSampler:
         model.run(3)
         model.states[1].m_old[10, 10] = np.nan
         monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
-        sentinel = DivergenceSentinel()
+        sentinel = PhysicsSampler()
         with pinned, pytest.raises(PhysicsDivergenceError):
             sentinel.after_step(model)
-        (smp,) = sentinel.sampler.samples
+        (smp,) = sentinel.samples
         assert math.isfinite(smp.mass_drift) and not smp.finite
         assert sentinel.verdict == DIVERGED
         assert sentinel.events[-1]["reasons"] == ["non-finite diagnostics"]
@@ -220,10 +219,10 @@ class TestBitwiseIdentity:
         watched = basin_model()
         rec = GaugeRecorder(watched, [("mid", 2000.0, 2000.0)])
         monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
-        sentinel = DivergenceSentinel()
+        sentinel = PhysicsSampler()
         watched.run(40, monitor=[rec, sentinel])
 
-        assert sentinel.sampler.samples_taken == 40
+        assert sentinel.samples_taken == 40
         for a, b in zip(bare.states.values(), watched.states.values()):
             assert np.array_equal(a.z_old, b.z_old)
             assert np.array_equal(a.m_old, b.m_old)
@@ -332,7 +331,7 @@ class TestDivergenceSentinel:
             pytest.fail("corrupted run was never aborted")
 
         monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
-        sentinel_step = corrupted_run(DivergenceSentinel())
+        sentinel_step = corrupted_run(PhysicsSampler())
         monkeypatch.setattr(health_mod, "ETA_LIMIT", math.inf)
         monkeypatch.setattr(health_mod, "CFL_LIMIT", math.inf)
         health_step = corrupted_run(HealthMonitor())
@@ -342,7 +341,7 @@ class TestDivergenceSentinel:
     def test_abort_raises_numerical_error_subclass(self, monkeypatch):
         model = basin_model()
         monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
-        sentinel = DivergenceSentinel()
+        sentinel = PhysicsSampler()
         with pytest.raises(PhysicsDivergenceError) as err:
             model.run(40, monitor=[_Corruptor(10, 1.0e6), sentinel])
         assert isinstance(err.value, NumericalError)
@@ -350,22 +349,31 @@ class TestDivergenceSentinel:
         assert sentinel.aborts == 1
         assert sentinel.events and sentinel.events[-1]["verdict"] == DIVERGED
 
+    def test_samples_past_the_kept_window_are_still_judged(self, monkeypatch):
+        # The sample list keeps MAX_SAMPLES; a sentinel that counted the
+        # samples it had judged went blind once the list stopped growing.
+        monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
+        monkeypatch.setattr(physics, "MAX_SAMPLES", 3)
+        sentinel = PhysicsSampler()
+        model = basin_model()
+        with pytest.raises(PhysicsDivergenceError):
+            model.run(40, monitor=[_Corruptor(10, 1.0e6), sentinel])
+        assert model.step_count == 10 and len(sentinel.samples) == 3
+
     def test_patience_escalates_persistent_suspect(self, monkeypatch):
         monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
         monkeypatch.setattr(physics, "CFL_MARGIN_FLOOR", 0.9)
-        sentinel = DivergenceSentinel()
-        sampler = sentinel.sampler
+        sentinel = PhysicsSampler()
         model = basin_model()  # margin ~0.5 < 0.9 floor: always suspect
         with pytest.raises(PhysicsDivergenceError):
             model.run(5, monitor=sentinel)
         assert sentinel.worst == DIVERGED
-        verdicts = [s.verdict for s in sampler.samples]
+        verdicts = [s.verdict for s in sentinel.samples]
         assert verdicts[:3] == [SUSPECT, SUSPECT, DIVERGED]
 
     def test_reset_baseline_clears_evidence_keeps_history(self, monkeypatch):
         monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
-        sentinel = DivergenceSentinel()
-        sampler = sentinel.sampler
+        sentinel = PhysicsSampler()
         model = basin_model()
         with pytest.raises(PhysicsDivergenceError):
             model.run(12, monitor=[_Corruptor(5, 50.0), sentinel])
@@ -373,7 +381,7 @@ class TestDivergenceSentinel:
         assert events
         sentinel.reset_baseline()
         assert sentinel.verdict == HEALTHY
-        assert sampler.samples == []
+        assert sentinel.samples == []
         assert sentinel.worst == worst  # reporting history preserved
         assert sentinel.events == events
 
@@ -403,16 +411,16 @@ class TestCompositeMonitor:
             CompositeMonitor([object()])
 
     def test_reset_baseline_propagates(self):
-        health = PhysicsSampler()  # a monitor with a baseline of its own
-        sentinel = DivergenceSentinel()
-        composite = CompositeMonitor([health, sentinel])
+        owned = PhysicsSampler()  # reset through the health monitor owning it
+        sentinel = PhysicsSampler()
+        composite = CompositeMonitor([HealthMonitor(owned), sentinel])
         model = basin_model(n=10)
         model.run(3, monitor=composite)
-        sentinel.sampler._v0 = 123.0
-        health._v0 = 123.0
+        sentinel._v0 = 123.0
+        owned._v0 = 123.0
         composite.reset_baseline()
-        assert health._v0 is None
-        assert sentinel.sampler._v0 is None
+        assert owned._v0 is None
+        assert sentinel._v0 is None
         assert len(composite.monitors) == 2
 
 
@@ -641,7 +649,7 @@ class TestArtifacts:
     def _sentinel_after_run(self, monkeypatch, corrupt=False):
         model = basin_model()
         monkeypatch.setattr(physics, "SAMPLE_EVERY", 2)
-        sentinel = DivergenceSentinel()
+        sentinel = PhysicsSampler()
         monitors = [sentinel]
         if corrupt:
             monitors.insert(0, _Corruptor(10, 50.0))
@@ -653,12 +661,12 @@ class TestArtifacts:
     def test_physics_json_round_trip(self, tmp_path, monkeypatch):
         sentinel = self._sentinel_after_run(monkeypatch, corrupt=True)
         path = write_physics_json(
-            tmp_path / PHYSICS_NAME, physics_doc(sentinel=sentinel)
+            tmp_path / PHYSICS_NAME, physics_doc(sentinel)
         )
         doc = load_physics_report(path)
         assert doc["schema"] == "repro.obs.physics/1"
         assert doc["verdict"] == sentinel.worst
-        assert len(doc["samples"]) == len(sentinel.sampler.samples)
+        assert len(doc["samples"]) == len(sentinel.samples)
         assert doc["events"] == sentinel.events
         lines, ok = render_physics_doc(doc)
         text = "\n".join(lines)
@@ -673,7 +681,7 @@ class TestArtifacts:
 
     def test_chrome_counter_tracks_validate(self, monkeypatch):
         sentinel = self._sentinel_after_run(monkeypatch)
-        events = physics_counter_events(sentinel.sampler.samples)
+        events = physics_counter_events(sentinel.samples)
         counters = [e for e in events if e.get("ph") == "C"]
         assert counters
         names = {e["name"] for e in counters}
@@ -688,9 +696,9 @@ class TestArtifacts:
         obs.enable()
         model = basin_model(n=10)
         monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
-        sentinel = DivergenceSentinel()
+        sentinel = PhysicsSampler()
         model.run(4, monitor=sentinel)
-        doc = chrome_trace(physics_samples=sentinel.sampler.samples)
+        doc = chrome_trace(physics_samples=sentinel.samples)
         validate_chrome_trace(doc)
         assert any(
             e.get("ph") == "C" for e in doc["traceEvents"]
@@ -700,7 +708,7 @@ class TestArtifacts:
         obs.enable()
         model = basin_model(n=10)
         monkeypatch.setattr(physics, "SAMPLE_EVERY", 1)
-        sentinel = DivergenceSentinel()
+        sentinel = PhysicsSampler()
         model.run(6, monitor=sentinel)
         snap = obs.get_registry().to_dict()
         assert snap["counters"]["repro_physics_samples_total"] == 6

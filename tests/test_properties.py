@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

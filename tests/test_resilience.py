@@ -9,7 +9,6 @@ gracefully instead of failing.  The heavyweight fault sweep lives in
 """
 
 import json
-import math
 import time
 
 import numpy as np

@@ -543,7 +543,7 @@ class TestBackendFailureHandling:
         service.run_until_idle()
         assert ticket.status == "done"
         assert ticket.attempts == 2
-        assert service.breakers[backend.name].state == "closed"
+        assert service.breaker.state == "closed"
 
     def test_breaker_opens_then_recovers_via_probe(self):
         backend = SimulatedBackend(noise=0.0, fail_when=lambda req: True)
@@ -557,7 +557,7 @@ class TestBackendFailureHandling:
             ))
             service.run_until_idle()
             assert t.status == "failed"
-        br = service.breakers[backend.name]
+        br = service.breaker
         assert br.state == "open" and br.trips >= 1
         # While open, admission fails fast with a retry hint.
         with pytest.raises(BackendUnavailableError) as exc_info:

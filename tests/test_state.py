@@ -6,7 +6,7 @@ import pytest
 from repro.core.state import BlockState
 from repro.errors import GridError
 from repro.grid.block import Block
-from repro.grid.staggered import NGHOST, eta_shape
+from repro.grid.staggered import eta_shape
 
 
 def make_state(nx=6, ny=4, depth=100.0):

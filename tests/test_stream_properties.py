@@ -1,7 +1,5 @@
 """Property-based invariants of the stream/queue simulator."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
