@@ -138,9 +138,11 @@ then echo "== a parameter no product path sets is back (see above) =="; exit 1; 
 # One numerical guard: the health check and the physics sentinel judge the
 # rows of one loopnest.scan per checked step; the sentinel is the sampler's,
 # the scan has one NumPy body, and the gauge-anomaly channel stays gone (the
-# old physics.json and its test, tests/test_physics_v1.py, keep the two keys).
+# old physics.json and its test, tests/test_physics_v1.py, keep the two keys;
+# tests/test_one_configuration.py names the sentinel's row of gone parameters).
 if git grep -nwE 'DivergenceSentinel|_block_maxima|_check_numpy|ANOMALY_LIMIT|gauge_anomaly' -- \
-    src tests examples ':!tests/data/physics_v1' ':!tests/test_physics_v1.py'
+    src tests examples ':!tests/data/physics_v1' ':!tests/test_physics_v1.py' \
+    ':!tests/test_one_configuration.py'
 then echo "== a second numerical guard or the anomaly channel is back (see above) =="; exit 1; fi
 
 echo "== pytest (tier 1) =="

@@ -35,11 +35,13 @@ GONE = [
     (recovery.RecoveryEngine, "max_rollbacks"),
     (forecast.run_resilient_forecast, "max_rollbacks physics_every"),
     (survive.survivable_run_distributed, "perf_model"),
-    # The divergence sentinel's parameters too: it is the sampler's now.
+    (physics.PhysicsSampler, "every recorder alpha max_samples"),
+    # The divergence sentinel folded into the sampler; its row keeps its
+    # name and checks its parameters on the merged class.
     (physics.PhysicsSampler,
-     "every recorder alpha max_samples"
-     " sampler mass_tol mass_slope_tol cfl_margin_floor eta_limit eta_floor"
-     " eta_growth_factor anomaly_limit window patience abort"),
+     "sampler mass_tol mass_slope_tol cfl_margin_floor eta_limit eta_floor"
+     " eta_growth_factor anomaly_limit window patience abort",
+     "DivergenceSentinel"),
     (slo.SLOEngine, "windows max_events"),
     (flight.FlightBook, "capacity keep"),
     (flight.FlightRecorder, "capacity"),
@@ -53,7 +55,9 @@ GONE = [
 
 
 @pytest.mark.parametrize(
-    "target, names", GONE, ids=[t.__qualname__ for t, _ in GONE]
+    "target, names",
+    [row[:2] for row in GONE],
+    ids=[row[2] if len(row) > 2 else row[0].__qualname__ for row in GONE],
 )
 def test_the_parameter_is_a_constant(target, names):
     params = inspect.signature(target).parameters
@@ -62,5 +66,5 @@ def test_the_parameter_is_a_constant(target, names):
 
 def test_the_table_is_the_fifty_two():
     # The three of the gauge-anomaly score went with the class.
-    assert sum(len(names.split()) for _, names in GONE) + 3 == 52
+    assert sum(len(row[1].split()) for row in GONE) + 3 == 52
     assert not hasattr(physics, "RobustScore")
