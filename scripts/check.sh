@@ -145,6 +145,14 @@ if git grep -nwE 'DivergenceSentinel|_block_maxima|_check_numpy|ANOMALY_LIMIT|ga
     ':!tests/test_one_configuration.py'
 then echo "== a second numerical guard or the anomaly channel is back (see above) =="; exit 1; fi
 
+# One run ledger: every journal line of a run but the snapshot pair is a
+# record of the run directory's one RunEvents — lifecycle lines are RUN_KINDS
+# kinds, not RunStore.record_event calls — and the journal's event names are
+# RUN_KINDS', not constants of their own.
+if git grep -nwE 'record_event|EVENT_RANK_FAILURE|EVENT_RECOVERY_EPOCH' -- \
+    src tests examples
+then echo "== a second way into the run journal is back (see above) =="; exit 1; fi
+
 echo "== pytest (tier 1) =="
 if [ "$fast" = 1 ]; then
     PYTHONPATH=src python -m pytest -x -q

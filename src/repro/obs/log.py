@@ -18,10 +18,11 @@ the CLI (``--log-level``, ``--log-json``) or programmatically::
 
 A decision — of the forecast service about a request, or of a guarded
 run (a rollback, a level drop, a lost rank, a corrected bit flip) — is
-one :class:`ServiceEvent`, built once.  A guarded run's records go
-through :meth:`RunEvents.emit`, which keeps the record in the run's
-bounded ring and hands it, once each, to the run journal, this log, the
-tracer and the metrics registry; :data:`RUN_KINDS` says, per kind, how.
+one :class:`ServiceEvent`, built once, as is a guarded run's start, resume,
+interruption and completion.  A guarded run's records go through
+:meth:`RunEvents.emit`, which keeps the record in the run's bounded ring
+and hands it, once each, to the run journal, this log, the tracer and the
+metrics registry; :data:`RUN_KINDS` says, per kind, how.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ class ServiceEvent:
 class EventRing:
     """Bounded record buffer — newest kept, drops counted.
 
-    Reads like a list (len / iteration / indexing), but a week-long soak
+    Reads like a list (len / iteration), but a week-long soak
     cannot grow memory without limit.
     """
 
@@ -241,7 +242,8 @@ def _epoch(action: str, counter: str, help: str, **kw):
 
 
 #: Every kind a guarded run emits: the one metering table.  A counter is
-#: counted whether or not the run is traced — the metering rule.
+#: counted whether or not the run is traced — the metering rule.  Every
+#: journal line but a snapshot's pair is one of these records.
 RUN_KINDS: dict[str, RunKind] = {
     **_kinds(("rollback", "quarantine_rollback", "dt_halved",
               "recovery_abort", "ckpt_evicted", "scrub"),
@@ -278,6 +280,11 @@ RUN_KINDS: dict[str, RunKind] = {
     "hedge_rollback": RunKind("hedge_rollback", None, "repro_hedge_losses_total",
                               "hedge migrations rolled back"),
     "hedge_breaker_open": RunKind("hedge_breaker_open"),
+    # A run's lifecycle: journaled, logged and traced, and metered by none.
+    **{kind: RunKind(kind) for kind in (
+        "run_start", "resume", "interrupted", "complete",
+        "distributed_start", "distributed_complete",
+    )},
 }
 
 #: Newest records a guarded run keeps in memory (older dropped, counted).
@@ -290,11 +297,12 @@ class RunEvents(EventRing):
     :meth:`emit` keeps a record, writes its journal line when the run has a
     *store*, logs it, traces it when the tracer is armed and moves its
     kind's counter — once each.  Thread-safe: rank threads emit too.  The
-    ring holds the newest records; :meth:`count` and :meth:`weight` count
-    every one emitted.
+    ring holds the newest records; :meth:`count`, :meth:`weight` and
+    :meth:`labels` count every one emitted.  A run directory has one, its
+    store's ``run_events``.
     """
 
-    __slots__ = ("store", "_lock", "_counts", "_weights")
+    __slots__ = ("store", "_lock", "_counts", "_weights", "_labels")
 
     def __init__(self, store=None) -> None:
         super().__init__(RUN_EVENTS_HELD)
@@ -302,6 +310,7 @@ class RunEvents(EventRing):
         self._lock = threading.Lock()
         self._counts: dict[str, int] = {}
         self._weights: dict[str, int] = {}
+        self._labels: dict[str, dict] = {}
 
     def emit(self, ev: ServiceEvent) -> None:
         spec = RUN_KINDS[ev.kind]
@@ -313,6 +322,9 @@ class RunEvents(EventRing):
             self.append(ev)
             self._counts[ev.kind] = self._counts.get(ev.kind, 0) + 1
             self._weights[ev.kind] = self._weights.get(ev.kind, 0) + weight
+            if spec.label:
+                by = self._labels.setdefault(ev.kind, {})
+                by[line[spec.label]] = by.get(line[spec.label], 0) + 1
             if self.store is not None:
                 self.store.journal.record(ev)
             level = "warning" if event in _WARN else "info"
@@ -334,6 +346,11 @@ class RunEvents(EventRing):
         """What these kinds moved their counters by: :meth:`count`, or the
         lengths of their ``weight`` field (the ranks a failure lost)."""
         return sum(self._weights.get(kind, 0) for kind in kinds)
+
+    def labels(self, kind: str) -> dict:
+        """Records of *kind* emitted, per value of its counter's label, in
+        the order the values first appeared."""
+        return dict(self._labels.get(kind, ()))
 
     def of(self, event: str) -> list[ServiceEvent]:
         """The ring's records journaled as *event*, oldest first."""

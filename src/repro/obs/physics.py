@@ -159,7 +159,6 @@ class PhysicsSampler:
         self.sink = sink if sink is not None else RunEvents()
         self.verdict = HEALTHY
         self.worst = HEALTHY
-        self.aborts = 0
         self._streak = 0
         self._v0: float | None = None
         self._prev_wet: int | None = None
@@ -301,7 +300,6 @@ class PhysicsSampler:
         if _TRACER.enabled:
             self._export_verdict(verdict)
         if verdict == DIVERGED:
-            self.aborts += 1
             # An abort is a raise, not a record: its counter is moved here,
             # under the records' metering rule (traced or not).
             get_registry().counter(
@@ -376,6 +374,11 @@ class PhysicsSampler:
         self._verdict_gauge.set(VERDICTS.index(verdict))
 
     # -- lifecycle -------------------------------------------------------
+
+    @property
+    def aborts(self) -> int:
+        """Sentinel aborts: every ``diverged`` verdict raised one."""
+        return self.sink.count(DIVERGED)
 
     @property
     def events(self) -> list[dict]:

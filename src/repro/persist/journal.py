@@ -25,42 +25,27 @@ from repro.obs.trace import span as _span
 #: backwards — including across a crash/resume boundary.
 JOURNAL_VERSION = 2
 
-#: Event names the survivable distributed runtime journals
-#: (:mod:`repro.resilience.survive`): ``rank_failure``, each failure
-#: round's lost ranks; ``recovery_epoch``, the diskless checkpoint epoch
-#: the run resumed from and the action taken — shrink / respawn /
-#: epoch_retry, suffixed ``_scratch`` when it restarted from step 0.  The
-#: breaker's hand-over is an event of its own, ``fallback_single_process``.
-EVENT_RANK_FAILURE = "rank_failure"
-EVENT_RECOVERY_EPOCH = "recovery_epoch"
-
 
 class RunJournal:
     """Append-only, fsync-on-write event log for one run directory."""
 
     def __init__(self, path: Path) -> None:
         self.path = Path(path)
-        self._seq = 0
-        try:
-            existing, _ = read_journal(self.path)
-        except FileNotFoundError:
-            existing = []
-        if existing:
-            self._seq = max(int(ev.get("seq", 0)) for ev in existing)
+        self._seq = max((int(ev.get("seq", 0)) for ev in self.events()),
+                        default=0)
 
-    def record(self, event: str | ServiceEvent, **fields) -> dict:
-        """Durably append one event — a run record, or a name and its
-        fields; returns the line written.
+    def record(self, record: ServiceEvent) -> dict:
+        """Durably append one run record's line; returns the line written.
 
-        The line carries the record's stamp, the shared monotonic +
-        wall-clock pair of :mod:`repro.obs.timebase` that trace spans use,
-        so merged journal/trace timelines stay monotone even when the
-        system clock steps or the run is resumed in a new process.
+        The run's :meth:`~repro.obs.log.RunEvents.emit` and the snapshot
+        pair of :meth:`~repro.persist.RunStore.save_snapshot` are the two
+        writers.  The line carries the record's stamp, the shared
+        monotonic + wall-clock pair of :mod:`repro.obs.timebase` that trace
+        spans use, so merged journal/trace timelines stay monotone even
+        when the system clock steps or the run is resumed in a new process.
         """
-        if not isinstance(event, ServiceEvent):
-            event = ServiceEvent(None, event, fields=fields)
-        name, fields = event.journal_line()
-        ts_wall, ts_mono_us = event.stamp
+        name, fields = record.journal_line()
+        ts_wall, ts_mono_us = record.stamp
         self._seq += 1
         rec = {
             "seq": self._seq,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.errors import PersistError
-from repro.obs.log import get_logger
+from repro.obs.log import ServiceEvent, get_logger
 from repro.persist.journal import JOURNAL_VERSION
 from repro.persist.preflight import validate_scenario
 from repro.persist.scenario import BuiltScenario, build_scenario
@@ -84,8 +84,7 @@ def start_run(
             f"{store.rundir} already holds a run "
             f"({store.status()}); use resume_run or a fresh directory"
         )
-    start = store.record_event(
-        "run_start",
+    start = dict(
         journal_version=JOURNAL_VERSION,
         schema_version=SCHEMA_VERSION,
         scenario=built.spec,
@@ -97,6 +96,7 @@ def start_run(
         integrity_every=integrity_every,
         scrub_every=scrub_every,
     )
+    store.run_events.emit(ServiceEvent(None, "run_start", fields=start))
     return _drive(store, built, start, echo)
 
 
@@ -139,7 +139,9 @@ def resume_run(rundir: Path, *, echo):
     else:
         _LOG.warning("no_valid_snapshot", rundir=str(rundir))
         echo("no valid snapshot found; restarting from step 0")
-    store.record_event("resume", from_step=step, from_time=time)
+    store.run_events.emit(ServiceEvent(None, "resume", fields={
+        "from_step": step, "from_time": time,
+    }))
     model = _drive(store, built, start, echo, restored=snap)
     echo(
         f"run complete at step {model.step_count} "

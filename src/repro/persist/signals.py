@@ -3,11 +3,12 @@
 An operational forecast killed by the scheduler (SIGTERM) or an
 operator (Ctrl-C) should leave a resumable run directory, not a torn
 one.  :func:`interrupt_guard` installs handlers for the duration of a
-run loop; on delivery it captures one final snapshot (best effort),
-journals the interruption, and converts the signal into
-:class:`KeyboardInterrupt` so the run loop unwinds through normal
-Python control flow (context managers close files, the CLI prints a
-resume hint).
+run loop; on delivery it converts the signal into
+:class:`KeyboardInterrupt`, and as that leaves the guarded block — every
+``with`` between has released its lock and closed its file — captures one
+final snapshot (best effort) and journals the interruption.  The handler
+writes nothing itself: it runs between any two bytecodes, say inside
+:meth:`repro.obs.log.RunEvents.emit`'s lock.
 
 Handlers are only installable from the main thread; elsewhere (a rank
 thread of the simulated-MPI driver, a test runner worker) the guard
@@ -41,6 +42,8 @@ def interrupt_guard(snapshot_fn=None, journal_fn=None):
     journal_fn:
         ``callable(signal_name, snapshotted: bool)`` recording the
         interruption durably.
+
+    A second delivery unwinds at once, capturing nothing.
     """
     if threading.current_thread() is not threading.main_thread():
         yield
@@ -49,21 +52,7 @@ def interrupt_guard(snapshot_fn=None, journal_fn=None):
     fired: list[int] = []
 
     def _handler(signum, _frame):
-        if fired:  # second delivery: give up immediately
-            raise KeyboardInterrupt
         fired.append(signum)
-        snapshotted = False
-        if snapshot_fn is not None:
-            try:
-                snapshot_fn()
-                snapshotted = True
-            except (PersistError, OSError):
-                snapshotted = False
-        if journal_fn is not None:
-            try:
-                journal_fn(signal.Signals(signum).name, snapshotted)
-            except (PersistError, OSError):
-                pass
         raise KeyboardInterrupt
 
     previous = {}
@@ -79,6 +68,21 @@ def interrupt_guard(snapshot_fn=None, journal_fn=None):
         return
     try:
         yield
+    except KeyboardInterrupt:
+        if len(fired) == 1:
+            snapshotted = False
+            if snapshot_fn is not None:
+                try:
+                    snapshot_fn()
+                    snapshotted = True
+                except (PersistError, OSError):
+                    pass
+            if journal_fn is not None:
+                try:
+                    journal_fn(signal.Signals(fired[0]).name, snapshotted)
+                except (PersistError, OSError):
+                    pass
+        raise
     finally:
         for sig, old in previous.items():
             signal.signal(sig, old)

@@ -165,7 +165,7 @@ def _model_level_arrays(model, lvl) -> dict[str, np.ndarray]:
     return arrays
 
 
-def write_snapshot(model, dest: Path, *, extra: dict | None = None) -> Path:
+def write_snapshot(model, dest: Path) -> Path:
     """Atomically write *model*'s full state as snapshot directory *dest*.
 
     Returns *dest*.  Raises :class:`~repro.errors.PersistError` if the
@@ -204,8 +204,6 @@ def write_snapshot(model, dest: Path, *, extra: dict | None = None) -> Path:
             "flips": flips,
             "files": files,
         }
-        if extra:
-            manifest["extra"] = extra
         mpath = tmp / MANIFEST_NAME
         with open(mpath, "w") as fh:
             json.dump(manifest, fh, indent=1, sort_keys=True)

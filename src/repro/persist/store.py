@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.errors import PersistError
+from repro.obs.log import RunEvents, ServiceEvent
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.obs.trace import span as _span
@@ -95,12 +96,11 @@ class RunStore:
             self.snapshots_dir.mkdir(exist_ok=True)
             self.products_dir.mkdir(exist_ok=True)
         self.journal = RunJournal(self.rundir / self.JOURNAL_NAME)
+        #: The run's one RunEvents, whoever emits: every journal line but
+        #: the snapshot pair is one of its records.
+        self.run_events = RunEvents(self)
 
     # -- events ----------------------------------------------------------
-
-    def record_event(self, event: str, **fields) -> dict:
-        """Durably append one journal event."""
-        return self.journal.record(event, **fields)
 
     def events(self) -> list[dict]:
         return self.journal.events()
@@ -142,12 +142,14 @@ class RunStore:
             return 1
         return int(_SNAP_RE.match(paths[-1].name).group(1)) + 1
 
-    def save_snapshot(self, model, *, extra: dict | None = None) -> Path:
+    def save_snapshot(self, model) -> Path:
         """Write a checksummed snapshot of *model* and journal it.
 
         The journal records intent (``checkpoint_begin``) before the
         write and the outcome (``checkpoint``) after the atomic publish,
         so a reader can tell "never attempted" from "attempted and torn".
+        The pair is written straight to the journal, not into the run's
+        ring: two lines a snapshot would crowd the run's decisions out.
         """
         seq = self._next_seq()
         name = f"ck_{seq:05d}_step_{model.step_count:08d}"
@@ -158,18 +160,13 @@ class RunStore:
             t0 = _time.perf_counter()
         with _span("CKPT", cat="persist", step=model.step_count,
                    snapshot=name):
-            self.record_event(
-                "checkpoint_begin", step=model.step_count, snapshot=name
-            )
-            path = write_snapshot(
-                model, self.snapshots_dir / name, extra=extra
-            )
-            self.record_event(
-                "checkpoint",
-                step=model.step_count,
-                time=model.time,
-                snapshot=name,
-            )
+            self.journal.record(ServiceEvent(None, "checkpoint_begin", fields={
+                "step": model.step_count, "snapshot": name,
+            }))
+            path = write_snapshot(model, self.snapshots_dir / name)
+            self.journal.record(ServiceEvent(None, "checkpoint", fields={
+                "step": model.step_count, "time": model.time, "snapshot": name,
+            }))
         if obs_on:
             get_registry().histogram(
                 "repro_checkpoint_seconds",

@@ -17,7 +17,7 @@ from repro import guards
 from repro.core.config import SimulationConfig
 from repro.core.model import RTiModel
 from repro.errors import NumericalError
-from repro.obs.log import RunEvents, get_logger
+from repro.obs.log import RunEvents, ServiceEvent
 from repro.obs.physics import PhysicsSampler, physics_doc
 from repro.obs.trace import span
 from repro.resilience.checkpoint import CheckpointRing
@@ -33,8 +33,6 @@ from repro.resilience.integrity import (
 )
 from repro.resilience.recovery import RecoveryEngine
 from repro.resilience.report import ForecastReport
-
-_LOG = get_logger("resilience")
 
 
 def run_resilient_forecast(
@@ -64,11 +62,11 @@ def run_resilient_forecast(
 
     *store* (a :class:`repro.persist.RunStore`; :mod:`repro.persist.runner`
     journals its ``run_start``) makes the run durable: the ring spills
-    every snapshot to disk, every record of the run is journaled
-    write-ahead, SIGTERM/SIGINT capture a final snapshot and journal
-    ``interrupted`` before unwinding with :class:`KeyboardInterrupt`, a
-    :class:`~repro.persist.products.ProductStreamer` (the gauge series)
-    is the last monitor, and the run ends in one
+    every snapshot to disk, the run's records are the store's
+    ``run_events``, journaled write-ahead, SIGTERM/SIGINT capture a final
+    snapshot and journal ``interrupted`` before unwinding with
+    :class:`KeyboardInterrupt`, a :class:`~repro.persist.products.ProductStreamer`
+    (the gauge series) is the last monitor, and the run ends in one
     ``complete`` line — or, when the engine gave up, in
     :class:`~repro.errors.NumericalError`.  A resume starts from
     *restored*, a snapshot of *store* the ring then holds.
@@ -99,7 +97,7 @@ def run_resilient_forecast(
     if source is not None:
         model.set_initial_condition(source)
 
-    events = RunEvents(store)
+    events = store.run_events if store is not None else RunEvents()
     tracker = None
     physics = PhysicsSampler(sink=events)
     monitors = [HealthMonitor(physics)]
@@ -179,17 +177,6 @@ def run_resilient_forecast(
         integrity=integrity_doc(tracker) if tracker is not None else None,
     )
     report.model = final
-    complete = dict(
-        status=report.status,
-        achieved_s=final.time,
-        elapsed_s=clock.elapsed_s,
-        checkpoints_taken=ring.taken,
-        checkpoints_spilled=ring.spilled,
-        rollbacks=report.rollbacks,
-        **{kind.attr: kind.of(report) for kind in guards.KINDS},
-        step=final.step_count,
-        time=final.time,
-    )
     if store is not None:
         for kind in guards.KINDS:
             doc = getattr(report, kind.name, None)
@@ -201,7 +188,15 @@ def run_resilient_forecast(
             raise NumericalError(
                 f"run stopped at step {final.step_count}: {engine.aborted}"
             )
-    _LOG.info("run_complete", **complete)
-    if store is not None:
-        store.record_event("complete", **complete)
+    events.emit(ServiceEvent(None, "complete", fields=dict(
+        status=report.status,
+        achieved_s=final.time,
+        elapsed_s=clock.elapsed_s,
+        checkpoints_taken=ring.taken,
+        checkpoints_spilled=ring.spilled,
+        rollbacks=report.rollbacks,
+        **{kind.attr: kind.of(report) for kind in guards.KINDS},
+        step=final.step_count,
+        time=final.time,
+    )))
     return report

@@ -68,11 +68,10 @@ INTEGRITY_NAME = _KIND.artifact
 #: correctable — the run's products must not be trusted silently.
 CLEAN, CORRECTED, CORRUPTED = INTEGRITY_VERDICTS = _KIND.levels
 
-#: Detection surfaces of the ``integrity.json`` schema.  No check runs
-#: on halo payloads (a rank-thread message is a copy in one address
-#: space), so ``detections.halo`` reads 0; the key keeps the persisted
-#: document's shape.
-SURFACES = ("state", "halo", "checkpoint")
+#: Detection surfaces of the ``integrity.json`` schema, each listed in
+#: ``detections`` even at 0.  No check runs on halo payloads (a
+#: rank-thread message is a copy in one address space).
+SURFACES = ("state", "checkpoint")
 
 #: Buckets for the detection-latency histogram [steps between the
 #: checksummed instant and the check that caught the mismatch].
@@ -117,19 +116,37 @@ class IntegrityTracker:
     monitor, the scrubber, the recovery engine),
     so the end-of-run verdict is a single fold over everything that
     happened.  Every non-clean event is one record emitted into the run's
-    *sink* (:class:`~repro.obs.log.RunEvents`; a private one by default).
+    *sink* (:class:`~repro.obs.log.RunEvents`; a private one by default),
+    and the tallies of detections, corrections and uncorrected events are
+    counts over those records.
     """
 
     def __init__(self, sink: RunEvents | None = None) -> None:
         self._lock = threading.Lock()
         self.sink = sink if sink is not None else RunEvents()
         self.checks = 0
-        self.detections: dict[str, int] = dict.fromkeys(SURFACES, 0)
-        self.corrections: dict[str, int] = {}
-        self.uncorrected = 0
         self.scrub_passes = 0
         self.scrub_evictions = 0
-        self.scrub_repairs = 0
+
+    # -- tallies: counts over the records ----------------------------------
+
+    @property
+    def detections(self) -> dict[str, int]:
+        """Per surface, every one of :data:`SURFACES` listed."""
+        return {**dict.fromkeys(SURFACES, 0), **self.sink.labels("detection")}
+
+    @property
+    def corrections(self) -> dict[str, int]:
+        """Per action, in the order the actions first ran."""
+        return self.sink.labels("corrected")
+
+    @property
+    def uncorrected(self) -> int:
+        return self.sink.count("uncorrected")
+
+    @property
+    def scrub_repairs(self) -> int:
+        return self.corrections.get("scrub_repair", 0)
 
     # -- recording -------------------------------------------------------
 
@@ -154,8 +171,6 @@ class IntegrityTracker:
         latency_steps: float | None = None,
     ) -> None:
         """One detected corruption (not yet judged corrected or not)."""
-        with self._lock:
-            self.detections[surface] = self.detections.get(surface, 0) + 1
         self.sink.emit(ServiceEvent(None, "detection", detail=detail, fields={
             "surface": surface, "step": step, "blocks": sorted(blocks),
         }))
@@ -178,10 +193,6 @@ class IntegrityTracker:
         detail: str = "",
     ) -> None:
         """A detected corruption was neutralized by *action*."""
-        with self._lock:
-            self.corrections[action] = self.corrections.get(action, 0) + 1
-            if action == "scrub_repair":
-                self.scrub_repairs += 1
         self.sink.emit(ServiceEvent(None, "corrected", detail=detail, fields={
             "action": action, "surface": surface, "step": step,
         }))
@@ -190,28 +201,23 @@ class IntegrityTracker:
         self, surface: str, step: int | None = None, detail: str = ""
     ) -> None:
         """A detected corruption could not be corrected (exit-8 class)."""
-        with self._lock:
-            self.uncorrected += 1
         self.sink.emit(ServiceEvent(None, "uncorrected", detail=detail,
                                     fields={"surface": surface, "step": step}))
 
-    def scrubbed(self, evicted: int = 0, repaired: int = 0) -> None:
+    def scrubbed(self, evicted: int = 0) -> None:
+        """One scrub pass, which evicted or quarantined *evicted* copies
+        (its repairs are ``scrub_repair`` corrections)."""
         with self._lock:
             self.scrub_passes += 1
             self.scrub_evictions += evicted
-            # scrub_repairs counted via corrected("scrub_repair", ...)
 
     # -- folding ---------------------------------------------------------
-
-    @property
-    def detected_total(self) -> int:
-        return sum(self.detections.values())
 
     @property
     def verdict(self) -> str:
         if self.uncorrected:
             return CORRUPTED
-        if self.detected_total:
+        if self.sink.count("detection"):
             return CORRECTED
         return CLEAN
 
@@ -227,10 +233,9 @@ class IntegrityTracker:
             return {
                 "verdict": self.verdict,
                 "checks": self.checks,
-                "detections": dict(self.detections),
-                "corrections": dict(self.corrections),
+                "detections": self.detections,
+                "corrections": self.corrections,
                 "uncorrected": self.uncorrected,
-                "retransmits": 0,  # a schema field: nothing retransmits
                 "scrub_passes": self.scrub_passes,
                 "scrub_evictions": self.scrub_evictions,
                 "scrub_repairs": self.scrub_repairs,
@@ -271,7 +276,6 @@ class IntegrityMonitor:
             )
         self.every = every
         self.tracker = tracker if tracker is not None else IntegrityTracker()
-        self.violations = 0
         self._pending: tuple[int, dict] | None = None
 
     def after_step(self, model) -> None:
@@ -303,7 +307,6 @@ class IntegrityMonitor:
             )
         if not bad:
             return
-        self.violations += 1
         blocks = sorted({bid for bid, _f in bad})
         detail = ", ".join(f"block {bid} field {f}" for bid, f in bad)
         self.tracker.detection(

@@ -407,13 +407,12 @@ class RecoveryEngine:
 
         with interrupt_guard(
             snapshot_fn=lambda: store.save_snapshot(self.model),
-            journal_fn=lambda sig, ok: store.record_event(
-                "interrupted",
-                signal=sig,
-                step=self.model.step_count,
-                time=self.model.time,
-                snapshotted=ok,
-            ),
+            journal_fn=lambda sig, ok: store.run_events.emit(ServiceEvent(
+                None, "interrupted", fields={
+                    "signal": sig, "step": self.model.step_count,
+                    "time": self.model.time, "snapshotted": ok,
+                },
+            )),
         ):
             return self._loop()
 

@@ -534,20 +534,20 @@ def survivable_run_distributed(
     store's products and journals ``distributed_complete``.
     """
     scfg = survival or SurvivalConfig()
-    report = SurvivalReport(n_steps=n_steps, events=RunEvents(store))
+    events = store.run_events if store is not None else RunEvents()
+    report = SurvivalReport(n_steps=n_steps, events=events)
     if store is None:
         guard = contextlib.nullcontext()
     else:
-        store.record_event(
-            "distributed_start",
-            n_ranks=decomp.n_ranks,
-            n_steps=n_steps,
-            config=config.to_dict(),
-        )
+        events.emit(ServiceEvent(None, "distributed_start", fields={
+            "n_ranks": decomp.n_ranks, "n_steps": n_steps,
+            "config": config.to_dict(),
+        }))
         guard = interrupt_guard(
-            journal_fn=lambda sig, _ok: store.record_event(
-                "interrupted", signal=sig, phase="distributed"
-            )
+            journal_fn=lambda sig, _ok: events.emit(ServiceEvent(
+                None, "interrupted",
+                fields={"signal": sig, "phase": "distributed"},
+            ))
         )
     with guard:
         eta = _incarnations(
@@ -559,14 +559,13 @@ def survivable_run_distributed(
                          "hedge wins / attempts for the last survivable run",
                          report.hedge_wins / report.hedge_attempts)
         if store is not None:
-            store.record_event(
-                "distributed_complete",
-                product=_publish_distributed_eta(store, eta, n_steps),
-                n_steps=n_steps,
-                incarnations=len(report.incarnations),
-                rank_failures=report.rank_failures,
-                summary=report.summary(),
-            )
+            events.emit(ServiceEvent(None, "distributed_complete", fields={
+                "product": _publish_distributed_eta(store, eta, n_steps),
+                "n_steps": n_steps,
+                "incarnations": len(report.incarnations),
+                "rank_failures": report.rank_failures,
+                "summary": report.summary(),
+            }))
     return eta, report
 
 

@@ -129,7 +129,6 @@ class Ticket:
     enqueued_s: float | None = None
     started_s: float | None = None
     finished_s: float | None = None
-    backend: str | None = None
     attempts: int = 0
     outcome_detail: str = ""
     #: For joined tickets: the primary whose run resolves us.
@@ -661,7 +660,6 @@ class ForecastService:
         budget = max(0.0, _margin_deadline(ticket.request) - now)
         ticket.status = RUNNING
         ticket.started_s = now
-        ticket.backend = backend_name
         ticket.attempts += 1
         # Bind the request's trace context around the backend run: the
         # "request" span becomes the root of the request's tree, and any

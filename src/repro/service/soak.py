@@ -35,13 +35,20 @@ from repro.service.service import (
     Ticket,
 )
 
-#: Default class mix: mostly routine traffic, a protected critical sliver.
-DEFAULT_CLASS_WEIGHTS = {
+#: The soak's population: the class mix (mostly routine traffic, a critical
+#: sliver), the tenants, the "hot" scenarios duplicates are drawn from, the
+#: deadline budget's range as a multiple of a scenario's full-fidelity cost
+#: and the simulated backend's cost noise.
+CLASS_WEIGHTS = {
     "critical": 0.05,
     "high": 0.15,
     "normal": 0.5,
     "low": 0.3,
 }
+TENANTS = 4
+SCENARIO_POOL = 8
+DEADLINE_FACTOR = (2.0, 6.0)
+BACKEND_NOISE = 0.1
 
 
 @dataclass
@@ -55,20 +62,10 @@ class SoakConfig:
     seed: int = 0
     workers: int = 2
     queue_capacity: int = 24
-    tenants: int = 4
     tenant_quota: int = 8
-    #: Distinct "hot" scenarios duplicates are drawn from.
-    scenario_pool: int = 8
     #: Fraction of arrivals that re-request a hot-pool scenario (cache
     #: and single-flight traffic); the rest are unique scenarios.
     dup_fraction: float = 0.2
-    #: Deadline budget as a multiple of the scenario's full-fidelity
-    #: cost, drawn uniformly from this range.
-    deadline_factor: tuple[float, float] = (2.0, 6.0)
-    class_weights: dict = field(
-        default_factory=lambda: dict(DEFAULT_CLASS_WEIGHTS)
-    )
-    backend_noise: float = 0.1
     #: Deterministic fraction of scenarios whose runs diverge; the
     #: simulated sentinel aborts those early (see
     #: :class:`~repro.service.backend.SimulatedBackend`).
@@ -234,7 +231,7 @@ def run_soak(
     rng = random.Random(config.seed)
     if backend is None:
         backend = SimulatedBackend(
-            noise=config.backend_noise,
+            noise=BACKEND_NOISE,
             diverge_fraction=config.diverge_fraction,
             corrupt_fraction=config.corrupt_fraction,
         )
@@ -260,14 +257,13 @@ def run_soak(
         slo = slo if slo is not None else service.slo
     estimator = service.estimator
 
-    scenarios = synthetic_scenarios(rng, config.scenario_pool)
+    scenarios = synthetic_scenarios(rng, SCENARIO_POOL)
     full_costs = [estimator.estimate_raw_s(s) for s in scenarios]
     mean_cost = sum(full_costs) / len(full_costs)
     capacity_rate = config.workers / mean_cost
     rate = config.rate_multiplier * capacity_rate
 
-    classes = list(config.class_weights)
-    weights = [config.class_weights[c] for c in classes]
+    classes, weights = list(CLASS_WEIGHTS), list(CLASS_WEIGHTS.values())
     arrivals = poisson_arrivals(rng, rate, config.duration_s)
 
     rejected: dict[str, int] = {}
@@ -286,11 +282,11 @@ def run_soak(
                 "amplitude": 1.0 + n_arr * 1e-3,
             }
         klass = rng.choices(classes, weights=weights)[0]
-        deadline = full_costs[idx] * rng.uniform(*config.deadline_factor)
+        deadline = full_costs[idx] * rng.uniform(*DEADLINE_FACTOR)
         request = ForecastRequest(
             scenario=scenario,
             deadline_s=deadline,
-            tenant=f"tenant-{rng.randrange(config.tenants)}",
+            tenant=f"tenant-{rng.randrange(TENANTS)}",
             klass=klass,
         )
         try:

@@ -269,8 +269,9 @@ def test_a_warm_check_on_the_nest_is_one_foreign_call_and_no_numpy(monkeypatch):
 
 def test_a_forecast_prepares_two_scans_and_launches_one_per_guard_call(monkeypatch):
     """20 mini-Kochi forecast steps with the default guards: the model's two
-    leap-frog parities are the two tables, and every health check and every
-    physics sample is one launch — numbers derived from the run."""
+    leap-frog parities are the two tables, every health check is one launch,
+    and the physics samples read the health check's rows — numbers derived
+    from the run."""
     executors.compiled_nests()
     calls, lock = Counter(), threading.Lock()
 

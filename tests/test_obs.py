@@ -81,10 +81,12 @@ class TestTimebase:
         from repro.persist.journal import RunJournal
 
         j = RunJournal(tmp_path / "journal.jsonl")
-        recs = [j.record("tick", i=i) for i in range(5)]
+        recs = [j.record(obslog.ServiceEvent(None, "tick", fields={"i": i}))
+                for i in range(5)]
         # A "resumed process" reopens the same file and keeps appending.
         j2 = RunJournal(tmp_path / "journal.jsonl")
-        recs += [j2.record("tock", i=i) for i in range(5)]
+        recs += [j2.record(obslog.ServiceEvent(None, "tock", fields={"i": i}))
+                 for i in range(5)]
         monos = [r["ts_mono_us"] for r in recs]
         walls = [r["ts_wall"] for r in recs]
         assert monos == sorted(monos)
@@ -99,10 +101,10 @@ class TestTimebase:
 
         obs.enable()
         j = RunJournal(tmp_path / "journal.jsonl")
-        j.record("before")
+        j.record(obslog.ServiceEvent(None, "before"))
         with obstrace.span("work"):
             time.sleep(0.001)
-        j.record("after")
+        j.record(obslog.ServiceEvent(None, "after"))
         spans = obs.get_tracer().export()
         merged = sorted(
             [(r["ts_mono_us"], r["event"]) for r in j.events()]

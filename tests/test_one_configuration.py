@@ -23,7 +23,7 @@ from repro.resilience import (
     recovery,
     survive,
 )
-from repro.service import admission, backend, breaker, cache
+from repro.service import admission, backend, breaker, cache, soak
 
 GONE = [
     (health.HealthMonitor, "every eta_limit cfl_limit mass_tol"),
@@ -68,3 +68,29 @@ def test_the_table_is_the_fifty_two():
     # The three of the gauge-anomaly score went with the class.
     assert sum(len(row[1].split()) for row in GONE) + 3 == 52
     assert not hasattr(physics, "RobustScore")
+
+
+#: The soak's population: fields of its configuration that neither the CLI,
+#: the artifact A/B script, a test nor an example set.  A table of its own,
+#: so that the guards' fifty-two keep their count and their ids.
+SOAK_GONE = [
+    (soak.SoakConfig,
+     "tenants scenario_pool deadline_factor class_weights backend_noise"),
+]
+
+
+@pytest.mark.parametrize(
+    "target, names", SOAK_GONE,
+    ids=[row[0].__qualname__ for row in SOAK_GONE],
+)
+def test_the_soak_field_is_a_constant(target, names):
+    params = inspect.signature(target).parameters
+    assert [n for n in names.split() if n in params] == []
+
+
+def test_the_soak_constants_keep_their_values():
+    assert (soak.TENANTS, soak.SCENARIO_POOL, soak.DEADLINE_FACTOR,
+            soak.BACKEND_NOISE) == (4, 8, (2.0, 6.0), 0.1)
+    assert soak.CLASS_WEIGHTS == {
+        "critical": 0.05, "high": 0.15, "normal": 0.5, "low": 0.3,
+    }

@@ -22,6 +22,7 @@ from repro.fault import GaussianSource
 from repro.grid.block import Block
 from repro.grid.hierarchy import NestedGrid
 from repro.grid.level import GridLevel
+from repro.obs.log import ServiceEvent
 from repro.persist import (
     SCHEMA_VERSION,
     RunJournal,
@@ -202,11 +203,16 @@ class TestSnapshot:
         assert grid_fingerprint(grid) == grid_fingerprint(tiny_grid())
 
 
+def line(event: str, **fields) -> ServiceEvent:
+    """A record of *event* journaled as it is, with *fields*."""
+    return ServiceEvent(None, event, fields=fields)
+
+
 class TestJournal:
     def test_append_and_read(self, tmp_path):
         journal = RunJournal(tmp_path / "j.jsonl")
-        journal.record("run_start", n_steps=10)
-        journal.record("checkpoint", step=5)
+        journal.record(line("run_start", n_steps=10))
+        journal.record(line("checkpoint", step=5))
         events, warning = read_journal(tmp_path / "j.jsonl")
         assert warning is None
         assert [ev["event"] for ev in events] == ["run_start", "checkpoint"]
@@ -215,8 +221,8 @@ class TestJournal:
     def test_torn_tail_dropped_with_warning(self, tmp_path):
         path = tmp_path / "j.jsonl"
         journal = RunJournal(path)
-        journal.record("run_start")
-        journal.record("checkpoint", step=5)
+        journal.record(line("run_start"))
+        journal.record(line("checkpoint", step=5))
         with open(path, "a") as fh:
             fh.write('{"seq": 3, "event": "checkpo')  # crash mid-append
         events, warning = read_journal(path)
@@ -225,8 +231,8 @@ class TestJournal:
 
     def test_seq_resumes_after_reopen(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        RunJournal(path).record("run_start")
-        rec = RunJournal(path).record("resume")
+        RunJournal(path).record(line("run_start"))
+        rec = RunJournal(path).record(line("resume"))
         assert rec["seq"] == 2
 
 
@@ -234,9 +240,9 @@ class TestRunStore:
     def test_layout_and_status(self, tmp_path):
         store = RunStore(tmp_path / "run")
         assert store.status() == "empty"
-        store.record_event("run_start", n_steps=5)
+        store.run_events.emit(line("run_start", n_steps=5))
         assert store.status() == "incomplete"
-        store.record_event("complete", step=5)
+        store.run_events.emit(line("complete", step=5))
         assert store.status() == "complete"
 
     def test_save_snapshot_sequences_and_journals(self, tmp_path):

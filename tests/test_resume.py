@@ -16,7 +16,7 @@ import pytest
 from repro.cli import main
 from repro.core import RTiModel
 from repro.errors import NumericalError, PersistError
-from repro.obs.log import RunEvents
+from repro.obs.log import ServiceEvent
 from repro.persist import (
     JOURNAL_VERSION,
     SCHEMA_VERSION,
@@ -73,15 +73,14 @@ def run_until_killed(rundir, kill_at_step: int) -> RunStore:
     store = RunStore(rundir, create=True)
     model = RTiModel(built.grid, built.bathymetry, built.config)
     model.set_initial_condition(built.source)
-    store.record_event(
-        "run_start",
+    store.run_events.emit(ServiceEvent(None, "run_start", fields=dict(
         journal_version=JOURNAL_VERSION,
         schema_version=SCHEMA_VERSION,
         scenario=built.spec,
         n_steps=built.n_steps,
         checkpoint_every=CHECKPOINT_EVERY,
         grid_fingerprint=grid_fingerprint(built.grid, built.config.dtype),
-    )
+    )))
     streamer = ProductStreamer(store, model)
 
     class KillSwitch:
@@ -97,7 +96,7 @@ def run_until_killed(rundir, kill_at_step: int) -> RunStore:
             monitor=KillSwitch(),
             ring=CheckpointRing(store=store),
             checkpoint_every=CHECKPOINT_EVERY,
-            sink=RunEvents(store),
+            sink=store.run_events,
         ).run()
     return store
 

@@ -1,24 +1,35 @@
-"""One run event: a guarded run's decisions are records of one ring.
+"""One run ledger: every journal line of a guarded run is a run record.
 
 Every decision of a guarded run — a rollback, a level drop, a corrected
-bit flip, a lost rank, a hedge — is one :class:`repro.obs.log.ServiceEvent`
-emitted once through :meth:`repro.obs.log.RunEvents.emit`.  These tests
-hold the parity that follows: each record in the ring has exactly one
-journal line, in the same order, with the same kind and fields; each
-report tally and each ``_total`` counter is a count over the ring; and
-the counters move whether or not the run is traced (the metering rule).
+bit flip, a lost rank, a hedge — and every lifecycle line — its start, a
+resume, an interruption, its completion — is one
+:class:`repro.obs.log.ServiceEvent` emitted once through
+:meth:`repro.obs.log.RunEvents.emit`, into the one ``RunEvents`` of the run
+directory.  These tests hold the parity that follows: every journal line
+but the snapshot pair is one record of the ring, in the same order, with
+the same kind, fields and stamp; each report and guard tally and each
+``_total`` counter is a count over the records; and the counters move
+whether or not the run is traced (the metering rule).  A signal that lands
+inside ``emit`` unwinds the run and journals ``interrupted``.
 """
 
+import json
 import os
+import signal
+import subprocess
 import sys
 import threading
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import repro.obs as obs
+from repro import resilience
 from repro.obs.log import RUN_KINDS, RunEvents, ServiceEvent
 from repro.obs.metrics import get_registry
-from repro.persist import RunStore
+from repro.persist import RunStore, resume_run, start_run
+from repro.persist.products import ProductStreamer
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
@@ -30,6 +41,7 @@ from repro.validation import FlatBathymetry
 from tests.test_chaos_matrix import config as chaos_config
 from tests.test_chaos_matrix import nested_grid
 from tests.test_chaos_matrix import source as chaos_source
+from tests.test_resume import SPEC
 from tests.test_survive import (
     assert_identical,
     config,
@@ -40,9 +52,11 @@ from tests.test_survive import (
 )
 
 N_STEPS = 30
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
 
-#: Journal events that are decisions (the rest are a run's lifecycle).
-DECISIONS = {spec.event for spec in RUN_KINDS.values()}
+#: The snapshot pair: journal lines written beside the ring, not records.
+SNAPSHOT_PAIR = ("checkpoint_begin", "checkpoint")
 
 
 def counters() -> dict[tuple, float]:
@@ -80,8 +94,9 @@ def assert_counted(before, events):
 
 
 def assert_journal_parity(events, store):
-    """Exactly one journal line per record, same order, kind, fields."""
-    lines = [ln for ln in store.events() if ln["event"] in DECISIONS]
+    """Every journal line but the snapshot pair is one record: the same
+    order, kind, fields and stamp."""
+    lines = [ln for ln in store.events() if ln["event"] not in SNAPSHOT_PAIR]
     assert len(lines) == len(events)
     for ev, ln in zip(events, lines):
         spec = RUN_KINDS[ev.kind]
@@ -93,9 +108,28 @@ def assert_journal_parity(events, store):
             if k not in ("seq", "ts_wall", "ts_mono_us", "event", spec.key)
         }
         assert body.pop("detail", "") == ev.detail
-        assert body == ev.fields
+        assert body == json.loads(json.dumps(ev.fields, default=str))
         assert ln["ts_mono_us"] == round(ev.stamp[1], 1)
     return lines
+
+
+def assert_tallies_count_records(report, lines):
+    """The guards' tallies are counts over the run's journaled records."""
+    integrity = [ln for ln in lines if ln["event"] == "integrity"]
+    kinds = Counter(ln["kind"] for ln in integrity)
+    doc = report.integrity
+    assert doc["detections"] == {"state": 0, "checkpoint": 0, **Counter(
+        ln["surface"] for ln in integrity if ln["kind"] == "detection"
+    )}
+    assert doc["corrections"] == Counter(
+        ln["action"] for ln in integrity if ln["kind"] == "corrected"
+    )
+    assert doc["uncorrected"] == kinds["uncorrected"]
+    assert doc["scrub_repairs"] == doc["corrections"].get("scrub_repair", 0)
+    assert report.physics["aborts"] == sum(
+        ln["event"] == "physics" and ln["verdict"] == "diverged"
+        for ln in lines
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -127,7 +161,10 @@ def test_single_process_records_are_journaled_and_counted_once(tmp_path):
     assert report.events.dropped == 0
 
     lines = assert_journal_parity(events, store)
+    assert [ln["event"] for ln in lines][-1] == "complete"
     assert_counted(before, events)
+    assert_tallies_count_records(report, lines)
+    assert sum(report.integrity["detections"].values()) > 0
 
     # The tallies are counts over the ring, and agree with the journal.
     rollbacks = [
@@ -178,6 +215,8 @@ def test_survivable_records_are_journaled_and_counted_once(tmp_path):
     assert "hedge_migrate" in kinds
 
     lines = assert_journal_parity(events, store)
+    assert lines[0]["event"] == "distributed_start"
+    assert lines[-1]["event"] == "distributed_complete"
     assert_counted(before, events)
 
     failures = [ln for ln in lines if ln["event"] == "rank_failure"]
@@ -200,6 +239,109 @@ def test_survivable_records_are_journaled_and_counted_once(tmp_path):
     complete = store.first_event("distributed_complete")
     assert complete["rank_failures"] == report.rank_failures
     assert complete["summary"] == report.summary()
+
+
+def test_an_interrupted_and_resumed_run_journals_only_records(
+    tmp_path, monkeypatch
+):
+    """start_run, SIGTERM at step 17, resume_run: each leg's lines are the
+    records of that leg's one RunEvents, the snapshot pair aside."""
+    legs: list[tuple] = []
+    drive = resilience.run_resilient_forecast
+
+    def spy(*args, store, **kwargs):
+        legs.append(store.run_events)
+        report = drive(*args, store=store, **kwargs)
+        legs[-1] = (store.run_events, report)
+        return report
+
+    after_step = ProductStreamer.after_step
+
+    def kill_at_17(self, model):
+        after_step(self, model)
+        if model.step_count == 17 and len(legs) == 1:
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    monkeypatch.setattr(resilience, "run_resilient_forecast", spy)
+    monkeypatch.setattr(ProductStreamer, "after_step", kill_at_17)
+    plan = FaultPlan([
+        FaultSpec(kind="nan", step=7, block=1, field="z"),
+        FaultSpec(kind="bitflip", target="state", step=22, block=0,
+                  field="z", bit=2),
+    ])
+    rundir = tmp_path / "run"
+    with pytest.raises(KeyboardInterrupt):
+        start_run(rundir, SPEC, checkpoint_every=5, fault_plan=plan,
+                  integrity_every=1, echo=lambda _line: None)
+    resume_run(rundir, echo=lambda _line: None)
+
+    first, (second, report) = legs
+    events = [*first, *second]
+    lines = assert_journal_parity(events, RunStore(rundir, create=False))
+    assert [ln["event"] for ln in lines if ln["event"] in (
+        "run_start", "interrupted", "resume", "complete",
+    )] == ["run_start", "interrupted", "resume", "complete"]
+    assert [ev.kind for ev in first][-1] == "interrupted"
+    assert {"rollback", "detection", "quarantine_rollback"} <= {
+        ev.kind for ev in events
+    }
+    # A leg's tallies count that leg's records: the report is the second's.
+    assert_tallies_count_records(report, lines[len(first):])
+
+
+#: Runs in a fresh interpreter, so that a deadlock is a timeout, not a hung
+#: test run: the chaos nest with a NaN at step 7, whose journal signals SIGTERM
+#: to its own process once, on the first rollback line — inside
+#: ``RunEvents.emit``, which holds the run's lock while it journals.
+SIGNAL_INSIDE_EMIT = """
+import os, signal, sys
+from repro.persist import RunJournal, RunStore
+from repro.resilience import FaultPlan, FaultSpec, run_resilient_forecast
+from repro.validation import FlatBathymetry
+from tests.test_chaos_matrix import config, nested_grid, source
+
+record, sent = RunJournal.record, []
+
+def signalling_record(self, rec):
+    line = record(self, rec)
+    if rec.kind == "rollback" and not sent:
+        sent.append(rec)
+        os.kill(os.getpid(), signal.SIGTERM)
+    return line
+
+RunJournal.record = signalling_record
+try:
+    run_resilient_forecast(
+        nested_grid(), FlatBathymetry(50.0), config=config(), source=source(),
+        horizon_s=40.0, store=RunStore(sys.argv[1]), checkpoint_every=5,
+        fault_plan=FaultPlan([FaultSpec(kind="nan", step=7, block=1, field="z")]),
+    )
+except KeyboardInterrupt:
+    sys.exit(130 if sent else 1)
+"""
+
+
+def test_a_signal_inside_emit_unwinds_and_journals_interrupted(tmp_path):
+    """SIGTERM lands while the main thread holds RunEvents' lock: the run
+    still ends in KeyboardInterrupt with ``interrupted`` journaled and a
+    valid final snapshot — nothing is written from inside the handler."""
+    rundir = tmp_path / "run"
+    done = subprocess.run(
+        [sys.executable, "-c", SIGNAL_INSIDE_EMIT, str(rundir)],
+        env={**os.environ, "PYTHONPATH": f"{SRC}{os.pathsep}{REPO}"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 130, done.stderr
+    store = RunStore(rundir, create=False)
+    lines = store.events()
+    assert [ln["event"] for ln in lines[-3:]] == [
+        "checkpoint_begin", "checkpoint", "interrupted",
+    ]
+    interrupted = lines[-1]
+    assert interrupted["signal"] == "SIGTERM" and interrupted["snapshotted"]
+    assert [ln.get("kind") for ln in lines].count("rollback") == 1
+    snap = store.latest_valid_snapshot()
+    assert snap is not None and snap.step == interrupted["step"]
 
 
 def test_emit_refuses_a_kind_it_cannot_meter():
