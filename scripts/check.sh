@@ -153,6 +153,13 @@ if git grep -nwE 'record_event|EVENT_RANK_FAILURE|EVENT_RECOVERY_EPOCH' -- \
     src tests examples
 then echo "== a second way into the run journal is back (see above) =="; exit 1; fi
 
+# One simulated-MPI surface: blocking point-to-point and one collective,
+# allreduce by messages on both rank worlds — no nonblocking requests, no
+# rank-thread barrier or shared reduce buffer.
+if git grep -nwE 'isend|irecv|pending_summary|barrier_sync|reduce_buf' -- \
+    src tests examples
+then echo "== a second simulated-MPI surface is back (see above) =="; exit 1; fi
+
 echo "== pytest (tier 1) =="
 if [ "$fast" = 1 ]; then
     PYTHONPATH=src python -m pytest -x -q

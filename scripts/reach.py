@@ -46,19 +46,11 @@ ALLOWED = {
                         "ROADMAP item 9; no product path runs them yet",
     "repro.analysis.fit": "the fits item 9's convergence study needs "
                           "(tests/test_convergence.py)",
-    "repro.par.comm.Communicator.isend": "nonblocking halo transport, "
-                                         "ROADMAP item 7(a)",
-    "repro.par.comm.Communicator.irecv": "nonblocking halo transport, "
-                                         "ROADMAP item 7(a)",
-    "repro.par.comm.Request": "nonblocking halo transport, ROADMAP item 7(a)",
     # -- platforms no census run is on -----------------------------------
     "repro.core.loopnest._scan_numpy":
         "the health scan's NumPy body: runs where no C compiler is "
         "(CC=false) and on a block the nest finds non-finite "
         "(tests/test_health_nest.py)",
-    "repro.par.comm.Communicator._allgather":
-        "the collective of rank processes (their barrier and allreduce); "
-        "no census run reduces across forked ranks (tests/test_comm.py)",
     "repro.lazy.exports.<locals>.__dir__": "dir() of a package: interactive "
                                            "use (tests/test_import_graph.py)",
     # -- failure paths no product input takes ----------------------------
@@ -333,6 +325,8 @@ def cli_paths(tmp: Path) -> None:
     interrupted_run(tmp / "killed", ["--minutes", "0.5"])
     for torn in max((tmp / "killed" / "snapshots").iterdir()).iterdir():
         torn.write_bytes(torn.read_bytes()[:-1])  # the newest snapshot torn
+    journal = tmp / "killed" / "journal.jsonl"
+    journal.write_bytes(journal.read_bytes()[:-9])  # and the last line
     repro("validate", tmp / "killed")
     repro("resume", tmp / "killed")
     repro("inspect", tmp / "killed", "--physics")

@@ -38,9 +38,11 @@ class CommunicationError(ReproError):
 class CommTimeoutError(CommunicationError):
     """A simulated communication operation exceeded its timeout.
 
-    Raised by :meth:`repro.par.comm.Request.wait` and
-    :meth:`repro.par.comm.Communicator.recv` when no matching message
-    arrives within the communicator's timeout.  Distinct from plain
+    Raised by :meth:`repro.par.comm.Communicator.recv` (and so by the
+    collectives built on it) when no matching message arrives within the
+    communicator's timeout, by an agreement round that times out, and by
+    :func:`repro.par.comm.run_ranks` when the whole group outlives its
+    wall-clock bound.  Distinct from plain
     :class:`CommunicationError` (protocol misuse) so callers — notably the
     survivable runtime, which retries the epoch — can tell a transient
     stall from a programming error.
@@ -54,10 +56,9 @@ class CommTimeoutError(CommunicationError):
         recovery layer uses these to name the suspected-dead peer
         instead of guessing from the message text.
     op:
-        Kind of operation ("recv", "irecv", "isend", "agree", ...).
+        Kind of operation ("recv", "agree", "run_ranks").
     pending:
-        Human-readable summaries of the communicator's outstanding
-        nonblocking requests at the moment of the timeout.
+        For a group timeout, the ranks still running (``"rank 2"``, ...).
     """
 
     def __init__(

@@ -28,6 +28,7 @@ from pathlib import Path
 from repro import guards
 from repro.artifacts import load_json_artifact, rejecting_malformed
 from repro.errors import PersistError
+from repro.obs.log import ROLLBACK_KINDS
 from repro.obs.metrics import METRICS_SCHEMA, get_registry
 from repro.persist.store import run_status
 from repro.runtime.breakdown import (
@@ -233,7 +234,8 @@ def _status_lines(art: RunArtifacts) -> list[str]:
         rollbacks = sum(
             1
             for ev in art.events
-            if ev.get("event") == "recovery" and ev.get("kind") == "rollback"
+            if ev.get("event") == "recovery"
+            and ev.get("kind") in ROLLBACK_KINDS
         )
         if rollbacks:
             lines.append(f"rollbacks       : {rollbacks}")

@@ -241,11 +241,15 @@ def _epoch(action: str, counter: str, help: str, **kw):
                   counter, help, **kw)
 
 
+#: The recovery kinds that roll a run back: one rollback each, wherever
+#: rollbacks are counted (the report, the journal's ``complete``, inspect).
+ROLLBACK_KINDS = ("rollback", "quarantine_rollback")
+
 #: Every kind a guarded run emits: the one metering table.  A counter is
 #: counted whether or not the run is traced — the metering rule.  Every
 #: journal line but a snapshot's pair is one of these records.
 RUN_KINDS: dict[str, RunKind] = {
-    **_kinds(("rollback", "quarantine_rollback", "dt_halved",
+    **_kinds((*ROLLBACK_KINDS, "dt_halved",
               "recovery_abort", "ckpt_evicted", "scrub"),
              "recovery", "kind", "repro_recovery_actions_total",
              "recovery-engine actions by kind", label="kind"),

@@ -4,7 +4,7 @@ The original RTi code is flat-MPI Fortran.  mpi4py is not a dependency
 here; instead this package provides
 
 * :class:`Communicator` / :func:`run_ranks` — an MPI-like runtime
-  (blocking/nonblocking point-to-point, barrier, allreduce) that runs the
+  (blocking point-to-point, allreduce by messages) that runs the
   *real* pack -> send -> recv -> unpack pipeline over one of two
   transports: rank threads in this process (fault injection, rank-kill
   recovery) or forked rank processes exchanging packed halos

@@ -1,11 +1,14 @@
 """Simulated MPI over two transports: rank threads and rank processes.
 
 Ranks are Python callables; a :class:`Communicator` gives each of them
-mpi4py-flavoured point-to-point and collective operations (tag matching
-with a stash for out-of-order arrivals, timeouts, nonblocking requests).
-NumPy payloads are copied on send (MPI value semantics) so races on the
-caller's buffers are impossible.  What carries a message is the *world*
-behind the communicator, and :func:`run_ranks` has two:
+mpi4py-flavoured blocking point-to-point operations (tag matching with
+a stash for out-of-order arrivals, timeouts) and one collective,
+``allreduce``, run by those same messages in rank order.  Sends are
+buffered, so a rank overlaps communication with work by sending first
+and receiving late.  NumPy payloads are copied on send (MPI value
+semantics) so races on the caller's buffers are impossible.  What
+carries a message is the *world* behind the communicator, and
+:func:`run_ranks` has two:
 
 * **rank threads** (:class:`_World`, the default): one thread per rank
   over in-memory mailboxes, in one address space.  This is the
@@ -50,7 +53,6 @@ import functools
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -96,72 +98,11 @@ _TAG_ALLGATHER = 987_655
 _TAG_BROADCAST = 987_656
 
 
-@dataclass
-class Request:
-    """Handle for a nonblocking operation."""
-
-    _done: threading.Event
-    _value: list = field(default_factory=lambda: [None])
-    _error: list = field(default_factory=lambda: [None])
-    _default_timeout: float | None = DEFAULT_TIMEOUT
-    _rank: int | None = None
-    _op: str = "request"
-    _source: int | None = None
-    _dest: int | None = None
-    _tag: int | None = None
-    _comm: Any = None
-
-    def describe(self) -> str:
-        """One-line summary, e.g. ``irecv(source=2, tag=7)``."""
-        ends = []
-        if self._source is not None:
-            ends.append(f"source={self._source}")
-        if self._dest is not None:
-            ends.append(f"dest={self._dest}")
-        if self._tag is not None:
-            ends.append(f"tag={self._tag}")
-        return f"{self._op}({', '.join(ends)})"
-
-    def wait(self, timeout: float | None = _UNSET):
-        """Block until the operation completes; return its value.
-
-        *timeout* defaults to the owning communicator's timeout (set at
-        :class:`Communicator` construction); pass ``None`` to wait
-        forever.  Raises :class:`~repro.errors.CommTimeoutError` on
-        expiry and re-raises the worker's exception if the operation
-        itself failed.
-        """
-        if timeout is _UNSET:
-            timeout = self._default_timeout
-        if not self._done.wait(timeout):
-            pending = (
-                self._comm.pending_summary()
-                if self._comm is not None
-                else [self.describe()]
-            )
-            raise CommTimeoutError(
-                f"rank {self._rank}: {self.describe()} timed out after "
-                f"{timeout}s (deadlock?); pending: {pending}",
-                failed_rank=self._rank,
-                source=self._source,
-                dest=self._dest,
-                tag=self._tag,
-                op=self._op,
-                pending=pending,
-            )
-        if self._error[0] is not None:
-            raise self._error[0]
-        return self._value[0]
-
-    def test(self) -> bool:
-        return self._done.is_set()
-
-
 class _World:
-    """Shared mailboxes and collective state for one group of rank threads."""
+    """Shared mailboxes and failure state for one group of rank threads."""
 
-    #: One address space: ``Communicator`` makes the send copy itself,
-    #: collectives meet at a shared barrier, revoke/agree are available.
+    #: One address space: ``Communicator`` makes the send copy itself and
+    #: revoke/agree are available.
     #: (:class:`repro.par.process_world._ProcessWorld` says ``False``.)
     in_process = True
 
@@ -169,9 +110,6 @@ class _World:
         self.size = size
         # mailbox[dest] holds (source, tag, payload) tuples.
         self.mailboxes = [queue.Queue() for _ in range(size)]
-        self.barrier = threading.Barrier(size)
-        self.reduce_lock = threading.Lock()
-        self.reduce_buf: list[Any] = []
         #: (rank, exception) pairs, in order of failure.
         self.errors: list[tuple[int, BaseException]] = []
         self._fail_lock = threading.Lock()
@@ -184,18 +122,17 @@ class _World:
     def fail(self, rank: int, exc: BaseException) -> None:
         """Record a rank failure and wake every blocked sibling.
 
-        The barrier is broken (releasing collective waiters) and a poison
-        message naming the dead rank is delivered to every mailbox so
-        point-to-point receivers fail fast instead of timing out.  The
-        dead set is updated and any in-progress agreement round is
-        notified so it can converge without the dead rank's vote.
+        A poison message naming the dead rank is delivered to every
+        mailbox so receivers — collective ones included — fail fast
+        instead of timing out.  The dead set is updated and any
+        in-progress agreement round is notified so it can converge
+        without the dead rank's vote.
         """
         with self._fail_lock:
             self.errors.append((rank, exc))
         with self._agree_cv:
             self.dead.add(rank)
             self._agree_cv.notify_all()
-        self.barrier.abort()
         for dest in range(self.size):
             if dest != rank:
                 self.mailboxes[dest].put((rank, 0, _POISON))
@@ -203,14 +140,13 @@ class _World:
     def revoke(self, rank: int) -> None:
         """Revoke the communicator on behalf of surviving *rank*.
 
-        Idempotent.  Breaks the barrier and delivers a revocation
-        sentinel to every other mailbox so blocked operations fail with
+        Idempotent.  Delivers a revocation sentinel to every other
+        mailbox so blocked operations fail with
         :class:`~repro.errors.CommunicatorRevokedError` instead of
         timing out one by one.
         """
         already = self.revoked.is_set()
         self.revoked.set()
-        self.barrier.abort()
         if not already:
             for dest in range(self.size):
                 if dest != rank:
@@ -230,7 +166,7 @@ class Communicator:
         This communicator's rank id.
     timeout:
         Default timeout [s] for blocking operations (``recv``,
-        ``Request.wait``, ``barrier_sync``); ``None`` waits forever.
+        ``allreduce``, ``agree_failures``); ``None`` waits forever.
     """
 
     def __init__(
@@ -245,14 +181,6 @@ class Communicator:
         self.timeout = timeout
         # Out-of-order receives are stashed here until matched.
         self._stash: list[tuple[int, int, Any]] = []
-        # Outstanding nonblocking requests (for timeout diagnostics).
-        self._pending: list[Request] = []
-        self._pending_lock = threading.Lock()
-
-    def pending_summary(self) -> list[str]:
-        """Summaries of this rank's outstanding nonblocking requests."""
-        with self._pending_lock:
-            return [r.describe() for r in self._pending]
 
     # -- point to point -------------------------------------------------
 
@@ -303,76 +231,25 @@ class Communicator:
                     dest=self.rank,
                     tag=tag,
                     op="recv",
-                    pending=self.pending_summary(),
                 ) from None
-            if payload is _REVOKED:
-                # Re-deliver so other blocked receives on this rank
-                # observe the revocation too.
+            if payload is _REVOKED or payload is _POISON:
+                # Re-deliver so later receives on this rank see it too.
                 self._world.mailboxes[self.rank].put((src, tg, payload))
-                raise CommunicatorRevokedError(
-                    f"rank {self.rank}: communicator revoked by rank "
-                    f"{src} while we were waiting in recv(source={source},"
-                    f" tag={tag})"
-                )
-            if payload is _POISON:
-                # Re-deliver so other blocked receives on this rank (e.g.
-                # irecv workers) observe the failure too.
-                self._world.mailboxes[self.rank].put((src, tg, payload))
+                waiting = (f"while we were waiting in recv(source={source},"
+                           f" tag={tag})")
+                if payload is _REVOKED:
+                    raise CommunicatorRevokedError(
+                        f"rank {self.rank}: communicator revoked by rank "
+                        f"{src} {waiting}"
+                    )
                 woken = CommunicationError(
-                    f"rank {self.rank}: rank {src} failed while we were "
-                    f"waiting in recv(source={source}, tag={tag})"
+                    f"rank {self.rank}: rank {src} failed {waiting}"
                 )
                 woken.failed_peer = src
                 raise woken
             if (source in (ANY_SOURCE, src)) and tg == tag:
                 return payload
             self._stash.append((src, tg, payload))
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Nonblocking send (completes immediately: sends are buffered)."""
-        self.send(obj, dest, tag)
-        done = threading.Event()
-        done.set()
-        return Request(
-            done,
-            _default_timeout=self.timeout,
-            _rank=self.rank,
-            _op="isend",
-            _dest=dest,
-            _tag=tag,
-            _comm=self,
-        )
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = 0) -> Request:
-        """Nonblocking receive; resolve with ``req.wait()``."""
-        done = threading.Event()
-        req = Request(
-            done,
-            _default_timeout=self.timeout,
-            _rank=self.rank,
-            _op="irecv",
-            _source=source,
-            _tag=tag,
-            _comm=self,
-        )
-        with self._pending_lock:
-            self._pending.append(req)
-
-        def _worker() -> None:
-            try:
-                req._value[0] = self.recv(source, tag)
-            except BaseException as exc:  # noqa: BLE001 - surfaced on wait
-                req._error[0] = exc
-                with self._world._fail_lock:
-                    self._world.errors.append((self.rank, exc))
-            finally:
-                with self._pending_lock:
-                    if req in self._pending:
-                        self._pending.remove(req)
-                done.set()
-
-        threading.Thread(target=_worker, daemon=True).start()
-        return req
 
     # -- failure handling (ULFM-style) ----------------------------------
 
@@ -427,15 +304,16 @@ class Communicator:
                         f" {missing}",
                         failed_rank=self.rank,
                         op="agree",
-                        pending=self.pending_summary(),
                     )
                 w._agree_cv.wait(remaining)
 
     # -- collectives ----------------------------------------------------
 
     def _allgather(self, value: Any, timeout: float | None) -> list:
-        """Every rank's *value*, in rank order, by messages through rank 0:
-        what rank processes do where rank threads meet at the barrier."""
+        """Every rank's *value*, in rank order: gathered to rank 0 and
+        broadcast back over reserved tags, by the same messages on both
+        worlds.  A rank that dies or revokes wakes every waiter at once
+        through the sentinel it leaves in each mailbox."""
         self.send((self.rank, value), dest=0, tag=_TAG_ALLGATHER)
         if self.rank != 0:
             return self.recv(source=0, tag=_TAG_BROADCAST, timeout=timeout)
@@ -449,41 +327,11 @@ class Communicator:
             self.send(values, dest=dest, tag=_TAG_BROADCAST)
         return values
 
-    def barrier_sync(self, timeout: float | None = _UNSET) -> None:
-        if timeout is _UNSET:
-            timeout = self.timeout
-        if not self._world.in_process:
-            self._allgather(None, timeout)
-            return
-        try:
-            self._world.barrier.wait(timeout)
-        except threading.BrokenBarrierError:
-            dead = [r for r, _ in self._world.errors]
-            detail = f" (failed ranks: {dead})" if dead else ""
-            raise CommunicationError(
-                f"rank {self.rank}: barrier broken (a rank died or timed "
-                f"out){detail}"
-            ) from None
-
     def allreduce(self, value: Any, op: Callable[[Any, Any], Any] = None):
-        """All-ranks reduction; default op is addition."""
+        """All-ranks reduction, folded in rank order; default op is addition."""
         if op is None:
             op = lambda a, b: a + b  # noqa: E731
-        w = self._world
-        if not w.in_process:
-            return functools.reduce(op, self._allgather(value, self.timeout))
-        self.barrier_sync()
-        with w.reduce_lock:
-            w.reduce_buf.append(value)
-        self.barrier_sync()
-        acc = w.reduce_buf[0]
-        for v in w.reduce_buf[1:]:
-            acc = op(acc, v)
-        self.barrier_sync()
-        if self.rank == 0:
-            w.reduce_buf.clear()
-        self.barrier_sync()
-        return acc
+        return functools.reduce(op, self._allgather(value, self.timeout))
 
 
 def run_ranks(
@@ -596,8 +444,8 @@ def _run_rank_threads(n_ranks, fn, make_comm, timeout):
             t.join(max(0.0, deadline - time.monotonic()))
     except BaseException:
         # Interrupted (a signal turned into KeyboardInterrupt): revoke on
-        # behalf of no rank, so every rank fails at its next receive or
-        # barrier instead of stepping on until its comm timeout.
+        # behalf of no rank, so every rank fails at its next receive
+        # instead of stepping on until its comm timeout.
         world.revoke(-1)
         raise
     alive = [r for r, t in enumerate(threads) if t.is_alive()]

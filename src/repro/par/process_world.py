@@ -277,7 +277,7 @@ class _ProcessWorld:
     """
 
     #: Not one address space: ``Communicator`` lets the transport make the
-    #: send copy, runs collectives by messages and refuses revoke/agree.
+    #: send copy and refuses revoke/agree.
     in_process = False
 
     def __init__(self, size: int, slot_bytes: int, timeout: float) -> None:
@@ -294,7 +294,6 @@ class _ProcessWorld:
             if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         )
         self.errors: list[tuple[int, BaseException]] = []
-        self._fail_lock = threading.Lock()  # Communicator.irecv's worker
         #: Launcher: child by rank, and what each sent home (``None`` for
         #: a child that died without reporting).
         self.procs: dict[int, multiprocessing.Process] = {}

@@ -5,7 +5,9 @@ each health/degradation/recovery action, the completion — is one JSON
 object per line, flushed and fsynced before the caller proceeds.  A
 crash can therefore tear at most the final line; the reader detects and
 drops a torn tail instead of failing, which is what lets
-``repro resume`` classify an interrupted run from its journal alone.
+``repro resume`` classify an interrupted run from its journal alone, and
+the writer cuts that tail before it appends again, so the resumed run's
+lines are read too.
 """
 
 from __future__ import annotations
@@ -27,12 +29,42 @@ JOURNAL_VERSION = 2
 
 
 class RunJournal:
-    """Append-only, fsync-on-write event log for one run directory."""
+    """Append-only, fsync-on-write event log for one run directory.
+
+    The file is parsed once, when the journal is opened: its lines and its
+    torn-tail warning are kept, and :meth:`record` appends to the kept
+    lines.  A file that another writer changed since is parsed again.
+    Before its first append to a torn file the journal cuts the torn tail
+    back to the last whole line, so the new lines do not land on a
+    fragment that would hide them from :func:`read_journal`.
+    """
 
     def __init__(self, path: Path) -> None:
         self.path = Path(path)
-        self._seq = max((int(ev.get("seq", 0)) for ev in self.events()),
-                        default=0)
+        self._seq = 0
+        self._load()
+
+    def _load(self) -> None:
+        try:
+            self._lines, self._warning = read_journal(self.path)
+        except FileNotFoundError:
+            self._lines, self._warning = [], None
+        self._seen = _stamp(self.path)
+        self._seq = max([self._seq] + [int(ev.get("seq", 0))
+                                       for ev in self._lines])
+
+    def _refresh(self) -> None:
+        if _stamp(self.path) != self._seen:
+            self._load()
+
+    def read(self) -> tuple[list[dict], str | None]:
+        """``(events, warning)``, as :func:`read_journal` gives them."""
+        self._refresh()
+        return list(self._lines), self._warning
+
+    def events(self) -> list[dict]:
+        """All parseable events currently on disk."""
+        return self.read()[0]
 
     def record(self, record: ServiceEvent) -> dict:
         """Durably append one run record's line; returns the line written.
@@ -44,6 +76,7 @@ class RunJournal:
         spans use, so merged journal/trace timelines stay monotone even
         when the system clock steps or the run is resumed in a new process.
         """
+        self._refresh()
         name, fields = record.journal_line()
         ts_wall, ts_mono_us = record.stamp
         self._seq += 1
@@ -57,30 +90,56 @@ class RunJournal:
         line = json.dumps(rec, sort_keys=True, default=str)
         try:
             with _span("journal_append", cat="persist", event=name):
+                if self._warning is not None:
+                    self._cut()
                 with open(self.path, "a") as fh:
                     fh.write(line + "\n")
                     fh.flush()
                     os.fsync(fh.fileno())
+                    self._seen = _stamp(fh.fileno())
         except OSError as exc:
             raise PersistError(
                 f"cannot append to run journal {self.path}: {exc}"
             ) from exc
+        self._lines.append(json.loads(line))  # as a reader parses it
         return rec
 
-    def events(self) -> list[dict]:
-        """All parseable events currently on disk."""
-        try:
-            events, _ = read_journal(self.path)
-        except FileNotFoundError:
-            return []
-        return events
+    def _cut(self) -> None:
+        """Cut the file back to the lines the parse kept."""
+        with open(self.path, "rb+") as fh:
+            fh.truncate(_end_of_lines(fh.read(), len(self._lines)))
+            os.fsync(fh.fileno())
+        self._warning = None
+
+
+def _stamp(path) -> tuple[int, int, int] | None:
+    """What tells a file (a path or an open descriptor) from its state at
+    the last parse."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _end_of_lines(raw: bytes, n: int) -> int:
+    """Byte offset just past the *n*-th non-blank line of *raw*."""
+    at = 0
+    for line in raw.splitlines(keepends=True):
+        if n == 0:
+            break
+        at += len(line)
+        n -= bool(line.strip())
+    return at
 
 
 def read_journal(path: Path) -> tuple[list[dict], str | None]:
     """Parse a journal file, tolerating a torn final line.
 
     Returns ``(events, warning)``; *warning* is a human-readable note
-    when a torn/corrupt tail was dropped (``None`` for a clean file).
+    when a torn/corrupt tail was dropped (``None`` for a clean file).  A
+    last line without its newline is torn, whether or not it parses: its
+    append never finished.
     Raises :class:`FileNotFoundError` if the file does not exist and
     :class:`~repro.errors.PersistError` if it cannot be read at all.
     """
@@ -98,8 +157,10 @@ def read_journal(path: Path) -> tuple[list[dict], str | None]:
         if not line.strip():
             continue
         try:
+            if lineno == len(lines) and not raw.endswith("\n"):
+                raise ValueError("no newline")
             rec = json.loads(line)
-        except json.JSONDecodeError:
+        except ValueError:  # json.JSONDecodeError is one
             dropped = len(lines) - lineno + 1
             warning = (
                 f"journal {path} is torn at line {lineno}; dropped "

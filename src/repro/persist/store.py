@@ -32,7 +32,7 @@ from repro.obs.log import RunEvents, ServiceEvent
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.obs.trace import span as _span
-from repro.persist.journal import RunJournal, read_journal
+from repro.persist.journal import RunJournal
 from repro.persist.snapshot import read_snapshot, write_snapshot
 
 if TYPE_CHECKING:
@@ -117,11 +117,7 @@ class RunStore:
 
     def journal_warning(self) -> str | None:
         """The torn-tail warning for this journal, if any."""
-        try:
-            _, warning = read_journal(self.rundir / self.JOURNAL_NAME)
-        except FileNotFoundError:
-            return None
-        return warning
+        return self.journal.read()[1]
 
     # -- snapshots -------------------------------------------------------
 

@@ -42,8 +42,9 @@ class RankCrashError(CommunicationError):
 class FaultyComm:
     """Transport decorator applying a fault plan to one rank's sends.
 
-    Delegates every operation to the wrapped communicator; only ``send``
-    (and through it ``isend`` and the collectives) consults the plan.
+    Delegates every operation to the wrapped communicator; only a direct
+    ``send`` consults the plan (a collective's sends are the wrapped
+    communicator's own).
     Receive-side behaviour needs no injection: a dropped message *is* a
     receiver timeout.
     """
@@ -88,11 +89,9 @@ class FaultyComm:
         self._comm.send(obj, dest, tag)
 
     def __getattr__(self, name: str) -> Any:
-        # recv/isend/irecv/barrier_sync/allreduce and anything
-        # else pass straight through (isend calls *our* send only
-        # when defined on the wrapped class with self=wrapped, so sends
-        # issued inside collectives are not double-counted — acceptable:
-        # the op counter tracks direct transport sends).
+        # recv, allreduce and anything else pass straight through: an
+        # allreduce sends on the wrapped communicator, so the op counter
+        # counts the rank's direct transport sends only.
         return getattr(self._comm, name)
 
 

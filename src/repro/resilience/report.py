@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import guards
-from repro.obs.log import RunEvents, ServiceEvent, counted
+from repro.obs.log import ROLLBACK_KINDS, RunEvents, ServiceEvent, counted
 
 
 @dataclass
@@ -53,7 +53,7 @@ class ForecastReport:
     def recoveries(self) -> list[ServiceEvent]:
         return self.events.of("recovery")
 
-    rollbacks = counted("rollback", "quarantine_rollback")
+    rollbacks = counted(*ROLLBACK_KINDS)
 
     def summary(self) -> str:
         """Multi-line human-readable report."""

@@ -11,8 +11,9 @@ from repro.par import driver
 
 
 def wait_for_one_thread(seconds: float = 5.0) -> None:
-    """Let an earlier test's daemon thread (an ``irecv`` worker running
-    into its timeout) end: a live one keeps ``run_distributed`` on threads."""
+    """Let an earlier test's daemon thread (a rank thread running into its
+    timeout after its group gave up) end: a live one keeps
+    ``run_distributed`` on threads."""
     deadline = time.monotonic() + seconds
     while threading.active_count() != 1 and time.monotonic() < deadline:
         time.sleep(0.01)

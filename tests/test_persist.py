@@ -229,6 +229,26 @@ class TestJournal:
         assert len(events) == 2
         assert warning is not None and "torn" in warning
 
+    def test_an_unended_last_line_is_torn_and_cut_before_the_next_append(
+        self, tmp_path
+    ):
+        path = tmp_path / "j.jsonl"
+        RunJournal(path).record(line("run_start"))
+        with open(path, "a") as fh:
+            fh.write('{"seq": 2, "event": "checkpoint"}')  # no newline landed
+        events, warning = read_journal(path)
+        assert [ev["event"] for ev in events] == ["run_start"]
+        assert warning is not None and "torn" in warning
+        torn = path.read_bytes()
+        assert RunJournal(path).read() == (events, warning)
+        assert path.read_bytes() == torn  # opening and reading cut nothing
+        RunJournal(path).record(line("resume"))
+        events, warning = read_journal(path)
+        assert warning is None
+        assert [(ev["seq"], ev["event"]) for ev in events] == [
+            (1, "run_start"), (2, "resume"),
+        ]
+
     def test_seq_resumes_after_reopen(self, tmp_path):
         path = tmp_path / "j.jsonl"
         RunJournal(path).record(line("run_start"))

@@ -24,7 +24,9 @@ from repro.persist import (
     RunStore,
     build_scenario,
     grid_fingerprint,
+    read_journal,
     resume_run,
+    run_status,
     start_run,
 )
 from repro.resilience import (
@@ -207,6 +209,42 @@ class TestKillAndResume:
         assert events[-1] == "complete"
         resume = store.first_event("resume")
         assert resume["from_step"] in (15, 17)  # snapshot it restored
+
+    def test_a_torn_journal_tail_resumes_to_complete(self, tmp_path):
+        """A crash mid-append tears the last line: the resumed run's lines
+        must not land on the fragment, where no reader would see them."""
+        store = run_until_killed(tmp_path / "run", kill_at_step=17)
+        journal = store.rundir / RunStore.JOURNAL_NAME
+        raw = journal.read_bytes()
+        last = raw.rstrip(b"\n").rfind(b"\n") + 1
+        journal.write_bytes(raw[: last + (len(raw) - last) // 2])
+        whole, torn = read_journal(journal)
+        assert torn is not None
+        said: list[str] = []
+        resume_run(tmp_path / "run", echo=said.append)
+        assert f"warning: {torn}" in said
+        events, warning = read_journal(journal)
+        assert warning is None
+        assert run_status(events)[0] == "complete"
+        assert events[: len(whole)] == whole
+        assert events[len(whole)]["event"] == "resume"
+        assert RunStore(tmp_path / "run", create=False).status() == "complete"
+
+    def test_resume_parses_the_journal_once(self, tmp_path, monkeypatch):
+        import repro.persist.journal as journal_mod
+
+        run_until_killed(tmp_path / "run", kill_at_step=17)
+        calls = []
+        real = journal_mod.read_journal
+
+        def spy(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(journal_mod, "read_journal", spy)
+        resume_run(tmp_path / "run", echo=print)
+        assert len(calls) == 1
+        assert RunStore(tmp_path / "run", create=False).status() == "complete"
 
 
 class TestStartRun:

@@ -26,6 +26,7 @@ import pytest
 
 import repro.obs as obs
 from repro import resilience
+from repro.obs.inspect import load_rundir, render_report
 from repro.obs.log import RUN_KINDS, RunEvents, ServiceEvent
 from repro.obs.metrics import get_registry
 from repro.persist import RunStore, resume_run, start_run
@@ -174,6 +175,8 @@ def test_single_process_records_are_journaled_and_counted_once(tmp_path):
     ]
     assert report.rollbacks == len(rollbacks) == 2
     assert store.first_event("complete")["rollbacks"] == 2
+    # repro inspect counts them by the report's rule.
+    assert "rollbacks       : 2" in render_report(load_rundir(store.rundir))
     assert [ev.kind for ev in report.degradations] == [
         ln["action"] for ln in lines if ln["event"] == "degradation"
     ]
