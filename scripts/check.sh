@@ -154,11 +154,18 @@ if git grep -nwE 'record_event|EVENT_RANK_FAILURE|EVENT_RECOVERY_EPOCH' -- \
 then echo "== a second way into the run journal is back (see above) =="; exit 1; fi
 
 # One simulated-MPI surface: blocking point-to-point and one collective,
-# allreduce by messages on both rank worlds — no nonblocking requests, no
-# rank-thread barrier or shared reduce buffer.
+# allreduce by messages — no nonblocking requests, no barrier or shared
+# reduce buffer.
 if git grep -nwE 'isend|irecv|pending_summary|barrier_sync|reduce_buf' -- \
     src tests examples
 then echo "== a second simulated-MPI surface is back (see above) =="; exit 1; fi
+
+# One rank world: every multi-rank run forks its ranks, faulted and rank-kill
+# runs included — no rank threads, no agreement round (the launcher's failure
+# list is the agreed dead set).
+if git grep -nwE '_World|_run_rank_threads|_needs_rank_threads|agree_failures|_agree_cv|in_process' -- \
+    src tests examples
+then echo "== a second rank world or the agreement round is back (see above) =="; exit 1; fi
 
 echo "== pytest (tier 1) =="
 if [ "$fast" = 1 ]; then

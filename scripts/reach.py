@@ -54,14 +54,11 @@ ALLOWED = {
     "repro.lazy.exports.<locals>.__dir__": "dir() of a package: interactive "
                                            "use (tests/test_import_graph.py)",
     # -- failure paths no product input takes ----------------------------
-    "repro.par.process_world._ProcessWorld.fail":
-        "a forked rank's failure paths, ROADMAP item 7(c): every faulted "
-        "CLI run is on rank threads (tests/test_comm.py kills forked ranks)",
-    "repro.par.process_world._ProcessWorld.lost": "forked-rank failure, "
-                                                  "as above",
-    "repro.par.process_world._ProcessWorld.timed_out": "forked-rank "
-                                                       "failure, as above",
-    "repro.par.process_world._Inbox.put": "forked-rank failure, as above",
+    "repro.par.process_world._ProcessWorld.lost":
+        "a rank process killed from outside; an injected crash raises, it "
+        "is not killed (tests/test_comm.py SIGKILLs forked ranks)",
+    "repro.par.process_world._ProcessWorld.timed_out":
+        "a rank group that outlives its wall bound (tests/test_comm.py)",
     "repro.par.comm._group_timeout": "a rank group that outlives its wall "
                                      "bound (tests/test_comm.py)",
     "repro.service.breaker.CircuitBreaker.record_failure":
@@ -242,6 +239,7 @@ def cli_paths(tmp: Path) -> None:
         straggler=[{"kind": "straggler", "rank": 1, "step": 0, "span": 1000,
                     "factor": 8.0, "op": 0, "delay_s": 0.003}],
         crash=[{"kind": "rank_crash", "rank": 1, "step": 10}],
+        crash0=[{"kind": "rank_crash", "rank": 0, "step": 10}],
         crashes=[{"kind": "rank_crash", "rank": 1, "step": 10},
                  {"kind": "rank_crash", "rank": 1, "step": 40}],
         delay=[{"kind": "msg_delay", "rank": 0, "op": 3, "delay_s": 0.01}],
@@ -282,6 +280,8 @@ def cli_paths(tmp: Path) -> None:
          tmp / "shrunk"),
         ("forecast", "--minutes", 0.1, "--ranks", 3, "--faults",
          plan["crash"], "--spare-ranks", 1),
+        ("forecast", "--minutes", 0.1, "--ranks", 3, "--faults",
+         plan["crash0"], "--spare-ranks", 1),
         ("forecast", "--minutes", 0.1, "--ranks", 3, "--faults",
          plan["crashes"], "--max-rank-failures", 1),
         ("forecast", "--minutes", 0.1, "--ranks", 3, "--faults",

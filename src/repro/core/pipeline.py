@@ -18,8 +18,7 @@ prepared launch: DESIGN.md section 9i).  One mine: pack -> ``comm.send`` /
 ``comm.recv`` -> unpack over the same index math, so any assignment of
 blocks to ranks is bitwise identical to the one-owner run
 (:class:`repro.core.RTiModel`; :mod:`repro.par.driver` runs the body in
-every rank — a forked rank process, or a rank thread where forking is ruled
-out).  DESIGN.md section 9d records the decision.
+every rank process).  DESIGN.md section 9d records the decision.
 """
 
 from __future__ import annotations

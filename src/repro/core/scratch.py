@@ -2,8 +2,8 @@
 frame of the kernels.
 
 Every kernel intermediate is written through ``out=`` into views of one
-grow-only buffer per thread (rank threads and the strip team's helpers each
-have their own), so a step allocates nothing once the arena has seen its
+grow-only buffer per thread (a rank's own thread and the strip team's
+helpers each have their own), so a step allocates nothing once the arena has seen its
 largest strip.  NLMASS and NLMNT2 read a strip as flat 1-D ranges at one
 row pitch (:func:`window`) and leave that frame only to write their
 result: DESIGN.md §9b.  A strip reads only old buffers and writes only its

@@ -40,7 +40,7 @@ class CommTimeoutError(CommunicationError):
 
     Raised by :meth:`repro.par.comm.Communicator.recv` (and so by the
     collectives built on it) when no matching message arrives within the
-    communicator's timeout, by an agreement round that times out, and by
+    communicator's timeout, and by
     :func:`repro.par.comm.run_ranks` when the whole group outlives its
     wall-clock bound.  Distinct from plain
     :class:`CommunicationError` (protocol misuse) so callers — notably the
@@ -56,7 +56,7 @@ class CommTimeoutError(CommunicationError):
         recovery layer uses these to name the suspected-dead peer
         instead of guessing from the message text.
     op:
-        Kind of operation ("recv", "agree", "run_ranks").
+        Kind of operation ("recv", "run_ranks").
     pending:
         For a group timeout, the ranks still running (``"rank 2"``, ...).
     """
@@ -85,10 +85,8 @@ class CommunicatorRevokedError(CommunicationError):
 
     Delivered to every blocked operation of every surviving rank when
     any rank calls :meth:`repro.par.comm.Communicator.revoke`, so the
-    group collectively abandons the current communication epoch and can
-    run a failure-agreement round
-    (:meth:`repro.par.comm.Communicator.agree_failures`) instead of
-    dying one timeout at a time.
+    group collectively abandons the current communication epoch instead
+    of dying one timeout at a time.
     """
 
 

@@ -300,7 +300,7 @@ class RunEvents(EventRing):
 
     :meth:`emit` keeps a record, writes its journal line when the run has a
     *store*, logs it, traces it when the tracer is armed and moves its
-    kind's counter — once each.  Thread-safe: rank threads emit too.  The
+    kind's counter — once each.  Thread-safe.  The
     ring holds the newest records; :meth:`count`, :meth:`weight` and
     :meth:`labels` count every one emitted.  A run directory has one, its
     store's ``run_events``.

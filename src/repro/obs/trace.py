@@ -22,8 +22,9 @@ the ``trace_id``/parent of the innermost open span on its thread, and —
 when no span is open — falls back to the thread's bound
 :class:`TraceContext`.  The context crosses thread boundaries explicitly
 (:meth:`Tracer.current_context` captured by the spawner,
-``set_context(trace=...)`` bound by the spawned thread — the simulated
-MPI ranks in :func:`repro.par.comm.run_ranks` do exactly this), so one
+``set_context(trace=...)`` bound by the spawned thread; the forked
+ranks of :func:`repro.par.comm.run_ranks` take it across the fork with
+``Tracer.forked``), so one
 forecast request submitted to the service renders as a single trace tree
 from admission through every rank's step/halo/checkpoint spans.
 
@@ -220,8 +221,8 @@ class Tracer:
 
         ``trace`` rebinds the thread's base :class:`TraceContext` (or
         clears it with ``None``); omitting it leaves the current trace
-        binding untouched, so the rank threads' ``set_context(rank=r)``
-        never loses the request context handed to them at spawn.
+        binding untouched, so a rank's ``set_context(rank=r)`` never
+        loses the request context handed to it at spawn.
         """
         tls = self._tls_state()
         tls.rank = rank

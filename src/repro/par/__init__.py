@@ -5,11 +5,9 @@ here; instead this package provides
 
 * :class:`Communicator` / :func:`run_ranks` — an MPI-like runtime
   (blocking point-to-point, allreduce by messages) that runs the
-  *real* pack -> send -> recv -> unpack pipeline over one of two
-  transports: rank threads in this process (fault injection, rank-kill
-  recovery) or forked rank processes exchanging packed halos
-  through preallocated shared-memory slots (the one that is faster than
-  a single rank);
+  *real* pack -> send -> recv -> unpack pipeline between rank
+  processes — the caller and its forked children — exchanging packed
+  halos through preallocated shared-memory slots;
 * :class:`Decomposition` and friends — the static block-to-rank mapping
   (one level per rank, consecutive blocks, optional 1-D row splits) with
   the original cell-equalizing algorithm (Section II-B);
@@ -18,8 +16,7 @@ here; instead this package provides
   GPUDirect) feeding the performance simulator;
 * :func:`run_distributed` — the full Fig.-2 pipeline executed across
   simulated-MPI ranks (pack -> send/recv -> unpack), bitwise identical to
-  the single-process model on either transport; it forks unless something
-  it can observe needs one address space;
+  the single-process model;
 * :mod:`repro.par.splitcost` — the 1-D vs 2-D decomposition trade-off
   (vector length vs halo volume, Section II-B).
 """

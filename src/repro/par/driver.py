@@ -23,21 +23,13 @@ persisted multi-rank run writes (journal, final product), its SIGTERM
 capture, fault injection, replicated checkpoints and recovery policy
 all live in :func:`repro.resilience.survive.survivable_run_distributed`.
 
-A rank is a process where it can be and a thread where it must be
-(:func:`_slot_bytes` decides, from what it can observe — there is no
-flag): rank processes over shared-memory slots sized from the plan's
-largest packed message run the kernels in parallel, which rank threads
-behind one interpreter lock do not; rank threads are the world in which
-faults can be injected and ranks killed and replaced
-(:mod:`repro.resilience.survive` always runs on them).  The step body,
-tags, walk order and packing are the same on both, so both are bitwise
-identical to the model.  DESIGN.md section 9e.
+A rank is a process (:func:`repro.par.comm.run_ranks`): ranks over
+shared-memory slots sized from the plan's largest packed message
+(:func:`_slot_bytes`, for this driver and the survivable runtime alike)
+run the kernels in parallel.  DESIGN.md section 9e.
 """
 
 from __future__ import annotations
-
-import os
-import threading
 
 import numpy as np
 
@@ -80,9 +72,8 @@ class _RankRuntime:
         plan: StepPlan,
         initial=None,
     ) -> None:
-        # Bind the rank id to this rank's spans (its thread's, or its
-        # process's main thread's) so trace tracks and the imbalance
-        # summary separate per rank.
+        # Bind the rank id to this rank's spans so trace tracks and the
+        # imbalance summary separate per rank.
         get_tracer().set_context(rank=comm.rank)
         self.comm = comm
         self.grid = grid
@@ -131,30 +122,24 @@ class _RankRuntime:
         return {bid: st.eta_interior().copy() for bid, st in self.states.items()}
 
 
-def _slot_bytes(plan: StepPlan, owner, config):
-    """Slot size [bytes] for rank processes, or ``None`` for rank threads.
+def _slot_bytes(plan: StepPlan, owner, config) -> int:
+    """Slot size [bytes] of the rank processes of a run under *owner*.
 
-    Processes need more than one rank, ``fork`` and a caller that is this
-    process's only thread (a forked copy of a thread-held lock is never
-    released).  The slot then holds
-    the largest packed message that crosses ranks under *owner*: a seam
-    region, a JNZ buffer (one value per parent cell) or a JNQ buffer (one
-    per parent face along the child's open boundary — the bound; a
-    parent that covers only part of it sends less).
+    Readies this process to fork first: the strip team is sent home and
+    the kernels' executor is chosen.  The slot then holds the largest
+    packed message that crosses ranks under *owner*: a seam region, a JNZ
+    buffer (one value per parent cell) or a JNQ buffer (one per parent
+    face along the child's open boundary — the bound; a parent that
+    covers only part of it sends less).
     """
-    n_ranks = len(set(owner.values()))
-    if n_ranks < 2 or not hasattr(os, "fork"):
-        return None
     # The strip team's parked helpers are threads of ours, not somebody
-    # else's: send them home before counting.  The next kernel call of two
+    # else's: send them home before forking.  The next kernel call of two
     # or more strips forms a team again — in each rank process its own,
-    # from that rank's share of the CPUs (run_distributed resets the share).
-    disband_team(cpu_share=n_ranks)
+    # from that rank's share of the CPUs (the launcher resets the share).
+    disband_team(cpu_share=len(set(owner.values())))
     # The kernels' executor is chosen here, once: a forked rank inherits the
     # loaded nest and what its self-check imported, and imports nothing.
     loopnest.choice()
-    if threading.active_count() != 1:
-        return None
     cells = [1]
     for a, b, specs, _tag in plan.seams:
         if owner[a.block_id] != owner[b.block_id]:

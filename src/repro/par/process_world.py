@@ -1,9 +1,7 @@
-"""Rank processes: the second transport under ``Communicator``.
+"""Rank processes: the transport under ``Communicator``.
 
-Rank threads share one interpreter lock, so two of them advance their
-blocks more slowly than one rank does (ROADMAP item 4 measured 0.71x).
-Here ranks ``1..n-1`` are forked from the caller, which stays rank 0 —
-the tracer, the metrics registry and anything else observing the calling
+Ranks ``1..n-1`` are forked from the caller, which stays rank 0 — the
+tracer, the metrics registry and anything else observing the calling
 process still see a real rank — and each directed rank pair ``(s, d)``
 gets
 
@@ -19,21 +17,23 @@ gets
   length`` then a body — which is also the wake-up: for a slot message
   the body is ``(slot, dtype, shape)``, for anything that is not a
   fitting ndarray (allgather tuples, an array larger than a slot, a full
-  ring, results, exceptions) it is the pickled payload itself.
+  ring, results, exceptions) it is the pickled payload itself; a
+  revocation is a record with no body.
 
 Every pipe end is non-blocking.  A writer that finds its pipe full takes
 whatever has arrived for its own rank while it waits for room, so two
 ranks sending each other more than a pipe holds both finish: sends stay
-buffered, as they are on threads.  Each process keeps only its own ends
-open, so end-of-file on ``s -> d`` means ``s`` is gone: after a goodbye
-record that is a rank that finished, without one it is a rank that died
-(``SIGKILL``), and the reader poisons its own mailbox at once — no
-timeout, no polling.  See :func:`run_rank_processes` for the failure
-contract and DESIGN.md section 9e for the measurements.
+buffered.  Each process keeps only its own ends open, so end-of-file on
+``s -> d`` means ``s`` is gone: after a goodbye record that is a rank
+that finished, without one it is a rank that died (``SIGKILL``), and the
+reader poisons its own mailbox at once — no timeout, no polling.  One
+thread of each rank touches its transport (the strip team's helpers run
+kernels only), so nothing here takes a lock.  See
+:func:`run_rank_processes` for the failure contract and DESIGN.md
+section 9e for the measurements.
 
-Imported only by :func:`repro.par.comm.run_ranks` when it is asked for
-rank processes: workloads that never fork do not pay for
-``multiprocessing``.
+Imported only by :func:`repro.par.comm.run_ranks`: workloads that never
+fork do not pay for ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import numpy as np
 from repro.errors import CommTimeoutError, CommunicationError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.par.comm import _POISON, _group_timeout
+from repro.par.comm import _POISON, _REVOKED, _group_timeout
 
 #: Slots per directed rank pair.  ``run_step`` keeps at most a level's
 #: links in flight between two ranks; a fuller ring falls back to the pipe.
@@ -67,12 +67,15 @@ _ALIGN = 64
 
 #: ``kind, tag, body length`` in front of every record on a pipe.
 _HEADER = struct.Struct("<BqI")
-_OBJECT, _SLOT, _POISONED, _DONE, _REPORT = range(5)
+_OBJECT, _SLOT, _POISONED, _DONE, _REPORT, _REVOKE = range(6)
 
 #: Most bytes taken from a pipe per read (the default pipe capacity).
 _CHUNK = 1 << 16
 
 _SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+#: How long a child that reported gets to exit by itself [s].
+_EXIT_S = 1.0
 
 #: How long a rank with a CPU to itself polls its pipes before it sleeps
 #: in ``select`` [s]: about what being put to sleep and woken again costs
@@ -96,9 +99,6 @@ class _Outbox:
         self._free = world.free_slots[pair]
         self._ring = world.ring_at[pair]
         self._head = 0
-        # Records of one pipe must not interleave and slots are handed
-        # out in record order, whichever thread of this rank sends.
-        self._lock = threading.Lock()
 
     def put(self, item) -> None:
         _src, tag, payload = item
@@ -111,26 +111,21 @@ class _Outbox:
             and payload.dtype.kind in "biufc"
             and self._free.acquire(False)
         ):
-            with self._lock:
-                slot = self._head % N_SLOTS
-                self._head += 1
-                at = self._ring + slot * world.slot_bytes
-                np.copyto(
-                    np.ndarray(payload.shape, payload.dtype, world.slots, at),
-                    payload,
-                )
-                meta = (slot, payload.dtype.str, payload.shape)
-                self._write(_SLOT, tag, pickle.dumps(meta))
+            slot = self._head % N_SLOTS
+            self._head += 1
+            at = self._ring + slot * world.slot_bytes
+            np.copyto(
+                np.ndarray(payload.shape, payload.dtype, world.slots, at),
+                payload,
+            )
+            meta = (slot, payload.dtype.str, payload.shape)
+            self.write(_SLOT, tag, pickle.dumps(meta))
         else:
             self.write(
                 _OBJECT, tag, pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
             )
 
     def write(self, kind: int, tag: int = 0, body: bytes = b"") -> None:
-        with self._lock:
-            self._write(kind, tag, body)
-
-    def _write(self, kind: int, tag: int, body: bytes) -> None:
         data = memoryview(_HEADER.pack(kind, tag, len(body)) + body)
         while data:
             try:
@@ -141,9 +136,9 @@ class _Outbox:
                 # a pipe holds would wait on each other forever.
                 self._world.inbox.pump(None, self._fd)
             except BrokenPipeError:
-                # The peer has exited.  As on threads, a message to a rank
-                # that is gone is never read; if it died, this rank learns
-                # so from its own inbox.
+                # The peer has exited: a message to a rank that is gone is
+                # never read; if it died, this rank learns so from its own
+                # inbox.
                 return
 
 
@@ -164,7 +159,6 @@ class _Inbox:
         self._finished: set[int] = set()
         #: Records and end-of-files taken so far (progress, for ``pump``).
         self._events = 0
-        self._lock = threading.Lock()
 
     def put(self, item) -> None:
         """Self-sends and re-delivered sentinels."""
@@ -211,30 +205,29 @@ class _Inbox:
     def _drain(self, fds) -> bool:
         """One non-blocking read per pipe; did anything happen (a record
         of any kind, an end-of-file)?"""
-        with self._lock:
-            before = self._events
-            for fd in list(fds):
-                src = self._fds.get(fd)
-                if src is None:
-                    continue
-                try:
-                    chunk = os.read(fd, _CHUNK)
-                except BlockingIOError:
-                    continue
-                if not chunk:
-                    self._events += 1
-                    del self._fds[fd]
-                    self._world.close_fd(fd)
-                    if src not in self._finished:
-                        self._world.lost(src)
-                    continue
-                held = self._partial[src]
-                if held:
-                    held += chunk
-                    del held[: self._parse(src, held)]
-                else:
-                    held += chunk[self._parse(src, chunk):]
-            return self._events > before
+        before = self._events
+        for fd in list(fds):
+            src = self._fds.get(fd)
+            if src is None:
+                continue
+            try:
+                chunk = os.read(fd, _CHUNK)
+            except BlockingIOError:
+                continue
+            if not chunk:
+                self._events += 1
+                del self._fds[fd]
+                self._world.close_fd(fd)
+                if src not in self._finished:
+                    self._world.lost(src)
+                continue
+            held = self._partial[src]
+            if held:
+                held += chunk
+                del held[: self._parse(src, held)]
+            else:
+                held += chunk[self._parse(src, chunk):]
+        return self._events > before
 
     def _parse(self, src: int, data) -> int:
         """Deliver every whole record of *data*; return the bytes used."""
@@ -260,6 +253,8 @@ class _Inbox:
             self._ready.append((src, tag, payload))
         elif kind == _OBJECT:
             self._ready.append((src, tag, pickle.loads(body)))
+        elif kind == _REVOKE:  # the sender is alive: not a goodbye
+            self._ready.append((src, 0, _REVOKED))
         else:
             self._finished.add(src)
             if kind == _POISONED:
@@ -275,10 +270,6 @@ class _ProcessWorld:
     mapping, the semaphores and the pipe ends; :meth:`bind` then makes
     the copy in each process that rank's own view.
     """
-
-    #: Not one address space: ``Communicator`` lets the transport make the
-    #: send copy and refuses revoke/agree.
-    in_process = False
 
     def __init__(self, size: int, slot_bytes: int, timeout: float) -> None:
         self._ctx = ctx = multiprocessing.get_context("fork")
@@ -332,7 +323,7 @@ class _ProcessWorld:
                 self.close_fd(writer)
         self.inbox = _Inbox(self)
         #: ``Communicator`` puts into ``mailboxes[dest]`` and gets from
-        #: ``mailboxes[rank]``, as it does on rank threads.
+        #: ``mailboxes[rank]``.
         self.mailboxes = [
             self.inbox if r == rank else _Outbox(self, r)
             for r in range(self.size)
@@ -370,6 +361,13 @@ class _ProcessWorld:
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         self.bind(0)
+
+    def revoke(self, rank: int) -> None:
+        """Revoke on behalf of *rank*: every other rank, the launcher
+        included, finds ``_REVOKED`` in its mailbox."""
+        for dest in range(self.size):
+            if dest != rank:
+                self.mailboxes[dest].write(_REVOKE)
 
     def fail(self, exc: BaseException) -> None:
         """Rank 0 raised: record it and wake every child."""
@@ -417,8 +415,14 @@ class _ProcessWorld:
                 registry.counter(name, help_, dict(labels)).inc(delta)
 
     def close(self) -> None:
-        """Reap every child, close every pipe end, drop the mapping."""
-        for proc in self.procs.values():
+        """Reap every child, close every pipe end, drop the mapping.
+
+        A child that reported is let exit by itself for at most
+        ``_EXIT_S``, so its exit path runs to the end (``scripts/reach.py``
+        writes what the rank reached there); any other child is killed."""
+        for rank, proc in self.procs.items():
+            if self.reports.get(rank) is not None:
+                proc.join(_EXIT_S)
             if proc.is_alive():
                 proc.kill()
             proc.join()
@@ -500,7 +504,7 @@ def run_rank_processes(n_ranks, fn, make_comm, timeout, slot_bytes):
       this returns.  The mapping is anonymous: there is no name under
       ``/dev/shm`` that a killed launcher could leave behind.
     """
-    if threading.active_count() != 1:
+    if n_ranks > 1 and threading.active_count() != 1:
         raise CommunicationError(
             "rank processes fork the caller, which must be this process's "
             "only live thread (a lock another thread holds at the fork is "

@@ -23,7 +23,7 @@ failure.  It provides:
   and rolls back (also behind ``repro.persist``'s resumable runs and
   the survivable runtime's breaker), and its one-call orchestrator;
 * :func:`survivable_run_distributed` — the one distributed recovery
-  path: ULFM-style revoke/agree, epoch retry on a lost message,
+  path: ULFM-style revoke, epoch retry on a lost message,
   diskless neighbor checkpoints, shrinking recovery or spare-rank
   respawn, a single-process circuit breaker, and MAD-based straggler
   hedging (:mod:`repro.resilience.survive`);

@@ -2,8 +2,8 @@
 
 A :class:`FaultPlan` is an ordered list of :class:`FaultSpec` entries that
 deterministically injects failures into the two substrates the
-reproduction simulates — the in-process MPI transport
-(:mod:`repro.par.comm`) and the event-driven hardware model
+reproduction simulates — the simulated-MPI transport between rank
+processes (:mod:`repro.par.comm`) and the event-driven hardware model
 (:mod:`repro.hw.streams`) — plus NaN/Inf corruption of the numerical
 state.  Determinism is the point: a chaos scenario is fully described by
 ``FaultPlan.random(seed)`` or a JSON file, so every hang, blow-up, or
@@ -61,14 +61,16 @@ File format (JSON)::
 Unknown keys are rejected; one-shot faults (everything except
 ``straggler``) fire at most once per plan, *including across retries* —
 a retry after a crash or drop therefore succeeds, which is exactly the
-transient-fault behaviour the recovery engine is built for.
+transient-fault behaviour the recovery engine is built for.  A forked
+rank that consumes a fault consumes it for the whole run: the marks live
+in memory the plan shares with every process forked after it was made.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
+import mmap
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable
 
@@ -84,8 +86,8 @@ COMM_KINDS = ("rank_crash", "msg_drop", "msg_delay", "straggler")
 
 #: The kinds each forecast path injects, in the order a seeded plan draws
 #: them: the single-process guarded run
-#: (:class:`~repro.resilience.recovery.RecoveryEngine`) and the rank
-#: threads (:func:`~repro.resilience.survive.survivable_run_distributed`).
+#: (:class:`~repro.resilience.recovery.RecoveryEngine`) and the ranks
+#: (:func:`~repro.resilience.survive.survivable_run_distributed`).
 #: A plan for a path holds no other kind: nothing would inject it.
 INJECTED_KINDS = {
     "process": ("nan", "straggler", "bitflip"),
@@ -184,8 +186,11 @@ class FaultPlan:
     """An ordered set of faults plus one-shot consumption bookkeeping.
 
     The plan object is shared by every injector (all ranks' transports,
-    the recovery engine, the simulated clock), so consumption state must
-    be thread-safe: rank threads consult it concurrently.
+    the recovery engine, the simulated clock).  Its marks — two bytes per
+    fault, consumed and triggered — are one anonymous shared mapping, so
+    what a forked rank consumes stays consumed for the launcher and every
+    later incarnation.  Each transport fault names one rank, so each of
+    its bytes has one writer and no lock is needed.
     """
 
     def __init__(
@@ -193,9 +198,7 @@ class FaultPlan:
     ) -> None:
         self.faults: list[FaultSpec] = list(faults)
         self.seed = seed
-        self._lock = threading.Lock()
-        self._consumed: set[int] = set()
-        self._triggered: set[int] = set()
+        self._marks = mmap.mmap(-1, max(2 * len(self.faults), 1))
 
     # -- construction ---------------------------------------------------
 
@@ -306,11 +309,13 @@ class FaultPlan:
 
     # -- matching / consumption -----------------------------------------
 
+    def _consumed(self, idx: int) -> bool:
+        return bool(self._marks[2 * idx])
+
     def _mark(self, idx: int, consume: bool) -> None:
-        with self._lock:
-            self._triggered.add(idx)
-            if consume:
-                self._consumed.add(idx)
+        self._marks[2 * idx + 1] = 1
+        if consume:
+            self._marks[2 * idx] = 1
 
     def comm_action(
         self, rank: int, op: int, phase: str | None = None
@@ -323,14 +328,11 @@ class FaultPlan:
         phase-targeted faults fire on the first send inside their phase
         at or after their *op* (default: immediately).
         """
-        with self._lock:
-            candidates = [
-                (i, f)
-                for i, f in enumerate(self.faults)
-                if f.kind in COMM_KINDS
-                and f.rank == rank
-                and i not in self._consumed
-            ]
+        candidates = [
+            (i, f)
+            for i, f in enumerate(self.faults)
+            if f.kind in COMM_KINDS and f.rank == rank and not self._consumed(i)
+        ]
         for i, f in candidates:
             if f.kind == "straggler":
                 if f.op is not None and op >= f.op:
@@ -353,31 +355,26 @@ class FaultPlan:
         step's checkpoint — so recovery genuinely resumes from an
         *earlier* epoch.  Consumed on return, like every one-shot fault.
         """
-        with self._lock:
-            for i, f in enumerate(self.faults):
-                if (
-                    f.kind == "rank_crash"
-                    and f.rank == rank
-                    and f.step == step
-                    and f.op is None
-                    and f.phase is None
-                    and i not in self._consumed
-                ):
-                    self._triggered.add(i)
-                    self._consumed.add(i)
-                    return f
+        for i, f in enumerate(self.faults):
+            if (
+                f.kind == "rank_crash"
+                and f.rank == rank
+                and f.step == step
+                and f.op is None
+                and f.phase is None
+                and not self._consumed(i)
+            ):
+                self._mark(i, consume=True)
+                return f
         return None
 
     def state_faults_at(self, step: int) -> list[FaultSpec]:
         """Unconsumed NaN-corruption faults scheduled for *step*."""
-        with self._lock:
-            hits = [
-                (i, f)
-                for i, f in enumerate(self.faults)
-                if f.kind == "nan"
-                and f.step == step
-                and i not in self._consumed
-            ]
+        hits = [
+            (i, f)
+            for i, f in enumerate(self.faults)
+            if f.kind == "nan" and f.step == step and not self._consumed(i)
+        ]
         for i, _f in hits:
             self._mark(i, consume=True)
         return [f for _i, f in hits]
@@ -389,15 +386,14 @@ class FaultPlan:
         after a quarantine-rollback the rerun of the same step is clean,
         which is the transient-SDC model ECC scrubbing assumes.
         """
-        with self._lock:
-            hits = [
-                (i, f)
-                for i, f in enumerate(self.faults)
-                if f.kind == "bitflip"
-                and (f.target or "state") == target
-                and f.step == step
-                and i not in self._consumed
-            ]
+        hits = [
+            (i, f)
+            for i, f in enumerate(self.faults)
+            if f.kind == "bitflip"
+            and (f.target or "state") == target
+            and f.step == step
+            and not self._consumed(i)
+        ]
         for i, _f in hits:
             self._mark(i, consume=True)
         return [f for _i, f in hits]
@@ -419,8 +415,7 @@ class FaultPlan:
     @property
     def triggered(self) -> list[FaultSpec]:
         """Faults that actually fired, in plan order."""
-        with self._lock:
-            return [self.faults[i] for i in sorted(self._triggered)]
+        return [f for i, f in enumerate(self.faults) if self._marks[2 * i + 1]]
 
     def triggered_labels(self) -> list[str]:
         return [f.label() for f in self.triggered]

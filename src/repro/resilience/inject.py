@@ -6,7 +6,9 @@ Two injection surfaces mirror the two simulated substrates:
   applies a :class:`~repro.resilience.faultplan.FaultPlan`'s
   communication faults to the send path (crash, drop, delay,
   straggler stall).  It is spliced in via ``run_ranks(comm_wrap=...)``
-  by :func:`repro.resilience.survive.survivable_run_distributed`.
+  by :func:`repro.resilience.survive.survivable_run_distributed`, so
+  each rank process makes its own in each incarnation; what it consumes
+  of the plan is marked in memory the plan shares across the fork.
 * :func:`corrupt_state` writes NaN/Inf into a block's prognostic fields,
   simulating a silent kernel corruption the health monitor must catch.
 

@@ -69,8 +69,8 @@ INTEGRITY_NAME = _KIND.artifact
 CLEAN, CORRECTED, CORRUPTED = INTEGRITY_VERDICTS = _KIND.levels
 
 #: Detection surfaces of the ``integrity.json`` schema, each listed in
-#: ``detections`` even at 0.  No check runs on halo payloads (a
-#: rank-thread message is a copy in one address space).
+#: ``detections`` even at 0.  No check runs on halo payloads (the
+#: transport copies a message between rank processes itself).
 SURFACES = ("state", "checkpoint")
 
 #: Buckets for the detection-latency histogram [steps between the

@@ -5,19 +5,21 @@ tsunami forecast must finish in ~82 s, so losing one rank late in the
 run must not mean restarting from t=0.  This module is the distributed
 runtime's one recovery path, ULFM-style and in flight:
 
-1. **Revoke -> agree** — when a rank dies (or a message is lost), the
-   first survivor to notice revokes the communicator
-   (:meth:`~repro.par.comm.Communicator.revoke`); every blocked
-   operation on every rank fails fast, and the survivors run an
-   agreement round (:meth:`~repro.par.comm.Communicator.agree_failures`)
-   to reach one consistent view of the dead-rank set.
+1. **Detect -> revoke -> the launcher's failure list** — ranks are
+   processes (:func:`~repro.par.comm.run_ranks`).  When a rank dies (or
+   a message is lost), every survivor that notices revokes the
+   communicator (:meth:`~repro.par.comm.Communicator.revoke`), so every
+   blocked operation on every rank fails fast; each survivor then
+   returns what it holds.  The ranks that raised are the launcher's
+   failure list, which is the one agreed dead-rank set: there is no
+   agreement round.
 2. **Diskless neighbor checkpoints** — every ``checkpoint_every`` steps
    each rank snapshots its blocks in memory and replicates the snapshot
    to its ring buddy (rank ``(r+1) % n``); each rank holds its own
    checkpoints and the replicas it receives in one
    :class:`~repro.resilience.checkpoint.CheckpointRing` of
-   :data:`EPOCHS_HELD` epochs.  A replica is a copy, never the sender's
-   own arrays, so any single rank's state exists on two ranks, one
+   :data:`EPOCHS_HELD` epochs.  A replica crosses a process boundary, so
+   it is a copy: any single rank's state exists on two ranks, one
    flipped bit spoils one copy only, and recovery restores the lost or
    corrupt subdomain from a peer's memory instead of disk.
 3. **Shrink or respawn** — the orchestrator either relaunches at the
@@ -79,11 +81,12 @@ from repro.artifacts import publishing
 from repro.core.config import SimulationConfig
 from repro.core.model import RTiModel
 from repro.core.pipeline import build_step_plan
+from repro.core.scratch import disband_team
 from repro.errors import CFLError, CommunicationError, ConfigurationError
 from repro.obs.log import RunEvents, ServiceEvent, counted, traced_gauge
 from repro.par.comm import run_ranks
 from repro.par.decomposition import Decomposition
-from repro.par.driver import _RankRuntime
+from repro.par.driver import _RankRuntime, _slot_bytes
 from repro.persist.signals import interrupt_guard
 from repro.resilience.checkpoint import Checkpoint, CheckpointRing
 from repro.resilience.clock import SimulatedClock
@@ -149,19 +152,6 @@ class SurvivalConfig:
 # -- diskless neighbor checkpoints --------------------------------------
 
 
-def _detached(ckpt: Checkpoint) -> Checkpoint:
-    """*ckpt* with copies of its arrays, to send to a buddy.
-
-    The transport copies an ndarray payload, not the arrays inside an
-    object: on rank threads the replica would otherwise be the sender's
-    own checkpoint, and one flipped bit would spoil both copies.
-    """
-    return replace(ckpt, states={
-        bid: (*(a.copy() for a in bufs[:-1]), bufs[-1])
-        for bid, bufs in ckpt.states.items()
-    })
-
-
 def _assemble_recovery(grid, rings: list[CheckpointRing]) -> Checkpoint | None:
     """Latest checkpoint step whose copies cover every block of the grid.
 
@@ -198,7 +188,6 @@ class _RankOutcome:
 
     eta: dict[int, np.ndarray] | None  # None: the rank did not finish
     at_step: int
-    dead: tuple[int, ...]
     ring: CheckpointRing
     #: Hedge decisions (the same on every rank): the journal's owner emits.
     events: list[ServiceEvent] = field(default_factory=list)
@@ -233,15 +222,6 @@ def _set_phase(comm, phase: str | None) -> None:
     setter = getattr(comm, "set_phase", None)
     if setter is not None:
         setter(phase)
-
-
-def _agree(comm) -> tuple[int, ...]:
-    try:
-        return comm.agree_failures()
-    except CommunicationError:
-        # A peer exited without voting (e.g. finished before the
-        # revocation landed); fall back to the world's dead set.
-        return tuple(sorted(comm._world.dead))
 
 
 class _HedgeController:
@@ -412,7 +392,7 @@ class _SurvivableLoop:
             prv = (self.comm.rank - 1) % self.comm.size
             _set_phase(self.comm, "ckpt")
             try:
-                self.comm.send(_detached(ckpt), dest=nxt, tag=tag)
+                self.comm.send(ckpt, dest=nxt, tag=tag)
                 self.ring.hold(self.comm.recv(source=prv, tag=tag))
             finally:
                 _set_phase(self.comm, None)
@@ -519,7 +499,7 @@ def survivable_run_distributed(
 
     Runs the Fig.-2 pipeline on ``decomp.n_ranks`` simulated MPI ranks
     with diskless neighbor checkpointing; on a rank failure the
-    survivors revoke + agree, and the run is relaunched — shrunk onto
+    survivors revoke, and the run is relaunched — shrunk onto
     the survivors or respawned from the spare pool per
     :class:`SurvivalConfig` — from the latest consistent checkpoint
     epoch.  Returns ``(eta_by_block, SurvivalReport)``.
@@ -624,24 +604,26 @@ def _incarnations(
                 ):
                     raise  # we are the dead rank
                 comm.revoke()
-            # Survivors agree on the dead set; a rank that finished votes
-            # too, so an agreement round converges whoever finished first.
             return _RankOutcome(
                 eta=rt.eta() if loop.step_reached == n_steps else None,
                 at_step=loop.step_reached,
-                dead=_agree(comm),
                 ring=loop.ring,
                 events=loop.hedge.events if loop.hedge is not None else [],
             )
 
-        results, errors = run_ranks(
-            current.n_ranks,
-            rank_main,
-            timeout=timeout,
-            comm_timeout=comm_timeout,
-            comm_wrap=comm_wrap,
-            return_errors=True,
-        )
+        try:
+            results, errors = run_ranks(
+                current.n_ranks,
+                rank_main,
+                timeout=timeout,
+                comm_timeout=comm_timeout,
+                comm_wrap=comm_wrap,
+                return_errors=True,
+                slot_bytes=_slot_bytes(plan, this_owner, config),
+            )
+        finally:
+            disband_team()
+
         # A dt no relaunch can make stable is not a rank failure.
         for _rank, exc in errors:
             if isinstance(exc, CFLError):
@@ -650,15 +632,10 @@ def _incarnations(
         for ev in outcomes[0].events if outcomes else ():
             report.events.emit(ev)
 
-        dead = tuple(
-            sorted(
-                {r for o in outcomes for r in o.dead}
-                | {r for r, _ in errors}
-            )
-        )
+        # The ranks that raised: the one agreed dead set.
+        dead = tuple(sorted({r for r, _ in errors}))
         if (
             not dead
-            and not errors
             and len(outcomes) == current.n_ranks
             and all(o.eta is not None for o in outcomes)
         ):

@@ -662,8 +662,9 @@ class ForecastService:
         ticket.started_s = now
         ticket.attempts += 1
         # Bind the request's trace context around the backend run: the
-        # "request" span becomes the root of the request's tree, and any
-        # rank threads the backend spawns inherit it via run_ranks.
+        # "request" span becomes the root of the request's tree.  No
+        # backend runs ranks here: a multi-rank run forks, and a worker
+        # thread is refused that (DESIGN.md section 9e).
         tracer = get_tracer()
         with contextlib.ExitStack() as stack:
             if tracer.enabled:

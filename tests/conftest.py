@@ -5,7 +5,6 @@ import threading
 import pytest
 
 from repro.core import scratch
-from repro.par import driver
 from tests import executors, rank_worlds
 
 
@@ -27,21 +26,9 @@ def numpy_executor():
 
 
 @pytest.fixture
-def rank_threads(monkeypatch):
-    """Keep ``run_distributed`` on rank threads, through the selector it
-    hands ``run_ranks`` (``slot_bytes=None``).
-
-    For tests that observe *every* rank through in-process monkeypatches
-    or shared lists: a forked rank would run the patched code but keep
-    its calls to itself, and the assertion would silently narrow to rank
-    0 (the launcher).
-    """
-    monkeypatch.setattr(driver, "_slot_bytes", lambda *_args: None)
-
-
-@pytest.fixture
 def rank_processes():
-    """The test's multi-rank ``run_distributed`` calls must have forked."""
+    """The test's multi-rank ``run_distributed`` calls fork from a caller
+    with no other thread and leave nothing behind."""
     with rank_worlds.forked_ranks() as seen:
         yield seen
 

@@ -64,7 +64,7 @@ def placed(placement: str, m: RTiModel, tmp: Path) -> Checkpoint:
     if placement == "disk":
         return read_snapshot(write_snapshot(m, tmp / "snap"))
     # A rank's epoch checkpoint as the survivable runtime takes it, shipped
-    # to its buddy through the thread world.
+    # to its buddy, a forked rank.
     ckpt = Checkpoint.capture(
         m.states, step=m.step_count, time=m.step_count * m.config.dt,
         dt=m.config.dt, digest=True,

@@ -178,7 +178,7 @@ class TestFaultPlanInputs:
     HALO_FLIP = ('{"faults": [{"kind": "bitflip", "target": "halo", '
                  '"rank": 0, "op": 0, "bit": 3}]}')
     # Kinds the chosen path never injects: a crash in one process, a NaN
-    # on rank threads.
+    # with --ranks.
     RANK_CRASH = '{"faults": [{"kind": "rank_crash", "rank": 0, "step": 3}]}'
     NAN = '{"faults": [{"kind": "nan", "step": 3, "block": 0}]}'
 

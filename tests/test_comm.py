@@ -1,10 +1,9 @@
-"""Tests for the simulated MPI (repro.par.comm) on both of its transports.
+"""Tests for the simulated MPI (repro.par.comm) between rank processes.
 
-Every class whose cases do not need one address space runs twice: as
-written on rank threads, and through its ``...OnProcesses`` subclass on
-forked rank processes (``slot_bytes=256``: some payloads below fit a
-shared-memory slot, some do not).  ``TestRankProcesses`` holds what only
-the process world has to prove.
+Every class of transport cases runs twice: as written with the default
+shared-memory slots, and through its ``...OnProcesses`` subclass with
+256-byte slots, so that more of the payloads below take the pipe.
+``TestRankProcesses`` holds what forking must not lose or leave behind.
 """
 
 import operator
@@ -26,26 +25,25 @@ from repro.obs.metrics import get_registry
 from repro.par.comm import ANY_SOURCE, Communicator, run_ranks
 from tests.rank_worlds import assert_nothing_left_behind, wait_for_one_thread
 
-THREADS = {}
-PROCESSES = {"slot_bytes": 256}
+DEFAULT_SLOTS = {}
+SMALL_SLOTS = {"slot_bytes": 256}
 
 
-class _BothWorlds:
-    """``self.run`` is ``run_ranks`` in the world the class names."""
+class _WithSlots:
+    """``self.run`` is ``run_ranks`` with the slots the class names, and
+    nothing may be left behind."""
 
-    world = THREADS
+    world = DEFAULT_SLOTS
 
     def run(self, n_ranks, fn, **kwargs):
-        if self.world is PROCESSES:
-            wait_for_one_thread()
+        wait_for_one_thread()
         try:
             return run_ranks(n_ranks, fn, **self.world, **kwargs)
         finally:
-            if self.world is PROCESSES:
-                assert_nothing_left_behind()
+            assert_nothing_left_behind()
 
 
-class TestPointToPoint(_BothWorlds):
+class TestPointToPoint(_WithSlots):
     def test_send_recv_object(self):
         def fn(comm):
             if comm.rank == 0:
@@ -156,10 +154,10 @@ class TestPointToPoint(_BothWorlds):
 
 
 class TestPointToPointOnProcesses(TestPointToPoint):
-    world = PROCESSES
+    world = SMALL_SLOTS
 
 
-class TestCollectives(_BothWorlds):
+class TestCollectives(_WithSlots):
     def test_allreduce_sum(self):
         results = self.run(4, lambda c: c.allreduce(c.rank + 1))
         assert results == [10, 10, 10, 10]
@@ -198,10 +196,10 @@ class TestCollectives(_BothWorlds):
 
 
 class TestCollectivesOnProcesses(TestCollectives):
-    world = PROCESSES
+    world = SMALL_SLOTS
 
 
-class TestErrorPropagation(_BothWorlds):
+class TestErrorPropagation(_WithSlots):
     def test_worker_exception_reraised(self):
         def fn(comm):
             if comm.rank == 1:
@@ -265,10 +263,10 @@ class TestErrorPropagation(_BothWorlds):
 
 
 class TestErrorPropagationOnProcesses(TestErrorPropagation):
-    world = PROCESSES
+    world = SMALL_SLOTS
 
 
-class TestTimeoutContext(_BothWorlds):
+class TestTimeoutContext(_WithSlots):
     """Timeout errors must say *what* was pending, not just that time ran out."""
 
     def test_recv_timeout_carries_endpoints(self):
@@ -304,8 +302,7 @@ class TestTimeoutContext(_BothWorlds):
 
         def fn(comm):
             if comm.rank in stuck:
-                # Long after the group's deadline, but not forever: a rank
-                # thread outlives the run that gave up on it.
+                # Long after the group's deadline, but not forever.
                 comm.recv(source=ANY_SOURCE, tag=1, timeout=2.0)
 
         t0 = time.monotonic()
@@ -330,11 +327,12 @@ class TestTimeoutContext(_BothWorlds):
 
 
 class TestTimeoutContextOnProcesses(TestTimeoutContext):
-    world = PROCESSES
+    world = SMALL_SLOTS
 
 
-class TestRevokeAndAgree:
-    """ULFM-style revocation + agreement on the dead-rank set."""
+class TestRevokeAndAgree(_WithSlots):
+    """ULFM-style revocation.  There is no agreement round: the ranks
+    that raised, as the launcher lists them, are the agreed dead set."""
 
     def test_revoke_releases_blocked_receiver(self):
         def fn(comm):
@@ -346,43 +344,35 @@ class TestRevokeAndAgree:
             except CommunicatorRevokedError:
                 return "released"
 
-        results = run_ranks(2, fn, timeout=10.0)
+        results = self.run(2, fn, timeout=10.0)
         assert results == ["revoker", "released"]
 
-    def test_agree_converges_on_dead_set(self):
+    def test_a_child_that_revokes_wakes_the_launcher_and_its_siblings(self):
+        """Rank 0 and rank 1 wait on rank 2, which revokes instead of
+        sending: both are woken at once, not by their 30 s timeouts."""
+
         def fn(comm):
             if comm.rank == 2:
-                raise ValueError("dead rank")
-            try:
-                comm.recv(source=2, timeout=5.0)
-            except CommunicationError:
+                time.sleep(0.2)  # the others are blocked by now
                 comm.revoke()
-                return comm.agree_failures(timeout=5.0)
-
-        results, errors = run_ranks(3, fn, timeout=20.0, return_errors=True)
-        assert [r for r, _e in errors] == [2]
-        assert results[0] == (2,)
-        assert results[1] == (2,)
-
-    def test_agree_with_no_failures_returns_empty(self):
-        results = run_ranks(
-            2, lambda c: c.agree_failures(timeout=5.0), timeout=10.0
-        )
-        assert results == [(), ()]
-
-    @pytest.mark.parametrize("op", ["revoke", "agree_failures"])
-    def test_rank_processes_refuse_rather_than_fake_it(self, op):
-        def fn(comm):
+                return os.getppid()
             try:
-                getattr(comm, op)()
-            except CommunicationError as exc:
+                comm.recv(source=2, timeout=30.0)
+            except CommunicatorRevokedError as exc:
+                # A revoked rank stays revoked: the next receive says so too.
+                with pytest.raises(CommunicatorRevokedError):
+                    comm.recv(source=ANY_SOURCE, tag=3, timeout=30.0)
                 return str(exc)
 
-        for said in run_ranks(2, fn, **PROCESSES):
-            assert op in said and "rank-thread world" in said
+        t0 = time.monotonic()
+        woken = self.run(3, fn, timeout=60.0)
+        assert time.monotonic() - t0 < 10.0
+        assert woken[2] == os.getpid()  # the revoker is the caller's child
+        for rank in (0, 1):
+            assert f"rank {rank}: communicator revoked by rank 2" in woken[rank]
 
 
-class TestHaloPipelineOverSimulatedMPI(_BothWorlds):
+class TestHaloPipelineOverSimulatedMPI(_WithSlots):
     """The pack -> send -> recv -> unpack pipeline of the real code."""
 
     def test_boundary_exchange_roundtrip(self):
@@ -420,13 +410,13 @@ class TestHaloPipelineOverSimulatedMPI(_BothWorlds):
 
 
 class TestHaloPipelineOnProcesses(TestHaloPipelineOverSimulatedMPI):
-    world = PROCESSES
+    world = SMALL_SLOTS
 
 
-class TestRankProcesses(_BothWorlds):
+class TestRankProcesses(_WithSlots):
     """What forking the ranks must not lose, and must not leave behind."""
 
-    world = PROCESSES
+    world = SMALL_SLOTS
 
     def test_rank_zero_is_the_caller_and_the_others_are_its_children(self):
         pids = self.run(3, lambda comm: (os.getpid(), os.getppid()))
@@ -580,7 +570,9 @@ class TestRankProcesses(_BothWorlds):
         other.start()
         try:
             with pytest.raises(CommunicationError, match="only live thread"):
-                run_ranks(2, lambda c: None, **PROCESSES)
+                run_ranks(2, lambda c: None)
+            # One rank forks nothing, so it runs beside the thread.
+            assert run_ranks(1, lambda c: c.rank) == [0]
         finally:
             release.set()
             other.join(30.0)

@@ -3,13 +3,11 @@
 The acceptance criterion is the paper's own: the communication
 reorganization must not change the physics.  Every configuration below
 must be *bitwise* identical to the single-process RTiModel — on forked
-rank processes (``@forked``: the ``rank_processes`` fixture fails a
-multi-rank run that stayed on threads); ``TestWorldSelection`` covers when it must not
-fork, ``tests/test_resilience.py`` and ``tests/test_survive.py`` the
-bitwise runs on rank threads.
+rank processes (``@forked``: the ``rank_processes`` fixture fails a run
+that leaves a child behind); ``TestWorldSelection`` covers how the ranks
+are launched and when a run is refused, ``tests/test_survive.py`` the
+bitwise survivable runs.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -208,8 +206,9 @@ def _two_blocks():
 
 
 class TestWorldSelection:
-    """``run_distributed`` forks when nothing it can observe forbids it —
-    and only then.  There is no flag to get this wrong with."""
+    """``run_distributed`` and the survivable runtime always fork, with
+    slots sized from the run's largest message — or refuse.  There is no
+    flag to get this wrong with."""
 
     def sizes(self):
         grid, bathy, cfg, decomp, src = _two_blocks()
@@ -227,39 +226,49 @@ class TestWorldSelection:
         # columns of float64.
         assert self.sizes() == [(2, (48 + 1 + 4) * 2 * 8)]
 
-    def test_an_injected_fault_plan_keeps_the_ranks_in_one_address_space(self):
-        """Faults are injected by the survivable runtime, on rank threads."""
+    def test_an_injected_fault_plan_forks_too(self):
+        """Faults are injected by the survivable runtime, on the same
+        rank processes with the same slots as a plain run."""
         from repro.resilience import FaultPlan, survive
 
         grid, bathy, cfg, decomp, src = _two_blocks()
-        seen = []
-        real = survive.run_ranks
-
-        def spy(n_ranks, *args, **kwargs):
-            seen.append((n_ranks, kwargs.get("slot_bytes")))
-            return real(n_ranks, *args, **kwargs)
-
-        with mock.patch.object(survive, "run_ranks", spy):
+        wait_for_one_thread()
+        with slot_sizes(survive) as seen:
             got, _report = survive.survivable_run_distributed(
                 grid, bathy, cfg, decomp, src, 4,
                 fault_plan=FaultPlan([]), comm_timeout=5.0,
             )
         assert_identical(reference_run(grid, bathy, cfg, src, 4), got)
-        assert seen == [(2, None)]
+        assert seen == [(2, (48 + 1 + 4) * 2 * 8)]
+        assert_nothing_left_behind()
 
     def test_a_caller_that_is_not_the_only_thread_does_not_fork(self):
+        """It is refused: a lock another thread holds at the fork is never
+        released in the child, and there is no second world to fall back
+        on."""
         import threading
 
-        seen = []
-        worker = threading.Thread(target=lambda: seen.extend(self.sizes()))
+        from repro.errors import CommunicationError
+
+        refused = []
+
+        def run():
+            try:
+                self.sizes()
+            except CommunicationError as exc:
+                refused.append(str(exc))
+
+        worker = threading.Thread(target=run)
         worker.start()
         worker.join(60.0)
         assert not worker.is_alive()
-        assert seen == [(2, None)]
+        assert len(refused) == 1 and "only live thread" in refused[0]
 
     def test_slots_hold_the_largest_nesting_message_too(self, monkeypatch):
         """On mini-Kochi the largest message is a JNZ or JNQ buffer, not a
         seam: every array that crosses ranks must fit the slot."""
+        from repro.obs.metrics import get_registry
+
         mk = build_mini_kochi()
         cfg = SimulationConfig(dt=mk.dt)
         decomp = equal_cell_assignment(mk.grid, 5, split_blocks=False)
@@ -267,35 +276,47 @@ class TestWorldSelection:
                              sigma=2_500.0)
         plan = driver.build_step_plan(mk.grid, cfg)
         slot = driver._slot_bytes(plan, decomp.owner_map(), cfg)
-        sent = []
+        name = "test_slots_sent_arrays_total"
+
+        def sizes_sent():
+            return {
+                int(dict(labels)["nbytes"])
+                for (n, labels), c in get_registry().counters().items()
+                if n == name and c.value
+            }
 
         class Recording:
-            """Every rank's sends — so on rank threads, in one list."""
+            """Every rank's array sizes, as labels of a counter: a forked
+            rank's counters come home to the launcher."""
 
             def __init__(self, comm):
                 self.comm, self.rank = comm, comm.rank
 
             def send(self, obj, dest, tag=0):
                 if isinstance(obj, np.ndarray):
-                    sent.append(obj.nbytes)
+                    get_registry().counter(
+                        name, labels={"nbytes": str(obj.nbytes)}
+                    ).inc()
                 self.comm.send(obj, dest, tag)
 
             def recv(self, *args, **kwargs):
                 return self.comm.recv(*args, **kwargs)
 
-        def on_threads(n_ranks, fn, **kwargs):
-            kwargs.update(slot_bytes=None, comm_wrap=Recording)
-            return run_ranks(n_ranks, fn, **kwargs)
+        def recording(n_ranks, fn, **kwargs):
+            return run_ranks(n_ranks, fn, comm_wrap=Recording, **kwargs)
 
-        monkeypatch.setattr(driver, "run_ranks", on_threads)
+        before = sizes_sent()
+        monkeypatch.setattr(driver, "run_ranks", recording)
+        wait_for_one_thread()
         run_distributed(mk.grid, mk.bathymetry, cfg, decomp, src, 2)
+        sent = sizes_sent() - before
         assert sent and max(sent) <= slot
         assert slot < 4 * max(sent)  # a bound, not a guess
 
 
 class _SignalsTheLauncher:
-    """A flat sea bed that SIGTERMs the launcher when sampled in it: on
-    rank threads, as soon as the first rank allocates its block state."""
+    """A flat sea bed that SIGTERMs the launcher when sampled in it: as
+    soon as rank 0 allocates its block state."""
 
     def __init__(self, launcher_pid):
         self.launcher_pid = launcher_pid
@@ -311,7 +332,7 @@ class _SignalsTheLauncher:
 
 def test_a_signalled_run_is_journaled_once_and_leaves_nothing(tmp_path):
     """The survivable runtime owns a multi-rank run's guard: a SIGTERM is
-    journaled once and revokes the ranks, which end within seconds, long
+    journaled once and the launcher reaps its forked ranks at once, long
     before their 10,000 steps or their comm timeout."""
     import os
     import signal

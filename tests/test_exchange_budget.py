@@ -2,14 +2,13 @@
 
 The seam, JNZ and JNQ geometry is built on a grid's first step and looked
 up after: from step 2 on, the functions that derive it run zero times, in
-the single-process model and on rank threads alike.  The tables are LRU
+the single-process model and on every rank alike.  The tables are LRU
 caches of one fixed size, so a process that builds grid after grid evicts
 instead of growing.  On the compiled nest a warm step goes further: each
 ghost fill, seam field, JNQ link and JNZ link is one foreign call and no
 NumPy at all.
 """
 
-import threading
 from collections import Counter
 
 import numpy as np
@@ -21,6 +20,7 @@ from repro.grid.block import Block
 from repro.grid.hierarchy import NestedGrid
 from repro.grid.level import GridLevel
 from repro.nesting import interp, restrict
+from repro.obs.metrics import get_registry
 from repro.par.decomposition import equal_cell_assignment
 from repro.par.driver import run_distributed
 from repro.topo import build_mini_kochi
@@ -50,15 +50,39 @@ def clear_tables():
         table.cache_clear()
 
 
+class _Calls:
+    """Calls into the geometry functions since :meth:`clear`, counted in the
+    metrics registry: a forked rank's counters come home to the launcher,
+    so a distributed run's counts are every rank's."""
+
+    NAME = "test_geometry_calls_total"
+
+    def __init__(self):
+        self.clear()
+
+    def _now(self) -> Counter:
+        return Counter({
+            dict(labels)["fn"]: c.value
+            for (name, labels), c in get_registry().counters().items()
+            if name == self.NAME
+        })
+
+    def clear(self) -> None:
+        self._base = self._now()
+
+    def counts(self) -> Counter:
+        return self._now() - self._base
+
+
 @pytest.fixture
 def geometry_calls(monkeypatch):
     """Cold tables, and a count of every call into the geometry builders."""
-    calls, lock = Counter(), threading.Lock()
 
     def counting(name, fn):
+        counter = get_registry().counter(_Calls.NAME, labels={"fn": name})
+
         def wrapper(*args, **kwargs):
-            with lock:
-                calls[name] += 1
+            counter.inc()
             return fn(*args, **kwargs)
 
         return wrapper
@@ -66,7 +90,7 @@ def geometry_calls(monkeypatch):
     for module, name in GEOMETRY:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     clear_tables()
-    yield calls
+    yield _Calls()
     clear_tables()
 
 
@@ -75,19 +99,16 @@ def test_model_derives_no_geometry_after_its_first_step(geometry_calls):
     model = RTiModel(mk.grid, mk.bathymetry, SimulationConfig(dt=mk.dt))
     model.set_initial_condition(SOURCE)
     model.step()
-    first = Counter(geometry_calls)
+    first = geometry_calls.counts()
     assert first["_vertical_specs"] + first["_horizontal_specs"] > 0
     assert first["_edge_geometry"] > 0 and first["restriction_region"] > 0
     for _ in range(7):
         model.step()
-    assert geometry_calls == first
+    assert geometry_calls.counts() == first
 
 
-def test_rank_threads_derive_no_geometry_after_their_first_step(
-    geometry_calls, rank_threads
-):
-    # On rank threads, so the counts are every rank's: forked ranks keep
-    # theirs (tests/test_comm.py checks what a forked rank does send home).
+@pytest.mark.usefixtures("rank_processes")
+def test_rank_threads_derive_no_geometry_after_their_first_step(geometry_calls):
     mk = build_mini_kochi()
     cfg = SimulationConfig(dt=mk.dt)
     decomp = equal_cell_assignment(mk.grid, 2, split_blocks=False)
@@ -96,7 +117,7 @@ def test_rank_threads_derive_no_geometry_after_their_first_step(
         clear_tables()
         geometry_calls.clear()
         run_distributed(mk.grid, mk.bathymetry, cfg, decomp, SOURCE, n_steps)
-        return Counter(geometry_calls)
+        return geometry_calls.counts()
 
     one = calls_of(1)
     assert one["_edge_geometry"] > 0 and one["restriction_region"] > 0

@@ -423,8 +423,12 @@ class TestQuarantineRollback:
 
 class TestNeighborChecksums:
     def _rings(self):
+        import pickle
+
         from repro.resilience import Checkpoint, CheckpointRing
-        from repro.resilience.survive import _detached
+
+        def shipped(ckpt):  # what the buddy receives: a pickled copy
+            return pickle.loads(pickle.dumps(ckpt))
 
         def rank_checkpoint(bid, base):
             bufs = tuple(np.full((4, 4), base + k) for k in range(6)) + (0,)
@@ -432,13 +436,12 @@ class TestNeighborChecksums:
 
         own, other = rank_checkpoint(0, 0.0), rank_checkpoint(1, 10.0)
         # Buddy layout: each ring holds its own entry, then the other's
-        # replica as the sender ships it — detached from the sender's
-        # arrays, since the transport copies no array inside an object.
+        # replica as the transport delivers it between rank processes.
         r0, r1 = CheckpointRing(), CheckpointRing()
         r0.hold(own)
-        r0.hold(_detached(other))
+        r0.hold(shipped(other))
         r1.hold(other)
-        r1.hold(_detached(own))
+        r1.hold(shipped(own))
         return r0, r1
 
     def _grid(self):

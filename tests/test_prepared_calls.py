@@ -3,8 +3,8 @@ lifetime and identity.
 
 A call on the compiled nest is validated and laid out once per set of array
 objects and then only launched.  What that must never change: a restore, a
-rollback or a rebinding mid-run, a halved ``dt``, loose inputs, two rank
-threads at once — every answer stays bitwise the answer without the cache —
+rollback or a rebinding mid-run, a halved ``dt``, loose inputs — every
+answer stays bitwise the answer without the cache —
 and the cache pins nothing: it dies with the arrays.  The exchange phases'
 calls (``loopnest.exchange``, DESIGN.md §9i) share the cache and its rules;
 each routine is counted apart.  Where the platform's executor is NumPy
@@ -12,7 +12,6 @@ each routine is counted apart.  Where the platform's executor is NumPy
 """
 
 import gc
-import sys
 import weakref
 
 import numpy as np
@@ -23,8 +22,6 @@ from repro.core.pipeline import build_step_plan
 from repro.fault import GaussianSource
 from repro.grid.block import Block
 from repro.grid.staggered import NGHOST
-from repro.par.decomposition import equal_cell_assignment
-from repro.par.driver import run_distributed
 from repro.resilience.checkpoint import CheckpointRing
 from repro.topo import build_mini_kochi
 
@@ -224,28 +221,6 @@ def test_loose_inputs_take_the_numpy_body_and_poison_nothing():
     assert since(before) == ((1, 1) if ON_NEST else (0, 0))
     with executors.on_numpy():
         assert mass.nlmass(z, m, n, hz, DT, DX, np.empty_like(z)).tobytes() == out.tobytes()
-
-
-def test_two_rank_threads_at_once_stay_bitwise_the_one_owner_run(rank_threads):
-    """The rank threads share the cache and prepare concurrently; each block
-    has one owner, so no two threads ever launch the same call."""
-    mk = build_mini_kochi()
-    cfg = SimulationConfig(dt=mk.dt)
-    want = RTiModel(mk.grid, mk.bathymetry, cfg)
-    want.set_initial_condition(SOURCE)
-    want.run(40)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        got = run_distributed(
-            mk.grid, mk.bathymetry, cfg, equal_cell_assignment(mk.grid, 2, split_blocks=False),
-            SOURCE, 40, timeout=120.0,
-        )
-    finally:
-        sys.setswitchinterval(interval)
-    assert got.keys() == want.states.keys()
-    for bid, st in want.states.items():
-        assert got[bid].tobytes() == st.eta_interior().tobytes()
 
 
 def test_a_kernel_span_says_what_ran_the_block_not_what_the_process_chose():

@@ -133,24 +133,24 @@ class TestTraceContext:
                 pass
         assert tracer.export() == []
 
-    def test_rank_threads_inherit_spawning_trace(self):
+    def test_forked_ranks_inherit_spawning_trace(self):
         from repro.par.comm import run_ranks
+        from tests.rank_worlds import wait_for_one_thread
 
         obs.enable()
         tracer = obstrace.get_tracer()
-        seen = {}
 
         def fn(comm):
             ctx = tracer.current_context()
-            seen[comm.rank] = None if ctx is None else ctx.trace_id
             with obstrace.span("rank_work", rank=comm.rank):
                 pass
-            return comm.rank
+            return None if ctx is None else ctx.trace_id
 
+        wait_for_one_thread()
         with tracer.context(TraceContext("req-42")):
             with obstrace.span("request"):
-                run_ranks(2, fn, timeout=30.0)
-        assert seen == {0: "req-42", 1: "req-42"}
+                seen = run_ranks(2, fn, timeout=30.0)
+        assert seen == ["req-42", "req-42"]
         rank_spans = [
             s for s in tracer.export() if s["name"] == "rank_work"
         ]

@@ -98,7 +98,7 @@ def test_fresh_thread_gets_its_own_arena():
 
 
 def test_two_threads_stepping_different_blocks_match_serial():
-    """What the rank threads of ``run_distributed`` do to the arena."""
+    """Two threads of one process stepping at once, each on its own arena."""
     shapes = [(96, 41), (33, 150)]
     serial = []
     for nx, ny in shapes:

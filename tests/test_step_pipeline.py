@@ -256,35 +256,54 @@ def test_one_function_calls_the_kernels_and_opens_the_phase_spans():
         assert openers == [("core/pipeline.py", "run_step")], phase
 
 
-def test_model_step_and_rank_step_both_reach_that_function(
-    monkeypatch, rank_threads
-):
-    # On rank threads: ``callers`` is filled through an in-process patch,
-    # which a forked rank would fill in its own copy.
-    callers = []
+@pytest.mark.usefixtures("rank_processes")
+def test_model_step_and_rank_step_both_reach_that_function(monkeypatch):
+    # Each call is counted in the metrics registry under the code object
+    # that made it: a forked rank's counters come home to the launcher, so
+    # the counts are every rank's.
+    from repro.obs.metrics import get_registry
 
-    def counting(name):
-        kernel = getattr(pipeline, name)
+    name = "test_kernel_callers_total"
+
+    def callers():
+        return {
+            (dict(labels)["kernel"], dict(labels)["caller"]): c.value
+            for (n, labels), c in get_registry().counters().items()
+            if n == name
+        }
+
+    def counting(kernel_name):
+        kernel = getattr(pipeline, kernel_name)
 
         def wrapper(*args, **kwargs):
-            callers.append((name, sys._getframe(1).f_code))
+            code = sys._getframe(1).f_code
+            get_registry().counter(name, labels={
+                "kernel": kernel_name,
+                "caller": f"{code.co_filename}:{code.co_firstlineno}",
+            }).inc()
             return kernel(*args, **kwargs)
 
         return wrapper
 
-    for name in ("nlmass", "nlmnt2"):
-        monkeypatch.setattr(pipeline, name, counting(name))
+    for kernel_name in ("nlmass", "nlmnt2"):
+        monkeypatch.setattr(pipeline, kernel_name, counting(kernel_name))
 
+    before = callers()
     model = RTiModel(NEST, NEST_BATHY, NEST_CFG)
     model.step()
-    from_model = len(callers)
+    from_model = sum(callers().values()) - sum(before.values())
     assert from_model == 2 * len(model.states)
     run_distributed(
         NEST, NEST_BATHY, NEST_CFG, _decomposition(NEST, [0, 1, 0, 1, 0, 1]),
         NEST_SOURCE, 1,
     )
-    assert len(callers) == 2 * from_model
-    assert {code for _, code in callers} == {pipeline.run_step.__code__}
+    after = callers()
+    assert sum(after.values()) - sum(before.values()) == 2 * from_model
+    grew = {key for key, n in after.items() if n > before.get(key, 0)}
+    run_step = pipeline.run_step.__code__
+    assert {caller for _kernel, caller in grew} == {
+        f"{run_step.co_filename}:{run_step.co_firstlineno}"
+    }
 
 
 # ---------------------------------------------------------------------------

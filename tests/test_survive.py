@@ -8,6 +8,7 @@ shrink re-decomposition, MAD straggler detection, and straggler
 hedging.
 """
 
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 from repro.core import RTiModel, SimulationConfig
 from repro.errors import (
+    CommunicationError,
     ConfigurationError,
     DecompositionError,
 )
@@ -34,6 +36,7 @@ from repro.core.pipeline import build_step_plan
 from repro.par.comm import run_ranks
 from repro.par.driver import _RankRuntime
 from repro.resilience import Checkpoint, CheckpointRing, FaultPlan, FaultSpec
+from repro.resilience import survive
 from repro.resilience.health import StepTimeMonitor
 from repro.resilience.survive import (
     EPOCHS_HELD,
@@ -46,6 +49,11 @@ from repro.resilience.survive import (
 )
 from repro.topo import build_mini_kochi
 from repro.validation import FlatBathymetry
+from tests.rank_worlds import (
+    assert_nothing_left_behind,
+    slot_sizes,
+    wait_for_one_thread,
+)
 
 
 def flat_grid(n_blocks=2):
@@ -148,9 +156,9 @@ class TestBuddyRings:
 
 
 class TestReplicasOnRankThreads:
-    """A real 2-rank thread-world run of the rank loop: the replica a rank
-    receives is a copy, so neighbour repair works where the survivable
-    runtime runs."""
+    """A real 2-rank run of the rank loop (rank 1 forked): the replica a
+    rank receives is a copy, so neighbour repair works where the
+    survivable runtime runs."""
 
     N_STEPS = 12
 
@@ -261,6 +269,56 @@ class TestStepTimeMonitor:
         mon = StepTimeMonitor()
         per = {0: 0.1, 1: 0.1, 2: 0.1, 3: 0.4, 4: 0.9}
         assert mon.stragglers(per) == [4, 3]
+
+
+# -- every launch forks ----------------------------------------------------
+
+
+class TestForkedRanks:
+    """Every survivable launch forks its ranks: a fault a forked rank
+    consumes stays consumed for the launcher and every relaunch, and a
+    caller that is not its process's only thread is refused."""
+
+    N_STEPS = 30
+
+    def test_a_crash_of_forked_rank_1_respawns_once_and_is_reported(self):
+        grid, bathy, cfg, src = flat_grid(2), FlatBathymetry(50.0), config(), source()
+        ref = reference_run(grid, bathy, cfg, src, self.N_STEPS)
+        plan = FaultPlan([FaultSpec(kind="rank_crash", rank=1, step=24)], seed=4)
+        wait_for_one_thread()
+        with slot_sizes(survive) as launches:
+            eta, report = survivable_run_distributed(
+                grid, bathy, cfg, whole_block_decomp(grid, 2), src,
+                self.N_STEPS,
+                survival=SurvivalConfig(checkpoint_every=5, spare_ranks=1),
+                fault_plan=plan, timeout=120.0, comm_timeout=5.0,
+            )
+        assert_nothing_left_behind()
+        assert_identical(ref, eta)
+        # Both launches forked, with the plain run's slots.
+        assert launches == [(2, (48 + 1 + 4) * 2 * 8)] * 2
+        # The child's crash fired once: the relaunch did not crash again.
+        assert report.respawns == 1 and report.rank_failures == 1
+        assert [i.action for i in report.incarnations] == ["initial", "respawn"]
+        assert plan.triggered_labels() == ["rank_crash rank=1 step=24"]
+
+    def test_a_caller_with_another_live_thread_is_refused(self):
+        grid = flat_grid(2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30.0,))
+        wait_for_one_thread()
+        other.start()
+        try:
+            with pytest.raises(CommunicationError, match="only live thread"):
+                survivable_run_distributed(
+                    grid, FlatBathymetry(50.0), config(),
+                    whole_block_decomp(grid, 2), source(), 4,
+                    timeout=60.0, comm_timeout=5.0,
+                )
+        finally:
+            release.set()
+            other.join(30.0)
+        assert not other.is_alive()
 
 
 # -- integration: the survival paths, all bitwise ------------------------
