@@ -65,7 +65,6 @@ typedef uint32_t __attribute__((may_alias)) word;
 #define EXPONENT 0x7ff00000u
 #define FN(name) name##_f64
 #define SQRT sqrt
-#define HYPOT hypot
 #define FABS fabs
 #include __FILE__
 #undef REAL
@@ -73,7 +72,6 @@ typedef uint32_t __attribute__((may_alias)) word;
 #undef EXPONENT
 #undef FN
 #undef SQRT
-#undef HYPOT
 #undef FABS
 
 #define REAL float
@@ -81,7 +79,6 @@ typedef uint32_t __attribute__((may_alias)) word;
 #define EXPONENT 0x7f800000u
 #define FN(name) name##_f32
 #define SQRT sqrtf
-#define HYPOT hypotf
 #define FABS fabsf
 #include __FILE__
 
@@ -277,11 +274,14 @@ void FN(update)(const REAL *z, const REAL *m, const REAL *n, REAL *restrict out_
 /* "Update output data" on cells [j0, j1) x [0, nx) of the physical block
  * (products: pitch nx, no ghosts; zmax and z0 in the state's precision, the
  * rest double): the depth D = max(z + h, 0) and wetness, zmax where wet, the
- * cell-centred speed |(M, N)| / max(D, film) from the face means, capped — 0
+ * cell-centred speed sqrt(mc*mc + nc*nc) / D from the face means, capped — 0
  * on water no deeper than max(dry, film) — into vmax, the depth on wet land,
  * and the first time the level is more than `thr` off z0.  Where the gate
- * zeroes the speed it is not computed (hypot is half of this loop); where it
- * does not, D > film and max(D, film) is D. */
+ * zeroes the speed it is not computed; where it does not, D > film.  The
+ * speed takes only correctly rounded operations, so no libm call decides a
+ * bit of it.  inund is read and written on wet land alone: elsewhere the
+ * fold is of +0 into +0 (sea, and land the water never reached) or into a
+ * depth land once had, and changes no bit. */
 void FN(output)(const REAL *z, const REAL *m, const REAL *n, const REAL *h,
                 REAL *zmax, double *vmax, double *inund, double *arrival,
                 const REAL *z0, const unsigned char *land, long P, long g,
@@ -302,11 +302,12 @@ void FN(output)(const REAL *z, const REAL *m, const REAL *n, const REAL *h,
             if (d > gate) {
                 const REAL mc = (REAL)0.5 * (mj[i] + mj[i + 1]);
                 const REAL nc = (REAL)0.5 * (nj[i] + nj[i + P]);
-                speed = HYPOT(mc, nc) / d;
+                speed = SQRT(mc * mc + nc * nc) / d;
                 speed = speed > cap ? cap : speed;
             }
             vmax[k] = fold(vmax[k], speed);
-            inund[k] = fold(inund[k], land[k] && wet ? d : 0);
+            if (land[k] && wet)
+                inund[k] = fold(inund[k], d);
             off = off < 0 ? -off : off;
             if (off > thr && isinf(arrival[k]))
                 arrival[k] = now;

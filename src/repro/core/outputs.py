@@ -112,28 +112,32 @@ class OutputAccumulator:
 
             np.maximum(self.zmax[rows], zi, out=self.zmax[rows], where=wet)
 
-            # Cell-centered speed from face fluxes.
+            # Cell-centered speed from face fluxes, sqrt(mc*mc + nc*nc) / D:
+            # correctly rounded operations only, in the nest's order.
             np.add(m[cj, ci], m[cj, g + 1 : g + nx + 1], out=speed)
             np.multiply(0.5, speed, out=speed)
             np.add(n[cj, ci], n[g + j0 + 1 : g + j1 + 1, ci], out=tmp)
             np.multiply(0.5, tmp, out=tmp)
+            np.multiply(speed, speed, out=speed)
+            np.multiply(tmp, tmp, out=tmp)
+            np.add(speed, tmp, out=speed)
+            np.sqrt(speed, out=speed)
             # Speeds are meaningless on very thin films, and the face
             # fluxes feeding a shoreline cell may reference a much larger
             # face depth; report only where the water column is
-            # resolvable, clipped to the solver's own velocity cap.
-            np.hypot(speed, tmp, out=speed)
-            np.maximum(d, self.SPEED_MIN_DEPTH, out=tmp)
-            np.divide(speed, tmp, out=speed)
+            # resolvable (there D > film > 0 is the divisor), clipped to
+            # the solver's own velocity cap.
             np.greater(d, max(dry_threshold, self.SPEED_MIN_DEPTH), out=mask)
-            np.invert(mask, out=mask)
-            np.copyto(speed, 0.0, where=mask)
-            np.minimum(speed, MAX_VELOCITY, out=speed)
-            np.maximum(self.vmax[rows], speed, out=self.vmax[rows])
-
-            np.bitwise_and(self._land[rows], wet, out=mask)
             tmp.fill(0.0)
-            np.copyto(tmp, d, where=mask)
-            np.maximum(self.inundation_max[rows], tmp, out=self.inundation_max[rows])
+            np.divide(speed, d, out=tmp, where=mask)
+            np.minimum(tmp, MAX_VELOCITY, out=tmp)
+            np.maximum(self.vmax[rows], tmp, out=self.vmax[rows])
+
+            # Only wet land is folded: elsewhere the fold would be of +0 into
+            # +0 (sea) or into a depth >= 0 (land), which changes no bit.
+            np.bitwise_and(self._land[rows], wet, out=mask)
+            inundation = self.inundation_max[rows]
+            np.maximum(inundation, d, out=inundation, where=mask)
 
             arrival = self.arrival_time[rows]
             np.subtract(zi, self._z0[rows], out=tmp)

@@ -49,13 +49,14 @@ THIS_BOX_NLMNT2_US: dict[str, tuple[float, float]] = {
 }
 
 #: Likewise one ``OutputAccumulator.update`` call (same box, same three block
-#: sizes, the two executors alternating in one process pinned to one CPU; the
-#: nest's re-measured prepared: 7.1, 50 and 181 us — the intercept was 23).
-#: Out of cache the NumPy body's slope grows — 25 ns/cell at 768x768 — and
-#: the nest's does not (11.1): it streams each array once.
+#: sizes, the two executors alternating in one process pinned to one CPU;
+#: the nest's calls prepared: 7.6, 30 and 93 us).  Since the speed is
+#: ``sqrt(mc*mc + nc*nc) / D`` the nest calls no libm function per cell.
+#: Out of cache the NumPy body's slope grows (19 ns/cell at 768x768) and
+#: the nest's barely does (5.8): it streams each array once.
 THIS_BOX_OUTPUT_US: dict[str, tuple[float, float]] = {
-    "numpy": (0.0188, 25.0),  # 25 ufunc passes a strip, np.hypot one of them
-    "nest": (0.0106, 7.1),  # one row loop; libm hypot is half of the slope
+    "numpy": (0.0123, 28.5),  # 24 ufunc passes and a fill a strip
+    "nest": (0.0052, 8.2),  # one row loop; inundation touched on wet land only
 }
 
 

@@ -109,6 +109,14 @@ TAG_MIGRATE = 6_000_000
 #: the one before it must still be whole.
 EPOCHS_HELD = 2
 
+#: Seconds a rank waits on a blocking receive before the run calls the
+#: message lost: what one dropped message costs a run.  It is 100x the
+#: longest delay a seeded fault plan injects (``msg_delay``: at most 50 ms),
+#: so a late message is never taken for a lost one, and above the 1.0-1.2 s
+#: a step of the Table-I Kochi grid takes in one process (two-vCPU x86-64
+#: host), so a neighbour one whole step behind is not taken for dead.
+COMM_TIMEOUT_S = 5.0
+
 #: Straggler hedging: steps per adjudication window, migrations per run,
 #: and consecutive losses that open the hedge breaker.
 HEDGE_WINDOW = 5
@@ -493,7 +501,7 @@ def survivable_run_distributed(
     fault_plan: FaultPlan | None = None,
     store=None,
     timeout: float = 300.0,
-    comm_timeout: float = 30.0,
+    comm_timeout: float = COMM_TIMEOUT_S,
 ) -> tuple[dict[int, np.ndarray], SurvivalReport]:
     """Distributed run that survives in-flight rank failures.
 

@@ -14,8 +14,8 @@ Every value is a NumPy scalar of the arrays' dtype, so each ``+ - * /`` and
 one other function, the Manning term's ``D^(7/3)``, is ``np.power`` on such
 a scalar: NumPy's power gives one value per operand whatever array it sits
 in (Python's ``**`` and libm's ``pow`` are an ulp off it in a few percent of
-operands); :func:`output` likewise takes its one ``np.hypot`` of two such
-scalars.  Meant for blocks of up to about 12 x 12 cells.
+operands).  :func:`output`'s speed is ``sqrt(u*u + v*v)``: correctly rounded
+operations only.  Meant for blocks of up to about 12 x 12 cells.
 """
 
 import numpy as np
@@ -149,7 +149,7 @@ def output(products, z, m, n, h, time, arrival_threshold=0.01, dry=DRY_THRESHOLD
                 if wet and depth > thin:
                     u = half * (m[jj, ii] + m[jj, ii + 1])
                     v = half * (n[jj, ii] + n[jj + 1, ii])
-                    speed = np.hypot(u, v) / depth
+                    speed = np.sqrt(u * u + v * v) / depth
                     if speed > cap:
                         speed = cap
                 new["vmax"][j, i] = larger(new["vmax"][j, i], speed)

@@ -281,7 +281,7 @@ def output_update(
     # solver's own velocity cap.
     deep_enough = d > max(dry_threshold, self.SPEED_MIN_DEPTH)
     speed = np.where(
-        deep_enough, np.hypot(mc, nc) / np.maximum(d, self.SPEED_MIN_DEPTH), 0.0
+        deep_enough, np.sqrt(mc * mc + nc * nc) / np.maximum(d, self.SPEED_MIN_DEPTH), 0.0
     )
     np.minimum(speed, MAX_VELOCITY, out=speed)
     np.maximum(self.vmax, speed, out=self.vmax)

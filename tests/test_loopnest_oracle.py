@@ -17,13 +17,14 @@ updates — and NaN *in* lanes it reads, which ``maximum``/``minimum`` must keep
 points, one scratch, one power — is held to the oracle the same way, in one
 strip and cut into many (as is ``nlmass``), every ghost row and column of its
 results included: the nest carries those over itself.
-And the suite is itself checked: three mutants each of the C nest and of the
-NumPy body, per kernel (momentum: a flipped upwind sign, a dropped overflow
-rule, ``>`` for ``>=`` at the dry threshold; products: the speed gate dropped,
-``>=`` for ``>`` at the arrival threshold, ``vmax`` folded with ``min``; and
-of the C alone, the older of two zeros kept; of its fused sweeps, the M and N
-scratch offsets swapped, the last strip's extra N face row dropped, the ghost
-frame not carried over) must fail it.
+And the suite is itself checked: mutants of the C nest and of the NumPy
+body, per kernel (momentum: a flipped upwind sign, a dropped overflow rule,
+``>`` for ``>=`` at the dry threshold; products: the speed gate dropped,
+``>=`` for ``>`` at the arrival threshold, ``vmax`` folded with ``min``,
+``mc * nc`` for ``nc * nc`` in the speed, inundation folded off land instead
+of on it; and of the C alone, the older of two zeros kept; of its fused
+sweeps, the M and N scratch offsets swapped, the last strip's extra N face
+row dropped, the ghost frame not carried over) must fail it.
 """
 
 import types
@@ -317,17 +318,24 @@ C_FUSED_MUTANTS = {  # of the two entry points' own lines, not of the row loops
 }
 C_OUTPUT_MUTANTS = {
     "speed gate dropped": ("if (d > gate) {", "{"),
+    "a product of the two means in the speed": ("nc * nc", "mc * nc"),
+    "inundation folded off land": ("if (land[k] && wet)", "if (!land[k] && wet)"),
     ">= at the arrival threshold": ("if (off > thr &&", "if (off >= thr &&"),
     "vmax folded with min": ("vmax[k] = fold(vmax[k], speed);",
                              "vmax[k] = vmax[k] <= speed ? vmax[k] : speed;"),
     "the older of two zeros kept": ("return a > b ||", "return a >= b ||"),
 }
 NUMPY_OUTPUT_MUTANTS = {
-    "speed gate dropped": ("            np.copyto(speed, 0.0, where=mask)\n", ""),
+    "speed gate dropped": ("np.divide(speed, d, out=tmp, where=mask)",
+                           "np.divide(speed, d, out=tmp)"),
+    "a product of the two means in the speed": ("np.multiply(tmp, tmp, out=tmp)",
+                                                "np.multiply(speed, tmp, out=tmp)"),
+    "inundation folded off land": ("np.bitwise_and(self._land[rows], wet, out=mask)",
+                                   "np.greater(wet, self._land[rows], out=mask)"),
     ">= at the arrival threshold": ("np.greater(tmp, self.arrival_threshold, out=mask)",
                                     "np.greater_equal(tmp, self.arrival_threshold, out=mask)"),
-    "vmax folded with min": ("np.maximum(self.vmax[rows], speed, out=self.vmax[rows])",
-                             "np.minimum(self.vmax[rows], speed, out=self.vmax[rows])"),
+    "vmax folded with min": ("np.maximum(self.vmax[rows], tmp, out=self.vmax[rows])",
+                             "np.minimum(self.vmax[rows], tmp, out=self.vmax[rows])"),
 }
 
 

@@ -9,6 +9,7 @@ hedging.
 """
 
 import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -405,6 +406,34 @@ class TestSurvivableRuns:
         assert report.epoch_retries == 1
         assert report.rank_failures == 0
         assert report.incarnations[-1].n_ranks == 2
+
+    def test_a_delay_is_no_failure_and_a_drop_costs_one_comm_timeout(self):
+        """At the default receive timeout a seeded plan's longest delay is
+        waited out, and a dropped message is given up on within it."""
+        grid, bathy, cfg, src, ref = self.setup_run()
+        assert survive.COMM_TIMEOUT_S >= 100 * max(
+            spec.delay_s
+            for seed in range(200)
+            for spec in FaultPlan.random(seed, kinds=("msg_delay",)).faults
+        )
+
+        def run(kind):
+            plan = FaultPlan([FaultSpec(kind=kind, rank=0, op=7, delay_s=0.05)], seed=3)
+            start = time.monotonic()
+            eta, report = survivable_run_distributed(
+                grid, bathy, cfg, whole_block_decomp(grid, 2), src,
+                self.N_STEPS, survival=SurvivalConfig(checkpoint_every=5),
+                fault_plan=plan, timeout=120.0,
+            )
+            assert_identical(ref, eta)
+            assert plan.triggered_labels() and report.rank_failures == 0
+            return report, time.monotonic() - start
+
+        delayed, plain_s = run("msg_delay")
+        assert delayed.epoch_retries == 0 and len(delayed.incarnations) == 1
+        dropped, dropped_s = run("msg_drop")
+        assert dropped.epoch_retries == 1
+        assert dropped_s < plain_s + survive.COMM_TIMEOUT_S + 2.0
 
     def test_breaker_falls_back_single_process_from_checkpoint(self):
         grid, bathy, cfg, src, ref = self.setup_run()
